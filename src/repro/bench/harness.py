@@ -30,6 +30,10 @@ Workload = Callable[[], int]
 #: Builds a fresh workload (fresh kernel, fresh schedule, ...) per repeat.
 WorkloadFactory = Callable[[], Workload]
 
+#: Monotonic clock in seconds; ``time.perf_counter`` unless a test
+#: injects synthetic timings (the way ``Profiler`` takes a clock).
+Timer = Callable[[], float]
+
 
 class BenchSkip(Exception):
     """Raised by a workload factory when the case cannot run here.
@@ -116,7 +120,9 @@ def calibration_workload() -> int:
     return CALIBRATION_ITERATIONS + (total & 1)
 
 
-def time_workload(workload: Workload) -> tuple[float, int]:
+def time_workload(
+    workload: Workload, timer: Timer = time.perf_counter
+) -> tuple[float, int]:
     """Run ``workload`` once; return (elapsed seconds, units).
 
     The cyclic collector is drained, then paused, around the timed
@@ -130,9 +136,9 @@ def time_workload(workload: Workload) -> tuple[float, int]:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        started = time.perf_counter()
+        started = timer()
         units = workload()
-        elapsed = time.perf_counter() - started
+        elapsed = timer() - started
     finally:
         if was_enabled:
             gc.enable()
@@ -140,7 +146,10 @@ def time_workload(workload: Workload) -> tuple[float, int]:
 
 
 def measure_case(
-    case: BenchCase, repeats: int, calibration_rate: float
+    case: BenchCase,
+    repeats: int,
+    calibration_rate: float,
+    timer: Timer = time.perf_counter,
 ) -> CaseResult:
     """Run one case ``repeats`` times and summarise."""
     if repeats <= 0:
@@ -150,7 +159,7 @@ def measure_case(
     try:
         for _ in range(repeats):
             workload = case.factory()
-            elapsed, units = time_workload(workload)
+            elapsed, units = time_workload(workload, timer)
             samples.append(elapsed)
     except BenchSkip as skip:
         return CaseResult(
@@ -181,12 +190,14 @@ def measure_case(
     )
 
 
-def measure_calibration(repeats: int) -> tuple[float, float]:
+def measure_calibration(
+    repeats: int, timer: Timer = time.perf_counter
+) -> tuple[float, float]:
     """Time the calibration workload; return (median seconds, rate)."""
     samples: list[float] = []
     units = 0
     for _ in range(max(3, repeats)):
-        elapsed, units = time_workload(calibration_workload)
+        elapsed, units = time_workload(calibration_workload, timer)
         samples.append(elapsed)
     samples.sort()
     median_s = median(samples)
@@ -197,12 +208,13 @@ def run_suite(
     cases: list[BenchCase],
     repeats: int,
     progress: Optional[Callable[[str], None]] = None,
+    timer: Timer = time.perf_counter,
 ) -> tuple[list[CaseResult], float]:
     """Measure every case; returns (results, calibration rate)."""
-    _, calibration_rate = measure_calibration(repeats)
+    _, calibration_rate = measure_calibration(repeats, timer)
     results = []
     for case in cases:
         if progress is not None:
             progress(case.name)
-        results.append(measure_case(case, repeats, calibration_rate))
+        results.append(measure_case(case, repeats, calibration_rate, timer))
     return results, calibration_rate

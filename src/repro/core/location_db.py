@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.bluetooth.address import BDAddr
+from repro.sim.hotpath import hot_path
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,10 @@ class LocationDatabase:
             raise ValueError(
                 f"staleness horizon must be positive: {staleness_horizon_ticks}"
             )
+        # Written only through ``_write``, which keeps ``_known`` (the
+        # number of records with a room) exact so ``known_count`` is O(1).
         self._current: dict[BDAddr, LocationRecord] = {}
+        self._known = 0
         self._history: dict[BDAddr, list[LocationEvent]] = {}
         self._history_limit = history_limit
         self.staleness_horizon_ticks = staleness_horizon_ticks
@@ -74,8 +78,8 @@ class LocationDatabase:
         # *different* room cannot be applied, but it must not be
         # forgotten either: a delayed presence for that room carrying an
         # older tick would otherwise resurrect a user who already left.
-        # Keyed by (device, room); cleared by any newer presence there.
-        self._absence_horizon: dict[tuple[BDAddr, str], int] = {}
+        # Keyed by device, then room; cleared by any newer presence there.
+        self._absence_horizon: dict[BDAddr, dict[str, int]] = {}
         self.updates_applied = 0
         self.stale_absences_ignored = 0
         self.stale_presences_ignored = 0
@@ -85,6 +89,7 @@ class LocationDatabase:
 
     # -- updates ---------------------------------------------------------------
 
+    @hot_path
     def apply_presence(
         self, device: BDAddr, room_id: str, tick: int, workstation_id: str
     ) -> bool:
@@ -97,15 +102,20 @@ class LocationDatabase:
         stale state (workstations only report deltas, but deliveries
         can race and reorder over the LAN).
         """
-        horizon = self._absence_horizon.get((device, room_id))
-        if horizon is not None:
-            if tick <= horizon:
-                # A departure from this room with a tick at least this
-                # fresh was already reported: the presence is the late
-                # half of a reordered pair and must not resurrect.
-                self.presences_superseded += 1
-                return False
-            del self._absence_horizon[(device, room_id)]
+        horizons = self._absence_horizon.get(device)
+        if horizons is not None:
+            horizon = horizons.get(room_id)
+            if horizon is not None:
+                if tick <= horizon:
+                    # A departure from this room with a tick at least
+                    # this fresh was already reported: the presence is
+                    # the late half of a reordered pair and must not
+                    # resurrect.
+                    self.presences_superseded += 1
+                    return False
+                del horizons[room_id]
+                if not horizons:
+                    del self._absence_horizon[device]
         record = self._current.get(device)
         if record is not None and tick < record.last_confirmed_tick:
             # Older than the newest confirmation of the current state:
@@ -120,19 +130,23 @@ class LocationDatabase:
             # its *confirmation* is renewed, which is exactly what the
             # periodic refresh traffic exists to do.
             if tick > record.last_confirmed_tick:
-                self._current[device] = LocationRecord(
-                    device=device,
-                    room_id=room_id,
-                    since_tick=record.since_tick,
-                    last_confirmed_tick=tick,
+                self._write(
+                    device,
+                    LocationRecord(
+                        device=device,
+                        room_id=room_id,
+                        since_tick=record.since_tick,
+                        last_confirmed_tick=tick,
+                    ),
                 )
                 self.presences_reconfirmed += 1
             return False
-        self._current[device] = LocationRecord(device=device, room_id=room_id, since_tick=tick)
+        self._write(device, LocationRecord(device=device, room_id=room_id, since_tick=tick))
         self._append_history(device, LocationEvent(tick, room_id, workstation_id))
         self.updates_applied += 1
         return True
 
+    @hot_path
     def apply_absence(
         self, device: BDAddr, room_id: str, tick: int, workstation_id: str
     ) -> bool:
@@ -151,9 +165,7 @@ class LocationDatabase:
             # position stamped with the absence tick — so the delayed
             # presence cannot arrive afterwards and resurrect a user who
             # already left.  The caller still sees no position change.
-            self._current[device] = LocationRecord(
-                device=device, room_id=None, since_tick=tick
-            )
+            self._write(device, LocationRecord(device=device, room_id=None, since_tick=tick))
             self._append_history(device, LocationEvent(tick, None, workstation_id))
             self.absence_tombstones += 1
             return False
@@ -162,15 +174,34 @@ class LocationDatabase:
                 # Cannot apply (the device is attributed elsewhere), but
                 # remember the departure so the matching presence, if it
                 # arrives late, cannot re-attribute the room.
-                key = (device, room_id)
-                if tick > self._absence_horizon.get(key, -1):
-                    self._absence_horizon[key] = tick
+                horizons = self._absence_horizon.get(device)
+                if horizons is None:
+                    horizons = self._absence_horizon[device] = {}
+                if tick > horizons.get(room_id, -1):
+                    horizons[room_id] = tick
             self.stale_absences_ignored += 1
             return False
-        self._current[device] = LocationRecord(device=device, room_id=None, since_tick=tick)
+        self._write(device, LocationRecord(device=device, room_id=None, since_tick=tick))
         self._append_history(device, LocationEvent(tick, None, workstation_id))
         self.updates_applied += 1
         return True
+
+    def _write(self, device: BDAddr, record: Optional[LocationRecord]) -> None:
+        """Set the current record of ``device``, or drop it for ``None``.
+
+        The one writer of ``_current``: adjusting ``_known`` here, by the
+        replaced and the new record, keeps ``known_count`` exact without
+        walking every device.
+        """
+        previous = self._current.get(device)
+        if previous is not None and previous.room_id is not None:
+            self._known -= 1
+        if record is None:
+            self._current.pop(device, None)
+        else:
+            self._current[device] = record
+            if record.room_id is not None:
+                self._known += 1
 
     def _append_history(self, device: BDAddr, event: LocationEvent) -> None:
         """Insert keeping history tick-ordered.
@@ -191,10 +222,9 @@ class LocationDatabase:
 
     def forget_device(self, device: BDAddr) -> None:
         """Drop all state for a device (user logged out)."""
-        self._current.pop(device, None)
+        self._write(device, None)
         self._history.pop(device, None)
-        for key in [k for k in sorted(self._absence_horizon) if k[0] == device]:
-            del self._absence_horizon[key]
+        self._absence_horizon.pop(device, None)
 
     # -- queries ---------------------------------------------------------------
 
@@ -273,4 +303,4 @@ class LocationDatabase:
     @property
     def known_count(self) -> int:
         """Devices whose room is currently known."""
-        return sum(1 for record in self._current.values() if record.known)
+        return self._known

@@ -31,6 +31,7 @@ from repro.lan.transport import LANTransport, UnknownEndpointError
 from repro.obs.events import EventBus, QueryServed, ServerBrownout, UserLoggedIn
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import SpanTracer
+from repro.sim.hotpath import hot_path
 from repro.sim.kernel import Kernel
 
 from .errors import BIPSError
@@ -69,6 +70,9 @@ class BIPSServer:
         self.paths = AllPairsPaths.from_floorplan(plan)
         self.queries = QueryEngine(self.registry, self.location_db, self.paths)
         self._workstation_rooms: dict[str, str] = {}
+        # Reverse index: room -> the workstation invalidations go to,
+        # the earliest-registered one when several claim a room.
+        self._room_workstations: dict[str, str] = {}
         self.presence_updates_received = 0
         self.unknown_workstation_updates = 0
         self.invalidations_sent = 0
@@ -116,7 +120,7 @@ class BIPSServer:
         if isinstance(message, PresenceUpdate):
             self._handle_presence(message)
         elif isinstance(message, WorkstationHello):
-            self._workstation_rooms[message.workstation_id] = message.room_id
+            self._bind_workstation(message.workstation_id, message.room_id)
         elif isinstance(message, LoginRequest):
             self._handle_login(source, message)
         elif isinstance(message, LogoutRequest):
@@ -126,6 +130,23 @@ class BIPSServer:
         elif isinstance(message, PathQuery):
             self._handle_path_query(source, message)
         # Unknown message types are ignored (forward compatibility).
+
+    def _bind_workstation(self, workstation_id: str, room_id: str) -> None:
+        """Record that ``workstation_id`` serves ``room_id``.
+
+        A newcomer is last in registration order, so it only claims a
+        room nobody serves yet.  A workstation moving to another room
+        can change who wins several rooms, so the index is rebuilt;
+        hellos are rare.
+        """
+        previous = self._workstation_rooms.get(workstation_id)
+        self._workstation_rooms[workstation_id] = room_id
+        if previous is None:
+            self._room_workstations.setdefault(room_id, workstation_id)
+        elif previous != room_id:
+            self._room_workstations.clear()
+            for ws_id, ws_room in self._workstation_rooms.items():
+                self._room_workstations.setdefault(ws_room, ws_id)
 
     def _handle_presence(self, message: PresenceUpdate) -> None:
         self.presence_updates_received += 1
@@ -137,7 +158,7 @@ class BIPSServer:
         if room is None and message.room_id is not None:
             # The hello was lost; learn the mapping from the update.
             room = message.room_id
-            self._workstation_rooms[message.workstation_id] = room
+            self._bind_workstation(message.workstation_id, room)
         if room is None:
             self.unknown_workstation_updates += 1
             return
@@ -161,6 +182,7 @@ class BIPSServer:
             spans.pop(prev)
             spans.end(span, self.kernel.now)
 
+    @hot_path
     def _apply_presence(self, message: PresenceUpdate, room: str) -> None:
         """Apply one delta to the location DB (split out for the span)."""
         if message.present:
@@ -184,14 +206,7 @@ class BIPSServer:
 
     def _invalidate_previous_room(self, device, previous_room: str, new_room: str) -> None:
         """Tell the previous room's workstation the device moved on."""
-        workstation_id = next(
-            (
-                ws_id
-                for ws_id, ws_room in self._workstation_rooms.items()
-                if ws_room == previous_room
-            ),
-            None,
-        )
+        workstation_id = self._room_workstations.get(previous_room)
         if workstation_id is None:
             return
         try:

@@ -2,18 +2,21 @@
 
 The real suite takes seconds per case, so these tests monkeypatch the
 suite resolver to a microscopic stand-in — the contract under test is
-the CLI's control flow, not the workloads.
+the CLI's control flow, not the workloads.  The harness also runs on a
+synthetic timer, so no verdict here depends on how fast or busy the
+host is; real timing is exercised by ``bips bench`` itself.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 
 import pytest
 
 import repro.bench.cli as bench_cli
-from repro.bench.harness import BenchCase, BenchSkip
+from repro.bench.harness import BenchCase, BenchSkip, run_suite
 
 
 def _tiny_suite(name: str) -> list[BenchCase]:
@@ -46,8 +49,11 @@ def _args(tmp_path, **overrides) -> argparse.Namespace:
 
 
 @pytest.fixture(autouse=True)
-def tiny_suite(monkeypatch, tmp_path):
+def tiny_suite(monkeypatch, tmp_path, ticking_timer):
     monkeypatch.setattr(bench_cli, "select_suite", _tiny_suite)
+    monkeypatch.setattr(
+        bench_cli, "run_suite", functools.partial(run_suite, timer=ticking_timer)
+    )
     # Keep the baseline text rendering inside the sandbox too.
     monkeypatch.setattr(
         bench_cli, "DEFAULT_BASELINE_TEXT", str(tmp_path / "bench_baseline.txt")
@@ -72,6 +78,12 @@ class TestExitCodes:
     def test_matching_run_passes_the_gate(self, tmp_path):
         assert bench_cli.run_bench(_args(tmp_path, update_baseline=True)) == 0
         assert bench_cli.run_bench(_args(tmp_path)) == 0
+        # Synthetic timings make the two runs' scores identical.
+        reports = [
+            json.loads(path.read_text())["benchmarks"]["tiny"]["normalized"]
+            for path in (tmp_path / "baseline.json", *tmp_path.glob("BENCH_*.json"))
+        ]
+        assert len(set(reports)) == 1
 
     def test_regression_exits_one(self, tmp_path, capsys):
         assert bench_cli.run_bench(_args(tmp_path, update_baseline=True)) == 0

@@ -110,6 +110,20 @@ class TestMeasureCase:
         assert len(builds) == 4
 
 
+class TestInjectedTimer:
+    def test_time_workload_reads_the_timer(self, ticking_timer):
+        elapsed, units = time_workload(lambda: 7, ticking_timer)
+        assert (elapsed, units) == (0.25, 7)
+
+    def test_run_suite_threads_the_timer_everywhere(self, ticking_timer):
+        cases = [BenchCase(name="one", factory=lambda: (lambda: 3), unit="ops")]
+        results, calibration_rate = run_suite(cases, repeats=2, timer=ticking_timer)
+        assert calibration_rate == calibration_workload() / 0.25
+        assert results[0].samples_s == [0.25, 0.25]
+        assert results[0].rate_per_s == 12.0
+        assert results[0].normalized == 12.0 / calibration_rate
+
+
 class TestRunSuite:
     def test_progress_called_per_case(self):
         cases = [

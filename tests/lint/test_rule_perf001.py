@@ -130,6 +130,7 @@ class TestHotPathDecorator:
     def test_real_hot_loops_are_registered(self):
         # Importing the marked modules populates the runtime registry.
         import repro.bluetooth.hopping  # noqa: F401
+        import repro.core.server  # noqa: F401
         import repro.lan.transport  # noqa: F401
         import repro.radio.medium  # noqa: F401
         import repro.sim.kernel  # noqa: F401
@@ -141,5 +142,8 @@ class TestHotPathDecorator:
             "repro.bluetooth.hopping.InquiryTransmitSchedule.next_tx_of_position",
             "repro.radio.medium.RadioMedium.stations_in_range_of",
             "repro.lan.transport.LANTransport._deliver",
+            "repro.core.location_db.LocationDatabase.apply_presence",
+            "repro.core.location_db.LocationDatabase.apply_absence",
+            "repro.core.server.BIPSServer._apply_presence",
         }
         assert expected <= set(HOT_PATH_REGISTRY)
