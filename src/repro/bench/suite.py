@@ -151,7 +151,7 @@ def table1_small_factory() -> Workload:
     return run
 
 
-# -- inquiry engines at scale ------------------------------------------------
+# -- inquiry scan at scale --------------------------------------------------
 
 #: RNG seed for the piconet-population builders.
 SWARM_SEED = 20260808
@@ -170,35 +170,29 @@ SWARM_FLEET_HORIZON_TICKS = 16_000
 
 
 def _swarm_workload(
-    engine: str,
     piconets: int,
     slaves: int,
     window_ticks: int,
     period_ticks: int,
     horizon_ticks: int,
 ) -> Workload:
-    """Identical piconet population on either inquiry engine.
+    """Continuous train-locked scanners under periodically inquiring
+    masters, one :class:`InquiryScanSwarm` per piconet.
 
-    Continuous train-locked scanners under periodically inquiring
-    masters.  Construction happens here (untimed); the workload runs
-    the kernel to the horizon, so the object/batched pair measures
-    exactly the engine difference on the same simulated load.
+    Construction happens here (untimed); the workload runs the kernel
+    to the horizon.
     """
     try:
         from repro.bluetooth.address import BDAddr
         from repro.bluetooth.btclock import CLKN_WRAP, BluetoothClock
         from repro.bluetooth.hopping import TrainStrategy, periodic_inquiry
         from repro.bluetooth.inquiry import InquiryProcedure
-        from repro.bluetooth.scan import InquiryScanner, PhaseMode, ScanConfig
+        from repro.bluetooth.scan import PhaseMode, ScanConfig
+        from repro.bluetooth.swarm import InquiryScanSwarm
         from repro.sim.kernel import Kernel
         from repro.sim.rng import RandomStream
     except ImportError as exc:
         raise BenchSkip(f"piconet model unavailable: {exc}") from exc
-    if engine == "batched":
-        try:
-            from repro.bluetooth.swarm import InquiryScanSwarm
-        except ImportError as exc:
-            raise BenchSkip(f"no batched engine in this revision: {exc}") from exc
     kernel = Kernel()
     root = RandomStream(SWARM_SEED, "bench-swarm")
     scan = ScanConfig.continuous(phase_mode=PhaseMode.TRAIN_LOCKED)
@@ -211,39 +205,20 @@ def _swarm_workload(
             start=prng.randint(0, period_ticks - window_ticks - 1),
         )
         master = InquiryProcedure(kernel, schedule, name=f"master-{piconet}")
-        swarm = (
-            InquiryScanSwarm(
-                kernel, schedule, master.channel, config=scan, name=str(piconet)
-            )
-            if engine == "batched"
-            else None
+        swarm = InquiryScanSwarm(
+            kernel, schedule, master.channel, config=scan, name=str(piconet)
         )
         for slave in range(slaves):
             rng = prng.child("slave", str(slave))
             clock = BluetoothClock(offset=rng.randint(0, CLKN_WRAP - 1))
             base_phase = rng.randint(0, 15)
-            address = BDAddr(0x10000 * piconet + slave + 1)
-            if swarm is not None:
-                handle = swarm.add_slave(
-                    address,
-                    rng=rng.child("draws"),
-                    clock=clock,
-                    base_phase=base_phase,
-                    horizon_tick=horizon_ticks,
-                )
-            else:
-                handle = InquiryScanner(
-                    kernel,
-                    address,
-                    schedule,
-                    master.channel,
-                    rng=rng.child("draws"),
-                    config=scan,
-                    clock=clock,
-                    base_phase=base_phase,
-                    horizon_tick=horizon_ticks,
-                )
-            handle.start()
+            swarm.add_slave(
+                BDAddr(0x10000 * piconet + slave + 1),
+                rng=rng.child("draws"),
+                clock=clock,
+                base_phase=base_phase,
+                horizon_tick=horizon_ticks,
+            ).start()
 
     def run() -> int:
         kernel.run_until(horizon_ticks)
@@ -252,10 +227,9 @@ def _swarm_workload(
     return run
 
 
-def swarm_piconet_100_object_factory() -> Workload:
-    """One 100-slave piconet on the per-object scanner engine."""
+def swarm_piconet_100_factory() -> Workload:
+    """One 100-slave piconet."""
     return _swarm_workload(
-        "object",
         1,
         SWARM_PICONET_SLAVES,
         SWARM_PICONET_WINDOW_TICKS,
@@ -264,34 +238,9 @@ def swarm_piconet_100_object_factory() -> Workload:
     )
 
 
-def swarm_piconet_100_batched_factory() -> Workload:
-    """One 100-slave piconet on the batched swarm engine."""
+def swarm_piconets_1000_factory() -> Workload:
+    """1000 piconets x 100 slaves."""
     return _swarm_workload(
-        "batched",
-        1,
-        SWARM_PICONET_SLAVES,
-        SWARM_PICONET_WINDOW_TICKS,
-        SWARM_PICONET_PERIOD_TICKS,
-        SWARM_PICONET_HORIZON_TICKS,
-    )
-
-
-def swarm_piconets_1000_object_factory() -> Workload:
-    """1000 piconets x 100 slaves on the per-object scanner engine."""
-    return _swarm_workload(
-        "object",
-        SWARM_FLEET_PICONETS,
-        SWARM_FLEET_SLAVES,
-        SWARM_FLEET_WINDOW_TICKS,
-        SWARM_FLEET_PERIOD_TICKS,
-        SWARM_FLEET_HORIZON_TICKS,
-    )
-
-
-def swarm_piconets_1000_batched_factory() -> Workload:
-    """1000 piconets x 100 slaves on the batched swarm engine."""
-    return _swarm_workload(
-        "batched",
         SWARM_FLEET_PICONETS,
         SWARM_FLEET_SLAVES,
         SWARM_FLEET_WINDOW_TICKS,
@@ -380,11 +329,10 @@ SUITE: tuple[BenchCase, ...] = (
         smoke=False,
     ),
     BenchCase(
-        name="swarm_piconet_100_object",
-        factory=swarm_piconet_100_object_factory,
+        name="swarm_piconet_100",
+        factory=swarm_piconet_100_factory,
         unit="sim_ticks",
         params=(
-            ("engine", "object"),
             ("piconets", 1),
             ("slaves", SWARM_PICONET_SLAVES),
             ("window_ticks", SWARM_PICONET_WINDOW_TICKS),
@@ -395,41 +343,10 @@ SUITE: tuple[BenchCase, ...] = (
         smoke=False,
     ),
     BenchCase(
-        name="swarm_piconet_100_batched",
-        factory=swarm_piconet_100_batched_factory,
+        name="swarm_piconets_1000",
+        factory=swarm_piconets_1000_factory,
         unit="sim_ticks",
         params=(
-            ("engine", "batched"),
-            ("piconets", 1),
-            ("slaves", SWARM_PICONET_SLAVES),
-            ("window_ticks", SWARM_PICONET_WINDOW_TICKS),
-            ("period_ticks", SWARM_PICONET_PERIOD_TICKS),
-            ("horizon_ticks", SWARM_PICONET_HORIZON_TICKS),
-            ("seed", SWARM_SEED),
-        ),
-        smoke=False,
-    ),
-    BenchCase(
-        name="swarm_piconets_1000_object",
-        factory=swarm_piconets_1000_object_factory,
-        unit="sim_ticks",
-        params=(
-            ("engine", "object"),
-            ("piconets", SWARM_FLEET_PICONETS),
-            ("slaves", SWARM_FLEET_SLAVES),
-            ("window_ticks", SWARM_FLEET_WINDOW_TICKS),
-            ("period_ticks", SWARM_FLEET_PERIOD_TICKS),
-            ("horizon_ticks", SWARM_FLEET_HORIZON_TICKS),
-            ("seed", SWARM_SEED),
-        ),
-        smoke=False,
-    ),
-    BenchCase(
-        name="swarm_piconets_1000_batched",
-        factory=swarm_piconets_1000_batched_factory,
-        unit="sim_ticks",
-        params=(
-            ("engine", "batched"),
             ("piconets", SWARM_FLEET_PICONETS),
             ("slaves", SWARM_FLEET_SLAVES),
             ("window_ticks", SWARM_FLEET_WINDOW_TICKS),

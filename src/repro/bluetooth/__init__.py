@@ -5,7 +5,8 @@ Layers:
 * identity — :class:`BDAddr`, :class:`BluetoothClock`, :class:`BluetoothDevice`
 * hopping — inquiry trains and the master transmit schedule
 * discovery — :class:`InquiryProcedure` (master) and
-  :class:`InquiryScanner` (slave, with the v1.1 random backoff)
+  :class:`~repro.bluetooth.swarm.InquiryScanSwarm` (every scanning
+  slave of one piconet, with the v1.1 random backoff; one row per slave)
 * connection setup — :class:`PageProcedure`, :class:`Connection`,
   :class:`Piconet`
 * :class:`HostController` — a BlueZ-like facade tying it together
@@ -57,7 +58,6 @@ from .paging import N_PAGE, SlotLevelPageOutcome, SlotLevelPager
 from .piconet import Piconet, PiconetFullError
 from .scan import (
     BackoffReentry,
-    InquiryScanner,
     PhaseMode,
     ScanConfig,
     ScannerState,
@@ -122,7 +122,6 @@ __all__ = [
     "Piconet",
     "PiconetFullError",
     "BackoffReentry",
-    "InquiryScanner",
     "PhaseMode",
     "ScanConfig",
     "ScannerState",

@@ -233,7 +233,7 @@ class PeriodicWindows:
     def next_active(self, tick: int) -> Optional[int]:
         """First tick >= ``tick`` inside some window (None = never).
 
-        Pure arithmetic, like :meth:`is_active`.  The batched engine
+        Pure arithmetic, like :meth:`is_active`.  The inquiry-scan swarm
         uses this to fast-forward rendezvous queries over master-idle
         air time in one jump instead of walking phase segments through
         it: no transmission can land outside the windows.

@@ -1,51 +1,27 @@
-"""The slave side of device discovery: inquiry scan.
+"""The slave side of device discovery: inquiry-scan vocabulary.
 
-Implements the Bluetooth 1.1 inquiry-scan / inquiry-response protocol
-the paper describes in §3.1:
-
-1. The slave periodically opens a scan window (default 11.25 ms every
-   1.28 s) and listens on a single inquiry frequency; the frequency's
-   phase advances every 1.28 s, driven by the slave's native clock.
-2. On hearing an ID packet it does **not** answer immediately: it draws
-   a random backoff of 0..1023 slots (collision avoidance), sleeps,
-   then listens again.
-3. On the next ID packet heard it transmits an FHS response exactly one
-   slot (625 µs) later on the paired response channel.
-4. Per the spec the slave then re-enters the backoff/respond loop (it
-   cannot know it has been discovered); ``respond_once`` models
-   BlueHoc-style enrolment where a slave answers a given master once.
-
-The scanner is event-driven but tick-exact: it asks the master's
-:class:`~repro.bluetooth.hopping.InquiryTransmitSchedule` when its
-current listening frequency is next on the air, and sleeps until then.
+The configuration, lifecycle and counter types of the Bluetooth 1.1
+inquiry-scan / inquiry-response protocol the paper describes in §3.1,
+plus the air-rendezvous primitive :func:`next_listen_rendezvous` that
+page scan (:mod:`repro.bluetooth.paging`) shares.  The state machine
+itself runs in :class:`~repro.bluetooth.swarm.InquiryScanSwarm`, one row
+per scanning slave.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-from repro.radio.channel import ResponseChannel
-from repro.sim.kernel import EventHandle, Kernel
-from repro.sim.rng import RandomStream
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
-
-from .address import BDAddr
 from .btclock import BluetoothClock
 from .constants import (
     BACKOFF_MAX_SLOTS,
-    INQUIRY_RESPONSE_DELAY_TICKS,
-    NUM_INQUIRY_FREQUENCIES,
     T_INQUIRY_SCAN_TICKS,
     T_W_INQUIRY_SCAN_TICKS,
     TICKS_PER_SLOT,
-    TRAIN_SIZE,
 )
 from .hopping import InquiryTransmitSchedule
-from .packets import FHSPacket
 
 
 class PhaseMode(enum.Enum):
@@ -102,7 +78,7 @@ class ResponseMode(enum.Enum):
 
 
 class ScannerState(enum.Enum):
-    """Lifecycle of one scanner."""
+    """Lifecycle of one scanning slave."""
 
     IDLE = "idle"
     SEEKING = "seeking"  # waiting to hear a first ID
@@ -216,7 +192,7 @@ def next_listen_rendezvous(
 
 @dataclass
 class ScannerStats:
-    """Per-scanner event counters and timestamps."""
+    """Per-slave inquiry-scan event counters and timestamps."""
 
     ids_heard: int = 0
     backoffs: int = 0
@@ -224,228 +200,3 @@ class ScannerStats:
     first_heard_tick: Optional[int] = None
     first_response_tick: Optional[int] = None
     response_ticks: list[int] = field(default_factory=list)
-
-
-class InquiryScanner:
-    """One slave device scanning for (and answering) one master's inquiry."""
-
-    def __init__(
-        self,
-        kernel: Kernel,
-        address: BDAddr,
-        schedule: InquiryTransmitSchedule,
-        channel: ResponseChannel,
-        rng: RandomStream,
-        config: Optional[ScanConfig] = None,
-        clock: Optional[BluetoothClock] = None,
-        base_phase: int = 0,
-        window_anchor: Optional[int] = None,
-        horizon_tick: int = 1 << 62,
-        name: str = "",
-        metrics: Optional["MetricsRegistry"] = None,
-    ) -> None:
-        self.kernel = kernel
-        self.address = address
-        self.schedule = schedule
-        self.channel = channel
-        self.rng = rng
-        self.config = config if config is not None else ScanConfig()
-        self.clock = clock if clock is not None else BluetoothClock()
-        if not 0 <= base_phase < NUM_INQUIRY_FREQUENCIES:
-            raise ValueError(f"base_phase out of range: {base_phase}")
-        self.base_phase = base_phase
-        # Scan windows are anchored by the device's own clock unless an
-        # explicit anchor is given (experiments randomise it).
-        anchor = window_anchor if window_anchor is not None else self.clock.offset
-        self.window_anchor = anchor % self.config.interval_ticks
-        self.horizon_tick = horizon_tick
-        self.name = name or str(address)
-        self.state = ScannerState.IDLE
-        self.stats = ScannerStats()
-        self._pending: Optional[EventHandle] = None
-        if metrics is not None:
-            self._m_ids_heard = metrics.counter("bt.scan.ids_heard")
-            self._m_backoffs = metrics.counter("bt.scan.backoffs")
-            self._m_responses = metrics.counter("bt.scan.responses_sent")
-        else:
-            self._m_ids_heard = None
-            self._m_backoffs = None
-            self._m_responses = None
-
-    # -- frequency / window geometry --------------------------------------
-
-    def listen_position(self, tick: int) -> int:
-        """Sequence position the slave listens on at ``tick``."""
-        step = self.clock.scan_phase(tick, NUM_INQUIRY_FREQUENCIES)
-        mode = self.config.phase_mode
-        if mode is PhaseMode.FIXED:
-            return self.base_phase
-        if mode is PhaseMode.SEQUENCE:
-            return (self.base_phase + step) % NUM_INQUIRY_FREQUENCIES
-        # TRAIN_LOCKED: walk the 16 positions of the starting train.
-        train_start = (self.base_phase // TRAIN_SIZE) * TRAIN_SIZE
-        local = (self.base_phase % TRAIN_SIZE + step) % TRAIN_SIZE
-        return train_start + local
-
-    def _window_at_or_after(self, tick: int) -> tuple[int, int]:
-        """(start, end) of the first scan window with ``end > tick``."""
-        interval = self.config.interval_ticks
-        index = (tick - self.window_anchor) // interval
-        start = self.window_anchor + index * interval
-        if start + self.config.window_ticks <= tick:
-            start += interval
-        return start, start + self.config.window_ticks
-
-    def next_hear(
-        self, from_tick: int, before_tick: Optional[int] = None, ignore_windows: bool = False
-    ) -> Optional[int]:
-        """First tick >= ``from_tick`` at which this slave hears an ID.
-
-        Intersects the slave's scan windows (unless ``ignore_windows``),
-        its phase segments (listening frequency holds for 1.28 s), and
-        the master's transmit schedule.
-        """
-        limit = self.horizon_tick if before_tick is None else min(before_tick, self.horizon_tick)
-        return next_listen_rendezvous(
-            schedule=self.schedule,
-            listen_position=self.listen_position,
-            clock=self.clock,
-            fixed_phase=self.config.phase_mode is PhaseMode.FIXED,
-            window_ticks=self.config.window_ticks,
-            interval_ticks=self.config.interval_ticks,
-            window_anchor=self.window_anchor,
-            from_tick=from_tick,
-            before_tick=limit,
-            always_listening=ignore_windows or self.config.is_continuous,
-        )
-
-    # -- state machine ------------------------------------------------------
-
-    def start(self, at_tick: Optional[int] = None) -> None:
-        """Begin scanning (immediately, or at ``at_tick``)."""
-        if self.state is not ScannerState.IDLE:
-            raise RuntimeError(f"scanner {self.name} already started ({self.state})")
-        begin = max(self.kernel.now, at_tick if at_tick is not None else self.kernel.now)
-        self.state = ScannerState.SEEKING
-        self._pending = self.kernel.schedule_at(
-            begin, self._seek, label=f"scan-start:{self.name}"
-        )
-
-    def stop(self) -> None:
-        """Abort scanning (device left coverage / powered down)."""
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None
-        self.state = ScannerState.STOPPED
-
-    def _seek(self) -> None:
-        self._pending = None
-        heard = self.next_hear(self.kernel.now)
-        if heard is None:
-            self.state = ScannerState.EXHAUSTED
-            return
-        self.state = ScannerState.SEEKING
-        self._pending = self.kernel.schedule_at(
-            heard, self._on_first_hear, label=f"hear:{self.name}"
-        )
-
-    def _on_first_hear(self) -> None:
-        self._pending = None
-        self.stats.ids_heard += 1
-        if self._m_ids_heard is not None:
-            self._m_ids_heard.inc()
-        if self.stats.first_heard_tick is None:
-            self.stats.first_heard_tick = self.kernel.now
-        self._begin_backoff()
-
-    def _begin_backoff(self) -> None:
-        self.stats.backoffs += 1
-        if self._m_backoffs is not None:
-            self._m_backoffs.inc()
-        backoff_ticks = self.rng.backoff_slots(self.config.backoff_max_slots) * TICKS_PER_SLOT
-        self.state = ScannerState.BACKOFF
-        self._pending = self.kernel.schedule(
-            backoff_ticks, self._after_backoff, label=f"backoff:{self.name}"
-        )
-
-    def _after_backoff(self) -> None:
-        self._pending = None
-        ignore_windows = self.config.backoff_reentry is BackoffReentry.IMMEDIATE
-        heard = self.next_hear(self.kernel.now, ignore_windows=ignore_windows)
-        if heard is None:
-            self.state = ScannerState.EXHAUSTED
-            return
-        # inqrespTO: the timeout only measures *listening* time, so it
-        # applies when the slave listens continuously (a wait for the
-        # slave's own next scan window is not air silence).
-        if (
-            (ignore_windows or self.config.is_continuous)
-            and heard - self.kernel.now > self.config.response_timeout_ticks
-        ):
-            # Expired before any ID arrived: back to plain scan; the
-            # eventual hear counts as a first hear (fresh backoff).
-            self.state = ScannerState.SEEKING
-            self._pending = self.kernel.schedule_at(
-                heard, self._on_first_hear, label=f"hear:{self.name}"
-            )
-            return
-        self.state = ScannerState.RESPONDING
-        self._pending = self.kernel.schedule_at(
-            heard, self._respond, label=f"respond:{self.name}"
-        )
-
-    def _respond(self) -> None:
-        self._pending = None
-        hear_tick = self.kernel.now
-        self.stats.ids_heard += 1
-        if self._m_ids_heard is not None:
-            self._m_ids_heard.inc()
-        position = self.listen_position(hear_tick)
-        rf_channel = self.schedule.sequence[position]
-        tx_tick = hear_tick + INQUIRY_RESPONSE_DELAY_TICKS
-        packet = FHSPacket(
-            sender=self.address,
-            clkn=self.clock.clkn(tx_tick),
-            channel=rf_channel,
-            tx_tick=tx_tick,
-        )
-        self.channel.schedule_fhs(tx_tick, rf_channel, packet)
-        self.stats.responses += 1
-        if self._m_responses is not None:
-            self._m_responses.inc()
-        self.stats.response_ticks.append(tx_tick)
-        if self.stats.first_response_tick is None:
-            self.stats.first_response_tick = tx_tick
-        mode = self.config.response_mode
-        if mode is ResponseMode.SINGLE:
-            self.state = ScannerState.DONE
-            return
-        if mode is ResponseMode.BACKOFF_EACH:
-            self._begin_backoff()
-            return
-        # CONTINUOUS: answer the next ID heard, with no further backoff —
-        # unless the air goes quiet past inqrespTO, which drops the slave
-        # back to plain inquiry scan (fresh backoff on the next hear).
-        heard = self.next_hear(hear_tick + 1)
-        if heard is None:
-            self.state = ScannerState.EXHAUSTED
-            return
-        if (
-            self.config.is_continuous
-            and heard - hear_tick > self.config.response_timeout_ticks
-        ):
-            self.state = ScannerState.SEEKING
-            self._pending = self.kernel.schedule_at(
-                heard, self._on_first_hear, label=f"hear:{self.name}"
-            )
-            return
-        self.state = ScannerState.RESPONDING
-        self._pending = self.kernel.schedule_at(
-            heard, self._respond, label=f"respond:{self.name}"
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"InquiryScanner(name={self.name!r}, state={self.state.value}, "
-            f"responses={self.stats.responses})"
-        )

@@ -1,37 +1,44 @@
-"""Batched inquiry-scan: one kernel event advances a whole piconet.
+"""Inquiry scan: every scanning slave of one piconet, advanced in batch.
 
-:class:`InquiryScanSwarm` is the batched-engine counterpart of
-:class:`~repro.bluetooth.scan.InquiryScanner`.  Where the object engine
-gives every slave its own Python object and one kernel event (plus an
-:class:`~repro.sim.kernel.EventHandle`) per state transition, the swarm
-keeps all slaves of one piconet as rows of a
+Implements the Bluetooth 1.1 inquiry-scan / inquiry-response protocol
+the paper describes in §3.1:
+
+1. The slave periodically opens a scan window (default 11.25 ms every
+   1.28 s) and listens on a single inquiry frequency; the frequency's
+   phase advances every 1.28 s, driven by the slave's native clock.
+2. On hearing an ID packet it does **not** answer immediately: it draws
+   a random backoff of 0..1023 slots (collision avoidance), sleeps,
+   then listens again.
+3. On the next ID packet heard it transmits an FHS response exactly one
+   slot (625 µs) later on the paired response channel.
+4. It then keeps answering (or backs off again, or stops) according to
+   :class:`~repro.bluetooth.scan.ResponseMode`; a quiet gap longer than
+   inqrespTO drops it back to plain scan.
+
+The state machine is event-driven but tick-exact: a slave asks the
+master's :class:`~repro.bluetooth.hopping.InquiryTransmitSchedule` when
+its current listening frequency is next on the air, and sleeps until
+then.
+
+:class:`InquiryScanSwarm` keeps all slaves of one piconet as rows of a
 :class:`~repro.sim.batch.BatchStore` — clock offsets, hop phases, scan
 anchors, lifecycle state and counters are parallel ``array('q')``
 columns — and files each row under the tick at which it next acts.  One
 handle-free kernel event per distinct due tick then advances every row
 due at that tick (:meth:`InquiryScanSwarm._on_advance`), and all FHS
 responses produced within one advance are announced to the radio
-channel in a single batched call.
+channel in a single batched call.  A lone slave is a one-row swarm.
 
-Equivalence contract (asserted by
-``tests/sim/test_engine_equivalence.py`` and
-``tests/bluetooth/test_swarm.py``): the swarm replays the
-``InquiryScanner`` state machine transition for transition —
+Ordering guarantees (pinned by the golden artefact digests):
 
-* every slave draws only from its own :class:`RandomStream`, at the
-  same causal points, so draw sequences are identical;
-* rows are filed in the same order the object engine would have
-  scheduled per-slave events, and buckets are processed FIFO, so
-  same-tick slaves act in the same relative order;
+* every slave draws only from its own :class:`RandomStream` (one
+  backoff draw per backoff), so one slave's draws never shift another's;
+* rows due at the same tick act in the order they were filed (FIFO);
 * within one master schedule, ID transmissions occupy ticks congruent
   to {0, 1} (mod 4) past the window start while FHS deliveries occupy
   {2, 3}, so hear/respond steps never share a tick with channel
   deliveries — the batched announce at the end of an advance cannot
   reorder anything observable (see docs/performance.md).
-
-What is *not* byte-matched: kernel-internal telemetry (``sim.*``
-event counts, queue depths, span/trace labels) — the swarm fires one
-event where the object engine fires N, by design.
 """
 
 from __future__ import annotations
@@ -70,8 +77,8 @@ from .scan import (
     ScannerStats,
 )
 
-#: Row lifecycle codes (the ``state`` column).  Values mirror
-#: :class:`~repro.bluetooth.scan.ScannerState` one for one.
+#: Row lifecycle codes (the ``state`` column), indices into
+#: ``_STATE_NAMES``.
 _IDLE = 0
 _SEEKING = 1
 _BACKOFF = 2
@@ -91,11 +98,11 @@ _STATE_NAMES: tuple[ScannerState, ...] = (
 )
 
 #: Pending-action codes (the ``action`` column): what a row does when
-#: its due tick arrives.  Each maps to one object-engine callback.
-_ACT_SEEK = 1  # InquiryScanner._seek
-_ACT_HEAR = 2  # InquiryScanner._on_first_hear
-_ACT_BACKOFF_END = 3  # InquiryScanner._after_backoff
-_ACT_RESPOND = 4  # InquiryScanner._respond
+#: its due tick arrives.
+_ACT_SEEK = 1  # look for the next ID the row can hear
+_ACT_HEAR = 2  # first ID heard: start a random backoff
+_ACT_BACKOFF_END = 3  # backoff over: listen for the ID to answer
+_ACT_RESPOND = 4  # answer the ID heard now with an FHS
 
 #: Phase-mode codes (precomputed from the shared ScanConfig).
 _PHASE_FIXED = 0
@@ -212,12 +219,11 @@ class InquiryScanSwarm:
         # position p within one block-aligned span, answered by
         # bisection.  One schedule walk per refilled block replaces one
         # walk per rendezvous query, and every slave of the piconet
-        # shares the tables — the cross-slave sharing a per-object
-        # scanner cannot express (its cache keys embed each slave's own
-        # segment end).  Two slots per position (flat, index 2p/2p+1)
-        # keep adjacent blocks live so stragglers behind a block
-        # boundary don't evict the block everyone else is using.
-        # Entries never go stale: the schedule is immutable.
+        # shares the tables (a bounded-query memo could not: its keys
+        # embed each slave's own segment end).  Two slots per position
+        # (flat, index 2p/2p+1) keep adjacent blocks live so stragglers
+        # behind a block boundary don't evict the block everyone else is
+        # using.  Entries never go stale: the schedule is immutable.
         self._tt_tables: list[tuple[int, ...]] = [()] * (2 * NUM_INQUIRY_FREQUENCIES)
         self._tt_blocks = [-1] * (2 * NUM_INQUIRY_FREQUENCIES)
         if metrics is not None:
@@ -250,7 +256,12 @@ class InquiryScanSwarm:
         horizon_tick: int = 1 << 62,
         name: str = "",
     ) -> "SwarmSlave":
-        """Add one slave; defaults mirror ``InquiryScanner.__init__``."""
+        """Add one slave (an ``IDLE`` row) and return its handle.
+
+        The clock defaults to offset 0 and the scan-window anchor to the
+        clock offset; the row never hears anything at or past
+        ``horizon_tick``.
+        """
         if clock is None:
             clock = BluetoothClock()
         if not 0 <= base_phase < NUM_INQUIRY_FREQUENCIES:
@@ -272,7 +283,7 @@ class InquiryScanSwarm:
         self._response_ticks.append([])
         return SwarmSlave(self, row)
 
-    # -- per-row control (mirrors InquiryScanner.start/stop) ---------------
+    # -- per-row control -----------------------------------------------------
 
     def start_row(self, row: int, at_tick: Optional[int] = None) -> None:
         """Begin scanning for one row (immediately, or at ``at_tick``)."""
@@ -291,17 +302,16 @@ class InquiryScanSwarm:
         """Abort scanning for one row (left coverage / powered down).
 
         The row's pending due entry is left in place and skipped when it
-        surfaces — the batched analogue of the object engine's event
-        tombstone.
+        surfaces (a tombstone).
         """
         self._state[row] = _STOPPED
 
     def state_of(self, row: int) -> ScannerState:
-        """The row's lifecycle state as the object-engine enum."""
+        """The row's lifecycle state."""
         return _STATE_NAMES[self._state[row]]
 
     def stats_of(self, row: int) -> ScannerStats:
-        """The row's counters as an object-engine ``ScannerStats``."""
+        """A copy of the row's counters."""
         first_heard = self._first_heard[row]
         first_response = self._first_response[row]
         return ScannerStats(
@@ -313,13 +323,13 @@ class InquiryScanSwarm:
             response_ticks=list(self._response_ticks[row]),
         )
 
-    # -- frequency / window geometry (mirrors InquiryScanner) --------------
+    # -- frequency / window geometry -----------------------------------------
 
     def listen_position(self, row: int, tick: int) -> int:
         """Sequence position the row listens on at ``tick``.
 
-        Integer-only replay of ``InquiryScanner.listen_position`` (and
-        so of ``BluetoothClock.scan_phase``); called from the hot loop.
+        Integer-only form of ``BluetoothClock.scan_phase`` walked per
+        the config's :class:`PhaseMode`.
         """
         clkn = (tick + self._offset[row]) % CLKN_WRAP
         step = clkn // SCAN_FREQUENCY_CHANGE_TICKS
@@ -362,8 +372,8 @@ class InquiryScanSwarm:
     ) -> Optional[int]:
         """First tick >= ``from_tick`` at which the row hears an ID.
 
-        Integer-only replay of ``scan.next_listen_rendezvous`` clipped
-        to the row's horizon: intersect the scan windows (unless
+        The inquiry-scan form of ``scan.next_listen_rendezvous``,
+        clipped to the row's horizon: intersect the scan windows (unless
         ignored), the 1.28 s phase segments, and the master schedule.
         Master-idle stretches are skipped in one ``next_active`` jump
         instead of being walked segment by segment — no transmission
@@ -466,8 +476,8 @@ class InquiryScanSwarm:
     def _on_advance(self) -> None:
         """Advance every row due now — the swarm's one kernel callback.
 
-        Rows are processed in FIFO order (= the object engine's event
-        sequence order); FHS responses produced during the pass are
+        Rows are processed in the order they were filed; FHS
+        responses produced during the pass are
         collected and announced to the channel in one batched call at
         the end (safe: deliveries never share a tick with hear/respond
         steps — see the module docstring).
@@ -511,7 +521,7 @@ class InquiryScanSwarm:
             self._m_steps.inc(len(rows))
 
     def _step_seek(self, row: int, now: int) -> None:
-        """Mirror of ``InquiryScanner._seek``."""
+        """Schedule the row's next first hear, or exhaust it."""
         heard = self.next_hear(row, now)
         if heard is None:
             self._state[row] = _EXHAUSTED
@@ -521,7 +531,7 @@ class InquiryScanSwarm:
         self._queue(heard, row)
 
     def _step_first_hear(self, row: int, now: int) -> None:
-        """Mirror of ``InquiryScanner._on_first_hear``."""
+        """Count a first hear and start the random backoff."""
         self._ids_heard[row] += 1
         if self._m_ids_heard is not None:
             self._m_ids_heard.inc()
@@ -530,7 +540,7 @@ class InquiryScanSwarm:
         self._begin_backoff(row, now)
 
     def _begin_backoff(self, row: int, now: int) -> None:
-        """Mirror of ``InquiryScanner._begin_backoff`` (the only draw)."""
+        """Draw a random backoff (the row's only draw) and sleep it out."""
         self._backoffs[row] += 1
         if self._m_backoffs is not None:
             self._m_backoffs.inc()
@@ -540,13 +550,17 @@ class InquiryScanSwarm:
         self._queue(now + backoff_ticks, row)
 
     def _step_after_backoff(self, row: int, now: int) -> None:
-        """Mirror of ``InquiryScanner._after_backoff``."""
+        """Listen again after the backoff: respond, or revert on inqrespTO."""
         ignore_windows = self._reentry_immediate
         heard = self.next_hear(row, now, ignore_windows)
         if heard is None:
             self._state[row] = _EXHAUSTED
             return
-        # inqrespTO only measures continuous listening (see scan.py).
+        # inqrespTO: the timeout only measures *listening* time, so it
+        # applies when the slave listens continuously (a wait for the
+        # slave's own next scan window is not air silence).  Expired
+        # before any ID arrived: back to plain scan, and the eventual
+        # hear counts as a first hear (fresh backoff).
         if (
             (ignore_windows or self._continuous)
             and heard - now > self._response_timeout
@@ -560,7 +574,7 @@ class InquiryScanSwarm:
         self._queue(heard, row)
 
     def _step_respond(self, row: int, now: int) -> tuple[int, int]:
-        """Mirror of ``InquiryScanner._respond`` minus the announce.
+        """Answer the ID heard now with an FHS one slot later.
 
         Returns ``(tx_tick, rf_channel)``; the caller batches the
         actual channel announcement across same-advance responders.
@@ -617,13 +631,8 @@ class InquiryScanSwarm:
 
 @dataclass(frozen=True)
 class SwarmSlave:
-    """A lightweight per-slave handle onto a swarm row.
-
-    Duck-types the slice of :class:`InquiryScanner` the experiments and
-    the BIPS facade use (``start``/``stop``/``state``/``stats``/
-    ``listen_position``/``name``/``address``), so call sites branch
-    only on construction, never on use.
-    """
+    """A lightweight per-slave handle onto a swarm row: what the
+    experiments and the BIPS facade hold for one scanning slave."""
 
     swarm: InquiryScanSwarm
     row: int
@@ -640,12 +649,12 @@ class SwarmSlave:
 
     @property
     def state(self) -> ScannerState:
-        """Lifecycle state (object-engine enum)."""
+        """Lifecycle state."""
         return self.swarm.state_of(self.row)
 
     @property
     def stats(self) -> ScannerStats:
-        """Counters, as an object-engine ``ScannerStats``."""
+        """A copy of the slave's counters."""
         return self.swarm.stats_of(self.row)
 
     def start(self, at_tick: Optional[int] = None) -> None:

@@ -27,7 +27,6 @@ from repro.bluetooth.address import BDAddr
 from repro.bluetooth.btclock import CLKN_WRAP, BluetoothClock
 from repro.bluetooth.constants import NUM_INQUIRY_FREQUENCIES
 from repro.bluetooth.device import BluetoothDevice
-from repro.bluetooth.scan import InquiryScanner
 from repro.bluetooth.swarm import InquiryScanSwarm, SwarmSlave
 from repro.lan.messages import LocationQuery, LoginRequest, PathQuery
 from repro.lan.transport import LANTransport
@@ -35,7 +34,6 @@ from repro.mobility.walker import BuildingWalker, WalkTimeline
 from repro.obs.events import EventBus, ServerBrownout, WorkstationFailed
 from repro.obs.metrics import MetricsRegistry
 from repro.radio.interference import SharedBand
-from repro.sim.batch import resolve_engine
 from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
@@ -73,7 +71,7 @@ class TrackedUser:
     password: str
     timeline: Optional[WalkTimeline] = None
     inbox: list[Any] = field(default_factory=list)
-    scanners: list["InquiryScanner | SwarmSlave"] = field(default_factory=list)
+    scanners: list[SwarmSlave] = field(default_factory=list)
 
     @property
     def endpoint(self) -> str:
@@ -177,15 +175,10 @@ class BIPSSimulation:
         spans: Optional["SpanTracer"] = None,
         profiler: Optional["Profiler"] = None,
         flight: Optional["FlightRecorder"] = None,
-        engine: Optional[str] = None,
     ) -> None:
         self.plan = plan if plan is not None else academic_department()
         self.plan.validate()
         self.config = config if config is not None else BIPSConfig()
-        # Engine choice is an execution knob, not part of the config:
-        # it never reaches the config digest, so cache keys and trial
-        # seeds are identical on either engine (like BIPS_SIM_SCHEDULER).
-        self.engine = resolve_engine(engine)
         # One registry and one event bus span the whole pipeline; callers
         # may supply their own (e.g. to aggregate several simulations).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -247,7 +240,7 @@ class BIPSSimulation:
         self._next_query_id = 1
         self._horizon_tick = 0
         self._tracking_latencies_observed = False
-        # Batched engine: one swarm per room's piconet, created lazily.
+        # One inquiry-scan swarm per room's piconet, created lazily.
         self._swarms: dict[str, InquiryScanSwarm] = {}
 
     def _build_workstations(self) -> None:
@@ -388,7 +381,7 @@ class BIPSSimulation:
         return timeline
 
     def _swarm_for(self, room_id: str) -> InquiryScanSwarm:
-        """The room piconet's swarm (batched engine), created lazily."""
+        """The room piconet's inquiry-scan swarm, created lazily."""
         swarm = self._swarms.get(room_id)
         if swarm is None:
             workstation = self.workstations[room_id]
@@ -408,50 +401,28 @@ class BIPSSimulation:
         room_id: str,
         device: BluetoothDevice,
         rng: RandomStream,
-        scan_config,
         horizon_tick: int,
         name: str,
-    ) -> "InquiryScanner | SwarmSlave":
-        """One scanning presence in a room's piconet, on either engine.
-
-        Both branches take the same RNG stream and defaults, so a run
-        replays byte-identically whichever engine builds it.
-        """
-        if self.engine == "batched":
-            return self._swarm_for(room_id).add_slave(
-                address=device.address,
-                rng=rng,
-                clock=device.clock,
-                base_phase=device.base_phase,
-                horizon_tick=horizon_tick,
-                name=name,
-            )
-        workstation = self.workstations[room_id]
-        return InquiryScanner(
-            kernel=self.kernel,
+    ) -> SwarmSlave:
+        """One scanning presence in a room's piconet."""
+        return self._swarm_for(room_id).add_slave(
             address=device.address,
-            schedule=workstation.schedule,
-            channel=workstation.channel,
             rng=rng,
-            config=scan_config,
             clock=device.clock,
             base_phase=device.base_phase,
             horizon_tick=horizon_tick,
             name=name,
-            metrics=self.metrics,
         )
 
     def _attach_timeline(self, user: TrackedUser, timeline: WalkTimeline) -> None:
         if user.timeline is not None:
             raise ValueError(f"user {user.userid!r} already has a walk attached")
         user.timeline = timeline
-        scan_config = self.config.handheld_scan_config()
         for visit_index, visit in enumerate(timeline.visits):
             scanner = self._make_scanner(
                 visit.room_id,
                 user.device,
                 rng=self.rng.child("scan", user.userid, str(visit_index)),
-                scan_config=scan_config,
                 horizon_tick=visit.leave_tick if visit.leave_tick is not None else (1 << 62),
                 name=f"{user.userid}@{visit.room_id}",
             )
@@ -467,9 +438,9 @@ class BIPSSimulation:
                     lambda s=scanner: s.stop(),
                     label=f"leave:{user.userid}",
                 )
-            self._maybe_attach_overlap(user, visit, visit_index, scan_config)
+            self._maybe_attach_overlap(user, visit, visit_index)
 
-    def _maybe_attach_overlap(self, user, visit, visit_index, scan_config) -> None:
+    def _maybe_attach_overlap(self, user, visit, visit_index) -> None:
         """Coverage spill: the device also answers a neighbouring piconet
         for a fraction of this visit (see BIPSConfig.coverage_overlap_fraction)."""
         fraction = self.config.coverage_overlap_fraction
@@ -492,7 +463,6 @@ class BIPSSimulation:
             neighbor_room,
             user.device,
             rng=overlap_rng.child("scan"),
-            scan_config=scan_config,
             horizon_tick=start + spill_ticks,
             name=f"{user.userid}~{neighbor_room}",
         )

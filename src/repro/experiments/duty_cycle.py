@@ -27,7 +27,8 @@ from repro.analysis.tables import render_comparison
 from repro.bluetooth.device import make_devices
 from repro.bluetooth.hopping import Train, TrainStrategy, periodic_inquiry
 from repro.bluetooth.inquiry import InquiryProcedure
-from repro.bluetooth.scan import InquiryScanner, PhaseMode, ResponseMode, ScanConfig
+from repro.bluetooth.scan import PhaseMode, ResponseMode, ScanConfig
+from repro.bluetooth.swarm import InquiryScanSwarm
 from repro.mobility.residence import crossing_time_seconds, tracking_load_fraction
 from repro.mobility.speeds import MEAN_WALKING_SPEED_MPS
 from repro.runner.executor import ExperimentRunner
@@ -134,14 +135,11 @@ def window_payload(config: Section5Config, replication: int, seed: int) -> dict:
     scan = ScanConfig.continuous(
         phase_mode=PhaseMode.SEQUENCE, response_mode=ResponseMode.CONTINUOUS
     )
+    swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=scan, name="piconet")
     for index, device in enumerate(devices):
-        InquiryScanner(
-            kernel=kernel,
+        swarm.add_slave(
             address=device.address,
-            schedule=schedule,
-            channel=master.channel,
             rng=rng.child("slave", str(index)),
-            config=scan,
             clock=device.clock,
             base_phase=device.base_phase,
             horizon_tick=window_ticks,

@@ -35,11 +35,10 @@ from repro.analysis.tables import render_table
 from repro.bluetooth.device import make_devices
 from repro.bluetooth.hopping import TrainStrategy, periodic_inquiry
 from repro.bluetooth.inquiry import InquiryProcedure
-from repro.bluetooth.scan import InquiryScanner, PhaseMode, ResponseMode, ScanConfig
+from repro.bluetooth.scan import PhaseMode, ResponseMode, ScanConfig
 from repro.bluetooth.swarm import InquiryScanSwarm
 from repro.runner.executor import ExperimentRunner
 from repro.runner.seeding import config_digest, trial_seed
-from repro.sim.batch import resolve_engine
 from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
@@ -205,39 +204,17 @@ def replication_payload(config: Figure2Config, replication: int, seed: int) -> d
     scan = ScanConfig.continuous(
         phase_mode=PhaseMode.TRAIN_LOCKED, response_mode=config.response_mode
     )
-    batched = resolve_engine() == "batched"
-    swarm = (
-        InquiryScanSwarm(kernel, schedule, master.channel, config=scan, name="piconet")
-        if batched
-        else None
-    )
+    swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=scan, name="piconet")
     scanners: dict = {}
     for index, device in enumerate(devices):
-        if swarm is not None:
-            # Same per-slave child streams in the same creation order,
-            # so a replication replays byte-identically on either
-            # engine; the handle duck-types the scanner's stop().
-            scanner = swarm.add_slave(
-                address=device.address,
-                rng=rng.child("slave", str(index)),
-                clock=device.clock,
-                base_phase=device.base_phase,
-                horizon_tick=horizon,
-                name=device.name,
-            )
-        else:
-            scanner = InquiryScanner(
-                kernel=kernel,
-                address=device.address,
-                schedule=schedule,
-                channel=master.channel,
-                rng=rng.child("slave", str(index)),
-                config=scan,
-                clock=device.clock,
-                base_phase=device.base_phase,
-                horizon_tick=horizon,
-                name=device.name,
-            )
+        scanner = swarm.add_slave(
+            address=device.address,
+            rng=rng.child("slave", str(index)),
+            clock=device.clock,
+            base_phase=device.base_phase,
+            horizon_tick=horizon,
+            name=device.name,
+        )
         scanners[device.address] = scanner
         scanner.start()
 

@@ -28,13 +28,12 @@ from repro.bluetooth.btclock import CLKN_WRAP, BluetoothClock
 from repro.bluetooth.constants import NUM_INQUIRY_FREQUENCIES
 from repro.bluetooth.hopping import Train, continuous_inquiry, train_of_position
 from repro.bluetooth.inquiry import InquiryProcedure
-from repro.bluetooth.scan import BackoffReentry, InquiryScanner, PhaseMode, ScanConfig
-from repro.bluetooth.swarm import InquiryScanSwarm, SwarmSlave
+from repro.bluetooth.scan import BackoffReentry, PhaseMode, ScanConfig
+from repro.bluetooth.swarm import InquiryScanSwarm
 from repro.faults import FaultPlan, profile_named
 from repro.obs.metrics import MetricsRegistry
 from repro.runner.executor import ExperimentRunner
 from repro.runner.seeding import config_digest, trial_seed
-from repro.sim.batch import resolve_engine
 from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
@@ -258,36 +257,18 @@ def trial_payload(config: Table1Config, trial_index: int, seed: int) -> dict:
         scan = ScanConfig(
             phase_mode=config.phase_mode, backoff_reentry=config.backoff_reentry
         )
-    if resolve_engine() == "batched":
-        # Same construction draws in the same order (child consumes no
-        # parent draws; the anchor randint is the next one either way),
-        # so the trial replays byte-identically on either engine.
-        swarm = InquiryScanSwarm(
-            kernel, schedule, master.channel, config=scan, name=f"swarm-{trial_index}"
-        )
-        scanner: "InquiryScanner | SwarmSlave" = swarm.add_slave(
-            address=address,
-            rng=rng.child("slave"),
-            clock=clock,
-            base_phase=base_phase,
-            window_anchor=rng.randint(0, scan.interval_ticks - 1),
-            horizon_tick=horizon,
-            name=f"slave-{trial_index}",
-        )
-    else:
-        scanner = InquiryScanner(
-            kernel=kernel,
-            address=address,
-            schedule=schedule,
-            channel=master.channel,
-            rng=rng.child("slave"),
-            config=scan,
-            clock=clock,
-            base_phase=base_phase,
-            window_anchor=rng.randint(0, scan.interval_ticks - 1),
-            horizon_tick=horizon,
-            name=f"slave-{trial_index}",
-        )
+    swarm = InquiryScanSwarm(
+        kernel, schedule, master.channel, config=scan, name=f"swarm-{trial_index}"
+    )
+    scanner = swarm.add_slave(
+        address=address,
+        rng=rng.child("slave"),
+        clock=clock,
+        base_phase=base_phase,
+        window_anchor=rng.randint(0, scan.interval_ticks - 1),
+        horizon_tick=horizon,
+        name=f"slave-{trial_index}",
+    )
     # Stop the scanner as soon as the master has its answer, so the
     # remainder of the horizon costs no events.
     master.on_discovered = lambda packet, tick: scanner.stop()

@@ -106,7 +106,7 @@ class ResponseChannel:
     ) -> None:
         """Announce several same-``(tick, channel)`` packets in one pass.
 
-        The batched engine's vectorized collision path: all concurrent
+        The inquiry-scan swarm's batched collision path: all concurrent
         transmissions land in the collision group with one bookkeeping
         pass and at most one kernel event, instead of N calls to
         :meth:`schedule_fhs`.  ``packets`` is copied — callers reuse

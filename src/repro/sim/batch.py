@@ -1,10 +1,9 @@
-"""Struct-of-arrays state store for the batched simulation engine.
+"""Struct-of-arrays state store for batched device simulation.
 
-The object engine keeps one Python object per simulated device and one
-kernel event per device transition.  At campus scale (10^5-10^6
-devices) the per-event constant — attribute chases, enum dispatch, an
-:class:`~repro.sim.kernel.EventHandle` per transition — dominates the
-run.  The batched engine replaces both:
+One Python object per simulated device and one kernel event per device
+transition make the per-event constant — attribute chases, enum
+dispatch, an :class:`~repro.sim.kernel.EventHandle` per transition —
+dominate a run.  The batch store replaces both:
 
 * :class:`BatchStore` holds device state as parallel signed 64-bit
   columns (``array('q')``), so one device is a row index and a state
@@ -16,46 +15,24 @@ run.  The batched engine replaces both:
   one kernel event advances every row due at that tick
   (:meth:`BatchStore.advance`) instead of N per-device callbacks.
 
-Engine selection mirrors the calendar-scheduler pattern
-(``BIPS_SIM_SCHEDULER``): experiments read the ``BIPS_SIM_ENGINE``
-environment variable, which ``--jobs`` worker processes inherit, so a
-parallel run can be flipped wholesale.  The batched engine is a pure
-performance substitution — byte-identical experiment payloads and
-domain metrics are asserted by ``tests/sim/test_engine_equivalence.py``
-(see docs/performance.md for the equivalence contract).
+Its one user is the inquiry-scan state machine,
+:class:`~repro.bluetooth.swarm.InquiryScanSwarm`.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .hotpath import hot_path
-
-#: Environment variable that selects the default engine; worker
-#: processes inherit it, so a parallel run can be flipped wholesale.
-ENGINE_ENV_VAR = "BIPS_SIM_ENGINE"
-
-#: The recognised engine implementations.
-ENGINES = ("object", "batched")
 
 #: Shared empty result for ticks with no due rows (no allocation).
 _NO_ROWS: tuple[int, ...] = ()
 
 
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve an explicit engine choice or the environment default.
-
-    ``None`` falls back to ``BIPS_SIM_ENGINE`` (default ``"object"``);
-    unknown names fail fast so a typo cannot silently run the wrong
-    engine.
-    """
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV_VAR, "object")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    return engine
+def resolve_engine() -> str:
+    """Always ``"batched"``; kept because benchmark workers report it."""
+    return "batched"
 
 
 class BatchStore:
@@ -71,9 +48,7 @@ class BatchStore:
     The due-tick index is the batched counterpart of per-device pending
     events: :meth:`push_due` files a row under the tick at which it next
     acts, and :meth:`advance` claims every row due at a tick in FIFO
-    order — which equals the object engine's event-sequence order,
-    because rows are pushed at the same causal points at which the
-    object engine would have scheduled per-device events.
+    order, so same-tick rows act in the order they were filed.
     """
 
     __slots__ = ("_names", "_columns", "size", "_due")
@@ -151,8 +126,8 @@ class BatchStore:
 
         The bucket is removed from the index: rows filed for the same
         tick *during* processing open a fresh bucket (and hence a fresh
-        kernel event), which reproduces the object engine's same-tick
-        continuation semantics exactly.
+        kernel event), so a same-tick continuation runs after every
+        event already queued for that tick.
         """
         bucket = self._due.pop(tick, None)
         if bucket is None:

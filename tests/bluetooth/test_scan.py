@@ -1,4 +1,4 @@
-"""Tests for the slave inquiry scanner.
+"""Behaviour of one inquiry-scanning slave (a one-row swarm).
 
 ``next_hear`` is cross-checked against a per-tick reference model, and
 the state machine is exercised through controlled scenarios on the
@@ -22,33 +22,32 @@ from repro.bluetooth.hopping import (
 from repro.bluetooth.inquiry import InquiryProcedure
 from repro.bluetooth.scan import (
     BackoffReentry,
-    InquiryScanner,
     PhaseMode,
     ResponseMode,
     ScanConfig,
     ScannerState,
 )
-from repro.sim.kernel import Kernel
+from repro.bluetooth.swarm import InquiryScanSwarm
 from repro.sim.rng import RandomStream
 from tests.bluetooth.test_hopping import enumerate_transmissions
 
 
-def make_scanner(kernel, schedule, master, **overrides):
-    defaults = dict(
-        kernel=kernel,
+def make_scanner(kernel, schedule, master, config=None, **overrides):
+    """One slave, added through ``add_slave`` to its own swarm."""
+    swarm = InquiryScanSwarm(
+        kernel, schedule, master.channel, config=config if config is not None else ScanConfig()
+    )
+    slave = dict(
         address=BDAddr(0xABCDEF),
-        schedule=schedule,
-        channel=master.channel,
         rng=RandomStream(1, "scan-test"),
-        config=ScanConfig(),
         clock=BluetoothClock(),
         base_phase=0,
         window_anchor=0,
         horizon_tick=200_000,
         name="slave",
     )
-    defaults.update(overrides)
-    return InquiryScanner(**defaults)
+    slave.update(overrides)
+    return swarm.add_slave(**slave)
 
 
 def reference_next_hear(scanner, schedule, from_tick, before_tick, ignore_windows=False):
@@ -56,10 +55,11 @@ def reference_next_hear(scanner, schedule, from_tick, before_tick, ignore_window
     tx_by_tick = {}
     for tick, position in enumerate_transmissions(schedule, before_tick):
         tx_by_tick.setdefault(tick, []).append(position)
-    config = scanner.config
+    config = scanner.swarm.config
+    anchor = scanner.swarm.store.row(scanner.row)["anchor"]
     for tick in range(from_tick, before_tick):
         if not (ignore_windows or config.is_continuous):
-            offset = (tick - scanner.window_anchor) % config.interval_ticks
+            offset = (tick - anchor) % config.interval_ticks
             if offset >= config.window_ticks:
                 continue
         if scanner.listen_position(tick) in tx_by_tick.get(tick, ()):
@@ -124,18 +124,6 @@ class TestListenPosition:
 
 
 class TestWindowGeometry:
-    def test_window_at_or_after(self, kernel):
-        schedule = continuous_inquiry()
-        master = InquiryProcedure(kernel, schedule)
-        scanner = make_scanner(
-            kernel, schedule, master,
-            config=ScanConfig(window_ticks=36, interval_ticks=4096), window_anchor=100,
-        )
-        assert scanner._window_at_or_after(0) == (100, 136)
-        assert scanner._window_at_or_after(100) == (100, 136)
-        assert scanner._window_at_or_after(135) == (100, 136)
-        assert scanner._window_at_or_after(136) == (4196, 4232)
-
     def test_continuous_config(self):
         assert ScanConfig.continuous().is_continuous
         assert not ScanConfig().is_continuous
@@ -165,11 +153,11 @@ class TestNextHearAgainstBruteForce:
             config=ScanConfig.continuous(phase_mode=phase_mode),
             base_phase=base_phase,
             clock=BluetoothClock(offset=2000),
+            horizon_tick=10_000,
         )
-        horizon = 10_000
         for from_tick in (0, 1, 777, 4095, 4096, 9000):
-            expected = reference_next_hear(scanner, schedule, from_tick, horizon)
-            assert scanner.next_hear(from_tick, horizon) == expected
+            expected = reference_next_hear(scanner, schedule, from_tick, 10_000)
+            assert scanner.next_hear(from_tick) == expected
 
     @pytest.mark.parametrize("anchor", [0, 50, 1000, 4000])
     def test_windowed_scan(self, kernel, anchor):
@@ -180,11 +168,11 @@ class TestNextHearAgainstBruteForce:
             config=ScanConfig(phase_mode=PhaseMode.SEQUENCE),
             base_phase=3,
             window_anchor=anchor,
+            horizon_tick=12_000,
         )
-        horizon = 12_000
         for from_tick in (0, 100, 4000, 8500):
-            expected = reference_next_hear(scanner, schedule, from_tick, horizon)
-            assert scanner.next_hear(from_tick, horizon) == expected
+            expected = reference_next_hear(scanner, schedule, from_tick, 12_000)
+            assert scanner.next_hear(from_tick) == expected
 
     def test_windowed_scan_periodic_master(self, kernel):
         schedule = periodic_inquiry(
@@ -196,11 +184,11 @@ class TestNextHearAgainstBruteForce:
             config=ScanConfig(phase_mode=PhaseMode.TRAIN_LOCKED),
             base_phase=9,
             window_anchor=123,
+            horizon_tick=35_000,
         )
-        horizon = 35_000
         for from_tick in (0, 3000, 5000, 15000, 20000):
-            expected = reference_next_hear(scanner, schedule, from_tick, horizon)
-            assert scanner.next_hear(from_tick, horizon) == expected
+            expected = reference_next_hear(scanner, schedule, from_tick, 35_000)
+            assert scanner.next_hear(from_tick) == expected
 
     def test_ignore_windows_listens_everywhere(self, kernel):
         schedule = continuous_inquiry(start_train=Train.A)
@@ -211,9 +199,10 @@ class TestNextHearAgainstBruteForce:
             config=ScanConfig(window_ticks=40, interval_ticks=8192, phase_mode=PhaseMode.FIXED),
             base_phase=0,
             window_anchor=5000,
+            horizon_tick=10_000,
         )
-        windowed = scanner.next_hear(0, 10_000)
-        always = scanner.next_hear(0, 10_000, ignore_windows=True)
+        windowed = scanner.next_hear(0)
+        always = scanner.next_hear(0, ignore_windows=True)
         assert always is not None and windowed is not None
         assert always < windowed
 
@@ -224,8 +213,9 @@ class TestNextHearAgainstBruteForce:
             kernel, schedule, master,
             config=ScanConfig.continuous(phase_mode=PhaseMode.FIXED),
             base_phase=20,  # train B position, A-only master
+            horizon_tick=100_000,
         )
-        assert scanner.next_hear(0, 100_000) is None
+        assert scanner.next_hear(0) is None
 
 
 class TestStateMachine:

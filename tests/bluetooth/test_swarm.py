@@ -1,11 +1,15 @@
-"""InquiryScanSwarm vs per-slave InquiryScanner: identical behaviour.
+"""InquiryScanSwarm: pinned piconet behaviour and the row lifecycle.
 
-The swarm is the batched engine's replacement for N per-slave scanner
-objects; its acceptance bar is exact equivalence — every counter, every
-response tick, every collision record, every master result.
+``TestSwarmEquivalence`` runs small piconets under every scan-config
+family and hashes every observable — per-slave state, counters and
+response ticks, the channel's collision records, the master's results.
+The digests were recorded from the per-slave scanner objects the swarm
+replaced, so a changed digest is a behaviour change, never a refactor.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -20,58 +24,40 @@ from repro.bluetooth.hopping import (
 from repro.bluetooth.inquiry import InquiryProcedure
 from repro.bluetooth.scan import (
     BackoffReentry,
-    InquiryScanner,
     PhaseMode,
     ResponseMode,
     ScanConfig,
     ScannerState,
+    next_listen_rendezvous,
 )
 from repro.bluetooth.swarm import InquiryScanSwarm
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
 
 
-def _run_piconet(engine, seed, slave_count, scan_config, schedule_factory, horizon):
-    """One piconet on either engine; returns every observable."""
+def _run_piconet(seed, slave_count, scan_config, schedule_factory, horizon):
+    """One piconet; returns every observable."""
     kernel = Kernel()
     schedule = schedule_factory()
     master = InquiryProcedure(kernel, schedule, name="master")
     root = RandomStream(seed, "swarm-ab")
-    swarm = (
-        InquiryScanSwarm(kernel, schedule, master.channel, config=scan_config, name="s")
-        if engine == "batched"
-        else None
-    )
+    swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=scan_config, name="s")
     handles = []
     for index in range(slave_count):
         rng = root.child("slave", str(index))
         clock = BluetoothClock(offset=rng.randint(0, CLKN_WRAP - 1))
         base_phase = rng.randint(0, 31)
         anchor = rng.randint(0, scan_config.interval_ticks - 1)
-        if swarm is not None:
-            handle = swarm.add_slave(
-                BDAddr(0x1000 + index),
-                rng=rng.child("draws"),
-                clock=clock,
-                base_phase=base_phase,
-                window_anchor=anchor,
-                horizon_tick=horizon,
-                name=f"slave-{index}",
-            )
-        else:
-            handle = InquiryScanner(
-                kernel,
-                BDAddr(0x1000 + index),
-                schedule,
-                master.channel,
-                rng=rng.child("draws"),
-                config=scan_config,
-                clock=clock,
-                base_phase=base_phase,
-                window_anchor=anchor,
-                horizon_tick=horizon,
-                name=f"slave-{index}",
-            )
+        handle = swarm.add_slave(
+            BDAddr(0x1000 + index),
+            rng=rng.child("draws"),
+            clock=clock,
+            base_phase=base_phase,
+            window_anchor=anchor,
+            horizon_tick=horizon,
+            name=f"slave-{index}",
+        )
         handle.start()
         handles.append(handle)
     kernel.run_until(horizon)
@@ -97,12 +83,17 @@ def _run_piconet(engine, seed, slave_count, scan_config, schedule_factory, horiz
     )
 
 
+def _digest(observables) -> str:
+    return hashlib.sha256(repr(observables).encode("utf-8")).hexdigest()
+
+
 CASES = [
     pytest.param(
         ScanConfig.continuous(phase_mode=PhaseMode.TRAIN_LOCKED),
         lambda: periodic_inquiry(3200, 16000, strategy=TrainStrategy.A_ONLY),
         64_000,
         8,
+        "ba406ffb5889aa8c8a8e2a3caa955a8ac12c32eb95308ec9e5de3757e2447fba",
         id="figure2-style-train-locked",
     ),
     pytest.param(
@@ -110,6 +101,7 @@ CASES = [
         lambda: continuous_inquiry(start_train=Train.B),
         200_000,
         5,
+        "534b01123b08838d58d7e95535a8674e2ade0666366abbddbd36f7e5383728bd",
         id="default-windows-sequence",
     ),
     pytest.param(
@@ -117,6 +109,7 @@ CASES = [
         lambda: continuous_inquiry(),
         100_000,
         4,
+        "010d0d0f7bb1a787049248211d3485c0633bd3c4d29f60abe666016ec6128af9",
         id="backoff-each",
     ),
     pytest.param(
@@ -127,6 +120,7 @@ CASES = [
         lambda: continuous_inquiry(),
         300_000,
         4,
+        "ea51d7b6ecd3529879465d238487b0d16e077a3d6b8a75d82023ce0ddf9a9186",
         id="single-next-window",
     ),
     pytest.param(
@@ -134,6 +128,7 @@ CASES = [
         lambda: continuous_inquiry(),
         200_000,
         3,
+        "69733b60f59f000d882bcfb946c74e0cb2f0e9b1507b928cae27baf84fb6630a",
         id="fixed-phase",
     ),
     pytest.param(
@@ -141,42 +136,40 @@ CASES = [
         lambda: continuous_inquiry(),
         400_000,
         3,
+        "1043549c8e189a4d7e2b7d64aebb309ca9a45dc7f135c6483ff69dee58b86fcc",
         id="interleaved-page-scan",
     ),
 ]
 
 
 class TestSwarmEquivalence:
-    @pytest.mark.parametrize("scan_config, schedule_factory, horizon, slaves", CASES)
-    def test_swarm_matches_scanners(self, scan_config, schedule_factory, horizon, slaves):
-        object_run = _run_piconet(
-            "object", 99, slaves, scan_config, schedule_factory, horizon
-        )
-        batched_run = _run_piconet(
-            "batched", 99, slaves, scan_config, schedule_factory, horizon
-        )
-        assert object_run == batched_run
+    @pytest.mark.parametrize(
+        "scan_config, schedule_factory, horizon, slaves, expected", CASES
+    )
+    def test_swarm_matches_scanners(
+        self, scan_config, schedule_factory, horizon, slaves, expected
+    ):
+        run = _run_piconet(99, slaves, scan_config, schedule_factory, horizon)
+        assert _digest(run) == expected
 
     def test_many_seeds_single_slave(self):
         # One slave, many clock/phase draws: sweeps the rendezvous
         # arithmetic across offsets without a master-side confounder.
-        scan = ScanConfig()
-        for seed in range(20):
-            object_run = _run_piconet(
-                "object", seed, 1, scan, continuous_inquiry, 120_000
-            )
-            batched_run = _run_piconet(
-                "batched", seed, 1, scan, continuous_inquiry, 120_000
-            )
-            assert object_run == batched_run, f"seed {seed} diverged"
+        runs = [
+            _run_piconet(seed, 1, ScanConfig(), continuous_inquiry, 120_000)
+            for seed in range(20)
+        ]
+        assert _digest(runs) == (
+            "9f46d96c1a1aecb83987d5e8d16494d254ea2f91dcaa18a66ff4b1d3e8ae9ae7"
+        )
 
 
 class TestSwarmLifecycle:
-    def _swarm(self, kernel, horizon=1 << 20):
+    def _swarm(self, kernel, horizon=1 << 20, metrics=None):
         schedule = continuous_inquiry()
         master = InquiryProcedure(kernel, schedule, name="m")
         swarm = InquiryScanSwarm(
-            kernel, schedule, master.channel, config=ScanConfig(), name="life"
+            kernel, schedule, master.channel, config=ScanConfig(), metrics=metrics, name="life"
         )
         rng = RandomStream(5, "life")
         handle = swarm.add_slave(
@@ -223,28 +216,38 @@ class TestSwarmLifecycle:
         assert handle.listen_position(0) == swarm.listen_position(handle.row, 0)
         assert swarm.slave_count == 1
 
+    def test_batch_telemetry(self, kernel):
+        metrics = MetricsRegistry()
+        _, handle = self._swarm(kernel, metrics=metrics)
+        handle.start()
+        kernel.run_until(50_000)
+        assert metrics.counter("sim.batch.advances").value > 0
+        assert metrics.counter("sim.batch.slave_steps").value > 0
+        assert metrics.counter("bt.scan.ids_heard").value == handle.stats.ids_heard
+
     def test_next_hear_matches_scanner(self, kernel):
+        # The swarm's fast path (shared timetables, idle-air jumps)
+        # against the plain rendezvous primitive of the scan module.
         schedule = continuous_inquiry()
         master = InquiryProcedure(kernel, schedule, name="m")
         clock = BluetoothClock(offset=987_654)
-        swarm = InquiryScanSwarm(
-            kernel, schedule, master.channel, config=ScanConfig(), name="nh"
-        )
+        config = ScanConfig()
+        swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=config, name="nh")
         handle = swarm.add_slave(
             BDAddr(0xC), rng=RandomStream(7, "a"), clock=clock, base_phase=9
         )
-        scanner = InquiryScanner(
-            kernel,
-            BDAddr(0xC),
-            schedule,
-            master.channel,
-            rng=RandomStream(7, "a"),
-            config=ScanConfig(),
-            clock=clock,
-            base_phase=9,
-        )
         for from_tick in (0, 1, 37, 4095, 4096, 70_000):
             for ignore in (False, True):
-                assert handle.next_hear(from_tick, ignore) == scanner.next_hear(
-                    from_tick, ignore_windows=ignore
-                ), (from_tick, ignore)
+                expected = next_listen_rendezvous(
+                    schedule=schedule,
+                    listen_position=handle.listen_position,
+                    clock=clock,
+                    fixed_phase=False,
+                    window_ticks=config.window_ticks,
+                    interval_ticks=config.interval_ticks,
+                    window_anchor=clock.offset % config.interval_ticks,
+                    from_tick=from_tick,
+                    before_tick=1 << 62,
+                    always_listening=ignore,
+                )
+                assert handle.next_hear(from_tick, ignore) == expected, (from_tick, ignore)

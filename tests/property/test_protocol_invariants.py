@@ -13,7 +13,8 @@ from repro.bluetooth.inquiry import InquiryProcedure
 from repro.bluetooth.packets import FHSPacket
 from repro.bluetooth.page import PageOutcome
 from repro.bluetooth.paging import PAGE_HANDSHAKE_TICKS, SlotLevelPager
-from repro.bluetooth.scan import InquiryScanner, PhaseMode, ResponseMode, ScanConfig
+from repro.bluetooth.scan import ResponseMode, ScanConfig
+from repro.bluetooth.swarm import InquiryScanSwarm
 from repro.radio.channel import ResponseChannel
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
@@ -90,13 +91,15 @@ def test_discovery_ordering_invariants(clock_offset, base_phase, start_train, se
     schedule = continuous_inquiry(start_train=start_train)
     master = InquiryProcedure(kernel, schedule)
     address = BDAddr(0xABC)
-    scanner = InquiryScanner(
-        kernel=kernel,
-        address=address,
-        schedule=schedule,
-        channel=master.channel,
-        rng=RandomStream(seed, "prop"),
+    swarm = InquiryScanSwarm(
+        kernel,
+        schedule,
+        master.channel,
         config=ScanConfig.continuous(response_mode=ResponseMode.SINGLE),
+    )
+    scanner = swarm.add_slave(
+        address=address,
+        rng=RandomStream(seed, "prop"),
         clock=BluetoothClock(offset=clock_offset),
         base_phase=base_phase,
         horizon_tick=80_000,
@@ -119,13 +122,10 @@ def test_single_slave_never_collides(seed):
     kernel = Kernel()
     schedule = continuous_inquiry()
     master = InquiryProcedure(kernel, schedule)
-    scanner = InquiryScanner(
-        kernel=kernel,
+    swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=ScanConfig.continuous())
+    scanner = swarm.add_slave(
         address=BDAddr(1),
-        schedule=schedule,
-        channel=master.channel,
         rng=RandomStream(seed, "solo"),
-        config=ScanConfig.continuous(),
         clock=BluetoothClock(offset=seed * 7919 % CLKN_WRAP),
         base_phase=seed % 32,
         horizon_tick=40_000,

@@ -1,36 +1,15 @@
-"""Tests for the struct-of-arrays batch store and engine selection."""
+"""Tests for the struct-of-arrays batch store."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.batch import ENGINE_ENV_VAR, ENGINES, BatchStore, resolve_engine
+from repro.sim.batch import BatchStore, resolve_engine
 
 
 class TestResolveEngine:
-    def test_default_is_object(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        assert resolve_engine() == "object"
-
-    def test_explicit_choice_wins(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "batched")
-        assert resolve_engine("object") == "object"
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "batched")
+    def test_always_batched(self):
         assert resolve_engine() == "batched"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine("vectorized")
-
-    def test_unknown_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "typo")
-        with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine()
-
-    def test_engine_names(self):
-        assert ENGINES == ("object", "batched")
 
 
 class TestColumns:
@@ -114,8 +93,8 @@ class TestDueIndex:
         assert list(store.advance(55)) == []
 
     def test_same_tick_push_during_processing_opens_fresh_bucket(self):
-        # The mechanism behind object-engine same-tick continuations:
-        # pushes made while a bucket is processed must re-signal.
+        # The mechanism behind same-tick continuations: pushes made
+        # while a bucket is processed must re-signal.
         store = BatchStore("x")
         store.push_due(100, 0)
         store.advance(100)
