@@ -39,7 +39,7 @@ class BenchSkip(Exception):
     """Raised by a workload factory when the case cannot run here.
 
     Used when a case exercises an API the checked-out code does not
-    have (e.g. the calendar scheduler on a pre-fast-path kernel), so
+    have (e.g. the piconet model on a revision that predates it), so
     the same suite can be pointed at older revisions for comparison.
     """
 

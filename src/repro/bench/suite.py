@@ -8,8 +8,8 @@ that case rather than producing a silent apples-to-oranges delta.
 
 The suite is written to also run against **older revisions** of this
 repository (that is how the fast-path speedup is measured): it probes
-for the modern kernel API (``post`` / ``scheduler=``) and falls back
-to the legacy one, skipping cases the old code cannot express.
+for the modern kernel API (``post``) and falls back to the legacy one,
+skipping cases the old code cannot express.
 """
 
 from __future__ import annotations
@@ -28,17 +28,11 @@ KERNEL_CHAINS = 16
 KERNEL_STRIDE_TICKS = 2
 
 
-def _kernel_workload(scheduler: str) -> Workload:
+def kernel_events_factory() -> Workload:
+    """Self-rescheduling event chains on the kernel's event queue."""
     from repro.sim.kernel import Kernel
 
-    try:
-        kernel = Kernel(scheduler=scheduler)
-    except TypeError as exc:
-        # Pre-fast-path kernel: no scheduler choice.  The heap case
-        # still measures (that is the 2x comparison); calendar cannot.
-        if scheduler != "heap":
-            raise BenchSkip(f"kernel has no scheduler option: {exc}") from exc
-        kernel = Kernel()
+    kernel = Kernel()
     sched: Callable[..., object] = getattr(kernel, "post", kernel.schedule)
 
     def run() -> int:
@@ -57,16 +51,6 @@ def _kernel_workload(scheduler: str) -> Workload:
         return fired
 
     return run
-
-
-def kernel_heap_factory() -> Workload:
-    """Self-rescheduling event chains on the binary-heap scheduler."""
-    return _kernel_workload("heap")
-
-
-def kernel_calendar_factory() -> Workload:
-    """The same chains on the calendar-queue scheduler."""
-    return _kernel_workload("calendar")
 
 
 # -- hopping inverse lookup --------------------------------------------------
@@ -274,26 +258,13 @@ def e2e_tick_rate_factory() -> Workload:
 
 SUITE: tuple[BenchCase, ...] = (
     BenchCase(
-        name="kernel_events_heap",
-        factory=kernel_heap_factory,
+        name="kernel_events",
+        factory=kernel_events_factory,
         unit="events",
         params=(
             ("events", KERNEL_EVENTS),
             ("chains", KERNEL_CHAINS),
             ("stride_ticks", KERNEL_STRIDE_TICKS),
-            ("scheduler", "heap"),
-        ),
-        smoke=True,
-    ),
-    BenchCase(
-        name="kernel_events_calendar",
-        factory=kernel_calendar_factory,
-        unit="events",
-        params=(
-            ("events", KERNEL_EVENTS),
-            ("chains", KERNEL_CHAINS),
-            ("stride_ticks", KERNEL_STRIDE_TICKS),
-            ("scheduler", "calendar"),
         ),
         smoke=True,
     ),

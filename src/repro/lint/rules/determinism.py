@@ -37,7 +37,6 @@ RNG_WRAPPER_MODULES = frozenset({"repro.sim.rng"})
 HOT_PATH_MODULES = frozenset(
     {
         "repro.sim.kernel",
-        "repro.sim.process",
         "repro.radio.channel",
         "repro.radio.medium",
         "repro.lan.transport",

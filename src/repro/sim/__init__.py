@@ -3,7 +3,6 @@
 Public surface:
 
 * :class:`Kernel` — the event loop (integer-tick simulated time)
-* :class:`Process` / :class:`Signal` — generator-based actors
 * :class:`RandomStream` — named, seed-derived random streams
 * :class:`Tracer` — optional event tracing
 * tick/second conversion helpers (one tick = 312.5 µs)
@@ -23,14 +22,11 @@ from .clock import (
     ticks_from_slots,
 )
 from .errors import (
-    CancelledError,
     DeadlockError,
-    ProcessError,
     SchedulingError,
     SimulationError,
 )
-from .kernel import METRICS_FLUSH_INTERVAL, SCHEDULER_ENV_VAR, SCHEDULERS, EventHandle, Kernel
-from .process import Process, Signal
+from .kernel import METRICS_FLUSH_INTERVAL, EventHandle, Kernel
 from .rng import RandomStream, derive_seed
 from .trace import NullTracer, TraceRecord, Tracer
 
@@ -46,18 +42,12 @@ __all__ = [
     "ticks_from_milliseconds",
     "ticks_from_seconds",
     "ticks_from_slots",
-    "CancelledError",
     "DeadlockError",
-    "ProcessError",
     "SchedulingError",
     "SimulationError",
     "EventHandle",
     "Kernel",
     "METRICS_FLUSH_INTERVAL",
-    "SCHEDULER_ENV_VAR",
-    "SCHEDULERS",
-    "Process",
-    "Signal",
     "RandomStream",
     "derive_seed",
     "NullTracer",

@@ -15,10 +15,6 @@ class SchedulingError(SimulationError):
     """An event was scheduled at an invalid time (e.g. in the past)."""
 
 
-class CancelledError(SimulationError):
-    """Raised inside a process when one of its pending waits is cancelled."""
-
-
 class DeadlockError(SimulationError):
     """``run_until`` was asked to reach a time but the event heap drained.
 
@@ -26,12 +22,3 @@ class DeadlockError(SimulationError):
     ``require_events=True``; normally an empty heap simply fast-forwards
     the clock.
     """
-
-
-class ProcessError(SimulationError):
-    """A simulation process raised; wraps the original exception."""
-
-    def __init__(self, process_name: str, original: BaseException) -> None:
-        super().__init__(f"process {process_name!r} failed: {original!r}")
-        self.process_name = process_name
-        self.original = original

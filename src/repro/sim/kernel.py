@@ -2,16 +2,16 @@
 
 A minimal but complete event-queue kernel: callbacks are scheduled at
 integer tick times, fire in (time, insertion-order) order, and may
-schedule further callbacks.  Generator-based processes are layered on
-top in :mod:`repro.sim.process`.
+schedule further callbacks.
 
 Fast-path design (see docs/performance.md):
 
-* Queue entries are plain ``(time, seq, payload)`` tuples so ordering
-  is resolved by C-level tuple comparison — ``seq`` is unique, so the
-  payload is never compared.  The payload is the bare callback on the
-  fast path; an :class:`EventHandle` is allocated only when the caller
-  needs cancellation (``schedule_at``/``schedule``) or a traced label.
+* The queue is one binary heap of plain ``(time, seq, payload)``
+  tuples, so ordering is resolved by C-level tuple comparison —
+  ``seq`` is unique, so the payload is never compared.  The payload is
+  the bare callback on the fast path; an :class:`EventHandle` is
+  allocated only when the caller needs cancellation
+  (``schedule_at``/``schedule``) or a traced label.
 * Cancellation is a tombstone: the entry stays queued and is skipped
   when it surfaces.  A live ``pending`` counter keeps
   :attr:`Kernel.pending_events` O(1), and the queue is compacted when
@@ -22,28 +22,15 @@ Fast-path design (see docs/performance.md):
   checks instead of two instrument updates.
 * ``run_until`` peeks at the queue head and never pops an event beyond
   the target tick, so crossing a boundary does not pay a pop + re-push.
-
-Two schedulers share this machinery and produce byte-identical event
-order (asserted by ``tests/sim/test_scheduler_equivalence.py``):
-
-* ``"heap"`` (default) — a binary heap of entry tuples;
-* ``"calendar"`` — a calendar queue with one bucket per tick, which
-  exploits the fact that Bluetooth traffic is slot-aligned (625 µs
-  slots = 2 ticks): most events land on a small set of recurring
-  ticks, so ordering within a bucket is free (appends happen in
-  ``seq`` order) and the heap only orders *distinct* ticks.
-
-The default can be overridden per process with the
-``BIPS_SIM_SCHEDULER`` environment variable, which worker processes
-inherit — results are identical either way, so the switch is purely a
-performance knob.
+* A kernel with a :class:`~repro.obs.tracing.SpanTracer` attached
+  drains through a separate loop that wraps labelled events in spans,
+  so the untraced hot loop carries no span checks.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
-import os
 from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 from .clock import SimClock, seconds_from_ticks
@@ -60,12 +47,8 @@ logger = logging.getLogger(__name__)
 
 Callback = Callable[[], Any]
 
-#: Environment variable that selects the default scheduler; worker
-#: processes inherit it, so a parallel run can be flipped wholesale.
+#: Unused by the kernel; kept because ``bipsbench/worker.py`` imports it.
 SCHEDULER_ENV_VAR = "BIPS_SIM_SCHEDULER"
-
-#: The recognised scheduler implementations.
-SCHEDULERS = ("heap", "calendar")
 
 #: Events between metric flushes; also flushed at run/step boundaries.
 METRICS_FLUSH_INTERVAL = 4096
@@ -143,25 +126,16 @@ class Kernel:
 
     Pass a :class:`~repro.obs.metrics.MetricsRegistry` to export kernel
     health (events processed, queue depth) alongside the rest of the
-    pipeline's telemetry; ``scheduler`` picks the event-queue
-    implementation (see module docstring) without changing any result.
+    pipeline's telemetry.
     """
 
     def __init__(
         self,
         tracer: Optional[Tracer] = None,
         metrics: Optional["MetricsRegistry"] = None,
-        scheduler: Optional[str] = None,
         spans: Optional["SpanTracer"] = None,
         profiler: Optional["Profiler"] = None,
     ) -> None:
-        if scheduler is None:
-            scheduler = os.environ.get(SCHEDULER_ENV_VAR, "heap")
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}"
-            )
-        self.scheduler = scheduler
         self.clock = SimClock()
         self.tracer: Tracer = tracer if tracer is not None else NullTracer()
         # Span tracing rides the labelled-event path: attaching a
@@ -174,18 +148,7 @@ class Kernel:
         self._events_fired = 0
         self._pending = 0
         self._tombstones = 0
-        self._running = False
-        # Heap scheduler state: one heap of entry tuples.
         self._heap: list[Entry] = []
-        # Calendar scheduler state: a bucket of entries per distinct
-        # tick, plus a heap ordering the distinct ticks.  The bucket
-        # being drained is held aside with a resume position so that
-        # step()/run_until() interleave correctly.
-        self._use_calendar = scheduler == "calendar"
-        self._buckets: dict[int, list[Entry]] = {}
-        self._bucket_ticks: list[int] = []
-        self._active_bucket: Optional[list[Entry]] = None
-        self._active_pos = 0
         self._m_events: Optional["Counter"] = (
             metrics.counter("sim.events_fired") if metrics else None
         )
@@ -228,18 +191,6 @@ class Kernel:
         """
         return self._pending
 
-    def _push(self, entry: Entry) -> None:
-        if self._use_calendar:
-            tick = entry[0]
-            bucket = self._buckets.get(tick)
-            if bucket is None:
-                self._buckets[tick] = [entry]
-                heapq.heappush(self._bucket_ticks, tick)
-            else:
-                bucket.append(entry)
-        else:
-            heapq.heappush(self._heap, entry)
-
     def post_at(self, tick: int, callback: Callback, label: str = "") -> None:
         """Schedule ``callback`` at absolute time ``tick``, fire-and-forget.
 
@@ -259,15 +210,7 @@ class Kernel:
             if label and self._trace_enabled
             else callback
         )
-        if self._use_calendar:
-            bucket = self._buckets.get(tick)
-            if bucket is None:
-                self._buckets[tick] = [(tick, seq, payload)]
-                heapq.heappush(self._bucket_ticks, tick)
-            else:
-                bucket.append((tick, seq, payload))
-        else:
-            heapq.heappush(self._heap, (tick, seq, payload))
+        heapq.heappush(self._heap, (tick, seq, payload))
         self._seq = seq + 1
         self._pending += 1
 
@@ -287,15 +230,7 @@ class Kernel:
             if label and self._trace_enabled
             else callback
         )
-        if self._use_calendar:
-            bucket = self._buckets.get(tick)
-            if bucket is None:
-                self._buckets[tick] = [(tick, seq, payload)]
-                heapq.heappush(self._bucket_ticks, tick)
-            else:
-                bucket.append((tick, seq, payload))
-        else:
-            heapq.heappush(self._heap, (tick, seq, payload))
+        heapq.heappush(self._heap, (tick, seq, payload))
         self._seq = seq + 1
         self._pending += 1
 
@@ -313,7 +248,7 @@ class Kernel:
                 f"now is {self.clock.now}"
             )
         handle = EventHandle(tick, self._seq, callback, label, self)
-        self._push((tick, self._seq, handle))
+        heapq.heappush(self._heap, (tick, self._seq, handle))
         self._seq += 1
         self._pending += 1
         return handle
@@ -346,30 +281,14 @@ class Kernel:
         return True
 
     def _compact(self) -> None:
-        """Drop tombstoned entries from the queue in place.
+        """Drop tombstoned entries from the heap in place.
 
-        In-place mutation matters: the hot loops hold local aliases of
-        the underlying containers.
+        In-place mutation matters: the hot loop holds a local alias of
+        the heap list.
         """
-        if self._use_calendar:
-            # The active bucket is being iterated by position; filtering
-            # it would desynchronise the cursor, and its tombstones are
-            # about to be skipped anyway.
-            active = self._active_bucket
-            for tick in sorted(self._buckets):
-                bucket = self._buckets[tick]
-                if bucket is not active:
-                    bucket[:] = [e for e in bucket if self._entry_live(e)]
-            dead_in_active = (
-                sum(1 for e in active[self._active_pos:] if not self._entry_live(e))
-                if active is not None
-                else 0
-            )
-            self._tombstones = dead_in_active
-        else:
-            self._heap[:] = [e for e in self._heap if self._entry_live(e)]
-            heapq.heapify(self._heap)
-            self._tombstones = 0
+        self._heap[:] = [e for e in self._heap if self._entry_live(e)]
+        heapq.heapify(self._heap)
+        self._tombstones = 0
 
     # -- metrics ---------------------------------------------------------
 
@@ -431,36 +350,25 @@ class Kernel:
                 return
         callback()
 
-    def _pop_next_live(self) -> Optional[Entry]:
-        """Pop the next live entry, discarding tombstones."""
-        if not self._use_calendar:
-            heap = self._heap
-            while heap:
-                entry = heapq.heappop(heap)
-                if self._entry_live(entry):
-                    return entry
-                self._tombstones -= 1
-            return None
-        while True:
-            bucket = self._active_bucket
-            if bucket is None:
-                if not self._bucket_ticks:
-                    return None
-                tick = heapq.heappop(self._bucket_ticks)
-                bucket = self._buckets.pop(tick)
-                self._active_bucket = bucket
-                self._active_pos = 0
-            while self._active_pos < len(bucket):
-                entry = bucket[self._active_pos]
-                self._active_pos += 1
-                if self._entry_live(entry):
-                    return entry
-                self._tombstones -= 1
-            self._active_bucket = None
+    def _pop_live(self, until: Optional[int] = None) -> Optional[Entry]:
+        """Pop the next live entry, discarding tombstones.
+
+        With ``until``, the head is peeked before popping: an entry
+        beyond ``until`` is never disturbed and ``None`` is returned.
+        """
+        heap = self._heap
+        while heap:
+            if until is not None and heap[0][0] > until:
+                return None
+            entry = heapq.heappop(heap)
+            if self._entry_live(entry):
+                return entry
+            self._tombstones -= 1
+        return None
 
     def step(self) -> bool:
         """Fire the single next event.  Returns False if none remain."""
-        entry = self._pop_next_live()
+        entry = self._pop_live()
         if entry is None:
             self._flush_metrics()
             return False
@@ -480,20 +388,16 @@ class Kernel:
             raise SchedulingError(
                 f"run_until target {tick} is before now {self.clock.now}"
             )
-        self._running = True
         profiler = self._profiler
         token = profiler.begin() if profiler is not None else 0.0
         try:
             if self._spans is not None:
                 # Traced runs take a separate drain so the untraced hot
-                # loops stay byte-identical (and overhead-free).
+                # loop stays overhead-free.
                 self._drain_spans(tick)
-            elif self._use_calendar:
-                self._drain_calendar(tick)
             else:
                 self._drain_heap(tick)
         finally:
-            self._running = False
             self._flush_metrics()
             if profiler is not None:
                 profiler.stop("sim.kernel", token)
@@ -551,124 +455,17 @@ class Kernel:
             self._events_fired += remainder
             self._pending -= remainder
 
-    @hot_path
-    def _drain_calendar(self, until: int) -> None:
-        """Fire all events with ``time <= until`` from the calendar queue.
-
-        Mirrors :meth:`_drain_heap`; the bucket cursor is persisted per
-        event so an exception (or an interleaved ``step()``) never
-        re-fires or skips entries.
-        """
-        buckets = self._buckets
-        ticks = self._bucket_ticks
-        clock = self.clock
-        pop = heapq.heappop
-        handle_cls = EventHandle
-        trace_on = self._trace_enabled
-        tracer = self.tracer
-        flush_mask = _FLUSH_MASK
-        fired = 0
-        pos = self._active_pos
-        try:
-            while True:
-                bucket = self._active_bucket
-                if bucket is None:
-                    if not ticks:
-                        break
-                    tick = ticks[0]
-                    if tick > until:
-                        break
-                    pop(ticks)
-                    bucket = buckets.pop(tick)
-                    self._active_bucket = bucket
-                    pos = 0
-                    clock._now = tick
-                else:
-                    pos = self._active_pos
-                # A bucket never grows while draining: same-tick events
-                # scheduled by a firing callback land in a *fresh* dict
-                # bucket (this one was popped), picked up next iteration
-                # in seq order.
-                size = len(bucket)
-                while pos < size:
-                    entry = bucket[pos]
-                    pos += 1
-                    payload = entry[2]
-                    if payload.__class__ is handle_cls:
-                        callback = payload.callback
-                        if callback is None:  # tombstone
-                            self._tombstones -= 1
-                            continue
-                        payload.callback = None
-                        if trace_on and payload.label:
-                            tracer.record(entry[0], "event", payload.label)
-                    else:
-                        callback = payload
-                    fired += 1
-                    if not fired & flush_mask:
-                        self._events_fired += METRICS_FLUSH_INTERVAL
-                        self._pending -= METRICS_FLUSH_INTERVAL
-                        self._active_pos = pos
-                        self._flush_metrics()
-                    callback()
-                self._active_bucket = None
-                self._active_pos = 0
-                pos = 0
-        finally:
-            # Persist the cursor so an exception mid-bucket resumes
-            # after the event that raised, never re-firing it.
-            if self._active_bucket is not None:
-                self._active_pos = pos
-            remainder = fired & flush_mask
-            self._events_fired += remainder
-            self._pending -= remainder
-
-    def _next_live_entry(self, until: int) -> Optional[Entry]:
-        """Pop the next live entry with ``time <= until`` (peek first).
-
-        Shared by both schedulers on the traced path, so heap and
-        calendar runs fire — and therefore span — the exact same
-        sequence.  Like the hot loops, the head is peeked before
-        popping: an entry beyond ``until`` is never disturbed.
-        """
-        if not self._use_calendar:
-            heap = self._heap
-            while heap:
-                if heap[0][0] > until:
-                    return None
-                entry = heapq.heappop(heap)
-                if self._entry_live(entry):
-                    return entry
-                self._tombstones -= 1
-            return None
-        while True:
-            bucket = self._active_bucket
-            if bucket is None:
-                ticks = self._bucket_ticks
-                if not ticks or ticks[0] > until:
-                    return None
-                tick = heapq.heappop(ticks)
-                bucket = self._buckets.pop(tick)
-                self._active_bucket = bucket
-                self._active_pos = 0
-            while self._active_pos < len(bucket):
-                entry = bucket[self._active_pos]
-                self._active_pos += 1
-                if self._entry_live(entry):
-                    return entry
-                self._tombstones -= 1
-            self._active_bucket = None
-
     def _drain_spans(self, until: int) -> None:
         """Fire all events with ``time <= until``, wrapping each labelled
         event in a kernel span.
 
-        The traced sibling of :meth:`_drain_heap` /
-        :meth:`_drain_calendar`: same batched-metrics cadence, same
-        finally-block remainder flush, but every labelled event becomes
-        an ambient ``kernel``-category span for the duration of its
-        callback, so spans opened inside the callback (bluetooth, LAN,
-        core) parent to the dispatch that caused them.
+        The traced sibling of :meth:`_drain_heap`: same batched-metrics
+        cadence, same finally-block remainder flush, but every labelled
+        event becomes an ambient ``kernel``-category span for the
+        duration of its callback, so spans opened inside the callback
+        (bluetooth, LAN, core) parent to the dispatch that caused them.
+        Kept apart from the hot loop: a merged loop measured 3-8 % slower
+        on untraced runs (docs/performance.md, "One event queue").
         """
         spans = self._spans
         assert spans is not None
@@ -680,7 +477,7 @@ class Kernel:
         fired = 0
         try:
             while True:
-                entry = self._next_live_entry(until)
+                entry = self._pop_live(until)
                 if entry is None:
                     break
                 time = entry[0]
@@ -698,7 +495,7 @@ class Kernel:
                     self._events_fired += METRICS_FLUSH_INTERVAL
                     self._pending -= METRICS_FLUSH_INTERVAL
                     self._flush_metrics()
-                assert callback is not None  # _next_live_entry skips tombstones
+                assert callback is not None  # _pop_live skips tombstones
                 if label:
                     if legacy_on:
                         tracer.record(time, "event", label)
@@ -731,7 +528,7 @@ class Kernel:
         """
         fired = 0
         while True:
-            entry = self._pop_next_live()
+            entry = self._pop_live()
             if entry is None:
                 break
             self._fire_entry(entry)
@@ -752,5 +549,5 @@ class Kernel:
     def __repr__(self) -> str:
         return (
             f"Kernel(now={self.clock.now}, pending={self.pending_events}, "
-            f"fired={self._events_fired}, scheduler={self.scheduler!r})"
+            f"fired={self._events_fired})"
         )

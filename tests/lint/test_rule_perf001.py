@@ -138,7 +138,6 @@ class TestHotPathDecorator:
 
         expected = {
             "repro.sim.kernel.Kernel._drain_heap",
-            "repro.sim.kernel.Kernel._drain_calendar",
             "repro.bluetooth.hopping.InquiryTransmitSchedule.next_tx_of_position",
             "repro.radio.medium.RadioMedium.stations_in_range_of",
             "repro.lan.transport.LANTransport._deliver",

@@ -1,7 +1,7 @@
 """The tracing determinism contract.
 
 Enabling tracing must change **no** simulated result; the collected
-spans themselves must be byte-identical across schedulers and across
+spans themselves must be byte-identical across runs and across
 ``--jobs N``; and the config digests that key the result cache must not
 move when trace flags are flipped.
 """
@@ -79,11 +79,6 @@ class TestSpanStreamDeterminism:
 
     def test_two_identical_runs_produce_identical_spans(self):
         assert self._records() == self._records()
-
-    def test_calendar_scheduler_produces_identical_spans(self, monkeypatch):
-        heap_records = self._records()
-        monkeypatch.setenv("BIPS_SIM_SCHEDULER", "calendar")
-        assert self._records() == heap_records
 
     def test_sampled_runs_are_deterministic_too(self):
         def sampled():

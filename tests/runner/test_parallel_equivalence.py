@@ -81,41 +81,6 @@ class TestSerialParallelEquality:
         assert serial.render() == parallel.render()
 
 
-class TestSchedulerParallelEquality:
-    """The scheduler knob composes with trial fan-out: any (scheduler,
-    jobs) combination must reproduce the canonical serial-heap bytes.
-    Workers inherit the environment variable, so setting it in the
-    parent covers the spawned processes too."""
-
-    def test_calendar_serial_matches_calendar_parallel(self, monkeypatch):
-        from repro.sim.kernel import SCHEDULER_ENV_VAR
-
-        monkeypatch.setenv(SCHEDULER_ENV_VAR, "calendar")
-        config = Table1Config(trials=10, seed=777)
-        serial = run_table1(config)
-        parallel = run_table1(config, runner=parallel_runner())
-        assert serial.to_csv() == parallel.to_csv()
-
-    def test_calendar_parallel_matches_heap_serial(self, monkeypatch):
-        from repro.sim.kernel import SCHEDULER_ENV_VAR
-
-        config = Table1Config(trials=10, seed=777)
-        monkeypatch.delenv(SCHEDULER_ENV_VAR, raising=False)
-        heap_serial = run_table1(config)
-        monkeypatch.setenv(SCHEDULER_ENV_VAR, "calendar")
-        calendar_parallel = run_table1(config, runner=parallel_runner())
-        assert heap_serial.to_csv() == calendar_parallel.to_csv()
-
-    def test_figure2_calendar_parallel_equal(self, monkeypatch):
-        from repro.sim.kernel import SCHEDULER_ENV_VAR
-
-        config = Figure2Config(slave_counts=(4,), replications=2, seed=905)
-        serial = run_figure2(config)
-        monkeypatch.setenv(SCHEDULER_ENV_VAR, "calendar")
-        parallel = run_figure2(config, runner=parallel_runner())
-        assert serial.to_csv() == parallel.to_csv()
-
-
 class TestCacheSemantics:
     def test_warm_cache_skips_all_trials(self, tmp_path):
         windows = (2.56, 3.84, 5.12)

@@ -1,19 +1,18 @@
 """Sim-layer fixtures.
 
 The ``kernel`` fixture here overrides the repo-root one so every
-kernel/process test in this directory runs against **both** scheduler
-implementations — the heap and calendar queues must be behaviourally
-indistinguishable, not just fast.
+kernel test in this directory carries the name of the queue it runs
+on: ``heap``, the binary heap that is the kernel's only event queue.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.kernel import SCHEDULERS, Kernel
+from repro.sim.kernel import Kernel
 
 
-@pytest.fixture(params=SCHEDULERS)
+@pytest.fixture(params=["heap"])
 def kernel(request) -> Kernel:
-    """A fresh kernel, parametrized over every scheduler."""
-    return Kernel(scheduler=request.param)
+    """A fresh kernel; the test id names its event queue."""
+    return Kernel()

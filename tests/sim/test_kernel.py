@@ -1,20 +1,67 @@
-"""Tests for the discrete-event kernel.
-
-The ``kernel`` fixture (see ``conftest.py`` in this directory) is
-parametrized over both schedulers, so everything here doubles as a
-heap/calendar behavioural-equivalence check.
-"""
+"""Tests for the discrete-event kernel."""
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import SpanTracer
 from repro.sim.errors import DeadlockError, SchedulingError
-from repro.sim.kernel import METRICS_FLUSH_INTERVAL, SCHEDULER_ENV_VAR, Kernel
+from repro.sim.kernel import METRICS_FLUSH_INTERVAL, Kernel
 from repro.sim.trace import Tracer
+
+#: SHA-256 of ``Tracer.dump()`` after :func:`_mixed_workload`.
+CHURN_TRACE_DIGEST = "1e1d6ec98b431ae5e713ae84ea0d9bcf45a3d39f9ee9fd0ff1b732e64becaea2"
+#: SHA-256 of ``repr()`` of the ``(tick, ident)`` firing order it returns.
+CHURN_ORDER_DIGEST = "8f3e2659cabbdbf5e07ecb52a409ba119b70e4352007496b153b65d4e1bab28d"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _mixed_workload(kernel: Kernel) -> list[tuple[int, int]]:
+    """A deterministic schedule/post/cancel/nested-event churn.
+
+    Uses a private LCG (not ``random``) so the decision stream depends
+    only on the firing order; any change in that order desynchronises
+    the stream and cascades into a different trace.
+    """
+    log: list[tuple[int, int]] = []
+    state = 987654321
+
+    def rnd(bound: int) -> int:
+        nonlocal state
+        state = (state * 1103515245 + 12345) % (1 << 31)
+        return state % bound
+
+    handles = []
+
+    def make_callback(ident: int):
+        def callback() -> None:
+            log.append((kernel.now, ident))
+            if rnd(4) == 0:
+                kernel.post(
+                    rnd(7), make_callback(1000 + ident), label=f"nested:{ident}"
+                )
+            if handles and rnd(3) == 0:
+                handles.pop(rnd(len(handles))).cancel()
+
+        return callback
+
+    for ident in range(150):
+        tick = rnd(400)
+        if rnd(2):
+            handles.append(
+                kernel.schedule_at(tick, make_callback(ident), label=f"evt:{ident}")
+            )
+        else:
+            kernel.post_at(tick, make_callback(ident), label=f"evt:{ident}")
+    kernel.run_until(500)
+    return log
 
 
 class TestScheduling:
@@ -387,23 +434,34 @@ class TestMetricsBatching:
         assert registry.counter("sim.events_fired").value == 1
 
 
-class TestSchedulerSelection:
-    def test_unknown_scheduler_raises(self):
-        with pytest.raises(ValueError):
-            Kernel(scheduler="fifo")
+class TestGoldenChurn:
+    """Firing order under churn, pinned by digest rather than by a
+    second queue implementation."""
 
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV_VAR, "calendar")
-        assert Kernel().scheduler == "calendar"
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_mixed_workload_matches_pinned_digests(self, traced):
+        tracer = Tracer()
+        kernel = Kernel(tracer=tracer, spans=SpanTracer() if traced else None)
+        order = _mixed_workload(kernel)
+        assert _sha256(tracer.dump()) == CHURN_TRACE_DIGEST
+        assert _sha256(repr(order)) == CHURN_ORDER_DIGEST
+        assert (kernel.events_fired, kernel.pending_events) == (162, 0)
 
-    def test_explicit_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV_VAR, "calendar")
-        assert Kernel(scheduler="heap").scheduler == "heap"
-
-    def test_bad_env_var_raises(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV_VAR, "fifo")
-        with pytest.raises(ValueError):
-            Kernel()
+    def test_step_visits_time_then_insertion_order(self, kernel):
+        order: list[tuple[int, str]] = []
+        for ident in ("a", "b", "c"):
+            kernel.schedule_at(10, lambda i=ident: order.append((kernel.now, i)))
+        kernel.schedule_at(5, lambda: order.append((kernel.now, "early")))
+        kernel.schedule_at(20, lambda: order.append((kernel.now, "late")))
+        while kernel.step():
+            pass
+        assert order == [
+            (5, "early"),
+            (10, "a"),
+            (10, "b"),
+            (10, "c"),
+            (20, "late"),
+        ]
 
 
 class TestTracing:

@@ -3,17 +3,15 @@
 A kernel with a :class:`SpanTracer` attached takes a separate drain
 loop (``_drain_spans``); these tests pin that it fires the exact same
 events, in the same order, with the same clock and metrics as the
-untraced hot loops — and that ``flush_metrics()`` makes the batched
+untraced hot loop — and that ``flush_metrics()`` makes the batched
 instruments exact even mid-drain.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import SpanTracer
-from repro.sim.kernel import METRICS_FLUSH_INTERVAL, SCHEDULERS, Kernel
+from repro.sim.kernel import METRICS_FLUSH_INTERVAL, Kernel
 
 
 def _workload(kernel, log):
@@ -30,38 +28,22 @@ def _workload(kernel, log):
     return handle
 
 
-@pytest.fixture(params=SCHEDULERS)
-def scheduler(request) -> str:
-    return request.param
-
-
 class TestTracedDrainEquivalence:
-    def test_same_firing_order_and_clock_as_untraced(self, scheduler):
+    def test_same_firing_order_and_clock_as_untraced(self):
         plain_log, traced_log = [], []
-        plain = Kernel(scheduler=scheduler)
+        plain = Kernel()
         _workload(plain, plain_log)
         plain.run_until(50)
-        traced = Kernel(scheduler=scheduler, spans=SpanTracer())
+        traced = Kernel(spans=SpanTracer())
         _workload(traced, traced_log)
         traced.run_until(50)
         assert traced_log == plain_log
         assert traced.now == plain.now
         assert traced.events_fired == plain.events_fired
 
-    def test_heap_and_calendar_trace_identical_spans(self):
-        def spans_for(scheduler):
-            tracer = SpanTracer()
-            kernel = Kernel(scheduler=scheduler, spans=tracer)
-            _workload(kernel, [])
-            kernel.run_until(50)
-            return tracer.records()
-
-        heap, calendar = spans_for("heap"), spans_for("calendar")
-        assert heap == calendar
-
-    def test_labelled_events_become_kernel_spans(self, scheduler):
+    def test_labelled_events_become_kernel_spans(self):
         tracer = SpanTracer()
-        kernel = Kernel(scheduler=scheduler, spans=tracer)
+        kernel = Kernel(spans=tracer)
         _workload(kernel, [])
         kernel.run_until(50)
         assert [(s.name, s.start_tick) for s in tracer.spans] == [
@@ -71,9 +53,9 @@ class TestTracedDrainEquivalence:
         # Event dispatch is instantaneous in sim time.
         assert all(span.duration_ticks == 0 for span in tracer.spans)
 
-    def test_spans_opened_in_callbacks_nest_under_the_dispatch(self, scheduler):
+    def test_spans_opened_in_callbacks_nest_under_the_dispatch(self):
         tracer = SpanTracer()
-        kernel = Kernel(scheduler=scheduler, spans=tracer)
+        kernel = Kernel(spans=tracer)
 
         def fire():
             tracer.instant("core.query", "core", kernel.now, ok=True)
@@ -84,17 +66,17 @@ class TestTracedDrainEquivalence:
         assert dispatch.name == "serve"
         assert child.parent_id == dispatch.span_id
 
-    def test_step_wraps_labelled_events_too(self, scheduler):
+    def test_step_wraps_labelled_events_too(self):
         tracer = SpanTracer()
-        kernel = Kernel(scheduler=scheduler, spans=tracer)
+        kernel = Kernel(spans=tracer)
         kernel.schedule_at(2, lambda: None, label="stepped")
         assert kernel.step() is True
         assert [span.name for span in tracer.spans] == ["stepped"]
 
-    def test_traced_metrics_match_untraced(self, scheduler):
+    def test_traced_metrics_match_untraced(self):
         def jsonl(spans):
             registry = MetricsRegistry()
-            kernel = Kernel(scheduler=scheduler, metrics=registry, spans=spans)
+            kernel = Kernel(metrics=registry, spans=spans)
             _workload(kernel, [])
             kernel.run_until(50)
             return registry.to_jsonl()
@@ -109,18 +91,18 @@ class TestMetricsExactness:
     def _counter(self, registry):
         return registry.counter("sim.events_fired")
 
-    def test_exact_at_run_until_boundary(self, scheduler):
+    def test_exact_at_run_until_boundary(self):
         registry = MetricsRegistry()
-        kernel = Kernel(scheduler=scheduler, metrics=registry)
+        kernel = Kernel(metrics=registry)
         for tick in range(self.COUNT):
             kernel.post_at(tick, lambda: None)
         kernel.run_until(self.COUNT)
         assert self._counter(registry).value == self.COUNT
         assert registry.gauge("sim.queue_depth").value == 0
 
-    def test_exact_at_partial_run_boundary(self, scheduler):
+    def test_exact_at_partial_run_boundary(self):
         registry = MetricsRegistry()
-        kernel = Kernel(scheduler=scheduler, metrics=registry)
+        kernel = Kernel(metrics=registry)
         for tick in range(self.COUNT):
             kernel.post_at(tick, lambda: None)
         half = self.COUNT // 2
@@ -129,11 +111,11 @@ class TestMetricsExactness:
         kernel.run_until(self.COUNT)
         assert self._counter(registry).value == self.COUNT
 
-    def test_flush_metrics_is_exact_inside_run_to_completion(self, scheduler):
+    def test_flush_metrics_is_exact_inside_run_to_completion(self):
         # run_to_completion accounts per event, so a mid-run flush
         # publishes the exact count (the registry itself lags until then).
         registry = MetricsRegistry()
-        kernel = Kernel(scheduler=scheduler, metrics=registry)
+        kernel = Kernel(metrics=registry)
         counter = self._counter(registry)
         observed = {}
 
@@ -150,12 +132,12 @@ class TestMetricsExactness:
         assert observed["stale"] < observed["flushed"]
         assert observed["flushed"] == probe_at + 1  # ticks 0..probe_at-1 + probe
 
-    def test_mid_run_until_reads_lag_at_most_one_batch(self, scheduler):
+    def test_mid_run_until_reads_lag_at_most_one_batch(self):
         # Inside a run_until drain the batch accumulator is loop-local:
         # a flushed read may lag, but never by a full flush interval,
         # and the boundary read is exact again (the documented window).
         registry = MetricsRegistry()
-        kernel = Kernel(scheduler=scheduler, metrics=registry)
+        kernel = Kernel(metrics=registry)
         counter = self._counter(registry)
         observed = {}
 
@@ -173,17 +155,17 @@ class TestMetricsExactness:
         assert exact_at_probe - observed["flushed"] < METRICS_FLUSH_INTERVAL
         assert counter.value == self.COUNT + 1  # boundary: exact again
 
-    def test_exact_under_tracing_too(self, scheduler):
+    def test_exact_under_tracing_too(self):
         registry = MetricsRegistry()
-        kernel = Kernel(scheduler=scheduler, metrics=registry, spans=SpanTracer())
+        kernel = Kernel(metrics=registry, spans=SpanTracer())
         for tick in range(self.COUNT):
             kernel.post_at(tick, lambda: None)
         kernel.run_until(self.COUNT)
         assert self._counter(registry).value == self.COUNT
 
-    def test_step_keeps_the_counter_exact(self, scheduler):
+    def test_step_keeps_the_counter_exact(self):
         registry = MetricsRegistry()
-        kernel = Kernel(scheduler=scheduler, metrics=registry)
+        kernel = Kernel(metrics=registry)
         for tick in range(5):
             kernel.post_at(tick, lambda: None)
         fired = 0
