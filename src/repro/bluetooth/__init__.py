@@ -9,7 +9,6 @@ Layers:
   slave of one piconet, with the v1.1 random backoff; one row per slave)
 * connection setup — :class:`PageProcedure`, :class:`Connection`,
   :class:`Piconet`
-* :class:`HostController` — a BlueZ-like facade tying it together
 """
 
 from .address import BDAddr, address_block
@@ -32,7 +31,6 @@ from .constants import (
     TRAIN_SIZE,
 )
 from .device import BluetoothDevice, make_devices
-from .hci import ConnectionCompleteEvent, HostController
 from .link import (
     DM1_PAYLOAD_BYTES,
     AppMessage,
@@ -88,8 +86,6 @@ __all__ = [
     "TRAIN_SIZE",
     "BluetoothDevice",
     "make_devices",
-    "ConnectionCompleteEvent",
-    "HostController",
     "DM1_PAYLOAD_BYTES",
     "AppMessage",
     "RoundRobinLinkScheduler",

@@ -72,6 +72,7 @@ class InquiryProcedure:
     ) -> None:
         self.kernel = kernel
         self.schedule = schedule
+        self._is_listening = schedule.windows.is_active
         self.name = name
         self.on_discovered = on_discovered
         self.receiver_capture = receiver_capture
@@ -103,7 +104,7 @@ class InquiryProcedure:
     # -- reception ---------------------------------------------------------
 
     def _on_fhs(self, packet: FHSPacket, tick: int) -> None:
-        if not self.schedule.is_listening(tick):
+        if not self._is_listening(tick):
             self.responses_missed += 1
             if self._m_missed is not None:
                 self._m_missed.inc()

@@ -149,7 +149,7 @@ class ResponseChannel:
             CollisionRecord(
                 tick=tick,
                 rf_channel=rf_channel,
-                senders=tuple(str(pkt.sender) for pkt in group),
+                senders=tuple([pkt.sender.format() for pkt in group]),
             )
         )
 

@@ -162,7 +162,7 @@ class Kernel:
     @property
     def now(self) -> int:
         """Current simulated time in ticks."""
-        return self.clock.now
+        return self.clock._now
 
     @property
     def now_seconds(self) -> float:

@@ -1,4 +1,4 @@
-"""Tests for device identity, packets, constants, and the HCI facade."""
+"""Tests for device identity, packets and constants."""
 
 from __future__ import annotations
 
@@ -7,10 +7,8 @@ import pytest
 from repro.bluetooth import constants
 from repro.bluetooth.address import BDAddr
 from repro.bluetooth.btclock import BluetoothClock
-from repro.bluetooth.connection import DisconnectReason
 from repro.bluetooth.device import BluetoothDevice, make_devices
-from repro.bluetooth.hci import HostController
-from repro.bluetooth.hopping import Train, continuous_inquiry, train_of_position
+from repro.bluetooth.hopping import Train, train_of_position
 from repro.bluetooth.packets import DM1Packet, FHSPacket, IDPacket
 from repro.sim.rng import RandomStream
 
@@ -80,60 +78,3 @@ class TestBluetoothDevice:
     def test_make_devices_invalid_range(self):
         with pytest.raises(ValueError):
             make_devices(5, RandomStream(3, "d"), phase_range=(10, 40))
-
-
-class TestHostController:
-    def _controller(self, kernel):
-        device = BluetoothDevice(address=BDAddr(0xFFFF), name="ws")
-        return HostController(
-            kernel, device, continuous_inquiry(), RandomStream(9, "hc")
-        )
-
-    def test_connection_lifecycle(self, kernel):
-        controller = self._controller(kernel)
-        target = BluetoothDevice(address=BDAddr(0x1111), name="slave")
-        events = []
-        controller.create_connection(target, callback=events.append)
-        kernel.run_until(50_000)
-        assert len(events) == 1
-        assert events[0].success
-        assert controller.piconet.active_count == 1
-        connection = controller.disconnect(
-            target.address, DisconnectReason.LOCAL_CLOSE
-        )
-        assert connection is not None
-        assert controller.piconet.active_count == 0
-
-    def test_page_timeout_fails_connection(self, kernel):
-        controller = self._controller(kernel)
-        target = BluetoothDevice(address=BDAddr(0x1111))
-        events = []
-        controller.create_connection(target, callback=events.append, scanning=False)
-        kernel.run_until(100_000)
-        assert len(events) == 1
-        assert not events[0].success
-        assert controller.piconet.active_count == 0
-
-    def test_inquiry_listener_plumbing(self, kernel):
-        controller = self._controller(kernel)
-        seen = []
-        controller.on_inquiry_result(lambda packet, tick: seen.append(packet.sender))
-        packet = FHSPacket(sender=BDAddr(5), clkn=0, channel=0, tx_tick=10)
-        controller.inquiry._on_fhs(packet, 10)
-        assert seen == [BDAddr(5)]
-
-    def test_expire_stale_links(self, kernel):
-        controller = HostController(
-            kernel,
-            BluetoothDevice(address=BDAddr(0xFFFF)),
-            continuous_inquiry(),
-            RandomStream(9, "hc"),
-            supervision_timeout_ticks=100,
-        )
-        target = BluetoothDevice(address=BDAddr(0x1111))
-        controller.create_connection(target)
-        kernel.run_until(10_000)
-        assert controller.piconet.active_count == 1
-        expired = controller.expire_stale_links()
-        assert len(expired) == 1
-        assert controller.piconet.active_count == 0

@@ -5,6 +5,8 @@ family and hashes every observable — per-slave state, counters and
 response ticks, the channel's collision records, the master's results.
 The digests were recorded from the per-slave scanner objects the swarm
 replaced, so a changed digest is a behaviour change, never a refactor.
+``TestRendezvousCursor`` reruns the same families and checks every
+CONTINUOUS response's cursor shortcut against a fresh search.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import pytest
 
 from repro.bluetooth.address import BDAddr
 from repro.bluetooth.btclock import CLKN_WRAP, BluetoothClock
+from repro.bluetooth.constants import INQUIRY_RESPONSE_DELAY_TICKS
 from repro.bluetooth.hopping import (
     Train,
     TrainStrategy,
@@ -30,19 +33,24 @@ from repro.bluetooth.scan import (
     ScannerState,
     next_listen_rendezvous,
 )
-from repro.bluetooth.swarm import InquiryScanSwarm
+from repro.bluetooth.swarm import _NO_CURSOR, InquiryScanSwarm
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
 
 
-def _run_piconet(seed, slave_count, scan_config, schedule_factory, horizon):
-    """One piconet; returns every observable."""
+def _run_piconet(seed, slave_count, scan_config, schedule_factory, horizon, instrument=None):
+    """One piconet; returns every observable.
+
+    ``instrument(swarm)``, if given, is called before any slave starts.
+    """
     kernel = Kernel()
     schedule = schedule_factory()
     master = InquiryProcedure(kernel, schedule, name="master")
     root = RandomStream(seed, "swarm-ab")
     swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=scan_config, name="s")
+    if instrument is not None:
+        instrument(swarm)
     handles = []
     for index in range(slave_count):
         rng = root.child("slave", str(index))
@@ -164,6 +172,87 @@ class TestSwarmEquivalence:
         )
 
 
+def _check_cursor(swarm, checked):
+    """Wrap ``swarm``'s respond step so that every CONTINUOUS response
+    asserts that the next hear it filed — from the rendezvous cursor or
+    a fresh search — equals a fresh ``next_hear(row, now + 1)``.
+
+    Appends each checked ``(row, now)`` to ``checked``.  The fresh
+    search would record its own cursor, so the row's cursor is restored
+    after it: the run continues on exactly the state the swarm built.
+    """
+    filed = {}
+    queue = swarm._queue
+    respond = swarm._step_respond
+
+    def filing_queue(tick, row):
+        filed[row] = tick
+        queue(tick, row)
+
+    def checking_respond(row, now):
+        filed.pop(row, None)
+        result = respond(row, now)
+        if swarm.config.response_mode is ResponseMode.CONTINUOUS:
+            cursor = swarm._cursors[row]
+            fresh = swarm.next_hear(row, now + 1)
+            swarm._cursors[row] = cursor
+            assert filed.get(row) == fresh, (row, now, filed.get(row), fresh)
+            checked.append((row, now))
+        return result
+
+    swarm._queue = filing_queue
+    swarm._step_respond = checking_respond
+
+
+class TestRendezvousCursor:
+    @pytest.mark.parametrize(
+        "scan_config, schedule_factory, horizon, slaves, expected", CASES
+    )
+    def test_cursor_matches_fresh_search(
+        self, scan_config, schedule_factory, horizon, slaves, expected
+    ):
+        checked = []
+        run = _run_piconet(
+            99, slaves, scan_config, schedule_factory, horizon,
+            instrument=lambda swarm: _check_cursor(swarm, checked),
+        )
+        assert _digest(run) == expected
+        if scan_config.response_mode is ResponseMode.CONTINUOUS:
+            assert checked
+
+    def test_after_backoff_cursor_not_reused_by_windowed_scan(self, kernel):
+        # Windowed scan, IMMEDIATE re-entry: the after-backoff listen
+        # ignores the scan windows, so the ID it hears may lie outside
+        # the slave's own window.  The response that follows must find
+        # its next hear under the window, not in the window-free
+        # segment the after-backoff search walked.
+        config = ScanConfig()
+        assert config.backoff_reentry is BackoffReentry.IMMEDIATE
+        assert not config.is_continuous
+        schedule = continuous_inquiry()
+        master = InquiryProcedure(kernel, schedule, name="m")
+        swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=config, name="ab")
+        handle = swarm.add_slave(
+            BDAddr(0xD), rng=RandomStream(8, "ab"), clock=BluetoothClock(offset=4321)
+        )
+        row = handle.row
+        for start in range(0, 200_000, 97):
+            heard = handle.next_hear(start, ignore_windows=True)
+            following = handle.next_hear(heard + 1, ignore_windows=True)
+            if handle.next_hear(heard) != heard and following != handle.next_hear(heard + 1):
+                break
+        else:
+            pytest.fail("no out-of-window hear with a distinguishing next hear")
+        checked = []
+        _check_cursor(swarm, checked)
+        kernel.run_until(start)
+        swarm._step_after_backoff(row, start)
+        kernel.run_until(heard + 1)
+        assert checked == [(row, heard)]
+        assert handle.stats.response_ticks == [heard + INQUIRY_RESPONSE_DELAY_TICKS]
+        assert handle.next_hear(heard + 1) != following
+
+
 class TestSwarmLifecycle:
     def _swarm(self, kernel, horizon=1 << 20, metrics=None):
         schedule = continuous_inquiry()
@@ -224,6 +313,34 @@ class TestSwarmLifecycle:
         assert metrics.counter("sim.batch.advances").value > 0
         assert metrics.counter("sim.batch.slave_steps").value > 0
         assert metrics.counter("bt.scan.ids_heard").value == handle.stats.ids_heard
+
+    def test_finished_rows_drop_their_cursor(self, kernel):
+        # A cursor pins its timetable; a finished row must not keep one
+        # alive once the shared cache has moved on.
+        swarm, stopped = self._swarm(kernel, horizon=200_000)
+        exhausted = swarm.add_slave(
+            BDAddr(0xE), rng=RandomStream(6, "x"), clock=BluetoothClock(offset=77),
+            horizon_tick=60_000,
+        )
+        stopped.start()
+        exhausted.start()
+        kernel.run_until(50_000)
+        assert swarm._cursors[stopped.row] != _NO_CURSOR
+        stopped.stop()
+        kernel.run_until(100_000)
+        assert exhausted.state is ScannerState.EXHAUSTED
+        assert exhausted.stats.responses > 0
+        assert swarm._cursors[stopped.row] == _NO_CURSOR
+        assert swarm._cursors[exhausted.row] == _NO_CURSOR
+
+    def test_stopped_row_is_not_a_step(self, kernel):
+        metrics = MetricsRegistry()
+        _, handle = self._swarm(kernel, metrics=metrics)
+        handle.start(at_tick=100)
+        handle.stop()
+        kernel.run_until(1_000)
+        assert metrics.counter("sim.batch.advances").value == 1
+        assert metrics.counter("sim.batch.slave_steps").value == 0
 
     def test_next_hear_matches_scanner(self, kernel):
         # The swarm's fast path (shared timetables, idle-air jumps)
