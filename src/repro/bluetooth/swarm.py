@@ -23,28 +23,43 @@ then.
 :class:`InquiryScanSwarm` keeps all slaves of one piconet as rows of a
 :class:`~repro.sim.batch.BatchStore` — clock offsets, hop phases, scan
 anchors, lifecycle state and counters are parallel ``array('q')``
-columns — and files each row under the tick at which it next acts.  One
-handle-free kernel event per distinct due tick then advances every row
-due at that tick (:meth:`InquiryScanSwarm._on_advance`), and all FHS
-responses produced within one advance are announced to the radio
-channel in a single batched call.  A lone slave is a one-row swarm.
+columns — and files each row under the tick at which it next acts.  All
+FHS responses of one due bucket are announced to the radio channel in a
+single batched call.  A lone slave is a one-row swarm.
 
-Ordering guarantees (pinned by the golden artefact digests):
+Due buckets and the FHS deliveries the swarm opens are not kernel
+events but entries ``(tick, seq, kind)`` of one swarm-local heap, the
+swarm timeline.  Each entry's ``seq`` is reserved from the kernel
+(:meth:`~repro.sim.kernel.Kernel.reserve_seq`) at the moment the bucket
+or delivery is filed, just as posting an event there would take one, so
+entries and kernel events share one ``(tick, seq)`` order.  One kernel callback,
+:meth:`InquiryScanSwarm._wake`, drains every entry that precedes both
+the kernel heap head and the kernel's drain bound (conservative
+lookahead on one core); on a yield it posts its next wake under the
+earliest entry's own reserved ``seq``
+(:meth:`~repro.sim.kernel.Kernel.post_reserved`).  The firing order is
+therefore exactly the one a single shared heap would give, foreign
+events at the same tick included (enrolment stops, workstation timers,
+other piconets' wakes), and the clock never passes a ``run_until``
+target.  Inside the drain, CONTINUOUS responders standing on their
+rendezvous cursor continue in bulk: every row due at one tick hears the
+same position, so the next transmit tick is read once per tick.
+
+Ordering guarantees (pinned by the golden artefact digests and by
+``tests/bluetooth/test_swarm_timeline.py``):
 
 * every slave draws only from its own :class:`RandomStream` (one
   backoff draw per backoff), so one slave's draws never shift another's;
 * rows due at the same tick act in the order they were filed (FIFO);
-* within one master schedule, ID transmissions occupy ticks congruent
-  to {0, 1} (mod 4) past the window start while FHS deliveries occupy
-  {2, 3}, so hear/respond steps never share a tick with channel
-  deliveries — the batched announce at the end of an advance cannot
-  reorder anything observable (see docs/performance.md).
+* buckets, deliveries and kernel events fire in ``(tick, seq)`` order,
+  with every ``seq`` taken when its bucket or delivery was filed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional
 
@@ -207,7 +222,7 @@ class InquiryScanSwarm:
         self._response_ticks: list[list[int]] = []
         # Rendezvous cursor per row: ``(table, index, segment_end,
         # position)`` of the last timetable answer ``next_hear`` gave
-        # under the row's own window semantics (see _step_respond).
+        # under the row's own window semantics (see _wake).
         self._cursors: list[tuple[tuple[int, ...], int, int, int]] = []
         # Shared-config scalars, predigested so the hot loop does no
         # enum dispatch or dataclass attribute chasing.
@@ -222,8 +237,17 @@ class InquiryScanSwarm:
         self._mode_code = _MODE_CODES[cfg.response_mode]
         self._sequence = schedule.sequence
         self._label = f"swarm:{name}"
-        # Reusable same-advance FHS batch (flushed every advance).
+        # Reusable same-bucket FHS batch (announced after every bucket).
         self._batch: list[FHSPacket] = []
+        # The swarm timeline: a heap of (tick, seq, kind) entries, kind
+        # -1 for a due bucket and the RF channel for an FHS delivery;
+        # ``seq`` is reserved from the kernel, so entries sort among
+        # kernel events exactly as posted events would.  ``_posted``
+        # holds the seqs of wakes currently in the kernel heap (at most
+        # one per live entry, removed as each wake fires).
+        self._timeline: list[tuple[int, int, int]] = []
+        self._posted: set[int] = set()
+        self._draining = False
         # Shared per-position transmit timetables: sorted tx ticks of
         # position p within one block-aligned span, answered by
         # bisection.  One schedule walk per refilled block replaces one
@@ -247,6 +271,33 @@ class InquiryScanSwarm:
             self._m_responses = None
             self._m_advances = None
             self._m_steps = None
+        # Everything _wake reads that is fixed for the swarm's lifetime,
+        # unpacked in one step: a wake that drains one or two entries
+        # (many piconets interleaving) pays for its set-up on each call.
+        # No bound method of the swarm itself: that would make the swarm
+        # a reference cycle, freed only by the cyclic GC (peak RSS).
+        self._wake_locals = (
+            kernel.queue,
+            self._clock,
+            self.store.advance,
+            self.store.due_index,
+            kernel.reserve_seq,
+            channel.deliver,
+            self._state,
+            self._action,
+            self._cursors,
+            self._offset,
+            self._addresses,
+            self._ids_heard,
+            self._responses,
+            self._response_ticks,
+            self._first_response,
+            self._sequence,
+            self._batch,
+            self._mode_code == _MODE_CONTINUOUS,
+            self._continuous,
+            self._response_timeout,
+        )
 
     # -- population -------------------------------------------------------
 
@@ -491,63 +542,207 @@ class InquiryScanSwarm:
             tick = segment_end
         return None
 
-    # -- the batched state machine ----------------------------------------
+    # -- the swarm timeline -------------------------------------------------
 
     def _queue(self, tick: int, row: int) -> None:
-        """File ``row`` for ``tick``; first filer posts the kernel event."""
-        if self.store.push_due(tick, row):
-            self.kernel.post_at(tick, self._on_advance, self._label)
+        """File ``row`` for ``tick``.
+
+        The first filer of a tick opens its bucket and reserves the
+        bucket's timeline ``seq`` then, as posting an event would.
+        Outside a drain, a bucket that becomes the timeline's earliest
+        entry gets its wake posted now.
+        """
+        if not self.store.push_due(tick, row):
+            return
+        seq = self.kernel.reserve_seq()
+        timeline = self._timeline
+        entry = (tick, seq, -1)
+        if self._draining or (timeline and timeline[0] < entry):
+            heappush(timeline, entry)
+            return
+        heappush(timeline, entry)
+        self._posted.add(seq)
+        self.kernel.post_reserved(tick, seq, self._wake, self._label)
 
     @hot_path
-    def _on_advance(self) -> None:
-        """Advance every row due now — the swarm's one kernel callback.
+    def _wake(self) -> None:
+        """Drain the timeline up to the kernel's next event: the swarm's
+        one kernel callback.
 
-        Rows are processed in the order they were filed; FHS
-        responses produced during the pass are
-        collected and announced to the channel in one batched call at
-        the end (safe: deliveries never share a tick with hear/respond
-        steps — see the module docstring).
+        Entries are ``(tick, seq, kind)``; each is processed only while
+        it precedes both the kernel heap head and the drain bound, so
+        buckets, deliveries and every foreign event interleave in the
+        exact ``(tick, seq)`` order one shared heap would give them.  On
+        a yield the earliest entry's wake is posted under that entry's
+        own ``seq`` (unless it already has one).  A bucket's CONTINUOUS
+        responders standing on their rendezvous cursor take the bulk
+        path inline; every other row takes its ``_step_*`` method.  The
+        ``sim.batch.*`` counts and the bulk path's ``bt.scan.*`` counts
+        accumulate in locals and are flushed before returning.
         """
-        now = self._clock._now
-        rows = self.store.advance(now)
-        state = self._state
-        action = self._action
-        batch = self._batch
+        timeline = self._timeline
+        posted = self._posted
+        if timeline:
+            posted.discard(timeline[0][1])
+        (
+            heap, clock, advance, due, reserve, deliver, state, action,
+            cursors, offsets, addresses, ids_heard, responses,
+            response_ticks, first_response, sequence, batch, bulk,
+            windowless, timeout,
+        ) = self._wake_locals
+        bound = self.kernel.drain_bound
+        schedule_batch = self.channel.schedule_fhs_batch
         step_respond = self._step_respond
-        batch_tick = -1
-        batch_channel = -1
-        stopped = 0
-        for row in rows:
-            if state[row] == _STOPPED:
-                stopped += 1
-                continue  # tombstoned by stop_row; nothing pending
-            act = action[row]
-            if act == _ACT_RESPOND:
-                tx_tick, rf_channel = step_respond(row, now)
-                if batch_tick < 0:
-                    batch_tick = tx_tick
-                    batch_channel = rf_channel
-                elif tx_tick != batch_tick or rf_channel != batch_channel:
-                    # Distinct keys within one advance cannot happen for
-                    # slaves of one master (same hear tick -> same
-                    # position); handled anyway so the invariant is
-                    # local, not load-bearing.
-                    self.channel.schedule_fhs_batch(batch_tick, batch_channel, batch)
+        next_hear = self.next_hear
+        n_advances = 0
+        n_steps = 0
+        n_bulk = 0
+        # The lookahead horizon as a (tick, seq) pair: an entry is due
+        # while it sorts below both the bound (every seq of tick
+        # ``bound``) and the kernel heap head.  An entry equal to the head
+        # is this swarm's own pending wake, so it waits for that wake.
+        # Only a delivery runs code that can post kernel events (the
+        # receiver and its listeners), so the head is re-read after each.
+        horizon = (bound + 1, -1)
+        if heap:
+            head = heap[0]
+            if head[0] <= bound:
+                horizon = (head[0], head[1])
+        self._draining = True
+        try:
+            while timeline:
+                entry = timeline[0]
+                if entry > horizon:
+                    break
+                heappop(timeline)
+                tick = entry[0]
+                clock._now = tick
+                kind = entry[2]
+                if kind >= 0:
+                    deliver(tick, kind)
+                    if heap:
+                        head = heap[0]
+                        if head[0] <= bound:
+                            horizon = (head[0], head[1])
+                    continue
+                rows = advance(tick)
+                n_advances += 1
+                n_steps += len(rows)
+                batch_tick = -1
+                batch_channel = -1
+                # Bulk-path constants of this tick, read from the first
+                # on-cursor responder: (table position, rf channel, next
+                # tx tick of that position or -1).
+                tx_tick = tick + INQUIRY_RESPONSE_DELAY_TICKS
+                tick_position = -1
+                tick_channel = -1
+                tick_next = -1
+                filed_tick = -1
+                filed_bucket: list[int] = []
+                for row in rows:
+                    if state[row] == _STOPPED:
+                        n_steps -= 1
+                        continue  # tombstoned by stop_row; nothing pending
+                    act = action[row]
+                    if act == _ACT_RESPOND:
+                        if bulk:
+                            table, index, segment_end, position = cursors[row]
+                            if table[index] == tick and (
+                                position == tick_position or tick_position < 0
+                            ):
+                                if tick_position < 0:
+                                    tick_position = position
+                                    tick_channel = sequence[position]
+                                    tick_next = (
+                                        table[index + 1] if index + 1 < len(table) else -1
+                                    )
+                                if tx_tick != batch_tick or tick_channel != batch_channel:
+                                    if batch:
+                                        if schedule_batch(batch_tick, batch_channel, batch):
+                                            heappush(timeline, (batch_tick, reserve(), batch_channel))
+                                        batch.clear()
+                                    batch_tick = tx_tick
+                                    batch_channel = tick_channel
+                                # A CONTINUOUS response on the cursor: the ID
+                                # answered is the cursor's timetable entry, and
+                                # the next hear is the table's next entry if it
+                                # falls inside the cursor's segment.  That is
+                                # what a fresh next_hear(row, tick + 1) finds,
+                                # since tick fixes both segment and table.
+                                ids_heard[row] += 1
+                                n_bulk += 1
+                                batch.append(
+                                    FHSPacket(
+                                        addresses[row],
+                                        (tx_tick + offsets[row]) % CLKN_WRAP,
+                                        tick_channel,
+                                        tx_tick,
+                                    )
+                                )
+                                responses[row] += 1
+                                response_ticks[row].append(tx_tick)
+                                if first_response[row] < 0:
+                                    first_response[row] = tx_tick
+                                if 0 <= tick_next < segment_end:
+                                    heard = tick_next
+                                    cursors[row] = (table, index + 1, segment_end, position)
+                                else:
+                                    found = next_hear(row, tick + 1)
+                                    if found is None:
+                                        self._retire(row, _EXHAUSTED)
+                                        continue
+                                    heard = found
+                                if windowless and heard - tick > timeout:
+                                    state[row] = _SEEKING
+                                    action[row] = _ACT_HEAR
+                                    self._queue(heard, row)
+                                    continue
+                                if heard != filed_tick:
+                                    filed_tick = heard
+                                    found_bucket = due.get(heard)
+                                    if found_bucket is None:
+                                        filed_bucket = due[heard] = []
+                                        heappush(timeline, (heard, reserve(), -1))
+                                    else:
+                                        filed_bucket = found_bucket
+                                filed_bucket.append(row)
+                                continue
+                        packet = step_respond(row, tick)
+                        if packet.tx_tick != batch_tick or packet.channel != batch_channel:
+                            # Distinct keys within one bucket cannot
+                            # happen for slaves of one master (same hear
+                            # tick -> same position); handled anyway so
+                            # the invariant is local, not load-bearing.
+                            if batch:
+                                if schedule_batch(batch_tick, batch_channel, batch):
+                                    heappush(timeline, (batch_tick, reserve(), batch_channel))
+                                batch.clear()
+                            batch_tick = packet.tx_tick
+                            batch_channel = packet.channel
+                        batch.append(packet)
+                    elif act == _ACT_HEAR:
+                        self._step_first_hear(row, tick)
+                    elif act == _ACT_BACKOFF_END:
+                        self._step_after_backoff(row, tick)
+                    else:  # _ACT_SEEK
+                        self._step_seek(row, tick)
+                if batch:
+                    if schedule_batch(batch_tick, batch_channel, batch):
+                        heappush(timeline, (batch_tick, reserve(), batch_channel))
                     batch.clear()
-                    batch_tick = tx_tick
-                    batch_channel = rf_channel
-            elif act == _ACT_HEAR:
-                self._step_first_hear(row, now)
-            elif act == _ACT_BACKOFF_END:
-                self._step_after_backoff(row, now)
-            else:  # _ACT_SEEK
-                self._step_seek(row, now)
-        if batch:
-            self.channel.schedule_fhs_batch(batch_tick, batch_channel, batch)
-            batch.clear()
-        if self._m_advances is not None:
-            self._m_advances.inc()
-            self._m_steps.inc(len(rows) - stopped)
+        finally:
+            self._draining = False
+            if self._m_advances is not None and n_advances:
+                self._m_advances.inc(n_advances)
+                self._m_steps.inc(n_steps)
+                if n_bulk:
+                    self._m_ids_heard.inc(n_bulk)
+                    self._m_responses.inc(n_bulk)
+        if timeline:
+            entry = timeline[0]
+            if entry[1] not in posted:
+                posted.add(entry[1])
+                self.kernel.post_reserved(entry[0], entry[1], self._wake, self._label)
 
     def _step_seek(self, row: int, now: int) -> None:
         """Schedule the row's next first hear, or exhaust it."""
@@ -602,37 +797,30 @@ class InquiryScanSwarm:
         self._action[row] = _ACT_RESPOND
         self._queue(heard, row)
 
-    def _step_respond(self, row: int, now: int) -> tuple[int, int]:
+    def _step_respond(self, row: int, now: int) -> FHSPacket:
         """Answer the ID heard now with an FHS one slot later.
 
-        Returns ``(tx_tick, rf_channel)``; the caller batches the
-        actual channel announcement across same-advance responders.
-
-        When the row's cursor stands on ``now``, the ID being answered
-        is that cursor's timetable entry: its position gives the RF
-        channel, and a CONTINUOUS responder's next hear is the table's
-        next entry if it still falls inside the cursor's segment —
-        exactly what a fresh ``next_hear(row, now + 1)`` would find,
-        since both the segment and the table are fixed by ``now``.
+        Returns the FHS packet; the caller batches the channel
+        announcement across the bucket's responders.  When the row's
+        cursor stands on ``now``, its position gives the RF channel
+        without a fresh ``listen_position``.  (A CONTINUOUS responder on
+        its cursor never gets here: ``_wake`` continues it in bulk.)
         """
         self._ids_heard[row] += 1
         if self._m_ids_heard is not None:
             self._m_ids_heard.inc()
-        table, index, segment_end, position = self._cursors[row]
-        on_cursor = table[index] == now
-        if not on_cursor:
+        table, index, _, position = self._cursors[row]
+        if table[index] != now:
             position = self.listen_position(row, now)
         rf_channel = self._sequence[position]
         tx_tick = now + INQUIRY_RESPONSE_DELAY_TICKS
         # Positional (sender, clkn, channel, tx_tick): keyword passing
         # costs ~30 % more per packet, once per response.
-        self._batch.append(
-            FHSPacket(
-                self._addresses[row],
-                (tx_tick + self._offset[row]) % CLKN_WRAP,
-                rf_channel,
-                tx_tick,
-            )
+        packet = FHSPacket(
+            self._addresses[row],
+            (tx_tick + self._offset[row]) % CLKN_WRAP,
+            rf_channel,
+            tx_tick,
         )
         self._responses[row] += 1
         if self._m_responses is not None:
@@ -643,30 +831,25 @@ class InquiryScanSwarm:
         mode = self._mode_code
         if mode == _MODE_SINGLE:
             self._retire(row, _DONE)
-            return tx_tick, rf_channel
+            return packet
         if mode == _MODE_BACKOFF_EACH:
             self._begin_backoff(row, now)
-            return tx_tick, rf_channel
+            return packet
         # CONTINUOUS: answer the next ID heard, no further backoff —
         # unless the air goes quiet past inqrespTO.
-        index += 1
-        if on_cursor and index < len(table) and table[index] < segment_end:
-            heard: Optional[int] = table[index]
-            self._cursors[row] = (table, index, segment_end, position)
-        else:
-            heard = self.next_hear(row, now + 1)
+        heard = self.next_hear(row, now + 1)
         if heard is None:
             self._retire(row, _EXHAUSTED)
-            return tx_tick, rf_channel
+            return packet
         if self._continuous and heard - now > self._response_timeout:
             self._state[row] = _SEEKING
             self._action[row] = _ACT_HEAR
             self._queue(heard, row)
-            return tx_tick, rf_channel
+            return packet
         self._state[row] = _RESPONDING
         self._action[row] = _ACT_RESPOND
         self._queue(heard, row)
-        return tx_tick, rf_channel
+        return packet
 
     def __repr__(self) -> str:
         return (

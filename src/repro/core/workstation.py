@@ -243,7 +243,6 @@ class Workstation:
         """
         self.tracker = PresenceTracker(miss_threshold=self.tracker.miss_threshold)
         self.inquiry.reset()
-        self.inquiry.last_seen.clear()
         self.lan.register(self.workstation_id, self._on_message)
         self.reregistrations += 1
         if self._metrics is not None:
@@ -335,7 +334,6 @@ class Workstation:
             # Forget the device so a later return counts as a fresh
             # discovery (first response after re-entering the room).
             self.inquiry.forget(address)
-            self.inquiry.last_seen.pop(address, None)
             self.piconet.detach(address, self.kernel.now, DisconnectReason.DEVICE_LEFT)
         # Serving phase: exchange data with every connected slave, which
         # keeps the links' supervision alive while the user is present.
@@ -457,7 +455,6 @@ class Workstation:
         self.invalidations_received += 1
         self.tracker.force_absent(message.device)
         self.inquiry.forget(message.device)
-        self.inquiry.last_seen.pop(message.device, None)
         self.piconet.detach(message.device, self.kernel.now, DisconnectReason.DEVICE_LEFT)
 
     @property

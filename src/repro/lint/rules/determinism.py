@@ -37,11 +37,12 @@ RNG_WRAPPER_MODULES = frozenset({"repro.sim.rng"})
 HOT_PATH_MODULES = frozenset(
     {
         "repro.sim.kernel",
+        "repro.sim.batch",
         "repro.radio.channel",
-        "repro.radio.medium",
         "repro.lan.transport",
         "repro.bluetooth.inquiry",
         "repro.bluetooth.scan",
+        "repro.bluetooth.swarm",
         "repro.bluetooth.link",
         "repro.bluetooth.piconet",
         "repro.core.tracker",

@@ -1,4 +1,4 @@
-"""Radio substrate: propagation, spatial medium, and the collision channel."""
+"""Radio substrate: propagation, band interference, and the collision channel."""
 
 from .channel import ChannelStats, CollisionRecord, ResponseChannel
 from .interference import (
@@ -6,7 +6,6 @@ from .interference import (
     InterferenceEstimate,
     SharedBand,
 )
-from .medium import Position, RadioMedium
 from .propagation import (
     DEFAULT_COVERAGE_RADIUS_M,
     CoverageModel,
@@ -20,8 +19,6 @@ __all__ = [
     "PER_NEIGHBOR_COLLISION_PROBABILITY",
     "InterferenceEstimate",
     "SharedBand",
-    "Position",
-    "RadioMedium",
     "DEFAULT_COVERAGE_RADIUS_M",
     "CoverageModel",
     "LogDistancePathLoss",

@@ -5,14 +5,15 @@ slaves transmit FHS inquiry responses in the same half-slot on the same
 RF channel, the packets collide at the master and neither is received.
 
 Slaves announce their responses ahead of delivery; the channel groups
-them by ``(tick, rf_channel)`` and delivers each group in a single
-kernel event: a lone response reaches the receiver, two or more collide.
+them by ``(tick, rf_channel)``.  The channel posts no kernel events: the
+caller that opened a group (the announce that returned True) delivers
+it at its tick with :meth:`ResponseChannel.deliver`, where a lone
+response reaches the receiver and two or more collide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 from repro.bluetooth.packets import FHSPacket
@@ -58,7 +59,9 @@ class ResponseChannel:
     Every piconet master owns one instance.  Scanners call
     :meth:`schedule_fhs` with the future tick at which their response
     packet occupies the air; the channel resolves simultaneous same-
-    channel transmissions as collisions at delivery time.
+    channel transmissions as collisions at delivery time.  Delivery is
+    caller-driven: whoever opens a ``(tick, channel)`` group calls
+    :meth:`deliver` for it at that tick, in its own event order.
     """
 
     def __init__(
@@ -69,21 +72,22 @@ class ResponseChannel:
         name: str = "channel",
     ) -> None:
         self._kernel = kernel
+        self._clock = kernel.clock
         self._receiver = receiver
         self._reachable = reachable
         self.name = name
         self.stats = ChannelStats()
         self._pending: dict[tuple[int, int], list[FHSPacket]] = {}
-        self._fhs_label = f"fhs:{name}"
 
-    def schedule_fhs(self, tick: int, rf_channel: int, packet: FHSPacket) -> None:
+    def schedule_fhs(self, tick: int, rf_channel: int, packet: FHSPacket) -> bool:
         """Announce that ``packet`` will be on ``rf_channel`` at ``tick``.
 
-        The first announcement for a ``(tick, channel)`` pair schedules
-        the delivery event; later announcements for the same pair join
-        the (potential) collision group.
+        Returns True when the announcement opened a new ``(tick,
+        channel)`` group, which the caller must :meth:`deliver` at
+        ``tick``; later announcements for the same pair join the
+        (potential) collision group and return False.
         """
-        if tick < self._kernel.now:
+        if tick < self._clock._now:
             raise ValueError(
                 f"FHS scheduled in the past: tick={tick}, now={self._kernel.now}"
             )
@@ -92,30 +96,27 @@ class ResponseChannel:
         group = self._pending.get(key)
         if group is None:
             self._pending[key] = [packet]
-            # Delivery events are never cancelled, so take the kernel's
-            # handle-free fast path.
-            self._kernel.post_at(
-                tick, lambda: self._deliver(key), label=self._fhs_label
-            )
-        else:
-            group.append(packet)
+            return True
+        group.append(packet)
+        return False
 
     @hot_path
     def schedule_fhs_batch(
         self, tick: int, rf_channel: int, packets: Sequence[FHSPacket]
-    ) -> None:
+    ) -> bool:
         """Announce several same-``(tick, channel)`` packets in one pass.
 
         The inquiry-scan swarm's batched collision path: all concurrent
         transmissions land in the collision group with one bookkeeping
-        pass and at most one kernel event, instead of N calls to
-        :meth:`schedule_fhs`.  ``packets`` is copied — callers reuse
-        their batch buffer across advances.
+        pass, instead of N calls to :meth:`schedule_fhs`.  ``packets``
+        is copied — callers reuse their batch buffer.  Returns True when
+        the batch opened a new group (the caller delivers it); an empty
+        batch opens nothing.
         """
         count = len(packets)
         if count == 0:
-            return
-        if tick < self._kernel.now:
+            return False
+        if tick < self._clock._now:
             raise ValueError(
                 f"FHS scheduled in the past: tick={tick}, now={self._kernel.now}"
             )
@@ -124,22 +125,23 @@ class ResponseChannel:
         group = self._pending.get(key)
         if group is None:
             self._pending[key] = list(packets)
-            # Delivery events are never cancelled, so take the kernel's
-            # handle-free fast path.  partial, not a lambda: this is a
-            # PERF001-audited hot path.
-            self._kernel.post_at(tick, partial(self._deliver, key), label=self._fhs_label)
-        else:
-            group.extend(packets)
+            return True
+        group.extend(packets)
+        return False
 
-    def _deliver(self, key: tuple[int, int]) -> None:
-        tick, rf_channel = key
-        group = self._pending.pop(key)
-        if self._reachable is not None:
-            in_range = [pkt for pkt in group if self._reachable(pkt, tick)]
+    @hot_path
+    def deliver(self, tick: int, rf_channel: int) -> None:
+        """Resolve the ``(tick, rf_channel)`` group: a lone reachable
+        response reaches the receiver, two or more collide."""
+        group = self._pending.pop((tick, rf_channel))
+        reachable = self._reachable
+        if reachable is not None:
+            in_range = [pkt for pkt in group if reachable(pkt, tick)]  # lint: disable=PERF001 -- only under a fault plan; the clean path never filters
             self.stats.filtered += len(group) - len(in_range)
             group = in_range
-        if not group:
-            return
+            if not group:
+                return
+        # Announced groups are never empty: only filtering empties one.
         if len(group) == 1:
             self.stats.delivered += 1
             self._receiver(group[0], tick)
@@ -149,7 +151,7 @@ class ResponseChannel:
             CollisionRecord(
                 tick=tick,
                 rf_channel=rf_channel,
-                senders=tuple([pkt.sender.format() for pkt in group]),
+                senders=tuple([pkt.sender.format() for pkt in group]),  # lint: disable=PERF001 -- one record per collision, the artefact itself
             )
         )
 

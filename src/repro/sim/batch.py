@@ -12,8 +12,9 @@ dominate a run.  The batch store replaces both:
   same buffer protocol (:meth:`BatchStore.view`) for a future NumPy or
   kernel-offload backend without changing any caller.
 * A due-tick index groups rows by the tick at which they next act, so
-  one kernel event advances every row due at that tick
-  (:meth:`BatchStore.advance`) instead of N per-device callbacks.
+  one claim (:meth:`BatchStore.advance`) hands the owner every row due
+  at that tick instead of N per-device callbacks.  The owner decides
+  when a tick is processed; the swarm does it from its own timeline.
 
 Its one user is the inquiry-scan state machine,
 :class:`~repro.bluetooth.swarm.InquiryScanSwarm`.
@@ -101,7 +102,7 @@ class BatchStore:
         """File ``row`` as due at ``tick``.
 
         Returns True when ``tick`` had no bucket yet — the caller owns
-        scheduling exactly one kernel event per bucket.
+        scheduling exactly one processing of each bucket.
         """
         bucket = self._due.get(tick)
         if bucket is None:
@@ -116,6 +117,17 @@ class BatchStore:
         return 0 if bucket is None else len(bucket)
 
     @property
+    def due_index(self) -> dict[int, list[int]]:
+        """The live ``tick -> rows`` index (the dict itself, not a copy).
+
+        For an owner's hot loop that files many rows under one tick: it
+        may append to a bucket it got from here, or open one exactly as
+        :meth:`push_due` would; buckets leave only through
+        :meth:`advance`.
+        """
+        return self._due
+
+    @property
     def pending_ticks(self) -> int:
         """Number of distinct ticks with at least one due row."""
         return len(self._due)
@@ -125,9 +137,10 @@ class BatchStore:
         """Claim every row due at ``tick``, in arrival (FIFO) order.
 
         The bucket is removed from the index: rows filed for the same
-        tick *during* processing open a fresh bucket (and hence a fresh
-        kernel event), so a same-tick continuation runs after every
-        event already queued for that tick.
+        tick *during* processing open a fresh bucket, which its owner
+        processes as a separate, later unit (the swarm gives it a fresh
+        ``seq`` on its timeline), so a same-tick continuation runs after
+        everything already queued for that tick.
         """
         bucket = self._due.pop(tick, None)
         if bucket is None:

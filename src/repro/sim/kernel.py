@@ -25,6 +25,13 @@ Fast-path design (see docs/performance.md):
 * A kernel with a :class:`~repro.obs.tracing.SpanTracer` attached
   drains through a separate loop that wraps labelled events in spans,
   so the untraced hot loop carries no span checks.
+* A component may keep a private timeline of its own pending work and
+  drain it inside one kernel event, provided it keeps exact
+  ``(tick, seq)`` order with the heap: :meth:`Kernel.reserve_seq` hands
+  out a tie-break ``seq`` without posting, :meth:`Kernel.post_reserved`
+  posts a wake under such a seq, :attr:`Kernel.queue` is the live heap
+  whose head is the lookahead horizon, and :attr:`Kernel.drain_bound`
+  is the last tick the current drain may reach.
 """
 
 from __future__ import annotations
@@ -57,6 +64,10 @@ _FLUSH_MASK = METRICS_FLUSH_INTERVAL - 1
 
 #: Tombstone count below which compaction is never attempted.
 _COMPACT_MIN_TOMBSTONES = 64
+
+#: :attr:`Kernel.drain_bound` of an unbounded drain
+#: (``run_to_completion``); beyond any reachable tick.
+UNBOUNDED = 1 << 63
 
 
 class EventHandle:
@@ -149,6 +160,7 @@ class Kernel:
         self._pending = 0
         self._tombstones = 0
         self._heap: list[Entry] = []
+        self._bound = UNBOUNDED
         self._m_events: Optional["Counter"] = (
             metrics.counter("sim.events_fired") if metrics else None
         )
@@ -213,6 +225,52 @@ class Kernel:
         heapq.heappush(self._heap, (tick, seq, payload))
         self._seq = seq + 1
         self._pending += 1
+
+    def reserve_seq(self) -> int:
+        """Claim the next tie-break ``seq`` without posting anything.
+
+        A private timeline reserves a seq exactly where it would have
+        called :meth:`post_at`, so its entry holds the ``(tick, seq)``
+        place in the firing order that the posted event would have had.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
+
+    def post_reserved(
+        self, tick: int, seq: int, callback: Callback, label: str = ""
+    ) -> None:
+        """:meth:`post_at`, but under a ``seq`` from :meth:`reserve_seq`.
+
+        Goes through ``self.post_at`` (with ``_seq`` rewound for the one
+        call), so anything wrapping ``post_at`` sees the wake too.
+        """
+        next_seq = self._seq
+        self._seq = seq
+        try:
+            self.post_at(tick, callback, label)
+        finally:
+            self._seq = next_seq
+
+    @property
+    def queue(self) -> list[Entry]:
+        """The live event heap, for lookahead: ``queue[0]`` is the next
+        ``(tick, seq, payload)`` to fire (possibly a tombstone, which is
+        only ever an earlier horizon than needed).  Read-only by
+        contract; the list object is stable for the kernel's lifetime.
+        """
+        return self._heap
+
+    @property
+    def drain_bound(self) -> int:
+        """The last tick the running drain may reach.
+
+        The ``run_until`` target, the fired event's tick under
+        :meth:`step`, or :data:`UNBOUNDED` under
+        :meth:`run_to_completion`.  A private timeline drained from an
+        event callback must not move the clock past it.
+        """
+        return self._bound
 
     def post(self, delay: int, callback: Callback, label: str = "") -> None:
         """Schedule ``callback`` ``delay`` ticks from now, fire-and-forget.
@@ -367,11 +425,16 @@ class Kernel:
         return None
 
     def step(self) -> bool:
-        """Fire the single next event.  Returns False if none remain."""
+        """Fire the single next event.  Returns False if none remain.
+
+        The drain bound is the event's own tick, so a timeline the
+        event drains stays on that tick.
+        """
         entry = self._pop_live()
         if entry is None:
             self._flush_metrics()
             return False
+        self._bound = entry[0]
         self._fire_entry(entry)
         self._flush_metrics()
         return True
@@ -390,6 +453,7 @@ class Kernel:
             )
         profiler = self._profiler
         token = profiler.begin() if profiler is not None else 0.0
+        self._bound = tick
         try:
             if self._spans is not None:
                 # Traced runs take a separate drain so the untraced hot
@@ -527,6 +591,7 @@ class Kernel:
                 loops; exceeding it raises :class:`DeadlockError`.
         """
         fired = 0
+        self._bound = UNBOUNDED
         while True:
             entry = self._pop_live()
             if entry is None:

@@ -68,16 +68,20 @@ class TestReception:
     def test_forget_allows_rediscovery(self, kernel):
         master = InquiryProcedure(kernel, continuous_inquiry())
         master._on_fhs(fhs(1, 10), 10)
+        master._on_fhs(fhs(2, 20), 20)
         master.forget(BDAddr(1))
         assert not master.has_discovered(BDAddr(1))
+        assert master.last_seen == {BDAddr(2): 20}
         master._on_fhs(fhs(1, 300), 300)
         assert master.discovery_tick(BDAddr(1)) == 300
+        assert master.last_seen[BDAddr(1)] == 300
 
     def test_reset_clears_all(self, kernel):
         master = InquiryProcedure(kernel, continuous_inquiry())
         master._on_fhs(fhs(1, 10), 10)
         master.reset()
         assert master.discovered_count == 0
+        assert master.last_seen == {}
 
     def test_result_seconds_property(self, kernel):
         master = InquiryProcedure(kernel, continuous_inquiry())

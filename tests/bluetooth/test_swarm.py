@@ -173,35 +173,35 @@ class TestSwarmEquivalence:
 
 
 def _check_cursor(swarm, checked):
-    """Wrap ``swarm``'s respond step so that every CONTINUOUS response
-    asserts that the next hear it filed — from the rendezvous cursor or
-    a fresh search — equals a fresh ``next_hear(row, now + 1)``.
+    """Wrap ``swarm``'s channel announce so that every CONTINUOUS
+    response asserts that the next hear its row filed — from the
+    rendezvous cursor or a fresh search — equals a fresh
+    ``next_hear(row, now + 1)``.
 
-    Appends each checked ``(row, now)`` to ``checked``.  The fresh
-    search would record its own cursor, so the row's cursor is restored
-    after it: the run continues on exactly the state the swarm built.
+    A bucket's FHS batch is announced after every row of the bucket has
+    been processed and re-filed, so each packet's row is checked against
+    its filing in the due index (none when the row retired).  Appends
+    each checked ``(row, now)`` to ``checked``.  The fresh search would
+    record its own cursor, so the row's cursor is restored after it: the
+    run continues on exactly the state the swarm built.
     """
-    filed = {}
-    queue = swarm._queue
-    respond = swarm._step_respond
+    announce = swarm.channel.schedule_fhs_batch
+    due = swarm.store.due_index
 
-    def filing_queue(tick, row):
-        filed[row] = tick
-        queue(tick, row)
-
-    def checking_respond(row, now):
-        filed.pop(row, None)
-        result = respond(row, now)
+    def checking_announce(tick, rf_channel, packets):
         if swarm.config.response_mode is ResponseMode.CONTINUOUS:
-            cursor = swarm._cursors[row]
-            fresh = swarm.next_hear(row, now + 1)
-            swarm._cursors[row] = cursor
-            assert filed.get(row) == fresh, (row, now, filed.get(row), fresh)
-            checked.append((row, now))
-        return result
+            for packet in packets:
+                row = swarm._addresses.index(packet.sender)
+                now = packet.tx_tick - INQUIRY_RESPONSE_DELAY_TICKS
+                filed = [due_tick for due_tick, rows in due.items() if row in rows]
+                cursor = swarm._cursors[row]
+                fresh = swarm.next_hear(row, now + 1)
+                swarm._cursors[row] = cursor
+                assert filed == ([] if fresh is None else [fresh]), (row, now, filed, fresh)
+                checked.append((row, now))
+        return announce(tick, rf_channel, packets)
 
-    swarm._queue = filing_queue
-    swarm._step_respond = checking_respond
+    swarm.channel.schedule_fhs_batch = checking_announce
 
 
 class TestRendezvousCursor:

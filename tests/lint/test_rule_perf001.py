@@ -132,14 +132,12 @@ class TestHotPathDecorator:
         import repro.bluetooth.hopping  # noqa: F401
         import repro.core.server  # noqa: F401
         import repro.lan.transport  # noqa: F401
-        import repro.radio.medium  # noqa: F401
         import repro.sim.kernel  # noqa: F401
         from repro.sim.hotpath import HOT_PATH_REGISTRY
 
         expected = {
             "repro.sim.kernel.Kernel._drain_heap",
             "repro.bluetooth.hopping.InquiryTransmitSchedule.next_tx_of_position",
-            "repro.radio.medium.RadioMedium.stations_in_range_of",
             "repro.lan.transport.LANTransport._deliver",
             "repro.core.location_db.LocationDatabase.apply_presence",
             "repro.core.location_db.LocationDatabase.apply_absence",

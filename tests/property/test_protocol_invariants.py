@@ -22,6 +22,13 @@ from repro.sim.rng import RandomStream
 # -- channel conservation ---------------------------------------------------
 
 
+def _deliver_in_tick_order(channel, opened):
+    """Deliver every opened ``(tick, rf)`` group as its opener would:
+    by tick, and in opening order within a tick."""
+    for tick, rf in sorted(opened, key=lambda key: key[0]):
+        channel.deliver(tick, rf)
+
+
 @given(
     st.lists(
         st.tuples(
@@ -43,11 +50,13 @@ def test_channel_conserves_packets(announcements):
         lambda pkt, tick: received.append(pkt),
         reachable=lambda pkt, tick: pkt.sender.value % 3 != 0,  # drop a third
     )
+    opened = []
     for tick, rf, sender in announcements:
-        channel.schedule_fhs(
+        if channel.schedule_fhs(
             tick, rf, FHSPacket(sender=BDAddr(sender), clkn=0, channel=rf, tx_tick=tick)
-        )
-    kernel.run_until(3000)
+        ):
+            opened.append((tick, rf))
+    _deliver_in_tick_order(channel, opened)
     stats = channel.stats
     assert stats.transmissions == len(announcements)
     assert stats.delivered + stats.collided + stats.filtered == stats.transmissions
@@ -66,11 +75,13 @@ def test_channel_conserves_packets(announcements):
 def test_channel_collision_groups_have_size_at_least_two(announcements):
     kernel = Kernel()
     channel = ResponseChannel(kernel, lambda pkt, tick: None)
+    opened = []
     for tick, rf, sender in announcements:
-        channel.schedule_fhs(
+        if channel.schedule_fhs(
             tick, rf, FHSPacket(sender=BDAddr(sender), clkn=0, channel=rf, tx_tick=tick)
-        )
-    kernel.run_until(1000)
+        ):
+            opened.append((tick, rf))
+    _deliver_in_tick_order(channel, opened)
     for record in channel.stats.collisions:
         assert len(record.senders) >= 2
 

@@ -1,4 +1,9 @@
-"""Tests for the FHS collision channel."""
+"""Tests for the FHS collision channel.
+
+The channel posts no kernel events: an announce returns whether it
+opened a new ``(tick, channel)`` group, and the test delivers each group
+itself with ``deliver(tick, rf_channel)``, as its opener would.
+"""
 
 from __future__ import annotations
 
@@ -17,8 +22,8 @@ class TestDelivery:
     def test_lone_response_delivered(self, kernel):
         received = []
         channel = ResponseChannel(kernel, lambda pkt, tick: received.append((pkt, tick)))
-        channel.schedule_fhs(100, 7, fhs(1, 100, 7))
-        kernel.run_until(200)
+        assert channel.schedule_fhs(100, 7, fhs(1, 100, 7)) is True
+        channel.deliver(100, 7)
         assert len(received) == 1
         assert received[0][1] == 100
         assert channel.stats.delivered == 1
@@ -26,9 +31,9 @@ class TestDelivery:
     def test_same_tick_same_channel_collides(self, kernel):
         received = []
         channel = ResponseChannel(kernel, lambda pkt, tick: received.append(pkt))
-        channel.schedule_fhs(100, 7, fhs(1, 100, 7))
-        channel.schedule_fhs(100, 7, fhs(2, 100, 7))
-        kernel.run_until(200)
+        assert channel.schedule_fhs(100, 7, fhs(1, 100, 7)) is True
+        assert channel.schedule_fhs(100, 7, fhs(2, 100, 7)) is False
+        channel.deliver(100, 7)
         assert received == []
         assert channel.stats.collided == 2
         assert channel.stats.collision_events == 1
@@ -41,7 +46,7 @@ class TestDelivery:
         channel = ResponseChannel(kernel, lambda pkt, tick: received.append(pkt))
         for sender in (1, 2, 3):
             channel.schedule_fhs(100, 7, fhs(sender, 100, 7))
-        kernel.run_until(200)
+        channel.deliver(100, 7)
         assert received == []
         assert channel.stats.collided == 3
         assert channel.stats.collision_events == 1
@@ -49,17 +54,19 @@ class TestDelivery:
     def test_same_tick_different_channels_no_collision(self, kernel):
         received = []
         channel = ResponseChannel(kernel, lambda pkt, tick: received.append(pkt))
-        channel.schedule_fhs(100, 7, fhs(1, 100, 7))
-        channel.schedule_fhs(100, 8, fhs(2, 100, 8))
-        kernel.run_until(200)
+        assert channel.schedule_fhs(100, 7, fhs(1, 100, 7)) is True
+        assert channel.schedule_fhs(100, 8, fhs(2, 100, 8)) is True
+        channel.deliver(100, 7)
+        channel.deliver(100, 8)
         assert len(received) == 2
 
     def test_same_channel_different_ticks_no_collision(self, kernel):
         received = []
         channel = ResponseChannel(kernel, lambda pkt, tick: received.append(pkt))
-        channel.schedule_fhs(100, 7, fhs(1, 100, 7))
-        channel.schedule_fhs(132, 7, fhs(2, 132, 7))
-        kernel.run_until(200)
+        assert channel.schedule_fhs(100, 7, fhs(1, 100, 7)) is True
+        assert channel.schedule_fhs(132, 7, fhs(2, 132, 7)) is True
+        channel.deliver(100, 7)
+        channel.deliver(132, 7)
         assert len(received) == 2
 
     def test_scheduling_in_past_rejected(self, kernel):
@@ -73,8 +80,16 @@ class TestDelivery:
         channel.schedule_fhs(100, 7, fhs(1, 100, 7))
         channel.schedule_fhs(100, 7, fhs(2, 100, 7))
         assert channel.pending_count == 2
-        kernel.run_until(100)
+        channel.deliver(100, 7)
         assert channel.pending_count == 0
+
+    def test_channel_posts_no_kernel_events(self, kernel):
+        channel = ResponseChannel(kernel, lambda pkt, tick: None)
+        channel.schedule_fhs(100, 7, fhs(1, 100, 7))
+        channel.schedule_fhs_batch(101, 7, [fhs(2, 101, 7)])
+        assert kernel.pending_events == 0
+        kernel.run_until(200)
+        assert channel.pending_count == 2
 
 
 class TestBatchAnnounce:
@@ -90,11 +105,11 @@ class TestBatchAnnounce:
             channel = ResponseChannel(kernel, lambda pkt, tick: received.append(pkt))
             packets = [fhs(sender, 100, 7) for sender in (1, 2, 3)]
             if batched:
-                channel.schedule_fhs_batch(100, 7, packets)
+                opened = [channel.schedule_fhs_batch(100, 7, packets)]
             else:
-                for packet in packets:
-                    channel.schedule_fhs(100, 7, packet)
-            kernel.run_until(200)
+                opened = [channel.schedule_fhs(100, 7, packet) for packet in packets]
+            assert opened == [True] + [False] * (len(opened) - 1)
+            channel.deliver(100, 7)
             stats = channel.stats
             collisions = tuple(
                 (c.tick, c.rf_channel, c.senders) for c in stats.collisions
@@ -107,25 +122,26 @@ class TestBatchAnnounce:
     def test_batch_of_one_delivered(self, kernel):
         received = []
         channel = ResponseChannel(kernel, lambda pkt, tick: received.append((pkt, tick)))
-        channel.schedule_fhs_batch(100, 7, [fhs(1, 100, 7)])
-        kernel.run_until(200)
+        assert channel.schedule_fhs_batch(100, 7, [fhs(1, 100, 7)]) is True
+        channel.deliver(100, 7)
         assert len(received) == 1
         assert channel.stats.delivered == 1
         assert channel.stats.transmissions == 1
 
     def test_empty_batch_is_noop(self, kernel):
         channel = ResponseChannel(kernel, lambda pkt, tick: None)
-        channel.schedule_fhs_batch(100, 7, [])
+        assert channel.schedule_fhs_batch(100, 7, []) is False
         assert channel.stats.transmissions == 0
         assert channel.pending_count == 0
-        kernel.run_until(200)
+        with pytest.raises(KeyError):
+            channel.deliver(100, 7)  # an empty batch opens no group
 
     def test_batch_joins_existing_group(self, kernel):
         received = []
         channel = ResponseChannel(kernel, lambda pkt, tick: received.append(pkt))
-        channel.schedule_fhs(100, 7, fhs(1, 100, 7))
-        channel.schedule_fhs_batch(100, 7, [fhs(2, 100, 7), fhs(3, 100, 7)])
-        kernel.run_until(200)
+        assert channel.schedule_fhs(100, 7, fhs(1, 100, 7)) is True
+        assert channel.schedule_fhs_batch(100, 7, [fhs(2, 100, 7), fhs(3, 100, 7)]) is False
+        channel.deliver(100, 7)
         assert received == []
         assert channel.stats.collided == 3
         assert channel.stats.collision_events == 1
@@ -141,8 +157,8 @@ class TestBatchAnnounce:
         channel = ResponseChannel(kernel, lambda pkt, tick: received.append(pkt))
         buffer = [fhs(1, 100, 7)]
         channel.schedule_fhs_batch(100, 7, buffer)
-        buffer.clear()  # callers reuse their batch list between advances
-        kernel.run_until(200)
+        buffer.clear()  # callers reuse their batch list between buckets
+        channel.deliver(100, 7)
         assert len(received) == 1
 
     def test_batch_in_past_rejected(self, kernel):
@@ -163,7 +179,8 @@ class TestReachability:
         )
         channel.schedule_fhs(100, 7, fhs(1, 100, 7))
         channel.schedule_fhs(132, 7, fhs(2, 132, 7))
-        kernel.run_until(200)
+        channel.deliver(100, 7)
+        channel.deliver(132, 7)
         assert [p.sender for p in received] == [BDAddr(1)]
         assert channel.stats.filtered == 1
 
@@ -177,7 +194,7 @@ class TestReachability:
         )
         channel.schedule_fhs(100, 7, fhs(1, 100, 7))
         channel.schedule_fhs(100, 7, fhs(2, 100, 7))
-        kernel.run_until(200)
+        channel.deliver(100, 7)
         assert [p.sender for p in received] == [BDAddr(1)]
         assert channel.stats.collision_events == 0
 
@@ -188,6 +205,6 @@ class TestReachability:
             reachable=lambda pkt, tick: False,
         )
         channel.schedule_fhs(100, 7, fhs(1, 100, 7))
-        kernel.run_until(200)
+        channel.deliver(100, 7)
         assert received == []
         assert channel.stats.filtered == 1

@@ -1,4 +1,4 @@
-"""Tests for propagation models and the spatial medium."""
+"""Tests for the propagation models that set a piconet's coverage."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from repro.radio.medium import Position, RadioMedium
 from repro.radio.propagation import CoverageModel, LogDistancePathLoss
 
 
@@ -59,54 +58,3 @@ class TestLogDistance:
 
     def test_tiny_budget_clamps_to_reference(self):
         assert LogDistancePathLoss().max_range_m(10.0) == 1.0
-
-
-class TestPosition:
-    def test_distance(self):
-        assert Position(0, 0).distance_to(Position(3, 4)) == 5.0
-
-    def test_moved_toward_partial(self):
-        moved = Position(0, 0).moved_toward(Position(10, 0), 4.0)
-        assert moved == Position(4.0, 0.0)
-
-    def test_moved_toward_overshoot_clamps(self):
-        target = Position(1, 1)
-        assert Position(0, 0).moved_toward(target, 100.0) == target
-
-    def test_moved_toward_zero_distance_target(self):
-        origin = Position(2, 2)
-        assert origin.moved_toward(origin, 5.0) == origin
-
-
-class TestRadioMedium:
-    def test_place_and_range(self):
-        medium = RadioMedium(CoverageModel(radius_m=10.0))
-        medium.place("ws", Position(0, 0))
-        medium.place("dev", Position(6, 8))
-        assert medium.distance("ws", "dev") == 10.0
-        assert medium.in_range("ws", "dev")
-
-    def test_move_station(self):
-        medium = RadioMedium()
-        medium.place("dev", Position(0, 0))
-        medium.place("ws", Position(5, 0))
-        medium.place("dev", Position(50, 0))
-        assert not medium.in_range("ws", "dev")
-
-    def test_stations_in_range_of(self):
-        medium = RadioMedium(CoverageModel(radius_m=10.0))
-        medium.place("ws", Position(0, 0))
-        medium.place("near", Position(5, 0))
-        medium.place("far", Position(50, 0))
-        assert medium.stations_in_range_of("ws") == ["near"]
-
-    def test_remove(self):
-        medium = RadioMedium()
-        medium.place("x", Position(0, 0))
-        medium.remove("x")
-        assert "x" not in medium
-        medium.remove("x")  # idempotent
-
-    def test_unknown_station_raises(self):
-        with pytest.raises(KeyError):
-            RadioMedium().position_of("ghost")

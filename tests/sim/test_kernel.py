@@ -10,7 +10,7 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import SpanTracer
 from repro.sim.errors import DeadlockError, SchedulingError
-from repro.sim.kernel import METRICS_FLUSH_INTERVAL, Kernel
+from repro.sim.kernel import METRICS_FLUSH_INTERVAL, UNBOUNDED, Kernel
 from repro.sim.trace import Tracer
 
 #: SHA-256 of ``Tracer.dump()`` after :func:`_mixed_workload`.
@@ -293,6 +293,59 @@ class TestPostFastPath:
         kernel.post_at(10, lambda: order.append("second"))
         kernel.run_until(10)
         assert order == ["first", "second", "nested"]
+
+
+class TestLookaheadSeams:
+    """reserve_seq / post_reserved / queue / drain_bound: what a private
+    timeline needs to keep exact (tick, seq) order with the heap."""
+
+    def test_reserved_seq_keeps_its_place_among_later_posts(self, kernel):
+        order = []
+        kernel.post_at(10, lambda: order.append("first"))
+        seq = kernel.reserve_seq()
+        kernel.post_at(10, lambda: order.append("third"))
+        kernel.post_reserved(10, seq, lambda: order.append("second"))
+        kernel.post_at(10, lambda: order.append("fourth"))
+        kernel.run_until(10)
+        assert order == ["first", "second", "third", "fourth"]
+
+    def test_reserve_advances_like_a_post(self, kernel):
+        first = kernel.reserve_seq()
+        kernel.post_at(5, lambda: None)
+        assert kernel.queue[0][1] == first + 1
+        assert kernel.reserve_seq() == first + 2
+        assert kernel.pending_events == 1
+
+    def test_post_reserved_goes_through_post_at(self, kernel, monkeypatch):
+        calls = []
+        original = type(kernel).post_at
+
+        def spy(self, tick, callback, label=""):
+            calls.append((tick, self._seq, label))
+            return original(self, tick, callback, label)
+
+        monkeypatch.setattr(type(kernel), "post_at", spy)
+        seq = kernel.reserve_seq()
+        kernel.reserve_seq()
+        kernel.post_reserved(7, seq, lambda: None, "wake")
+        assert calls == [(7, seq, "wake")]
+        assert kernel.reserve_seq() == seq + 2  # the counter is restored
+
+    def test_post_reserved_in_past_raises(self, kernel):
+        kernel.run_until(10)
+        seq = kernel.reserve_seq()
+        with pytest.raises(SchedulingError):
+            kernel.post_reserved(5, seq, lambda: None)
+
+    def test_drain_bound_per_run_mode(self, kernel):
+        bounds = []
+        kernel.post_at(3, lambda: bounds.append(kernel.drain_bound))
+        kernel.post_at(8, lambda: bounds.append(kernel.drain_bound))
+        kernel.post_at(9, lambda: bounds.append(kernel.drain_bound))
+        kernel.run_until(5)
+        kernel.step()
+        kernel.run_to_completion()
+        assert bounds == [5, 8, UNBOUNDED]
 
 
 class TestPendingCounterChurn:
