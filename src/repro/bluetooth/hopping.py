@@ -278,6 +278,13 @@ class InquiryTransmitSchedule:
     _lookup_cache: dict[tuple[int, int, int], Optional[int]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    #: The timing fields :meth:`first_tx_run` reads, unpacked once:
+    #: ``(start, window, period, count, alternate, train, dwell)`` with
+    #: ``train`` the value of the first pass's train (the only train
+    #: unless ALTERNATE) and ``dwell`` a dwell block's length in ticks.
+    _plan: tuple[int, int, int, Optional[int], bool, int, int] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.passes_per_dwell <= 0:
@@ -286,6 +293,16 @@ class InquiryTransmitSchedule:
         self._position_of_channel = {
             channel: position for position, channel in enumerate(self.sequence)
         }
+        windows = self.windows
+        self._plan = (
+            windows.start,
+            windows.window_ticks,
+            windows.period_ticks,
+            windows.count,
+            self.strategy is TrainStrategy.ALTERNATE,
+            self.train_of_pass(0).value,
+            self.passes_per_dwell * TICKS_PER_TRAIN_PASS,
+        )
 
     # -- train plan --------------------------------------------------------
 
@@ -305,17 +322,6 @@ class InquiryTransmitSchedule:
         if window is None:
             return None
         return self.train_of_pass((tick - window.start) // TICKS_PER_TRAIN_PASS)
-
-    def _next_matching_pass(self, pass_index: int, train: Train) -> Optional[int]:
-        """Smallest pass index >= ``pass_index`` transmitting ``train``."""
-        if self.strategy is TrainStrategy.A_ONLY:
-            return pass_index if train is Train.A else None
-        if self.strategy is TrainStrategy.B_ONLY:
-            return pass_index if train is Train.B else None
-        if self.train_of_pass(pass_index) is train:
-            return pass_index
-        block = pass_index // self.passes_per_dwell
-        return (block + 1) * self.passes_per_dwell
 
     # -- inverse lookup ------------------------------------------------------
 
@@ -346,77 +352,63 @@ class InquiryTransmitSchedule:
     def _compute_next_tx(
         self, position: int, from_tick: int, before_tick: int
     ) -> Optional[int]:
-        train = train_of_position(position)
-        offset = _TX_OFFSETS[position]
-        for window in self.windows.iter_windows(from_tick, before_tick):
-            base = max(from_tick, window.start)
-            # Smallest pass index whose tx of `position` is >= base.
-            relative = base - window.start - offset
-            pass_index = max(0, -(-relative // TICKS_PER_TRAIN_PASS))
-            while True:
-                matching = self._next_matching_pass(pass_index, train)
-                if matching is None:
-                    break
-                tick = window.start + matching * TICKS_PER_TRAIN_PASS + offset
-                if tick >= before_tick:
-                    return None
-                if tick >= window.end:
-                    break  # spills past this window; try the next one
-                if tick >= base:
-                    return tick
-                pass_index = matching + 1
-        return None
+        train_of_position(position)  # validates the position
+        run = self.first_tx_run(position, from_tick, before_tick)
+        return None if run is None else run[0]
 
     @hot_path
-    def tx_ticks_of_position(
+    def first_tx_run(
         self, position: int, from_tick: int, before_tick: int
-    ) -> tuple[int, ...]:
-        """Every tick in ``[from_tick, before_tick)`` at which the master
-        transmits an ID packet on sequence position ``position``, in
-        increasing order.
+    ) -> Optional[tuple[int, int]]:
+        """The first transmission of ``position`` in ``[from_tick,
+        before_tick)`` and the end of its run, as ``(tx, run_stop)``.
 
-        One walk over the window/pass structure enumerates the whole
-        span, so callers that need many rendezvous points (the batched
-        swarm engine precomputes per-position timetables and answers
-        individual queries by bisection) pay the walk once instead of
-        once per query.  ``tx_ticks_of_position(p, a, b)[0]`` always
-        equals ``next_tx_of_position(p, a, b)`` when the result is
-        non-empty.
+        Every ``tx + k * TICKS_PER_TRAIN_PASS < run_stop`` is also a
+        transmission of ``position``: ``run_stop`` is the end of the
+        window, or under ALTERNATE the end of ``tx``'s dwell block when
+        that comes first.  It is not clipped to ``before_tick``.
+        Returns None if the position is not transmitted in the span.
+
+        Pure arithmetic on the window and train plan: one ``divmod`` to
+        the window, a round-up to the position's next pass, at most one
+        dwell-block jump, and on overrun the next window.
         """
-        train = train_of_position(position)
+        w_first, length, period, count, alternate, train, dwell = self._plan
         offset = _TX_OFFSETS[position]
-        # Matching passes come in runs: every pass under a single-train
-        # strategy, whole dwell blocks under ALTERNATE.  Each run is an
-        # arithmetic progression of ticks, emitted as one range() extend
-        # instead of a per-pass loop.
-        single_train = self.strategy is not TrainStrategy.ALTERNATE
-        dwell = self.passes_per_dwell
-        ticks: list[int] = []
-        for window in self.windows.iter_windows(from_tick, before_tick):
-            w_start = window.start
-            base = max(from_tick, w_start)
-            relative = base - w_start - offset
-            pass_index = max(0, -(-relative // TICKS_PER_TRAIN_PASS))
-            stop = window.end if window.end < before_tick else before_tick
-            while True:
-                matching = self._next_matching_pass(pass_index, train)
-                if matching is None:
-                    break
-                first = w_start + matching * TICKS_PER_TRAIN_PASS + offset
-                if first >= stop:
-                    break
-                if single_train:
-                    run_stop = stop
-                else:
-                    block_end = (matching // dwell + 1) * dwell
-                    run_stop = w_start + block_end * TICKS_PER_TRAIN_PASS + offset
-                    if run_stop > stop:
-                        run_stop = stop
-                ticks.extend(range(first, run_stop, TICKS_PER_TRAIN_PASS))
-                if run_stop >= stop:
-                    break
-                pass_index = (run_stop - w_start - offset) // TICKS_PER_TRAIN_PASS
-        return tuple(ticks)
+        parity = _POSITION_TRAINS[position] ^ train
+        if parity and not alternate:
+            return None  # a single-train plan never sends the other train
+        if from_tick < w_first:
+            from_tick = w_first
+        index, into = divmod(from_tick - w_first, period)
+        while count is None or index < count:
+            w_start = w_first + index * period
+            if w_start >= before_tick:
+                return None
+            if into < length:
+                # Pass timing restarts at each window start.
+                ahead = into - offset
+                tx = w_start + offset
+                if ahead > 0:
+                    tx += -(-ahead // TICKS_PER_TRAIN_PASS) * TICKS_PER_TRAIN_PASS
+                w_end = w_start + length
+                run_stop = w_end
+                if alternate:
+                    # Block b transmits train (start + b) % 2.
+                    block = (tx - w_start) // dwell
+                    if (block & 1) != parity:
+                        block += 1
+                        tx = w_start + block * dwell + offset
+                    block_end = w_start + (block + 1) * dwell
+                    if block_end < run_stop:
+                        run_stop = block_end
+                if tx < w_end:
+                    return (tx, run_stop) if tx < before_tick else None
+                if not into:
+                    return None  # every window is alike: none sends it
+            index += 1
+            into = 0
+        return None
 
     def next_tx_of_channel(
         self, channel: int, from_tick: int, before_tick: int

@@ -18,7 +18,9 @@ the paper describes in §3.1:
 The state machine is event-driven but tick-exact: a slave asks the
 master's :class:`~repro.bluetooth.hopping.InquiryTransmitSchedule` when
 its current listening frequency is next on the air, and sleeps until
-then.
+then.  The answer is closed-form arithmetic on the master's train plan
+(:meth:`~repro.bluetooth.hopping.InquiryTransmitSchedule.first_tx_run`,
+one call per 1.28 s phase segment); no transmit timetable is built.
 
 :class:`InquiryScanSwarm` keeps all slaves of one piconet as rows of a
 :class:`~repro.sim.batch.BatchStore` — clock offsets, hop phases, scan
@@ -42,8 +44,10 @@ therefore exactly the one a single shared heap would give, foreign
 events at the same tick included (enrolment stops, workstation timers,
 other piconets' wakes), and the clock never passes a ``run_until``
 target.  Inside the drain, CONTINUOUS responders standing on their
-rendezvous cursor continue in bulk: every row due at one tick hears the
-same position, so the next transmit tick is read once per tick.
+rendezvous cursor continue in bulk: the master sends a position once
+per 10 ms train pass until its run ends, so the next hear is one pass
+later while that stays before the cursor's integer stop (the end of the
+run or of the row's scan segment, whichever is first).
 
 Ordering guarantees (pinned by the golden artefact digests and by
 ``tests/bluetooth/test_swarm_timeline.py``):
@@ -57,7 +61,6 @@ Ordering guarantees (pinned by the golden artefact digests and by
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from types import MappingProxyType
@@ -79,6 +82,7 @@ from .constants import (
     NUM_INQUIRY_FREQUENCIES,
     SCAN_FREQUENCY_CHANGE_TICKS,
     TICKS_PER_SLOT,
+    TICKS_PER_TRAIN_PASS,
     TRAIN_SIZE,
 )
 from .hopping import InquiryTransmitSchedule
@@ -145,26 +149,9 @@ _MODE_CODES: Mapping[ResponseMode, int] = MappingProxyType(
     }
 )
 
-#: Longest rendezvous segment the timetable cache serves.  One phase
-#: segment is at most ``SCAN_FREQUENCY_CHANGE_TICKS`` long, so every
-#: phase-bounded segment qualifies; only FIXED-phase segments (bounded
-#: by the scan window alone) can exceed it and fall back to a direct
-#: schedule walk.
-_TX_SEGMENT_MAX = SCAN_FREQUENCY_CHANGE_TICKS
-
-#: The cursor every row starts with: its table's only entry (-1) never
-#: equals a tick, so the first response always searches afresh.
-_NO_CURSOR: tuple[tuple[int, ...], int, int, int] = ((-1,), 0, 0, 0)
-
-#: Span of each cached per-position transmit timetable.  Tables are
-#: aligned to absolute ``[block * span, (block + 1) * span)`` blocks so
-#: slaves querying the same position at scattered ticks (seek re-arms
-#: are uniformly spread across a piconet) share tables regardless of
-#: query order; a rolling start would be invalidated by every query
-#: behind it.  Twice the segment bound, so one segment touches at most
-#: two blocks.  (Bounding the span also keeps the underlying schedule
-#: walk finite for never-transmitted positions.)
-_TX_TABLE_SPAN = 2 * SCAN_FREQUENCY_CHANGE_TICKS
+#: The cursor every row starts with: its hear tick (-1) never equals a
+#: tick, so the first response always searches afresh.
+_NO_CURSOR: tuple[int, int, int] = (-1, 0, 0)
 
 
 class InquiryScanSwarm:
@@ -220,10 +207,12 @@ class InquiryScanSwarm:
         self._rngs: list[RandomStream] = []
         self._names: list[str] = []
         self._response_ticks: list[list[int]] = []
-        # Rendezvous cursor per row: ``(table, index, segment_end,
-        # position)`` of the last timetable answer ``next_hear`` gave
-        # under the row's own window semantics (see _wake).
-        self._cursors: list[tuple[tuple[int, ...], int, int, int]] = []
+        # Rendezvous cursor per row: ``(hear_tick, stop, position)`` of
+        # the last answer ``next_hear`` gave under the row's own window
+        # semantics (see _wake).  Every ``hear_tick + k *
+        # TICKS_PER_TRAIN_PASS < stop`` is a hear of ``position`` in the
+        # same scan segment.
+        self._cursors: list[tuple[int, int, int]] = []
         # Shared-config scalars, predigested so the hot loop does no
         # enum dispatch or dataclass attribute chasing.
         cfg = self.config
@@ -248,17 +237,11 @@ class InquiryScanSwarm:
         self._timeline: list[tuple[int, int, int]] = []
         self._posted: set[int] = set()
         self._draining = False
-        # Shared per-position transmit timetables: sorted tx ticks of
-        # position p within one block-aligned span, answered by
-        # bisection.  One schedule walk per refilled block replaces one
-        # walk per rendezvous query, and every slave of the piconet
-        # shares the tables (a bounded-query memo could not: its keys
-        # embed each slave's own segment end).  Two slots per position
-        # (flat, index 2p/2p+1) keep adjacent blocks live so stragglers
-        # behind a block boundary don't evict the block everyone else is
-        # using.  Entries never go stale: the schedule is immutable.
-        self._tt_tables: list[tuple[int, ...]] = [()] * (2 * NUM_INQUIRY_FREQUENCIES)
-        self._tt_blocks = [-1] * (2 * NUM_INQUIRY_FREQUENCIES)
+        # ``bt.scan.*`` counts of the _step_* methods, flushed to the
+        # registry (if any) once per wake.
+        self._n_ids_heard = 0
+        self._n_backoffs = 0
+        self._n_responses = 0
         if metrics is not None:
             self._m_ids_heard = metrics.counter("bt.scan.ids_heard")
             self._m_backoffs = metrics.counter("bt.scan.backoffs")
@@ -369,8 +352,8 @@ class InquiryScanSwarm:
 
     def _retire(self, row: int, state: int) -> None:
         """End the row's scanning in ``state`` (DONE, EXHAUSTED or
-        STOPPED) and drop its cursor: a finished row must not keep a
-        timetable alive after the shared cache has evicted it."""
+        STOPPED) and reset its cursor, so a finished row never stands on
+        a rendezvous."""
         self._state[row] = state
         self._cursors[row] = _NO_CURSOR
 
@@ -411,30 +394,6 @@ class InquiryScanSwarm:
         train_start = base - base % TRAIN_SIZE
         return train_start + (base % TRAIN_SIZE + step) % TRAIN_SIZE
 
-    def _tx_table(self, position: int, block: int) -> tuple[int, ...]:
-        """The master's tx ticks for ``position`` within timetable block
-        ``block`` (``[block * span, (block + 1) * span)``), cached.
-
-        Of the position's two slots, a miss refills the one holding the
-        older block, keeping the most recent block resident for the
-        rest of the piconet.
-        """
-        index = position + position
-        blocks = self._tt_blocks
-        if blocks[index] == block:
-            return self._tt_tables[index]
-        if blocks[index + 1] == block:
-            return self._tt_tables[index + 1]
-        if blocks[index] > blocks[index + 1]:
-            index += 1
-        start = block * _TX_TABLE_SPAN
-        table = self.schedule.tx_ticks_of_position(
-            position, start, start + _TX_TABLE_SPAN
-        )
-        blocks[index] = block
-        self._tt_tables[index] = table
-        return table
-
     def next_hear(
         self, row: int, from_tick: int, ignore_windows: bool = False
     ) -> Optional[int]:
@@ -445,11 +404,13 @@ class InquiryScanSwarm:
         ignored), the 1.28 s phase segments, and the master schedule.
         Master-idle stretches are skipped in one ``next_active`` jump
         instead of being walked segment by segment — no transmission
-        can land outside the schedule's windows.
+        can land outside the schedule's windows.  Each segment costs one
+        ``first_tx_run`` on the listen position.
 
-        A timetable answer found under the row's own window semantics
-        (not ``ignore_windows`` on a windowed scan) is also recorded as
-        the row's rendezvous cursor.
+        An answer found under the row's own window semantics (not
+        ``ignore_windows`` on a windowed scan) is also recorded as the
+        row's rendezvous cursor, stopped at the segment end or the end
+        of the master's run of transmissions, whichever comes first.
         """
         before = self._horizon[row]
         always = ignore_windows or self._continuous
@@ -465,7 +426,7 @@ class InquiryScanSwarm:
         train_start = base - base % TRAIN_SIZE
         base_in_train = base % TRAIN_SIZE
         next_active = self.schedule.windows.next_active
-        lookup = self.schedule.next_tx_of_position
+        first_tx_run = self.schedule.first_tx_run
         tick = from_tick
         while tick < before:
             active = next_active(tick)
@@ -509,36 +470,14 @@ class InquiryScanSwarm:
                     position = (base + step) % NUM_INQUIRY_FREQUENCIES
                 else:  # TRAIN_LOCKED
                     position = train_start + (base_in_train + step) % TRAIN_SIZE
-            if segment_end - tick <= _TX_SEGMENT_MAX:
-                # Phase-bounded segment: answer from the position's
-                # cached timetable.  Clipping the table to the row's
-                # segment gives exactly the bounded first-tx lookup,
-                # because a tx instant is independent of the cutoff.
-                block = tick // _TX_TABLE_SPAN
-                table = self._tx_table(position, block)
-                index = bisect_left(table, tick)
-                if index < len(table):
-                    candidate = table[index]
-                    if candidate < segment_end:
-                        if own_windows:
-                            self._cursors[row] = (table, index, segment_end, position)
-                        return candidate
-                    # candidate >= segment_end: no tx in the segment.
-                else:
-                    # No tx in [tick, block end); the segment may spill
-                    # into the next block (it is at most half a span
-                    # long, so never further).
-                    boundary = (block + 1) * _TX_TABLE_SPAN
-                    if segment_end > boundary:
-                        table = self._tx_table(position, block + 1)
-                        if table and table[0] < segment_end:
-                            if own_windows:
-                                self._cursors[row] = (table, 0, segment_end, position)
-                            return table[0]
-            else:
-                heard = lookup(position, tick, segment_end)
-                if heard is not None:
-                    return heard
+            run = first_tx_run(position, tick, segment_end)
+            if run is not None:
+                heard, stop = run
+                if own_windows:
+                    self._cursors[row] = (
+                        heard, stop if stop < segment_end else segment_end, position
+                    )
+                return heard
             tick = segment_end
         return None
 
@@ -577,8 +516,9 @@ class InquiryScanSwarm:
         own ``seq`` (unless it already has one).  A bucket's CONTINUOUS
         responders standing on their rendezvous cursor take the bulk
         path inline; every other row takes its ``_step_*`` method.  The
-        ``sim.batch.*`` counts and the bulk path's ``bt.scan.*`` counts
-        accumulate in locals and are flushed before returning.
+        ``sim.batch.*`` counts accumulate in locals, the ``bt.scan.*``
+        counts in locals and on the swarm, and all are flushed to the
+        registry before returning.
         """
         timeline = self._timeline
         posted = self._posted
@@ -630,13 +570,8 @@ class InquiryScanSwarm:
                 n_steps += len(rows)
                 batch_tick = -1
                 batch_channel = -1
-                # Bulk-path constants of this tick, read from the first
-                # on-cursor responder: (table position, rf channel, next
-                # tx tick of that position or -1).
                 tx_tick = tick + INQUIRY_RESPONSE_DELAY_TICKS
-                tick_position = -1
-                tick_channel = -1
-                tick_next = -1
+                next_tx = tick + TICKS_PER_TRAIN_PASS
                 filed_tick = -1
                 filed_bucket: list[int] = []
                 for row in rows:
@@ -646,36 +581,31 @@ class InquiryScanSwarm:
                     act = action[row]
                     if act == _ACT_RESPOND:
                         if bulk:
-                            table, index, segment_end, position = cursors[row]
-                            if table[index] == tick and (
-                                position == tick_position or tick_position < 0
-                            ):
-                                if tick_position < 0:
-                                    tick_position = position
-                                    tick_channel = sequence[position]
-                                    tick_next = (
-                                        table[index + 1] if index + 1 < len(table) else -1
-                                    )
-                                if tx_tick != batch_tick or tick_channel != batch_channel:
+                            hear_tick, stop, position = cursors[row]
+                            if hear_tick == tick:
+                                rf_channel = sequence[position]
+                                if tx_tick != batch_tick or rf_channel != batch_channel:
                                     if batch:
                                         if schedule_batch(batch_tick, batch_channel, batch):
                                             heappush(timeline, (batch_tick, reserve(), batch_channel))
                                         batch.clear()
                                     batch_tick = tx_tick
-                                    batch_channel = tick_channel
+                                    batch_channel = rf_channel
                                 # A CONTINUOUS response on the cursor: the ID
-                                # answered is the cursor's timetable entry, and
-                                # the next hear is the table's next entry if it
-                                # falls inside the cursor's segment.  That is
-                                # what a fresh next_hear(row, tick + 1) finds,
-                                # since tick fixes both segment and table.
+                                # answered is the cursor's hear, and the next
+                                # hear is one pass later while that is before
+                                # the cursor's stop.  That is what a fresh
+                                # next_hear(row, tick + 1) finds: the master
+                                # sends the position once per pass until its
+                                # run ends, and the row listens on it until
+                                # its segment ends.
                                 ids_heard[row] += 1
                                 n_bulk += 1
                                 batch.append(
                                     FHSPacket(
                                         addresses[row],
                                         (tx_tick + offsets[row]) % CLKN_WRAP,
-                                        tick_channel,
+                                        rf_channel,
                                         tx_tick,
                                     )
                                 )
@@ -683,9 +613,9 @@ class InquiryScanSwarm:
                                 response_ticks[row].append(tx_tick)
                                 if first_response[row] < 0:
                                     first_response[row] = tx_tick
-                                if 0 <= tick_next < segment_end:
-                                    heard = tick_next
-                                    cursors[row] = (table, index + 1, segment_end, position)
+                                if next_tx < stop:
+                                    heard = next_tx
+                                    cursors[row] = (next_tx, stop, position)
                                 else:
                                     found = next_hear(row, tick + 1)
                                     if found is None:
@@ -735,9 +665,17 @@ class InquiryScanSwarm:
             if self._m_advances is not None and n_advances:
                 self._m_advances.inc(n_advances)
                 self._m_steps.inc(n_steps)
-                if n_bulk:
-                    self._m_ids_heard.inc(n_bulk)
-                    self._m_responses.inc(n_bulk)
+                ids_heard = self._n_ids_heard + n_bulk
+                if ids_heard:
+                    self._m_ids_heard.inc(ids_heard)
+                    self._n_ids_heard = 0
+                if self._n_backoffs:
+                    self._m_backoffs.inc(self._n_backoffs)
+                    self._n_backoffs = 0
+                responses = self._n_responses + n_bulk
+                if responses:
+                    self._m_responses.inc(responses)
+                    self._n_responses = 0
         if timeline:
             entry = timeline[0]
             if entry[1] not in posted:
@@ -757,8 +695,7 @@ class InquiryScanSwarm:
     def _step_first_hear(self, row: int, now: int) -> None:
         """Count a first hear and start the random backoff."""
         self._ids_heard[row] += 1
-        if self._m_ids_heard is not None:
-            self._m_ids_heard.inc()
+        self._n_ids_heard += 1
         if self._first_heard[row] < 0:
             self._first_heard[row] = now
         self._begin_backoff(row, now)
@@ -766,8 +703,7 @@ class InquiryScanSwarm:
     def _begin_backoff(self, row: int, now: int) -> None:
         """Draw a random backoff (the row's only draw) and sleep it out."""
         self._backoffs[row] += 1
-        if self._m_backoffs is not None:
-            self._m_backoffs.inc()
+        self._n_backoffs += 1
         backoff_ticks = self._rngs[row].backoff_slots(self._backoff_max) * TICKS_PER_SLOT
         self._state[row] = _BACKOFF
         self._action[row] = _ACT_BACKOFF_END
@@ -807,10 +743,9 @@ class InquiryScanSwarm:
         its cursor never gets here: ``_wake`` continues it in bulk.)
         """
         self._ids_heard[row] += 1
-        if self._m_ids_heard is not None:
-            self._m_ids_heard.inc()
-        table, index, _, position = self._cursors[row]
-        if table[index] != now:
+        self._n_ids_heard += 1
+        hear_tick, _, position = self._cursors[row]
+        if hear_tick != now:
             position = self.listen_position(row, now)
         rf_channel = self._sequence[position]
         tx_tick = now + INQUIRY_RESPONSE_DELAY_TICKS
@@ -823,8 +758,7 @@ class InquiryScanSwarm:
             tx_tick,
         )
         self._responses[row] += 1
-        if self._m_responses is not None:
-            self._m_responses.inc()
+        self._n_responses += 1
         self._response_ticks[row].append(tx_tick)
         if self._first_response[row] < 0:
             self._first_response[row] = tx_tick

@@ -343,12 +343,22 @@ class TestLookupCacheEviction:
         assert list(schedule._lookup_cache) == before
 
 
-class TestTxTicksEnumeration:
-    """tx_ticks_of_position == the full scan of next_tx_of_position.
+def _is_transmission(schedule: InquiryTransmitSchedule, position: int, tick: int) -> bool:
+    """Brute-force oracle: the master sends ``position`` at ``tick``."""
+    window = schedule.windows.containing(tick)
+    return (
+        window is not None
+        and (tick - window.start) % TICKS_PER_TRAIN_PASS == tx_offset_of_position(position)
+        and schedule.train_at(tick) is train_of_position(position)
+    )
 
-    The batched swarm engine precomputes these timetables and answers
-    rendezvous queries by bisection, so the enumeration must agree with
-    the single-query walk on every schedule shape.
+
+class TestFirstTxRun:
+    """first_tx_run against an independent tick-by-tick scan.
+
+    The swarm answers every rendezvous with it and continues a
+    responder along the run, so both the first tick and the run stop
+    must hold on every schedule shape.
     """
 
     SCHEDULES = [
@@ -376,34 +386,65 @@ class TestTxTicksEnumeration:
     ]
 
     @pytest.mark.parametrize("schedule_factory", SCHEDULES)
-    def test_matches_single_query_scan(self, schedule_factory):
+    def test_matches_tick_scan(self, schedule_factory):
         import random
 
         schedule = schedule_factory()
         rnd = random.Random(20260808)
-        for _ in range(60):
+        found = 0
+        for _ in range(40):
             position = rnd.randrange(32)
             start = rnd.randrange(0, 200_000)
             stop = start + rnd.randrange(0, 20_000)
-            got = schedule.tx_ticks_of_position(position, start, stop)
-            reference = []
-            tick = start
-            while True:
-                found = schedule._compute_next_tx(position, tick, stop)
-                if found is None:
-                    break
-                reference.append(found)
-                tick = found + 1
-            assert list(got) == reference, (position, start, stop)
+            expected = next(
+                (t for t in range(start, stop) if _is_transmission(schedule, position, t)),
+                None,
+            )
+            run = schedule.first_tx_run(position, start, stop)
+            if expected is None:
+                assert run is None, (position, start, stop, run)
+                continue
+            found += 1
+            tx, run_stop = run
+            assert tx == expected, (position, start, stop, run)
+            assert run_stop > tx
+            # Every pass of the run transmits the position (capped: a
+            # continuous single-train run never ends).
+            for tick in range(tx, min(run_stop, tx + 20_000), TICKS_PER_TRAIN_PASS):
+                assert _is_transmission(schedule, position, tick), (position, tick, run)
+        assert found
 
-    def test_first_element_is_next_tx(self):
+    def test_run_stops_at_dwell_block_end(self):
+        schedule = continuous_inquiry()
+        # Position 0 (train A) is sent in the first dwell block only.
+        assert schedule.first_tx_run(0, 100, 9_000) == (128, TICKS_PER_TRAIN_DWELL)
+        # Past that block it jumps a block, to train A's next one.
+        tx, run_stop = schedule.first_tx_run(0, TICKS_PER_TRAIN_DWELL, 10**6)
+        assert tx == 2 * TICKS_PER_TRAIN_DWELL
+        assert run_stop == 3 * TICKS_PER_TRAIN_DWELL
+
+    def test_run_stops_at_window_end(self):
+        schedule = periodic_inquiry(3200, 16000, strategy=TrainStrategy.A_ONLY, start=777)
+        tx, run_stop = schedule.first_tx_run(3, 1000, 10**6)
+        assert run_stop == 777 + 3200
+        # Past the window end: the next window's first pass.
+        tx, run_stop = schedule.first_tx_run(3, 777 + 3200, 10**6)
+        assert tx == 777 + 16000 + tx_offset_of_position(3)
+        assert run_stop == 777 + 16000 + 3200
+
+    def test_first_tick_is_next_tx(self):
         schedule = continuous_inquiry()
         for position in (0, 7, 16, 31):
-            ticks = schedule.tx_ticks_of_position(position, 100, 9_000)
-            assert ticks
-            assert ticks[0] == schedule.next_tx_of_position(position, 100, 9_000)
-            assert list(ticks) == sorted(set(ticks))
+            tx, _ = schedule.first_tx_run(position, 100, 9_000_000)
+            assert tx == schedule.next_tx_of_position(position, 100, 9_000_000)
 
     def test_empty_span(self):
         schedule = periodic_inquiry(3200, 16000, start=0, count=1)
-        assert schedule.tx_ticks_of_position(0, 20_000, 40_000) == ()
+        assert schedule.first_tx_run(0, 20_000, 40_000) is None
+
+    def test_train_never_sent_in_short_windows(self):
+        # ALTERNATE windows shorter than a dwell block never reach the
+        # second train: no window transmits it, however long the span.
+        schedule = periodic_inquiry(3200, 16000)
+        assert schedule.first_tx_run(16, 0, 1 << 62) is None
+        assert schedule.first_tx_run(0, 0, 1 << 62) == (0, 3200)

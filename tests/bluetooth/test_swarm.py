@@ -253,6 +253,40 @@ class TestRendezvousCursor:
         assert handle.next_hear(heard + 1) != following
 
 
+    @pytest.mark.parametrize(
+        "phase_mode, clock_offset",
+        [
+            pytest.param(PhaseMode.FIXED, 0, id="fixed-phase"),
+            # Phase segments [2048 + 4096k, 6144 + 4096k): every other
+            # one straddles a multiple of 8192.
+            pytest.param(PhaseMode.TRAIN_LOCKED, 2048, id="train-locked-straddling"),
+        ],
+    )
+    def test_continuous_run_crosses_block_edges(self, kernel, phase_mode, clock_offset):
+        # A single-train master never switches trains, so a responder on
+        # one of its positions answers once per pass for as long as its
+        # segment lasts, across every multiple of 8192 ticks.
+        horizon = 4 * 8192
+        config = ScanConfig.continuous(phase_mode=phase_mode)
+        schedule = continuous_inquiry(strategy=TrainStrategy.A_ONLY)
+        master = InquiryProcedure(kernel, schedule, name="m")
+        swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=config, name="edge")
+        handle = swarm.add_slave(
+            BDAddr(0xF), rng=RandomStream(9, "edge"), clock=BluetoothClock(offset=clock_offset),
+            base_phase=3, horizon_tick=horizon,
+        )
+        checked = []
+        _check_cursor(swarm, checked)
+        handle.start()
+        kernel.run_until(horizon)
+        hears = [t - INQUIRY_RESPONSE_DELAY_TICKS for t in handle.stats.response_ticks]
+        crossings = [
+            h for h in hears if h // 8192 < (h + 32) // 8192 and h + 32 in hears
+        ]
+        assert len(crossings) >= 2
+        assert {(handle.row, h) for h in crossings} <= set(checked)
+
+
 class TestSwarmLifecycle:
     def _swarm(self, kernel, horizon=1 << 20, metrics=None):
         schedule = continuous_inquiry()
@@ -315,8 +349,8 @@ class TestSwarmLifecycle:
         assert metrics.counter("bt.scan.ids_heard").value == handle.stats.ids_heard
 
     def test_finished_rows_drop_their_cursor(self, kernel):
-        # A cursor pins its timetable; a finished row must not keep one
-        # alive once the shared cache has moved on.
+        # A finished row must not stand on a rendezvous: its cursor is
+        # reset, so no later response can take it.
         swarm, stopped = self._swarm(kernel, horizon=200_000)
         exhausted = swarm.add_slave(
             BDAddr(0xE), rng=RandomStream(6, "x"), clock=BluetoothClock(offset=77),
@@ -343,7 +377,7 @@ class TestSwarmLifecycle:
         assert metrics.counter("sim.batch.slave_steps").value == 0
 
     def test_next_hear_matches_scanner(self, kernel):
-        # The swarm's fast path (shared timetables, idle-air jumps)
+        # The swarm's fast path (closed-form runs, idle-air jumps)
         # against the plain rendezvous primitive of the scan module.
         schedule = continuous_inquiry()
         master = InquiryProcedure(kernel, schedule, name="m")

@@ -292,7 +292,7 @@ class TestTimelineBookkeeping:
     def test_finished_swarm_is_freed_without_the_cyclic_gc(self):
         # The swarm must not sit in a reference cycle of its own making
         # (say, through cached bound methods), or every finished trial
-        # would hold its timetables until the next GC pass.
+        # would hold its store and rows until the next GC pass.
         gc.disable()
         try:
             kernel, swarm, master, handles = _piconet(slaves=3)

@@ -138,6 +138,7 @@ class TestHotPathDecorator:
         expected = {
             "repro.sim.kernel.Kernel._drain_heap",
             "repro.bluetooth.hopping.InquiryTransmitSchedule.next_tx_of_position",
+            "repro.bluetooth.hopping.InquiryTransmitSchedule.first_tx_run",
             "repro.lan.transport.LANTransport._deliver",
             "repro.core.location_db.LocationDatabase.apply_presence",
             "repro.core.location_db.LocationDatabase.apply_absence",
