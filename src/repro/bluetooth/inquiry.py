@@ -17,13 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.obs.events import DeviceDiscovered
 from repro.radio.channel import ReachabilityPredicate, ResponseChannel
 from repro.sim.clock import seconds_from_ticks
 from repro.sim.kernel import Kernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.events import EventBus
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracing import SpanTracer
 
@@ -67,7 +65,6 @@ class InquiryProcedure:
         reachable: Optional[ReachabilityPredicate] = None,
         receiver_capture: bool = True,
         metrics: Optional["MetricsRegistry"] = None,
-        events: Optional["EventBus"] = None,
         spans: Optional["SpanTracer"] = None,
     ) -> None:
         self.kernel = kernel
@@ -76,7 +73,6 @@ class InquiryProcedure:
         self.name = name
         self.on_discovered = on_discovered
         self.receiver_capture = receiver_capture
-        self._events = events
         self._spans = spans
         if metrics is not None:
             self._m_responses = metrics.counter("bt.inquiry.responses_received")
@@ -135,10 +131,6 @@ class InquiryProcedure:
             self._spans.instant(
                 "bt.discovery", "bluetooth", tick,
                 master=self.name, sender=str(packet.sender),
-            )
-        if self._events is not None:
-            self._events.emit(
-                DeviceDiscovered(tick=tick, master=self.name, address=str(packet.sender))
             )
         if self.on_discovered is not None:
             self.on_discovered(packet, tick)

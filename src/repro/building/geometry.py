@@ -10,10 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.sim.rng import RandomStream
 
 
 @dataclass(frozen=True)
@@ -90,11 +86,4 @@ class Rect:
         return Point(
             min(max(point.x, self.x_min), self.x_max),
             min(max(point.y, self.y_min), self.y_max),
-        )
-
-    def random_point(self, rng: "RandomStream") -> Point:
-        """A uniformly random interior point (for waypoint mobility)."""
-        return Point(
-            rng.uniform(self.x_min, self.x_max),
-            rng.uniform(self.y_min, self.y_max),
         )

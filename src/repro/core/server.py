@@ -28,7 +28,6 @@ from repro.lan.messages import (
     WorkstationHello,
 )
 from repro.lan.transport import LANTransport, UnknownEndpointError
-from repro.obs.events import EventBus, QueryServed, ServerBrownout, UserLoggedIn
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import SpanTracer
 from repro.sim.hotpath import hot_path
@@ -53,7 +52,6 @@ class BIPSServer:
         history_limit: int = 1000,
         staleness_horizon_ticks: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
-        events: Optional[EventBus] = None,
         spans: Optional[SpanTracer] = None,
     ) -> None:
         plan.validate()
@@ -79,7 +77,6 @@ class BIPSServer:
         self.browned_out = False
         self.brownouts = 0
         self._metrics = metrics
-        self._events = events
         self._spans = spans
         if metrics is not None:
             self._m_presence = metrics.counter("core.presence_updates_received")
@@ -111,8 +108,10 @@ class BIPSServer:
             self.lan.unregister(self.endpoint)
         else:
             self.lan.register(self.endpoint, self._on_message)
-        if self._events is not None:
-            self._events.emit(ServerBrownout(tick=self.kernel.now, active=active))
+        if self._spans is not None:
+            self._spans.instant(
+                "core.server_brownout", "core", self.kernel.now, active=active
+            )
 
     # -- message handling -------------------------------------------------------
 
@@ -243,10 +242,6 @@ class BIPSServer:
             self._metrics.counter(
                 "core.logins", outcome="ok" if response.ok else "rejected"
             ).inc()
-        if self._events is not None:
-            self._events.emit(
-                UserLoggedIn(tick=self.kernel.now, userid=message.userid, ok=response.ok)
-            )
         self.lan.send(self.endpoint, source, response)
 
     def _handle_logout(self, message: LogoutRequest) -> None:
@@ -321,7 +316,7 @@ class BIPSServer:
         self.lan.send(self.endpoint, source, response)
 
     def _note_query(self, kind: str, message, ok: bool) -> None:
-        """Metrics/events for one served query.
+        """Metrics and the ``core.query`` span for one served query.
 
         Query latency here is the server-side view: request send to
         answer computed (the response's own LAN hop is accounted by the
@@ -342,16 +337,6 @@ class BIPSServer:
                 kind=kind,
                 ok=ok,
                 lag_ticks=self.kernel.now - message.sent_tick,
-            )
-        if self._events is not None:
-            self._events.emit(
-                QueryServed(
-                    tick=self.kernel.now,
-                    kind=kind,
-                    querier=message.querier_userid,
-                    target=message.target_username,
-                    ok=ok,
-                )
             )
 
     # -- direct-call surface ------------------------------------------------------

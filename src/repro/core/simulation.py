@@ -31,7 +31,6 @@ from repro.bluetooth.swarm import InquiryScanSwarm, SwarmSlave
 from repro.lan.messages import LocationQuery, LoginRequest, PathQuery
 from repro.lan.transport import LANTransport
 from repro.mobility.walker import BuildingWalker, WalkTimeline
-from repro.obs.events import EventBus, ServerBrownout, WorkstationFailed
 from repro.obs.metrics import MetricsRegistry
 from repro.radio.interference import SharedBand
 from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
@@ -45,7 +44,6 @@ from .workstation import Workstation, WorkstationSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
-    from repro.obs.flight import FlightRecorder
     from repro.obs.profiling import Profiler
     from repro.obs.tracing import SpanTracer
 
@@ -170,25 +168,18 @@ class BIPSSimulation:
         plan: Optional[FloorPlan] = None,
         config: Optional[BIPSConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
-        events: Optional[EventBus] = None,
         faults: Optional["FaultPlan"] = None,
         spans: Optional["SpanTracer"] = None,
         profiler: Optional["Profiler"] = None,
-        flight: Optional["FlightRecorder"] = None,
     ) -> None:
         self.plan = plan if plan is not None else academic_department()
         self.plan.validate()
         self.config = config if config is not None else BIPSConfig()
-        # One registry and one event bus span the whole pipeline; callers
-        # may supply their own (e.g. to aggregate several simulations).
+        # One registry spans the whole pipeline; callers may supply
+        # their own (e.g. to aggregate several simulations).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.events = events if events is not None else EventBus()
         self.spans = spans
         self.profiler = profiler
-        self.flight = flight
-        if flight is not None:
-            # Every fault-window event dumps the ring automatically.
-            flight.arm(self.events, WorkstationFailed, ServerBrownout)
         self.kernel = Kernel(metrics=self.metrics, spans=spans, profiler=profiler)
         self.rng = RandomStream(self.config.seed, "bips")
         # Fault plans draw from their own seed-derived streams, so a
@@ -220,7 +211,6 @@ class BIPSSimulation:
             self.plan,
             staleness_horizon_ticks=staleness_ticks,
             metrics=self.metrics,
-            events=self.events,
             spans=spans,
         )
         self._retry_policy = self.config.retry_policy
@@ -285,7 +275,6 @@ class BIPSSimulation:
                 push_payload_bytes=self.config.push_navigation_bytes,
                 retry_policy=self._retry_policy,
                 metrics=self.metrics,
-                events=self.events,
                 spans=self.spans,
             )
         if self.band is not None:

@@ -25,12 +25,6 @@ from repro.bluetooth.paging import SlotLevelPager
 from repro.bluetooth.piconet import Piconet, PiconetFullError
 from repro.lan.messages import PresenceInvalidation, PresenceUpdate, WorkstationHello
 from repro.lan.transport import LANTransport
-from repro.obs.events import (
-    DeltaPushed,
-    InquiryStarted,
-    WorkstationFailed,
-    WorkstationRecovered,
-)
 from repro.sim.kernel import Kernel
 
 from .scheduler import MasterSchedulingPolicy
@@ -38,7 +32,6 @@ from .tracker import PresenceTracker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.recovery import RetryPolicy
-    from repro.obs.events import EventBus
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracing import SpanTracer
 
@@ -85,7 +78,6 @@ class Workstation:
         push_payload_bytes: int = 0,
         retry_policy: Optional["RetryPolicy"] = None,
         metrics: Optional["MetricsRegistry"] = None,
-        events: Optional["EventBus"] = None,
         spans: Optional["SpanTracer"] = None,
     ) -> None:
         """Args beyond the obvious:
@@ -126,7 +118,6 @@ class Workstation:
         self.server_endpoint = server_endpoint
         self.schedule = policy.build_schedule(start_tick=schedule_offset_ticks)
         self._metrics = metrics
-        self._events = events
         self._spans = spans
         self.inquiry = InquiryProcedure(
             kernel,
@@ -134,7 +125,6 @@ class Workstation:
             name=workstation_id,
             reachable=reachable,
             metrics=metrics,
-            events=events,
             spans=spans,
         )
         self.tracker = PresenceTracker(miss_threshold=miss_threshold)
@@ -222,14 +212,15 @@ class Workstation:
             self._metrics.counter(
                 "core.workstation_failures" if failed else "core.workstation_recoveries"
             ).inc()
-        if self._events is not None:
-            event_type = WorkstationFailed if failed else WorkstationRecovered
-            self._events.emit(
-                event_type(
-                    tick=self.kernel.now,
-                    workstation_id=self.workstation_id,
-                    room_id=self.room_id,
-                )
+        if self._spans is not None:
+            # An instant on the fault's own kernel span, so a flight
+            # recorder armed on this name dumps with it as last record.
+            self._spans.instant(
+                "core.workstation_failed" if failed else "core.workstation_recovered",
+                "core",
+                self.kernel.now,
+                ws=self.workstation_id,
+                room=self.room_id,
             )
 
     def _recover(self) -> None:
@@ -307,25 +298,6 @@ class Workstation:
         """The window's consequences (split out so a span can wrap them)."""
         if self._metrics is not None:
             self._metrics.counter("core.inquiry_windows_evaluated").inc()
-        if self._events is not None:
-            self._events.emit(
-                InquiryStarted(
-                    tick=window_start,
-                    workstation_id=self.workstation_id,
-                    room_id=self.room_id,
-                    window_index=self.windows_evaluated - 1,
-                )
-            )
-            if deltas.new_presences or deltas.new_absences:
-                self._events.emit(
-                    DeltaPushed(
-                        tick=window_end,
-                        workstation_id=self.workstation_id,
-                        room_id=self.room_id,
-                        presences=len(deltas.new_presences),
-                        absences=len(deltas.new_absences),
-                    )
-                )
         for address in deltas.new_presences:
             self._send_update(address, present=True)
             self._maybe_enroll(address)

@@ -28,7 +28,6 @@ from repro.faults import FaultPlan, profile_named
 from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.flight import FlightRecorder
     from repro.obs.profiling import Profiler
     from repro.obs.tracing import SpanTracer
 
@@ -125,13 +124,12 @@ def run_e2e(
     metrics: Optional[MetricsRegistry] = None,
     spans: Optional["SpanTracer"] = None,
     profiler: Optional["Profiler"] = None,
-    flight: Optional["FlightRecorder"] = None,
 ) -> E2EResult:
     """Build, populate, and run the full system.
 
     With a :class:`MetricsRegistry`, the whole pipeline (kernel, radio,
     LAN, server) exports into it and end-of-run gauges are folded in
-    before returning.  ``spans``/``profiler``/``flight`` thread the
+    before returning.  ``spans``/``profiler`` thread the
     observability instruments through the simulation (``bips trace``).
     """
     config = config if config is not None else E2EConfig()
@@ -148,7 +146,6 @@ def run_e2e(
         faults=config.fault_plan(),
         spans=spans,
         profiler=profiler,
-        flight=flight,
     )
     rooms = sim.plan.room_ids()
     room_rng = sim.rng.child("e2e-start-rooms")

@@ -52,7 +52,13 @@ _NO_CTX = object()
 
 
 def _wire_bytes(message: Any, field_names: tuple[str, ...]) -> int:
-    """Wire-size body shared by the public helper and the send path."""
+    """Modelled wire size of one message, for ``lan.bytes_sent``.
+
+    Nothing is serialised, so this is a fixed frame overhead plus a
+    per-field estimate over ``field_names``: deterministic and
+    proportional to payload complexity, which is all a load counter
+    needs.
+    """
     size = _FRAME_OVERHEAD_BYTES
     for name in field_names:
         value = getattr(message, name)
@@ -67,20 +73,6 @@ def _wire_bytes(message: Any, field_names: tuple[str, ...]) -> int:
         else:  # BDAddr and other small objects
             size += 8
     return size
-
-
-def estimate_wire_bytes(message: Any) -> int:
-    """A deterministic wire-size estimate for a message dataclass.
-
-    Nobody serialises anything in the simulation, so "bytes on the LAN"
-    is a model, not a measurement: a fixed frame overhead plus a
-    per-field estimate.  It only needs to be deterministic and
-    proportional to payload complexity so that byte counters are
-    meaningful for load comparisons.
-    """
-    if not is_dataclass(message):
-        return _FRAME_OVERHEAD_BYTES
-    return _wire_bytes(message, tuple(spec.name for spec in fields(message)))
 
 
 class UnknownEndpointError(Exception):

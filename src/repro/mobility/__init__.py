@@ -1,4 +1,4 @@
-"""Pedestrian mobility: speeds, residence times, waypoint and room walks."""
+"""Pedestrian mobility: speeds, residence times, and room-to-room walks."""
 
 from .residence import (
     PICONET_DIAMETER_M,
@@ -15,7 +15,6 @@ from .speeds import (
     PedestrianSpeedModel,
 )
 from .walker import BuildingWalker, RoomVisit, WalkTimeline
-from .waypoint import RandomWaypoint, WaypointLeg
 
 __all__ = [
     "PICONET_DIAMETER_M",
@@ -31,6 +30,4 @@ __all__ = [
     "BuildingWalker",
     "RoomVisit",
     "WalkTimeline",
-    "RandomWaypoint",
-    "WaypointLeg",
 ]

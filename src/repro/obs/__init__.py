@@ -1,4 +1,4 @@
-"""Observability: metrics, structured events, tracing, and exporters.
+"""Observability: metrics, span tracing, the flight recorder, and exporters.
 
 See :doc:`docs/observability.md` for the metric and span catalogues and
 the JSONL schemas.  Quick tour::
@@ -14,21 +14,13 @@ the JSONL schemas.  Quick tour::
     spans = SpanTracer(seed=42, sample=1.0)
     # ... pass spans= into Kernel/BIPSSimulation/run_e2e ...
     write_chrome_trace("trace.json", spans.records())
+
+Spans are the one record of what happened when.  A
+:class:`FlightRecorder` passed as ``SpanTracer(recorder=...)`` keeps
+the most recent ones and dumps them when a span name it is armed on
+(e.g. ``core.workstation_failed``) is recorded.
 """
 
-from repro.obs.events import (
-    DeltaPushed,
-    DeviceDiscovered,
-    Event,
-    EventBus,
-    InquiryStarted,
-    NullEventBus,
-    QueryServed,
-    ServerBrownout,
-    UserLoggedIn,
-    WorkstationFailed,
-    WorkstationRecovered,
-)
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import (
     Counter,
@@ -51,26 +43,15 @@ from repro.obs.tracing import (
 
 __all__ = [
     "Counter",
-    "DeltaPushed",
-    "DeviceDiscovered",
-    "Event",
-    "EventBus",
     "FlightRecorder",
     "Gauge",
     "Histogram",
-    "InquiryStarted",
     "MetricError",
     "MetricsRegistry",
-    "NullEventBus",
     "Profiler",
-    "QueryServed",
-    "ServerBrownout",
     "Span",
     "SpanTracer",
     "TraceContext",
-    "UserLoggedIn",
-    "WorkstationFailed",
-    "WorkstationRecovered",
     "chrome_trace",
     "merge_worker_spans",
     "snapshot_from_jsonl",

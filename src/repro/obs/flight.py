@@ -2,11 +2,14 @@
 
 A long chaos run that dies tells you *that* it died; the flight
 recorder tells you what the system was doing just before.  It keeps a
-bounded ring of the most recent span records and bus events and writes
-the ring to a JSON file when triggered — automatically on fault-window
-events (``WorkstationFailed``, ``ServerBrownout``) when armed on a
-simulation, or explicitly via :meth:`trigger` / the :meth:`guard`
-context manager around assertion-bearing code.
+bounded ring of the most recent span records (a
+:class:`~repro.obs.tracing.SpanTracer` built with ``recorder=`` feeds
+it every finished span) and writes the ring to a JSON file when
+triggered — automatically when a span name it is armed on is recorded
+(``bips trace --flight-recorder`` arms the ``core.workstation_failed``
+and ``core.server_brownout`` fault instants), or explicitly via
+:meth:`trigger` / the :meth:`guard` context manager around
+assertion-bearing code.
 
 Dump files are numbered in trigger order (``flight-0001-<reason>.json``)
 and their contents are deterministic whenever the recorded spans are
@@ -18,11 +21,7 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-from dataclasses import fields
-from typing import TYPE_CHECKING, Any, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.events import Event, EventBus
+from typing import Any
 
 
 class _FlightGuard:
@@ -44,7 +43,7 @@ class _FlightGuard:
 
 
 class FlightRecorder:
-    """A ring buffer of recent spans/events with dump-on-fault triggers."""
+    """A ring buffer of recent span records with dump-on-fault triggers."""
 
     def __init__(self, capacity: int = 512, out_dir: str = "results/trace") -> None:
         if capacity <= 0:
@@ -54,38 +53,26 @@ class FlightRecorder:
         self.noted = 0
         self.dumps: list[str] = []
         self._ring: deque[dict[str, Any]] = deque(maxlen=capacity)
+        self._armed: frozenset[str] = frozenset()
 
     # -- feeding -----------------------------------------------------------
 
     def note(self, record: dict[str, Any]) -> None:
-        """Append one record (a finished span; SpanTracer calls this)."""
+        """Append one record (a finished span; SpanTracer calls this).
+
+        A record whose ``name`` is armed triggers a dump right after it
+        is appended, so it is always the last entry of its own dump.
+        """
         self.noted += 1
         self._ring.append(record)
+        name = record.get("name")
+        if name in self._armed:
+            self.trigger(name)
 
-    def note_event(self, event: "Event") -> None:
-        """Append one bus event as a ``kind: "event"`` record."""
-        record: dict[str, Any] = {"kind": "event", "event": type(event).__name__}
-        for spec in fields(event):
-            record[spec.name] = getattr(event, spec.name)
-        self.note(record)
-
-    def watch(self, bus: "EventBus") -> None:
-        """Record every event the bus emits (context for the spans)."""
-        bus.subscribe(self.note_event)
-
-    def arm(self, bus: "EventBus", *event_types: type) -> None:
-        """Dump automatically whenever one of ``event_types`` fires.
-
-        The triggering event is recorded first, so it is always the
-        last entry of its own dump.
-        """
-
-        def on_fault(event: "Event") -> None:
-            self.note_event(event)
-            self.trigger(type(event).__name__)
-
-        for event_type in event_types:
-            bus.subscribe(on_fault, event_type)  # type: ignore[arg-type]
+    def arm(self, *span_names: str) -> None:
+        """Dump automatically whenever a span named one of ``span_names``
+        is recorded (added to any names armed before)."""
+        self._armed = self._armed.union(span_names)
 
     # -- dumping -----------------------------------------------------------
 

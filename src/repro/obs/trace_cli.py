@@ -77,8 +77,8 @@ def add_trace_parser(
     trace.add_argument(
         "--flight-recorder",
         action="store_true",
-        help="keep a ring buffer of recent spans/events and dump it when a "
-        "fault window fires",
+        help="keep a ring buffer of recent spans and dump it when a "
+        "workstation fails or the server browns out",
     )
     trace.add_argument(
         "--profile",
@@ -115,9 +115,10 @@ def add_trace_parser(
 def _trace_e2e(args: argparse.Namespace) -> tuple[list[dict[str, Any]], Optional[FlightRecorder]]:
     from repro.experiments.e2e import E2EConfig, run_e2e
 
-    flight = (
-        FlightRecorder(out_dir=DEFAULT_TRACE_DIR) if args.flight_recorder else None
-    )
+    flight = None
+    if args.flight_recorder:
+        flight = FlightRecorder(out_dir=DEFAULT_TRACE_DIR)
+        flight.arm("core.workstation_failed", "core.server_brownout")
     config = E2EConfig(
         user_count=args.users,
         duration_seconds=args.duration,
@@ -127,7 +128,7 @@ def _trace_e2e(args: argparse.Namespace) -> tuple[list[dict[str, Any]], Optional
     )
     spans = SpanTracer(seed=config.seed, sample=args.sample, recorder=flight)
     profiler = Profiler() if args.profile else None
-    run_e2e(config, spans=spans, profiler=profiler, flight=flight)
+    run_e2e(config, spans=spans, profiler=profiler)
     if profiler is not None:
         print(profiler.render_report(), file=sys.stderr)
     return spans.records(), flight

@@ -199,9 +199,6 @@ class SpanTracer:
         self._next_span_id = 1
         self._sample_rng = random.Random(derive_seed(seed, "obs", "tracing"))
 
-    #: Mirrors ``Tracer.enabled``: a constructed SpanTracer always traces.
-    enabled = True
-
     # -- span lifecycle ---------------------------------------------------
 
     def begin(

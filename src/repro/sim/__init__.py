@@ -4,7 +4,6 @@ Public surface:
 
 * :class:`Kernel` — the event loop (integer-tick simulated time)
 * :class:`RandomStream` — named, seed-derived random streams
-* :class:`Tracer` — optional event tracing
 * tick/second conversion helpers (one tick = 312.5 µs)
 """
 
@@ -28,7 +27,6 @@ from .errors import (
 )
 from .kernel import METRICS_FLUSH_INTERVAL, EventHandle, Kernel
 from .rng import RandomStream, derive_seed
-from .trace import NullTracer, TraceRecord, Tracer
 
 __all__ = [
     "TICK_MICROSECONDS",
@@ -50,7 +48,4 @@ __all__ = [
     "METRICS_FLUSH_INTERVAL",
     "RandomStream",
     "derive_seed",
-    "NullTracer",
-    "TraceRecord",
-    "Tracer",
 ]

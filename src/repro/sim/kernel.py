@@ -23,8 +23,9 @@ Fast-path design (see docs/performance.md):
 * ``run_until`` peeks at the queue head and never pops an event beyond
   the target tick, so crossing a boundary does not pay a pop + re-push.
 * A kernel with a :class:`~repro.obs.tracing.SpanTracer` attached
-  drains through a separate loop that wraps labelled events in spans,
-  so the untraced hot loop carries no span checks.
+  drains through a separate loop that wraps labelled events in spans
+  (the kernel's only record of what fired), so the untraced hot loop
+  carries no span checks.
 * A component may keep a private timeline of its own pending work and
   drain it inside one kernel event, provided it keeps exact
   ``(tick, seq)`` order with the heap: :meth:`Kernel.reserve_seq` hands
@@ -43,7 +44,6 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 from .clock import SimClock, seconds_from_ticks
 from .errors import DeadlockError, SchedulingError
 from .hotpath import hot_path
-from .trace import NullTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a layering cycle
     from repro.obs.metrics import Counter, Gauge, MetricsRegistry
@@ -142,19 +142,17 @@ class Kernel:
 
     def __init__(
         self,
-        tracer: Optional[Tracer] = None,
         metrics: Optional["MetricsRegistry"] = None,
         spans: Optional["SpanTracer"] = None,
         profiler: Optional["Profiler"] = None,
     ) -> None:
         self.clock = SimClock()
-        self.tracer: Tracer = tracer if tracer is not None else NullTracer()
         # Span tracing rides the labelled-event path: attaching a
-        # SpanTracer turns label retention on even without a legacy
-        # tracer, so every labelled event can become a kernel span.
+        # SpanTracer turns label retention on, so every labelled event
+        # can become a kernel span.
         self._spans = spans
         self._profiler = profiler
-        self._trace_enabled = self.tracer.enabled or spans is not None
+        self._trace_enabled = spans is not None
         self._seq = 0
         self._events_fired = 0
         self._pending = 0
@@ -361,22 +359,6 @@ class Kernel:
         if self._m_queue is not None:
             self._m_queue.set(self._pending)
 
-    def flush_metrics(self) -> None:
-        """Publish everything the kernel has accounted to the registry.
-
-        ``sim.events_fired`` / ``sim.queue_depth`` are flushed
-        automatically every :data:`METRICS_FLUSH_INTERVAL` events and at
-        every ``run_until``/``step``/``run_to_completion`` boundary, so
-        registry reads at those points are already exact — this call
-        adds nothing there.  It exists for reads from *inside* a
-        callback: under ``step()`` or ``run_to_completion()`` (which
-        account per event) it makes the registry exact mid-run; under a
-        ``run_until`` drain the hot loop accumulates in a loop-local
-        batch by design, so even a flushed read may lag by up to
-        :data:`METRICS_FLUSH_INTERVAL` - 1 events until the boundary.
-        """
-        self._flush_metrics()
-
     # -- execution -------------------------------------------------------
 
     def _fire_entry(self, entry: Entry) -> None:
@@ -394,18 +376,16 @@ class Kernel:
         self._pending -= 1
         self._events_fired += 1
         assert callback is not None  # tombstones are filtered by callers
-        if label and self._trace_enabled:
-            self.tracer.record(time, "event", label)
-            spans = self._spans
-            if spans is not None:
-                span = spans.begin(label, "kernel", time)
-                prev = spans.push(span)
-                try:
-                    callback()
-                finally:
-                    spans.pop(prev)
-                    spans.end(span, time)
-                return
+        spans = self._spans
+        if label and spans is not None:
+            span = spans.begin(label, "kernel", time)
+            prev = spans.push(span)
+            try:
+                callback()
+            finally:
+                spans.pop(prev)
+                spans.end(span, time)
+            return
         callback()
 
     def _pop_live(self, until: Optional[int] = None) -> Optional[Entry]:
@@ -484,8 +464,6 @@ class Kernel:
         clock = self.clock
         pop = heapq.heappop
         handle_cls = EventHandle
-        trace_on = self._trace_enabled
-        tracer = self.tracer
         flush_mask = _FLUSH_MASK
         fired = 0
         try:
@@ -503,8 +481,6 @@ class Kernel:
                         continue
                     payload.callback = None
                     clock._now = time
-                    if trace_on and payload.label:
-                        tracer.record(time, "event", payload.label)
                 else:
                     callback = payload
                     clock._now = time
@@ -535,8 +511,6 @@ class Kernel:
         assert spans is not None
         clock = self.clock
         handle_cls = EventHandle
-        legacy_on = self.tracer.enabled
-        tracer = self.tracer
         flush_mask = _FLUSH_MASK
         fired = 0
         try:
@@ -561,8 +535,6 @@ class Kernel:
                     self._flush_metrics()
                 assert callback is not None  # _pop_live skips tombstones
                 if label:
-                    if legacy_on:
-                        tracer.record(time, "event", label)
                     span = spans.begin(label, "kernel", time)
                     prev = spans.push(span)
                     try:
@@ -576,12 +548,6 @@ class Kernel:
             remainder = fired & flush_mask
             self._events_fired += remainder
             self._pending -= remainder
-
-    def run_until_seconds(self, seconds: float, require_events: bool = False) -> None:
-        """Run events until simulated time reaches ``seconds``."""
-        from .clock import ticks_from_seconds
-
-        self.run_until(ticks_from_seconds(seconds), require_events=require_events)
 
     def run_to_completion(self, max_events: int = 10_000_000) -> None:
         """Run until the event queue is empty.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -101,11 +101,6 @@ class RandomStream:
         values = list(range(n))
         self._rng.shuffle(values)
         return values
-
-    def iter_uniform(self, low: float, high: float) -> Iterator[float]:
-        """Endless iterator of uniform draws (useful for workloads)."""
-        while True:
-            yield self._rng.uniform(low, high)
 
     def __repr__(self) -> str:
         return f"RandomStream(name={self.name!r}, seed={self.seed})"

@@ -1,54 +1,13 @@
-"""Tests for waypoint movement and building walks."""
+"""Tests for building walks."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.building.geometry import Point, Rect
 from repro.building.layouts import academic_department, linear_wing
 from repro.mobility.walker import BuildingWalker, RoomVisit, WalkTimeline
-from repro.mobility.waypoint import RandomWaypoint
 from repro.sim.clock import ticks_from_seconds
 from repro.sim.rng import RandomStream
-
-
-class TestRandomWaypoint:
-    def test_legs_stay_in_room(self):
-        room = Rect(0, 0, 10, 10)
-        waypoint = RandomWaypoint(room)
-        rng = RandomStream(1, "wp")
-        legs = waypoint.legs(rng, Point(5, 5))
-        previous_end = Point(5, 5)
-        for _ in range(20):
-            leg = next(legs)
-            assert leg.start == previous_end
-            assert room.contains(leg.end)
-            assert 1.1 <= leg.speed_mps <= 1.5
-            assert 2.0 <= leg.pause_seconds <= 30.0
-            previous_end = leg.end
-
-    def test_leg_times(self):
-        room = Rect(0, 0, 10, 10)
-        waypoint = RandomWaypoint(room)
-        rng = RandomStream(2, "wp")
-        leg = next(waypoint.legs(rng, Point(0, 0)))
-        assert leg.travel_seconds == leg.start.distance_to(leg.end) / leg.speed_mps
-        assert leg.total_seconds == leg.travel_seconds + leg.pause_seconds
-
-    def test_dwell_time_positive(self):
-        waypoint = RandomWaypoint(Rect(0, 0, 10, 10))
-        dwell = waypoint.dwell_time(RandomStream(3, "wp"), Point(5, 5), legs=5)
-        assert dwell > 0
-
-    def test_start_outside_room_clamped(self):
-        room = Rect(0, 0, 10, 10)
-        waypoint = RandomWaypoint(room)
-        leg = next(waypoint.legs(RandomStream(4, "wp"), Point(-5, 50)))
-        assert room.contains(leg.start)
-
-    def test_pause_band_validation(self):
-        with pytest.raises(ValueError):
-            RandomWaypoint(Rect(0, 0, 1, 1), pause_low_seconds=10, pause_high_seconds=5)
 
 
 class TestRoomVisit:

@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from repro.obs.events import EventBus, ServerBrownout, WorkstationFailed
 from repro.obs.flight import FlightRecorder
+from repro.obs.tracing import SpanTracer
 
 
 class TestRing:
@@ -22,28 +22,6 @@ class TestRing:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)
-
-    def test_note_event_flattens_dataclass_fields(self):
-        recorder = FlightRecorder(out_dir="unused")
-        recorder.note_event(
-            WorkstationFailed(tick=42, workstation_id="ws:lab-1", room_id="lab-1")
-        )
-        (record,) = recorder.snapshot()
-        assert record == {
-            "kind": "event",
-            "event": "WorkstationFailed",
-            "tick": 42,
-            "workstation_id": "ws:lab-1",
-            "room_id": "lab-1",
-        }
-
-    def test_watch_records_every_bus_event(self):
-        bus = EventBus()
-        recorder = FlightRecorder(out_dir="unused")
-        recorder.watch(bus)
-        bus.emit(ServerBrownout(tick=1, active=True))
-        bus.emit(ServerBrownout(tick=9, active=False))
-        assert [r["tick"] for r in recorder.snapshot()] == [1, 9]
 
 
 class TestDumps:
@@ -62,23 +40,40 @@ class TestDumps:
         assert document["records"] == [{"span": 1}]
 
     def test_arm_dumps_on_fault_event_with_trigger_last(self, tmp_path):
-        bus = EventBus()
         recorder = FlightRecorder(out_dir=str(tmp_path))
-        recorder.arm(bus, WorkstationFailed, ServerBrownout)
-        recorder.note({"span": 1})
-        bus.emit(ServerBrownout(tick=77, active=True))
-        (path,) = recorder.dumps
-        assert "ServerBrownout" in path
+        recorder.arm("core.workstation_failed", "core.server_brownout")
+        spans = SpanTracer(recorder=recorder)
+        with spans.scope(spans.begin("fault:brownout", "kernel", 77)) as kernel:
+            spans.instant("lan.drop", "lan", 77)
+            spans.instant("core.server_brownout", "core", 77, active=True)
+            (path,) = recorder.dumps
+            spans.end(kernel, 77)
+        assert path.endswith("flight-0001-core-server_brownout.json")
         records = json.loads(open(path).read())["records"]
-        assert records[-1]["event"] == "ServerBrownout"
-        assert records[0] == {"span": 1}
+        assert [r["name"] for r in records] == ["lan.drop", "core.server_brownout"]
+        assert records[-1]["attrs"] == {"active": True}
+        assert records[-1]["parent"] == kernel.span_id
+        # The enclosing kernel span ends after the dump: it is in the
+        # ring for the next dump, not in this one.
+        assert recorder.snapshot()[-1]["name"] == "fault:brownout"
 
     def test_arm_ignores_other_event_types(self, tmp_path):
-        bus = EventBus()
         recorder = FlightRecorder(out_dir=str(tmp_path))
-        recorder.arm(bus, WorkstationFailed)
-        bus.emit(ServerBrownout(tick=1, active=True))
+        recorder.arm("core.workstation_failed")
+        spans = SpanTracer(recorder=recorder)
+        spans.instant("core.server_brownout", "core", 1, active=True)
+        spans.instant("core.workstation_recovered", "core", 2, ws="ws:a", room="a")
         assert recorder.dumps == []
+        assert recorder.noted == 2
+
+    def test_every_armed_record_dumps(self, tmp_path):
+        recorder = FlightRecorder(out_dir=str(tmp_path))
+        recorder.arm("core.server_brownout")
+        recorder.note({"name": "core.server_brownout", "attrs": {"active": True}})
+        recorder.note({"name": "core.server_brownout", "attrs": {"active": False}})
+        assert len(recorder.dumps) == 2
+        last = json.loads(open(recorder.dumps[-1]).read())["records"]
+        assert [r["attrs"]["active"] for r in last] == [True, False]
 
     def test_guard_dumps_on_assertion_and_reraises(self, tmp_path):
         recorder = FlightRecorder(out_dir=str(tmp_path))

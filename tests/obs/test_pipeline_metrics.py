@@ -13,12 +13,12 @@ import pytest
 from repro.building.layouts import two_room_testbed
 from repro.core.config import BIPSConfig
 from repro.core.simulation import BIPSSimulation
-from repro.obs.events import DeltaPushed, DeviceDiscovered, EventBus
+from repro.obs.tracing import SpanTracer
 
 
-def _run_small_sim(events: EventBus | None = None) -> BIPSSimulation:
+def _run_small_sim(spans: SpanTracer | None = None) -> BIPSSimulation:
     sim = BIPSSimulation(
-        plan=two_room_testbed(), config=BIPSConfig(seed=1234), events=events
+        plan=two_room_testbed(), config=BIPSConfig(seed=1234), spans=spans
     )
     sim.add_user("u-0", "Walker")
     sim.login("u-0")
@@ -83,16 +83,16 @@ class TestPipelineMetrics:
         assert kinds == {"counter", "gauge", "histogram"}
 
     def test_events_flow_during_run(self):
-        bus = EventBus()
-        discoveries = []
-        bus.subscribe(discoveries.append, DeviceDiscovered)
-        deltas = []
-        bus.subscribe(deltas.append, DeltaPushed)
-        _run_small_sim(events=bus)
-        assert bus.emitted > 0
+        spans = SpanTracer(seed=1234)
+        _run_small_sim(spans=spans)
+        discoveries = [s for s in spans.spans if s.name == "bt.discovery"]
+        deltas = [
+            s
+            for s in spans.spans
+            if s.name == "bt.window" and s.attrs["presences"] + s.attrs["absences"]
+        ]
         assert discoveries, "inquiry windows should discover the walker's device"
         assert deltas, "presence changes should be pushed to the server"
-        assert all(d.presences + d.absences > 0 for d in deltas)
 
 
 class TestDeterminism:

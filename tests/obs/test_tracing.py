@@ -57,9 +57,6 @@ class TestSpanLifecycle:
     def test_end_none_is_noop(self):
         SpanTracer().end(None, 5)  # sampled-out spans flow through end()
 
-    def test_enabled_mirrors_legacy_tracer(self):
-        assert SpanTracer().enabled is True
-
 
 class TestCausality:
     def test_ambient_parenting(self):

@@ -8,10 +8,13 @@ move when trace flags are flipped.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.building.layouts import two_room_testbed
 from repro.core.config import BIPSConfig
 from repro.core.simulation import BIPSSimulation
 from repro.experiments.table1 import EXPERIMENT, Table1Config, trial_payload
+from repro.faults import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import SpanTracer, merge_worker_spans
 from repro.runner import build_runner
@@ -20,11 +23,12 @@ from repro.runner.seeding import config_digest, seeding_digest
 TRIALS = 6
 
 
-def _run_small_sim(spans=None, metrics=None):
+def _run_small_sim(spans=None, metrics=None, faults=None):
     sim = BIPSSimulation(
         plan=two_room_testbed(),
         config=BIPSConfig(seed=1234),
         metrics=metrics,
+        faults=faults,
         spans=spans,
     )
     sim.add_user("u-0", "Walker")
@@ -36,11 +40,24 @@ def _run_small_sim(spans=None, metrics=None):
 
 
 class TestTracingChangesNothing:
-    def test_metrics_jsonl_identical_with_tracing_on(self):
+    @pytest.mark.parametrize(
+        "profile, instant",
+        [
+            ("none", None),
+            ("flaky-workstations", "core.workstation_failed"),
+            ("brownout", "core.server_brownout"),
+        ],
+        ids=["clean", "flaky-workstations", "brownout"],
+    )
+    def test_metrics_jsonl_identical_with_tracing_on(self, profile, instant):
         untraced = MetricsRegistry()
-        _run_small_sim(metrics=untraced)
+        _run_small_sim(metrics=untraced, faults=FaultPlan.named(profile))
         traced = MetricsRegistry()
-        _run_small_sim(spans=SpanTracer(seed=1234), metrics=traced)
+        spans = SpanTracer(seed=1234)
+        _run_small_sim(spans=spans, metrics=traced, faults=FaultPlan.named(profile))
+        if instant is not None:
+            # The fault instants are recorded, and they move no metric.
+            assert any(span.name == instant for span in spans.spans)
         assert untraced.to_jsonl() == traced.to_jsonl()
 
     def test_table1_payloads_identical_modulo_spans_key(self):

@@ -64,6 +64,9 @@ class TestLayers:
             "lan.transit",
             "core.db_apply",
             "core.query",
+            "core.workstation_failed",
+            "core.workstation_recovered",
+            "core.server_brownout",
         }
         names = {
             span.name for span in spans.spans if span.category != "kernel"

@@ -4,23 +4,36 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import json
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import SpanTracer
+from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
 from repro.sim.errors import DeadlockError, SchedulingError
 from repro.sim.kernel import METRICS_FLUSH_INTERVAL, UNBOUNDED, Kernel
-from repro.sim.trace import Tracer
 
-#: SHA-256 of ``Tracer.dump()`` after :func:`_mixed_workload`.
+#: SHA-256 of the kernel spans after :func:`_mixed_workload`, one
+#: ``[seconds] event label`` line per span (:func:`_render_spans`): the
+#: format this digest was first pinned in.
 CHURN_TRACE_DIGEST = "1e1d6ec98b431ae5e713ae84ea0d9bcf45a3d39f9ee9fd0ff1b732e64becaea2"
 #: SHA-256 of ``repr()`` of the ``(tick, ident)`` firing order it returns.
 CHURN_ORDER_DIGEST = "8f3e2659cabbdbf5e07ecb52a409ba119b70e4352007496b153b65d4e1bab28d"
+#: SHA-256 of ``json.dumps(spans.records(), sort_keys=True)`` for the
+#: same run: pins span ids, parents and end ticks too.
+CHURN_SPANS_DIGEST = "5f3a55aad2619a4ca9b8662b5e6019d137612349a842248eea4b762da9bf221f"
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _render_spans(spans: SpanTracer) -> str:
+    return "\n".join(
+        f"[{seconds_from_ticks(s.start_tick):12.6f}s] {'event':<12} {s.name}"
+        for s in spans.spans
+    )
 
 
 def _mixed_workload(kernel: Kernel) -> list[tuple[int, int]]:
@@ -184,7 +197,7 @@ class TestRunUntil:
             kernel.run_until(1000, require_events=True)
 
     def test_run_until_seconds(self, kernel):
-        kernel.run_until_seconds(1.0)
+        kernel.run_until(ticks_from_seconds(1.0))
         assert kernel.now == 3200
 
     def test_step_returns_false_when_empty(self, kernel):
@@ -263,11 +276,13 @@ class TestPostFastPath:
         assert kernel.events_fired == 2
 
     def test_labelled_post_is_traced(self):
-        tracer = Tracer()
-        kernel = Kernel(tracer=tracer)
+        spans = SpanTracer()
+        kernel = Kernel(spans=spans)
         kernel.post_at(10, lambda: None, label="posted")
         kernel.run_until(10)
-        assert any(rec.message == "posted" for rec in tracer.records)
+        assert [(s.name, s.category, s.start_tick) for s in spans.spans] == [
+            ("posted", "kernel", 10)
+        ]
 
     def test_nested_post_from_callback(self, kernel):
         log = []
@@ -493,10 +508,15 @@ class TestGoldenChurn:
 
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
     def test_mixed_workload_matches_pinned_digests(self, traced):
-        tracer = Tracer()
-        kernel = Kernel(tracer=tracer, spans=SpanTracer() if traced else None)
+        spans = SpanTracer() if traced else None
+        kernel = Kernel(spans=spans)
         order = _mixed_workload(kernel)
-        assert _sha256(tracer.dump()) == CHURN_TRACE_DIGEST
+        if spans is not None:
+            assert _sha256(_render_spans(spans)) == CHURN_TRACE_DIGEST
+            assert (
+                _sha256(json.dumps(spans.records(), sort_keys=True))
+                == CHURN_SPANS_DIGEST
+            )
         assert _sha256(repr(order)) == CHURN_ORDER_DIGEST
         assert (kernel.events_fired, kernel.pending_events) == (162, 0)
 
@@ -515,17 +535,3 @@ class TestGoldenChurn:
             (10, "c"),
             (20, "late"),
         ]
-
-
-class TestTracing:
-    def test_labelled_events_are_traced(self):
-        tracer = Tracer()
-        kernel = Kernel(tracer=tracer)
-        kernel.schedule_at(10, lambda: None, label="hello")
-        kernel.run_until(10)
-        assert any(rec.message == "hello" for rec in tracer.records)
-
-    def test_default_tracer_records_nothing(self, kernel):
-        kernel.schedule_at(10, lambda: None, label="hello")
-        kernel.run_until(10)
-        assert len(kernel.tracer) == 0

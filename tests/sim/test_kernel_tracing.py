@@ -3,8 +3,8 @@
 A kernel with a :class:`SpanTracer` attached takes a separate drain
 loop (``_drain_spans``); these tests pin that it fires the exact same
 events, in the same order, with the same clock and metrics as the
-untraced hot loop — and that ``flush_metrics()`` makes the batched
-instruments exact even mid-drain.
+untraced hot loop — and that the batched instruments are exact at
+every run boundary.
 """
 
 from __future__ import annotations
@@ -110,50 +110,6 @@ class TestMetricsExactness:
         assert self._counter(registry).value == half + 1  # ticks 0..half fire
         kernel.run_until(self.COUNT)
         assert self._counter(registry).value == self.COUNT
-
-    def test_flush_metrics_is_exact_inside_run_to_completion(self):
-        # run_to_completion accounts per event, so a mid-run flush
-        # publishes the exact count (the registry itself lags until then).
-        registry = MetricsRegistry()
-        kernel = Kernel(metrics=registry)
-        counter = self._counter(registry)
-        observed = {}
-
-        def probe():
-            observed["stale"] = counter.value
-            kernel.flush_metrics()
-            observed["flushed"] = counter.value
-
-        probe_at = 3000
-        for tick in range(probe_at):
-            kernel.post_at(tick, lambda: None)
-        kernel.post_at(probe_at, probe)
-        kernel.run_to_completion()
-        assert observed["stale"] < observed["flushed"]
-        assert observed["flushed"] == probe_at + 1  # ticks 0..probe_at-1 + probe
-
-    def test_mid_run_until_reads_lag_at_most_one_batch(self):
-        # Inside a run_until drain the batch accumulator is loop-local:
-        # a flushed read may lag, but never by a full flush interval,
-        # and the boundary read is exact again (the documented window).
-        registry = MetricsRegistry()
-        kernel = Kernel(metrics=registry)
-        counter = self._counter(registry)
-        observed = {}
-
-        def probe():
-            kernel.flush_metrics()
-            observed["flushed"] = counter.value
-
-        probe_at = METRICS_FLUSH_INTERVAL + 500  # one auto-flush behind us
-        for tick in range(self.COUNT):
-            kernel.post_at(tick, lambda: None)
-        kernel.post_at(probe_at, probe)
-        kernel.run_until(self.COUNT)
-        exact_at_probe = probe_at + 2  # ticks 0..probe_at, plus the probe
-        assert observed["flushed"] <= exact_at_probe
-        assert exact_at_probe - observed["flushed"] < METRICS_FLUSH_INTERVAL
-        assert counter.value == self.COUNT + 1  # boundary: exact again
 
     def test_exact_under_tracing_too(self):
         registry = MetricsRegistry()

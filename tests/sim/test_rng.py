@@ -77,9 +77,3 @@ class TestRandomStream:
     def test_name_tracks_path(self):
         stream = RandomStream(7, "exp").child("slave", "3")
         assert stream.name == "exp/slave/3"
-
-    def test_iter_uniform(self):
-        stream = RandomStream(8)
-        iterator = stream.iter_uniform(0.0, 1.0)
-        values = [next(iterator) for _ in range(5)]
-        assert all(0.0 <= v < 1.0 or v == 1.0 for v in values)
