@@ -24,7 +24,7 @@ Subpackages:
 * :mod:`repro.core` — the BIPS service (registry, location DB,
   workstations, scheduler, Dijkstra paths, server, simulation facade)
 * :mod:`repro.bluetooth` — the Bluetooth baseband simulator
-* :mod:`repro.radio` — propagation + the FHS collision channel
+* :mod:`repro.radio` — band interference + the FHS collision channel
 * :mod:`repro.building`, :mod:`repro.mobility` — floor plans and walkers
 * :mod:`repro.lan` — the simulated Ethernet
 * :mod:`repro.sim` — the discrete-event kernel

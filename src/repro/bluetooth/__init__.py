@@ -7,8 +7,8 @@ Layers:
 * discovery — :class:`InquiryProcedure` (master) and
   :class:`~repro.bluetooth.swarm.InquiryScanSwarm` (every scanning
   slave of one piconet, with the v1.1 random backoff; one row per slave)
-* connection setup — :class:`PageProcedure`, :class:`Connection`,
-  :class:`Piconet`
+* connection setup — :class:`SlotLevelPager` (the §3.2 page rendezvous),
+  :class:`Connection`, :class:`Piconet`
 """
 
 from .address import BDAddr, address_block
@@ -51,7 +51,7 @@ from .hopping import (
 )
 from .inquiry import InquiryProcedure, InquiryResult
 from .packets import DM1Packet, FHSPacket, IDPacket, NullPacket, PacketType, PollPacket
-from .page import PageOutcome, PageProcedure, PageResult, PageScanBehavior
+from .page import PageOutcome, PageResult
 from .paging import N_PAGE, SlotLevelPageOutcome, SlotLevelPager
 from .piconet import Piconet, PiconetFullError
 from .scan import (
@@ -109,9 +109,7 @@ __all__ = [
     "PacketType",
     "PollPacket",
     "PageOutcome",
-    "PageProcedure",
     "PageResult",
-    "PageScanBehavior",
     "N_PAGE",
     "SlotLevelPageOutcome",
     "SlotLevelPager",

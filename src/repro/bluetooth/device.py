@@ -15,7 +15,6 @@ from repro.sim.rng import RandomStream
 from .address import BDAddr, address_block
 from .btclock import CLKN_WRAP, BluetoothClock
 from .constants import NUM_INQUIRY_FREQUENCIES
-from .page import PageScanBehavior
 
 
 @dataclass(frozen=True)
@@ -40,10 +39,6 @@ class BluetoothDevice:
     def label(self) -> str:
         """Display name: the given name, or the address."""
         return self.name or str(self.address)
-
-    def page_scan_behavior(self, scanning: bool = True) -> PageScanBehavior:
-        """This device's page-scan timing, anchored by its clock."""
-        return PageScanBehavior(window_anchor=self.clock.offset % 4096, scanning=scanning)
 
 
 def make_devices(

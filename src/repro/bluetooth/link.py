@@ -169,21 +169,6 @@ class RoundRobinLinkScheduler:
 
     # -- analysis -------------------------------------------------------------------
 
-    def per_slave_goodput_bytes_per_second(
-        self, serving_seconds_per_cycle: float, cycle_seconds: float
-    ) -> float:
-        """Steady-state per-slave goodput under saturation.
-
-        Each slave gets ``1/N`` of the serving window's DM1 rounds.
-        """
-        if self.slave_count == 0:
-            return 0.0
-        rounds_per_window = serving_seconds_per_cycle / (
-            seconds_from_ticks(DM1_ROUND_TRIP_TICKS)
-        )
-        per_slave_rounds = rounds_per_window / self.slave_count
-        return per_slave_rounds * DM1_PAYLOAD_BYTES / cycle_seconds
-
     def delivered_messages(self) -> list[AppMessage]:
         """All delivered messages, including to slaves since detached."""
         result: list[AppMessage] = list(self._archived_delivered)

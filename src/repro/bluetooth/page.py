@@ -1,40 +1,18 @@
-"""The page / page-scan procedure: initial connection setup (§3.2).
+"""Page outcomes: what one connection-setup attempt produced (§3.2).
 
 After inquiry, the master knows a slave's BD_ADDR and native clock
-(from the FHS response).  Paging transmits ID packets on the *slave's*
-page hopping sequence; the slave periodically opens page-scan windows
-(defaults equal the inquiry-scan defaults: 11.25 ms every 1.28 s).
-Because the master predicts the slave's listening frequency from the
-FHS clock snapshot, it almost always probes the correct train, and the
-page latency is dominated by waiting for the slave's next page-scan
-window.
-
-The model is event-driven at the same abstraction as the inquiry
-machinery: the page completes at the first page-scan window after the
-page starts, plus the six-packet master/slave handshake
-(ID → ID → FHS → ID → POLL → NULL), plus a train-dwell penalty when the
-master's clock estimate has gone stale.
+(from the FHS response) and pages it on the slave's page hopping
+sequence.  :class:`~repro.bluetooth.paging.SlotLevelPager` plays that
+rendezvous out on the air; this module holds the result types it
+reports.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
-
-from repro.sim.kernel import EventHandle, Kernel
-from repro.sim.rng import RandomStream
 
 from .address import BDAddr
-from .constants import (
-    T_PAGE_SCAN_TICKS,
-    T_W_PAGE_SCAN_TICKS,
-    TICKS_PER_SLOT,
-    TICKS_PER_TRAIN_DWELL,
-)
-
-#: The page handshake exchanges six packets in consecutive slots.
-PAGE_HANDSHAKE_TICKS = 6 * TICKS_PER_SLOT
 
 
 class PageOutcome(enum.Enum):
@@ -42,28 +20,6 @@ class PageOutcome(enum.Enum):
 
     CONNECTED = "connected"
     TIMEOUT = "timeout"
-    ABORTED = "aborted"
-
-
-@dataclass(frozen=True)
-class PageScanBehavior:
-    """The target slave's page-scan configuration.
-
-    ``window_anchor`` fixes where the periodic scan windows sit on the
-    time axis (a property of the slave's free-running clock).
-    """
-
-    window_anchor: int = 0
-    window_ticks: int = T_W_PAGE_SCAN_TICKS
-    interval_ticks: int = T_PAGE_SCAN_TICKS
-    #: Set False to model a slave that stopped page scanning (left the
-    #: area or powered down) — the page then times out.
-    scanning: bool = True
-
-    def next_window_start(self, tick: int) -> int:
-        """Start of the first page-scan window at or after ``tick``."""
-        index = -((tick - self.window_anchor) // -self.interval_ticks)  # ceil
-        return self.window_anchor + index * self.interval_ticks
 
 
 @dataclass(frozen=True)
@@ -79,106 +35,3 @@ class PageResult:
     def latency_ticks(self) -> int:
         """Page latency in ticks."""
         return self.finished_tick - self.started_tick
-
-
-PageCallback = Callable[[PageResult], None]
-
-
-class PageProcedure:
-    """Pages one slave and reports when the connection is established."""
-
-    def __init__(
-        self,
-        kernel: Kernel,
-        rng: RandomStream,
-        clock_estimate_fresh_probability: float = 0.98,
-        name: str = "pager",
-    ) -> None:
-        if not 0.0 <= clock_estimate_fresh_probability <= 1.0:
-            raise ValueError(
-                f"probability out of range: {clock_estimate_fresh_probability}"
-            )
-        self.kernel = kernel
-        self.rng = rng
-        self.clock_estimate_fresh_probability = clock_estimate_fresh_probability
-        self.name = name
-        self.attempts = 0
-        self.connected = 0
-        self.timeouts = 0
-        self._pending: dict[BDAddr, EventHandle] = {}
-
-    def page(
-        self,
-        address: BDAddr,
-        behavior: PageScanBehavior,
-        callback: PageCallback,
-        timeout_ticks: int = 2 * TICKS_PER_TRAIN_DWELL,
-    ) -> None:
-        """Start paging ``address``; ``callback`` fires on completion.
-
-        Args:
-            behavior: the slave's page-scan timing (how a real slave
-                would answer).
-            timeout_ticks: give up after this long (HCI page timeout,
-                default one full A+B train cycle of 5.12 s).
-        """
-        if address in self._pending:
-            raise RuntimeError(f"already paging {address}")
-        self.attempts += 1
-        start = self.kernel.now
-
-        if not behavior.scanning:
-            finish = start + timeout_ticks
-            self._pending[address] = self.kernel.schedule_at(
-                finish,
-                lambda: self._finish(address, PageOutcome.TIMEOUT, start, callback),
-                label=f"page-timeout:{self.name}",
-            )
-            return
-
-        rendezvous = behavior.next_window_start(start)
-        if self.rng.random() >= self.clock_estimate_fresh_probability:
-            # Stale clock estimate: the master probes the wrong train for
-            # one full dwell before switching catches the slave.
-            rendezvous = behavior.next_window_start(start + TICKS_PER_TRAIN_DWELL)
-        finish = rendezvous + PAGE_HANDSHAKE_TICKS
-        if finish - start > timeout_ticks:
-            finish = start + timeout_ticks
-            outcome = PageOutcome.TIMEOUT
-        else:
-            outcome = PageOutcome.CONNECTED
-        self._pending[address] = self.kernel.schedule_at(
-            finish,
-            lambda: self._finish(address, outcome, start, callback),
-            label=f"page:{self.name}",
-        )
-
-    def abort(self, address: BDAddr) -> bool:
-        """Cancel an in-flight page attempt; True if one was pending."""
-        handle = self._pending.pop(address, None)
-        if handle is None:
-            return False
-        handle.cancel()
-        return True
-
-    def _finish(
-        self, address: BDAddr, outcome: PageOutcome, started: int, callback: PageCallback
-    ) -> None:
-        self._pending.pop(address, None)
-        if outcome is PageOutcome.CONNECTED:
-            self.connected += 1
-        else:
-            self.timeouts += 1
-        callback(
-            PageResult(
-                address=address,
-                outcome=outcome,
-                started_tick=started,
-                finished_tick=self.kernel.now,
-            )
-        )
-
-    @property
-    def in_flight(self) -> int:
-        """Number of page attempts currently outstanding."""
-        return len(self._pending)

@@ -1,8 +1,7 @@
 """Slot-level page procedure (§3.2), mechanically simulated.
 
-Unlike :mod:`repro.bluetooth.page` — an analytic model good enough for
-the BIPS core — this module plays the page phase out on the air, with
-the same machinery as inquiry:
+This module plays the page phase out on the air, with the same
+machinery as inquiry:
 
 * the master transmits ID packets over the **slave's** page hopping
   sequence (derived from the slave's LAP), two per even slot, in

@@ -1,12 +1,11 @@
 """Buildings: geometry, floor plans, and canonical layouts.
 
 The paper's location granule is the room (§2); this package models the
-rooms-and-passages graph that the mobility, planning, and serving
-layers all share.
+rooms-and-passages graph that the mobility and core layers share.
 """
 
 from repro.building.floorplan import FloorPlan, FloorPlanError, Passage, Room
-from repro.building.geometry import Point, Rect
+from repro.building.geometry import Rect
 from repro.building.layouts import (
     academic_department,
     linear_wing,
@@ -19,7 +18,6 @@ __all__ = [
     "FloorPlan",
     "FloorPlanError",
     "Passage",
-    "Point",
     "Rect",
     "Room",
     "academic_department",

@@ -2,7 +2,7 @@
 
 The paper's deployment unit is "one workstation per room" (§2), so a
 building is modelled as a graph whose nodes are rooms (with a geometric
-footprint for the coverage planner) and whose edges are passages with a
+footprint for the occupancy map) and whose edges are passages with a
 walking distance (for the mobility model and the path-query service).
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
-from repro.building.geometry import Point, Rect
+from repro.building.geometry import Rect
 
 
 class FloorPlanError(ValueError):
@@ -20,15 +20,10 @@ class FloorPlanError(ValueError):
 
 @dataclass(frozen=True)
 class Room:
-    """One room: the BIPS location granule.
-
-    ``workstation_position`` is where the piconet master sits; by
-    default the room centre (the planner's recommended placement).
-    """
+    """One room: the BIPS location granule, with one workstation (§2)."""
 
     room_id: str
     footprint: Rect
-    workstation_position: Optional[Point] = None
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -36,13 +31,6 @@ class Room:
             raise FloorPlanError("room_id must be non-empty")
         if self.label is None:
             object.__setattr__(self, "label", self.room_id)
-
-    @property
-    def station_point(self) -> Point:
-        """Where the workstation's radio actually is."""
-        if self.workstation_position is not None:
-            return self.workstation_position
-        return self.footprint.center
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,9 @@ here mirror that setting at several scales:
 
 * :func:`academic_department` — a 12-room floor resembling the paper's
   deployment: labs, offices, a library, a seminar room, and two
-  corridors.  The west corridor is deliberately longer than one piconet
-  can cover, so the deployment planner has something real to warn
-  about.
-* :func:`linear_wing` — ``n`` identical 10 m rooms on a chain, the
-  controlled topology used by scaling sweeps.
+  corridors.
+* :func:`linear_wing` — ``n`` identical 10 m rooms on a chain, a
+  controlled topology whose path lengths are easy to assert on.
 * :func:`two_room_testbed` — the smallest interesting building: two
   adjacent rooms, for protocol-level tests.
 * :func:`multi_floor_department` — the department replicated per floor,
@@ -19,16 +17,11 @@ here mirror that setting at several scales:
 from __future__ import annotations
 
 from repro.building.floorplan import FloorPlan, Passage, Room
-from repro.building.geometry import Point, Rect
+from repro.building.geometry import Rect
 
 
 def academic_department() -> FloorPlan:
-    """The paper-style department: 12 rooms around two corridors.
-
-    Every room is coverable by a single 10 m-radius piconet except the
-    west corridor (24 m x 3 m), whose far corners are ~12.1 m from a
-    centred station — the planner flags it.
-    """
+    """The paper-style department: 12 rooms around two corridors."""
     rooms = [
         Room("lab-1", Rect(0, 0, 8, 6), label="Laboratory 1"),
         Room("lab-2", Rect(9, 0, 17, 6), label="Laboratory 2"),
@@ -111,7 +104,6 @@ def multi_floor_department(floors: int) -> FloorPlan:
                 Room(
                     prefix + room.room_id,
                     room.footprint,
-                    workstation_position=room.workstation_position,
                     label=f"F{floor} {room.label}",
                 )
             )

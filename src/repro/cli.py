@@ -22,9 +22,6 @@ from typing import Optional, Sequence
 from repro.experiments.duty_cycle import Section5Config, run_section5
 from repro.experiments.e2e import E2EConfig, run_e2e
 from repro.experiments.figure2 import Figure2Config, run_figure2
-from repro.experiments.page_latency import PageLatencyConfig, run_page_latency
-from repro.core.planner import plan_deployment
-from repro.experiments.policies import run_policy_comparison
 from repro.experiments.sweep import run_all_sweeps
 from repro.experiments.table1 import Table1Config, run_table1
 from repro.obs.metrics import MetricsRegistry
@@ -151,31 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_fault_args(metrics)
     _add_metrics_out(metrics)
 
-    pages = subparsers.add_parser(
-        "pages", help="page latency vs clock-estimate staleness (§3.2 extension)"
-    )
-    pages.add_argument("--samples", type=int, default=300)
-    pages.add_argument("--seed", type=int, default=PageLatencyConfig().seed)
-
-    subparsers.add_parser(
-        "policies", help="master schedules at equal tracking budget (§5 extension)"
-    )
-
-    subparsers.add_parser(
-        "serving", help="per-slave goodput/latency under the §5 schedule"
-    )
-
-    planner = subparsers.add_parser(
-        "plan", help="assess a floor plan and derive the workstation rollout"
-    )
-    planner.add_argument(
-        "--layout",
-        default="academic",
-        help="academic | wing:<rooms> | multifloor:<floors>",
-    )
-    planner.add_argument("--window", type=float, default=3.84,
-                         help="inquiry window in seconds")
-
     sweeps = subparsers.add_parser("sweeps", help="all design-choice ablations")
     sweeps.add_argument(
         "--fast", action="store_true", help="reduced sample sizes for a quick look"
@@ -253,23 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "findings instead of failing on them",
     )
     return parser
-
-
-def _resolve_layout(spec: str):
-    """Parse the --layout argument of the `plan` subcommand."""
-    from repro.building.layouts import (
-        academic_department,
-        linear_wing,
-        multi_floor_department,
-    )
-
-    if spec == "academic":
-        return academic_department()
-    if spec.startswith("wing:"):
-        return linear_wing(int(spec.split(":", 1)[1]))
-    if spec.startswith("multifloor:"):
-        return multi_floor_department(int(spec.split(":", 1)[1]))
-    raise SystemExit(f"unknown layout {spec!r} (academic | wing:N | multifloor:N)")
 
 
 def _flush_metrics(registry: MetricsRegistry, path: Optional[str]) -> None:
@@ -451,20 +406,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         print(registry.render_scoreboard("BIPS pipeline metrics"))
         _flush_metrics(registry, args.metrics_out)
-    elif args.command == "pages":
-        result = run_page_latency(
-            PageLatencyConfig(samples_per_case=args.samples, seed=args.seed)
-        )
-        print(result.render())
-    elif args.command == "policies":
-        print(run_policy_comparison().render())
-    elif args.command == "serving":
-        from repro.experiments.serving import run_serving
-
-        print(run_serving().render())
-    elif args.command == "plan":
-        print(plan_deployment(_resolve_layout(args.layout),
-                              inquiry_window_seconds=args.window).render())
     elif args.command == "sweeps":
         registry = MetricsRegistry()
         for sweep in run_all_sweeps(

@@ -24,7 +24,6 @@ from .errors import (
 )
 from .location_db import LocationDatabase, LocationEvent, LocationRecord
 from .pathfinding import AllPairsPaths, Graph, PathResult
-from .planner import DeploymentPlan, RoomAssessment, plan_deployment
 from .query import QueryEngine, QueryStats
 from .registry import Session, UserRecord, UserRegistry, VisibilityPolicy
 from .reports import OccupancyReport, RoomOccupancy, VisitStats
@@ -56,9 +55,6 @@ __all__ = [
     "PathResult",
     "QueryEngine",
     "QueryStats",
-    "DeploymentPlan",
-    "RoomAssessment",
-    "plan_deployment",
     "Session",
     "UserRecord",
     "UserRegistry",

@@ -130,15 +130,6 @@ class TrackingReport:
             values.extend(user.detection_latencies_seconds)
         return values
 
-    def latency_percentile(self, q: float) -> Optional[float]:
-        """The q-th percentile detection latency, None without samples."""
-        from repro.analysis.stats import percentile
-
-        values = self.all_detection_latencies_seconds
-        if not values:
-            return None
-        return percentile(values, q)
-
     def describe(self) -> str:
         """Multi-line human-readable summary."""
         lines = [
@@ -581,7 +572,7 @@ class BIPSSimulation:
 
     # -- metrics -----------------------------------------------------------------
 
-    def _finalize_metrics(self) -> None:
+    def finalize_metrics(self) -> None:
         """Fold end-of-run state into the registry.
 
         Gauges are recomputed from current state on every call; the
@@ -617,21 +608,6 @@ class BIPSSimulation:
             )
             for latency in self.tracking_report().all_detection_latencies_seconds:
                 histogram.observe(latency)
-
-    def metrics_report(self) -> str:
-        """The whole pipeline's telemetry as a text scoreboard."""
-        self._finalize_metrics()
-        return self.metrics.render_scoreboard(title="BIPS pipeline metrics")
-
-    def metrics_snapshot(self) -> list[dict]:
-        """The registry snapshot with end-of-run gauges folded in."""
-        self._finalize_metrics()
-        return self.metrics.snapshot()
-
-    def write_metrics(self, path: str) -> int:
-        """Export all metrics as JSONL; returns the record count."""
-        self._finalize_metrics()
-        return self.metrics.write_jsonl(path)
 
     # -- evaluation -----------------------------------------------------------------
 

@@ -10,26 +10,6 @@
 from .duty_cycle import Section5Config, Section5Result, run_section5
 from .e2e import E2EConfig, E2EResult, run_e2e
 from .figure2 import Figure2Config, Figure2Curve, Figure2Result, run_figure2
-from .page_latency import (
-    PageLatencyCase,
-    PageLatencyConfig,
-    PageLatencyResult,
-    run_page_latency,
-)
-from .policies import (
-    PolicyCase,
-    PolicyComparisonConfig,
-    PolicyComparisonResult,
-    PolicyOutcome,
-    run_policy_comparison,
-)
-from .scalability import (
-    ScalabilityConfig,
-    ScalabilityPoint,
-    ScalabilityResult,
-    run_scalability,
-)
-from .serving import ServingConfig, ServingPoint, ServingResult, run_serving
 from .sweep import (
     SweepResult,
     SweepRow,
@@ -53,23 +33,6 @@ __all__ = [
     "Figure2Curve",
     "Figure2Result",
     "run_figure2",
-    "PageLatencyCase",
-    "PageLatencyConfig",
-    "PageLatencyResult",
-    "run_page_latency",
-    "PolicyCase",
-    "PolicyComparisonConfig",
-    "PolicyComparisonResult",
-    "PolicyOutcome",
-    "run_policy_comparison",
-    "ScalabilityConfig",
-    "ScalabilityPoint",
-    "ScalabilityResult",
-    "run_scalability",
-    "ServingConfig",
-    "ServingPoint",
-    "ServingResult",
-    "run_serving",
     "SweepResult",
     "SweepRow",
     "run_all_sweeps",

@@ -179,7 +179,7 @@ def run_e2e(
             queries_ok += 1
 
     if metrics is not None:
-        sim._finalize_metrics()
+        sim.finalize_metrics()
     return E2EResult(
         config=config,
         report=sim.tracking_report(),

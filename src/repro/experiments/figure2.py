@@ -38,7 +38,6 @@ from repro.bluetooth.inquiry import InquiryProcedure
 from repro.bluetooth.scan import PhaseMode, ResponseMode, ScanConfig
 from repro.bluetooth.swarm import InquiryScanSwarm
 from repro.runner.executor import ExperimentRunner
-from repro.runner.seeding import config_digest, trial_seed
 from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
@@ -239,17 +238,6 @@ def replication_payload(config: Figure2Config, replication: int, seed: int) -> d
         "collisions": master.channel.stats.collision_events,
         "blocked": master.responses_blocked,
     }
-
-
-def run_replication(
-    config: Figure2Config, slave_count: int, replication: int
-) -> dict:
-    """One replication with the exact seed the runner would derive."""
-    cell = cell_config(config, slave_count)
-    digest = config_digest(EXPERIMENT, cell)
-    return replication_payload(
-        cell, replication, trial_seed(EXPERIMENT, digest, replication)
-    )
 
 
 def run_figure2(

@@ -33,7 +33,6 @@ from repro.bluetooth.swarm import InquiryScanSwarm
 from repro.faults import FaultPlan, profile_named
 from repro.obs.metrics import MetricsRegistry
 from repro.runner.executor import ExperimentRunner
-from repro.runner.seeding import config_digest, trial_seed
 from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
@@ -285,19 +284,6 @@ def trial_payload(config: Table1Config, trial_index: int, seed: int) -> dict:
     if tracer is not None:
         payload["spans"] = tracer.records()
     return payload
-
-
-def run_trial(config: Table1Config, trial_index: int) -> Trial:
-    """One trial with the exact seed the runner would derive for it."""
-    digest = config_digest(EXPERIMENT, config)
-    payload = trial_payload(
-        config, trial_index, trial_seed(EXPERIMENT, digest, trial_index)
-    )
-    return Trial(
-        index=payload["index"],
-        same_train=payload["same_train"],
-        discovery_seconds=payload["discovery_seconds"],
-    )
 
 
 def run_table1(

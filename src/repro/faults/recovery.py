@@ -58,8 +58,3 @@ class RetryPolicy:
         if rng is not None and self.jitter_ms:
             timeout += rng.uniform(0.0, self.jitter_ms)
         return max(1, ticks_from_milliseconds(timeout))
-
-    @property
-    def max_retries(self) -> int:
-        """Retransmissions after the initial send."""
-        return self.max_attempts - 1

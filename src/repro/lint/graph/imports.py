@@ -95,7 +95,6 @@ class ImportGraph:
     def __init__(self, modules: Iterable[str]) -> None:
         self.modules: frozenset[str] = frozenset(modules)
         self._edges: list[ImportEdge] = []
-        self._by_source: dict[str, list[ImportEdge]] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -136,15 +135,11 @@ class ImportGraph:
     ) -> None:
         edge = ImportEdge(source, target, line, typing_only, deferred)
         self._edges.append(edge)
-        self._by_source.setdefault(source, []).append(edge)
 
     # -- queries ---------------------------------------------------------
 
     def __iter__(self) -> Iterator[ImportEdge]:
         return iter(self._edges)
-
-    def edges_from(self, module: str) -> tuple[ImportEdge, ...]:
-        return tuple(self._by_source.get(module, ()))
 
     def project_edges(self, *, runtime_only: bool = False) -> list[ImportEdge]:
         """Edges whose target is another module of the linted tree.

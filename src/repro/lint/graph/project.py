@@ -38,17 +38,6 @@ class ProjectGraph:
                 return context
         return None
 
-    def modules_in(self, *packages: str) -> list[str]:
-        """Project modules under any of the given dotted packages."""
-        return sorted(
-            module
-            for module in self.imports.modules
-            if any(
-                module == package or module.startswith(package + ".")
-                for package in packages
-            )
-        )
-
     # -- export ----------------------------------------------------------
 
     def to_json(self) -> str:

@@ -2,19 +2,13 @@
 
 §5 of the paper sizes the master's operational cycle from the time an
 average walking user needs to cross a piconet: 20 m diameter at
-1.3 m/s ≈ 15.4 s.  This module provides that calculation, a more
-careful chord-based version (users rarely walk exactly through the
-centre), and Monte-Carlo residence estimation for arbitrary speeds.
+1.3 m/s ≈ 15.4 s.  This module provides that calculation and the
+tracking load it implies.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
-from repro.sim.rng import RandomStream
-
-from .speeds import MEAN_WALKING_SPEED_MPS, PedestrianSpeedModel
+from .speeds import MEAN_WALKING_SPEED_MPS
 
 #: Coverage diameter of a BIPS piconet (§5: "about 20m").
 PICONET_DIAMETER_M = 20.0
@@ -34,63 +28,6 @@ def crossing_time_seconds(
     if speed_mps <= 0:
         raise ValueError(f"speed must be positive: {speed_mps}")
     return diameter_m / speed_mps
-
-
-def mean_chord_length(diameter_m: float = PICONET_DIAMETER_M) -> float:
-    """Mean chord of a disc for a uniformly random straight crossing.
-
-    A walker entering at a uniformly random boundary point in a
-    uniformly random feasible direction traverses a chord whose mean
-    length is (4/π)·r ≈ 0.637·d.  The paper uses the full diameter — a
-    deliberate worst-case; this gives the typical case for the
-    ablations.
-    """
-    if diameter_m <= 0:
-        raise ValueError(f"diameter must be positive: {diameter_m}")
-    return (4.0 / math.pi) * (diameter_m / 2.0)
-
-
-@dataclass(frozen=True)
-class ResidenceEstimate:
-    """Monte-Carlo residence time summary (seconds)."""
-
-    mean_seconds: float
-    p10_seconds: float
-    p90_seconds: float
-    samples: int
-
-
-def estimate_residence_time(
-    rng: RandomStream,
-    speed_model: PedestrianSpeedModel,
-    diameter_m: float = PICONET_DIAMETER_M,
-    samples: int = 10_000,
-    chord_crossings: bool = False,
-) -> ResidenceEstimate:
-    """Monte-Carlo the time a walking user spends inside one piconet.
-
-    Args:
-        chord_crossings: sample random chords instead of assuming the
-            walker crosses along the full diameter.
-    """
-    if samples <= 0:
-        raise ValueError(f"samples must be positive: {samples}")
-    radius = diameter_m / 2.0
-    times = []
-    for _ in range(samples):
-        speed = speed_model.draw_walking_speed(rng)
-        if chord_crossings:
-            # A uniformly random chord via a random offset from centre.
-            offset = rng.uniform(0.0, radius)
-            length = 2.0 * math.sqrt(max(radius * radius - offset * offset, 0.0))
-        else:
-            length = diameter_m
-        times.append(length / speed)
-    times.sort()
-    mean = sum(times) / len(times)
-    p10 = times[int(0.10 * (len(times) - 1))]
-    p90 = times[int(0.90 * (len(times) - 1))]
-    return ResidenceEstimate(mean_seconds=mean, p10_seconds=p10, p90_seconds=p90, samples=samples)
 
 
 def tracking_load_fraction(

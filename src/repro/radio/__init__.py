@@ -1,25 +1,12 @@
-"""Radio substrate: propagation, band interference, and the collision channel."""
+"""Radio substrate: band interference and the collision channel."""
 
 from .channel import ChannelStats, CollisionRecord, ResponseChannel
-from .interference import (
-    PER_NEIGHBOR_COLLISION_PROBABILITY,
-    InterferenceEstimate,
-    SharedBand,
-)
-from .propagation import (
-    DEFAULT_COVERAGE_RADIUS_M,
-    CoverageModel,
-    LogDistancePathLoss,
-)
+from .interference import PER_NEIGHBOR_COLLISION_PROBABILITY, SharedBand
 
 __all__ = [
     "ChannelStats",
     "CollisionRecord",
     "ResponseChannel",
     "PER_NEIGHBOR_COLLISION_PROBABILITY",
-    "InterferenceEstimate",
     "SharedBand",
-    "DEFAULT_COVERAGE_RADIUS_M",
-    "CoverageModel",
-    "LogDistancePathLoss",
 ]

@@ -114,15 +114,3 @@ class SharedBand:
 
         return survives
 
-
-@dataclass(frozen=True)
-class InterferenceEstimate:
-    """Closed-form loss estimate for sanity checks and sizing."""
-
-    active_neighbors: int
-
-    @property
-    def packet_loss_probability(self) -> float:
-        """1 − (1 − 1/79)^n."""
-        survive = (1.0 - PER_NEIGHBOR_COLLISION_PROBABILITY) ** self.active_neighbors
-        return 1.0 - survive

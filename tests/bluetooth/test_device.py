@@ -6,7 +6,6 @@ import pytest
 
 from repro.bluetooth import constants
 from repro.bluetooth.address import BDAddr
-from repro.bluetooth.btclock import BluetoothClock
 from repro.bluetooth.device import BluetoothDevice, make_devices
 from repro.bluetooth.hopping import Train, train_of_position
 from repro.bluetooth.packets import DM1Packet, FHSPacket, IDPacket
@@ -60,10 +59,6 @@ class TestBluetoothDevice:
     def test_base_phase_validated(self):
         with pytest.raises(ValueError):
             BluetoothDevice(address=BDAddr(1), base_phase=32)
-
-    def test_page_scan_behavior_anchored_by_clock(self):
-        device = BluetoothDevice(address=BDAddr(1), clock=BluetoothClock(offset=5000))
-        assert device.page_scan_behavior().window_anchor == 5000 % 4096
 
     def test_make_devices_unique(self):
         devices = make_devices(20, RandomStream(1, "d"))

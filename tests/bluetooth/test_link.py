@@ -92,48 +92,3 @@ class TestScheduler:
         with pytest.raises(ValueError):
             scheduler.serve_window(100, 50)
 
-    def test_goodput_formula(self):
-        scheduler = RoundRobinLinkScheduler()
-        for index in range(7):
-            scheduler.attach(f"s{index}")
-        goodput = scheduler.per_slave_goodput_bytes_per_second(11.56, 15.4)
-        # 11.56 s / 1.25 ms per round = 9248 rounds; /7 slaves; *17 B; /15.4 s.
-        expected = (11.56 / 0.00125) / 7 * 17 / 15.4
-        assert goodput == pytest.approx(expected)
-
-    def test_goodput_zero_without_slaves(self):
-        assert RoundRobinLinkScheduler().per_slave_goodput_bytes_per_second(
-            11.56, 15.4
-        ) == 0.0
-
-
-class TestServingExperiment:
-    def test_sweep_shapes(self):
-        from repro.experiments.serving import ServingConfig, run_serving
-
-        result = run_serving(ServingConfig(slave_counts=(1, 7), cycles=5))
-        one = result.point_for(1)
-        seven = result.point_for(7)
-        # Goodput divides by occupancy.
-        assert one.goodput_bytes_per_second == pytest.approx(
-            7 * seven.goodput_bytes_per_second
-        )
-        # Latency grows with occupancy but everything still delivers
-        # within the cycle (500 B needs 30 rounds; 7 slaves -> 262 ms).
-        assert seven.message_latency.mean > one.message_latency.mean
-        assert seven.messages_pending == 0
-        assert seven.message_latency.maximum < 1.0
-        # Payload polls are a small fraction: the serving window is huge
-        # compared to one 500 B message per slave per cycle.
-        assert seven.payload_fraction < 0.05
-        assert "goodput" in result.render()
-
-    def test_config_validation(self):
-        from repro.experiments.serving import ServingConfig
-
-        with pytest.raises(ValueError):
-            ServingConfig(slave_counts=(8,))
-        with pytest.raises(ValueError):
-            ServingConfig(cycles=0)
-        with pytest.raises(ValueError):
-            ServingConfig(message_bytes=0)

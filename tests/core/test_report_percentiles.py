@@ -27,18 +27,6 @@ class TestLatencyDistribution:
         )
         assert sorted(report.all_detection_latencies_seconds) == [1.0, 2.0, 3.0]
 
-    def test_percentiles(self):
-        report = TrackingReport(
-            users=(make_user("a", (1.0, 2.0, 3.0, 4.0, 5.0)),),
-            horizon_seconds=100.0,
-        )
-        assert report.latency_percentile(50) == 3.0
-        assert report.latency_percentile(100) == 5.0
-
-    def test_percentile_without_samples(self):
-        report = TrackingReport(users=(make_user("a", ()),), horizon_seconds=10.0)
-        assert report.latency_percentile(50) is None
-
     def test_empty_report_defaults(self):
         report = TrackingReport(users=(), horizon_seconds=10.0)
         assert report.mean_accuracy == 1.0

@@ -1,8 +1,6 @@
-"""Remaining CLI subcommand coverage (fast parameterisations)."""
+"""Figure 2 and e2e CLI subcommand coverage (fast parameterisations)."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.cli import main
 
@@ -18,22 +16,3 @@ class TestCLIMore:
         assert main(["e2e", "--users", "2", "--duration", "150"]) == 0
         output = capsys.readouterr().out
         assert "tracking accuracy" in output
-
-    def test_serving_subcommand(self, capsys):
-        assert main(["serving"]) == 0
-        output = capsys.readouterr().out
-        assert "goodput" in output
-
-    def test_plan_subcommand(self, capsys):
-        assert main(["plan", "--layout", "wing:3"]) == 0
-        output = capsys.readouterr().out
-        assert "Deployment plan" in output
-
-    def test_plan_unknown_layout_exits(self):
-        with pytest.raises(SystemExit):
-            main(["plan", "--layout", "spaceship"])
-
-    def test_plan_layout_variants(self, capsys):
-        for layout in ("academic", "multifloor:2"):
-            assert main(["plan", "--layout", layout]) == 0
-        assert "workstations" in capsys.readouterr().out

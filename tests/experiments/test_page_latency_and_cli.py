@@ -1,46 +1,17 @@
-"""Small-size tests for the page-latency experiment and the CLI surface."""
+"""Small-size tests for the CLI surface: the kept subcommands and no others."""
 
 from __future__ import annotations
+
+import re
 
 import pytest
 
 from repro.cli import main
-from repro.experiments.page_latency import PageLatencyConfig, run_page_latency
 
-
-class TestPageLatencyExperiment:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_page_latency(
-            PageLatencyConfig(
-                samples_per_case=40, estimate_error_periods=(0.0, 8.5), seed=111
-            )
-        )
-
-    def test_all_connect(self, result):
-        for case in result.cases:
-            assert case.timeouts == 0
-            assert case.connected == 40
-
-    def test_fresh_beats_stale(self, result):
-        fresh = result.case_for(0.0)
-        stale = result.case_for(8.5)
-        assert fresh.latency.mean < stale.latency.mean
-        assert fresh.wrong_train_fraction < stale.wrong_train_fraction
-
-    def test_render(self, result):
-        text = result.render()
-        assert "clock-estimate error" in text and "0 periods" in text
-
-    def test_unknown_case(self, result):
-        with pytest.raises(KeyError):
-            result.case_for(99.0)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PageLatencyConfig(samples_per_case=0)
-        with pytest.raises(ValueError):
-            PageLatencyConfig(timeout_seconds=0)
+SUBCOMMANDS = (
+    "table1", "figure2", "section5", "e2e", "metrics",
+    "sweeps", "bench", "trace", "lint",
+)
 
 
 class TestCLI:
@@ -49,11 +20,6 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "Starting Train" in output
         assert "Mixed" in output
-
-    def test_pages_subcommand(self, capsys):
-        assert main(["pages", "--samples", "10"]) == 0
-        output = capsys.readouterr().out
-        assert "clock-estimate error" in output
 
     def test_section5_subcommand(self, capsys):
         assert main(["section5", "--replications", "3"]) == 0
@@ -68,3 +34,16 @@ class TestCLI:
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])
         assert excinfo.value.code == 0
+
+    def test_help_lists_exactly_the_subcommands(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        choices = re.search(r"\{([a-z0-9,]+)\}", capsys.readouterr().out)
+        assert choices is not None
+        assert tuple(choices.group(1).split(",")) == SUBCOMMANDS
+
+    @pytest.mark.parametrize("retired", ["pages", "policies", "serving", "plan"])
+    def test_retired_subcommand_is_a_usage_error(self, retired):
+        with pytest.raises(SystemExit) as excinfo:
+            main([retired])
+        assert excinfo.value.code == 2

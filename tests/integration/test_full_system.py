@@ -9,7 +9,6 @@ from repro.core.config import BIPSConfig
 from repro.core.errors import NotLoggedInError
 from repro.core.reports import OccupancyReport
 from repro.core.simulation import BIPSSimulation
-from repro.experiments.scalability import ScalabilityConfig, run_scalability
 from repro.lan.messages import LocationResponse
 
 
@@ -160,15 +159,3 @@ class TestDeterminism:
         )
         assert response.room_id == direct == "library"
 
-
-class TestScalabilityExperimentSmall:
-    def test_small_sweep(self):
-        result = run_scalability(
-            ScalabilityConfig(room_counts=(3, 6), user_count=3, duration_seconds=200.0)
-        )
-        small, large = result.point_for(3), result.point_for(6)
-        assert small.users == large.users == 3
-        assert large.presence_updates <= 3 * max(1, small.presence_updates)
-        assert "rooms" in result.render()
-        with pytest.raises(KeyError):
-            result.point_for(99)

@@ -8,8 +8,6 @@ import pytest
 
 from repro.mobility.residence import (
     crossing_time_seconds,
-    estimate_residence_time,
-    mean_chord_length,
     tracking_load_fraction,
 )
 from repro.mobility.speeds import (
@@ -82,38 +80,3 @@ class TestTrackingLoad:
         with pytest.raises(ValueError):
             tracking_load_fraction(20.0, 10.0)
 
-
-class TestResidenceEstimation:
-    def test_diameter_crossings_match_analytic(self):
-        rng = RandomStream(4, "res")
-        estimate = estimate_residence_time(
-            rng, PedestrianSpeedModel(), samples=20_000
-        )
-        # E[20/V] for V ~ U(1.1,1.5) = 20 ln(1.5/1.1)/0.4 ≈ 15.51 s.
-        expected = 20.0 * math.log(1.5 / 1.1) / 0.4
-        assert abs(estimate.mean_seconds - expected) < 0.15
-
-    def test_percentiles_ordered(self):
-        rng = RandomStream(5, "res")
-        estimate = estimate_residence_time(rng, PedestrianSpeedModel(), samples=5000)
-        assert estimate.p10_seconds <= estimate.mean_seconds <= estimate.p90_seconds
-
-    def test_chord_crossings_shorter_on_average(self):
-        rng = RandomStream(6, "res")
-        diameter = estimate_residence_time(
-            rng.child("d"), PedestrianSpeedModel(), samples=5000
-        )
-        chords = estimate_residence_time(
-            rng.child("c"), PedestrianSpeedModel(), samples=5000, chord_crossings=True
-        )
-        assert chords.mean_seconds < diameter.mean_seconds
-
-    def test_mean_chord_length(self):
-        # (4/π)·r for random chords of a disc.
-        assert math.isclose(mean_chord_length(20.0), 40.0 / math.pi)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            estimate_residence_time(
-                RandomStream(1), PedestrianSpeedModel(), samples=0
-            )

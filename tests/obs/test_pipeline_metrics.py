@@ -35,9 +35,10 @@ def sim() -> BIPSSimulation:
 
 @pytest.fixture(scope="module")
 def by_name(sim) -> dict:
+    sim.finalize_metrics()
     return {
         (record["name"], tuple(sorted(record["labels"].items()))): record
-        for record in sim.metrics_snapshot()
+        for record in sim.metrics.snapshot()
     }
 
 
@@ -99,6 +100,6 @@ class TestDeterminism:
     def test_identical_seeds_identical_jsonl(self):
         first = _run_small_sim()
         second = _run_small_sim()
-        first._finalize_metrics()
-        second._finalize_metrics()
+        first.finalize_metrics()
+        second.finalize_metrics()
         assert first.metrics.to_jsonl() == second.metrics.to_jsonl()

@@ -7,11 +7,7 @@ import pytest
 from repro.building.layouts import two_room_testbed
 from repro.core.config import BIPSConfig
 from repro.core.simulation import BIPSSimulation
-from repro.radio.interference import (
-    PER_NEIGHBOR_COLLISION_PROBABILITY,
-    InterferenceEstimate,
-    SharedBand,
-)
+from repro.radio.interference import PER_NEIGHBOR_COLLISION_PROBABILITY, SharedBand
 from repro.sim.rng import RandomStream
 
 
@@ -76,19 +72,6 @@ class TestSharedBand:
         losses = sum(1 for t in range(20_000) if not survives(None, t))
         assert losses > 0
         assert band.stats.corrupted == losses
-
-
-class TestInterferenceEstimate:
-    def test_zero_neighbors(self):
-        assert InterferenceEstimate(0).packet_loss_probability == 0.0
-
-    def test_one_neighbor(self):
-        assert InterferenceEstimate(1).packet_loss_probability == pytest.approx(1 / 79)
-
-    def test_monotone(self):
-        losses = [InterferenceEstimate(n).packet_loss_probability for n in range(6)]
-        assert losses == sorted(losses)
-        assert losses[-1] < 0.07  # still small for 5 neighbours
 
 
 class TestEndToEndInterference:
