@@ -1,7 +1,8 @@
 """Tracked performance benchmarks (the ``bips bench`` subcommand).
 
-Pure-stdlib timing harness + a pinned suite covering the simulation
-hot paths, with a committed baseline and a CI regression gate.  Layout:
+Pure-stdlib timing harness + a pinned two-case suite (the kernel's
+event queue and one dense piconet), with a committed baseline and a CI
+regression gate.  Layout:
 
 * :mod:`repro.bench.harness` — timing, calibration, statistics;
 * :mod:`repro.bench.suite` — the pinned workloads;
@@ -13,7 +14,7 @@ wall clocks (outside the DET002 scope) and its numbers are explicitly
 machine-dependent — only normalized scores travel between machines.
 """
 
-from .harness import BenchCase, BenchSkip, CaseResult, run_suite
+from .harness import BenchCase, CaseResult, run_suite
 from .report import (
     DEFAULT_THRESHOLD,
     Comparison,
@@ -22,11 +23,10 @@ from .report import (
     has_regression,
     render_text,
 )
-from .suite import SUITE, select_suite
+from .suite import SUITE
 
 __all__ = [
     "BenchCase",
-    "BenchSkip",
     "CaseResult",
     "run_suite",
     "DEFAULT_THRESHOLD",
@@ -36,5 +36,4 @@ __all__ = [
     "has_regression",
     "render_text",
     "SUITE",
-    "select_suite",
 ]

@@ -23,7 +23,7 @@ from .report import (
     render_text,
     write_json,
 )
-from .suite import select_suite
+from .suite import SUITE
 
 DEFAULT_BASELINE = "benchmarks/baseline.json"
 DEFAULT_BASELINE_TEXT = "results/bench_baseline.txt"
@@ -36,12 +36,6 @@ def add_bench_parser(subparsers: "argparse._SubParsersAction[argparse.ArgumentPa
         "bench",
         help="timed hot-path suite with a tracked baseline "
         "(see docs/performance.md)",
-    )
-    bench.add_argument(
-        "--suite",
-        choices=("smoke", "full"),
-        default="full",
-        help="smoke = the fast CI subset; full = every pinned case",
     )
     bench.add_argument(
         "--repeats",
@@ -83,11 +77,7 @@ def run_bench(args: argparse.Namespace) -> int:
     if args.repeats < 1:
         print("bips bench: --repeats must be >= 1", file=sys.stderr)
         return 2
-    try:
-        cases = select_suite(args.suite)
-    except ValueError as error:
-        print(f"bips bench: {error}", file=sys.stderr)
-        return 2
+    cases = list(SUITE)
     results, calibration_rate = run_suite(
         cases,
         args.repeats,
@@ -97,7 +87,6 @@ def run_bench(args: argparse.Namespace) -> int:
         results,
         cases,
         calibration_rate,
-        suite=args.suite,
         repeats=args.repeats,
         git_rev=git_revision(),
     )

@@ -4,7 +4,7 @@ Design points (see docs/performance.md):
 
 * A benchmark *case* is a factory returning a zero-argument workload;
   the workload returns the number of units it processed (events,
-  lookups, simulated ticks).  Building the workload is outside the
+  simulated ticks).  Building the workload is outside the
   timed region, so setup cost never pollutes the measurement.
 * Each case runs ``repeats`` times; the report keeps the median and
   p90 of the per-repeat wall time and the unit rate derived from the
@@ -31,17 +31,8 @@ Workload = Callable[[], int]
 WorkloadFactory = Callable[[], Workload]
 
 #: Monotonic clock in seconds; ``time.perf_counter`` unless a test
-#: injects synthetic timings (the way ``Profiler`` takes a clock).
+#: injects synthetic timings.
 Timer = Callable[[], float]
-
-
-class BenchSkip(Exception):
-    """Raised by a workload factory when the case cannot run here.
-
-    Used when a case exercises an API the checked-out code does not
-    have (e.g. the piconet model on a revision that predates it), so
-    the same suite can be pointed at older revisions for comparison.
-    """
 
 
 @dataclass(frozen=True)
@@ -57,12 +48,6 @@ class BenchCase:
     factory: WorkloadFactory
     unit: str
     params: tuple[tuple[str, object], ...] = ()
-    #: Cases tagged ``smoke`` form the CI regression gate.  Only
-    #: pure-CPU cases belong there: their normalized score tracks the
-    #: calibration loop even on a contended host, whereas the
-    #: allocation-heavy experiment cases swing with memory pressure
-    #: and are tracked by the full suite without gating CI.
-    smoke: bool = True
 
 
 @dataclass
@@ -79,8 +64,6 @@ class CaseResult:
     #: ``rate_per_s / calibration rate`` — the machine-neutral score.
     normalized: float
     samples_s: list[float] = field(default_factory=list)
-    skipped: bool = False
-    skip_reason: str = ""
 
 
 def percentile(sorted_samples: list[float], fraction: float) -> float:
@@ -128,7 +111,7 @@ def time_workload(
     The cyclic collector is drained, then paused, around the timed
     region: collection pauses land on whichever repeat happens to
     cross a GC threshold, which shows up as 30-50 % run-to-run noise
-    on the allocation-heavy experiment workloads.  Refcounting still
+    on the allocation-heavy workloads.  Refcounting still
     reclaims everything the workloads free; only cycle detection
     waits until after the measurement.
     """
@@ -156,24 +139,10 @@ def measure_case(
         raise ValueError(f"repeats must be positive: {repeats}")
     samples: list[float] = []
     units = 0
-    try:
-        for _ in range(repeats):
-            workload = case.factory()
-            elapsed, units = time_workload(workload, timer)
-            samples.append(elapsed)
-    except BenchSkip as skip:
-        return CaseResult(
-            name=case.name,
-            unit=case.unit,
-            units=0,
-            repeats=0,
-            median_s=0.0,
-            p90_s=0.0,
-            rate_per_s=0.0,
-            normalized=0.0,
-            skipped=True,
-            skip_reason=str(skip),
-        )
+    for _ in range(repeats):
+        workload = case.factory()
+        elapsed, units = time_workload(workload, timer)
+        samples.append(elapsed)
     samples.sort()
     median_s = median(samples)
     rate = units / median_s if median_s > 0 else 0.0

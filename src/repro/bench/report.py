@@ -55,7 +55,6 @@ def build_report(
     results: list[CaseResult],
     cases: list[BenchCase],
     calibration_rate: float,
-    suite: str,
     repeats: int,
     git_rev: str,
 ) -> dict:
@@ -63,28 +62,19 @@ def build_report(
     digests = {case.name: case_digest(case) for case in cases}
     benchmarks = {}
     for result in results:
-        entry: dict = {
+        benchmarks[result.name] = {
             "unit": result.unit,
             "config_digest": digests.get(result.name, ""),
+            "units": result.units,
+            "median_s": result.median_s,
+            "p90_s": result.p90_s,
+            "rate_per_s": result.rate_per_s,
+            "normalized": result.normalized,
+            "samples_s": result.samples_s,
         }
-        if result.skipped:
-            entry.update({"skipped": True, "skip_reason": result.skip_reason})
-        else:
-            entry.update(
-                {
-                    "units": result.units,
-                    "median_s": result.median_s,
-                    "p90_s": result.p90_s,
-                    "rate_per_s": result.rate_per_s,
-                    "normalized": result.normalized,
-                    "samples_s": result.samples_s,
-                }
-            )
-        benchmarks[result.name] = entry
     return {
         "schema": SCHEMA_VERSION,
         "git_rev": git_rev,
-        "suite": suite,
         "repeats": repeats,
         "python": platform.python_version(),
         "calibration_rate_per_s": calibration_rate,
@@ -97,8 +87,7 @@ class Comparison:
     """Outcome of comparing one case against the baseline."""
 
     name: str
-    #: ``ok`` | ``regression`` | ``improved`` | ``new`` | ``skipped``
-    #: | ``incomparable``
+    #: ``ok`` | ``regression`` | ``improved`` | ``new`` | ``incomparable``
     status: str
     #: current normalized / baseline normalized (0 when undefined).
     ratio: float
@@ -121,13 +110,8 @@ def compare_to_baseline(
     base_benchmarks = baseline.get("benchmarks", {})
     for name in sorted(report.get("benchmarks", {})):
         entry = report["benchmarks"][name]
-        if entry.get("skipped"):
-            comparisons.append(
-                Comparison(name, "skipped", 0.0, entry.get("skip_reason", ""))
-            )
-            continue
         base = base_benchmarks.get(name)
-        if base is None or base.get("skipped"):
+        if base is None:
             comparisons.append(Comparison(name, "new", 0.0, "no baseline entry"))
             continue
         if base.get("config_digest") != entry.get("config_digest"):
@@ -167,7 +151,7 @@ def has_regression(comparisons: list[Comparison]) -> bool:
 def render_text(report: dict, comparisons: Optional[list[Comparison]] = None) -> str:
     """Human-readable rendering of a bench document."""
     lines = [
-        f"bips bench — suite={report['suite']} repeats={report['repeats']} "
+        f"bips bench — repeats={report['repeats']} "
         f"rev={report['git_rev']} python={report['python']}",
         f"calibration: {report['calibration_rate_per_s']:,.0f} iterations/s",
         "",
@@ -177,9 +161,6 @@ def render_text(report: dict, comparisons: Optional[list[Comparison]] = None) ->
     by_name = {c.name: c for c in comparisons} if comparisons else {}
     for name in sorted(report["benchmarks"]):
         entry = report["benchmarks"][name]
-        if entry.get("skipped"):
-            lines.append(f"{name:<24} skipped: {entry.get('skip_reason', '')}")
-            continue
         rate = f"{entry['rate_per_s']:,.0f} {entry['unit']}/s"
         line = (
             f"{name:<24} {entry['median_s'] * 1000:>8.1f}ms "

@@ -94,15 +94,6 @@ _TX_OFFSETS: tuple[int, ...] = tuple(
     for p in range(NUM_INQUIRY_FREQUENCIES)
 )
 
-#: Cache-miss sentinel (None is a valid cached lookup result).
-_MISS = object()
-
-#: Upper bound on per-schedule ``next_tx_of_position`` memo entries.
-#: At the bound, the oldest entry is evicted per insert (dicts iterate
-#: in insertion order, so this is deterministic FIFO) — long runs keep
-#: a full, useful cache instead of periodically dropping it wholesale.
-_LOOKUP_CACHE_MAX = 65536
-
 
 def train_of_position(position: int) -> Train:
     """Train membership of a sequence position (0-15 → A, 16-31 → B)."""
@@ -266,18 +257,6 @@ class InquiryTransmitSchedule:
     passes_per_dwell: int = N_INQUIRY
     lap: int = GIAC_LAP
     sequence: tuple[int, ...] = field(init=False)
-    #: Inverse of ``sequence``: RF channel → sequence position.
-    _position_of_channel: dict[int, int] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    #: Memo for :meth:`next_tx_of_position`.  Many scanners share one
-    #: master schedule and issue identical (position, span) queries in
-    #: the same slot, so repeats are common; the schedule's timing
-    #: fields never change after construction, so entries never go
-    #: stale.  Bounded by ``_LOOKUP_CACHE_MAX`` with FIFO eviction.
-    _lookup_cache: dict[tuple[int, int, int], Optional[int]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
     #: The timing fields :meth:`first_tx_run` reads, unpacked once:
     #: ``(start, window, period, count, alternate, train, dwell)`` with
     #: ``train`` the value of the first pass's train (the only train
@@ -290,9 +269,6 @@ class InquiryTransmitSchedule:
         if self.passes_per_dwell <= 0:
             raise ValueError(f"passes_per_dwell must be positive: {self.passes_per_dwell}")
         self.sequence = inquiry_sequence(self.lap)
-        self._position_of_channel = {
-            channel: position for position, channel in enumerate(self.sequence)
-        }
         windows = self.windows
         self._plan = (
             windows.start,
@@ -333,25 +309,8 @@ class InquiryTransmitSchedule:
         transmits an ID packet on sequence position ``position``.
 
         Returns None if the position is not transmitted in that span
-        (master idle, wrong train, or span exhausted).  Results are
-        memoized per schedule — the schedule's timing state is
-        immutable after construction, so the arithmetic below is a pure
-        function of the arguments.
+        (master idle, wrong train, or span exhausted).
         """
-        key = (position, from_tick, before_tick)
-        cache = self._lookup_cache
-        hit = cache.get(key, _MISS)
-        if hit is not _MISS:
-            return hit  # type: ignore[return-value]
-        if len(cache) >= _LOOKUP_CACHE_MAX:
-            del cache[next(iter(cache))]  # lint: disable=DET003 -- insertion-ordered dict; FIFO eviction is deterministic
-        result = self._compute_next_tx(position, from_tick, before_tick)
-        cache[key] = result
-        return result
-
-    def _compute_next_tx(
-        self, position: int, from_tick: int, before_tick: int
-    ) -> Optional[int]:
         train_of_position(position)  # validates the position
         run = self.first_tx_run(position, from_tick, before_tick)
         return None if run is None else run[0]
@@ -409,15 +368,6 @@ class InquiryTransmitSchedule:
             index += 1
             into = 0
         return None
-
-    def next_tx_of_channel(
-        self, channel: int, from_tick: int, before_tick: int
-    ) -> Optional[int]:
-        """Like :meth:`next_tx_of_position` but keyed by RF channel."""
-        position = self._position_of_channel.get(channel)
-        if position is None:
-            raise ValueError(f"channel {channel} not in inquiry sequence")
-        return self.next_tx_of_position(position, from_tick, before_tick)
 
     def is_listening(self, tick: int) -> bool:
         """Whether the master can receive an FHS response at ``tick``.

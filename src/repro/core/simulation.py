@@ -44,7 +44,6 @@ from .workstation import Workstation, WorkstationSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
-    from repro.obs.profiling import Profiler
     from repro.obs.tracing import SpanTracer
 
 logger = logging.getLogger(__name__)
@@ -161,7 +160,6 @@ class BIPSSimulation:
         metrics: Optional[MetricsRegistry] = None,
         faults: Optional["FaultPlan"] = None,
         spans: Optional["SpanTracer"] = None,
-        profiler: Optional["Profiler"] = None,
     ) -> None:
         self.plan = plan if plan is not None else academic_department()
         self.plan.validate()
@@ -170,8 +168,7 @@ class BIPSSimulation:
         # their own (e.g. to aggregate several simulations).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.spans = spans
-        self.profiler = profiler
-        self.kernel = Kernel(metrics=self.metrics, spans=spans, profiler=profiler)
+        self.kernel = Kernel(metrics=self.metrics, spans=spans)
         self.rng = RandomStream(self.config.seed, "bips")
         # Fault plans draw from their own seed-derived streams, so a
         # chaos run perturbs delivery, never the simulation's draws.

@@ -30,7 +30,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     snapshot_from_jsonl,
 )
-from repro.obs.profiling import Profiler
 from repro.obs.tracing import (
     Span,
     SpanTracer,
@@ -48,7 +47,6 @@ __all__ = [
     "Histogram",
     "MetricError",
     "MetricsRegistry",
-    "Profiler",
     "Span",
     "SpanTracer",
     "TraceContext",

@@ -21,7 +21,6 @@ import sys
 from typing import Any, Optional
 
 from repro.obs.flight import FlightRecorder
-from repro.obs.profiling import Profiler
 from repro.obs.tracing import (
     CATEGORY_TIDS,
     SpanTracer,
@@ -80,12 +79,6 @@ def add_trace_parser(
         help="keep a ring buffer of recent spans and dump it when a "
         "workstation fails or the server browns out",
     )
-    trace.add_argument(
-        "--profile",
-        action="store_true",
-        help="also print per-subsystem wall-time profile (non-deterministic; "
-        "never part of the exported trace)",
-    )
     trace.add_argument("--seed", type=int, default=None, help="experiment seed")
     trace.add_argument(
         "--faults",
@@ -127,10 +120,7 @@ def _trace_e2e(args: argparse.Namespace) -> tuple[list[dict[str, Any]], Optional
         fault_seed=args.fault_seed,
     )
     spans = SpanTracer(seed=config.seed, sample=args.sample, recorder=flight)
-    profiler = Profiler() if args.profile else None
-    run_e2e(config, spans=spans, profiler=profiler)
-    if profiler is not None:
-        print(profiler.render_report(), file=sys.stderr)
+    run_e2e(config, spans=spans)
     return spans.records(), flight
 
 

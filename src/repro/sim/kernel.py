@@ -47,7 +47,6 @@ from .hotpath import hot_path
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a layering cycle
     from repro.obs.metrics import Counter, Gauge, MetricsRegistry
-    from repro.obs.profiling import Profiler
     from repro.obs.tracing import SpanTracer
 
 logger = logging.getLogger(__name__)
@@ -144,14 +143,12 @@ class Kernel:
         self,
         metrics: Optional["MetricsRegistry"] = None,
         spans: Optional["SpanTracer"] = None,
-        profiler: Optional["Profiler"] = None,
     ) -> None:
         self.clock = SimClock()
         # Span tracing rides the labelled-event path: attaching a
         # SpanTracer turns label retention on, so every labelled event
         # can become a kernel span.
         self._spans = spans
-        self._profiler = profiler
         self._trace_enabled = spans is not None
         self._seq = 0
         self._events_fired = 0
@@ -431,8 +428,6 @@ class Kernel:
             raise SchedulingError(
                 f"run_until target {tick} is before now {self.clock.now}"
             )
-        profiler = self._profiler
-        token = profiler.begin() if profiler is not None else 0.0
         self._bound = tick
         try:
             if self._spans is not None:
@@ -443,8 +438,6 @@ class Kernel:
                 self._drain_heap(tick)
         finally:
             self._flush_metrics()
-            if profiler is not None:
-                profiler.stop("sim.kernel", token)
         if require_events and self._pending == 0 and self.clock.now < tick:
             raise DeadlockError(
                 f"event heap drained at {self.clock.now} before reaching {tick}"

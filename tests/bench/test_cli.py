@@ -1,7 +1,7 @@
 """Exit-code and artefact tests for ``bips bench``.
 
-The real suite takes seconds per case, so these tests monkeypatch the
-suite resolver to a microscopic stand-in — the contract under test is
+The real suite takes about a second per repeat, so these tests
+monkeypatch it to a microscopic stand-in — the contract under test is
 the CLI's control flow, not the workloads.  The harness also runs on a
 synthetic timer, so no verdict here depends on how fast or busy the
 host is; real timing is exercised by ``bips bench`` itself.
@@ -16,28 +16,14 @@ import json
 import pytest
 
 import repro.bench.cli as bench_cli
-from repro.bench.harness import BenchCase, BenchSkip, run_suite
+from repro.bench.harness import BenchCase, run_suite
 
 
-def _tiny_suite(name: str) -> list[BenchCase]:
-    return [
-        BenchCase(name="tiny", factory=lambda: (lambda: 100), unit="ops"),
-        BenchCase(
-            name="absent",
-            factory=_always_skip,
-            unit="ops",
-            smoke=False,
-        ),
-    ]
-
-
-def _always_skip():
-    raise BenchSkip("feature not built here")
+TINY_SUITE = (BenchCase(name="tiny", factory=lambda: (lambda: 100), unit="ops"),)
 
 
 def _args(tmp_path, **overrides) -> argparse.Namespace:
     defaults = dict(
-        suite="full",
         repeats=2,
         threshold=0.20,
         baseline=str(tmp_path / "baseline.json"),
@@ -50,7 +36,7 @@ def _args(tmp_path, **overrides) -> argparse.Namespace:
 
 @pytest.fixture(autouse=True)
 def tiny_suite(monkeypatch, tmp_path, ticking_timer):
-    monkeypatch.setattr(bench_cli, "select_suite", _tiny_suite)
+    monkeypatch.setattr(bench_cli, "SUITE", TINY_SUITE)
     monkeypatch.setattr(
         bench_cli, "run_suite", functools.partial(run_suite, timer=ticking_timer)
     )
@@ -69,8 +55,7 @@ class TestExitCodes:
         args = _args(tmp_path, update_baseline=True)
         assert bench_cli.run_bench(args) == 0
         baseline = json.loads((tmp_path / "baseline.json").read_text())
-        assert "tiny" in baseline["benchmarks"]
-        assert baseline["benchmarks"]["absent"]["skipped"] is True
+        assert list(baseline["benchmarks"]) == ["tiny"]
         assert (tmp_path / "bench_baseline.txt").exists()
         bench_files = list(tmp_path.glob("BENCH_*.json"))
         assert len(bench_files) == 1
@@ -131,8 +116,6 @@ class TestMainWiring:
         code = main(
             [
                 "bench",
-                "--suite",
-                "smoke",
                 "--repeats",
                 "1",
                 "--baseline",

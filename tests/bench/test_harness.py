@@ -8,7 +8,6 @@ import pytest
 
 from repro.bench.harness import (
     BenchCase,
-    BenchSkip,
     calibration_workload,
     CALIBRATION_ITERATIONS,
     measure_calibration,
@@ -75,23 +74,12 @@ class TestMeasureCase:
     def test_basic_measurement(self):
         case = BenchCase(name="noop", factory=lambda: (lambda: 10), unit="ops")
         result = measure_case(case, repeats=3, calibration_rate=1000.0)
-        assert not result.skipped
         assert result.units == 10
         assert result.repeats == 3
         assert len(result.samples_s) == 3
         assert result.samples_s == sorted(result.samples_s)
         assert result.rate_per_s > 0
         assert result.normalized == pytest.approx(result.rate_per_s / 1000.0)
-
-    def test_skip_propagates_reason(self):
-        def factory():
-            raise BenchSkip("api not present here")
-
-        case = BenchCase(name="skippy", factory=factory, unit="ops")
-        result = measure_case(case, repeats=3, calibration_rate=1000.0)
-        assert result.skipped
-        assert result.skip_reason == "api not present here"
-        assert result.rate_per_s == 0.0
 
     def test_nonpositive_repeats_raise(self):
         case = BenchCase(name="noop", factory=lambda: (lambda: 1), unit="ops")

@@ -22,20 +22,7 @@ def _case(name: str, params=()) -> BenchCase:
     return BenchCase(name=name, factory=lambda: (lambda: 1), unit="ops", params=params)
 
 
-def _result(name: str, normalized: float = 1.0, skipped: bool = False) -> CaseResult:
-    if skipped:
-        return CaseResult(
-            name=name,
-            unit="ops",
-            units=0,
-            repeats=0,
-            median_s=0.0,
-            p90_s=0.0,
-            rate_per_s=0.0,
-            normalized=0.0,
-            skipped=True,
-            skip_reason="not here",
-        )
+def _result(name: str, normalized: float = 1.0) -> CaseResult:
     return CaseResult(
         name=name,
         unit="ops",
@@ -49,14 +36,11 @@ def _result(name: str, normalized: float = 1.0, skipped: bool = False) -> CaseRe
     )
 
 
-def _report(scores: dict, suite: str = "full") -> dict:
+def _report(scores: dict) -> dict:
     cases = [_case(name) for name in scores]
-    results = [
-        _result(name, score) if score is not None else _result(name, skipped=True)
-        for name, score in scores.items()
-    ]
+    results = [_result(name, score) for name, score in scores.items()]
     return build_report(
-        results, cases, calibration_rate=1000.0, suite=suite, repeats=3, git_rev="abc1234"
+        results, cases, calibration_rate=1000.0, repeats=3, git_rev="abc1234"
     )
 
 
@@ -77,17 +61,13 @@ class TestDigest:
 
 class TestBuildReport:
     def test_document_shape(self):
-        report = _report({"alpha": 1.0, "beta": None})
+        report = _report({"alpha": 1.0})
         assert report["schema"] == SCHEMA_VERSION
         assert report["git_rev"] == "abc1234"
-        assert report["suite"] == "full"
         assert report["calibration_rate_per_s"] == 1000.0
         alpha = report["benchmarks"]["alpha"]
         assert alpha["normalized"] == 1.0
         assert alpha["config_digest"]
-        beta = report["benchmarks"]["beta"]
-        assert beta["skipped"] is True
-        assert beta["skip_reason"] == "not here"
 
     def test_roundtrip_through_json(self, tmp_path):
         report = _report({"alpha": 1.0})
@@ -122,15 +102,6 @@ class TestCompare:
         comparisons = compare_to_baseline(_report({"a": 1.0}), _report({}))
         assert [c.status for c in comparisons] == ["new"]
 
-    def test_skipped_case_never_regresses(self):
-        comparisons = compare_to_baseline(_report({"a": None}), _report({"a": 1.0}))
-        assert [c.status for c in comparisons] == ["skipped"]
-        assert not has_regression(comparisons)
-
-    def test_skipped_baseline_entry_is_new(self):
-        comparisons = compare_to_baseline(_report({"a": 1.0}), _report({"a": None}))
-        assert [c.status for c in comparisons] == ["new"]
-
     def test_digest_mismatch_is_incomparable(self):
         report = _report({"a": 0.1})  # would be a huge "regression"...
         baseline = _report({"a": 1.0})
@@ -154,12 +125,12 @@ class TestCompare:
 
 class TestRendering:
     def test_render_includes_cases_and_verdicts(self):
-        report = _report({"alpha": 1.0, "beta": None})
+        report = _report({"alpha": 1.0, "beta": 1.0})
         comparisons = compare_to_baseline(report, _report({"alpha": 1.0}))
         text = render_text(report, comparisons)
         assert "alpha" in text
         assert "[ok" in text
-        assert "skipped: not here" in text
+        assert "[new]" in text
         assert text.endswith("\n")
 
     def test_git_revision_in_repo(self):

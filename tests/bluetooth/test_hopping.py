@@ -267,18 +267,10 @@ class TestNextTxEdgeCases:
             result = schedule.next_tx_of_position(5, from_tick, 10**6)
             assert result is not None and result >= from_tick
 
-    def test_next_tx_of_channel(self):
-        schedule = continuous_inquiry(start_train=Train.A)
-        channel = schedule.sequence[3]
-        by_channel = schedule.next_tx_of_channel(channel, 0, 10**6)
-        by_position = schedule.next_tx_of_position(3, 0, 10**6)
-        assert by_channel == by_position
-
-    def test_unknown_channel_rejected(self):
+    def test_out_of_range_position_rejected(self):
         schedule = continuous_inquiry()
-        unknown = next(c for c in range(79) if c not in schedule.sequence)
         with pytest.raises(ValueError):
-            schedule.next_tx_of_channel(unknown, 0, 100)
+            schedule.next_tx_of_position(NUM_INQUIRY_FREQUENCIES, 0, 100)
 
     def test_is_listening_matches_windows(self):
         schedule = periodic_inquiry(window_ticks=100, period_ticks=500)
@@ -290,57 +282,6 @@ class TestNextTxEdgeCases:
             InquiryTransmitSchedule(
                 windows=PeriodicWindows.continuous(), passes_per_dwell=0
             )
-
-
-class TestLookupCacheEviction:
-    """The next_tx memo is bounded with FIFO eviction, not a full drop."""
-
-    def test_cache_never_exceeds_bound(self, monkeypatch):
-        import repro.bluetooth.hopping as hopping
-
-        monkeypatch.setattr(hopping, "_LOOKUP_CACHE_MAX", 8)
-        schedule = continuous_inquiry()
-        for from_tick in range(0, 2000, 32):
-            schedule.next_tx_of_position(from_tick % 32, from_tick, from_tick + 10_000)
-            assert len(schedule._lookup_cache) <= 8
-
-    def test_eviction_is_fifo(self, monkeypatch):
-        import repro.bluetooth.hopping as hopping
-
-        monkeypatch.setattr(hopping, "_LOOKUP_CACHE_MAX", 4)
-        schedule = continuous_inquiry()
-        queries = [(p, p * 64, p * 64 + 10_000) for p in range(6)]
-        for query in queries:
-            schedule.next_tx_of_position(*query)
-        cached = list(schedule._lookup_cache)
-        # The two oldest queries were evicted; the four newest remain.
-        assert cached == queries[2:]
-
-    def test_evicted_entries_recompute_correctly(self, monkeypatch):
-        import repro.bluetooth.hopping as hopping
-
-        monkeypatch.setattr(hopping, "_LOOKUP_CACHE_MAX", 2)
-        schedule = continuous_inquiry()
-        reference = continuous_inquiry()
-        queries = [(p % 32, p * 17, p * 17 + 20_000) for p in range(40)]
-        expected = [reference._compute_next_tx(*q) for q in queries]
-        # Query forward then backward so every entry is evicted and
-        # re-requested at least once.
-        for query in queries:
-            schedule.next_tx_of_position(*query)
-        for query, want in zip(reversed(queries), reversed(expected)):
-            assert schedule.next_tx_of_position(*query) == want
-
-    def test_hit_does_not_evict(self, monkeypatch):
-        import repro.bluetooth.hopping as hopping
-
-        monkeypatch.setattr(hopping, "_LOOKUP_CACHE_MAX", 2)
-        schedule = continuous_inquiry()
-        schedule.next_tx_of_position(0, 0, 10_000)
-        schedule.next_tx_of_position(1, 0, 10_000)
-        before = list(schedule._lookup_cache)
-        schedule.next_tx_of_position(0, 0, 10_000)  # hit
-        assert list(schedule._lookup_cache) == before
 
 
 def _is_transmission(schedule: InquiryTransmitSchedule, position: int, tick: int) -> bool:
