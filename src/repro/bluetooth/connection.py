@@ -32,10 +32,10 @@ class DisconnectReason(enum.Enum):
 class Connection:
     """One master↔slave link inside a piconet.
 
-    Tracks liveness for supervision: every successful exchange updates
-    ``last_heard_tick``; a master that has not heard the slave within
-    ``supervision_timeout_ticks`` declares the link dead (this is how a
-    BIPS workstation notices a *connected* user walked away).
+    Tracks liveness: every successful exchange updates
+    ``last_heard_tick``.  ``supervision_timeout_ticks`` is the link's
+    configured supervision timeout, the spec's limit on how long a
+    master may go without hearing the slave.
     """
 
     master: BDAddr
@@ -70,10 +70,6 @@ class Connection:
         self.packets_exchanged += 1
         if payload is not None:
             self.payloads.append(payload)
-
-    def is_supervision_expired(self, tick: int) -> bool:
-        """Whether the supervision timeout has elapsed at ``tick``."""
-        return self.active and tick - self.last_heard_tick > self.supervision_timeout_ticks
 
     def close(self, tick: int, reason: DisconnectReason) -> None:
         """Tear the link down; idempotent."""

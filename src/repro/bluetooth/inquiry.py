@@ -156,12 +156,6 @@ class InquiryProcedure:
         result = self._results.get(address)
         return result.discovered_tick if result is not None else None
 
-    def discovered_by(self, tick: int) -> int:
-        """How many distinct devices were discovered at or before ``tick``."""
-        return sum(
-            1 for r in self._results.values() if r.discovered_tick <= tick  # lint: disable=DET003 -- commutative count; order cannot reach the result
-        )
-
     def forget(self, address: BDAddr) -> None:
         """Drop a device from the discovered set and from ``last_seen``.
 

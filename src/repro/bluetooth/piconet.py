@@ -89,17 +89,6 @@ class Piconet:
         self._history.append(connection)
         return connection
 
-    def expire_supervision(self, tick: int) -> list[Connection]:
-        """Detach every member whose supervision timeout has lapsed."""
-        expired = [
-            conn
-            for conn in self._members.values()  # lint: disable=DET003 -- dict preserves attach order; expiry reports the oldest member first by design
-            if conn.is_supervision_expired(tick)
-        ]
-        for connection in expired:
-            self.detach(connection.slave, tick, DisconnectReason.SUPERVISION_TIMEOUT)
-        return expired
-
     def __contains__(self, slave: BDAddr) -> bool:
         return slave in self._members
 

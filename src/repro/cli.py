@@ -187,12 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     lint.add_argument(
-        "--ignore",
-        metavar="RULES",
-        default=None,
-        help="comma-separated rule ids to skip",
-    )
-    lint.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -202,27 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also build the whole-program import/call graphs and run "
         "project-scoped rules (DET010, ARCH001, PERF001)",
-    )
-    lint.add_argument(
-        "--graph-out",
-        metavar="FILE",
-        default=None,
-        help="with --deep, dump the project graphs to FILE "
-        "(.json for the versioned JSON schema, anything else Graphviz DOT)",
-    )
-    lint.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="with --deep, ratchet against this baseline file "
-        "(default: lint-baseline.json if present); grandfathered findings "
-        "pass, new findings fail, stale entries fail",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="with --deep, rewrite the baseline file from the current "
-        "findings instead of failing on them",
     )
     return parser
 
@@ -238,23 +211,12 @@ def _flush_metrics(registry: MetricsRegistry, path: Optional[str]) -> None:
 def _run_lint(args: argparse.Namespace) -> int:
     """The `bips lint` subcommand; returns the process exit code."""
     from repro.lint import REGISTRY, lint_paths
-    from repro.lint.graph import ProjectGraph
 
     if args.list_rules:
         for spec in REGISTRY:
             scope = " [deep]" if spec.scope == "project" else ""
             print(f"{spec.id}  {spec.name}: {spec.summary}{scope}")
         return 0
-    for flag in ("graph_out", "baseline"):
-        if getattr(args, flag) and not args.deep:
-            print(
-                f"bips lint: --{flag.replace('_', '-')} requires --deep",
-                file=sys.stderr,
-            )
-            return 2
-    if args.update_baseline and not args.deep:
-        print("bips lint: --update-baseline requires --deep", file=sys.stderr)
-        return 2
     paths = list(args.paths)
     if not paths:
         import os
@@ -264,75 +226,19 @@ def _run_lint(args: argparse.Namespace) -> int:
     def split(value: str) -> list[str]:
         return [token.strip() for token in value.split(",") if token.strip()]
 
-    graphs: list[ProjectGraph] = []
     try:
         report = lint_paths(
             paths,
             select=split(args.select) if args.select else None,
-            ignore=split(args.ignore) if args.ignore else None,
             deep=args.deep,
-            graph_sink=graphs,
         )
     except (FileNotFoundError, KeyError) as error:
         print(f"bips lint: {error}", file=sys.stderr)
         return 2
 
-    if args.graph_out and graphs:
-        from pathlib import Path as _Path
-
-        graph = graphs[0]
-        dump = graph.to_json() if args.graph_out.endswith(".json") else graph.to_dot()
-        _Path(args.graph_out).write_text(dump, encoding="utf-8")
-        print(f"wrote project graphs to {args.graph_out}", file=sys.stderr)
-
-    if args.deep:
-        exit_code = _apply_lint_baseline(args, report)
-        if exit_code is not None:
-            return exit_code
     output = report.to_json() if args.format == "json" else report.render_text()
     sys.stdout.write(output if output.endswith("\n") else output + "\n")
     return report.exit_code
-
-
-def _apply_lint_baseline(args: argparse.Namespace, report) -> Optional[int]:
-    """Baseline handling for ``bips lint --deep``.
-
-    Returns the process exit code when a baseline took part in the
-    decision, or None to fall through to plain report semantics (no
-    baseline file in play).
-    """
-    import os
-
-    from repro.lint.baseline import Baseline, apply_baseline
-
-    baseline_path = args.baseline
-    if baseline_path is None and os.path.isfile("lint-baseline.json"):
-        baseline_path = "lint-baseline.json"
-
-    if args.update_baseline:
-        target = baseline_path or "lint-baseline.json"
-        Baseline.from_report(report).save(target)
-        print(
-            f"wrote {len(report.diagnostics)} finding(s) to {target}",
-            file=sys.stderr,
-        )
-        return 0
-
-    if baseline_path is None:
-        return None
-    try:
-        baseline = Baseline.load(baseline_path)
-    except (OSError, ValueError, KeyError) as error:
-        print(f"bips lint: baseline {baseline_path}: {error}", file=sys.stderr)
-        return 2
-    result = apply_baseline(report, baseline)
-    if args.format == "json":
-        sys.stdout.write(report.to_json())
-        print(result.render_text(), file=sys.stderr)
-    else:
-        lines = result.render_text()
-        sys.stdout.write(lines if lines.endswith("\n") else lines + "\n")
-    return result.exit_code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -252,7 +252,8 @@ class Workstation:
         Routes through reliable delivery when a retry policy is
         configured; recovery-path code must use this (never
         ``lan.send`` directly) so restarts cannot silently regress to
-        fire-and-forget — lint rule FLT001 enforces it.
+        fire-and-forget — ``TestRetryPolicyWiring`` pins the restart
+        hello to ``send_reliable``.
         """
         if self.retry_policy is not None:
             self.lan.send_reliable(

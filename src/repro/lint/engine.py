@@ -181,7 +181,6 @@ def lint_paths(
     paths: Sequence[Union[str, Path]],
     *,
     select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
     project_root: Optional[Union[str, Path]] = None,
     registry: Optional[RuleRegistry] = None,
     deep: bool = False,
@@ -192,18 +191,17 @@ def lint_paths(
     Args:
         paths: files and/or directories to scan.
         select: run only these rule ids (default: all registered).
-        ignore: drop these rule ids from the selection.
         project_root: where project-level inputs (the metric catalogue)
             live; auto-discovered from the first path when omitted.
         registry: alternate rule registry (tests); default the global one.
         deep: also build the project graphs and run project-scoped rules.
         graph_sink: when deep, the built :class:`ProjectGraph` is appended
-            here (the CLI's ``--graph-out`` uses it without a second build).
+            here, so callers can inspect the graphs without a second build.
     """
     _ensure_rules_registered()
     files = iter_python_files(paths)
     active_registry = registry if registry is not None else REGISTRY
-    specs = active_registry.select(select=select, ignore=ignore)
+    specs = active_registry.select(select)
     if project_root is not None:
         project = ProjectContext(root=Path(project_root))
     elif files:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import ast
 import builtins
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.lint.graph.imports import resolve_relative
 
@@ -53,15 +53,6 @@ class FunctionNode:
     line: int
     decorators: tuple[str, ...] = ()  #: resolved dotted decorator names
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "module": self.module,
-            "path": self.path,
-            "line": self.line,
-            "decorators": list(self.decorators),
-        }
-
 
 @dataclass(frozen=True)
 class CallSite:
@@ -72,14 +63,6 @@ class CallSite:
     kind: str  #: PROJECT / EXTERNAL / BUILTIN / DYNAMIC / UNKNOWN
     path: str
     line: int
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "caller": self.caller,
-            "callee": self.callee,
-            "kind": self.kind,
-            "line": self.line,
-        }
 
 
 @dataclass
@@ -94,12 +77,6 @@ class ResolutionStats:
     @property
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def fraction(self, *kinds: str) -> float:
-        """Share of all call sites classified as any of ``kinds``."""
-        if not self.total:
-            return 1.0
-        return sum(self.counts.get(kind, 0) for kind in kinds) / self.total
 
     @property
     def addressable_resolution(self) -> float:
@@ -469,11 +446,6 @@ class CallGraph:
     def callers_of(self, node_name: str) -> tuple[CallSite, ...]:
         return tuple(self._callers.get(node_name, ()))
 
-    def project_edges(self) -> Iterator[CallSite]:
-        for site in self.sites:
-            if site.kind == PROJECT:
-                yield site
-
     def reachable_from(self, roots: Iterable[str]) -> dict[str, tuple[str, ...]]:
         """BFS closure over project edges: node -> shortest call chain
         from the nearest root (chains start at the root, end at node)."""
@@ -510,28 +482,6 @@ class CallGraph:
                         next_frontier.append(site.caller)
             frontier = next_frontier
         return chains
-
-    # -- export ----------------------------------------------------------
-
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "nodes": [self.nodes[name].to_dict() for name in sorted(self.nodes)],
-            "edges": [site.to_dict() for site in self.project_edges()],
-            "resolution": dict(sorted(self.stats.counts.items())),
-        }
-
-    def to_dot(self) -> str:
-        """A Graphviz digraph of the project-internal call edges."""
-        lines = ["digraph calls {", "  rankdir=LR;", '  node [shape=box, fontsize=9];']
-        seen: set[tuple[str, str]] = set()
-        for site in self.project_edges():
-            key = (site.caller, site.callee)
-            if key in seen:
-                continue
-            seen.add(key)
-            lines.append(f'  "{site.caller}" -> "{site.callee}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 def _dotted_text(node: ast.expr) -> str:

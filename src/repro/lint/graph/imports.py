@@ -33,15 +33,6 @@ class ImportEdge:
     typing_only: bool = False
     deferred: bool = False
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "source": self.source,
-            "target": self.target,
-            "line": self.line,
-            "typing_only": self.typing_only,
-            "deferred": self.deferred,
-        }
-
 
 def _typing_guarded_statements(tree: ast.Module) -> frozenset[int]:
     """ids of every node inside an ``if TYPE_CHECKING:`` block."""
@@ -141,19 +132,17 @@ class ImportGraph:
     def __iter__(self) -> Iterator[ImportEdge]:
         return iter(self._edges)
 
-    def project_edges(self, *, runtime_only: bool = False) -> list[ImportEdge]:
-        """Edges whose target is another module of the linted tree.
+    def runtime_project_edges(self) -> list[ImportEdge]:
+        """Non-typing edges whose target is another module of the tree.
 
         A dependency on package ``repro.x`` is attributed to its
         ``__init__`` module when only the package name is imported.
         """
-        kept: list[ImportEdge] = []
-        for edge in self._edges:
-            if runtime_only and edge.typing_only:
-                continue
-            if edge.target in self.modules:
-                kept.append(edge)
-        return kept
+        return [
+            edge
+            for edge in self._edges
+            if not edge.typing_only and edge.target in self.modules
+        ]
 
     def runtime_module_graph(self) -> dict[str, set[str]]:
         """Adjacency of project modules via non-typing edges.
@@ -222,27 +211,3 @@ class ImportGraph:
                     if len(component) > 1:
                         components.append(tuple(sorted(component)))
         return sorted(components)
-
-    # -- export ----------------------------------------------------------
-
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "modules": sorted(self.modules),
-            "edges": [edge.to_dict() for edge in self.project_edges()],
-        }
-
-    def to_dot(self) -> str:
-        """A Graphviz digraph of the project-internal edges."""
-        lines = ["digraph imports {", "  rankdir=LR;"]
-        for module in sorted(self.modules):
-            lines.append(f'  "{module}";')
-        seen: set[tuple[str, str, bool]] = set()
-        for edge in self.project_edges():
-            key = (edge.source, edge.target, edge.typing_only)
-            if key in seen or edge.source == edge.target:
-                continue
-            seen.add(key)
-            style = ' [style=dashed, label="typing"]' if edge.typing_only else ""
-            lines.append(f'  "{edge.source}" -> "{edge.target}"{style};')
-        lines.append("}")
-        return "\n".join(lines) + "\n"

@@ -8,7 +8,6 @@ or executed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional
@@ -18,9 +17,6 @@ from repro.lint.graph.imports import ImportGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.context import FileContext
-
-#: Schema version of the ``--graph-out`` JSON dump.
-GRAPH_JSON_VERSION = 1
 
 
 @dataclass
@@ -37,21 +33,6 @@ class ProjectGraph:
             if context.module == module:
                 return context
         return None
-
-    # -- export ----------------------------------------------------------
-
-    def to_json(self) -> str:
-        """Both graphs as one versioned, deterministic JSON document."""
-        payload = {
-            "version": GRAPH_JSON_VERSION,
-            "imports": self.imports.to_json_dict(),
-            "calls": self.calls.to_json_dict(),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    def to_dot(self) -> str:
-        """Both graphs as Graphviz digraphs, concatenated."""
-        return self.imports.to_dot() + "\n" + self.calls.to_dot()
 
 
 def build_project_graph(

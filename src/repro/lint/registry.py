@@ -14,7 +14,7 @@ Two rule kinds share the registry, distinguished by ``scope``:
 Both are registered under stable ids (``DET001``, ``ARCH001``, ...)
 with enough metadata to generate the ``--list-rules`` output and the
 docs/static-analysis.md catalogue, and both obey the same
-``--select``/``--ignore`` filters and suppression comments.
+``--select`` filter and suppression comments.
 """
 
 from __future__ import annotations
@@ -113,21 +113,14 @@ class RuleRegistry:
     def __contains__(self, rule_id: str) -> bool:
         return rule_id in self._rules
 
-    def select(
-        self,
-        select: Optional[Iterable[str]] = None,
-        ignore: Optional[Iterable[str]] = None,
-    ) -> list[RuleSpec]:
-        """The enabled subset: ``select`` wins, then ``ignore`` filters.
+    def select(self, select: Optional[Iterable[str]] = None) -> list[RuleSpec]:
+        """The enabled subset: the ``select`` ids, or every rule.
 
         Unknown ids raise :class:`KeyError` so a typo in CI fails loudly
         instead of silently disabling a gate.
         """
         chosen = list(select) if select is not None else self.ids()
-        ignored = set(ignore) if ignore is not None else set()
-        for rule_id in list(chosen) + sorted(ignored):
-            self.get(rule_id)  # validate
-        return [self.get(rule_id) for rule_id in chosen if rule_id not in ignored]
+        return [self.get(rule_id) for rule_id in chosen]
 
 
 #: The process-wide registry that ``@rule`` populates on import of

@@ -11,7 +11,6 @@ from repro.lint.rules import (  # noqa: F401  (imported for registration)
     architecture,
     bluetooth_spec,
     determinism,
-    faults,
     hot_path_perf,
     observability,
     runtime_state,
@@ -22,7 +21,6 @@ __all__ = [
     "architecture",
     "bluetooth_spec",
     "determinism",
-    "faults",
     "hot_path_perf",
     "observability",
     "runtime_state",

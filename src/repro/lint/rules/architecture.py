@@ -141,7 +141,7 @@ def layer_of(module: str) -> Optional[str]:
     ),
 )
 def check_arch001(graph: "ProjectGraph") -> Iterator[ProjectViolation]:
-    for edge in graph.imports.project_edges(runtime_only=True):
+    for edge in graph.imports.runtime_project_edges():
         source_layer = layer_of(edge.source)
         target_layer = layer_of(edge.target)
         if source_layer is None or target_layer is None:

@@ -1,4 +1,4 @@
-"""Determinism rules DET001-DET004.
+"""Determinism rules DET001-DET003.
 
 These guard the property PR 2 turned into a contract: a run is a pure
 function of its config digest and seed, so ``--jobs N`` equals serial
@@ -9,7 +9,6 @@ way that contract has historically been broken in simulators.
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterator
 
 from repro.lint.context import FileContext, expression_key
@@ -261,73 +260,3 @@ def check_det003(ctx: FileContext) -> Iterator[Violation]:
                     "justify with a suppression",
                 )
 
-
-_TIME_NAME = re.compile(
-    r"(?:^|_)(tick|ticks|now|time|deadline|timestamp|seconds|secs)(?:$|_)"
-)
-
-_FLOAT_TIME_CALLS = frozenset({"seconds_from_ticks", "milliseconds_from_ticks"})
-
-
-def _terminal_name(node: ast.expr) -> str:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return ""
-
-
-def _is_time_valued(node: ast.expr) -> bool:
-    name = _terminal_name(node)
-    if name and _TIME_NAME.search(name.lower()):
-        return True
-    if isinstance(node, ast.Call):
-        func = _terminal_name(node.func)
-        return func in _FLOAT_TIME_CALLS or bool(
-            func and _TIME_NAME.search(func.lower())
-        )
-    return False
-
-
-def _is_float_valued(node: ast.expr) -> bool:
-    if isinstance(node, ast.Constant) and isinstance(node.value, float):
-        return True
-    name = _terminal_name(node)
-    if name.endswith(("_seconds", "_ms")) or name == "now_seconds":
-        return True
-    if isinstance(node, ast.Call):
-        return _terminal_name(node.func) in _FLOAT_TIME_CALLS
-    return False
-
-
-@rule(
-    "DET004",
-    name="float-time-equality",
-    summary="float ==/!= comparison on tick/clock-typed values",
-    rationale=(
-        "Simulated time is exact integer ticks precisely so events compare "
-        "equal reliably; converting to float seconds and comparing with == "
-        "reintroduces representation error (1.28 s is exact, 15.4 s is "
-        "not), so the branch taken can differ between platforms and "
-        "optimisation levels. Compare in ticks, or use an explicit "
-        "tolerance."
-    ),
-)
-def check_det004(ctx: FileContext) -> Iterator[Violation]:
-    if not ctx.in_packages(*SIM_PACKAGES):
-        return
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Compare):
-            continue
-        operands = [node.left, *node.comparators]
-        for op, left, right in zip(node.ops, operands, operands[1:]):
-            if not isinstance(op, (ast.Eq, ast.NotEq)):
-                continue
-            if (_is_float_valued(left) and _is_time_valued(right)) or (
-                _is_float_valued(right) and _is_time_valued(left)
-            ):
-                yield at_node(
-                    node,
-                    "float equality on a time-valued expression; compare "
-                    "integer ticks or use an explicit tolerance",
-                )

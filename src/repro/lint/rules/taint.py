@@ -31,9 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.graph.project import ProjectGraph
 
 #: ``random`` module attributes that are *not* sinks: constructing a
-#: ``random.Random(seed)`` is the sanctioned seeded path (the unseeded
-#: no-arg form is DET002's argument-level check), and ``SystemRandom``
-#: never appears outside DET001-banned contexts anyway.
+#: ``random.Random(seed)`` is the sanctioned seeded path, and DET001
+#: already flags any ``random.Random``/``SystemRandom`` written in
+#: simulation code, seeded or not.
 _RANDOM_NON_SINKS = frozenset({"Random", "SystemRandom"})
 
 

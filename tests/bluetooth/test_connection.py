@@ -53,13 +53,6 @@ class TestConnection:
         with pytest.raises(RuntimeError):
             conn.exchange(200)
 
-    def test_supervision_expiry(self):
-        conn = make_connection(timeout=1000)
-        assert not conn.is_supervision_expired(1000)
-        assert conn.is_supervision_expired(1001)
-        conn.exchange(900)
-        assert not conn.is_supervision_expired(1500)
-
     def test_close_records_reason_and_duration(self):
         conn = make_connection(established=100)
         conn.close(600, DisconnectReason.DEVICE_LEFT)
@@ -118,16 +111,6 @@ class TestPiconet:
         assert piconet.active_count == 0
         assert len(piconet.history) == 1
         assert piconet.history[0].close_reason is DisconnectReason.LOCAL_CLOSE
-
-    def test_expire_supervision(self):
-        piconet = Piconet(master=MASTER, supervision_timeout_ticks=100)
-        piconet.attach(BDAddr(1), tick=0)
-        lively = piconet.attach(BDAddr(2), tick=0)
-        lively.exchange(150)
-        expired = piconet.expire_supervision(tick=200)
-        assert [c.slave for c in expired] == [BDAddr(1)]
-        assert BDAddr(2) in piconet
-        assert BDAddr(1) not in piconet
 
     def test_members_sorted_by_am_addr(self):
         piconet = Piconet(master=MASTER)

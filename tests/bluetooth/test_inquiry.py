@@ -58,13 +58,6 @@ class TestReception:
         master._on_fhs(fhs(1, 60), 60)
         assert [r.address.value for r in master.results] == [2, 1]
 
-    def test_discovered_by(self, kernel):
-        master = InquiryProcedure(kernel, continuous_inquiry())
-        master._on_fhs(fhs(1, 10), 10)
-        master._on_fhs(fhs(2, 20), 20)
-        assert master.discovered_by(15) == 1
-        assert master.discovered_by(20) == 2
-
     def test_forget_allows_rediscovery(self, kernel):
         master = InquiryProcedure(kernel, continuous_inquiry())
         master._on_fhs(fhs(1, 10), 10)

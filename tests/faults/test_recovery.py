@@ -147,6 +147,20 @@ class TestRetryPolicyWiring:
         assert sim.lan.stats.acks_sent > 0
         assert sim.server.locate("u-b", "A") == "lab-1"
 
+    def test_restart_hello_routes_reliably(self):
+        # The hello a restarted workstation sends is the message a
+        # still-degraded network is most likely to lose, so with a retry
+        # policy it must go out through send_reliable, never bare send.
+        sim = _tracked_sim(retry_policy=POLICY)
+        sim.run(until_seconds=60.0)
+        sim.fail_workstation("lab-1")
+        stats = sim.lan.stats
+        reliable = stats.reliable_sent
+        hellos = stats.by_type.get("WorkstationHello", 0)
+        sim.recover_workstation("lab-1")
+        assert stats.by_type["WorkstationHello"] == hellos + 1
+        assert stats.reliable_sent == reliable + 1
+
     def test_default_config_stays_fire_and_forget(self):
         sim = _tracked_sim()
         sim.run(until_seconds=60.0)

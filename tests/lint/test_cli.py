@@ -48,11 +48,6 @@ class TestOutputFormats:
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["by_rule"] == {"DET002": 1}
 
-    def test_ignore_drops_rules(self, package_tree, capsys):
-        path = package_tree("repro/sim/bad.py", "import random\n")
-        assert main(["lint", str(path), "--ignore", "DET001"]) == 0
-        capsys.readouterr()
-
     def test_list_rules_prints_the_catalogue(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""`bips lint --deep`: CLI flags, baseline ratchet wiring, graph dumps."""
+"""`bips lint --deep`: CLI flags and the whole-tree run."""
 
 from __future__ import annotations
 
@@ -53,13 +53,9 @@ class TestDeepFlag:
         )
         assert code == 0
 
-    def test_select_and_ignore_apply_to_project_rules(self, tainted_tree, capsys):
+    def test_select_applies_to_project_rules(self, tainted_tree, capsys):
         code, _, _ = run(
-            [
-                "lint", str(tainted_tree), "--deep",
-                "--select", "DET010", "--ignore", "DET010",
-            ],
-            capsys,
+            ["lint", str(tainted_tree), "--deep", "--select", "PERF001"], capsys
         )
         assert code == 0
 
@@ -81,126 +77,6 @@ class TestDeepFlag:
         assert code == 1
         payload = json.loads(out)
         assert payload["summary"]["by_rule"].get("DET010") == 1
-
-
-class TestGraphOut:
-    def test_json_dump(self, clean_tree, tmp_path, capsys):
-        target = tmp_path / "graph.json"
-        code, _, err = run(
-            ["lint", str(clean_tree), "--deep", "--graph-out", str(target)],
-            capsys,
-        )
-        assert code == 0
-        payload = json.loads(target.read_text())
-        assert payload["version"] == 1
-        assert "repro.sim.clock" in payload["imports"]["modules"]
-        assert "resolution" in payload["calls"]
-
-    def test_dot_dump(self, clean_tree, tmp_path, capsys):
-        target = tmp_path / "graph.dot"
-        code, _, _ = run(
-            ["lint", str(clean_tree), "--deep", "--graph-out", str(target)],
-            capsys,
-        )
-        assert code == 0
-        dump = target.read_text()
-        assert "digraph imports {" in dump and "digraph calls {" in dump
-
-    def test_graph_out_requires_deep(self, clean_tree, capsys):
-        code, _, err = run(
-            ["lint", str(clean_tree), "--graph-out", "x.json"], capsys
-        )
-        assert code == 2
-        assert "--graph-out requires --deep" in err
-
-
-class TestBaselineWiring:
-    def test_update_baseline_writes_findings(self, tainted_tree, tmp_path, capsys):
-        target = tmp_path / "baseline.json"
-        code, _, err = run(
-            [
-                "lint", str(tainted_tree), "--deep", "--select", "DET010",
-                "--baseline", str(target), "--update-baseline",
-            ],
-            capsys,
-        )
-        assert code == 0
-        payload = json.loads(target.read_text())
-        assert len(payload["findings"]) == 1
-        assert payload["findings"][0]["rule"] == "DET010"
-
-    def test_grandfathered_finding_passes(self, tainted_tree, tmp_path, capsys):
-        target = tmp_path / "baseline.json"
-        run(
-            [
-                "lint", str(tainted_tree), "--deep", "--select", "DET010",
-                "--baseline", str(target), "--update-baseline",
-            ],
-            capsys,
-        )
-        code, out, _ = run(
-            [
-                "lint", str(tainted_tree), "--deep", "--select", "DET010",
-                "--baseline", str(target),
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert "1 new" not in out and "grandfathered" in out
-
-    def test_new_finding_fails_against_baseline(self, tainted_tree, tmp_path, capsys):
-        target = tmp_path / "baseline.json"
-        target.write_text('{"version": 1, "findings": []}')
-        code, out, _ = run(
-            [
-                "lint", str(tainted_tree), "--deep", "--select", "DET010",
-                "--baseline", str(target),
-            ],
-            capsys,
-        )
-        assert code == 1
-        assert "1 new" in out
-
-    def test_stale_entry_fails(self, clean_tree, tmp_path, capsys):
-        target = tmp_path / "baseline.json"
-        target.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "findings": [
-                        {"path": "gone.py", "rule": "DET010", "message": "fixed"}
-                    ],
-                }
-            )
-        )
-        code, out, _ = run(
-            [
-                "lint", str(clean_tree), "--deep", "--select", "DET010",
-                "--baseline", str(target),
-            ],
-            capsys,
-        )
-        assert code == 1
-        assert "stale baseline entry" in out
-
-    def test_unreadable_baseline_is_usage_error(self, clean_tree, tmp_path, capsys):
-        target = tmp_path / "nope.json"
-        code, _, err = run(
-            [
-                "lint", str(clean_tree), "--deep",
-                "--baseline", str(target),
-            ],
-            capsys,
-        )
-        assert code == 2
-        assert "baseline" in err
-
-    def test_baseline_requires_deep(self, clean_tree, capsys):
-        code, _, err = run(
-            ["lint", str(clean_tree), "--baseline", "x.json"], capsys
-        )
-        assert code == 2
-        assert "--baseline requires --deep" in err
 
 
 class TestRepoTree:

@@ -95,21 +95,9 @@ class TestRuleSelection:
         )
         assert {d.rule for d in diagnostics} == {"DET002"}
 
-    def test_ignore_drops_rules(self):
-        source = "import random\nimport time\n"
-        diagnostics, _ = lint_source(
-            source,
-            module="repro.sim.bad",
-            rules=REGISTRY.select(ignore=["DET001"]),
-        )
-        assert "DET001" not in {d.rule for d in diagnostics}
-        assert "DET002" in {d.rule for d in diagnostics}
-
     def test_unknown_rule_id_raises(self):
         with pytest.raises(KeyError):
             REGISTRY.select(select=["NOPE999"])
-        with pytest.raises(KeyError):
-            REGISTRY.select(ignore=["NOPE999"])
 
     def test_registry_rejects_duplicate_ids(self):
         registry = RuleRegistry()

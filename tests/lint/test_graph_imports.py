@@ -111,25 +111,3 @@ class TestCycles:
         root = package_tree("pkg/c.py", "from pkg import a\n").parent.parent
         assert build_graph(root).imports.cycles() == [("pkg.a", "pkg.b", "pkg.c")]
 
-
-class TestExports:
-    def test_dot_marks_typing_edges_dashed(self, package_tree):
-        package_tree(
-            "pkg/a.py",
-            "from typing import TYPE_CHECKING\n"
-            "if TYPE_CHECKING:\n"
-            "    from pkg import b\n",
-        )
-        root = package_tree("pkg/b.py", "X = 1\n").parent.parent
-        dot = build_graph(root).imports.to_dot()
-        assert '"pkg.a" -> "pkg.b" [style=dashed, label="typing"];' in dot
-
-    def test_json_dict_lists_project_modules(self, package_tree):
-        package_tree("pkg/a.py", "from pkg import b\n")
-        root = package_tree("pkg/b.py", "X = 1\n").parent.parent
-        payload = build_graph(root).imports.to_json_dict()
-        assert "pkg.a" in payload["modules"] and "pkg.b" in payload["modules"]
-        assert any(
-            e["source"] == "pkg.a" and e["target"] == "pkg.b"
-            for e in payload["edges"]
-        )

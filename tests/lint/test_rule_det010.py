@@ -110,18 +110,6 @@ class TestSuppression:
         ).parent.parent
         assert det010(root) == []
 
-    def test_ignore_flag_drops_rule(self, package_tree):
-        package_tree("repro/util/wallclock.py", SINKING_HELPER)
-        root = package_tree(
-            "repro/sim/engine.py",
-            "from repro.util.wallclock import stamp\n\n\n"
-            "def entry():\n    return stamp()\n",
-        ).parent.parent
-        report = lint_paths(
-            [root], select=["DET010"], ignore=["DET010"], deep=True
-        )
-        assert [d for d in report.diagnostics if d.rule == "DET010"] == []
-
     def test_shallow_run_never_fires_project_rules(self, package_tree):
         package_tree("repro/util/wallclock.py", SINKING_HELPER)
         root = package_tree(

@@ -1,4 +1,4 @@
-"""Fixture-driven tests for rules DET001-DET004."""
+"""Fixture-driven tests for rules DET001-DET003."""
 
 from __future__ import annotations
 
@@ -107,32 +107,3 @@ class TestDET003UnorderedIteration:
         source = "for x in {1, 2, 3}:\n    print(x)\n"
         assert "DET003" not in rules_hit(source, module="repro.analysis.stats")
 
-
-class TestDET004FloatTimeEquality:
-    def test_float_seconds_vs_tick_name_flagged(self):
-        source = (
-            "def due(kernel, deadline_tick):\n"
-            "    return kernel.now_seconds == deadline_tick\n"
-        )
-        assert "DET004" in rules_hit(source, module="repro.sim.bad")
-
-    def test_float_literal_vs_time_flagged(self):
-        source = "def f(now_time):\n    return now_time != 1.28\n"
-        assert "DET004" in rules_hit(source, module="repro.bluetooth.bad")
-
-    def test_integer_tick_comparison_is_fine(self):
-        source = "def due(now_tick, deadline_tick):\n    return now_tick == deadline_tick\n"
-        assert "DET004" not in rules_hit(source, module="repro.sim.good")
-
-    def test_ordering_comparisons_are_fine(self):
-        source = "def f(now_seconds, deadline):\n    return now_seconds < deadline\n"
-        assert "DET004" not in rules_hit(source, module="repro.sim.good")
-
-    def test_diagnostic_carries_location(self):
-        source = "def f(now_seconds, deadline):\n    return now_seconds == deadline\n"
-        (diagnostic,) = [
-            d
-            for d in lint_snippet(source, module="repro.sim.bad")
-            if d.rule == "DET004"
-        ]
-        assert diagnostic.line == 2
