@@ -31,12 +31,6 @@ from .constants import (
     TRAIN_SIZE,
 )
 from .device import BluetoothDevice, make_devices
-from .link import (
-    DM1_PAYLOAD_BYTES,
-    AppMessage,
-    RoundRobinLinkScheduler,
-    SlaveLinkState,
-)
 from .hopping import (
     InquiryTransmitSchedule,
     PeriodicWindows,
@@ -50,7 +44,7 @@ from .hopping import (
     tx_offset_of_position,
 )
 from .inquiry import InquiryProcedure, InquiryResult
-from .packets import DM1Packet, FHSPacket, IDPacket, NullPacket, PacketType, PollPacket
+from .packets import FHSPacket
 from .page import PageOutcome, PageResult
 from .paging import N_PAGE, SlotLevelPageOutcome, SlotLevelPager
 from .piconet import Piconet, PiconetFullError
@@ -86,10 +80,6 @@ __all__ = [
     "TRAIN_SIZE",
     "BluetoothDevice",
     "make_devices",
-    "DM1_PAYLOAD_BYTES",
-    "AppMessage",
-    "RoundRobinLinkScheduler",
-    "SlaveLinkState",
     "InquiryTransmitSchedule",
     "PeriodicWindows",
     "Train",
@@ -102,12 +92,7 @@ __all__ = [
     "tx_offset_of_position",
     "InquiryProcedure",
     "InquiryResult",
-    "DM1Packet",
     "FHSPacket",
-    "IDPacket",
-    "NullPacket",
-    "PacketType",
-    "PollPacket",
     "PageOutcome",
     "PageResult",
     "N_PAGE",

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.sim.kernel import EventHandle, Kernel
+from repro.sim.kernel import Kernel
 
 from .btclock import CLKN_WRAP, BluetoothClock
 from .constants import (
@@ -81,8 +81,6 @@ class SlotLevelPager:
         self.attempts = 0
         self.connected = 0
         self.timeouts = 0
-        self.wrong_train_attempts = 0
-        self._pending: dict[object, EventHandle] = {}
 
     # -- clock estimation ----------------------------------------------------
 
@@ -132,8 +130,6 @@ class SlotLevelPager:
         predicted = self.predict_train(target, start, estimate_error_ticks)
         actual_position = self._scan_position(target, target.clock.clkn(start))
         actual = train_of_position(actual_position)
-        if predicted is not actual:
-            self.wrong_train_attempts += 1
 
         # The master transmits the slave's page hopping sequence for the
         # whole timeout, starting on the predicted train and alternating
@@ -176,18 +172,16 @@ class SlotLevelPager:
             finish = start + timeout_ticks
             outcome = PageOutcome.TIMEOUT
 
-        token = object()
-        self._pending[token] = self.kernel.schedule_at(
+        self.kernel.post_at(
             finish,
             lambda: self._finish(
-                token, target, outcome, start, rendezvous, predicted, actual, callback
+                target, outcome, start, rendezvous, predicted, actual, callback
             ),
             label=f"slotpage:{self.name}",
         )
 
     def _finish(
         self,
-        token: object,
         target: BluetoothDevice,
         outcome: PageOutcome,
         started: int,
@@ -196,7 +190,6 @@ class SlotLevelPager:
         actual: Train,
         callback: PageCallback,
     ) -> None:
-        self._pending.pop(token, None)
         if outcome is PageOutcome.CONNECTED:
             self.connected += 1
         else:

@@ -12,7 +12,7 @@ from typing import Optional
 
 from .address import BDAddr
 from .connection import Connection, DisconnectReason
-from .constants import MAX_ACTIVE_SLAVES, SUPERVISION_TIMEOUT_TICKS
+from .constants import MAX_ACTIVE_SLAVES
 
 
 class PiconetFullError(Exception):
@@ -24,7 +24,6 @@ class Piconet:
     """One master's piconet: AM_ADDR allocation and member links."""
 
     master: BDAddr
-    supervision_timeout_ticks: int = SUPERVISION_TIMEOUT_TICKS
     _members: dict[BDAddr, Connection] = field(default_factory=dict)
     _history: list[Connection] = field(default_factory=list)
 
@@ -75,7 +74,6 @@ class Piconet:
             slave=slave,
             am_addr=self._free_am_addr(),
             established_tick=tick,
-            supervision_timeout_ticks=self.supervision_timeout_ticks,
         )
         self._members[slave] = connection
         return connection

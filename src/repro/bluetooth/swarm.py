@@ -22,12 +22,14 @@ then.  The answer is closed-form arithmetic on the master's train plan
 (:meth:`~repro.bluetooth.hopping.InquiryTransmitSchedule.first_tx_run`,
 one call per 1.28 s phase segment); no transmit timetable is built.
 
-:class:`InquiryScanSwarm` keeps all slaves of one piconet as rows of a
-:class:`~repro.sim.batch.BatchStore` — clock offsets, hop phases, scan
-anchors, lifecycle state and counters are parallel ``array('q')``
-columns — and files each row under the tick at which it next acts.  All
-FHS responses of one due bucket are announced to the radio channel in a
-single batched call.  A lone slave is a one-row swarm.
+:class:`InquiryScanSwarm` keeps all slaves of one piconet as rows of
+its own struct of arrays — clock offsets, hop phases, scan anchors,
+lifecycle state and counters are parallel ``array('q')`` columns, so a
+slave is a row index and a state read is a C-level array load — and
+files each row in its due index (``tick -> rows``, in filing order)
+under the tick at which it next acts.  All FHS responses of one due
+bucket are announced to the radio channel in a single batched call.  A
+lone slave is a one-row swarm.
 
 Due buckets and the FHS deliveries the swarm opens are not kernel
 events but entries ``(tick, seq, kind)`` of one swarm-local heap, the
@@ -61,13 +63,13 @@ Ordering guarantees (pinned by the golden artefact digests and by
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.radio.channel import ResponseChannel
-from repro.sim.batch import BatchStore
 from repro.sim.hotpath import hot_path
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
@@ -159,7 +161,7 @@ class InquiryScanSwarm:
 
     One swarm serves one master schedule/channel pair and one shared
     :class:`ScanConfig`; per-slave variation (clock offset, base phase,
-    window anchor, horizon, RNG stream) lives in the store columns.
+    window anchor, horizon, RNG stream) lives in the row columns.
     """
 
     def __init__(
@@ -177,31 +179,26 @@ class InquiryScanSwarm:
         self.channel = channel
         self.config = config if config is not None else ScanConfig()
         self.name = name
-        self.store = BatchStore(
-            "offset",  # device clock offset (CLKN = tick + offset mod 2^28)
-            "base",  # base sequence position (hop-frequency state)
-            "anchor",  # scan-window anchor, already mod interval
-            "horizon",  # scanning stops at this tick
-            "state",  # lifecycle (power mode) code
-            "action",  # pending-action code for the next due tick
-            "ids_heard",
-            "backoffs",
-            "responses",
-            "first_heard",  # -1 until the first ID is heard
-            "first_response",  # -1 until the first FHS is sent
-        )
-        # Column aliases for the hot loop (array objects are stable).
-        self._offset = self.store.column("offset")
-        self._base = self.store.column("base")
-        self._anchor = self.store.column("anchor")
-        self._horizon = self.store.column("horizon")
-        self._state = self.store.column("state")
-        self._action = self.store.column("action")
-        self._ids_heard = self.store.column("ids_heard")
-        self._backoffs = self.store.column("backoffs")
-        self._responses = self.store.column("responses")
-        self._first_heard = self.store.column("first_heard")
-        self._first_response = self.store.column("first_response")
+        # Row columns, signed 64-bit: wide enough for ticks, 28-bit
+        # clocks and counters, with -1 as a "not yet" sentinel.  Rows
+        # are append-only, so row indices stay valid for the per-row
+        # Python-object lists below.
+        self._offset = array("q")  # clock offset (CLKN = tick + offset mod 2^28)
+        self._base = array("q")  # base sequence position (hop-frequency state)
+        self._anchor = array("q")  # scan-window anchor, already mod interval
+        self._horizon = array("q")  # scanning stops at this tick
+        self._state = array("q")  # lifecycle (power mode) code
+        self._action = array("q")  # pending-action code for the next due tick
+        self._ids_heard = array("q")
+        self._backoffs = array("q")
+        self._responses = array("q")
+        self._first_heard = array("q")  # -1 until the first ID is heard
+        self._first_response = array("q")  # -1 until the first FHS is sent
+        # The due index: tick -> rows filed for it, in filing order.  A
+        # bucket leaves the index when its tick is processed, so a row
+        # filed for the same tick during processing opens a fresh,
+        # later bucket.
+        self._due: dict[int, list[int]] = {}
         # Per-row Python objects the columns cannot hold.
         self._addresses: list[BDAddr] = []
         self._rngs: list[RandomStream] = []
@@ -262,8 +259,7 @@ class InquiryScanSwarm:
         self._wake_locals = (
             kernel.queue,
             self._clock,
-            self.store.advance,
-            self.store.due_index,
+            self._due,
             kernel.reserve_seq,
             channel.deliver,
             self._state,
@@ -287,7 +283,7 @@ class InquiryScanSwarm:
     @property
     def slave_count(self) -> int:
         """Number of slaves (rows) ever added to this swarm."""
-        return self.store.size
+        return len(self._offset)
 
     def add_slave(
         self,
@@ -310,16 +306,18 @@ class InquiryScanSwarm:
         if not 0 <= base_phase < NUM_INQUIRY_FREQUENCIES:
             raise ValueError(f"base_phase out of range: {base_phase}")
         anchor = window_anchor if window_anchor is not None else clock.offset
-        row = self.store.add_row(
-            offset=clock.offset,
-            base=base_phase,
-            anchor=anchor % self._interval_ticks,
-            horizon=horizon_tick,
-            state=_IDLE,
-            action=0,
-            first_heard=-1,
-            first_response=-1,
-        )
+        row = len(self._offset)
+        self._offset.append(clock.offset)
+        self._base.append(base_phase)
+        self._anchor.append(anchor % self._interval_ticks)
+        self._horizon.append(horizon_tick)
+        self._state.append(_IDLE)
+        self._action.append(0)
+        self._ids_heard.append(0)
+        self._backoffs.append(0)
+        self._responses.append(0)
+        self._first_heard.append(-1)
+        self._first_response.append(-1)
         self._addresses.append(address)
         self._rngs.append(rng)
         self._names.append(name or str(address))
@@ -491,8 +489,11 @@ class InquiryScanSwarm:
         Outside a drain, a bucket that becomes the timeline's earliest
         entry gets its wake posted now.
         """
-        if not self.store.push_due(tick, row):
+        bucket = self._due.get(tick)
+        if bucket is not None:
+            bucket.append(row)
             return
+        self._due[tick] = [row]
         seq = self.kernel.reserve_seq()
         timeline = self._timeline
         entry = (tick, seq, -1)
@@ -525,7 +526,7 @@ class InquiryScanSwarm:
         if timeline:
             posted.discard(timeline[0][1])
         (
-            heap, clock, advance, due, reserve, deliver, state, action,
+            heap, clock, due, reserve, deliver, state, action,
             cursors, offsets, addresses, ids_heard, responses,
             response_ticks, first_response, sequence, batch, bulk,
             windowless, timeout,
@@ -565,7 +566,7 @@ class InquiryScanSwarm:
                         if head[0] <= bound:
                             horizon = (head[0], head[1])
                     continue
-                rows = advance(tick)
+                rows = due.pop(tick, ())
                 n_advances += 1
                 n_steps += len(rows)
                 batch_tick = -1
@@ -787,8 +788,8 @@ class InquiryScanSwarm:
 
     def __repr__(self) -> str:
         return (
-            f"InquiryScanSwarm(name={self.name!r}, slaves={self.store.size}, "
-            f"pending_ticks={self.store.pending_ticks})"
+            f"InquiryScanSwarm(name={self.name!r}, slaves={len(self._offset)}, "
+            f"pending_ticks={len(self._due)})"
         )
 
 

@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.bluetooth.scan import PhaseMode, ResponseMode, ScanConfig
-from repro.lan.transport import LatencyModel
-from repro.mobility.speeds import PedestrianSpeedModel
 
 from .scheduler import MasterSchedulingPolicy
 
@@ -20,22 +18,19 @@ class BIPSConfig:
     """All knobs of a full-system BIPS simulation.
 
     Defaults follow the paper: the §5 scheduling policy (3.84 s inquiry
-    per 15.4 s cycle), room-granule tracking with a two-miss absence
-    threshold, pedestrians in the [1.1, 1.5] m/s band, and a
-    sub-millisecond office LAN.
+    per 15.4 s cycle) and room-granule tracking with a two-miss absence
+    threshold.  Walking speeds (pedestrians in the [1.1, 1.5] m/s band)
+    and LAN latency (a sub-millisecond office LAN) are those of
+    :class:`~repro.mobility.walker.BuildingWalker` and
+    :class:`~repro.lan.transport.LANTransport`.
     """
 
     seed: int = 20030101
     policy: MasterSchedulingPolicy = field(default_factory=MasterSchedulingPolicy)
     miss_threshold: int = 2
-    lan_latency: LatencyModel = field(default_factory=LatencyModel)
     lan_loss_probability: float = 0.0
-    speed_model: PedestrianSpeedModel = field(default_factory=PedestrianSpeedModel)
     dwell_low_seconds: float = 20.0
     dwell_high_seconds: float = 120.0
-    #: Stagger workstation inquiry windows across the cycle so presence
-    #: reports do not all burst onto the LAN at the same instant.
-    stagger_workstations: bool = True
     #: Soft-state refresh: every N cycles a workstation re-asserts all
     #: its present devices, healing presence deltas lost on the LAN.
     #: 0 = pure delta reporting (the paper's design).
@@ -45,11 +40,6 @@ class BIPSConfig:
     #: seven-slave AM_ADDR limit).  Tracking works without it; enabling
     #: it exercises the page/connection machinery end to end.
     enroll_users: bool = False
-    #: With enrolment on, push an application message of this many bytes
-    #: to every connected slave each cycle (the paper's "serving the
-    #: slaves applications", e.g. a refreshed navigation path).  0 = no
-    #: application traffic.
-    push_navigation_bytes: int = 0
     #: Inter-piconet interference: piconets of adjacent rooms corrupt
     #: each other's inquiry responses with probability 1/79 per active
     #: neighbour (uncoordinated frequency hopping).  Off by default —
@@ -101,10 +91,6 @@ class BIPSConfig:
         if self.refresh_interval_cycles < 0:
             raise ValueError(
                 f"negative refresh interval: {self.refresh_interval_cycles}"
-            )
-        if self.push_navigation_bytes < 0:
-            raise ValueError(
-                f"negative push payload: {self.push_navigation_bytes}"
             )
         if not 0.0 <= self.coverage_overlap_fraction <= 0.5:
             raise ValueError(

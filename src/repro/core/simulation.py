@@ -177,7 +177,6 @@ class BIPSSimulation:
         lan_rng = self.rng.child("lan")
         self.lan = LANTransport(
             self.kernel,
-            latency=self.config.lan_latency,
             loss_probability=self.config.lan_loss_probability,
             rng=lan_rng,
             metrics=self.metrics,
@@ -211,7 +210,6 @@ class BIPSSimulation:
         self._walker = BuildingWalker(
             self.plan,
             self.rng.child("walker"),
-            speed_model=self.config.speed_model,
             dwell_low_seconds=self.config.dwell_low_seconds,
             dwell_high_seconds=self.config.dwell_high_seconds,
         )
@@ -230,7 +228,9 @@ class BIPSSimulation:
         )
         schedules = {}
         for index, room_id in enumerate(room_ids):
-            offset = (index * cycle) // len(room_ids) if self.config.stagger_workstations else 0
+            # Staggered inquiry windows, so presence reports do not all
+            # burst onto the LAN at the same instant.
+            offset = (index * cycle) // len(room_ids)
             device = BluetoothDevice(
                 address=BDAddr(_WORKSTATION_ADDR_BASE + index),
                 clock=BluetoothClock(offset=ws_rng.randint(0, CLKN_WRAP - 1)),
@@ -260,7 +260,6 @@ class BIPSSimulation:
                     self._devices_by_address.get if self.config.enroll_users else None
                 ),
                 reachable=reachable,
-                push_payload_bytes=self.config.push_navigation_bytes,
                 retry_policy=self._retry_policy,
                 metrics=self.metrics,
                 spans=self.spans,

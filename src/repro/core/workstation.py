@@ -8,7 +8,8 @@ machine" (§2).
 The workstation runs the §5 duty cycle (inquiry window + serving
 window), folds each window's sightings through the
 :class:`~repro.core.tracker.PresenceTracker`, and ships only the deltas
-over the LAN.
+over the LAN.  Positions come from inquiry alone; the serving window's
+application traffic is not modelled.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.bluetooth.connection import DisconnectReason
 from repro.bluetooth.device import BluetoothDevice
 from repro.bluetooth.inquiry import InquiryProcedure
-from repro.bluetooth.link import RoundRobinLinkScheduler
 from repro.bluetooth.page import PageOutcome
 from repro.bluetooth.paging import SlotLevelPager
 from repro.bluetooth.piconet import Piconet, PiconetFullError
@@ -75,7 +75,6 @@ class Workstation:
         refresh_interval_cycles: int = 0,
         device_directory: Optional[DeviceDirectory] = None,
         reachable: Optional[Callable] = None,
-        push_payload_bytes: int = 0,
         retry_policy: Optional["RetryPolicy"] = None,
         metrics: Optional["MetricsRegistry"] = None,
         spans: Optional["SpanTracer"] = None,
@@ -92,19 +91,12 @@ class Workstation:
             are paged (slot-level §3.2 rendezvous) during the serving
             window and joined to the piconet, up to the seven-slave
             AM_ADDR limit.  None (default) tracks by inquiry alone.
-        push_payload_bytes: when positive (and enrolment is on), the
-            workstation pushes an application message of this size to
-            every connected slave each cycle over DM1 slots — the
-            paper's "serving the slaves applications" (e.g. refreshed
-            navigation paths for the handheld display).
         retry_policy: when set, every message to the server goes through
             :meth:`LANTransport.send_reliable` under this policy —
             bounded retransmission with exponential backoff — instead of
             the paper's fire-and-forget delta push.  None (the default)
             keeps the original semantics.
         """
-        if push_payload_bytes < 0:
-            raise ValueError(f"negative push payload: {push_payload_bytes}")
         if schedule_offset_ticks < 0:
             raise ValueError(f"negative schedule offset: {schedule_offset_ticks}")
         if refresh_interval_cycles < 0:
@@ -132,15 +124,11 @@ class Workstation:
         self.device_directory = device_directory
         self.pager = SlotLevelPager(kernel, name=workstation_id)
         self.piconet = Piconet(master=device.address)
-        self.push_payload_bytes = push_payload_bytes
-        self.link = RoundRobinLinkScheduler()
-        self._last_window_end: Optional[int] = None
         self.updates_sent = 0
         self.refreshes_sent = 0
         self.windows_evaluated = 0
         self.invalidations_received = 0
         self.enrolled = 0
-        self.enroll_failures = 0
         self.enroll_rejected_full = 0
         self.retry_policy = retry_policy
         self.failed = False
@@ -274,7 +262,7 @@ class Workstation:
         self.windows_evaluated += 1
         spans = self._spans
         if spans is None:
-            self._finish_window(window_start, window_end, seen, deltas)
+            self._finish_window(seen, deltas)
             return
         # The duty-cycle window is the trace root: everything the window
         # causes — delta sends, LAN transits, DB applies — nests under it.
@@ -290,12 +278,12 @@ class Workstation:
         )
         prev = spans.push(span)
         try:
-            self._finish_window(window_start, window_end, seen, deltas)
+            self._finish_window(seen, deltas)
         finally:
             spans.pop(prev)
             spans.end(span, window_end)
 
-    def _finish_window(self, window_start: int, window_end: int, seen, deltas) -> None:
+    def _finish_window(self, seen, deltas) -> None:
         """The window's consequences (split out so a span can wrap them)."""
         if self._metrics is not None:
             self._metrics.counter("core.inquiry_windows_evaluated").inc()
@@ -308,47 +296,16 @@ class Workstation:
             # discovery (first response after re-entering the room).
             self.inquiry.forget(address)
             self.piconet.detach(address, self.kernel.now, DisconnectReason.DEVICE_LEFT)
-        # Serving phase: exchange data with every connected slave, which
-        # keeps the links' supervision alive while the user is present.
-        for connection in self.piconet.members:
-            connection.exchange(self.kernel.now)
         if self._metrics is not None:
             self._metrics.gauge(
                 "core.piconet_occupancy", room=self.room_id
             ).set(self.present_count)
-        self._serve_previous_window(window_start)
-        self._last_window_end = window_end
         if (
             self.refresh_interval_cycles
             and deltas.cycle_index % self.refresh_interval_cycles
             == self.refresh_interval_cycles - 1
         ):
             self._send_refresh(seen, deltas.new_presences)
-
-    def _serve_previous_window(self, current_window_start: int) -> None:
-        """Account the serving interval that just ended.
-
-        The serving phase between the previous inquiry window's end and
-        this window's start has elapsed; replay it through the DM1 link
-        scheduler (pure slot arithmetic — nothing else used the radio).
-        """
-        if self._last_window_end is None:
-            return
-        serving_start = self._last_window_end
-        serving_end = current_window_start
-        if serving_end <= serving_start:
-            return
-        # Sync the polling wheel with current membership.
-        member_ids = {str(conn.slave) for conn in self.piconet.members}
-        for slave_id in self.link.slave_ids:
-            if slave_id not in member_ids:
-                self.link.detach(slave_id)
-        for slave_id in member_ids:
-            self.link.attach(slave_id)
-        if self.push_payload_bytes:
-            for slave_id in sorted(member_ids):
-                self.link.enqueue(slave_id, self.push_payload_bytes, serving_start)
-        self.link.serve_window(serving_start, serving_end)
 
     def _send_refresh(self, seen, already_sent) -> None:
         """Soft-state refresh: re-assert present devices.
@@ -386,7 +343,6 @@ class Workstation:
         if self.failed:
             return
         if outcome.result.outcome is not PageOutcome.CONNECTED:
-            self.enroll_failures += 1
             return
         if address not in self.tracker.present_devices or address in self.piconet:
             return  # departed (or raced) while we paged

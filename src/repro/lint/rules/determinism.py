@@ -42,7 +42,6 @@ HOT_PATH_MODULES = frozenset(
         "repro.bluetooth.inquiry",
         "repro.bluetooth.scan",
         "repro.bluetooth.swarm",
-        "repro.bluetooth.link",
         "repro.bluetooth.piconet",
         "repro.core.tracker",
     }

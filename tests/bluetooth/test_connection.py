@@ -11,13 +11,12 @@ from repro.bluetooth.piconet import Piconet, PiconetFullError
 MASTER = BDAddr(0xAAAA)
 
 
-def make_connection(am_addr: int = 1, established: int = 0, timeout: int = 1000):
+def make_connection(am_addr: int = 1, established: int = 0):
     return Connection(
         master=MASTER,
         slave=BDAddr(0xBBBB),
         am_addr=am_addr,
         established_tick=established,
-        supervision_timeout_ticks=timeout,
     )
 
 
@@ -25,7 +24,6 @@ class TestConnection:
     def test_initial_state(self):
         conn = make_connection()
         assert conn.active
-        assert conn.last_heard_tick == 0
         assert conn.duration_ticks is None
 
     def test_am_addr_validated(self):
@@ -33,25 +31,6 @@ class TestConnection:
             make_connection(am_addr=0)
         with pytest.raises(ValueError):
             make_connection(am_addr=8)
-
-    def test_exchange_updates_liveness(self):
-        conn = make_connection()
-        conn.exchange(500, payload="hello")
-        assert conn.last_heard_tick == 500
-        assert conn.packets_exchanged == 1
-        assert conn.payloads == ["hello"]
-
-    def test_exchange_backwards_rejected(self):
-        conn = make_connection()
-        conn.exchange(500)
-        with pytest.raises(ValueError):
-            conn.exchange(400)
-
-    def test_exchange_on_closed_rejected(self):
-        conn = make_connection()
-        conn.close(100, DisconnectReason.LOCAL_CLOSE)
-        with pytest.raises(RuntimeError):
-            conn.exchange(200)
 
     def test_close_records_reason_and_duration(self):
         conn = make_connection(established=100)

@@ -8,7 +8,7 @@ from repro.bluetooth import constants
 from repro.bluetooth.address import BDAddr
 from repro.bluetooth.device import BluetoothDevice, make_devices
 from repro.bluetooth.hopping import Train, train_of_position
-from repro.bluetooth.packets import DM1Packet, FHSPacket, IDPacket
+from repro.bluetooth.packets import FHSPacket
 from repro.sim.rng import RandomStream
 
 
@@ -40,13 +40,6 @@ class TestPackets:
         packet = FHSPacket(sender=BDAddr(7), clkn=123, channel=5, tx_tick=999)
         assert packet.sender == BDAddr(7)
         assert packet.clkn == 123
-
-    def test_id_packet(self):
-        packet = IDPacket(lap=0x9E8B33, channel=3, tx_tick=10)
-        assert packet.lap == constants.GIAC_LAP
-
-    def test_dm1_payload_cap_documented(self):
-        assert DM1Packet.MAX_PAYLOAD_BYTES == 17
 
 
 class TestBluetoothDevice:

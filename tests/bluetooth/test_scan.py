@@ -56,7 +56,7 @@ def reference_next_hear(scanner, schedule, from_tick, before_tick, ignore_window
     for tick, position in enumerate_transmissions(schedule, before_tick):
         tx_by_tick.setdefault(tick, []).append(position)
     config = scanner.swarm.config
-    anchor = scanner.swarm.store.row(scanner.row)["anchor"]
+    anchor = scanner.swarm._anchor[scanner.row]
     for tick in range(from_tick, before_tick):
         if not (ignore_windows or config.is_continuous):
             offset = (tick - anchor) % config.interval_ticks

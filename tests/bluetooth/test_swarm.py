@@ -186,7 +186,7 @@ def _check_cursor(swarm, checked):
     run continues on exactly the state the swarm built.
     """
     announce = swarm.channel.schedule_fhs_batch
-    due = swarm.store.due_index
+    due = swarm._due
 
     def checking_announce(tick, rf_channel, packets):
         if swarm.config.response_mode is ResponseMode.CONTINUOUS:

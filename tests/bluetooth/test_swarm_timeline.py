@@ -251,6 +251,73 @@ class TestDrainBound:
         assert _digest(_observables(swarm, master, handles)) == full
 
 
+def _zero_backoff_swarm(kernel, slaves):
+    """CONTINUOUS rows with a 0-slot backoff, identical clocks and phases:
+    every row hears the same IDs, and a backoff refiles the row for the
+    very tick it is processed at."""
+    schedule = continuous_inquiry()
+    master = InquiryProcedure(kernel, schedule, name="m")
+    swarm = InquiryScanSwarm(
+        kernel,
+        schedule,
+        master.channel,
+        config=ScanConfig.continuous(backoff_max_slots=0),
+        name="zero",
+    )
+    handles = [
+        swarm.add_slave(
+            BDAddr(0x300 + index),
+            rng=RandomStream(index, "zero"),
+            clock=BluetoothClock(offset=5_000),
+            horizon_tick=20_000,
+        )
+        for index in range(slaves)
+    ]
+    return swarm, master, handles
+
+
+class TestDueBuckets:
+    START = 100
+
+    def test_rows_due_at_one_tick_act_in_filing_order(self):
+        # Every row's seek files it for the same hear tick, so that
+        # bucket lists the rows in the order the start bucket ran them.
+        kernel = Kernel()
+        swarm, _, handles = _zero_backoff_swarm(kernel, 3)
+        order = [handles[2], handles[0], handles[1]]
+        for handle in order:
+            handle.start(at_tick=self.START)
+        kernel.run_until(self.START)
+        assert list(swarm._due.values()) == [[handle.row for handle in order]]
+
+    def test_same_tick_refile_opens_a_later_bucket(self):
+        # A 0-slot backoff refiles the row for the tick being processed.
+        # The refile takes a fresh seq, so a foreign event posted for that
+        # tick after the hear was filed fires between the hear and the
+        # end of the backoff; the response still goes out that tick.
+        kernel = Kernel()
+        _, _, (reference,) = _zero_backoff_swarm(kernel, 1)
+        reference.start(at_tick=self.START)
+        kernel.run_until(5_000)
+        heard = reference.stats.first_heard_tick
+        assert heard > self.START
+
+        kernel = Kernel()
+        _, _, (handle,) = _zero_backoff_swarm(kernel, 1)
+        handle.start(at_tick=self.START)
+        kernel.run_until(heard - 1)
+        seen = []
+        kernel.post_at(
+            heard,
+            lambda: seen.append(
+                (handle.state.value, handle.stats.ids_heard, handle.stats.responses)
+            ),
+        )
+        kernel.run_until(5_000)
+        assert seen == [("backoff", 1, 0)]
+        assert handle.stats.response_ticks[0] == heard + DELAY
+
+
 class TestStopMidDrain:
     def test_stop_from_on_discovered_freezes_the_row(self):
         kernel, swarm, master, handles = _piconet(start=False)
@@ -292,7 +359,7 @@ class TestTimelineBookkeeping:
     def test_finished_swarm_is_freed_without_the_cyclic_gc(self):
         # The swarm must not sit in a reference cycle of its own making
         # (say, through cached bound methods), or every finished trial
-        # would hold its store and rows until the next GC pass.
+        # would hold its columns and rows until the next GC pass.
         gc.disable()
         try:
             kernel, swarm, master, handles = _piconet(slaves=3)

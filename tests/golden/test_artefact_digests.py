@@ -7,6 +7,11 @@ refactor or speed-up must leave every digest alone, while a deliberate
 model fix re-records them (``--update``) *and* must still pass the
 paper-tolerance checks below, which run on the very same pinned runs.
 
+The ``enrolment.*`` payloads pin a full-feature run (the
+``examples/multi_floor_ops.py`` scenario: enrolment, interference and
+soft-state refresh, with a workstation crash and recovery), the only
+pinned run that pages and joins users to piconets.
+
 The e2e metrics JSONL drops ``sim.*`` records: they are kernel-internal
 telemetry (event counts, queue depths, batch counters) that describe how
 the simulation executed, not what it simulated.
@@ -28,7 +33,9 @@ from typing import Callable
 
 import pytest
 
+from repro import BIPSConfig, BIPSSimulation
 from repro.analysis.stats import relative_error
+from repro.building import multi_floor_department
 from repro.experiments.duty_cycle import PAPER_REFERENCE as SECTION5_REFERENCE
 from repro.experiments.duty_cycle import Section5Config, run_section5
 from repro.experiments.e2e import E2EConfig, run_e2e
@@ -73,12 +80,53 @@ def _e2e(faults: str = "none") -> tuple[str, str]:
     """(rendered report, metrics JSONL without ``sim.*`` records)."""
     registry = MetricsRegistry()
     result = run_e2e(replace(E2E, faults=faults), metrics=registry)
-    jsonl = "".join(
+    return result.render(), _metrics_jsonl(registry)
+
+
+def _metrics_jsonl(registry: MetricsRegistry) -> str:
+    return "".join(
         json.dumps(record, sort_keys=True) + "\n"
         for record in registry.snapshot()
         if not record["name"].startswith("sim.")
     )
-    return result.render(), jsonl
+
+
+@lru_cache(maxsize=None)
+def _enrolment() -> tuple[str, str, str]:
+    """(tracking report, snapshots after each phase, metrics JSONL)."""
+    sim = BIPSSimulation(
+        plan=multi_floor_department(2),
+        config=BIPSConfig(
+            seed=1234,
+            enroll_users=True,
+            model_interference=True,
+            refresh_interval_cycles=4,
+        ),
+    )
+    for userid, name in (("u-ga", "Giulia"), ("u-ma", "Marco"), ("u-te", "Teresa")):
+        sim.add_user(userid, name)
+        sim.login(userid)
+    sim.follow_route("u-ga", ["f1/office-1"])
+    sim.follow_route("u-ma", ["f0/lab-2"])
+    sim.follow_route(
+        "u-te",
+        ["f0/library", "f0/corridor-w", "f1/corridor-w", "f1/corridor-e", "f1/seminar"],
+    )
+    snapshots = []
+    sim.run(until_seconds=240.0)
+    snapshots.append(repr(sim.system_snapshot()))
+    sim.fail_workstation("f1/corridor-w")
+    sim.run(until_seconds=360.0)
+    snapshots.append(repr(sim.system_snapshot()))
+    sim.recover_workstation("f1/corridor-w")
+    sim.run(until_seconds=480.0)
+    snapshots.append(repr(sim.system_snapshot()))
+    sim.finalize_metrics()
+    return (
+        sim.tracking_report().describe(),
+        "\n".join(snapshots),
+        _metrics_jsonl(sim.metrics),
+    )
 
 
 def _section5_text() -> str:
@@ -96,6 +144,9 @@ PAYLOADS: dict[str, Callable[[], str]] = {
     "section5": _section5_text,
     "e2e.report": lambda: _e2e()[0],
     "e2e.metrics.jsonl": lambda: _e2e()[1],
+    "enrolment.report": lambda: _enrolment()[0],
+    "enrolment.snapshots": lambda: _enrolment()[1],
+    "enrolment.metrics.jsonl": lambda: _enrolment()[2],
 }
 for _profile in FAULT_PROFILES:
     PAYLOADS[f"table1.{_profile}.csv"] = lambda p=_profile: _table1(p).to_csv()
