@@ -22,7 +22,6 @@ from repro.sim.clock import seconds_from_ticks
 from repro.sim.kernel import Kernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracing import SpanTracer
 
 from .address import BDAddr
@@ -64,7 +63,6 @@ class InquiryProcedure:
         on_discovered: Optional[DiscoveryListener] = None,
         reachable: Optional[ReachabilityPredicate] = None,
         receiver_capture: bool = True,
-        metrics: Optional["MetricsRegistry"] = None,
         spans: Optional["SpanTracer"] = None,
     ) -> None:
         self.kernel = kernel
@@ -74,16 +72,6 @@ class InquiryProcedure:
         self.on_discovered = on_discovered
         self.receiver_capture = receiver_capture
         self._spans = spans
-        if metrics is not None:
-            self._m_responses = metrics.counter("bt.inquiry.responses_received")
-            self._m_missed = metrics.counter("bt.inquiry.responses_missed")
-            self._m_blocked = metrics.counter("bt.inquiry.responses_blocked")
-            self._m_discoveries = metrics.counter("bt.inquiry.devices_discovered")
-        else:
-            self._m_responses = None
-            self._m_missed = None
-            self._m_blocked = None
-            self._m_discoveries = None
         self.channel = ResponseChannel(
             kernel, receiver=self._on_fhs, reachable=reachable, name=name
         )
@@ -95,6 +83,9 @@ class InquiryProcedure:
         self.responses_received = 0
         self.responses_missed = 0  # arrived while the master was not listening
         self.responses_blocked = 0  # lost because the receiver was busy
+        #: First sightings; a forgotten device counts again when it is
+        #: next heard.  Unlike :attr:`discovered_count`, never shrinks.
+        self.discoveries = 0
         self._receiver_busy_until = -1
 
     # -- reception ---------------------------------------------------------
@@ -102,19 +93,13 @@ class InquiryProcedure:
     def _on_fhs(self, packet: FHSPacket, tick: int) -> None:
         if not self._is_listening(tick):
             self.responses_missed += 1
-            if self._m_missed is not None:
-                self._m_missed.inc()
             return
         if self.receiver_capture:
             if tick < self._receiver_busy_until:
                 self.responses_blocked += 1
-                if self._m_blocked is not None:
-                    self._m_blocked.inc()
                 return
             self._receiver_busy_until = tick + self.FHS_RX_TICKS
         self.responses_received += 1
-        if self._m_responses is not None:
-            self._m_responses.inc()
         if self._spans is not None:
             self._spans.instant(
                 "bt.response", "bluetooth", tick,
@@ -125,8 +110,7 @@ class InquiryProcedure:
             return
         result = InquiryResult(address=packet.sender, clkn=packet.clkn, discovered_tick=tick)
         self._results[packet.sender] = result
-        if self._m_discoveries is not None:
-            self._m_discoveries.inc()
+        self.discoveries += 1
         if self._spans is not None:
             self._spans.instant(
                 "bt.discovery", "bluetooth", tick,

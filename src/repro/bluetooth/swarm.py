@@ -67,15 +67,12 @@ from array import array
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.radio.channel import ResponseChannel
 from repro.sim.hotpath import hot_path
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
 
 from .address import BDAddr
 from .btclock import CLKN_WRAP, BluetoothClock
@@ -170,7 +167,6 @@ class InquiryScanSwarm:
         schedule: InquiryTransmitSchedule,
         channel: ResponseChannel,
         config: Optional[ScanConfig] = None,
-        metrics: Optional["MetricsRegistry"] = None,
         name: str = "swarm",
     ) -> None:
         self.kernel = kernel
@@ -234,23 +230,9 @@ class InquiryScanSwarm:
         self._timeline: list[tuple[int, int, int]] = []
         self._posted: set[int] = set()
         self._draining = False
-        # ``bt.scan.*`` counts of the _step_* methods, flushed to the
-        # registry (if any) once per wake.
-        self._n_ids_heard = 0
-        self._n_backoffs = 0
-        self._n_responses = 0
-        if metrics is not None:
-            self._m_ids_heard = metrics.counter("bt.scan.ids_heard")
-            self._m_backoffs = metrics.counter("bt.scan.backoffs")
-            self._m_responses = metrics.counter("bt.scan.responses_sent")
-            self._m_advances = metrics.counter("sim.batch.advances")
-            self._m_steps = metrics.counter("sim.batch.slave_steps")
-        else:
-            self._m_ids_heard = None
-            self._m_backoffs = None
-            self._m_responses = None
-            self._m_advances = None
-            self._m_steps = None
+        #: Due buckets processed, and the row steps taken inside them.
+        self.advances = 0
+        self.slave_steps = 0
         # Everything _wake reads that is fixed for the swarm's lifetime,
         # unpacked in one step: a wake that drains one or two entries
         # (many piconets interleaving) pays for its set-up on each call.
@@ -284,6 +266,10 @@ class InquiryScanSwarm:
     def slave_count(self) -> int:
         """Number of slaves (rows) ever added to this swarm."""
         return len(self._offset)
+
+    def scan_totals(self) -> tuple[int, int, int]:
+        """IDs heard, backoffs and FHS responses, summed over every row."""
+        return sum(self._ids_heard), sum(self._backoffs), sum(self._responses)
 
     def add_slave(
         self,
@@ -517,9 +503,8 @@ class InquiryScanSwarm:
         own ``seq`` (unless it already has one).  A bucket's CONTINUOUS
         responders standing on their rendezvous cursor take the bulk
         path inline; every other row takes its ``_step_*`` method.  The
-        ``sim.batch.*`` counts accumulate in locals, the ``bt.scan.*``
-        counts in locals and on the swarm, and all are flushed to the
-        registry before returning.
+        bucket and step counts accumulate in locals and are added to
+        :attr:`advances` and :attr:`slave_steps` before returning.
         """
         timeline = self._timeline
         posted = self._posted
@@ -537,7 +522,6 @@ class InquiryScanSwarm:
         next_hear = self.next_hear
         n_advances = 0
         n_steps = 0
-        n_bulk = 0
         # The lookahead horizon as a (tick, seq) pair: an entry is due
         # while it sorts below both the bound (every seq of tick
         # ``bound``) and the kernel heap head.  An entry equal to the head
@@ -601,7 +585,6 @@ class InquiryScanSwarm:
                                 # run ends, and the row listens on it until
                                 # its segment ends.
                                 ids_heard[row] += 1
-                                n_bulk += 1
                                 batch.append(
                                     FHSPacket(
                                         addresses[row],
@@ -663,20 +646,8 @@ class InquiryScanSwarm:
                     batch.clear()
         finally:
             self._draining = False
-            if self._m_advances is not None and n_advances:
-                self._m_advances.inc(n_advances)
-                self._m_steps.inc(n_steps)
-                ids_heard = self._n_ids_heard + n_bulk
-                if ids_heard:
-                    self._m_ids_heard.inc(ids_heard)
-                    self._n_ids_heard = 0
-                if self._n_backoffs:
-                    self._m_backoffs.inc(self._n_backoffs)
-                    self._n_backoffs = 0
-                responses = self._n_responses + n_bulk
-                if responses:
-                    self._m_responses.inc(responses)
-                    self._n_responses = 0
+            self.advances += n_advances
+            self.slave_steps += n_steps
         if timeline:
             entry = timeline[0]
             if entry[1] not in posted:
@@ -696,7 +667,6 @@ class InquiryScanSwarm:
     def _step_first_hear(self, row: int, now: int) -> None:
         """Count a first hear and start the random backoff."""
         self._ids_heard[row] += 1
-        self._n_ids_heard += 1
         if self._first_heard[row] < 0:
             self._first_heard[row] = now
         self._begin_backoff(row, now)
@@ -704,7 +674,6 @@ class InquiryScanSwarm:
     def _begin_backoff(self, row: int, now: int) -> None:
         """Draw a random backoff (the row's only draw) and sleep it out."""
         self._backoffs[row] += 1
-        self._n_backoffs += 1
         backoff_ticks = self._rngs[row].backoff_slots(self._backoff_max) * TICKS_PER_SLOT
         self._state[row] = _BACKOFF
         self._action[row] = _ACT_BACKOFF_END
@@ -744,7 +713,6 @@ class InquiryScanSwarm:
         its cursor never gets here: ``_wake`` continues it in bulk.)
         """
         self._ids_heard[row] += 1
-        self._n_ids_heard += 1
         hear_tick, _, position = self._cursors[row]
         if hear_tick != now:
             position = self.listen_position(row, now)
@@ -759,7 +727,6 @@ class InquiryScanSwarm:
             tx_tick,
         )
         self._responses[row] += 1
-        self._n_responses += 1
         self._response_ticks[row].append(tx_tick)
         if self._first_response[row] < 0:
             self._first_response[row] = tx_tick

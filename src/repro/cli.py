@@ -200,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flush_metrics(registry: MetricsRegistry, path: Optional[str]) -> None:
+def _write_metrics(registry: MetricsRegistry, path: Optional[str]) -> None:
     """Write the snapshot if --metrics-out was given."""
     if path is None:
         return
@@ -267,7 +267,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             runner=_runner_from_args(args, registry),
         )
         print(result.render())
-        _flush_metrics(registry, args.metrics_out)
+        _write_metrics(registry, args.metrics_out)
     elif args.command == "figure2":
         registry = MetricsRegistry()
         result = run_figure2(
@@ -275,7 +275,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             runner=_runner_from_args(args, registry),
         )
         print(result.render())
-        _flush_metrics(registry, args.metrics_out)
+        _write_metrics(registry, args.metrics_out)
     elif args.command == "section5":
         registry = MetricsRegistry()
         result = run_section5(
@@ -283,7 +283,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             runner=_runner_from_args(args, registry),
         )
         print(result.render())
-        _flush_metrics(registry, args.metrics_out)
+        _write_metrics(registry, args.metrics_out)
     elif args.command == "e2e":
         registry = MetricsRegistry()
         result = run_e2e(
@@ -297,7 +297,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             metrics=registry,
         )
         print(result.render())
-        _flush_metrics(registry, args.metrics_out)
+        _write_metrics(registry, args.metrics_out)
     elif args.command == "metrics":
         registry = MetricsRegistry()
         run_e2e(
@@ -311,7 +311,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             metrics=registry,
         )
         print(registry.render_scoreboard("BIPS pipeline metrics"))
-        _flush_metrics(registry, args.metrics_out)
+        _write_metrics(registry, args.metrics_out)
     elif args.command == "sweeps":
         registry = MetricsRegistry()
         for sweep in run_all_sweeps(
@@ -319,7 +319,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ):
             print(sweep.render())
             print()
-        _flush_metrics(registry, args.metrics_out)
+        _write_metrics(registry, args.metrics_out)
     return 0
 
 

@@ -79,12 +79,9 @@ class BIPSServer:
         self._metrics = metrics
         self._spans = spans
         if metrics is not None:
-            self._m_presence = metrics.counter("core.presence_updates_received")
             self._m_push_lag = metrics.histogram(
                 "core.delta_push_lag_ticks", buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
             )
-            self._m_known = metrics.gauge("db.known_devices")
-            self._m_tracked = metrics.gauge("db.tracked_devices")
         lan.register(endpoint, self._on_message)
 
     # -- fault injection ---------------------------------------------------------
@@ -103,8 +100,6 @@ class BIPSServer:
         self.browned_out = active
         if active:
             self.brownouts += 1
-            if self._metrics is not None:
-                self._metrics.counter("core.server_brownouts").inc()
             self.lan.unregister(self.endpoint)
         else:
             self.lan.register(self.endpoint, self._on_message)
@@ -150,7 +145,6 @@ class BIPSServer:
     def _handle_presence(self, message: PresenceUpdate) -> None:
         self.presence_updates_received += 1
         if self._metrics is not None:
-            self._m_presence.inc()
             # Delta-push lag: workstation decision to database update.
             self._m_push_lag.observe(self.kernel.now - message.sent_tick)
         room = self._workstation_rooms.get(message.workstation_id)
@@ -199,9 +193,6 @@ class BIPSServer:
             self.location_db.apply_absence(
                 message.device, room, self.kernel.now, message.workstation_id
             )
-        if self._metrics is not None:
-            self._m_known.set(self.location_db.known_count)
-            self._m_tracked.set(self.location_db.tracked_count)
 
     def _invalidate_previous_room(self, device, previous_room: str, new_room: str) -> None:
         """Tell the previous room's workstation the device moved on."""

@@ -31,7 +31,7 @@ from repro.bluetooth.swarm import InquiryScanSwarm, SwarmSlave
 from repro.lan.messages import LocationQuery, LoginRequest, PathQuery
 from repro.lan.transport import LANTransport
 from repro.mobility.walker import BuildingWalker, WalkTimeline
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.radio.interference import SharedBand
 from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
 from repro.sim.kernel import Kernel
@@ -168,7 +168,7 @@ class BIPSSimulation:
         # their own (e.g. to aggregate several simulations).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.spans = spans
-        self.kernel = Kernel(metrics=self.metrics, spans=spans)
+        self.kernel = Kernel(spans=spans)
         self.rng = RandomStream(self.config.seed, "bips")
         # Fault plans draw from their own seed-derived streams, so a
         # chaos run perturbs delivery, never the simulation's draws.
@@ -216,6 +216,8 @@ class BIPSSimulation:
         self._next_query_id = 1
         self._horizon_tick = 0
         self._tracking_latencies_observed = False
+        # Counter totals already added to the registry, per series.
+        self._folded: dict[tuple, int] = {}
         # One inquiry-scan swarm per room's piconet, created lazily.
         self._swarms: dict[str, InquiryScanSwarm] = {}
 
@@ -261,7 +263,6 @@ class BIPSSimulation:
                 ),
                 reachable=reachable,
                 retry_policy=self._retry_policy,
-                metrics=self.metrics,
                 spans=self.spans,
             )
         if self.band is not None:
@@ -366,7 +367,6 @@ class BIPSSimulation:
                 workstation.schedule,
                 workstation.channel,
                 config=self.config.handheld_scan_config(),
-                metrics=self.metrics,
                 name=room_id,
             )
             self._swarms[room_id] = swarm
@@ -569,41 +569,108 @@ class BIPSSimulation:
     # -- metrics -----------------------------------------------------------------
 
     def finalize_metrics(self) -> None:
-        """Fold end-of-run state into the registry.
+        """Fold the run's state into the registry.
 
-        Gauges are recomputed from current state on every call; the
-        detection-latency histogram (derived from the whole-run tracking
-        report) is filled once, so repeated reporting cannot
-        double-count observations.
+        The one place that maps component state to metric names: the
+        components count in plain attributes and push nothing that they
+        count there.  Gauges are recomputed from current state on every
+        call.  A counter gains this simulation's growth since its last
+        fold, so repeated calls are idempotent and simulations sharing
+        one registry add up.  Series a component always had (the
+        kernel's, the LAN's, ...) are always emitted; the others only
+        once their total is above zero.  The detection-latency histogram
+        (derived from the whole-run tracking report) is filled once.
         """
-        for room_id, workstation in self.workstations.items():
-            self.metrics.gauge("core.piconet_occupancy", room=room_id).set(
-                workstation.present_count
+        metrics, fold = self.metrics, self._fold
+        fold(metrics.counter("sim.events_fired"), self.kernel.events_fired)
+        metrics.gauge("sim.queue_depth").set(self.kernel.pending_events)
+        if self._swarms:
+            swarms = self._swarms.values()
+            ids_heard, backoffs, responses = (
+                sum(column) for column in zip(*(s.scan_totals() for s in swarms))
             )
-        self.metrics.gauge("db.known_devices").set(self.server.location_db.known_count)
-        self.metrics.gauge("db.tracked_devices").set(
-            self.server.location_db.tracked_count
-        )
-        self.metrics.gauge("db.stale_devices").set(
-            len(self.server.location_db.stale_devices(self.kernel.now))
-        )
-        self.metrics.gauge("db.presences_superseded").set(
-            self.server.location_db.presences_superseded
-        )
+            fold(metrics.counter("bt.scan.ids_heard"), ids_heard)
+            fold(metrics.counter("bt.scan.backoffs"), backoffs)
+            fold(metrics.counter("bt.scan.responses_sent"), responses)
+            fold(metrics.counter("sim.batch.advances"), sum(s.advances for s in swarms))
+            fold(metrics.counter("sim.batch.slave_steps"), sum(s.slave_steps for s in swarms))
+        stations = self.workstations.values()
+        inquiries = [ws.inquiry for ws in stations]
+        received = sum(q.responses_received for q in inquiries)
+        fold(metrics.counter("bt.inquiry.responses_received"), received)
+        missed = sum(q.responses_missed for q in inquiries)
+        fold(metrics.counter("bt.inquiry.responses_missed"), missed)
+        blocked = sum(q.responses_blocked for q in inquiries)
+        fold(metrics.counter("bt.inquiry.responses_blocked"), blocked)
+        discovered = sum(q.discoveries for q in inquiries)
+        fold(metrics.counter("bt.inquiry.devices_discovered"), discovered)
+        windows = sum(ws.windows_evaluated for ws in stations)
+        if windows:
+            fold(metrics.counter("core.inquiry_windows_evaluated"), windows)
+        absences = sum(ws.absences_sent for ws in stations)
+        presences = sum(ws.updates_sent for ws in stations) - absences
+        if presences:
+            fold(metrics.counter("core.presence_updates_sent", kind="presence"), presences)
+        if absences:
+            fold(metrics.counter("core.presence_updates_sent", kind="absence"), absences)
+        # Crashes and recoveries alternate, a crash first: every
+        # recovery re-registers, and a workstation still down at the end
+        # has crashed once more than it recovered.
+        recoveries = sum(ws.reregistrations for ws in stations)
+        failures = recoveries + sum(ws.failed for ws in stations)
+        if failures:
+            fold(metrics.counter("core.workstation_failures"), failures)
+        if recoveries:
+            fold(metrics.counter("core.workstation_recoveries"), recoveries)
+            fold(metrics.counter("core.workstation_reregistrations"), recoveries)
+        server = self.server
+        fold(metrics.counter("core.presence_updates_received"), server.presence_updates_received)
+        if server.brownouts:
+            fold(metrics.counter("core.server_brownouts"), server.brownouts)
+        stats = self.lan.stats
+        fold(metrics.counter("lan.messages_sent"), stats.sent)
+        for type_name, sent in sorted(stats.by_type.items()):
+            fold(metrics.counter("lan.messages_sent_by_type", type=type_name), sent)
+        fold(metrics.counter("lan.messages_delivered"), stats.delivered)
+        fold(metrics.counter("lan.messages_dropped"), stats.dropped)
+        fold(metrics.counter("lan.reliable_messages"), stats.reliable_sent)
+        fold(metrics.counter("lan.duplicates_dropped"), stats.duplicates_dropped)
+        fold(metrics.counter("lan.retries"), stats.retries)
+        fold(metrics.counter("lan.retries_exhausted"), stats.retries_exhausted)
+        fold(metrics.counter("lan.acks_sent"), stats.acks_sent)
+        injector = self.lan.faults
+        if injector is not None:
+            fold(metrics.counter("faults.lan_dropped"), injector.dropped)
+            fold(metrics.counter("faults.lan_duplicated"), injector.duplicated)
+            fold(metrics.counter("faults.lan_delayed"), injector.delayed)
+            fold(metrics.counter("faults.lan_reordered"), injector.reordered)
+        for room_id, workstation in self.workstations.items():
+            metrics.gauge("core.piconet_occupancy", room=room_id).set(workstation.present_count)
+        db = server.location_db
+        metrics.gauge("db.known_devices").set(db.known_count)
+        metrics.gauge("db.tracked_devices").set(db.tracked_count)
+        metrics.gauge("db.stale_devices").set(len(db.stale_devices(self.kernel.now)))
+        metrics.gauge("db.presences_superseded").set(db.presences_superseded)
         simulated = self.kernel.now_seconds
-        self.metrics.gauge("sim.simulated_seconds").set(simulated)
+        metrics.gauge("sim.simulated_seconds").set(simulated)
         # "Ticks per second" without a wall clock: event throughput per
         # simulated second, the deterministic proxy future perf PRs diff.
-        self.metrics.gauge("sim.events_per_simulated_second").set(
+        metrics.gauge("sim.events_per_simulated_second").set(
             self.kernel.events_fired / simulated if simulated > 0 else 0.0
         )
         if not self._tracking_latencies_observed:
             self._tracking_latencies_observed = True
-            histogram = self.metrics.histogram(
+            histogram = metrics.histogram(
                 "core.detection_latency_seconds", buckets=_DETECTION_LATENCY_BUCKETS
             )
             for latency in self.tracking_report().all_detection_latencies_seconds:
                 histogram.observe(latency)
+
+    def _fold(self, counter: Counter, total: int) -> None:
+        """Add ``total``'s growth since this simulation last folded it."""
+        key = (counter.name, *sorted(counter.labels.items()))
+        counter.inc(total - self._folded.get(key, 0))
+        self._folded[key] = total
 
     # -- evaluation -----------------------------------------------------------------
 

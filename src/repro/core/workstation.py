@@ -32,7 +32,6 @@ from .tracker import PresenceTracker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.recovery import RetryPolicy
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracing import SpanTracer
 
 #: Resolves a discovered BD_ADDR to the device to page (None = cannot
@@ -76,7 +75,6 @@ class Workstation:
         device_directory: Optional[DeviceDirectory] = None,
         reachable: Optional[Callable] = None,
         retry_policy: Optional["RetryPolicy"] = None,
-        metrics: Optional["MetricsRegistry"] = None,
         spans: Optional["SpanTracer"] = None,
     ) -> None:
         """Args beyond the obvious:
@@ -109,14 +107,12 @@ class Workstation:
         self.lan = lan
         self.server_endpoint = server_endpoint
         self.schedule = policy.build_schedule(start_tick=schedule_offset_ticks)
-        self._metrics = metrics
         self._spans = spans
         self.inquiry = InquiryProcedure(
             kernel,
             self.schedule,
             name=workstation_id,
             reachable=reachable,
-            metrics=metrics,
             spans=spans,
         )
         self.tracker = PresenceTracker(miss_threshold=miss_threshold)
@@ -125,6 +121,7 @@ class Workstation:
         self.pager = SlotLevelPager(kernel, name=workstation_id)
         self.piconet = Piconet(master=device.address)
         self.updates_sent = 0
+        self.absences_sent = 0
         self.refreshes_sent = 0
         self.windows_evaluated = 0
         self.invalidations_received = 0
@@ -196,10 +193,6 @@ class Workstation:
             self.lan.abort_pending(self.workstation_id)
         else:
             self._recover()
-        if self._metrics is not None:
-            self._metrics.counter(
-                "core.workstation_failures" if failed else "core.workstation_recoveries"
-            ).inc()
         if self._spans is not None:
             # An instant on the fault's own kernel span, so a flight
             # recorder armed on this name dumps with it as last record.
@@ -224,8 +217,6 @@ class Workstation:
         self.inquiry.reset()
         self.lan.register(self.workstation_id, self._on_message)
         self.reregistrations += 1
-        if self._metrics is not None:
-            self._metrics.counter("core.workstation_reregistrations").inc()
         self._push(
             WorkstationHello(
                 sent_tick=self.kernel.now,
@@ -285,8 +276,6 @@ class Workstation:
 
     def _finish_window(self, seen, deltas) -> None:
         """The window's consequences (split out so a span can wrap them)."""
-        if self._metrics is not None:
-            self._metrics.counter("core.inquiry_windows_evaluated").inc()
         for address in deltas.new_presences:
             self._send_update(address, present=True)
             self._maybe_enroll(address)
@@ -296,10 +285,6 @@ class Workstation:
             # discovery (first response after re-entering the room).
             self.inquiry.forget(address)
             self.piconet.detach(address, self.kernel.now, DisconnectReason.DEVICE_LEFT)
-        if self._metrics is not None:
-            self._metrics.gauge(
-                "core.piconet_occupancy", room=self.room_id
-            ).set(self.present_count)
         if (
             self.refresh_interval_cycles
             and deltas.cycle_index % self.refresh_interval_cycles
@@ -355,11 +340,8 @@ class Workstation:
 
     def _send_update(self, address, present: bool) -> None:
         self.updates_sent += 1
-        if self._metrics is not None:
-            self._metrics.counter(
-                "core.presence_updates_sent",
-                kind="presence" if present else "absence",
-            ).inc()
+        if not present:
+            self.absences_sent += 1
         self._push(
             PresenceUpdate(
                 sent_tick=self.kernel.now,

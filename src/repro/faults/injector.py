@@ -63,15 +63,13 @@ class LANFaultInjector:
         self.duplicated = 0
         self.delayed = 0
         self.reordered = 0
-        self._metrics = metrics
-        if metrics is not None:
-            self._m_dropped = metrics.counter("faults.lan_dropped")
-            self._m_duplicated = metrics.counter("faults.lan_duplicated")
-            self._m_delayed = metrics.counter("faults.lan_delayed")
-            self._m_reordered = metrics.counter("faults.lan_reordered")
-            self._m_delay = metrics.histogram(
-                "faults.lan_extra_delay_ticks", buckets=_DELAY_BUCKETS
-            )
+        # The tallies above are folded into ``faults.lan_*`` counters at
+        # the end of a run; only the delay distribution is pushed.
+        self._m_delay = (
+            metrics.histogram("faults.lan_extra_delay_ticks", buckets=_DELAY_BUCKETS)
+            if metrics is not None
+            else None
+        )
 
     def decide(
         self, now: int, source: str, destination: str, message: Any
@@ -85,8 +83,6 @@ class LANFaultInjector:
         self.decisions += 1
         if profile.drop_probability and self.rng.random() < profile.drop_probability:
             self.dropped += 1
-            if self._metrics is not None:
-                self._m_dropped.inc()
             return FaultDecision(drop=True)
         duplicates = 0
         if (
@@ -95,14 +91,10 @@ class LANFaultInjector:
         ):
             duplicates = 1
             self.duplicated += 1
-            if self._metrics is not None:
-                self._m_duplicated.inc()
         extra_ms = 0.0
         if profile.delay_probability and self.rng.random() < profile.delay_probability:
             extra_ms += self.rng.uniform(profile.delay_ms_low, profile.delay_ms_high)
             self.delayed += 1
-            if self._metrics is not None:
-                self._m_delayed.inc()
         if (
             profile.reorder_probability
             and self.rng.random() < profile.reorder_probability
@@ -111,10 +103,8 @@ class LANFaultInjector:
                 profile.reorder_ms_low, profile.reorder_ms_high
             )
             self.reordered += 1
-            if self._metrics is not None:
-                self._m_reordered.inc()
         extra_ticks = ticks_from_milliseconds(extra_ms) if extra_ms else 0
-        if extra_ticks and self._metrics is not None:
+        if extra_ticks and self._m_delay is not None:
             self._m_delay.observe(extra_ticks)
         if not duplicates and not extra_ticks:
             return NO_FAULT

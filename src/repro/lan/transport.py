@@ -177,13 +177,10 @@ class LANTransport:
         #: crashed/browned-out machine: silently dropped, not a wiring
         #: bug.
         self._known_endpoints: set[str] = set()
-        # Per-message-type memo: (by-type counter, kernel label, wire
-        # field names).  The registry lookup, the f-string and the
-        # dataclasses.fields() walk would otherwise repeat per send for
-        # a handful of distinct frozen message types.
-        self._type_cache: dict[
-            str, tuple[Optional[Any], str, tuple[str, ...]]
-        ] = {}
+        # Per-message-type memo: (kernel label, wire field names).  The
+        # f-string and the dataclasses.fields() walk would otherwise
+        # repeat per send for a handful of distinct frozen message types.
+        self._type_cache: dict[str, tuple[str, tuple[str, ...]]] = {}
         # Reliable-delivery state.  Sequence numbers and receiver-side
         # dedup model the endpoints' network stacks; keeping them in the
         # transport (rather than each endpoint object) means a crashed
@@ -196,21 +193,15 @@ class LANTransport:
         # traffic is a few messages per workstation per 15.4 s cycle, so
         # sim-scale runs stay small.
         self._seen_seqs: dict[tuple[str, str], set[int]] = {}
+        # Only what :attr:`stats` does not count is pushed per message;
+        # ``BIPSSimulation.finalize_metrics`` reads the rest from stats.
         self._metrics = metrics
         if metrics is not None:
-            self._m_sent = metrics.counter("lan.messages_sent")
-            self._m_delivered = metrics.counter("lan.messages_delivered")
-            self._m_dropped = metrics.counter("lan.messages_dropped")
             self._m_bytes = metrics.counter("lan.bytes_sent")
             self._m_in_flight = metrics.gauge("lan.messages_in_flight")
             self._m_latency = metrics.histogram(
                 "lan.delivery_latency_ticks", buckets=_LATENCY_BUCKETS
             )
-            self._m_reliable = metrics.counter("lan.reliable_messages")
-            self._m_duplicates = metrics.counter("lan.duplicates_dropped")
-            self._m_retries = metrics.counter("lan.retries")
-            self._m_exhausted = metrics.counter("lan.retries_exhausted")
-            self._m_acks = metrics.counter("lan.acks_sent")
 
     def register(self, endpoint: str, handler: Handler) -> None:
         """Attach ``handler`` as the receiver for ``endpoint``."""
@@ -260,8 +251,6 @@ class LANTransport:
         seq = self._next_seq.get(pair, 0)
         self._next_seq[pair] = seq + 1
         self.stats.reliable_sent += 1
-        if self._metrics is not None:
-            self._m_reliable.inc()
         self._pending[(source, destination, seq)] = _PendingReliable(
             source=source,
             destination=destination,
@@ -313,20 +302,14 @@ class LANTransport:
         cached = self._type_cache.get(type_name)
         if cached is None:
             cached = (
-                self._metrics.counter("lan.messages_sent_by_type", type=type_name)
-                if self._metrics is not None
-                else None,
                 f"lan:{type_name}",
                 tuple(spec.name for spec in fields(message))
                 if is_dataclass(message)
                 else (),
             )
             self._type_cache[type_name] = cached
-        type_counter, label, field_names = cached
+        label, field_names = cached
         if self._metrics is not None:
-            self._m_sent.inc()
-            if type_counter is not None:
-                type_counter.inc()
             self._m_bytes.inc(_wire_bytes(message, field_names))
         spans = self._spans
         parent: Any = None
@@ -399,8 +382,6 @@ class LANTransport:
 
     def _drop(self) -> None:
         self.stats.dropped += 1
-        if self._metrics is not None:
-            self._m_dropped.inc()
 
     @hot_path
     def _deliver(
@@ -425,15 +406,11 @@ class LANTransport:
                 # this endpoint already consumed: suppress it, but re-ack
                 # — the original ack may be the thing that got lost.
                 self.stats.duplicates_dropped += 1
-                if self._metrics is not None:
-                    self._m_duplicates.inc()
                 self._send_ack(destination, source, seq)
                 self._end_transit(span, "dedup")
                 return
             seen.add(seq)
         self.stats.delivered += 1
-        if self._metrics is not None:
-            self._m_delivered.inc()
         if span is not None and self._spans is not None:
             # The handler runs inside the transit span, so DB-apply and
             # query spans it opens nest under the message that caused them.
@@ -475,13 +452,9 @@ class LANTransport:
         if pending.attempt >= pending.policy.max_attempts:
             del self._pending[key]
             self.stats.retries_exhausted += 1
-            if self._metrics is not None:
-                self._m_exhausted.inc()
             return
         pending.attempt += 1
         self.stats.retries += 1
-        if self._metrics is not None:
-            self._m_retries.inc()
         self._attempt(key)
 
     def _send_ack(self, from_endpoint: str, to_endpoint: str, seq: int) -> None:
@@ -492,8 +465,6 @@ class LANTransport:
         of reaching a handler, and only ``lan.acks_sent`` counts them.
         """
         self.stats.acks_sent += 1
-        if self._metrics is not None:
-            self._m_acks.inc()
         if self.loss_probability and self.rng and self.rng.random() < self.loss_probability:
             return
         extra_delay = 0

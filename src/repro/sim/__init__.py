@@ -25,7 +25,7 @@ from .errors import (
     SchedulingError,
     SimulationError,
 )
-from .kernel import METRICS_FLUSH_INTERVAL, EventHandle, Kernel
+from .kernel import EventHandle, Kernel
 from .rng import RandomStream, derive_seed
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "SimulationError",
     "EventHandle",
     "Kernel",
-    "METRICS_FLUSH_INTERVAL",
     "RandomStream",
     "derive_seed",
 ]

@@ -13,13 +13,12 @@ Fast-path design (see docs/performance.md):
   allocated only when the caller needs cancellation
   (``schedule_at``/``schedule``) or a traced label.
 * Cancellation is a tombstone: the entry stays queued and is skipped
-  when it surfaces.  A live ``pending`` counter keeps
+  when it surfaces.  A tombstone counter keeps
   :attr:`Kernel.pending_events` O(1), and the queue is compacted when
   tombstones outnumber live entries.
-* Metrics are batched: ``sim.events_fired`` / ``sim.queue_depth`` are
-  flushed every :data:`METRICS_FLUSH_INTERVAL` events and at every
-  ``run_until``/``step`` boundary, so the per-event cost is two branch
-  checks instead of two instrument updates.
+* The hot loop counts fired events in a local and adds them to
+  :attr:`Kernel.events_fired` when the drain returns; the kernel pushes
+  no metrics (``BIPSSimulation.finalize_metrics`` reads its counters).
 * ``run_until`` peeks at the queue head and never pops an event beyond
   the target tick, so crossing a boundary does not pay a pop + re-push.
 * A kernel with a :class:`~repro.obs.tracing.SpanTracer` attached
@@ -46,7 +45,6 @@ from .errors import DeadlockError, SchedulingError
 from .hotpath import hot_path
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a layering cycle
-    from repro.obs.metrics import Counter, Gauge, MetricsRegistry
     from repro.obs.tracing import SpanTracer
 
 logger = logging.getLogger(__name__)
@@ -55,11 +53,6 @@ Callback = Callable[[], Any]
 
 #: Unused by the kernel; kept because ``bipsbench/worker.py`` imports it.
 SCHEDULER_ENV_VAR = "BIPS_SIM_SCHEDULER"
-
-#: Events between metric flushes; also flushed at run/step boundaries.
-METRICS_FLUSH_INTERVAL = 4096
-
-_FLUSH_MASK = METRICS_FLUSH_INTERVAL - 1
 
 #: Tombstone count below which compaction is never attempted.
 _COMPACT_MIN_TOMBSTONES = 64
@@ -74,7 +67,7 @@ class EventHandle:
 
     Cancellation is lazy: the queue entry stays put but is skipped when
     it reaches the front, which keeps cancellation O(1).  The owning
-    kernel keeps exact live/tombstone counters, so cancellation also
+    kernel keeps an exact tombstone counter, so cancellation also
     notifies it.
     """
 
@@ -133,17 +126,9 @@ class Kernel:
         kernel = Kernel()
         kernel.schedule(100, machine.on_timer)
         kernel.run_until(1000)
-
-    Pass a :class:`~repro.obs.metrics.MetricsRegistry` to export kernel
-    health (events processed, queue depth) alongside the rest of the
-    pipeline's telemetry.
     """
 
-    def __init__(
-        self,
-        metrics: Optional["MetricsRegistry"] = None,
-        spans: Optional["SpanTracer"] = None,
-    ) -> None:
+    def __init__(self, spans: Optional["SpanTracer"] = None) -> None:
         self.clock = SimClock()
         # Span tracing rides the labelled-event path: attaching a
         # SpanTracer turns label retention on, so every labelled event
@@ -152,17 +137,9 @@ class Kernel:
         self._trace_enabled = spans is not None
         self._seq = 0
         self._events_fired = 0
-        self._pending = 0
         self._tombstones = 0
         self._heap: list[Entry] = []
         self._bound = UNBOUNDED
-        self._m_events: Optional["Counter"] = (
-            metrics.counter("sim.events_fired") if metrics else None
-        )
-        self._m_queue: Optional["Gauge"] = (
-            metrics.gauge("sim.queue_depth") if metrics else None
-        )
-        self._m_reported = 0
 
     # -- scheduling ------------------------------------------------------
 
@@ -180,9 +157,9 @@ class Kernel:
     def events_fired(self) -> int:
         """Total number of events executed so far.
 
-        Exact at ``run_until``/``step`` boundaries and at every metrics
-        flush; inside a running batch it may lag by up to the batch
-        remainder (the hot loop keeps its counter in a local).
+        Exact at ``run_until``/``step`` boundaries; inside a running
+        drain it lags by the events that drain has fired (the hot loop
+        keeps its counter in a local).
         """
         return self._events_fired
 
@@ -190,13 +167,10 @@ class Kernel:
     def pending_events(self) -> int:
         """Number of not-yet-fired, not-cancelled events in the queue.
 
-        Maintained as a live counter: O(1), exact across arbitrary
-        schedule/cancel/fire churn whenever the kernel is between
-        ``run_until``/``step`` calls.  Inside a running drain batch the
-        count lags the in-flight batch (same cadence as the batched
-        metrics) — cancellations are always reflected immediately.
+        The queue length minus its tombstones: O(1) and exact at every
+        moment, inside a running drain included.
         """
-        return self._pending
+        return len(self._heap) - self._tombstones
 
     def post_at(self, tick: int, callback: Callback, label: str = "") -> None:
         """Schedule ``callback`` at absolute time ``tick``, fire-and-forget.
@@ -219,7 +193,6 @@ class Kernel:
         )
         heapq.heappush(self._heap, (tick, seq, payload))
         self._seq = seq + 1
-        self._pending += 1
 
     def reserve_seq(self) -> int:
         """Claim the next tie-break ``seq`` without posting anything.
@@ -285,7 +258,6 @@ class Kernel:
         )
         heapq.heappush(self._heap, (tick, seq, payload))
         self._seq = seq + 1
-        self._pending += 1
 
     def schedule_at(self, tick: int, callback: Callback, label: str = "") -> EventHandle:
         """Schedule ``callback`` to fire at absolute time ``tick``.
@@ -303,7 +275,6 @@ class Kernel:
         handle = EventHandle(tick, self._seq, callback, label, self)
         heapq.heappush(self._heap, (tick, self._seq, handle))
         self._seq += 1
-        self._pending += 1
         return handle
 
     def schedule(self, delay: int, callback: Callback, label: str = "") -> EventHandle:
@@ -316,13 +287,12 @@ class Kernel:
 
     def _note_cancelled(self) -> None:
         """Bookkeeping for a just-cancelled, still-queued event."""
-        self._pending -= 1
         self._tombstones += 1
         # Compact when tombstones outnumber live entries, i.e. exceed
         # half the queue; the floor keeps small queues compaction-free.
         if (
             self._tombstones >= _COMPACT_MIN_TOMBSTONES
-            and self._tombstones > self._pending
+            and 2 * self._tombstones > len(self._heap)
         ):
             self._compact()
 
@@ -343,19 +313,6 @@ class Kernel:
         heapq.heapify(self._heap)
         self._tombstones = 0
 
-    # -- metrics ---------------------------------------------------------
-
-    def _flush_metrics(self) -> None:
-        """Bring the kernel instruments up to date (batched hot path)."""
-        if self._m_events is None:
-            return
-        delta = self._events_fired - self._m_reported
-        if delta:
-            self._m_events.inc(delta)
-            self._m_reported = self._events_fired
-        if self._m_queue is not None:
-            self._m_queue.set(self._pending)
-
     # -- execution -------------------------------------------------------
 
     def _fire_entry(self, entry: Entry) -> None:
@@ -370,7 +327,6 @@ class Kernel:
             callback = payload
             label = ""
         self.clock.advance_to(time)
-        self._pending -= 1
         self._events_fired += 1
         assert callback is not None  # tombstones are filtered by callers
         spans = self._spans
@@ -409,11 +365,9 @@ class Kernel:
         """
         entry = self._pop_live()
         if entry is None:
-            self._flush_metrics()
             return False
         self._bound = entry[0]
         self._fire_entry(entry)
-        self._flush_metrics()
         return True
 
     def run_until(self, tick: int, require_events: bool = False) -> None:
@@ -429,27 +383,23 @@ class Kernel:
                 f"run_until target {tick} is before now {self.clock.now}"
             )
         self._bound = tick
-        try:
-            if self._spans is not None:
-                # Traced runs take a separate drain so the untraced hot
-                # loop stays overhead-free.
-                self._drain_spans(tick)
-            else:
-                self._drain_heap(tick)
-        finally:
-            self._flush_metrics()
-        if require_events and self._pending == 0 and self.clock.now < tick:
+        if self._spans is not None:
+            # Traced runs take a separate drain so the untraced hot loop
+            # stays overhead-free.
+            self._drain_spans(tick)
+        else:
+            self._drain_heap(tick)
+        if require_events and self.pending_events == 0 and self.clock.now < tick:
             raise DeadlockError(
                 f"event heap drained at {self.clock.now} before reaching {tick}"
             )
         self.clock.advance_to(tick)
-        self._flush_metrics()
 
     @hot_path
     def _drain_heap(self, until: int) -> None:
         """Fire all events with ``time <= until`` from the binary heap.
 
-        The hot loop: local aliases, tuple peeks, and batched counters.
+        The hot loop: local aliases, tuple peeks, and a local counter.
         The head is *peeked* first, so an event beyond ``until`` is
         never popped and re-pushed.
         """
@@ -457,7 +407,6 @@ class Kernel:
         clock = self.clock
         pop = heapq.heappop
         handle_cls = EventHandle
-        flush_mask = _FLUSH_MASK
         fired = 0
         try:
             while heap:
@@ -478,22 +427,16 @@ class Kernel:
                     callback = payload
                     clock._now = time
                 fired += 1
-                if not fired & flush_mask:
-                    self._events_fired += METRICS_FLUSH_INTERVAL
-                    self._pending -= METRICS_FLUSH_INTERVAL
-                    self._flush_metrics()
                 callback()
         finally:
-            remainder = fired & flush_mask
-            self._events_fired += remainder
-            self._pending -= remainder
+            self._events_fired += fired
 
     def _drain_spans(self, until: int) -> None:
         """Fire all events with ``time <= until``, wrapping each labelled
         event in a kernel span.
 
-        The traced sibling of :meth:`_drain_heap`: same batched-metrics
-        cadence, same finally-block remainder flush, but every labelled
+        The traced sibling of :meth:`_drain_heap`: same local counter,
+        added to :attr:`events_fired` on return, but every labelled
         event becomes an ambient ``kernel``-category span for the
         duration of its callback, so spans opened inside the callback
         (bluetooth, LAN, core) parent to the dispatch that caused them.
@@ -504,7 +447,6 @@ class Kernel:
         assert spans is not None
         clock = self.clock
         handle_cls = EventHandle
-        flush_mask = _FLUSH_MASK
         fired = 0
         try:
             while True:
@@ -522,10 +464,6 @@ class Kernel:
                     label = ""
                 clock._now = time
                 fired += 1
-                if not fired & flush_mask:
-                    self._events_fired += METRICS_FLUSH_INTERVAL
-                    self._pending -= METRICS_FLUSH_INTERVAL
-                    self._flush_metrics()
                 assert callback is not None  # _pop_live skips tombstones
                 if label:
                     span = spans.begin(label, "kernel", time)
@@ -538,9 +476,7 @@ class Kernel:
                 else:
                     callback()
         finally:
-            remainder = fired & flush_mask
-            self._events_fired += remainder
-            self._pending -= remainder
+            self._events_fired += fired
 
     def run_to_completion(self, max_events: int = 10_000_000) -> None:
         """Run until the event queue is empty.
@@ -558,7 +494,6 @@ class Kernel:
             self._fire_entry(entry)
             fired += 1
             if fired > max_events:
-                self._flush_metrics()
                 logger.error(
                     "runaway event loop: %d events without draining (t=%d)",
                     fired,
@@ -568,7 +503,6 @@ class Kernel:
                     f"run_to_completion exceeded {max_events} events at "
                     f"t={self.clock.now} ({seconds_from_ticks(self.clock.now):.3f}s)"
                 )
-        self._flush_metrics()
 
     def __repr__(self) -> str:
         return (

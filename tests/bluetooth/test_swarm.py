@@ -34,7 +34,6 @@ from repro.bluetooth.scan import (
     next_listen_rendezvous,
 )
 from repro.bluetooth.swarm import _NO_CURSOR, InquiryScanSwarm
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
 
@@ -288,12 +287,10 @@ class TestRendezvousCursor:
 
 
 class TestSwarmLifecycle:
-    def _swarm(self, kernel, horizon=1 << 20, metrics=None):
+    def _swarm(self, kernel, horizon=1 << 20):
         schedule = continuous_inquiry()
         master = InquiryProcedure(kernel, schedule, name="m")
-        swarm = InquiryScanSwarm(
-            kernel, schedule, master.channel, config=ScanConfig(), metrics=metrics, name="life"
-        )
+        swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=ScanConfig(), name="life")
         rng = RandomStream(5, "life")
         handle = swarm.add_slave(
             BDAddr(0xA), rng=rng, clock=BluetoothClock(offset=123), horizon_tick=horizon
@@ -340,13 +337,14 @@ class TestSwarmLifecycle:
         assert swarm.slave_count == 1
 
     def test_batch_telemetry(self, kernel):
-        metrics = MetricsRegistry()
-        _, handle = self._swarm(kernel, metrics=metrics)
+        swarm, handle = self._swarm(kernel)
         handle.start()
         kernel.run_until(50_000)
-        assert metrics.counter("sim.batch.advances").value > 0
-        assert metrics.counter("sim.batch.slave_steps").value > 0
-        assert metrics.counter("bt.scan.ids_heard").value == handle.stats.ids_heard
+        assert swarm.advances > 0
+        assert swarm.slave_steps > 0
+        stats = handle.stats
+        assert swarm.scan_totals() == (stats.ids_heard, stats.backoffs, stats.responses)
+        assert stats.responses > 0
 
     def test_finished_rows_drop_their_cursor(self, kernel):
         # A finished row must not stand on a rendezvous: its cursor is
@@ -368,13 +366,12 @@ class TestSwarmLifecycle:
         assert swarm._cursors[exhausted.row] == _NO_CURSOR
 
     def test_stopped_row_is_not_a_step(self, kernel):
-        metrics = MetricsRegistry()
-        _, handle = self._swarm(kernel, metrics=metrics)
+        swarm, handle = self._swarm(kernel)
         handle.start(at_tick=100)
         handle.stop()
         kernel.run_until(1_000)
-        assert metrics.counter("sim.batch.advances").value == 1
-        assert metrics.counter("sim.batch.slave_steps").value == 0
+        assert swarm.advances == 1
+        assert swarm.slave_steps == 0
 
     def test_next_hear_matches_scanner(self, kernel):
         # The swarm's fast path (closed-form runs, idle-air jumps)

@@ -26,6 +26,13 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "tracking load" in output
 
+    def test_metrics_subcommand(self, capsys):
+        assert main(["metrics", "--users", "2", "--duration", "60"]) == 0
+        output = capsys.readouterr().out
+        values = dict(re.findall(r"^  ([a-z_.]+): (\S+)$", output, re.MULTILINE))
+        for name in ("sim.events_fired", "bt.scan.responses_sent", "lan.messages_sent"):
+            assert int(values[name]) > 0, name
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.faults import NO_FAULT, LANFaultInjector, profile_named
-from repro.obs.metrics import MetricsRegistry
+from repro.core import BIPSConfig, BIPSSimulation
+from repro.faults import NO_FAULT, FaultPlan, LANFaultInjector, profile_named
 from repro.sim.rng import RandomStream
 
 
@@ -55,12 +55,18 @@ class TestDecisions:
 
 class TestMetrics:
     def test_counters_match_internal_tallies(self):
-        registry = MetricsRegistry()
-        injector = _injector(metrics=registry)
-        _drain(injector, 1000)
-        snapshot = {
-            (record["name"]): record for record in registry.snapshot()
-        }
+        # The injector pushes only its delay histogram; the simulation
+        # folds its tallies into the ``faults.lan_*`` counters.
+        sim = BIPSSimulation(
+            config=BIPSConfig(seed=13), faults=FaultPlan.named("lossy-lan", seed=7)
+        )
+        sim.add_user("u-a", "A")
+        sim.login("u-a")
+        sim.walk("u-a", start_room="lab-1", hops=6)
+        sim.run(until_seconds=300.0)
+        sim.finalize_metrics()
+        injector = sim.lan.faults
+        snapshot = {record["name"]: record for record in sim.metrics.snapshot()}
         assert snapshot["faults.lan_dropped"]["value"] == injector.dropped
         assert snapshot["faults.lan_duplicated"]["value"] == injector.duplicated
         assert snapshot["faults.lan_delayed"]["value"] == injector.delayed

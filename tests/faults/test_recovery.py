@@ -41,6 +41,7 @@ class TestWorkstationRestart:
         sim.recover_workstation("lab-1")
         assert workstation.workstation_id in sim.lan.endpoint_names
         assert workstation.reregistrations == 1
+        sim.finalize_metrics()
         assert sim.metrics.counter("core.workstation_reregistrations").value == 1
         # The re-hello re-announced the room mapping to the server.
         sim.run(until_seconds=61.0)
@@ -102,6 +103,7 @@ class TestServerBrownout:
         sim.run(until_seconds=60.0)
         sim.server.set_brownout(True)
         assert sim.server.brownouts == 1
+        sim.finalize_metrics()
         assert sim.metrics.counter("core.server_brownouts").value == 1
         sim.query_location_via_lan("u-b", "A")
         sim.run(until_seconds=90.0)

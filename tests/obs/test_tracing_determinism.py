@@ -51,10 +51,12 @@ class TestTracingChangesNothing:
     )
     def test_metrics_jsonl_identical_with_tracing_on(self, profile, instant):
         untraced = MetricsRegistry()
-        _run_small_sim(metrics=untraced, faults=FaultPlan.named(profile))
+        _run_small_sim(metrics=untraced, faults=FaultPlan.named(profile)).finalize_metrics()
         traced = MetricsRegistry()
         spans = SpanTracer(seed=1234)
-        _run_small_sim(spans=spans, metrics=traced, faults=FaultPlan.named(profile))
+        _run_small_sim(
+            spans=spans, metrics=traced, faults=FaultPlan.named(profile)
+        ).finalize_metrics()
         if instant is not None:
             # The fault instants are recorded, and they move no metric.
             assert any(span.name == instant for span in spans.spans)

@@ -8,11 +8,10 @@ import json
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import SpanTracer
 from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
 from repro.sim.errors import DeadlockError, SchedulingError
-from repro.sim.kernel import METRICS_FLUSH_INTERVAL, UNBOUNDED, Kernel
+from repro.sim.kernel import UNBOUNDED, EventHandle, Kernel
 
 #: SHA-256 of the kernel spans after :func:`_mixed_workload`, one
 #: ``[seconds] event label`` line per span (:func:`_render_spans`): the
@@ -394,6 +393,30 @@ class TestPendingCounterChurn:
         kernel.run_until(1000)
         assert kernel.pending_events == 0
 
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_exact_inside_a_running_drain(self, traced):
+        kernel = Kernel(spans=SpanTracer() if traced else None)
+        seen: list[tuple[int, int]] = []
+
+        def naive_recount() -> int:
+            return sum(
+                1
+                for _, _, payload in kernel.queue
+                if not isinstance(payload, EventHandle) or payload.pending
+            )
+
+        def probe() -> None:
+            seen.append((kernel.pending_events, naive_recount()))
+
+        doomed = kernel.schedule_at(9, lambda: None, label="doomed")
+        for tick in range(8):
+            kernel.post_at(tick, probe, label="probe")
+        kernel.post_at(3, doomed.cancel)
+        kernel.post_at(4, lambda: kernel.post(10, probe))
+        kernel.run_until(20)
+        assert len(seen) == 9
+        assert all(counted == recounted for counted, recounted in seen), seen
+
     def test_cancel_after_fire_does_not_underflow(self, kernel):
         handle = kernel.schedule_at(10, lambda: None)
         kernel.run_until(10)
@@ -461,45 +484,6 @@ class TestRunUntilPeek:
             assert fired_at == []
         kernel.run_until(100)
         assert fired_at == [100]
-
-
-class TestMetricsBatching:
-    """Batched instruments are exact at run/step boundaries."""
-
-    def test_counters_exact_after_crossing_flush_interval(self):
-        registry = MetricsRegistry()
-        kernel = Kernel(metrics=registry)
-        total = METRICS_FLUSH_INTERVAL + 123
-        fired = 0
-
-        def chain():
-            nonlocal fired
-            fired += 1
-            if fired < total:
-                kernel.post(1, chain)
-
-        kernel.post_at(0, chain)
-        kernel.run_until(total + 1)
-        assert fired == total
-        assert kernel.events_fired == total
-        assert registry.counter("sim.events_fired").value == total
-        assert registry.gauge("sim.queue_depth").value == 0
-
-    def test_queue_depth_gauge_tracks_pending(self):
-        registry = MetricsRegistry()
-        kernel = Kernel(metrics=registry)
-        kernel.post_at(10, lambda: None)
-        kernel.post_at(200, lambda: None)
-        kernel.run_until(20)
-        assert registry.gauge("sim.queue_depth").value == 1
-        assert registry.counter("sim.events_fired").value == 1
-
-    def test_step_flushes_metrics(self):
-        registry = MetricsRegistry()
-        kernel = Kernel(metrics=registry)
-        kernel.post_at(5, lambda: None)
-        assert kernel.step() is True
-        assert registry.counter("sim.events_fired").value == 1
 
 
 class TestGoldenChurn:

@@ -1,17 +1,16 @@
-"""The traced kernel drain and the batched-metrics exactness contract.
+"""The traced kernel drain and the event-counter exactness contract.
 
 A kernel with a :class:`SpanTracer` attached takes a separate drain
 loop (``_drain_spans``); these tests pin that it fires the exact same
-events, in the same order, with the same clock and metrics as the
-untraced hot loop — and that the batched instruments are exact at
-every run boundary.
+events, in the same order, with the same clock and counters as the
+untraced hot loop — and that the drains' local event counts are exact
+at every run boundary.
 """
 
 from __future__ import annotations
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import SpanTracer
-from repro.sim.kernel import METRICS_FLUSH_INTERVAL, Kernel
+from repro.sim.kernel import Kernel
 
 
 def _workload(kernel, log):
@@ -74,58 +73,50 @@ class TestTracedDrainEquivalence:
         assert [span.name for span in tracer.spans] == ["stepped"]
 
     def test_traced_metrics_match_untraced(self):
-        def jsonl(spans):
-            registry = MetricsRegistry()
-            kernel = Kernel(metrics=registry, spans=spans)
+        def counters(spans):
+            kernel = Kernel(spans=spans)
             _workload(kernel, [])
             kernel.run_until(50)
-            return registry.to_jsonl()
+            return kernel.events_fired, kernel.pending_events
 
-        assert jsonl(None) == jsonl(SpanTracer())
+        assert counters(None) == counters(SpanTracer()) == (5, 0)
 
 
 class TestMetricsExactness:
-    # Counts straddling the 4096-event flush batch, exact at boundaries.
-    COUNT = METRICS_FLUSH_INTERVAL + 1000
-
-    def _counter(self, registry):
-        return registry.counter("sim.events_fired")
+    COUNT = 5000
 
     def test_exact_at_run_until_boundary(self):
-        registry = MetricsRegistry()
-        kernel = Kernel(metrics=registry)
+        kernel = Kernel()
         for tick in range(self.COUNT):
             kernel.post_at(tick, lambda: None)
         kernel.run_until(self.COUNT)
-        assert self._counter(registry).value == self.COUNT
-        assert registry.gauge("sim.queue_depth").value == 0
+        assert kernel.events_fired == self.COUNT
+        assert kernel.pending_events == 0
 
     def test_exact_at_partial_run_boundary(self):
-        registry = MetricsRegistry()
-        kernel = Kernel(metrics=registry)
+        kernel = Kernel()
         for tick in range(self.COUNT):
             kernel.post_at(tick, lambda: None)
         half = self.COUNT // 2
         kernel.run_until(half)
-        assert self._counter(registry).value == half + 1  # ticks 0..half fire
+        assert kernel.events_fired == half + 1  # ticks 0..half fire
+        assert kernel.pending_events == self.COUNT - half - 1
         kernel.run_until(self.COUNT)
-        assert self._counter(registry).value == self.COUNT
+        assert kernel.events_fired == self.COUNT
 
     def test_exact_under_tracing_too(self):
-        registry = MetricsRegistry()
-        kernel = Kernel(metrics=registry, spans=SpanTracer())
+        kernel = Kernel(spans=SpanTracer())
         for tick in range(self.COUNT):
             kernel.post_at(tick, lambda: None)
         kernel.run_until(self.COUNT)
-        assert self._counter(registry).value == self.COUNT
+        assert kernel.events_fired == self.COUNT
 
     def test_step_keeps_the_counter_exact(self):
-        registry = MetricsRegistry()
-        kernel = Kernel(metrics=registry)
+        kernel = Kernel()
         for tick in range(5):
             kernel.post_at(tick, lambda: None)
         fired = 0
         while kernel.step():
             fired += 1
-            assert self._counter(registry).value == fired
+            assert kernel.events_fired == fired
         assert fired == 5
