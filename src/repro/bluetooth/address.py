@@ -7,7 +7,7 @@ The LAP seeds hopping sequences; the full address identifies a device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 _LAP_BITS = 24
@@ -20,10 +20,19 @@ class BDAddr:
     """An immutable 48-bit Bluetooth device address."""
 
     value: int
+    #: ``hash((value,))``, the hash the dataclass would generate,
+    #: computed once: every FHS response looks its sender up in the
+    #: master's dicts, and the generated ``__hash__`` builds a tuple per
+    #: call.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.value < (1 << 48):
             raise ValueError(f"BD_ADDR must be a 48-bit integer, got {self.value:#x}")
+        object.__setattr__(self, "_hash", hash((self.value,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def lap(self) -> int:
@@ -74,9 +83,9 @@ class BDAddr:
         """Colon-separated hex form, most significant octet first.
 
         The rendered string is cached on the instance: addresses are
-        formatted once per collision record and per trace span, so a
-        busy channel re-renders the same handful of devices thousands
-        of times.  The cache is safe because the dataclass is frozen
+        formatted for every collision record read and every trace span,
+        so a busy channel re-renders the same handful of devices
+        thousands of times.  The cache is safe because the dataclass is frozen
         and equality/hash ignore non-field state.
         """
         cached = self.__dict__.get("_format_cache")

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.radio.channel import ReachabilityPredicate, ResponseChannel
 from repro.sim.clock import seconds_from_ticks
+from repro.sim.hotpath import hot_path
 from repro.sim.kernel import Kernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,6 +76,7 @@ class InquiryProcedure:
         self.channel = ResponseChannel(
             kernel, receiver=self._on_fhs, reachable=reachable, name=name
         )
+        self.channel.repeat_receiver = self._on_repeat
         self._results: dict[BDAddr, InquiryResult] = {}
         #: Tick of the most recent successful response per device —
         #: duplicates included, so a tracker can tell "seen this window"
@@ -89,6 +91,31 @@ class InquiryProcedure:
         self._receiver_busy_until = -1
 
     # -- reception ---------------------------------------------------------
+
+    @hot_path
+    def _on_repeat(self, sender: BDAddr, tick: int) -> bool:
+        """The channel's repeat receiver: a lone response from a device
+        already discovered, taken without its packet.
+
+        Does what :meth:`_on_fhs` does for it, inline (this runs once per
+        repeat response): the listening and receiver-capture checks, the
+        counts and ``last_seen``.  Declines, doing nothing, for a first
+        discovery and while spans are on; those go to :meth:`_on_fhs`
+        with the packet.
+        """
+        if self._spans is not None or sender not in self._results:
+            return False
+        if not self._is_listening(tick):
+            self.responses_missed += 1
+            return True
+        if self.receiver_capture:
+            if tick < self._receiver_busy_until:
+                self.responses_blocked += 1
+                return True
+            self._receiver_busy_until = tick + self.FHS_RX_TICKS
+        self.responses_received += 1
+        self.last_seen[sender] = tick
+        return True
 
     def _on_fhs(self, packet: FHSPacket, tick: int) -> None:
         if not self._is_listening(tick):

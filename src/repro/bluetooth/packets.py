@@ -19,10 +19,13 @@ class FHSPacket(NamedTuple):
     what its native clock reads, which is exactly what a master needs in
     order to page the device later.
 
-    A ``NamedTuple`` rather than a frozen dataclass: the inquiry-scan
-    swarm builds one per FHS response (651,754 in one benchmark run of
-    the paper artefacts), and a named tuple builds about three times
-    faster.  It is just as immutable.
+    The inquiry-scan swarm builds one only when the master's receiver
+    needs it: for a first discovery, while spans are on, or for every
+    transmitter under a reachability predicate.  A repeat response from
+    a device the master already knows costs no packet (6,107 packets for
+    651,754 responses in one benchmark run of the paper artefacts).  A
+    ``NamedTuple`` rather than a frozen dataclass: it builds about three
+    times faster, and is just as immutable.
     """
 
     sender: BDAddr

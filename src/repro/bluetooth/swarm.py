@@ -27,16 +27,26 @@ its own struct of arrays — clock offsets, hop phases, scan anchors,
 lifecycle state and counters are parallel ``array('q')`` columns, so a
 slave is a row index and a state read is a C-level array load — and
 files each row in its due index (``tick -> rows``, in filing order)
-under the tick at which it next acts.  All FHS responses of one due
-bucket are announced to the radio channel in a single batched call.  A
-lone slave is a one-row swarm.
+under the tick at which it next acts.  A lone slave is a one-row swarm.
 
-Due buckets and the FHS deliveries the swarm opens are not kernel
+A response costs a row index, not a packet.  The FHS responses of one
+due bucket are filed as rows into their ``(tx_tick, RF channel)``
+group, which the swarm keeps, and the radio channel counts them in one
+call.  At the group's tick the channel's collision rule resolves it
+(:meth:`~repro.radio.channel.ResponseChannel.resolve`).  A lone response
+from a device the master already knows goes to the master's repeat
+receiver as a bare address; an :class:`~repro.bluetooth.packets.FHSPacket`
+is built only when the master's receiver needs one (a first discovery,
+spans on) or a reachability predicate reads every transmitter's.
+
+Due buckets and the FHS groups the swarm opens are not kernel
 events but entries ``(tick, seq, kind)`` of one swarm-local heap, the
 swarm timeline.  Each entry's ``seq`` is reserved from the kernel
 (:meth:`~repro.sim.kernel.Kernel.reserve_seq`) at the moment the bucket
-or delivery is filed, just as posting an event there would take one, so
-entries and kernel events share one ``(tick, seq)`` order.  One kernel callback,
+or group is opened, just as posting an event there would take one, so
+entries and kernel events share one ``(tick, seq)`` order.  A group
+whose delivery is already the next entry in that order is settled at
+once instead, under the ``seq`` it reserved.  One kernel callback,
 :meth:`InquiryScanSwarm._wake`, drains every entry that precedes both
 the kernel heap head and the kernel's drain bound (conservative
 lookahead on one core); on a yield it posts its next wake under the
@@ -152,6 +162,10 @@ _MODE_CODES: Mapping[ResponseMode, int] = MappingProxyType(
 #: tick, so the first response always searches afresh.
 _NO_CURSOR: tuple[int, int, int] = (-1, 0, 0)
 
+#: FHS group keys are ``tx_tick * _GROUP_KEY_SCALE + rf_channel``: one
+#: integer per (tick, RF channel), above every channel number.
+_GROUP_KEY_SCALE = 128
+
 
 class InquiryScanSwarm:
     """All inquiry-scanning slaves of one piconet, advanced in batch.
@@ -219,10 +233,15 @@ class InquiryScanSwarm:
         self._mode_code = _MODE_CODES[cfg.response_mode]
         self._sequence = schedule.sequence
         self._label = f"swarm:{name}"
-        # Reusable same-bucket FHS batch (announced after every bucket).
-        self._batch: list[FHSPacket] = []
+        # Open FHS groups: responders' rows in filing order, keyed by
+        # ``tx_tick * _GROUP_KEY_SCALE + rf_channel``; each has one
+        # timeline entry until it is settled.
+        self._groups: dict[int, list[int]] = {}
+        # How the swarm counts a group's transmissions on the channel
+        # (read once per wake).
+        self._announce = channel.announce
         # The swarm timeline: a heap of (tick, seq, kind) entries, kind
-        # -1 for a due bucket and the RF channel for an FHS delivery;
+        # -1 for a due bucket and the RF channel for an FHS group;
         # ``seq`` is reserved from the kernel, so entries sort among
         # kernel events exactly as posted events would.  ``_posted``
         # holds the seqs of wakes currently in the kernel heap (at most
@@ -243,7 +262,6 @@ class InquiryScanSwarm:
             self._clock,
             self._due,
             kernel.reserve_seq,
-            channel.deliver,
             self._state,
             self._action,
             self._cursors,
@@ -254,7 +272,11 @@ class InquiryScanSwarm:
             self._response_ticks,
             self._first_response,
             self._sequence,
-            self._batch,
+            self._groups,
+            channel.resolve,
+            channel.repeat_receiver,
+            channel.receiver,
+            channel.reachable is not None,
             self._mode_code == _MODE_CONTINUOUS,
             self._continuous,
             self._response_timeout,
@@ -505,23 +527,32 @@ class InquiryScanSwarm:
         path inline; every other row takes its ``_step_*`` method.  The
         bucket and step counts accumulate in locals and are added to
         :attr:`advances` and :attr:`slave_steps` before returning.
+
+        A bucket files its responders, as row indices, into their FHS
+        group.  A group the bucket opens reserves its ``seq`` then and is
+        delivered from the timeline at its tick, or at once when nothing
+        can come between: its tick precedes the horizon tick and every
+        timeline entry.  The channel resolves each group in one call;
+        the master's receivers take the lone survivor (see the module
+        docstring).
         """
         timeline = self._timeline
         posted = self._posted
         if timeline:
             posted.discard(timeline[0][1])
         (
-            heap, clock, due, reserve, deliver, state, action,
-            cursors, offsets, addresses, ids_heard, responses,
-            response_ticks, first_response, sequence, batch, bulk,
+            heap, clock, due, reserve, state, action, cursors, offsets,
+            addresses, ids_heard, responses, response_ticks, first_response,
+            sequence, groups, resolve, repeat, receiver, filtered, bulk,
             windowless, timeout,
         ) = self._wake_locals
         bound = self.kernel.drain_bound
-        schedule_batch = self.channel.schedule_fhs_batch
+        announce = self._announce
         step_respond = self._step_respond
         next_hear = self.next_hear
         n_advances = 0
         n_steps = 0
+        batch: list[int] = []
         # The lookahead horizon as a (tick, seq) pair: an entry is due
         # while it sorts below both the bound (every seq of tick
         # ``bound``) and the kernel heap head.  An entry equal to the head
@@ -529,6 +560,7 @@ class InquiryScanSwarm:
         # Only a delivery runs code that can post kernel events (the
         # receiver and its listeners), so the head is re-read after each.
         horizon = (bound + 1, -1)
+        head = None
         if heap:
             head = heap[0]
             if head[0] <= bound:
@@ -543,107 +575,133 @@ class InquiryScanSwarm:
                 tick = entry[0]
                 clock._now = tick
                 kind = entry[2]
-                if kind >= 0:
-                    deliver(tick, kind)
-                    if heap:
-                        head = heap[0]
-                        if head[0] <= bound:
-                            horizon = (head[0], head[1])
-                    continue
-                rows = due.pop(tick, ())
-                n_advances += 1
-                n_steps += len(rows)
-                batch_tick = -1
-                batch_channel = -1
-                tx_tick = tick + INQUIRY_RESPONSE_DELAY_TICKS
-                next_tx = tick + TICKS_PER_TRAIN_PASS
-                filed_tick = -1
-                filed_bucket: list[int] = []
-                for row in rows:
-                    if state[row] == _STOPPED:
-                        n_steps -= 1
-                        continue  # tombstoned by stop_row; nothing pending
-                    act = action[row]
-                    if act == _ACT_RESPOND:
-                        if bulk:
-                            hear_tick, stop, position = cursors[row]
-                            if hear_tick == tick:
-                                rf_channel = sequence[position]
-                                if tx_tick != batch_tick or rf_channel != batch_channel:
-                                    if batch:
-                                        if schedule_batch(batch_tick, batch_channel, batch):
-                                            heappush(timeline, (batch_tick, reserve(), batch_channel))
-                                        batch.clear()
-                                    batch_tick = tx_tick
-                                    batch_channel = rf_channel
-                                # A CONTINUOUS response on the cursor: the ID
-                                # answered is the cursor's hear, and the next
-                                # hear is one pass later while that is before
-                                # the cursor's stop.  That is what a fresh
-                                # next_hear(row, tick + 1) finds: the master
-                                # sends the position once per pass until its
-                                # run ends, and the row listens on it until
-                                # its segment ends.
-                                ids_heard[row] += 1
-                                batch.append(
-                                    FHSPacket(
-                                        addresses[row],
-                                        (tx_tick + offsets[row]) % CLKN_WRAP,
-                                        rf_channel,
-                                        tx_tick,
-                                    )
-                                )
-                                responses[row] += 1
-                                response_ticks[row].append(tx_tick)
-                                if first_response[row] < 0:
-                                    first_response[row] = tx_tick
-                                if next_tx < stop:
-                                    heard = next_tx
-                                    cursors[row] = (next_tx, stop, position)
-                                else:
-                                    found = next_hear(row, tick + 1)
-                                    if found is None:
-                                        self._retire(row, _EXHAUSTED)
-                                        continue
-                                    heard = found
-                                if windowless and heard - tick > timeout:
-                                    state[row] = _SEEKING
-                                    action[row] = _ACT_HEAR
-                                    self._queue(heard, row)
-                                    continue
-                                if heard != filed_tick:
-                                    filed_tick = heard
-                                    found_bucket = due.get(heard)
-                                    if found_bucket is None:
-                                        filed_bucket = due[heard] = []
-                                        heappush(timeline, (heard, reserve(), -1))
+                if kind < 0:
+                    # A due bucket.  It ends here unless it opens an FHS
+                    # group whose delivery is the next entry in (tick,
+                    # seq) order; that group is delivered below at once.
+                    rows = due.pop(tick, ())
+                    n_advances += 1
+                    n_steps += len(rows)
+                    batch_channel = -1
+                    tx_tick = tick + INQUIRY_RESPONSE_DELAY_TICKS
+                    next_tx = tick + TICKS_PER_TRAIN_PASS
+                    filed_tick = -1  # no heard tick equals it: the first filing sets filed_bucket
+                    filed_bucket: list[int]
+                    for row in rows:
+                        if state[row] == _STOPPED:
+                            n_steps -= 1
+                            continue  # tombstoned by stop_row; nothing pending
+                        act = action[row]
+                        if act == _ACT_RESPOND:
+                            if bulk:
+                                hear_tick, stop, position = cursors[row]
+                                if hear_tick == tick:
+                                    rf_channel = sequence[position]
+                                    if rf_channel != batch_channel:
+                                        if batch:
+                                            raise RuntimeError(
+                                                f"bucket at {tick} answers on two channels"
+                                            )
+                                        batch_channel = rf_channel
+                                    # A CONTINUOUS response on the cursor: the
+                                    # ID answered is the cursor's hear, and the
+                                    # next hear is one pass later while that is
+                                    # before the cursor's stop.  That is what a
+                                    # fresh next_hear(row, tick + 1) finds: the
+                                    # master sends the position once per pass
+                                    # until its run ends, and the row listens
+                                    # on it until its segment ends.
+                                    ids_heard[row] += 1
+                                    batch.append(row)
+                                    responses[row] += 1
+                                    response_ticks[row].append(tx_tick)
+                                    if first_response[row] < 0:
+                                        first_response[row] = tx_tick
+                                    if next_tx < stop:
+                                        heard = next_tx
+                                        cursors[row] = (next_tx, stop, position)
                                     else:
-                                        filed_bucket = found_bucket
-                                filed_bucket.append(row)
-                                continue
-                        packet = step_respond(row, tick)
-                        if packet.tx_tick != batch_tick or packet.channel != batch_channel:
-                            # Distinct keys within one bucket cannot
-                            # happen for slaves of one master (same hear
-                            # tick -> same position); handled anyway so
-                            # the invariant is local, not load-bearing.
-                            if batch:
-                                if schedule_batch(batch_tick, batch_channel, batch):
-                                    heappush(timeline, (batch_tick, reserve(), batch_channel))
-                                batch.clear()
-                            batch_tick = packet.tx_tick
-                            batch_channel = packet.channel
-                        batch.append(packet)
-                    elif act == _ACT_HEAR:
-                        self._step_first_hear(row, tick)
-                    elif act == _ACT_BACKOFF_END:
-                        self._step_after_backoff(row, tick)
-                    else:  # _ACT_SEEK
-                        self._step_seek(row, tick)
-                if batch:
-                    if schedule_batch(batch_tick, batch_channel, batch):
-                        heappush(timeline, (batch_tick, reserve(), batch_channel))
-                    batch.clear()
+                                        found = next_hear(row, tick + 1)
+                                        if found is None:
+                                            self._retire(row, _EXHAUSTED)
+                                            continue
+                                        heard = found
+                                    if windowless and heard - tick > timeout:
+                                        state[row] = _SEEKING
+                                        action[row] = _ACT_HEAR
+                                        self._queue(heard, row)
+                                        continue
+                                    if heard != filed_tick:
+                                        filed_tick = heard
+                                        found_bucket = due.get(heard)
+                                        if found_bucket is None:
+                                            filed_bucket = due[heard] = []
+                                            heappush(timeline, (heard, reserve(), -1))
+                                        else:
+                                            filed_bucket = found_bucket
+                                    filed_bucket.append(row)
+                                    continue
+                            rf_channel = step_respond(row, tick)
+                            if rf_channel != batch_channel:
+                                if batch:
+                                    # Every row due at ``tick`` heard the one
+                                    # position the master sent then.
+                                    raise RuntimeError(f"bucket at {tick} answers on two channels")
+                                batch_channel = rf_channel
+                            batch.append(row)
+                        elif act == _ACT_HEAR:
+                            self._step_first_hear(row, tick)
+                        elif act == _ACT_BACKOFF_END:
+                            self._step_after_backoff(row, tick)
+                        else:  # _ACT_SEEK
+                            self._step_seek(row, tick)
+                    if not batch:
+                        continue
+                    # File the responders into their FHS group: one group
+                    # per bucket, since every row due at ``tick`` heard the
+                    # one position the master sent then.
+                    announce(tx_tick, batch)
+                    key = tx_tick * _GROUP_KEY_SCALE + batch_channel
+                    rows = batch
+                    batch = []
+                    group = groups.get(key)
+                    if group is not None:
+                        group.extend(rows)
+                        continue
+                    seq = reserve()
+                    if tx_tick >= horizon[0] or (timeline and timeline[0][0] <= tx_tick):
+                        groups[key] = rows
+                        heappush(timeline, (tx_tick, seq, batch_channel))
+                        continue
+                    # The new group's delivery is the next entry in (tick,
+                    # seq) order: nothing can join the group or run before
+                    # it, so it is settled now, without a timeline entry.
+                    tick = tx_tick
+                    clock._now = tick
+                    kind = batch_channel
+                else:
+                    rows = groups.pop(tick * _GROUP_KEY_SCALE + kind)
+                # Deliver the (tick, kind) FHS group ``rows``.  A lone
+                # survivor the master already knows goes to its repeat
+                # receiver without a packet; a packet is built only for the
+                # receiver (a first discovery, spans on) or, under a
+                # reachability predicate, for every transmitter.
+                if filtered:
+                    self._settle_filtered(tick, kind, rows)
+                else:
+                    lone = resolve(tick, kind, rows, addresses)
+                    if lone >= 0:
+                        row = rows[lone]
+                        sender = addresses[row]
+                        if repeat is None or not repeat(sender, tick):
+                            receiver(
+                                FHSPacket(sender, (tick + offsets[row]) % CLKN_WRAP, kind, tick),
+                                tick,
+                            )
+                if heap and heap[0] is not head:
+                    head = heap[0]
+                    if head[0] <= bound:
+                        horizon = (head[0], head[1])
         finally:
             self._draining = False
             self.advances += n_advances
@@ -653,6 +711,20 @@ class InquiryScanSwarm:
             if entry[1] not in posted:
                 posted.add(entry[1])
                 self.kernel.post_reserved(entry[0], entry[1], self._wake, self._label)
+
+    def _settle_filtered(self, tick: int, rf_channel: int, rows: list[int]) -> None:
+        """Deliver an FHS group under a reachability predicate, which
+        reads every transmitter's packet."""
+        addresses = self._addresses
+        offsets = self._offset
+        packets: list[FHSPacket] = []
+        for row in rows:
+            packets.append(
+                FHSPacket(addresses[row], (tick + offsets[row]) % CLKN_WRAP, rf_channel, tick)
+            )
+        lone = self.channel.resolve(tick, rf_channel, rows, addresses, packets)
+        if lone >= 0:
+            self.channel.receiver(packets[lone], tick)
 
     def _step_seek(self, row: int, now: int) -> None:
         """Schedule the row's next first hear, or exhaust it."""
@@ -703,11 +775,11 @@ class InquiryScanSwarm:
         self._action[row] = _ACT_RESPOND
         self._queue(heard, row)
 
-    def _step_respond(self, row: int, now: int) -> FHSPacket:
+    def _step_respond(self, row: int, now: int) -> int:
         """Answer the ID heard now with an FHS one slot later.
 
-        Returns the FHS packet; the caller batches the channel
-        announcement across the bucket's responders.  When the row's
+        Returns the response's RF channel; the caller files the row into
+        the FHS group across the bucket's responders.  When the row's
         cursor stands on ``now``, its position gives the RF channel
         without a fresh ``listen_position``.  (A CONTINUOUS responder on
         its cursor never gets here: ``_wake`` continues it in bulk.)
@@ -718,14 +790,6 @@ class InquiryScanSwarm:
             position = self.listen_position(row, now)
         rf_channel = self._sequence[position]
         tx_tick = now + INQUIRY_RESPONSE_DELAY_TICKS
-        # Positional (sender, clkn, channel, tx_tick): keyword passing
-        # costs ~30 % more per packet, once per response.
-        packet = FHSPacket(
-            self._addresses[row],
-            (tx_tick + self._offset[row]) % CLKN_WRAP,
-            rf_channel,
-            tx_tick,
-        )
         self._responses[row] += 1
         self._response_ticks[row].append(tx_tick)
         if self._first_response[row] < 0:
@@ -733,25 +797,25 @@ class InquiryScanSwarm:
         mode = self._mode_code
         if mode == _MODE_SINGLE:
             self._retire(row, _DONE)
-            return packet
+            return rf_channel
         if mode == _MODE_BACKOFF_EACH:
             self._begin_backoff(row, now)
-            return packet
+            return rf_channel
         # CONTINUOUS: answer the next ID heard, no further backoff —
         # unless the air goes quiet past inqrespTO.
         heard = self.next_hear(row, now + 1)
         if heard is None:
             self._retire(row, _EXHAUSTED)
-            return packet
+            return rf_channel
         if self._continuous and heard - now > self._response_timeout:
             self._state[row] = _SEEKING
             self._action[row] = _ACT_HEAR
             self._queue(heard, row)
-            return packet
+            return rf_channel
         self._state[row] = _RESPONDING
         self._action[row] = _ACT_RESPOND
         self._queue(heard, row)
-        return packet
+        return rf_channel
 
     def __repr__(self) -> str:
         return (

@@ -49,6 +49,16 @@ class TestBDAddr:
         assert BDAddr(5) != BDAddr(6)
         assert len({BDAddr(5), BDAddr(5), BDAddr(6)}) == 2
 
+    def test_hash_is_the_dataclass_hash(self):
+        # The cached hash must equal the one the dataclass generates, or
+        # every set of addresses would iterate in a different order.
+        for value in (0, 5, 0x0002_5B00_0000, (1 << 48) - 1):
+            assert hash(BDAddr(value)) == hash((value,))
+
+    def test_cached_hash_is_not_compared(self):
+        assert BDAddr(7) == BDAddr(7) and not BDAddr(7) < BDAddr(7)
+        assert repr(BDAddr(7)) == "BDAddr('00:00:00:00:00:07')"
+
     def test_ordering(self):
         assert BDAddr(1) < BDAddr(2)
 

@@ -7,6 +7,9 @@ The digests were recorded from the per-slave scanner objects the swarm
 replaced, so a changed digest is a behaviour change, never a refactor.
 ``TestRendezvousCursor`` reruns the same families and checks every
 CONTINUOUS response's cursor shortcut against a fresh search.
+``TestRepeatPath`` pins what repeat responses write (``last_seen``, the
+reachability filter's drops), for the same families and under an
+interference band.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.bluetooth.scan import (
     next_listen_rendezvous,
 )
 from repro.bluetooth.swarm import _NO_CURSOR, InquiryScanSwarm
+from repro.radio.interference import SharedBand
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
 
@@ -43,9 +47,18 @@ def _run_piconet(seed, slave_count, scan_config, schedule_factory, horizon, inst
 
     ``instrument(swarm)``, if given, is called before any slave starts.
     """
+    return _observables(
+        *_simulate(seed, slave_count, scan_config, schedule_factory, horizon, instrument)
+    )
+
+
+def _simulate(
+    seed, slave_count, scan_config, schedule_factory, horizon, instrument=None, reachable=None
+):
+    """Run one piconet to ``horizon``; returns its slave handles and master."""
     kernel = Kernel()
     schedule = schedule_factory()
-    master = InquiryProcedure(kernel, schedule, name="master")
+    master = InquiryProcedure(kernel, schedule, name="master", reachable=reachable)
     root = RandomStream(seed, "swarm-ab")
     swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=scan_config, name="s")
     if instrument is not None:
@@ -68,6 +81,10 @@ def _run_piconet(seed, slave_count, scan_config, schedule_factory, horizon, inst
         handle.start()
         handles.append(handle)
     kernel.run_until(horizon)
+    return handles, master
+
+
+def _observables(handles, master):
     slaves = [
         (
             h.state.value,
@@ -171,36 +188,103 @@ class TestSwarmEquivalence:
         )
 
 
-def _check_cursor(swarm, checked):
-    """Wrap ``swarm``'s channel announce so that every CONTINUOUS
-    response asserts that the next hear its row filed — from the
-    rendezvous cursor or a fresh search — equals a fresh
-    ``next_hear(row, now + 1)``.
+def _repeat_observables(master):
+    """What a lone repeat from a known sender writes besides the counts:
+    ``last_seen``, and what the reachability filter dropped."""
+    return (
+        sorted((str(address), tick) for address, tick in master.last_seen.items()),
+        master.channel.stats.filtered,
+    )
 
-    A bucket's FHS batch is announced after every row of the bucket has
-    been processed and re-filed, so each packet's row is checked against
-    its filing in the due index (none when the row retired).  Appends
-    each checked ``(row, now)`` to ``checked``.  The fresh search would
-    record its own cursor, so the row's cursor is restored after it: the
-    run continues on exactly the state the swarm built.
+
+#: ``_repeat_observables`` digest per ``CASES`` id.
+REPEAT_DIGESTS = {
+    "figure2-style-train-locked": "173da0a7335a32625206aadbef1bc7a71a1560b1960db96cedb578134eef19f5",
+    "default-windows-sequence": "be8110fce3d5bb943c3d8835d8229febfead8e35335cf7fa436212c47b0ee724",
+    "backoff-each": "e55cfa9b0936d2322dc04f2d0985352f36a96fa88ead992eff8fe707a2800d0f",
+    "single-next-window": "cea778ff0f7c7d1dc2898eebec18508e8d9b28dc1df8b714363860412b90963a",
+    "fixed-phase": "d1d864299c1acce94d6234e31090703c1ac3a5e7dab857f5721818920c7c8241",
+    "interleaved-page-scan": "e61362fc6583b870a073bc68ca8d936939ee075a4929fa66bd6ae4b827014fdb",
+}
+
+
+class TestRepeatPath:
+    """Pins ``last_seen`` and the reachability filter, which a repeat
+    response from an already discovered sender still updates."""
+
+    @pytest.mark.parametrize(
+        "scan_config, schedule_factory, horizon, slaves, expected",
+        [
+            pytest.param(*case.values[:4], REPEAT_DIGESTS[case.id], id=case.id)
+            for case in CASES
+        ],
+    )
+    def test_last_seen_and_filtered(
+        self, scan_config, schedule_factory, horizon, slaves, expected
+    ):
+        _, master = _simulate(99, slaves, scan_config, schedule_factory, horizon)
+        assert _digest(_repeat_observables(master)) == expected
+
+    def test_interference_band_filter(self):
+        # Three always-active neighbours corrupt each response with
+        # probability ~3.8 %, one band draw per transmitter in group order.
+        # Sixteen train-locked responders also collide, so the filter
+        # runs ahead of the collision rule on shared groups.
+        band = SharedBand(RandomStream(5, "band"))
+        band.register("master", lambda tick: True)
+        for neighbour in ("n1", "n2", "n3"):
+            band.register(neighbour, lambda tick: True)
+            band.connect("master", neighbour)
+        handles, master = _simulate(
+            99,
+            16,
+            ScanConfig.continuous(phase_mode=PhaseMode.TRAIN_LOCKED),
+            lambda: periodic_inquiry(3200, 16000, strategy=TrainStrategy.A_ONLY),
+            64_000,
+            reachable=band.survival_predicate("master"),
+        )
+        stats = master.channel.stats
+        assert band.stats.corrupted > 0 and stats.filtered == band.stats.corrupted
+        assert stats.collision_events > 0
+        observed = (
+            _observables(handles, master),
+            _repeat_observables(master),
+            (band.stats.checks, band.stats.corrupted),
+        )
+        assert _digest(observed) == (
+            "2d236baca4acbd452b4d716a0cf6fa4212cf598d37c818994a8f570d8eb570d1"
+        )
+
+
+def _check_cursor(swarm, checked):
+    """Wrap ``swarm``'s FHS group filing (its channel announce of each
+    bucket's responder rows) so that every CONTINUOUS response asserts
+    that the next hear its row filed — from the rendezvous cursor or a
+    fresh search — equals a fresh ``next_hear(row, now + 1)``.
+
+    A bucket's responders are filed into their group after every row of
+    the bucket has been processed and re-filed, so each row is checked
+    against its filing in the due index (none when the row retired).
+    Appends each checked ``(row, now)`` to ``checked``.  The fresh search
+    would record its own cursor, so the row's cursor is restored after
+    it: the run continues on exactly the state the swarm built.
     """
-    announce = swarm.channel.schedule_fhs_batch
+    announce = swarm._announce
     due = swarm._due
 
-    def checking_announce(tick, rf_channel, packets):
+    def checking_announce(tx_tick, rows):
         if swarm.config.response_mode is ResponseMode.CONTINUOUS:
-            for packet in packets:
-                row = swarm._addresses.index(packet.sender)
-                now = packet.tx_tick - INQUIRY_RESPONSE_DELAY_TICKS
-                filed = [due_tick for due_tick, rows in due.items() if row in rows]
+            now = tx_tick - INQUIRY_RESPONSE_DELAY_TICKS
+            for row in rows:
+                filed = [due_tick for due_tick, bucket in due.items() if row in bucket]
                 cursor = swarm._cursors[row]
                 fresh = swarm.next_hear(row, now + 1)
                 swarm._cursors[row] = cursor
                 assert filed == ([] if fresh is None else [fresh]), (row, now, filed, fresh)
                 checked.append((row, now))
-        return announce(tick, rf_channel, packets)
+        return announce(tx_tick, rows)
 
-    swarm.channel.schedule_fhs_batch = checking_announce
+    swarm._announce = checking_announce
 
 
 class TestRendezvousCursor:

@@ -21,6 +21,7 @@ from repro.bluetooth.constants import INQUIRY_RESPONSE_DELAY_TICKS as DELAY
 from repro.bluetooth.hopping import TrainStrategy, continuous_inquiry, periodic_inquiry
 from repro.bluetooth.inquiry import InquiryProcedure
 from repro.bluetooth.scan import PhaseMode, ScanConfig
+from repro.bluetooth.swarm import _GROUP_KEY_SCALE as GROUP_KEY_SCALE
 from repro.bluetooth.swarm import InquiryScanSwarm
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
@@ -68,6 +69,16 @@ def _observables(swarm, master, handles):
 
 def _digest(observables) -> str:
     return hashlib.sha256(repr(observables).encode("utf-8")).hexdigest()
+
+
+def _open_responses(swarm):
+    """Responses filed into FHS groups the swarm has not settled yet."""
+    return sum(len(rows) for rows in swarm._groups.values())
+
+
+def _open_group_ticks(swarm):
+    """The ticks of the swarm's unsettled FHS groups."""
+    return [key // GROUP_KEY_SCALE for key in swarm._groups]
 
 
 def _lone_responder():
@@ -142,7 +153,7 @@ class TestForeignEventsAtSwarmTicks:
         seen = []
 
         def foreign():
-            seen.append((master.responses_received, master.channel.pending_count))
+            seen.append((master.responses_received, _open_responses(swarm)))
 
         if posted == "before":
             kernel.post_at(delivery, foreign)
@@ -234,6 +245,7 @@ class TestDrainBound:
         full = _digest(_observables(swarm, master, handles))
         kernel, swarm, master, handles = _piconet()
         steps = 0
+        open_groups = 0
         while kernel.queue and kernel.queue[0][0] <= HORIZON:
             fired = kernel.queue[0][0]
             before = [len(h.stats.response_ticks) for h in handles]
@@ -245,9 +257,12 @@ class TestDrainBound:
                 for tx in handle.stats.response_ticks[count:]:
                     assert tx - DELAY == fired
             # ...and every FHS group due by ``fired`` has been resolved.
-            assert all(tick > fired for tick, _ in master.channel._pending)
+            ticks = _open_group_ticks(swarm)
+            assert all(tick > fired for tick in ticks)
+            open_groups += len(ticks)
         kernel.run_until(HORIZON)
         assert steps > 1
+        assert open_groups > 0
         assert _digest(_observables(swarm, master, handles)) == full
 
 

@@ -61,7 +61,7 @@ def test_channel_conserves_packets(announcements):
     assert stats.transmissions == len(announcements)
     assert stats.delivered + stats.collided + stats.filtered == stats.transmissions
     assert stats.delivered == len(received)
-    assert channel.pending_count == 0
+    assert not channel._pending
 
 
 @given(

@@ -3,6 +3,7 @@
 The channel posts no kernel events: an announce returns whether it
 opened a new ``(tick, channel)`` group, and the test delivers each group
 itself with ``deliver(tick, rf_channel)``, as its opener would.
+``resolve`` is the collision rule alone, over a group the caller keeps.
 """
 
 from __future__ import annotations
@@ -75,21 +76,13 @@ class TestDelivery:
         with pytest.raises(ValueError):
             channel.schedule_fhs(50, 7, fhs(1, 50, 7))
 
-    def test_pending_count(self, kernel):
-        channel = ResponseChannel(kernel, lambda pkt, tick: None)
-        channel.schedule_fhs(100, 7, fhs(1, 100, 7))
-        channel.schedule_fhs(100, 7, fhs(2, 100, 7))
-        assert channel.pending_count == 2
-        channel.deliver(100, 7)
-        assert channel.pending_count == 0
-
     def test_channel_posts_no_kernel_events(self, kernel):
         channel = ResponseChannel(kernel, lambda pkt, tick: None)
         channel.schedule_fhs(100, 7, fhs(1, 100, 7))
         channel.schedule_fhs_batch(101, 7, [fhs(2, 101, 7)])
         assert kernel.pending_events == 0
         kernel.run_until(200)
-        assert channel.pending_count == 2
+        assert list(channel._pending) == [(100, 7), (101, 7)]
 
 
 class TestBatchAnnounce:
@@ -132,7 +125,7 @@ class TestBatchAnnounce:
         channel = ResponseChannel(kernel, lambda pkt, tick: None)
         assert channel.schedule_fhs_batch(100, 7, []) is False
         assert channel.stats.transmissions == 0
-        assert channel.pending_count == 0
+        assert not channel._pending
         with pytest.raises(KeyError):
             channel.deliver(100, 7)  # an empty batch opens no group
 
@@ -167,6 +160,50 @@ class TestBatchAnnounce:
         with pytest.raises(ValueError):
             channel.schedule_fhs_batch(50, 7, [fhs(1, 50, 7)])
         assert channel.stats.transmissions == 0
+
+
+class TestResolve:
+    """resolve: the collision rule over a group the caller keeps."""
+
+    ADDRESSES = [BDAddr(10), BDAddr(11), BDAddr(12)]
+
+    def test_lone_transmitter_is_delivered(self, kernel):
+        received = []
+        channel = ResponseChannel(kernel, lambda pkt, tick: received.append(pkt))
+        assert channel.resolve(100, 7, [2], self.ADDRESSES) == 0
+        assert channel.stats.delivered == 1
+        assert received == []  # the caller hands the survivor on
+
+    def test_group_collides_with_senders_in_group_order(self, kernel):
+        channel = ResponseChannel(kernel, lambda pkt, tick: None)
+        assert channel.resolve(100, 7, [2, 0], self.ADDRESSES) == -1
+        assert channel.stats.collided == 2
+        (record,) = channel.stats.collisions
+        assert (record.tick, record.rf_channel) == (100, 7)
+        assert record.addresses == (BDAddr(12), BDAddr(10))
+        assert record.senders == (str(BDAddr(12)), str(BDAddr(10)))
+
+    def test_filter_names_the_survivor_by_position(self, kernel):
+        asked = []
+
+        def reachable(pkt, tick):
+            asked.append(pkt.sender)
+            return pkt.sender != BDAddr(10)
+
+        channel = ResponseChannel(kernel, lambda pkt, tick: None, reachable=reachable)
+        packets = [fhs(10, 100, 7), fhs(11, 100, 7)]
+        assert channel.resolve(100, 7, [0, 1], self.ADDRESSES, packets) == 1
+        assert asked == [BDAddr(10), BDAddr(11)]  # once each, in group order
+        assert (channel.stats.filtered, channel.stats.delivered) == (1, 1)
+
+    def test_announce_counts_and_rejects_the_past(self, kernel):
+        channel = ResponseChannel(kernel, lambda pkt, tick: None)
+        channel.announce(100, [0, 1, 2])
+        assert channel.stats.transmissions == 3
+        kernel.run_until(200)
+        with pytest.raises(ValueError):
+            channel.announce(150, [0])
+        assert channel.stats.transmissions == 3
 
 
 class TestReachability:
