@@ -99,11 +99,11 @@ class InquiryProcedure:
 
         Does what :meth:`_on_fhs` does for it, inline (this runs once per
         repeat response): the listening and receiver-capture checks, the
-        counts and ``last_seen``.  Declines, doing nothing, for a first
-        discovery and while spans are on; those go to :meth:`_on_fhs`
-        with the packet.
+        counts, the ``bt.response`` instant and ``last_seen``.  Declines,
+        doing nothing, for a first discovery; that goes to
+        :meth:`_on_fhs` with the packet.
         """
-        if self._spans is not None or sender not in self._results:
+        if sender not in self._results:
             return False
         if not self._is_listening(tick):
             self.responses_missed += 1
@@ -114,6 +114,11 @@ class InquiryProcedure:
                 return True
             self._receiver_busy_until = tick + self.FHS_RX_TICKS
         self.responses_received += 1
+        if self._spans is not None:
+            self._spans.instant(
+                "bt.response", "bluetooth", tick,
+                master=self.name, sender=str(sender),
+            )
         self.last_seen[sender] = tick
         return True
 

@@ -36,8 +36,8 @@ call.  At the group's tick the channel's collision rule resolves it
 (:meth:`~repro.radio.channel.ResponseChannel.resolve`).  A lone response
 from a device the master already knows goes to the master's repeat
 receiver as a bare address; an :class:`~repro.bluetooth.packets.FHSPacket`
-is built only when the master's receiver needs one (a first discovery,
-spans on) or a reachability predicate reads every transmitter's.
+is built only when the master's receiver needs one (a first discovery)
+or a reachability predicate reads every transmitter's.
 
 Due buckets and the FHS groups the swarm opens are not kernel
 events but entries ``(tick, seq, kind)`` of one swarm-local heap, the
@@ -684,7 +684,7 @@ class InquiryScanSwarm:
                 # Deliver the (tick, kind) FHS group ``rows``.  A lone
                 # survivor the master already knows goes to its repeat
                 # receiver without a packet; a packet is built only for the
-                # receiver (a first discovery, spans on) or, under a
+                # receiver (a first discovery) or, under a
                 # reachability predicate, for every transmitter.
                 if filtered:
                     self._settle_filtered(tick, kind, rows)

@@ -318,32 +318,17 @@ class LANTransport:
         if destination not in self._endpoints:
             # Known endpoint, currently down (crash/brownout): the wire
             # accepts the frame and nobody hears it.
-            self._drop()
-            if spans is not None:
-                spans.instant(
-                    "lan.transit", "lan", self.kernel.now, parent=parent,
-                    type=type_name, src=source, dst=destination, outcome="dropped",
-                )
+            self._drop(parent, type_name, source, destination)
             return
         if self.loss_probability and self.rng and self.rng.random() < self.loss_probability:
-            self._drop()
-            if spans is not None:
-                spans.instant(
-                    "lan.transit", "lan", self.kernel.now, parent=parent,
-                    type=type_name, src=source, dst=destination, outcome="dropped",
-                )
+            self._drop(parent, type_name, source, destination)
             return
         extra_delay = 0
         copies = 1
         if self.faults is not None:
             decision = self.faults.decide(self.kernel.now, source, destination, message)
             if decision.drop:
-                self._drop()
-                if spans is not None:
-                    spans.instant(
-                        "lan.transit", "lan", self.kernel.now, parent=parent,
-                        type=type_name, src=source, dst=destination, outcome="dropped",
-                    )
+                self._drop(parent, type_name, source, destination)
                 return
             extra_delay = decision.extra_delay_ticks
             copies = 1 + decision.duplicates
@@ -380,8 +365,15 @@ class LANTransport:
                 label=label,
             )
 
-    def _drop(self) -> None:
+    def _drop(self, parent: Any, type_name: str, source: str, destination: str) -> None:
+        """Lose a frame on the wire: count it and, with spans on, record
+        its ``lan.transit`` instant."""
         self.stats.dropped += 1
+        if self._spans is not None:
+            self._spans.instant(
+                "lan.transit", "lan", self.kernel.now, parent=parent,
+                type=type_name, src=source, dst=destination, outcome="dropped",
+            )
 
     @hot_path
     def _deliver(
@@ -396,7 +388,7 @@ class LANTransport:
             self._m_in_flight.dec()
         handler = self._endpoints.get(destination)
         if handler is None:
-            self._drop()
+            self.stats.dropped += 1
             self._end_transit(span, "dropped")
             return
         if seq is not None:

@@ -16,9 +16,10 @@ Design rules (the same contract the metrics plane obeys):
   exports.  Enabling tracing changes **no** simulated result
   (``tests/obs/test_tracing_determinism.py``).
 * **Free when off.** Components hold ``spans=None`` by default and
-  guard every call site, so untraced runs pay nothing; the kernel even
-  keeps its untraced drain loops untouched and switches to a separate
-  traced drain only when a tracer is attached.
+  guard every call site, so untraced runs pay nothing.  A traced run
+  executes the same code as an untraced one, spans added: the kernel
+  wraps a labelled callback in its ``kernel`` span where the event is
+  queued and drains through its one loop either way.
 * **Mergeable.** ``merge_worker_spans`` concatenates per-trial span
   lists in trial-index order and tags each record with its trial as
   the Chrome ``pid``, so ``--jobs N`` produces byte-identical merged

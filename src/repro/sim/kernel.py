@@ -11,7 +11,7 @@ Fast-path design (see docs/performance.md):
   ``seq`` is unique, so the payload is never compared.  The payload is
   the bare callback on the fast path; an :class:`EventHandle` is
   allocated only when the caller needs cancellation
-  (``schedule_at``/``schedule``) or a traced label.
+  (``schedule_at``/``schedule``).
 * Cancellation is a tombstone: the entry stays queued and is skipped
   when it surfaces.  A tombstone counter keeps
   :attr:`Kernel.pending_events` O(1), and the queue is compacted when
@@ -22,9 +22,9 @@ Fast-path design (see docs/performance.md):
 * ``run_until`` peeks at the queue head and never pops an event beyond
   the target tick, so crossing a boundary does not pay a pop + re-push.
 * A kernel with a :class:`~repro.obs.tracing.SpanTracer` attached
-  drains through a separate loop that wraps labelled events in spans
-  (the kernel's only record of what fired), so the untraced hot loop
-  carries no span checks.
+  wraps each labelled callback in its ``kernel`` span as it queues it
+  (the kernel's only record of what fired), so traced and untraced runs
+  drain through the same loop and the loop carries no span checks.
 * A component may keep a private timeline of its own pending work and
   drain it inside one kernel event, provided it keeps exact
   ``(tick, seq)`` order with the heap: :meth:`Kernel.reserve_seq` hands
@@ -37,17 +37,15 @@ Fast-path design (see docs/performance.md):
 from __future__ import annotations
 
 import heapq
-import logging
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
-from .clock import SimClock, seconds_from_ticks
+from .clock import SimClock
 from .errors import DeadlockError, SchedulingError
 from .hotpath import hot_path
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a layering cycle
     from repro.obs.tracing import SpanTracer
-
-logger = logging.getLogger(__name__)
 
 Callback = Callable[[], Any]
 
@@ -56,10 +54,6 @@ SCHEDULER_ENV_VAR = "BIPS_SIM_SCHEDULER"
 
 #: Tombstone count below which compaction is never attempted.
 _COMPACT_MIN_TOMBSTONES = 64
-
-#: :attr:`Kernel.drain_bound` of an unbounded drain
-#: (``run_to_completion``); beyond any reachable tick.
-UNBOUNDED = 1 << 63
 
 
 class EventHandle:
@@ -112,9 +106,25 @@ class EventHandle:
         return f"EventHandle(t={self.time}, label={self.label!r}, {state})"
 
 
+def _in_span(spans: "SpanTracer", label: str, tick: int, callback: Callback) -> None:
+    """Fire a labelled event's callback inside its ``kernel`` span.
+
+    Bound with :func:`functools.partial` where the event is queued, so
+    spans opened inside the callback (bluetooth, LAN, core) parent to
+    the dispatch that caused them.
+    """
+    span = spans.begin(label, "kernel", tick)
+    prev = spans.push(span)
+    try:
+        callback()
+    finally:
+        spans.pop(prev)
+        spans.end(span, tick)
+
+
 #: A queue entry.  The payload is the bare callback on the fast path
-#: and an :class:`EventHandle` for cancellable/labelled events; ``seq``
-#: is unique so tuple comparison never reaches the payload.
+#: and an :class:`EventHandle` for cancellable events; ``seq`` is
+#: unique so tuple comparison never reaches the payload.
 Entry = tuple[int, int, Union[Callback, EventHandle]]
 
 
@@ -130,16 +140,14 @@ class Kernel:
 
     def __init__(self, spans: Optional["SpanTracer"] = None) -> None:
         self.clock = SimClock()
-        # Span tracing rides the labelled-event path: attaching a
-        # SpanTracer turns label retention on, so every labelled event
-        # can become a kernel span.
+        # With a SpanTracer attached, every labelled event is queued
+        # wrapped in a kernel span (_in_span).
         self._spans = spans
-        self._trace_enabled = spans is not None
         self._seq = 0
         self._events_fired = 0
         self._tombstones = 0
         self._heap: list[Entry] = []
-        self._bound = UNBOUNDED
+        self._bound = 0
 
     # -- scheduling ------------------------------------------------------
 
@@ -175,10 +183,9 @@ class Kernel:
     def post_at(self, tick: int, callback: Callback, label: str = "") -> None:
         """Schedule ``callback`` at absolute time ``tick``, fire-and-forget.
 
-        The fast path: no :class:`EventHandle` is allocated unless the
-        event is labelled *and* tracing is on, so use this for hot
-        events that are never cancelled.  Semantics are otherwise
-        identical to :meth:`schedule_at`.
+        The fast path: no :class:`EventHandle` is allocated, so use this
+        for hot events that are never cancelled.  Semantics are
+        otherwise identical to :meth:`schedule_at`.
         """
         if tick < self.clock._now:
             raise SchedulingError(
@@ -186,12 +193,9 @@ class Kernel:
                 f"now is {self.clock._now}"
             )
         seq = self._seq
-        payload: Union[Callback, EventHandle] = (
-            EventHandle(tick, seq, callback, label, self)
-            if label and self._trace_enabled
-            else callback
-        )
-        heapq.heappush(self._heap, (tick, seq, payload))
+        if label and self._spans is not None:
+            callback = partial(_in_span, self._spans, label, tick, callback)
+        heapq.heappush(self._heap, (tick, seq, callback))
         self._seq = seq + 1
 
     def reserve_seq(self) -> int:
@@ -233,10 +237,9 @@ class Kernel:
     def drain_bound(self) -> int:
         """The last tick the running drain may reach.
 
-        The ``run_until`` target, the fired event's tick under
-        :meth:`step`, or :data:`UNBOUNDED` under
-        :meth:`run_to_completion`.  A private timeline drained from an
-        event callback must not move the clock past it.
+        The ``run_until`` target, or the fired event's tick under
+        :meth:`step`.  A private timeline drained from an event callback
+        must not move the clock past it.
         """
         return self._bound
 
@@ -251,12 +254,9 @@ class Kernel:
             raise SchedulingError(f"negative delay {delay} for {label or callback!r}")
         tick = self.clock._now + delay
         seq = self._seq
-        payload: Union[Callback, EventHandle] = (
-            EventHandle(tick, seq, callback, label, self)
-            if label and self._trace_enabled
-            else callback
-        )
-        heapq.heappush(self._heap, (tick, seq, payload))
+        if label and self._spans is not None:
+            callback = partial(_in_span, self._spans, label, tick, callback)
+        heapq.heappush(self._heap, (tick, seq, callback))
         self._seq = seq + 1
 
     def schedule_at(self, tick: int, callback: Callback, label: str = "") -> EventHandle:
@@ -272,6 +272,8 @@ class Kernel:
                 f"cannot schedule {label or callback!r} at tick {tick}; "
                 f"now is {self.clock.now}"
             )
+        if label and self._spans is not None:
+            callback = partial(_in_span, self._spans, label, tick, callback)
         handle = EventHandle(tick, self._seq, callback, label, self)
         heapq.heappush(self._heap, (tick, self._seq, handle))
         self._seq += 1
@@ -296,66 +298,21 @@ class Kernel:
         ):
             self._compact()
 
-    @staticmethod
-    def _entry_live(entry: Entry) -> bool:
-        payload = entry[2]
-        if isinstance(payload, EventHandle):
-            return payload.callback is not None
-        return True
-
     def _compact(self) -> None:
         """Drop tombstoned entries from the heap in place.
 
         In-place mutation matters: the hot loop holds a local alias of
         the heap list.
         """
-        self._heap[:] = [e for e in self._heap if self._entry_live(e)]
+        self._heap[:] = [
+            entry
+            for entry in self._heap
+            if not isinstance(entry[2], EventHandle) or entry[2].callback is not None
+        ]
         heapq.heapify(self._heap)
         self._tombstones = 0
 
     # -- execution -------------------------------------------------------
-
-    def _fire_entry(self, entry: Entry) -> None:
-        """Fire one live entry (slow path shared by step())."""
-        time = entry[0]
-        payload = entry[2]
-        if isinstance(payload, EventHandle):
-            callback = payload.callback
-            payload.callback = None
-            label = payload.label
-        else:
-            callback = payload
-            label = ""
-        self.clock.advance_to(time)
-        self._events_fired += 1
-        assert callback is not None  # tombstones are filtered by callers
-        spans = self._spans
-        if label and spans is not None:
-            span = spans.begin(label, "kernel", time)
-            prev = spans.push(span)
-            try:
-                callback()
-            finally:
-                spans.pop(prev)
-                spans.end(span, time)
-            return
-        callback()
-
-    def _pop_live(self, until: Optional[int] = None) -> Optional[Entry]:
-        """Pop the next live entry, discarding tombstones.
-
-        With ``until``, the head is peeked before popping: an entry
-        beyond ``until`` is never disturbed and ``None`` is returned.
-        """
-        heap = self._heap
-        while heap:
-            if until is not None and heap[0][0] > until:
-                return None
-            entry = heapq.heappop(heap)
-            if self._entry_live(entry):
-                return entry
-            self._tombstones -= 1
-        return None
 
     def step(self) -> bool:
         """Fire the single next event.  Returns False if none remain.
@@ -363,12 +320,23 @@ class Kernel:
         The drain bound is the event's own tick, so a timeline the
         event drains stays on that tick.
         """
-        entry = self._pop_live()
-        if entry is None:
-            return False
-        self._bound = entry[0]
-        self._fire_entry(entry)
-        return True
+        heap = self._heap
+        while heap:
+            time, _, payload = heapq.heappop(heap)
+            if isinstance(payload, EventHandle):
+                callback = payload.callback
+                if callback is None:  # tombstone
+                    self._tombstones -= 1
+                    continue
+                payload.callback = None
+            else:
+                callback = payload
+            self._bound = time
+            self.clock.advance_to(time)
+            self._events_fired += 1
+            callback()
+            return True
+        return False
 
     def run_until(self, tick: int, require_events: bool = False) -> None:
         """Run events until simulated time reaches ``tick``.
@@ -383,12 +351,7 @@ class Kernel:
                 f"run_until target {tick} is before now {self.clock.now}"
             )
         self._bound = tick
-        if self._spans is not None:
-            # Traced runs take a separate drain so the untraced hot loop
-            # stays overhead-free.
-            self._drain_spans(tick)
-        else:
-            self._drain_heap(tick)
+        self._drain_heap(tick)
         if require_events and self.pending_events == 0 and self.clock.now < tick:
             raise DeadlockError(
                 f"event heap drained at {self.clock.now} before reaching {tick}"
@@ -430,79 +393,6 @@ class Kernel:
                 callback()
         finally:
             self._events_fired += fired
-
-    def _drain_spans(self, until: int) -> None:
-        """Fire all events with ``time <= until``, wrapping each labelled
-        event in a kernel span.
-
-        The traced sibling of :meth:`_drain_heap`: same local counter,
-        added to :attr:`events_fired` on return, but every labelled
-        event becomes an ambient ``kernel``-category span for the
-        duration of its callback, so spans opened inside the callback
-        (bluetooth, LAN, core) parent to the dispatch that caused them.
-        Kept apart from the hot loop: a merged loop measured 3-8 % slower
-        on untraced runs (docs/performance.md, "One event queue").
-        """
-        spans = self._spans
-        assert spans is not None
-        clock = self.clock
-        handle_cls = EventHandle
-        fired = 0
-        try:
-            while True:
-                entry = self._pop_live(until)
-                if entry is None:
-                    break
-                time = entry[0]
-                payload = entry[2]
-                if payload.__class__ is handle_cls:
-                    callback = payload.callback
-                    payload.callback = None
-                    label = payload.label
-                else:
-                    callback = payload
-                    label = ""
-                clock._now = time
-                fired += 1
-                assert callback is not None  # _pop_live skips tombstones
-                if label:
-                    span = spans.begin(label, "kernel", time)
-                    prev = spans.push(span)
-                    try:
-                        callback()
-                    finally:
-                        spans.pop(prev)
-                        spans.end(span, time)
-                else:
-                    callback()
-        finally:
-            self._events_fired += fired
-
-    def run_to_completion(self, max_events: int = 10_000_000) -> None:
-        """Run until the event queue is empty.
-
-        Args:
-            max_events: safety valve against runaway self-rescheduling
-                loops; exceeding it raises :class:`DeadlockError`.
-        """
-        fired = 0
-        self._bound = UNBOUNDED
-        while True:
-            entry = self._pop_live()
-            if entry is None:
-                break
-            self._fire_entry(entry)
-            fired += 1
-            if fired > max_events:
-                logger.error(
-                    "runaway event loop: %d events without draining (t=%d)",
-                    fired,
-                    self.clock.now,
-                )
-                raise DeadlockError(
-                    f"run_to_completion exceeded {max_events} events at "
-                    f"t={self.clock.now} ({seconds_from_ticks(self.clock.now):.3f}s)"
-                )
 
     def __repr__(self) -> str:
         return (

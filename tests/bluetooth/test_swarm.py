@@ -9,7 +9,8 @@ replaced, so a changed digest is a behaviour change, never a refactor.
 CONTINUOUS response's cursor shortcut against a fresh search.
 ``TestRepeatPath`` pins what repeat responses write (``last_seen``, the
 reachability filter's drops), for the same families and under an
-interference band.
+interference band, and checks that a traced piconet takes the same
+packet-free repeat path as an untraced one.
 """
 
 from __future__ import annotations
@@ -36,7 +37,10 @@ from repro.bluetooth.scan import (
     ScannerState,
     next_listen_rendezvous,
 )
+from repro.bluetooth import swarm as swarm_module
+from repro.bluetooth.packets import FHSPacket
 from repro.bluetooth.swarm import _NO_CURSOR, InquiryScanSwarm
+from repro.obs.tracing import SpanTracer
 from repro.radio.interference import SharedBand
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
@@ -53,12 +57,21 @@ def _run_piconet(seed, slave_count, scan_config, schedule_factory, horizon, inst
 
 
 def _simulate(
-    seed, slave_count, scan_config, schedule_factory, horizon, instrument=None, reachable=None
+    seed,
+    slave_count,
+    scan_config,
+    schedule_factory,
+    horizon,
+    instrument=None,
+    reachable=None,
+    spans=None,
 ):
     """Run one piconet to ``horizon``; returns its slave handles and master."""
-    kernel = Kernel()
+    kernel = Kernel(spans=spans)
     schedule = schedule_factory()
-    master = InquiryProcedure(kernel, schedule, name="master", reachable=reachable)
+    master = InquiryProcedure(
+        kernel, schedule, name="master", reachable=reachable, spans=spans
+    )
     root = RandomStream(seed, "swarm-ab")
     swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=scan_config, name="s")
     if instrument is not None:
@@ -254,6 +267,28 @@ class TestRepeatPath:
         assert _digest(observed) == (
             "2d236baca4acbd452b4d716a0cf6fa4212cf598d37c818994a8f570d8eb570d1"
         )
+
+    def test_traced_swarm_takes_the_repeat_path(self, monkeypatch):
+        # Spans on, a repeat from a known sender still costs no packet:
+        # one FHSPacket per discovery, one bt.response per response.
+        built = []
+
+        def counting_packet(*fields):
+            built.append(fields[0])
+            return FHSPacket(*fields)
+
+        monkeypatch.setattr(swarm_module, "FHSPacket", counting_packet)
+        case = CASES[0]
+        scan_config, schedule_factory, horizon, slaves, expected = case.values
+        spans = SpanTracer()
+        handles, master = _simulate(
+            99, slaves, scan_config, schedule_factory, horizon, spans=spans
+        )
+        assert _digest(_observables(handles, master)) == expected
+        assert master.responses_received > master.discoveries > 0
+        assert len(built) == master.discoveries
+        responses = sum(1 for span in spans.spans if span.name == "bt.response")
+        assert responses == master.responses_received
 
 
 def _check_cursor(swarm, checked):

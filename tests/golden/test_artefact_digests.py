@@ -12,6 +12,10 @@ The ``enrolment.*`` payloads pin a full-feature run (the
 soft-state refresh, with a workstation crash and recovery), the only
 pinned run that pages and joins users to piconets.
 
+The ``trace.*`` payloads pin the span stream of ``bips trace --format
+jsonl`` (a traced e2e run and traced Table 1 trials), so a traced run is
+held to the same byte-for-byte contract as an untraced one.
+
 The e2e metrics JSONL drops ``sim.*`` records: they are kernel-internal
 telemetry (event counts, queue depths, batch counters) that describe how
 the simulation executed, not what it simulated.
@@ -41,8 +45,11 @@ from repro.experiments.duty_cycle import Section5Config, run_section5
 from repro.experiments.e2e import E2EConfig, run_e2e
 from repro.experiments.figure2 import Figure2Config, run_figure2
 from repro.experiments.table1 import PAPER_REFERENCE as TABLE1_REFERENCE
-from repro.experiments.table1 import Table1Config, run_table1
+from repro.experiments.table1 import EXPERIMENT as TABLE1_EXPERIMENT
+from repro.experiments.table1 import Table1Config, run_table1, trial_payload
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import SpanTracer, merge_worker_spans
+from repro.runner import build_runner
 
 DIGESTS = Path(__file__).with_name("digests.json")
 
@@ -51,6 +58,8 @@ FIGURE2 = Figure2Config(slave_counts=(2, 10, 20), replications=10)
 SECTION5 = Section5Config(replications=20)
 E2E = E2EConfig(user_count=8, duration_seconds=600.0)
 FAULT_PROFILES = ("chaos", "lossy-lan")
+TRACE_E2E = E2EConfig(user_count=4, duration_seconds=120.0)
+TRACE_TABLE1 = Table1Config(trials=20, trace=True)
 
 #: Relative-error bounds against the paper (those of the end-to-end
 #: benchmark: the same-train row is the noisy one).
@@ -89,6 +98,28 @@ def _metrics_jsonl(registry: MetricsRegistry) -> str:
         for record in registry.snapshot()
         if not record["name"].startswith("sim.")
     )
+
+
+def _spans_jsonl(records: list[dict]) -> str:
+    """Span records as ``bips trace --format jsonl`` writes them."""
+    return "".join(
+        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        for record in records
+    )
+
+
+def _traced_e2e(faults: str) -> str:
+    config = replace(TRACE_E2E, faults=faults)
+    spans = SpanTracer(seed=config.seed)
+    run_e2e(config, spans=spans)
+    return _spans_jsonl(spans.records())
+
+
+def _traced_table1(faults: str) -> str:
+    config = replace(TRACE_TABLE1, faults=faults)
+    runner = build_runner(jobs=1, use_cache=False)
+    payloads = runner.map_trials(TABLE1_EXPERIMENT, config, trial_payload, config.trials)
+    return _spans_jsonl(merge_worker_spans([payload["spans"] for payload in payloads]))
 
 
 @lru_cache(maxsize=None)
@@ -147,6 +178,9 @@ PAYLOADS: dict[str, Callable[[], str]] = {
     "enrolment.report": lambda: _enrolment()[0],
     "enrolment.snapshots": lambda: _enrolment()[1],
     "enrolment.metrics.jsonl": lambda: _enrolment()[2],
+    "trace.e2e.spans.jsonl": lambda: _traced_e2e("none"),
+    "trace.e2e.chaos.spans.jsonl": lambda: _traced_e2e("chaos"),
+    "trace.table1.chaos.spans.jsonl": lambda: _traced_table1("chaos"),
 }
 for _profile in FAULT_PROFILES:
     PAYLOADS[f"table1.{_profile}.csv"] = lambda p=_profile: _table1(p).to_csv()

@@ -223,7 +223,8 @@ class TestRealTree:
         callees = {
             s.callee
             for s in graph.calls.callees_of(
-                "repro.sim.kernel.Kernel.run_to_completion"
+                "repro.sim.kernel.Kernel.run_until"
             )
         }
         assert any(c.startswith("repro.sim.") for c in callees)
+        assert "repro.sim.kernel.Kernel._drain_heap" in callees

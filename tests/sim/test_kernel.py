@@ -11,7 +11,7 @@ import pytest
 from repro.obs.tracing import SpanTracer
 from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
 from repro.sim.errors import DeadlockError, SchedulingError
-from repro.sim.kernel import UNBOUNDED, EventHandle, Kernel
+from repro.sim.kernel import EventHandle, Kernel
 
 #: SHA-256 of the kernel spans after :func:`_mixed_workload`, one
 #: ``[seconds] event label`` line per span (:func:`_render_spans`): the
@@ -209,22 +209,6 @@ class TestRunUntil:
         assert kernel.step() is True
         assert fired == [1]
 
-    def test_run_to_completion(self, kernel):
-        fired = []
-        kernel.schedule_at(5, lambda: fired.append(1))
-        kernel.schedule_at(50, lambda: fired.append(2))
-        kernel.run_to_completion()
-        assert fired == [1, 2]
-        assert kernel.now == 50
-
-    def test_run_to_completion_detects_runaway(self, kernel):
-        def reschedule():
-            kernel.schedule(1, reschedule)
-
-        kernel.schedule_at(0, reschedule)
-        with pytest.raises(DeadlockError):
-            kernel.run_to_completion(max_events=100)
-
     def test_events_fired_counter(self, kernel):
         for tick in range(5):
             kernel.schedule_at(tick, lambda: None)
@@ -355,11 +339,9 @@ class TestLookaheadSeams:
         bounds = []
         kernel.post_at(3, lambda: bounds.append(kernel.drain_bound))
         kernel.post_at(8, lambda: bounds.append(kernel.drain_bound))
-        kernel.post_at(9, lambda: bounds.append(kernel.drain_bound))
         kernel.run_until(5)
         kernel.step()
-        kernel.run_to_completion()
-        assert bounds == [5, 8, UNBOUNDED]
+        assert bounds == [5, 8]
 
 
 class TestPendingCounterChurn:

@@ -1,9 +1,10 @@
-"""The traced kernel drain and the event-counter exactness contract.
+"""Traced kernel events and the event-counter exactness contract.
 
-A kernel with a :class:`SpanTracer` attached takes a separate drain
-loop (``_drain_spans``); these tests pin that it fires the exact same
-events, in the same order, with the same clock and counters as the
-untraced hot loop — and that the drains' local event counts are exact
+A kernel with a :class:`SpanTracer` attached wraps each labelled
+callback in its ``kernel`` span as it queues it and drains through the
+same loop as an untraced kernel; these tests pin that it fires the
+exact same events, in the same order, with the same clock and counters
+as an untraced kernel — and that the drain's local event count is exact
 at every run boundary.
 """
 
