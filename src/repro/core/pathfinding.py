@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from repro.building.floorplan import FloorPlan
 
@@ -119,13 +119,20 @@ class Graph:
         distance, predecessor = self.dijkstra(source)
         if target not in distance:
             return None
-        rooms: list[str] = []
-        cursor: Optional[str] = target
-        while cursor is not None:
-            rooms.append(cursor)
-            cursor = predecessor[cursor]
-        rooms.reverse()
-        return PathResult(rooms=tuple(rooms), total_distance_m=distance[target])
+        return _walk_back(target, distance, predecessor)
+
+
+def _walk_back(
+    target: str, distance: dict[str, float], predecessor: dict[str, Optional[str]]
+) -> PathResult:
+    """The path to ``target`` along one Dijkstra run's predecessor links."""
+    rooms: list[str] = []
+    cursor: Optional[str] = target
+    while cursor is not None:
+        rooms.append(cursor)
+        cursor = predecessor[cursor]
+    rooms.reverse()
+    return PathResult(rooms=tuple(rooms), total_distance_m=distance[target])
 
 
 class AllPairsPaths:
@@ -134,17 +141,18 @@ class AllPairsPaths:
     "The static nature of BIPS wired network allows us to compute
     off-line all the shortest paths ... Hence the computation of the
     shortest path has no impact on BIPS online activities" (§2).
-    Lookup is O(path length); no search happens at query time.
+    Every reachable pair's :class:`PathResult` is built once, here; a
+    query reads it from the table and shares it.
     """
 
     def __init__(self, graph: Graph) -> None:
         self._graph = graph
-        self._distance: dict[str, dict[str, float]] = {}
-        self._predecessor: dict[str, dict[str, Optional[str]]] = {}
+        self._paths: dict[str, dict[str, PathResult]] = {}
         for node in graph.nodes:
             distance, predecessor = graph.dijkstra(node)
-            self._distance[node] = distance
-            self._predecessor[node] = predecessor
+            self._paths[node] = {
+                target: _walk_back(target, distance, predecessor) for target in distance
+            }
 
     @classmethod
     def from_floorplan(cls, plan: FloorPlan) -> "AllPairsPaths":
@@ -153,28 +161,21 @@ class AllPairsPaths:
 
     def distance(self, source: str, target: str) -> Optional[float]:
         """Shortest distance, or None if unreachable."""
-        if source not in self._distance:
+        row = self._paths.get(source)
+        if row is None:
             raise UnknownRoomError(f"unknown source {source!r}")
-        return self._distance[source].get(target)
+        path = row.get(target)
+        return path.total_distance_m if path is not None else None
 
     def path(self, source: str, target: str) -> Optional[PathResult]:
         """Shortest path by table lookup, or None if unreachable."""
-        if source not in self._distance:
+        row = self._paths.get(source)
+        if row is None:
             raise UnknownRoomError(f"unknown source {source!r}")
-        if target not in self._graph:
+        path = row.get(target)
+        if path is None and target not in self._graph:
             raise UnknownRoomError(f"unknown target {target!r}")
-        if target not in self._distance[source]:
-            return None
-        rooms: list[str] = []
-        cursor: Optional[str] = target
-        predecessor = self._predecessor[source]
-        while cursor is not None:
-            rooms.append(cursor)
-            cursor = predecessor[cursor]
-        rooms.reverse()
-        return PathResult(
-            rooms=tuple(rooms), total_distance_m=self._distance[source][target]
-        )
+        return path
 
     def eccentricity(self, node: str) -> float:
         """Greatest shortest-path distance from ``node``.
@@ -184,12 +185,12 @@ class AllPairsPaths:
         deployment condition (a wing whose workstation graph was wired
         without a connecting passage), not a missing dictionary key.
         """
-        distances = self._distance.get(node)
-        if distances is None:
+        row = self._paths.get(node)
+        if row is None:
             raise UnknownRoomError(f"unknown node {node!r}")
-        if len(distances) < len(self._graph.nodes):
+        if len(row) < len(self._graph.nodes):
             return math.inf
-        return max(distances.values())
+        return max(path.total_distance_m for path in row.values())
 
     def diameter(self) -> float:
         """Longest shortest path in the building graph.
@@ -203,41 +204,3 @@ class AllPairsPaths:
         if not nodes:
             raise ValueError("diameter is undefined for an empty graph")
         return max(self.eccentricity(node) for node in nodes)
-
-
-def validate_against_reference(
-    graph: Graph, pairs: Sequence[tuple[str, str]]
-) -> list[tuple[str, str, float, float]]:
-    """Cross-check our Dijkstra against networkx on specific pairs.
-
-    Returns the mismatching pairs as
-    ``(source, target, ours, reference)``; an empty list means
-    agreement.  Used by the test suite, kept here so downstream users
-    can audit a deployment's topology too.
-    """
-    import networkx as nx
-
-    reference = nx.Graph()
-    for node in graph.nodes:
-        reference.add_node(node)
-        for neighbor, weight in graph.neighbors(node).items():
-            reference.add_edge(node, neighbor, weight=weight)
-    mismatches = []
-    for source, target in pairs:
-        ours = graph.shortest_path(source, target)
-        try:
-            ref_distance = nx.shortest_path_length(
-                reference, source, target, weight="weight"
-            )
-        except nx.NetworkXNoPath:
-            ref_distance = None
-        ours_distance = ours.total_distance_m if ours is not None else None
-        if ours_distance is None and ref_distance is None:
-            continue
-        if (
-            ours_distance is None
-            or ref_distance is None
-            or abs(ours_distance - ref_distance) > 1e-9
-        ):
-            mismatches.append((source, target, ours_distance, ref_distance))
-    return mismatches

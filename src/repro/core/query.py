@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.bluetooth.address import BDAddr
+
 from .errors import BIPSError
 from .location_db import LocationDatabase
 from .pathfinding import AllPairsPaths, PathResult
@@ -19,7 +21,15 @@ from .registry import UserRegistry
 
 @dataclass
 class QueryStats:
-    """Counters over the lifetime of the engine."""
+    """Counters over the lifetime of the engine.
+
+    ``location_queries`` counts every :meth:`QueryEngine.locate`,
+    ``locate_full`` and ``locate_at`` call.  The server's
+    ``core.queries_served{kind=location}`` counts only its direct
+    ``locate`` calls and LAN location queries: historical reads
+    (``locate_at``) and engine calls that bypass the server are not in
+    it.
+    """
 
     location_queries: int = 0
     location_denied: int = 0
@@ -49,6 +59,17 @@ class QueryEngine:
         self.paths = paths
         self.stats = QueryStats()
 
+    def _target_device(self, querier_userid: str, target_username: str) -> BDAddr:
+        """Count one location query; the target's device once §2's checks pass."""
+        stats = self.stats
+        stats.location_queries += 1
+        try:
+            return self.registry.check_query_allowed(querier_userid, target_username).device
+        except BIPSError as error:
+            stats.location_denied += 1
+            stats.note_error(error)
+            raise
+
     def locate(self, querier_userid: str, target_username: str) -> Optional[str]:
         """The paper's spatio-temporal query: the target's current piconet.
 
@@ -60,18 +81,9 @@ class QueryEngine:
             AccessDeniedError: the target's access rights exclude the querier.
             UnknownUserError: no such target username.
         """
-        self.stats.location_queries += 1
-        try:
-            return self._locate(querier_userid, target_username)
-        except BIPSError as error:
-            self.stats.location_denied += 1
-            self.stats.note_error(error)
-            raise
-
-    def _locate(self, querier_userid: str, target_username: str) -> Optional[str]:
-        target = self.registry.check_query_allowed(querier_userid, target_username)
-        device = self.registry.device_of(target.userid)
-        room = self.location_db.current_room(device)
+        room = self.location_db.current_room(
+            self._target_device(querier_userid, target_username)
+        )
         if room is None:
             self.stats.location_unknown += 1
         return room
@@ -87,14 +99,7 @@ class QueryEngine:
         answer is still the best available, it just stops pretending to
         be fresh (graceful degradation, ``docs/fault-injection.md``).
         """
-        self.stats.location_queries += 1
-        try:
-            target = self.registry.check_query_allowed(querier_userid, target_username)
-        except BIPSError as error:
-            self.stats.location_denied += 1
-            self.stats.note_error(error)
-            raise
-        device = self.registry.device_of(target.userid)
+        device = self._target_device(querier_userid, target_username)
         room = self.location_db.current_room(device)
         if room is None:
             self.stats.location_unknown += 1
@@ -112,15 +117,9 @@ class QueryEngine:
         the database history?  Subject to the same access-rights checks
         as :meth:`locate`; None when the position was unknown then.
         """
-        self.stats.location_queries += 1
-        try:
-            target = self.registry.check_query_allowed(querier_userid, target_username)
-        except BIPSError as error:
-            self.stats.location_denied += 1
-            self.stats.note_error(error)
-            raise
-        device = self.registry.device_of(target.userid)
-        room = self.location_db.room_at(device, tick)
+        room = self.location_db.room_at(
+            self._target_device(querier_userid, target_username), tick
+        )
         if room is None:
             self.stats.location_unknown += 1
         return room
@@ -130,18 +129,22 @@ class QueryEngine:
 
         Returns None when either endpoint is currently untracked.
 
-        Raises the same errors as :meth:`locate`, plus
-        :class:`NotLoggedInError` if the querier has no bound device.
+        Raises the same errors as :meth:`locate`.
         """
-        self.stats.path_queries += 1
+        stats = self.stats
+        stats.path_queries += 1
         try:
-            target_room = self._locate(querier_userid, target_username)
-            querier_device = self.registry.device_of(querier_userid)
+            target = self.registry.check_query_allowed(querier_userid, target_username)
         except BIPSError as error:
-            self.stats.path_denied += 1
-            self.stats.note_error(error)
+            stats.path_denied += 1
+            stats.note_error(error)
             raise
-        querier_room = self.location_db.current_room(querier_device)
-        if target_room is None or querier_room is None:
+        target_room = self.location_db.current_room(target.device)
+        if target_room is None:
+            stats.location_unknown += 1
+            return None
+        # The checks above found the querier logged in.
+        querier_room = self.location_db.current_room(self.registry.device_of(querier_userid))
+        if querier_room is None:
             return None
         return self.paths.path(querier_room, target_room)

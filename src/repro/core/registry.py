@@ -81,7 +81,7 @@ class UserRegistry:
 
     def __init__(self) -> None:
         self._users: dict[str, UserRecord] = {}
-        self._by_username: dict[str, str] = {}
+        self._by_username: dict[str, UserRecord] = {}
         self._sessions: dict[str, Session] = {}
         self._device_to_userid: dict[BDAddr, str] = {}
 
@@ -112,7 +112,7 @@ class UserRegistry:
             allowed_queriers=set(allowed_queriers or ()),
         )
         self._users[userid] = record
-        self._by_username[username] = userid
+        self._by_username[username] = record
         return record
 
     def user(self, userid: str) -> UserRecord:
@@ -124,10 +124,10 @@ class UserRegistry:
 
     def user_by_name(self, username: str) -> UserRecord:
         """Look up by display name (the form queries use)."""
-        userid = self._by_username.get(username)
-        if userid is None:
+        record = self._by_username.get(username)
+        if record is None:
             raise UnknownUserError(f"unknown username {username!r}")
-        return self._users[userid]
+        return record
 
     @property
     def registered_count(self) -> int:
@@ -193,20 +193,28 @@ class UserRegistry:
 
     # -- access control ---------------------------------------------------------
 
-    def check_query_allowed(self, querier_userid: str, target_username: str) -> UserRecord:
+    def check_query_allowed(self, querier_userid: str, target_username: str) -> Session:
         """Enforce §2's pre-query checks.
 
         Verifies the querier is logged in, the target exists and is
         logged in, and the target's access rights admit the querier.
-        Returns the target's record on success.
+        Returns the target's live session (its userid and device) on
+        success.  The policy is read from the live record on every
+        call, so a change after login applies to the next query.
         """
-        if querier_userid not in self._sessions:
+        sessions = self._sessions
+        if querier_userid not in sessions:
             raise NotLoggedInError(f"querier {querier_userid!r} is not logged in")
         target = self.user_by_name(target_username)
-        if target.userid not in self._sessions:
+        session = sessions.get(target.userid)
+        if session is None:
             raise NotLoggedInError(f"target user {target_username!r} is not logged in")
-        if not target.may_be_located_by(querier_userid):
+        if (
+            target.policy is not VisibilityPolicy.EVERYONE
+            and querier_userid != target.userid
+            and not target.may_be_located_by(querier_userid)
+        ):
             raise AccessDeniedError(
                 f"user {querier_userid!r} may not locate {target_username!r}"
             )
-        return target
+        return session

@@ -28,8 +28,9 @@ from repro.lan.messages import (
     WorkstationHello,
 )
 from repro.lan.transport import LANTransport, UnknownEndpointError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.tracing import SpanTracer
+from repro.sim.clock import ticks_from_seconds
 from repro.sim.hotpath import hot_path
 from repro.sim.kernel import Kernel
 
@@ -76,12 +77,19 @@ class BIPSServer:
         self.invalidations_sent = 0
         self.browned_out = False
         self.brownouts = 0
+        # Plain counts, per kind / outcome; ``finalize_metrics`` folds them.
+        self.queries_served = {"location": 0, "path": 0}
+        self.queries_failed = {"location": 0, "path": 0}
+        self.logins = {"ok": 0, "rejected": 0}
+        self.stale_answers = 0
         self._metrics = metrics
         self._spans = spans
         if metrics is not None:
             self._m_push_lag = metrics.histogram(
                 "core.delta_push_lag_ticks", buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
             )
+        # Resolved on the first LAN query, so a run without one emits none.
+        self._m_query_latency: Optional[Histogram] = None
         lan.register(endpoint, self._on_message)
 
     # -- fault injection ---------------------------------------------------------
@@ -229,10 +237,7 @@ class BIPSServer:
             response = LoginResponse(
                 sent_tick=self.kernel.now, userid=message.userid, ok=True
             )
-        if self._metrics is not None:
-            self._metrics.counter(
-                "core.logins", outcome="ok" if response.ok else "rejected"
-            ).inc()
+        self.logins["ok" if response.ok else "rejected"] += 1
         self.lan.send(self.endpoint, source, response)
 
     def _handle_logout(self, message: LogoutRequest) -> None:
@@ -279,8 +284,7 @@ class BIPSServer:
                 room_id=room,
                 stale=stale,
             )
-            if stale and self._metrics is not None:
-                self._metrics.counter("core.stale_answers").inc()
+            self.stale_answers += stale
         self._note_query("location", message, response.ok)
         self.lan.send(self.endpoint, source, response)
 
@@ -307,19 +311,21 @@ class BIPSServer:
         self.lan.send(self.endpoint, source, response)
 
     def _note_query(self, kind: str, message, ok: bool) -> None:
-        """Metrics and the ``core.query`` span for one served query.
+        """Counts, latency and the ``core.query`` span for one LAN query.
 
         Query latency here is the server-side view: request send to
         answer computed (the response's own LAN hop is accounted by the
         transport's delivery histogram).
         """
+        self.queries_served[kind] += 1
+        if not ok:
+            self.queries_failed[kind] += 1
         if self._metrics is not None:
-            self._metrics.counter("core.queries_served", kind=kind).inc()
-            if not ok:
-                self._metrics.counter("core.queries_failed", kind=kind).inc()
-            self._metrics.histogram(
-                "core.query_latency_ticks", buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-            ).observe(self.kernel.now - message.sent_tick)
+            if self._m_query_latency is None:
+                self._m_query_latency = self._metrics.histogram(
+                    "core.query_latency_ticks", buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+                )
+            self._m_query_latency.observe(self.kernel.now - message.sent_tick)
         if self._spans is not None:
             self._spans.instant(
                 "core.query",
@@ -334,8 +340,7 @@ class BIPSServer:
 
     def locate(self, querier_userid: str, target_username: str) -> Optional[str]:
         """Synchronous location query (same semantics as the LAN path)."""
-        if self._metrics is not None:
-            self._metrics.counter("core.queries_served", kind="location").inc()
+        self.queries_served["location"] += 1
         room = self.queries.locate(querier_userid, target_username)
         if self._spans is not None:
             # Direct calls have no transit, hence no lag.
@@ -347,8 +352,7 @@ class BIPSServer:
 
     def navigate(self, querier_userid: str, target_username: str) -> Optional[PathResult]:
         """Synchronous navigation query."""
-        if self._metrics is not None:
-            self._metrics.counter("core.queries_served", kind="path").inc()
+        self.queries_served["path"] += 1
         path = self.queries.navigate(querier_userid, target_username)
         if self._spans is not None:
             self._spans.instant(
@@ -361,8 +365,6 @@ class BIPSServer:
         self, querier_userid: str, target_username: str, at_seconds: float
     ) -> Optional[str]:
         """Historical location query: where was the target at ``at_seconds``?"""
-        from repro.sim.clock import ticks_from_seconds
-
         return self.queries.locate_at(
             querier_userid, target_username, ticks_from_seconds(at_seconds)
         )

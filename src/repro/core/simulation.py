@@ -627,6 +627,17 @@ class BIPSSimulation:
         fold(metrics.counter("core.presence_updates_received"), server.presence_updates_received)
         if server.brownouts:
             fold(metrics.counter("core.server_brownouts"), server.brownouts)
+        for kind, served in server.queries_served.items():
+            if served:
+                fold(metrics.counter("core.queries_served", kind=kind), served)
+        for kind, failed in server.queries_failed.items():
+            if failed:
+                fold(metrics.counter("core.queries_failed", kind=kind), failed)
+        for outcome, logins in server.logins.items():
+            if logins:
+                fold(metrics.counter("core.logins", outcome=outcome), logins)
+        if server.stale_answers:
+            fold(metrics.counter("core.stale_answers"), server.stale_answers)
         stats = self.lan.stats
         fold(metrics.counter("lan.messages_sent"), stats.sent)
         for type_name, sent in sorted(stats.by_type.items()):

@@ -12,8 +12,10 @@ canonical hash of the experiment's frozen config dataclass, so
 * results are independent of worker count and scheduling, because a
   trial's seed never depends on *where* or *when* it runs.
 
-The digest folds in the package version, so a release that changes the
-simulation also invalidates the on-disk result cache.
+The cache digest folds in the package version, so a release that
+changes the simulation also invalidates the on-disk result cache.  The
+seeding digest folds a frozen salt instead: a version bump alone never
+reshuffles a trial's streams.
 """
 
 from __future__ import annotations
@@ -26,9 +28,14 @@ from typing import Any
 
 from repro.sim.rng import derive_seed
 
+#: Folded into seeding digests where the cache digest folds the version.
+#: It equals the version every committed artefact was seeded under, so
+#: the seeds are byte-identical to those; never change it.
+SEED_SALT = "1.0.0"
+
 
 def code_version() -> str:
-    """The library version folded into digests (cache invalidation)."""
+    """The library version folded into cache digests (cache invalidation)."""
     import repro
 
     return getattr(repro, "__version__", "0")
@@ -100,7 +107,7 @@ def _digest(experiment: str, config: Any, *, for_seeding: bool) -> str:
         "experiment": experiment,
         "config_type": type(config).__name__,
         "config": _canonical(config, for_seeding=for_seeding),
-        "code_version": code_version(),
+        "code_version": SEED_SALT if for_seeding else code_version(),
     }
     encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
@@ -122,7 +129,8 @@ def seeding_digest(experiment: str, config: Any) -> str:
     config's ``SEED_DIGEST_OMIT`` are excluded regardless of value, so
     opt-in perturbation layers (fault injection) leave the simulation's
     own trial streams untouched while still occupying their own cache
-    cell.
+    cell, and that it folds :data:`SEED_SALT` where the cache digest
+    folds :func:`code_version`.
     """
     return _digest(experiment, config, for_seeding=True)
 

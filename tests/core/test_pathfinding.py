@@ -3,16 +3,60 @@
 from __future__ import annotations
 
 import itertools
+import math
+from typing import Callable, Optional, Sequence
 
 import pytest
 
-from repro.building.layouts import academic_department, linear_wing
+from repro.building.layouts import academic_department, linear_wing, multi_floor_department
 from repro.core.errors import UnknownRoomError
-from repro.core.pathfinding import (
-    AllPairsPaths,
-    Graph,
-    validate_against_reference,
-)
+from repro.core.pathfinding import AllPairsPaths, Graph, PathResult
+
+
+def validate_against_reference(
+    graph: Graph,
+    pairs: Sequence[tuple[str, str]],
+    lookup: Optional[Callable[[str, str], Optional[PathResult]]] = None,
+) -> list[tuple[str, str, Optional[float], Optional[float]]]:
+    """Cross-check shortest paths against networkx on specific pairs.
+
+    ``lookup`` answers a pair (``graph.shortest_path`` by default).  An
+    answer must join its endpoints along graph edges whose weights sum
+    to its length, and that length must be networkx's.  Returns the
+    mismatching pairs as ``(source, target, ours, reference)``; an
+    empty list means agreement.
+    """
+    import networkx as nx
+
+    lookup = lookup if lookup is not None else graph.shortest_path
+    reference = nx.Graph()
+    for node in graph.nodes:
+        reference.add_node(node)
+        for neighbor, weight in graph.neighbors(node).items():
+            reference.add_edge(node, neighbor, weight=weight)
+    mismatches = []
+    for source, target in pairs:
+        ours = lookup(source, target)
+        try:
+            ref_distance = nx.shortest_path_length(reference, source, target, weight="weight")
+        except nx.NetworkXNoPath:
+            ref_distance = None
+        ours_distance = ours.total_distance_m if ours is not None else None
+        if ours is not None:
+            rooms = ours.rooms
+            walked = sum(graph.neighbors(a).get(b, math.inf) for a, b in zip(rooms, rooms[1:]))
+            if (rooms[0], rooms[-1]) != (source, target) or abs(walked - ours_distance) > 1e-9:
+                mismatches.append((source, target, ours_distance, ref_distance))
+                continue
+        if ours_distance is None and ref_distance is None:
+            continue
+        if (
+            ours_distance is None
+            or ref_distance is None
+            or abs(ours_distance - ref_distance) > 1e-9
+        ):
+            mismatches.append((source, target, ours_distance, ref_distance))
+    return mismatches
 
 
 def diamond() -> Graph:
@@ -121,6 +165,19 @@ class TestDijkstra:
 
 
 class TestAllPairs:
+    @pytest.mark.parametrize(
+        "plan", [academic_department(), multi_floor_department(3)], ids=["department", "3-floor"]
+    )
+    def test_every_precomputed_path_matches_networkx(self, plan):
+        graph = Graph.from_floorplan(plan)
+        all_pairs = AllPairsPaths(graph)
+        pairs = list(itertools.product(plan.room_ids(), repeat=2))
+        assert validate_against_reference(graph, pairs, all_pairs.path) == []
+
+    def test_lookup_returns_the_prebuilt_result(self):
+        all_pairs = AllPairsPaths.from_floorplan(academic_department())
+        assert all_pairs.path("lab-1", "lounge") is all_pairs.path("lab-1", "lounge")
+
     def test_lookup_matches_direct_dijkstra(self):
         plan = academic_department()
         graph = Graph.from_floorplan(plan)
@@ -186,8 +243,6 @@ class TestDiameterEdgeCases:
         assert all_pairs.eccentricity("lobby") == 0.0
 
     def test_disconnected_eccentricity_is_infinite(self):
-        import math
-
         graph = diamond()
         graph.add_node("island")
         all_pairs = AllPairsPaths(graph)
@@ -195,8 +250,6 @@ class TestDiameterEdgeCases:
         assert all_pairs.eccentricity("island") == math.inf
 
     def test_disconnected_diameter_is_infinite(self):
-        import math
-
         graph = diamond()
         graph.add_node("island")
         assert AllPairsPaths(graph).diameter() == math.inf

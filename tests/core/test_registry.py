@@ -155,3 +155,76 @@ class TestAccessRights:
         registry.login("u-bob", "pw-b", BOB_DEV, tick=0)
         with pytest.raises(UnknownUserError):
             registry.check_query_allowed("u-bob", "Ghost")
+
+    def test_returns_the_targets_live_session(self, registry):
+        registry.login("u-alice", "pw-a", ALICE_DEV, tick=0)
+        registry.login("u-bob", "pw-b", BOB_DEV, tick=0)
+        assert registry.check_query_allowed("u-bob", "Alice").device == ALICE_DEV
+        # A re-login on another handheld is the next query's answer.
+        registry.login("u-alice", "pw-a", BDAddr(0x300), tick=5)
+        assert registry.check_query_allowed("u-bob", "Alice").device == BDAddr(0x300)
+
+
+class TestCheckPrecedence:
+    """When several checks fail at once, the first in §2's order wins:
+    querier logged in, target known, target logged in, access."""
+
+    @pytest.fixture
+    def hidden(self) -> UserRegistry:
+        registry = UserRegistry()
+        registry.register("u-a", "A", "pw", policy=VisibilityPolicy.NOBODY)
+        registry.register("u-b", "B", "pw")
+        return registry
+
+    def test_logged_out_querier_before_unknown_target(self, registry):
+        with pytest.raises(NotLoggedInError, match="querier 'u-bob'"):
+            registry.check_query_allowed("u-bob", "Ghost")
+
+    def test_logged_out_querier_before_denied_access(self, hidden):
+        hidden.login("u-a", "pw", ALICE_DEV, tick=0)
+        with pytest.raises(NotLoggedInError, match="querier 'u-b'"):
+            hidden.check_query_allowed("u-b", "A")
+
+    def test_unknown_querier_is_a_logged_out_querier(self, registry):
+        registry.login("u-alice", "pw-a", ALICE_DEV, tick=0)
+        with pytest.raises(NotLoggedInError, match="querier 'u-ghost'"):
+            registry.check_query_allowed("u-ghost", "Alice")
+
+    def test_logged_out_target_before_denied_access(self, hidden):
+        hidden.login("u-b", "pw", BOB_DEV, tick=0)
+        with pytest.raises(NotLoggedInError, match="target user 'A'"):
+            hidden.check_query_allowed("u-b", "A")
+
+
+class TestPolicyIsReadLive:
+    """``policy`` and ``allowed_queriers`` are mutable; a change made
+    after login applies to the very next query."""
+
+    def _logged_in(self) -> UserRegistry:
+        registry = UserRegistry()
+        registry.register("u-a", "A", "pw")
+        registry.register("u-b", "B", "pw")
+        registry.login("u-a", "pw", ALICE_DEV, tick=0)
+        registry.login("u-b", "pw", BOB_DEV, tick=0)
+        return registry
+
+    def test_hiding_after_login_denies_the_next_query(self):
+        registry = self._logged_in()
+        assert registry.check_query_allowed("u-b", "A").userid == "u-a"
+        registry.user("u-a").policy = VisibilityPolicy.NOBODY
+        with pytest.raises(AccessDeniedError):
+            registry.check_query_allowed("u-b", "A")
+        # The owner still locates themself.
+        assert registry.check_query_allowed("u-a", "A").userid == "u-a"
+
+    def test_opening_after_login_admits_the_next_query(self):
+        registry = self._logged_in()
+        record = registry.user("u-a")
+        record.policy = VisibilityPolicy.LISTED
+        with pytest.raises(AccessDeniedError):
+            registry.check_query_allowed("u-b", "A")
+        record.allowed_queriers.add("u-b")
+        assert registry.check_query_allowed("u-b", "A").userid == "u-a"
+        record.policy = VisibilityPolicy.EVERYONE
+        record.allowed_queriers.clear()
+        assert registry.check_query_allowed("u-b", "A").userid == "u-a"

@@ -94,6 +94,7 @@ class TestWorkstationRestart:
         )
         assert response.room_id == "lab-1"
         assert response.stale
+        sim.finalize_metrics()
         assert sim.metrics.counter("core.stale_answers").value >= 1
 
 

@@ -3,8 +3,9 @@
 The components count in plain attributes; ``finalize_metrics`` is the
 one place that turns those counts into metric series.  These tests pin
 that each folded series equals its source, that folding is idempotent,
-that simulations sharing a registry add up, and the crash/recovery
-arithmetic of the workstation series.
+that simulations sharing a registry add up, the crash/recovery
+arithmetic of the workstation series, and the server's query, login
+and stale-answer counts.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ from __future__ import annotations
 import pytest
 
 from repro.building.layouts import two_room_testbed
-from repro.core import BIPSConfig, BIPSSimulation
+from repro.core import BIPSConfig, BIPSSimulation, VisibilityPolicy
+from repro.core.errors import AccessDeniedError
 from repro.faults import FaultPlan
+from repro.lan.messages import LocationResponse, LoginRequest, LoginResponse, PathResponse
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -174,3 +177,138 @@ class TestFoldArithmetic:
         values = _values(sim.metrics)
         assert values[("core.workstation_recoveries",)] == 1
         assert values[("core.workstation_failures",)] == 1 + 1
+
+
+def _counters(snapshot: list[dict]) -> dict[tuple, int]:
+    return {
+        (r["name"], *sorted(r["labels"].items())): r["value"]
+        for r in snapshot
+        if r["kind"] == "counter"
+    }
+
+
+def _query_sim(seed: int = 11, metrics: MetricsRegistry | None = None) -> BIPSSimulation:
+    """Direct and LAN queries (some denied), LAN logins (one rejected),
+    and a location answered stale after its workstation crashed."""
+    sim = BIPSSimulation(
+        config=BIPSConfig(
+            seed=seed,
+            dwell_low_seconds=500.0,
+            dwell_high_seconds=600.0,
+            refresh_interval_cycles=1,
+            staleness_horizon_seconds=40.0,
+        ),
+        metrics=metrics,
+    )
+    sim.add_user("u-a", "A")
+    sim.add_user("u-b", "B")
+    sim.add_user("u-h", "H", policy=VisibilityPolicy.NOBODY)
+    sim.add_user("u-c", "C")
+    for userid in ("u-a", "u-b", "u-h"):
+        sim.login(userid)
+    sim.follow_route("u-a", ["lab-1"])
+    sim.follow_route("u-b", ["lab-2"])
+    sim.login_via_lan("u-c")
+    device = sim.user("u-c").device.address
+    sim.lan.send(
+        sim.user("u-c").endpoint, sim.server.endpoint,
+        LoginRequest(sent_tick=0, userid="u-c", password="wrong", device=device),
+    )
+    sim.run(until_seconds=60.0)
+    server = sim.server
+    server.locate("u-b", "A")
+    server.navigate("u-b", "A")
+    server.locate_at_seconds("u-b", "A", 30.0)
+    for direct in (server.locate, server.navigate):
+        with pytest.raises(AccessDeniedError):
+            direct("u-b", "H")
+    for target in ("A", "H", "Ghost"):
+        sim.query_location_via_lan("u-b", target)
+        sim.query_path_via_lan("u-b", target)
+    sim.query_path_via_lan("u-c", "A")  # the querier is untracked
+    sim.fail_workstation("lab-1")
+    sim.run(until_seconds=170.0)
+    sim.query_location_via_lan("u-b", "A")
+    sim.run(until_seconds=171.0)
+    return sim
+
+
+@pytest.fixture(scope="module")
+def query_sim() -> BIPSSimulation:
+    sim = _query_sim()
+    sim.finalize_metrics()
+    return sim
+
+
+class TestQuerySeries:
+    def _inbox(self, sim, kind):
+        return [m for u in ("u-b", "u-c") for m in sim.user(u).inbox if isinstance(m, kind)]
+
+    def test_served_counts_direct_calls_before_they_run_and_lan_answers(self, query_sim):
+        values = _values(query_sim.metrics)
+        locations = self._inbox(query_sim, LocationResponse)
+        paths = self._inbox(query_sim, PathResponse)
+        assert (len(locations), len(paths)) == (4, 4)
+        # Two direct calls of each kind (one denied), no locate_at.
+        assert values[("core.queries_served", ("kind", "location"))] == 2 + len(locations)
+        assert values[("core.queries_served", ("kind", "path"))] == 2 + len(paths)
+
+    def test_failed_counts_only_negative_lan_answers(self, query_sim):
+        values = _values(query_sim.metrics)
+        locations = self._inbox(query_sim, LocationResponse)
+        paths = self._inbox(query_sim, PathResponse)
+        failed_locations = sum(not m.ok for m in locations)
+        failed_paths = sum(not m.ok for m in paths)
+        assert (failed_locations, failed_paths) == (2, 3)
+        assert values[("core.queries_failed", ("kind", "location"))] == failed_locations
+        assert values[("core.queries_failed", ("kind", "path"))] == failed_paths
+        latency = next(
+            r for r in query_sim.metrics.snapshot() if r["name"] == "core.query_latency_ticks"
+        )
+        assert latency["count"] == len(locations) + len(paths)
+
+    def test_logins_by_outcome(self, query_sim):
+        values = _values(query_sim.metrics)
+        outcomes = [m.ok for m in query_sim.user("u-c").inbox if isinstance(m, LoginResponse)]
+        assert sorted(outcomes) == [False, True]
+        assert values[("core.logins", ("outcome", "ok"))] == 1
+        assert values[("core.logins", ("outcome", "rejected"))] == 1
+
+    def test_stale_answers(self, query_sim):
+        stale = [m for m in self._inbox(query_sim, LocationResponse) if m.stale]
+        assert len(stale) == 1 and stale[0].room_id == "lab-1"
+        assert _values(query_sim.metrics)[("core.stale_answers",)] == 1
+        assert query_sim.server.queries.stats.location_stale == 1
+
+    def test_a_run_without_queries_emits_no_query_series(self, chaos_sim):
+        names = {record["name"] for record in chaos_sim.metrics.snapshot()}
+        assert not names & {
+            "core.queries_served",
+            "core.queries_failed",
+            "core.query_latency_ticks",
+            "core.logins",
+            "core.stale_answers",
+        }
+
+    def test_finalize_twice_gives_the_same_snapshot(self, query_sim):
+        first = query_sim.metrics.snapshot()
+        query_sim.finalize_metrics()
+        assert query_sim.metrics.snapshot() == first
+
+    def test_simulations_sharing_a_registry_add_up(self):
+        alone = []
+        for seed in (11, 12):
+            sim = _query_sim(seed=seed)
+            sim.finalize_metrics()
+            alone.append(_counters(sim.metrics.snapshot()))
+        shared = MetricsRegistry()
+        first = _query_sim(seed=11, metrics=shared)
+        first.finalize_metrics()
+        second = _query_sim(seed=12, metrics=shared)
+        second.finalize_metrics()
+        first.finalize_metrics()  # a repeated fold adds nothing
+        a, b = alone
+        totals = {key: a.get(key, 0) + b.get(key, 0) for key in a.keys() | b.keys()}
+        assert _counters(shared.snapshot()) == totals
+        assert totals[("core.queries_served", ("kind", "location"))] == 12
+        assert totals[("core.logins", ("outcome", "rejected"))] == 2

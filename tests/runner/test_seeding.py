@@ -93,6 +93,24 @@ class TestSeedingDigest:
             "table1", Table1Config(seed=2)
         )
 
+    def test_a_version_bump_moves_no_seed(self, monkeypatch):
+        import repro
+        from repro.experiments import Figure2Config, Section5Config
+
+        configs = [
+            ("toy", ToyConfig()),
+            ("table1", Table1Config(trials=30, seed=777, faults="chaos")),
+            ("figure2", Figure2Config()),
+            ("section5", Section5Config()),
+        ]
+        seeds = [seeding_digest(name, config) for name, config in configs]
+        caches = [config_digest(name, config) for name, config in configs]
+        monkeypatch.setattr(repro, "__version__", "2.0.0")
+        assert [seeding_digest(name, config) for name, config in configs] == seeds
+        # The patch took: the cache identity still follows the version.
+        moved = [config_digest(name, config) for name, config in configs]
+        assert all(new != old for new, old in zip(moved, caches))
+
 
 class TestTrialSeeds:
     def test_distinct_per_index(self):
