@@ -50,17 +50,6 @@ class BDAddr:
         return (self.value >> (_LAP_BITS + _UAP_BITS)) & ((1 << _NAP_BITS) - 1)
 
     @classmethod
-    def from_parts(cls, nap: int, uap: int, lap: int) -> "BDAddr":
-        """Assemble an address from its three parts."""
-        if not 0 <= nap < (1 << _NAP_BITS):
-            raise ValueError(f"NAP out of range: {nap:#x}")
-        if not 0 <= uap < (1 << _UAP_BITS):
-            raise ValueError(f"UAP out of range: {uap:#x}")
-        if not 0 <= lap < (1 << _LAP_BITS):
-            raise ValueError(f"LAP out of range: {lap:#x}")
-        return cls((nap << (_LAP_BITS + _UAP_BITS)) | (uap << _LAP_BITS) | lap)
-
-    @classmethod
     def parse(cls, text: str) -> "BDAddr":
         """Parse the conventional colon-separated hex form.
 

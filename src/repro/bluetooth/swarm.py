@@ -61,6 +61,19 @@ per 10 ms train pass until its run ends, so the next hear is one pass
 later while that stays before the cursor's integer stop (the end of the
 run or of the row's scan segment, whichever is first).
 
+When every entry of the train pass that starts at the timeline head is
+such a bucket, pass after pass repeats the same FHS groups with the
+same collisions and the same receiver-capture outcome.  The drain then
+replays K passes at once, in closed form (:meth:`InquiryScanSwarm._replay`):
+the rows' counters, response ticks and cursors move by K passes, each
+bucket moves 32K ticks later under a fresh ``seq``, and the channel
+resolves the pass's groups K times in one call.  K stops short of the
+cursors' stops, of the next other timeline entry and of the lookahead
+horizon, so nothing the replay skips over could have run in between;
+the master's pass receiver declines a pass that would make a first
+discovery, which takes the path above.  The replay is exact: outputs,
+spans and batch counters are those of pass-by-pass processing.
+
 Ordering guarantees (pinned by the golden artefact digests and by
 ``tests/bluetooth/test_swarm_timeline.py``):
 
@@ -162,6 +175,9 @@ _MODE_CODES: Mapping[ResponseMode, int] = MappingProxyType(
 #: tick, so the first response always searches afresh.
 _NO_CURSOR: tuple[int, int, int] = (-1, 0, 0)
 
+#: A tick no timeline reaches.
+_NEVER = 1 << 62
+
 #: FHS group keys are ``tx_tick * _GROUP_KEY_SCALE + rf_channel``: one
 #: integer per (tick, RF channel), above every channel number.
 _GROUP_KEY_SCALE = 128
@@ -252,6 +268,17 @@ class InquiryScanSwarm:
         #: Due buckets processed, and the row steps taken inside them.
         self.advances = 0
         self.slave_steps = 0
+        # The first tick at which _wake tries a pass replay (_replay):
+        # never without bulk CONTINUOUS responses, a pass receiver and
+        # an inqrespTO that a steady responder's one-pass gap keeps.
+        replayable = (
+            self._mode_code == _MODE_CONTINUOUS
+            and channel.reachable is None
+            and channel.repeat_receiver is not None
+            and channel.pass_receiver is not None
+            and not (self._continuous and self._response_timeout < TICKS_PER_TRAIN_PASS)
+        )
+        self._replay_from = 0 if replayable else _NEVER
         # Everything _wake reads that is fixed for the swarm's lifetime,
         # unpacked in one step: a wake that drains one or two entries
         # (many piconets interleaving) pays for its set-up on each call.
@@ -522,7 +549,9 @@ class InquiryScanSwarm:
         buckets, deliveries and every foreign event interleave in the
         exact ``(tick, seq)`` order one shared heap would give them.  On
         a yield the earliest entry's wake is posted under that entry's
-        own ``seq`` (unless it already has one).  A bucket's CONTINUOUS
+        own ``seq`` (unless it already has one).  A bucket that starts a
+        steady train pass first tries :meth:`_replay`, at most once per
+        retry tick the last try left.  Otherwise the bucket's CONTINUOUS
         responders standing on their rendezvous cursor take the bulk
         path inline; every other row takes its ``_step_*`` method.  The
         bucket and step counts accumulate in locals and are added to
@@ -550,6 +579,7 @@ class InquiryScanSwarm:
         announce = self._announce
         step_respond = self._step_respond
         next_hear = self.next_hear
+        replay_from = self._replay_from
         n_advances = 0
         n_steps = 0
         batch: list[int] = []
@@ -576,6 +606,11 @@ class InquiryScanSwarm:
                 clock._now = tick
                 kind = entry[2]
                 if kind < 0:
+                    if tick >= replay_from:
+                        replayed = self._replay(tick, horizon[0])
+                        replay_from = self._replay_from
+                        if replayed:
+                            continue
                     # A due bucket.  It ends here unless it opens an FHS
                     # group whose delivery is the next entry in (tick,
                     # seq) order; that group is delivered below at once.
@@ -711,6 +746,125 @@ class InquiryScanSwarm:
             if entry[1] not in posted:
                 posted.add(entry[1])
                 self.kernel.post_reserved(entry[0], entry[1], self._wake, self._label)
+
+    def _replay(self, tick: int, limit: int) -> int:
+        """Advance the steady train pass that starts at ``tick`` by K
+        passes at once, in closed form; ``tick`` is the head bucket,
+        already off the timeline.
+
+        The pass is every timeline entry before ``tick +
+        TICKS_PER_TRAIN_PASS``.  It is steady when each is a due bucket
+        whose rows all respond (``_RESPONDING``, ``_ACT_RESPOND``) on a
+        cursor that stands on the bucket's tick: no FHS group is open,
+        every row answers the ID heard there and hears its position again
+        one pass later, and ``_wake`` would take each pass alike.  K
+        counts the whole passes that keep every row's ``hear + 32K`` before
+        its cursor stop and whose FHS groups all settle before ``limit``
+        (the lookahead horizon's tick) and the next other entry, so
+        nothing else runs in between.  The channel resolves the pass's
+        groups K times (:meth:`~repro.radio.channel.ResponseChannel.resolve_passes`);
+        its pass receiver declines for a first discovery.
+
+        A replay does what K passes of ``_wake`` would: each row answers
+        K more times (one response tick per pass) and its cursor moves
+        by 32K ticks, and each bucket moves to ``tick + 32K`` under a
+        fresh ``seq`` reserved in tick order, joining a bucket already
+        there, as the last pass would have filed it; the bucket and
+        step counts grow as if every bucket had been processed.
+        Returns K, or 0 when declined with the timeline as it was.
+        Either way :attr:`_replay_from` is set to the first tick worth
+        another try.
+        """
+        timeline = self._timeline
+        due = self._due
+        state = self._state
+        action = self._action
+        cursors = self._cursors
+        pass_end = tick + TICKS_PER_TRAIN_PASS
+        popped: list[tuple[int, int, int]] = []
+        buckets: list[tuple[int, list[int]]] = []
+        fit = _NEVER
+        first_stop = _NEVER
+        bucket_tick = tick
+        while True:
+            rows = due[bucket_tick]
+            for row in rows:
+                hear, stop, _ = cursors[row]
+                if hear != bucket_tick or action[row] != _ACT_RESPOND or state[row] != _RESPONDING:
+                    return self._decline(popped, bucket_tick + 1)
+                passes = (stop - hear - 1) // TICKS_PER_TRAIN_PASS
+                if passes < fit:
+                    fit = passes
+                if stop < first_stop:
+                    first_stop = stop
+            buckets.append((bucket_tick, rows))
+            if not timeline or timeline[0][0] >= pass_end:
+                break
+            entry = heappop(timeline)
+            popped.append(entry)
+            bucket_tick = entry[0]
+            if entry[2] >= 0:
+                return self._decline(popped, bucket_tick + 1)  # an open FHS group
+        if timeline and timeline[0][0] < limit:
+            limit = timeline[0][0]
+        # The last pass's last group, at ``bucket_tick + DELAY + 32(K-1)``,
+        # must settle before ``limit``.
+        reach = (limit - bucket_tick - INQUIRY_RESPONSE_DELAY_TICKS - 1) // TICKS_PER_TRAIN_PASS + 1
+        retry = limit if reach <= fit else first_stop
+        passes = reach if reach <= fit else fit
+        if passes < 2:
+            return self._decline(popped, retry)
+        sequence = self._sequence
+        groups: list[tuple[int, int, list[int]]] = []
+        for bucket_tick, rows in buckets:
+            groups.append(
+                (bucket_tick + INQUIRY_RESPONSE_DELAY_TICKS, sequence[cursors[rows[0]][2]], rows)
+            )
+        if not self.channel.resolve_passes(
+            groups, self._addresses, passes, TICKS_PER_TRAIN_PASS
+        ):
+            return self._decline(popped, pass_end)
+        span = passes * TICKS_PER_TRAIN_PASS
+        reserve = self.kernel.reserve_seq
+        ids_heard = self._ids_heard
+        responses = self._responses
+        response_ticks = self._response_ticks
+        first_response = self._first_response
+        steps = 0
+        for bucket_tick, rows in buckets:
+            del due[bucket_tick]
+            steps += len(rows)
+            for row in rows:
+                hear, stop, position = cursors[row]
+                tx_tick = hear + INQUIRY_RESPONSE_DELAY_TICKS
+                ids_heard[row] += passes
+                responses[row] += passes
+                response_ticks[row].extend(range(tx_tick, tx_tick + span, TICKS_PER_TRAIN_PASS))
+                if first_response[row] < 0:
+                    first_response[row] = tx_tick
+                cursors[row] = (hear + span, stop, position)
+            moved = bucket_tick + span
+            bucket = due.get(moved)
+            if bucket is None:
+                due[moved] = rows
+                heappush(timeline, (moved, reserve(), -1))
+            else:
+                bucket.extend(rows)
+        self.advances += len(buckets) * passes
+        self.slave_steps += steps * passes
+        # Where the last pass's last group would have left the clock.
+        self._clock._now = groups[-1][0] + span - TICKS_PER_TRAIN_PASS
+        self._replay_from = retry
+        return passes
+
+    def _decline(self, popped: list[tuple[int, int, int]], retry: int) -> int:
+        """Put back the entries a declined :meth:`_replay` took off the
+        timeline and note when to try again."""
+        timeline = self._timeline
+        for entry in popped:
+            heappush(timeline, entry)
+        self._replay_from = retry
+        return 0
 
     def _settle_filtered(self, tick: int, rf_channel: int, rows: list[int]) -> None:
         """Deliver an FHS group under a reachability predicate, which

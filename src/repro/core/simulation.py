@@ -28,7 +28,7 @@ from repro.bluetooth.btclock import CLKN_WRAP, BluetoothClock
 from repro.bluetooth.constants import NUM_INQUIRY_FREQUENCIES
 from repro.bluetooth.device import BluetoothDevice
 from repro.bluetooth.swarm import InquiryScanSwarm, SwarmSlave
-from repro.lan.messages import LocationQuery, LoginRequest, PathQuery
+from repro.lan.messages import LocationQuery, PathQuery
 from repro.lan.transport import LANTransport
 from repro.mobility.walker import BuildingWalker, WalkTimeline
 from repro.obs.metrics import Counter, MetricsRegistry
@@ -308,25 +308,6 @@ class BIPSSimulation:
         user = self._users[userid]
         self.server.registry.login(
             userid, user.password, user.device.address, self.kernel.now
-        )
-
-    def login_via_lan(self, userid: str) -> None:
-        """Log in through the LAN protocol (the handheld's real path).
-
-        The :class:`~repro.lan.messages.LoginResponse` lands in the
-        user's inbox after the round trip; run the simulation forward to
-        see it.
-        """
-        user = self._users[userid]
-        self.lan.send(
-            user.endpoint,
-            self.server.endpoint,
-            LoginRequest(
-                sent_tick=self.kernel.now,
-                userid=userid,
-                password=user.password,
-                device=user.device.address,
-            ),
         )
 
     def logout(self, userid: str) -> None:

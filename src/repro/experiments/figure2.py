@@ -232,6 +232,9 @@ def replication_payload(config: Figure2Config, replication: int, seed: int) -> d
         master.on_discovered = on_discovered
 
     kernel.run_until(horizon)
+    # The listener reaches back into the swarm; unhooked, the finished
+    # trial holds no reference cycle and is freed on return.
+    master.on_discovered = None
     ticks = [master.discovery_tick(device.address) for device in devices]
     return {
         "ticks": ticks,

@@ -273,6 +273,9 @@ def trial_payload(config: Table1Config, trial_index: int, seed: int) -> dict:
     master.on_discovered = lambda packet, tick: scanner.stop()
     scanner.start()
     kernel.run_until(horizon)
+    # The listener reaches back into the swarm; unhooked, the finished
+    # trial holds no reference cycle and is freed on return.
+    master.on_discovered = None
 
     same_train = train_of_position(scanner.listen_position(0)) is start_train
     tick = master.discovery_tick(address)

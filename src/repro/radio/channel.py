@@ -10,7 +10,10 @@ those the reachability predicate rejects, then delivers a lone survivor
 and records two or more as a collision.  It builds no packet and calls
 no receiver; the caller does that for the survivor it names.  The
 inquiry-scan swarm keeps its own groups as row indices and resolves each
-at its tick.  :meth:`ResponseChannel.schedule_fhs` and
+at its tick, or, when a train pass's groups repeat unchanged, resolves K
+passes of them in one call (:meth:`ResponseChannel.resolve_passes`, the
+rule applied once per group and its counts multiplied by K).
+:meth:`ResponseChannel.schedule_fhs` and
 :meth:`ResponseChannel.schedule_fhs_batch` file packets into groups the
 channel keeps, and :meth:`ResponseChannel.deliver` resolves one of those
 and hands its survivor to the receiver.  The channel posts no kernel
@@ -70,6 +73,11 @@ FHSReceiver = Callable[[FHSPacket, int], None]
 #: returns True when it took it (see :attr:`ResponseChannel.repeat_receiver`).
 RepeatReceiver = Callable[[Any, int], bool]
 
+#: Takes the lone responses ``(tick, sender)`` of one train pass that
+#: recurs: ``callback(lone, passes, period)`` returns True when it took
+#: every pass (see :meth:`ResponseChannel.resolve_passes`).
+PassReceiver = Callable[[list[tuple[int, Any]], int, int], bool]
+
 #: Optional reachability predicate: ``reachable(packet, tick) -> bool``.
 ReachabilityPredicate = Callable[[FHSPacket, int], bool]
 
@@ -82,7 +90,9 @@ class ResponseChannel:
     group of same-tick, same-channel responses is resolved at that tick
     (:meth:`resolve`).  Delivery is caller-driven: whoever opens a
     ``(tick, channel)`` group resolves it at that tick, in its own event
-    order.
+    order.  A caller whose groups repeat unchanged for several train
+    passes announces and resolves all of them in one call
+    (:meth:`resolve_passes`).
     """
 
     def __init__(
@@ -101,6 +111,10 @@ class ResponseChannel:
         #: groups try it before building the packet for :attr:`receiver`;
         #: it declines (returns False) whenever the packet is needed.
         self.repeat_receiver: Optional[RepeatReceiver] = None
+        #: Set by an owner that can take the lone responses of a train
+        #: pass repeated several times in one call; it declines (returns
+        #: False) whenever a response must take :attr:`receiver`.
+        self.pass_receiver: Optional[PassReceiver] = None
         self.name = name
         self.stats = ChannelStats()
         self._pending: dict[tuple[int, int], list[FHSPacket]] = {}
@@ -195,6 +209,53 @@ class ResponseChannel:
                 )
             )
         return -1
+
+    def resolve_passes(
+        self,
+        groups: Sequence[tuple[int, int, Sequence[int]]],
+        addresses: Sequence[object],
+        passes: int,
+        period: int,
+    ) -> bool:
+        """Announce and resolve ``passes`` repeats of one pass's groups.
+
+        ``groups`` lists the pass's ``(tick, rf_channel, transmitters)``
+        in tick order, transmitters as indices into ``addresses``; every
+        group recurs ``period`` ticks later, unchanged, for ``passes``
+        passes.  The collision rule is applied once per group and its
+        counts multiplied by ``passes``; a collision is recorded once per
+        colliding group per pass, in tick order.  The lone responses go
+        to :attr:`pass_receiver` first: when it declines, or there is
+        none, or a reachability predicate must see every packet, nothing
+        is counted and False is returned.
+        """
+        receive = self.pass_receiver
+        if receive is None or self.reachable is not None:
+            return False
+        lone: list[tuple[int, object]] = []
+        clashes: list[tuple[int, int, tuple[object, ...]]] = []
+        sent = 0
+        collided = 0
+        for tick, rf_channel, group in groups:
+            count = len(group)
+            sent += count
+            if count == 1:
+                lone.append((tick, addresses[group[0]]))
+            else:
+                collided += count
+                clashes.append((tick, rf_channel, tuple(addresses[index] for index in group)))
+        if not receive(lone, passes, period):
+            return False
+        stats = self.stats
+        stats.transmissions += sent * passes
+        stats.delivered += len(lone) * passes
+        stats.collided += collided * passes
+        records = stats.collisions
+        for index in range(passes):
+            shift = index * period
+            for tick, rf_channel, senders in clashes:
+                records.append(CollisionRecord(tick + shift, rf_channel, senders))
+        return True
 
     def __repr__(self) -> str:
         return (

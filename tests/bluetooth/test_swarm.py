@@ -6,7 +6,8 @@ response ticks, the channel's collision records, the master's results.
 The digests were recorded from the per-slave scanner objects the swarm
 replaced, so a changed digest is a behaviour change, never a refactor.
 ``TestRendezvousCursor`` reruns the same families and checks every
-CONTINUOUS response's cursor shortcut against a fresh search.
+CONTINUOUS response's cursor shortcut against a fresh search, responses
+answered by a pass replay included.
 ``TestRepeatPath`` pins what repeat responses write (``last_seen``, the
 reachability filter's drops), for the same families and under an
 interference band, and checks that a traced piconet takes the same
@@ -292,34 +293,63 @@ class TestRepeatPath:
 
 
 def _check_cursor(swarm, checked):
-    """Wrap ``swarm``'s FHS group filing (its channel announce of each
-    bucket's responder rows) so that every CONTINUOUS response asserts
-    that the next hear its row filed — from the rendezvous cursor or a
-    fresh search — equals a fresh ``next_hear(row, now + 1)``.
+    """Check every CONTINUOUS response's next hear against a fresh search.
+
+    Wraps ``swarm``'s two ways of answering: its FHS group filing (its
+    channel announce of each bucket's responder rows) and its pass replay
+    (``_replay``, which answers K passes of a steady responder set at
+    once).  Each response asserts that the next hear its row filed — from
+    the rendezvous cursor or a fresh search — equals a fresh
+    ``next_hear(row, now + 1)``.
 
     A bucket's responders are filed into their group after every row of
     the bucket has been processed and re-filed, so each row is checked
-    against its filing in the due index (none when the row retired).
-    Appends each checked ``(row, now)`` to ``checked``.  The fresh search
-    would record its own cursor, so the row's cursor is restored after
-    it: the run continues on exactly the state the swarm built.
+    against its filing in the due index (none when the row retired).  A
+    replayed row answered once per pass: each response but the last is
+    checked against the next one's hear, the last against the filing the
+    replay left.  Appends each checked ``(row, now)`` to ``checked``.  The
+    fresh search would record its own cursor, so the row's cursor is
+    restored after it: the run continues on exactly the state the swarm
+    built.
     """
     announce = swarm._announce
+    replay = swarm._replay
     due = swarm._due
+
+    def filed(row):
+        return [due_tick for due_tick, bucket in due.items() if row in bucket]
+
+    def check(row, now, following):
+        cursor = swarm._cursors[row]
+        fresh = swarm.next_hear(row, now + 1)
+        swarm._cursors[row] = cursor
+        assert following == ([] if fresh is None else [fresh]), (row, now, following, fresh)
+        checked.append((row, now))
 
     def checking_announce(tx_tick, rows):
         if swarm.config.response_mode is ResponseMode.CONTINUOUS:
             now = tx_tick - INQUIRY_RESPONSE_DELAY_TICKS
             for row in rows:
-                filed = [due_tick for due_tick, bucket in due.items() if row in bucket]
-                cursor = swarm._cursors[row]
-                fresh = swarm.next_hear(row, now + 1)
-                swarm._cursors[row] = cursor
-                assert filed == ([] if fresh is None else [fresh]), (row, now, filed, fresh)
-                checked.append((row, now))
+                check(row, now, filed(row))
         return announce(tx_tick, rows)
 
+    def checking_replay(tick, limit):
+        before = list(swarm._responses)
+        passes = replay(tick, limit)
+        for row, count in enumerate(before):
+            added = swarm._responses[row] - count
+            if added:
+                hears = [
+                    tx - INQUIRY_RESPONSE_DELAY_TICKS
+                    for tx in swarm._response_ticks[row][-added:]
+                ]
+                for now, following in zip(hears, hears[1:]):
+                    check(row, now, [following])
+                check(row, hears[-1], filed(row))
+        return passes
+
     swarm._announce = checking_announce
+    swarm._replay = checking_replay
 
 
 class TestRendezvousCursor:

@@ -9,8 +9,27 @@ from repro.core.config import BIPSConfig
 from repro.core.errors import AccessDeniedError
 from repro.core.registry import VisibilityPolicy
 from repro.core.simulation import BIPSSimulation
-from repro.lan.messages import LoginResponse
+from repro.lan.messages import LoginRequest, LoginResponse
 from repro.sim.clock import seconds_from_ticks
+
+
+def login_via_lan(sim: BIPSSimulation, userid: str) -> None:
+    """Log ``userid`` in through the LAN protocol (the handheld's path).
+
+    The :class:`~repro.lan.messages.LoginResponse` lands in the user's
+    inbox after the round trip; run the simulation forward to see it.
+    """
+    user = sim.user(userid)
+    sim.lan.send(
+        user.endpoint,
+        sim.server.endpoint,
+        LoginRequest(
+            sent_tick=sim.kernel.now,
+            userid=userid,
+            password=user.password,
+            device=user.device.address,
+        ),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +80,7 @@ class TestLanLogin:
     def test_login_roundtrip_through_facade(self):
         sim = BIPSSimulation(plan=linear_wing(2), config=BIPSConfig(seed=62))
         sim.add_user("u-a", "A")
-        sim.login_via_lan("u-a")
+        login_via_lan(sim, "u-a")
         assert not sim.server.registry.is_logged_in("u-a")  # still in flight
         sim.run(until_seconds=1.0)
         assert sim.server.registry.is_logged_in("u-a")

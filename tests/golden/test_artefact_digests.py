@@ -12,6 +12,10 @@ The ``enrolment.*`` payloads pin a full-feature run (the
 soft-state refresh, with a workstation crash and recovery), the only
 pinned run that pages and joins users to piconets.
 
+``figure2.contention`` and ``section5.windows`` pin what the CSV and
+the §5 totals sum away: Figure 2's FHS collision and receiver-blocked
+counts per population size, and each §5 window's discovered count.
+
 The ``trace.*`` payloads pin the span stream of ``bips trace --format
 jsonl`` (a traced e2e run and traced Table 1 trials), so a traced run is
 held to the same byte-for-byte contract as an untraced one.
@@ -40,8 +44,9 @@ import pytest
 from repro import BIPSConfig, BIPSSimulation
 from repro.analysis.stats import relative_error
 from repro.building import multi_floor_department
+from repro.experiments.duty_cycle import EXPERIMENT as SECTION5_EXPERIMENT
 from repro.experiments.duty_cycle import PAPER_REFERENCE as SECTION5_REFERENCE
-from repro.experiments.duty_cycle import Section5Config, run_section5
+from repro.experiments.duty_cycle import Section5Config, run_section5, window_payload
 from repro.experiments.e2e import E2EConfig, run_e2e
 from repro.experiments.figure2 import Figure2Config, run_figure2
 from repro.experiments.table1 import PAPER_REFERENCE as TABLE1_REFERENCE
@@ -160,6 +165,25 @@ def _enrolment() -> tuple[str, str, str]:
     )
 
 
+def _figure2_contention() -> str:
+    """Per population size, the FHS collisions and receiver-blocked
+    responses summed over the replications."""
+    return "".join(
+        f"n={curve.slave_count} collisions={curve.collisions} "
+        f"blocked={curve.blocked_responses}\n"
+        for curve in _figure2().curves
+    )
+
+
+def _section5_windows() -> str:
+    """The slaves each replication's window discovered, in order."""
+    runner = build_runner(jobs=1, use_cache=False)
+    payloads = runner.map_trials(
+        SECTION5_EXPERIMENT, SECTION5, window_payload, SECTION5.replications
+    )
+    return " ".join(str(payload["found"]) for payload in payloads) + "\n"
+
+
 def _section5_text() -> str:
     result = _section5()
     return (
@@ -172,7 +196,9 @@ def _section5_text() -> str:
 PAYLOADS: dict[str, Callable[[], str]] = {
     "table1.csv": lambda: _table1().to_csv(),
     "figure2.csv": lambda: _figure2().to_csv(),
+    "figure2.contention": _figure2_contention,
     "section5": _section5_text,
+    "section5.windows": _section5_windows,
     "e2e.report": lambda: _e2e()[0],
     "e2e.metrics.jsonl": lambda: _e2e()[1],
     "enrolment.report": lambda: _enrolment()[0],

@@ -18,6 +18,7 @@ from repro.core.errors import AccessDeniedError
 from repro.faults import FaultPlan
 from repro.lan.messages import LocationResponse, LoginRequest, LoginResponse, PathResponse
 from repro.obs.metrics import MetricsRegistry
+from tests.core.test_temporal_queries import login_via_lan
 
 
 def _walking_sim(
@@ -208,7 +209,7 @@ def _query_sim(seed: int = 11, metrics: MetricsRegistry | None = None) -> BIPSSi
         sim.login(userid)
     sim.follow_route("u-a", ["lab-1"])
     sim.follow_route("u-b", ["lab-2"])
-    sim.login_via_lan("u-c")
+    login_via_lan(sim, "u-c")
     device = sim.user("u-c").device.address
     sim.lan.send(
         sim.user("u-c").endpoint, sim.server.endpoint,

@@ -20,6 +20,7 @@ from repro.bluetooth.hopping import (
 from repro.core.tracker import PresenceTracker
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
+from tests.bluetooth.test_address import bdaddr_from_parts
 from tests.bluetooth.test_hopping import enumerate_transmissions
 
 # -- kernel ---------------------------------------------------------------
@@ -72,7 +73,7 @@ def test_bdaddr_parse_format_roundtrip(value):
     st.integers(0, (1 << 24) - 1),
 )
 def test_bdaddr_parts_roundtrip(nap, uap, lap):
-    addr = BDAddr.from_parts(nap, uap, lap)
+    addr = bdaddr_from_parts(nap, uap, lap)
     assert (addr.nap, addr.uap, addr.lap) == (nap, uap, lap)
 
 
