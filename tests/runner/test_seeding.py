@@ -7,6 +7,7 @@ from enum import Enum
 
 import pytest
 
+from repro.experiments import Figure2Config, Section5Config
 from repro.experiments.table1 import Table1Config
 from repro.runner.seeding import (
     code_version,
@@ -110,6 +111,57 @@ class TestSeedingDigest:
         # The patch took: the cache identity still follows the version.
         moved = [config_digest(name, config) for name, config in configs]
         assert all(new != old for new, old in zip(moved, caches))
+
+
+class TestSeedPins:
+    """Literal seeding digests of the committed paper configs.
+
+    Every committed artefact was seeded under these bytes.  A change to
+    the canonical form, the salt or a config's digest declarations that
+    moves any of them reshuffles the trial streams behind the results.
+    """
+
+    @pytest.mark.parametrize(
+        "experiment, config, digest",
+        [
+            (
+                "table1",
+                Table1Config(),
+                "14535b40cd7cc7edb587c15875f9d71b234c7627488c2e4c8b71748ef8d88fd6",
+            ),
+            (
+                "table1",
+                Table1Config(
+                    faults="chaos", fault_seed=9, trace=True, trace_sample=0.5
+                ),
+                "14535b40cd7cc7edb587c15875f9d71b234c7627488c2e4c8b71748ef8d88fd6",
+            ),
+            (
+                "figure2",
+                Figure2Config(),
+                "7d4368c5654e37a0173825e0e3bc818bbd3095fed2bbe89ec06356ab5a6b6059",
+            ),
+            (
+                "section5",
+                Section5Config(),
+                "23414e46a9f56d2369ef8c6dd1450fcdf582be963e5a38ed2313b8bf93885f62",
+            ),
+            (
+                # One sweep_inquiry_window cell at its default arguments.
+                "section5",
+                Section5Config(
+                    slave_count=20,
+                    replications=40,
+                    seed=77005,
+                    inquiry_window_seconds=3.84,
+                ),
+                "1ff17c2f0224bbed77f9bf14eebfe3751d11d6bf44fc783876c84a0ef24c0ae3",
+            ),
+        ],
+        ids=["table1", "table1-chaos-traced", "figure2", "section5", "sweep-window"],
+    )
+    def test_committed_configs_keep_their_seeds(self, experiment, config, digest):
+        assert seeding_digest(experiment, config) == digest
 
 
 class TestTrialSeeds:
