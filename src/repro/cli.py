@@ -9,7 +9,7 @@ Installed as ``bips`` (and reachable as ``python -m repro``)::
     bips sweeps --fast --jobs 4
     bips metrics --duration 300
     bips table1 --trials 100 --metrics-out metrics.jsonl
-    bips figure2 --jobs 8 --no-cache
+    bips figure2 --jobs 8
     bips trace --sample 1.0 --format chrome
 """
 
@@ -25,8 +25,7 @@ from repro.experiments.figure2 import Figure2Config, run_figure2
 from repro.experiments.sweep import run_all_sweeps
 from repro.experiments.table1 import Table1Config, run_table1
 from repro.obs.metrics import MetricsRegistry
-from repro.runner import ExperimentRunner, build_runner
-from repro.runner.cache import DEFAULT_CACHE_DIR
+from repro.runner import ExperimentRunner
 
 
 def _add_metrics_out(subparser: argparse.ArgumentParser) -> None:
@@ -60,7 +59,7 @@ def _add_fault_args(subparser: argparse.ArgumentParser) -> None:
 
 
 def _add_runner_args(subparser: argparse.ArgumentParser) -> None:
-    """Trial fan-out and result-cache flags (Monte-Carlo experiments)."""
+    """Trial fan-out flag (Monte-Carlo experiments)."""
     subparser.add_argument(
         "--jobs",
         type=int,
@@ -68,28 +67,6 @@ def _add_runner_args(subparser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="worker processes for trial fan-out (1 = serial; results are "
         "byte-identical for every N)",
-    )
-    subparser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute every trial instead of reusing the on-disk result cache",
-    )
-    subparser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help=f"result-cache location (default: {DEFAULT_CACHE_DIR})",
-    )
-
-
-def _runner_from_args(
-    args: argparse.Namespace, metrics: Optional[MetricsRegistry] = None
-) -> ExperimentRunner:
-    return build_runner(
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        metrics=metrics,
     )
 
 
@@ -264,7 +241,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 fault_seed=args.fault_seed,
             ),
             metrics=registry,
-            runner=_runner_from_args(args, registry),
+            runner=ExperimentRunner(jobs=args.jobs, metrics=registry),
         )
         print(result.render())
         _write_metrics(registry, args.metrics_out)
@@ -272,7 +249,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         registry = MetricsRegistry()
         result = run_figure2(
             Figure2Config(replications=args.replications, seed=args.seed),
-            runner=_runner_from_args(args, registry),
+            runner=ExperimentRunner(jobs=args.jobs, metrics=registry),
         )
         print(result.render())
         _write_metrics(registry, args.metrics_out)
@@ -280,7 +257,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         registry = MetricsRegistry()
         result = run_section5(
             Section5Config(replications=args.replications, seed=args.seed),
-            runner=_runner_from_args(args, registry),
+            runner=ExperimentRunner(jobs=args.jobs, metrics=registry),
         )
         print(result.render())
         _write_metrics(registry, args.metrics_out)
@@ -315,7 +292,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.command == "sweeps":
         registry = MetricsRegistry()
         for sweep in run_all_sweeps(
-            fast=args.fast, runner=_runner_from_args(args, registry)
+            fast=args.fast, runner=ExperimentRunner(jobs=args.jobs, metrics=registry)
         ):
             print(sweep.render())
             print()

@@ -32,7 +32,7 @@ from repro.bluetooth.swarm import InquiryScanSwarm
 from repro.mobility.residence import crossing_time_seconds, tracking_load_fraction
 from repro.mobility.speeds import MEAN_WALKING_SPEED_MPS
 from repro.runner.executor import ExperimentRunner
-from repro.runner.seeding import config_digest, trial_seed
+from repro.runner.seeding import seeding_digest, trial_seed
 from repro.sim.clock import ticks_from_seconds
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
@@ -156,7 +156,7 @@ def run_discovery_window(
 
     Returns (discovered, total).
     """
-    digest = config_digest(EXPERIMENT, config)
+    digest = seeding_digest(EXPERIMENT, config)
     payload = window_payload(
         config, replication, trial_seed(EXPERIMENT, digest, replication)
     )

@@ -18,7 +18,7 @@ measure what a user of the service experiences:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.tables import render_table
 from repro.building.layouts import academic_department
@@ -50,19 +50,6 @@ class E2EConfig:
     refresh_interval_cycles: int = 0
     #: Staleness horizon forwarded to the server (0 = no marking).
     staleness_horizon_seconds: float = 0.0
-
-    #: Kept out of the digest at their defaults so pre-fault configs
-    #: keep their historical trial seeds (see ``runner.seeding``).
-    DIGEST_OMIT_IF_DEFAULT: ClassVar[tuple[str, ...]] = (
-        "faults",
-        "fault_seed",
-        "refresh_interval_cycles",
-        "staleness_horizon_seconds",
-    )
-    #: Fault fields never shift the *seeding* digest: a fault plan
-    #: draws only from its own seed, so a chaos run degrades the very
-    #: same trials the clean run computes (see ``runner.seeding``).
-    SEED_DIGEST_OMIT: ClassVar[tuple[str, ...]] = ("faults", "fault_seed")
 
     def __post_init__(self) -> None:
         if self.user_count <= 0:

@@ -169,12 +169,11 @@ class Figure2Result:
 
 
 def cell_config(config: Figure2Config, slave_count: int) -> Figure2Config:
-    """The single-population config a cache/seed cell is keyed by.
+    """The single-population config a seed cell is keyed by.
 
     A full Figure-2 run is a sweep over slave counts; every count gets
-    its own digest (and hence its own seeds and cache cell), so a run
-    over ``(2, 10)`` and a later run over ``(10, 20)`` share the
-    ``n=10`` work.
+    its own digest (and hence its own seeds), so a run over ``(2, 10)``
+    and a later run over ``(10, 20)`` draw the same ``n=10`` trials.
     """
     return replace(config, slave_counts=(slave_count,))
 

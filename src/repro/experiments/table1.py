@@ -77,15 +77,7 @@ class Table1Config:
     #: Root-span sampling rate when tracing (see ``repro.obs.tracing``).
     trace_sample: float = 1.0
 
-    #: Kept out of the digest at their defaults so pre-fault configs
-    #: keep their historical trial seeds (see ``runner.seeding``).
-    DIGEST_OMIT_IF_DEFAULT: ClassVar[tuple[str, ...]] = (
-        "faults",
-        "fault_seed",
-        "trace",
-        "trace_sample",
-    )
-    #: Fault fields never shift the *seeding* digest: a fault plan
+    #: Fault fields never shift the seeding digest: a fault plan
     #: draws only from its own seed, so a chaos run degrades the very
     #: same trials the clean run computes (see ``runner.seeding``).
     #: Trace fields likewise: the tracer observes, never draws.

@@ -1,8 +1,8 @@
 """Determinism rules DET001-DET003.
 
-These guard the property PR 2 turned into a contract: a run is a pure
-function of its config digest and seed, so ``--jobs N`` equals serial
-byte for byte and the cache can serve any trial.  Each rule targets one
+These guard the runner's contract: a run is a pure function of its
+config digest and seed, so ``--jobs N`` equals serial byte for byte
+and a repeated run prints the same bytes.  Each rule targets one
 way that contract has historically been broken in simulators.
 """
 
@@ -139,7 +139,7 @@ def check_det001(ctx: FileContext) -> Iterator[Violation]:
         "Simulated time is integer ticks owned by repro.sim.clock.SimClock; "
         "time.time()/monotonic()/datetime.now() read the host clock, which "
         "differs per run and per worker, so any value derived from it "
-        "breaks byte-identical replay and poisons the result cache."
+        "breaks byte-identical replay."
     ),
 )
 def check_det002(ctx: FileContext) -> Iterator[Violation]:

@@ -1,9 +1,8 @@
 """Rule OBS001: metric and span names must come from the catalogued namespace.
 
 docs/observability.md is the operator-facing contract for every metric
-series and every span name the pipeline emits; dashboards, the CI
-warm-cache assertion, trace tooling, and the scoreboard all key on
-those names.  A registration outside the catalogue is either a typo
+series and every span name the pipeline emits; dashboards, trace
+tooling, and the scoreboard all key on those names.  A registration outside the catalogue is either a typo
 (it silently creates a parallel series or splits a causal lane) or an
 undocumented name nobody will find — both are lint failures.
 """
@@ -36,8 +35,8 @@ _EXCLUDED_PACKAGES = ("repro.lint",)
     rationale=(
         "Every emitted series and span must appear in the "
         "docs/observability.md tables: the catalogue is what operators "
-        "grep, what dashboards and trace viewers bind to, and what the "
-        "CI warm-cache check reads. An uncatalogued name is invisible "
+        "grep and what dashboards and trace viewers bind to. An "
+        "uncatalogued name is invisible "
         "telemetry; a mistyped name splits one series (or causal lane) "
         "into two. Add the name to the catalogue table (with its kind "
         "and meaning) in the same change that registers it."

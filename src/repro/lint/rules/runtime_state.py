@@ -64,7 +64,7 @@ def _mutable_reason(value: ast.expr) -> Optional[str]:
         "shared by every call; module-level lists/dicts/sets are state "
         "shared by every trial a worker runs. Both make results depend on "
         "execution history, which breaks the serial == --jobs N guarantee "
-        "and invalidates cached results. Use None-defaults, frozen "
+        "and the byte-identical repeat. Use None-defaults, frozen "
         "dataclasses, tuples, frozensets, or types.MappingProxyType."
     ),
 )

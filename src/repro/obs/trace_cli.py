@@ -126,7 +126,7 @@ def _trace_e2e(args: argparse.Namespace) -> tuple[list[dict[str, Any]], Optional
 
 def _trace_table1(args: argparse.Namespace) -> tuple[list[dict[str, Any]], Optional[FlightRecorder]]:
     from repro.experiments.table1 import EXPERIMENT, Table1Config, trial_payload
-    from repro.runner import build_runner
+    from repro.runner import ExperimentRunner
 
     config = Table1Config(
         trials=args.trials,
@@ -136,7 +136,7 @@ def _trace_table1(args: argparse.Namespace) -> tuple[list[dict[str, Any]], Optio
         trace=True,
         trace_sample=args.sample,
     )
-    runner = build_runner(jobs=args.jobs, use_cache=False)
+    runner = ExperimentRunner(jobs=args.jobs)
     payloads = runner.map_trials(EXPERIMENT, config, trial_payload, config.trials)
     return merge_worker_spans([payload["spans"] for payload in payloads]), None
 

@@ -10,29 +10,14 @@ over ``multiprocessing`` workers without giving up reproducibility:
   worker computes it or in what order;
 * :mod:`repro.runner.executor` maps trial functions over serial or
   process pools, always returning results in trial-index order, so the
-  parallel path is byte-identical to the serial one;
-* :mod:`repro.runner.cache` keeps finished cells on disk under
-  ``results/cache/`` keyed by the same stable hash, so repeated sweeps
-  and CI re-runs skip already-computed work.
+  parallel path is byte-identical to the serial one.
 """
 
-from .cache import CACHE_SCHEMA_VERSION, ResultCache
-from .executor import ExperimentRunner, build_runner
-from .seeding import (
-    code_version,
-    config_digest,
-    seeding_digest,
-    trial_seed,
-    trial_seeds,
-)
+from .executor import ExperimentRunner
+from .seeding import seeding_digest, trial_seed, trial_seeds
 
 __all__ = [
-    "CACHE_SCHEMA_VERSION",
     "ExperimentRunner",
-    "ResultCache",
-    "build_runner",
-    "code_version",
-    "config_digest",
     "seeding_digest",
     "trial_seed",
     "trial_seeds",

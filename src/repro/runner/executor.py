@@ -5,13 +5,12 @@ harnesses use for their Monte-Carlo loops.  Determinism contract:
 
 * trial ``i`` always runs with the seed
   ``trial_seed(experiment, seeding_digest(experiment, config), i)``
-  (the seeding digest equals the cache digest unless the config
-  declares ``SEED_DIGEST_OMIT`` — see ``runner.seeding``);
+  (see ``runner.seeding``);
 * results come back in trial-index order regardless of which worker
   finished first;
 * payloads are normalised through JSON before they are returned, so a
-  result read back from the on-disk cache is indistinguishable from a
-  freshly computed one.
+  trial computed in a worker process and one computed in-process leave
+  the runner as the same plain JSON values.
 
 Together these make ``--jobs N`` byte-identical to the serial path for
 every ``N``, which the test suite asserts.
@@ -22,12 +21,11 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
 
-from .cache import ResultCache
-from .seeding import config_digest, seeding_digest, trial_seeds
+from .seeding import seeding_digest, trial_seeds
 
 #: A trial function: ``fn(config, trial_index, seed) -> JSON payload``.
 #: Must be a module-level callable so worker processes can import it.
@@ -43,7 +41,12 @@ def _invoke(task: tuple[Any, ...]) -> tuple[Any, float]:
 
 
 def _normalize(payloads: Sequence[Any]) -> list[Any]:
-    """Round-trip through JSON so fresh and cached results are equal."""
+    """Round-trip through JSON: payloads leave the runner as plain JSON values.
+
+    Tuples become lists and mapping keys become strings, whether a trial
+    ran in-process or in a worker, so every execution path returns the
+    same values.
+    """
     return json.loads(json.dumps(list(payloads)))
 
 
@@ -51,21 +54,30 @@ class ExperimentRunner:
     """Fans independent experiment trials out over worker processes.
 
     ``jobs=1`` (the default) runs everything in-process — the serial
-    fallback every harness gets when no runner is passed.  ``cache``
-    may be a :class:`ResultCache`; without one every call recomputes.
+    fallback every harness gets when no runner is passed.  Every call
+    computes its trials; nothing is kept between calls.
     """
 
     def __init__(
         self,
         jobs: int = 1,
-        cache: Optional[ResultCache] = None,
         metrics: Optional[MetricsRegistry] = None,
         mp_start_method: str = "spawn",
+        *,
+        cache: None = None,
     ) -> None:
+        """``cache`` accepts only ``None``.
+
+        The runner keeps no results, but the benchmark harness in
+        ``bipsbench/workloads.py`` builds its runner with ``cache=None``
+        and that harness is frozen with the benchmark, so the keyword
+        stays.  Anything else is refused rather than silently ignored.
+        """
+        if cache is not None:
+            raise TypeError(f"ExperimentRunner keeps no result cache: {cache!r}")
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1: {jobs}")
         self.jobs = jobs
-        self.cache = cache
         self.metrics = metrics
         self.mp_start_method = mp_start_method
         if metrics is not None:
@@ -78,24 +90,15 @@ class ExperimentRunner:
     ) -> list[Any]:
         """Run ``fn(config, i, seed_i)`` for ``i in range(count)``.
 
-        Returns the payload list in trial-index order; serves it from
-        the cache when an identical cell has been computed before.
+        Returns the payload list in trial-index order.
         """
         if count < 0:
             raise ValueError(f"trial count must be non-negative: {count}")
-        digest = config_digest(experiment, config)
-        if self.cache is not None:
-            cached = self.cache.load(experiment, digest)
-            if cached is not None and len(cached) == count:
-                self._count("runner.cache_hits", experiment)
-                self._observe_batch(experiment, count, 0.0, 0.0, mode="cache")
-                return cached
-            self._count("runner.cache_misses", experiment)
         started = time.perf_counter()
-        seed_digest = seeding_digest(experiment, config)
+        digest = seeding_digest(experiment, config)
         tasks = [
             (fn, config, index, seed)
-            for index, seed in enumerate(trial_seeds(experiment, seed_digest, count))
+            for index, seed in enumerate(trial_seeds(experiment, digest, count))
         ]
         if self.jobs > 1 and count > 1:
             outcomes = self._map_parallel(tasks)
@@ -105,8 +108,6 @@ class ExperimentRunner:
             mode = "serial"
         payloads = _normalize([payload for payload, _ in outcomes])
         busy = sum(duration for _, duration in outcomes)
-        if self.cache is not None:
-            self.cache.store(experiment, digest, payloads)
         self._observe_batch(
             experiment, count, time.perf_counter() - started, busy, mode=mode
         )
@@ -123,36 +124,22 @@ class ExperimentRunner:
             # the assembled result — is independent of scheduling.
             return pool.map(_invoke, tasks, chunksize=chunksize)
 
-    def _count(self, name: str, experiment: str, amount: int = 1) -> None:
-        if self.metrics is not None and amount:
-            self.metrics.counter(name, experiment=experiment).inc(amount)
-
     def _observe_batch(
         self, experiment: str, count: int, wall: float, busy: float, *, mode: str
     ) -> None:
         if self.metrics is None:
             return
         self.metrics.counter("runner.batches", mode=mode).inc()
-        if mode != "cache":
-            self._count("runner.trials_dispatched", experiment, count)
-            # Host wall-clock: useful operationally, excluded from the
-            # determinism contract (see docs/observability.md).
-            self.metrics.gauge("runner.wall_seconds", experiment=experiment).inc(wall)
-            self.metrics.gauge("runner.busy_seconds", experiment=experiment).inc(busy)
-            if wall > 0:
-                self.metrics.gauge("runner.utilization").set(
-                    min(1.0, busy / (wall * self.jobs))
-                )
+        if count:
+            self.metrics.counter(
+                "runner.trials_dispatched", experiment=experiment
+            ).inc(count)
+        # Host wall-clock: useful operationally, excluded from the
+        # determinism contract (see docs/observability.md).
+        self.metrics.gauge("runner.wall_seconds", experiment=experiment).inc(wall)
+        self.metrics.gauge("runner.busy_seconds", experiment=experiment).inc(busy)
+        if wall > 0:
+            self.metrics.gauge("runner.utilization").set(
+                min(1.0, busy / (wall * self.jobs))
+            )
 
-
-def build_runner(
-    jobs: int = 1,
-    use_cache: bool = False,
-    cache_dir: Union[str, None] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> ExperimentRunner:
-    """CLI-shaped constructor: flags in, configured runner out."""
-    cache: Optional[ResultCache] = None
-    if use_cache:
-        cache = ResultCache(cache_dir) if cache_dir else ResultCache()
-    return ExperimentRunner(jobs=jobs, cache=cache, metrics=metrics)

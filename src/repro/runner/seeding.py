@@ -1,7 +1,7 @@
 """Deterministic trial identity: config hashing and per-trial seeds.
 
 Every trial the runner executes is identified by the triple
-``(experiment name, config digest, trial index)``.  The digest is a
+``(experiment name, seeding digest, trial index)``.  The digest is a
 canonical hash of the experiment's frozen config dataclass, so
 
 * the same experiment at the same config always replays the same
@@ -12,10 +12,8 @@ canonical hash of the experiment's frozen config dataclass, so
 * results are independent of worker count and scheduling, because a
   trial's seed never depends on *where* or *when* it runs.
 
-The cache digest folds in the package version, so a release that
-changes the simulation also invalidates the on-disk result cache.  The
-seeding digest folds a frozen salt instead: a version bump alone never
-reshuffles a trial's streams.
+The digest folds a frozen salt, never the package version: a version
+bump alone never reshuffles a trial's streams.
 """
 
 from __future__ import annotations
@@ -28,68 +26,35 @@ from typing import Any
 
 from repro.sim.rng import derive_seed
 
-#: Folded into seeding digests where the cache digest folds the version.
-#: It equals the version every committed artefact was seeded under, so
-#: the seeds are byte-identical to those; never change it.
+#: Folded into every seeding digest.  It equals the version every
+#: committed artefact was seeded under, so the seeds are byte-identical
+#: to those; never change it.
 SEED_SALT = "1.0.0"
 
 
-def code_version() -> str:
-    """The library version folded into cache digests (cache invalidation)."""
-    import repro
-
-    return getattr(repro, "__version__", "0")
-
-
-def _canonical(value: Any, *, for_seeding: bool = False) -> Any:
+def _canonical(value: Any) -> Any:
     """Reduce a config value to deterministic JSON-encodable form.
 
-    A config dataclass may declare ``DIGEST_OMIT_IF_DEFAULT``, a tuple
-    of field names left out of the canonical form while they hold their
-    default value.  This is how a config grows new opt-in knobs (e.g.
-    the fault-injection fields) without changing the digest — and hence
-    every trial seed — of all pre-existing configurations.  The moment
-    a listed field is set to anything non-default it is folded in and
-    the cell gets independent streams, as any config change must.
-
-    A config may additionally declare ``SEED_DIGEST_OMIT``: fields left
-    out of the *seeding* digest unconditionally (``for_seeding=True``),
-    while still folded into the cache digest as above.  This is the
-    fault-injection contract — a fault plan draws only from its own
-    seed, so turning faults on must not reshuffle the simulation's own
-    per-trial streams, yet a faulted cell must never share a cache cell
-    with the clean run it degrades.
+    A config dataclass may declare ``SEED_DIGEST_OMIT``: fields left out
+    of the canonical form whatever their value.  This is the
+    fault-injection and tracing contract — a fault plan draws only from
+    its own seed and a tracer only observes, so turning either on must
+    not reshuffle the simulation's own per-trial streams.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        omit_if_default = getattr(type(value), "DIGEST_OMIT_IF_DEFAULT", ())
-        omit_always = (
-            getattr(type(value), "SEED_DIGEST_OMIT", ()) if for_seeding else ()
-        )
-        canonical = {}
-        for field in dataclasses.fields(value):
-            if field.name in omit_always:
-                continue
-            field_value = getattr(value, field.name)
-            if field.name in omit_if_default:
-                default = (
-                    field.default_factory()
-                    if field.default_factory is not dataclasses.MISSING
-                    else field.default
-                )
-                if field_value == default:
-                    continue
-            canonical[field.name] = _canonical(field_value, for_seeding=for_seeding)
-        return canonical
+        omit = getattr(type(value), "SEED_DIGEST_OMIT", ())
+        return {
+            field.name: _canonical(getattr(value, field.name))
+            for field in dataclasses.fields(value)
+            if field.name not in omit
+        }
     if isinstance(value, enum.Enum):
         return f"{type(value).__name__}.{value.name}"
     if isinstance(value, dict):
-        return {
-            str(k): _canonical(v, for_seeding=for_seeding)
-            for k, v in sorted(value.items())
-        }
+        return {str(k): _canonical(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple, set, frozenset)):
         items = sorted(value) if isinstance(value, (set, frozenset)) else value
-        return [_canonical(item, for_seeding=for_seeding) for item in items]
+        return [_canonical(item) for item in items]
     if isinstance(value, (str, int, bool)) or value is None:
         return value
     if isinstance(value, float):
@@ -102,37 +67,22 @@ def _canonical(value: Any, *, for_seeding: bool = False) -> Any:
     )
 
 
-def _digest(experiment: str, config: Any, *, for_seeding: bool) -> str:
+def seeding_digest(experiment: str, config: Any) -> str:
+    """Stable hex digest of ``(experiment, config)`` that derives trial seeds.
+
+    Fields listed in the config's ``SEED_DIGEST_OMIT`` are excluded, so
+    opt-in layers that never draw (fault injection, tracing) leave the
+    simulation's own trial streams untouched.
+    """
     payload = {
         "experiment": experiment,
         "config_type": type(config).__name__,
-        "config": _canonical(config, for_seeding=for_seeding),
-        "code_version": SEED_SALT if for_seeding else code_version(),
+        "config": _canonical(config),
+        # The key name is part of the hashed bytes: keep it.
+        "code_version": SEED_SALT,
     }
     encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
-
-
-def config_digest(experiment: str, config: Any) -> str:
-    """Stable hex digest of ``(experiment, config, code version)``.
-
-    This is the *cache* identity: any field that can change a result
-    byte is folded in, so distinct cells never collide on disk.
-    """
-    return _digest(experiment, config, for_seeding=False)
-
-
-def seeding_digest(experiment: str, config: Any) -> str:
-    """The digest variant that derives per-trial seeds.
-
-    Identical to :func:`config_digest` except that fields listed in the
-    config's ``SEED_DIGEST_OMIT`` are excluded regardless of value, so
-    opt-in perturbation layers (fault injection) leave the simulation's
-    own trial streams untouched while still occupying their own cache
-    cell, and that it folds :data:`SEED_SALT` where the cache digest
-    folds :func:`code_version`.
-    """
-    return _digest(experiment, config, for_seeding=True)
 
 
 def trial_seed(experiment: str, digest: str, index: int) -> int:

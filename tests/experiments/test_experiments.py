@@ -163,6 +163,27 @@ class TestSection5:
         text = result.render()
         assert "crossing" in text and "tracking load" in text
 
+    def test_discovery_window_uses_the_runners_seeds(self, monkeypatch):
+        # A version bump must not pull the one-window helper off the
+        # seeds the runner derives for the same replications.
+        import repro
+        from repro.experiments.duty_cycle import (
+            EXPERIMENT,
+            run_discovery_window,
+            window_payload,
+        )
+        from repro.runner import ExperimentRunner
+
+        monkeypatch.setattr(repro, "__version__", "2.0.0")
+        config = Section5Config(replications=6)
+        payloads = ExperimentRunner().map_trials(
+            EXPERIMENT, config, window_payload, config.replications
+        )
+        assert [
+            run_discovery_window(config, replication)
+            for replication in range(config.replications)
+        ] == [(payload["found"], payload["count"]) for payload in payloads]
+
 
 class TestSweeps:
     def test_interleaving_sweep_shows_faster_pure_scan(self):

@@ -54,7 +54,7 @@ from repro.experiments.table1 import EXPERIMENT as TABLE1_EXPERIMENT
 from repro.experiments.table1 import Table1Config, run_table1, trial_payload
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import SpanTracer, merge_worker_spans
-from repro.runner import build_runner
+from repro.runner import ExperimentRunner
 
 DIGESTS = Path(__file__).with_name("digests.json")
 
@@ -122,7 +122,7 @@ def _traced_e2e(faults: str) -> str:
 
 def _traced_table1(faults: str) -> str:
     config = replace(TRACE_TABLE1, faults=faults)
-    runner = build_runner(jobs=1, use_cache=False)
+    runner = ExperimentRunner()
     payloads = runner.map_trials(TABLE1_EXPERIMENT, config, trial_payload, config.trials)
     return _spans_jsonl(merge_worker_spans([payload["spans"] for payload in payloads]))
 
@@ -177,7 +177,7 @@ def _figure2_contention() -> str:
 
 def _section5_windows() -> str:
     """The slaves each replication's window discovered, in order."""
-    runner = build_runner(jobs=1, use_cache=False)
+    runner = ExperimentRunner()
     payloads = runner.map_trials(
         SECTION5_EXPERIMENT, SECTION5, window_payload, SECTION5.replications
     )

@@ -2,8 +2,8 @@
 
 Enabling tracing must change **no** simulated result; the collected
 spans themselves must be byte-identical across runs and across
-``--jobs N``; and the config digests that key the result cache must not
-move when trace flags are flipped.
+``--jobs N``; and the seeding digest must not move when trace flags are
+flipped.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from repro.experiments.table1 import EXPERIMENT, Table1Config, trial_payload
 from repro.faults import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import SpanTracer, merge_worker_spans
-from repro.runner import build_runner
-from repro.runner.seeding import config_digest, seeding_digest
+from repro.runner import ExperimentRunner
+from repro.runner.seeding import seeding_digest
 
 TRIALS = 6
 
@@ -63,7 +63,7 @@ class TestTracingChangesNothing:
         assert untraced.to_jsonl() == traced.to_jsonl()
 
     def test_table1_payloads_identical_modulo_spans_key(self):
-        runner = build_runner(jobs=1, use_cache=False)
+        runner = ExperimentRunner()
         plain = runner.map_trials(
             EXPERIMENT, Table1Config(trials=TRIALS), trial_payload, TRIALS
         )
@@ -79,15 +79,13 @@ class TestTracingChangesNothing:
         ] == plain
         assert all(payload["spans"] for payload in traced)
 
-    def test_trace_flags_keep_trial_seeds_but_move_the_cache_cell(self):
+    def test_trace_flags_keep_trial_seeds(self):
         plain = Table1Config(trials=TRIALS)
         traced = Table1Config(trials=TRIALS, trace=True, trace_sample=0.5)
         # Same seeding digest => a traced run replays the untraced trials.
         assert seeding_digest(EXPERIMENT, plain) == seeding_digest(
             EXPERIMENT, traced
         )
-        # ...but its payloads carry spans, so it must cache separately.
-        assert config_digest(EXPERIMENT, plain) != config_digest(EXPERIMENT, traced)
 
 
 class TestSpanStreamDeterminism:
@@ -115,7 +113,7 @@ class TestParallelMerge:
         config = Table1Config(trials=TRIALS, trace=True)
 
         def merged(jobs):
-            runner = build_runner(jobs=jobs, use_cache=False)
+            runner = ExperimentRunner(jobs=jobs)
             payloads = runner.map_trials(EXPERIMENT, config, trial_payload, TRIALS)
             return merge_worker_spans([payload["spans"] for payload in payloads])
 

@@ -2,7 +2,7 @@
 
 The trial function here is deliberately trivial — the real experiment
 equivalence is covered by ``test_parallel_equivalence.py``; these tests
-pin the runner mechanics: ordering, seeding, caching, and metrics.
+pin the runner mechanics: ordering, seeding, and metrics.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.runner import ExperimentRunner, ResultCache, build_runner
-from repro.runner.seeding import config_digest, trial_seeds
+from repro.runner import ExperimentRunner
+from repro.runner.seeding import seeding_digest, trial_seeds
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class TestSerialMapping:
     def test_trials_get_derived_seeds(self):
         config = EchoConfig()
         payloads = ExperimentRunner().map_trials("echo", config, echo_trial, 4)
-        expected = trial_seeds("echo", config_digest("echo", config), 4)
+        expected = trial_seeds("echo", seeding_digest("echo", config), 4)
         assert [p["seed"] for p in payloads] == expected
 
     def test_zero_trials(self):
@@ -49,8 +49,17 @@ class TestSerialMapping:
         with pytest.raises(ValueError):
             ExperimentRunner(jobs=0)
 
+    def test_cache_keyword_accepts_only_none(self):
+        plain = ExperimentRunner().map_trials("echo", EchoConfig(), echo_trial, 2)
+        keyed = ExperimentRunner(cache=None).map_trials(
+            "echo", EchoConfig(), echo_trial, 2
+        )
+        assert keyed == plain
+        with pytest.raises(TypeError):
+            ExperimentRunner(cache="results/cache")  # type: ignore[arg-type]
+
     def test_payloads_json_normalised(self):
-        # Tuples in payloads come back as lists, exactly like a cache read.
+        # Tuples in payloads come back as lists, as from a worker process.
         def tuple_trial(config, index, seed):
             return {"pair": (index, seed)}
 
@@ -70,49 +79,6 @@ class TestParallelMapping:
         two = ExperimentRunner(jobs=2).map_trials("echo", config, echo_trial, 6)
         three = ExperimentRunner(jobs=3).map_trials("echo", config, echo_trial, 6)
         assert two == three
-
-
-class TestCaching:
-    def test_second_call_hits(self, tmp_path):
-        registry = MetricsRegistry()
-        runner = ExperimentRunner(cache=ResultCache(tmp_path), metrics=registry)
-        first = runner.map_trials("echo", EchoConfig(), echo_trial, 4)
-        second = runner.map_trials("echo", EchoConfig(), echo_trial, 4)
-        assert first == second
-        assert registry.counter("runner.cache_hits", experiment="echo").value == 1
-        assert registry.counter("runner.cache_misses", experiment="echo").value == 1
-        assert registry.counter("runner.trials_dispatched", experiment="echo").value == 4
-
-    def test_config_change_invalidates(self, tmp_path):
-        registry = MetricsRegistry()
-        runner = ExperimentRunner(cache=ResultCache(tmp_path), metrics=registry)
-        runner.map_trials("echo", EchoConfig(scale=1), echo_trial, 3)
-        runner.map_trials("echo", EchoConfig(scale=2), echo_trial, 3)
-        assert registry.counter("runner.cache_hits", experiment="echo").value == 0
-        assert registry.counter("runner.trials_dispatched", experiment="echo").value == 6
-
-    def test_count_mismatch_recomputes(self, tmp_path):
-        # Same config but a different trial count must not serve a
-        # truncated (or padded) cell.
-        cache = ResultCache(tmp_path)
-        runner = ExperimentRunner(cache=cache)
-        runner.map_trials("echo", EchoConfig(), echo_trial, 4)
-        payloads = runner.map_trials("echo", EchoConfig(), echo_trial, 6)
-        assert len(payloads) == 6
-
-    def test_cache_shared_across_runner_instances(self, tmp_path):
-        ExperimentRunner(cache=ResultCache(tmp_path)).map_trials(
-            "echo", EchoConfig(), echo_trial, 3
-        )
-        registry = MetricsRegistry()
-        warm = ExperimentRunner(cache=ResultCache(tmp_path), metrics=registry)
-        warm.map_trials("echo", EchoConfig(), echo_trial, 3)
-        assert registry.counter("runner.cache_hits", experiment="echo").value == 1
-
-    def test_no_cache_runner_never_touches_disk(self, tmp_path):
-        runner = build_runner(jobs=1, use_cache=False, cache_dir=str(tmp_path))
-        runner.map_trials("echo", EchoConfig(), echo_trial, 2)
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestMetrics:

@@ -1,9 +1,9 @@
 """Serial == parallel byte-equality for the real experiment harnesses.
 
 The acceptance contract of the runner: ``--jobs N`` must reproduce the
-serial results byte for byte at the same seed, and a warm cache must
-serve a repeated run without dispatching a single trial.  Sample sizes
-are tiny — identity, not statistics, is being asserted.
+serial results byte for byte at the same seed, and a repeated run must
+reproduce the first.  Sample sizes are tiny — identity, not statistics,
+is being asserted.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.experiments.figure2 import Figure2Config, run_figure2
 from repro.experiments.sweep import sweep_inquiry_window, sweep_table1_phase_mode
 from repro.experiments.table1 import Table1Config, run_table1
 from repro.obs.metrics import MetricsRegistry
-from repro.runner import ExperimentRunner, ResultCache
+from repro.runner import ExperimentRunner
 
 
 def parallel_runner(jobs: int = 2, **kwargs) -> ExperimentRunner:
@@ -81,47 +81,21 @@ class TestSerialParallelEquality:
         assert serial.render() == parallel.render()
 
 
-class TestCacheSemantics:
-    def test_warm_cache_skips_all_trials(self, tmp_path):
-        windows = (2.56, 3.84, 5.12)
-        cold = sweep_inquiry_window(
-            windows_seconds=windows,
-            slave_count=4,
-            replications=3,
-            runner=ExperimentRunner(cache=ResultCache(tmp_path)),
-        )
-        registry = MetricsRegistry()
-        warm = sweep_inquiry_window(
-            windows_seconds=windows,
-            slave_count=4,
-            replications=3,
-            runner=ExperimentRunner(cache=ResultCache(tmp_path), metrics=registry),
-        )
-        assert cold.render() == warm.render()
-        # Cache-hit counter equals cell count; nothing was recomputed.
-        hits = registry.counter("runner.cache_hits", experiment="section5").value
-        assert hits == len(windows)
-        assert ("runner.trials_dispatched") not in {
-            record["name"] for record in registry.snapshot()
-        }
-
-    def test_cached_and_fresh_results_identical(self, tmp_path):
+class TestRepeatability:
+    def test_repeated_run_gives_identical_bytes(self):
         config = Table1Config(trials=6, seed=555)
-        fresh = run_table1(config)
-        cached_runner = ExperimentRunner(cache=ResultCache(tmp_path))
-        cold = run_table1(config, runner=cached_runner)
-        warm = run_table1(config, runner=cached_runner)
-        assert fresh.to_csv() == cold.to_csv() == warm.to_csv()
+        runner = ExperimentRunner()
+        first = run_table1(config, runner=runner)
+        second = run_table1(config, runner=runner)
+        assert first.to_csv() == second.to_csv()
 
-    def test_seed_change_misses_cache(self, tmp_path):
-        registry = MetricsRegistry()
-        runner = ExperimentRunner(cache=ResultCache(tmp_path), metrics=registry)
-        run_table1(Table1Config(trials=4, seed=1), runner=runner)
-        run_table1(Table1Config(trials=4, seed=2), runner=runner)
-        assert registry.counter("runner.cache_hits", experiment="table1").value == 0
-        assert (
-            registry.counter("runner.cache_misses", experiment="table1").value == 2
-        )
+    def test_repeated_sweep_gives_identical_bytes(self):
+        def sweep():
+            return sweep_inquiry_window(
+                windows_seconds=(2.56, 3.84), slave_count=4, replications=3
+            ).render()
+
+        assert sweep() == sweep()
 
 
 class TestSweepSeedIndependence:
@@ -154,10 +128,10 @@ class TestSweepSeedIndependence:
         # exactly equal fractions; independent streams almost never do.
         # (Checked loosely: the *configs* differ, so the digests do.)
         from repro.experiments.duty_cycle import EXPERIMENT as S5
-        from repro.runner.seeding import config_digest
+        from repro.runner.seeding import seeding_digest
 
-        a = config_digest(S5, Section5Config(inquiry_window_seconds=2.56))
-        b = config_digest(S5, Section5Config(inquiry_window_seconds=2.561))
+        a = seeding_digest(S5, Section5Config(inquiry_window_seconds=2.56))
+        b = seeding_digest(S5, Section5Config(inquiry_window_seconds=2.561))
         assert a != b
         assert len(sweep.rows) == 2
 
