@@ -2,9 +2,10 @@
 
 docs/observability.md is the operator-facing contract for every metric
 series and every span name the pipeline emits; dashboards, trace
-tooling, and the scoreboard all key on those names.  A registration outside the catalogue is either a typo
-(it silently creates a parallel series or splits a causal lane) or an
-undocumented name nobody will find — both are lint failures.
+tooling, and the scoreboard all key on those names.  A registration
+outside the catalogue is either a typo (it silently creates a parallel
+series or splits a causal lane) or an undocumented name nobody will
+find — both are lint failures.
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ _EXCLUDED_PACKAGES = ("repro.lint",)
         "Every emitted series and span must appear in the "
         "docs/observability.md tables: the catalogue is what operators "
         "grep and what dashboards and trace viewers bind to. An "
-        "uncatalogued name is invisible "
-        "telemetry; a mistyped name splits one series (or causal lane) "
-        "into two. Add the name to the catalogue table (with its kind "
+        "uncatalogued name is invisible telemetry; a mistyped name "
+        "splits one series (or causal lane) into two. Add the name to the catalogue table (with its kind "
         "and meaning) in the same change that registers it."
     ),
 )

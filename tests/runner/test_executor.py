@@ -56,7 +56,7 @@ class TestSerialMapping:
         )
         assert keyed == plain
         with pytest.raises(TypeError):
-            ExperimentRunner(cache="results/cache")  # type: ignore[arg-type]
+            ExperimentRunner(cache="results/cache")
 
     def test_payloads_json_normalised(self):
         # Tuples in payloads come back as lists, as from a worker process.
