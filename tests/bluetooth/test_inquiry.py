@@ -112,3 +112,26 @@ class TestReceiverCapture:
         master._on_fhs(fhs(2, 200), 200)
         assert master.has_discovered(BDAddr(2))
         assert master.discovery_tick(BDAddr(2)) == 200
+
+
+class TestRepeatWindows:
+    def test_repeats_at_window_edges_follow_the_schedule(self, kernel):
+        # Repeats at each window's first tick, last tick and one tick
+        # past it, across two windows and back again: every one is
+        # received or missed exactly as the schedule's windows say.
+        schedule = periodic_inquiry(window_ticks=100, period_ticks=1000, count=2)
+        master = InquiryProcedure(kernel, schedule, receiver_capture=False)
+        senders = [BDAddr(value) for value in (1, 2, 3)]
+        for sender in senders:
+            master._on_fhs(FHSPacket(sender=sender, clkn=0, channel=0, tx_tick=0), 0)
+        ticks = [0, 99, 100, 1000, 1099, 1100, 2000, 50, 1050, 999, 1001]
+        expected_last = {sender: 0 for sender in senders}
+        for index, tick in enumerate(ticks):
+            sender = senders[index % len(senders)]
+            assert master._rx.on_repeat(sender, tick)
+            if schedule.windows.is_active(tick):
+                expected_last[sender] = tick
+        active = sum(schedule.windows.is_active(tick) for tick in ticks)
+        assert master.responses_received == len(senders) + active
+        assert master.responses_missed == len(ticks) - active
+        assert master.last_seen == expected_last

@@ -22,7 +22,11 @@ import pytest
 
 from repro.bluetooth.address import BDAddr
 from repro.bluetooth.btclock import CLKN_WRAP, BluetoothClock
-from repro.bluetooth.constants import INQUIRY_RESPONSE_DELAY_TICKS
+from repro.bluetooth.constants import (
+    BIPS_INQUIRY_WINDOW_TICKS,
+    BIPS_OPERATIONAL_CYCLE_TICKS,
+    INQUIRY_RESPONSE_DELAY_TICKS,
+)
 from repro.bluetooth.hopping import (
     Train,
     TrainStrategy,
@@ -41,6 +45,7 @@ from repro.bluetooth.scan import (
 from repro.bluetooth import swarm as swarm_module
 from repro.bluetooth.packets import FHSPacket
 from repro.bluetooth.swarm import _NO_CURSOR, InquiryScanSwarm
+from repro.core.config import BIPSConfig
 from repro.obs.tracing import SpanTracer
 from repro.radio.interference import SharedBand
 from repro.sim.kernel import Kernel
@@ -67,7 +72,11 @@ def _simulate(
     reachable=None,
     spans=None,
 ):
-    """Run one piconet to ``horizon``; returns its slave handles and master."""
+    """Run one piconet to ``horizon``; returns its slave handles and master.
+
+    ``horizon`` is every row's horizon tick, or a tuple of them that the
+    rows take in turn; the run ends at the latest.
+    """
     kernel = Kernel(spans=spans)
     schedule = schedule_factory()
     master = InquiryProcedure(
@@ -89,13 +98,17 @@ def _simulate(
             clock=clock,
             base_phase=base_phase,
             window_anchor=anchor,
-            horizon_tick=horizon,
+            horizon_tick=_row_horizon(horizon, index),
             name=f"slave-{index}",
         )
         handle.start()
         handles.append(handle)
-    kernel.run_until(horizon)
+    kernel.run_until(max(horizon) if isinstance(horizon, tuple) else horizon)
     return handles, master
+
+
+def _row_horizon(horizon, index):
+    return horizon[index % len(horizon)] if isinstance(horizon, tuple) else horizon
 
 
 def _observables(handles, master):
@@ -177,6 +190,39 @@ CASES = [
         "1043549c8e189a4d7e2b7d64aebb309ca9a45dc7f135c6483ff69dee58b86fcc",
         id="interleaved-page-scan",
     ),
+    # The BIPS handheld cycle under the §5 master: 3.84 s windows every
+    # 15.4 s on alternating trains, over three windows, with horizons
+    # that end some rows mid-window.
+    pytest.param(
+        BIPSConfig().handheld_scan_config(),
+        lambda: periodic_inquiry(BIPS_INQUIRY_WINDOW_TICKS, BIPS_OPERATIONAL_CYCLE_TICKS),
+        (3 * BIPS_OPERATIONAL_CYCLE_TICKS, 55_000, 104_000, 6_000),
+        40,
+        "bf129c06f5334e6a560d0d089211f06bae6c8b59f45b9d8fe984784e2bbf30f6",
+        id="handheld-periodic",
+    ),
+    # Windowed BACKOFF_EACH: after a backoff the row listens under its
+    # own windows (NEXT_WINDOW), or ignores them (IMMEDIATE).
+    pytest.param(
+        ScanConfig(
+            window_ticks=2048,
+            response_mode=ResponseMode.BACKOFF_EACH,
+            backoff_reentry=BackoffReentry.NEXT_WINDOW,
+        ),
+        lambda: continuous_inquiry(),
+        200_000,
+        6,
+        "b3033add7186db27f65e9af1eadf338f1561f403bfb683386b40c55b2ea3d17d",
+        id="windowed-backoff-each-next-window",
+    ),
+    pytest.param(
+        ScanConfig(window_ticks=2048, response_mode=ResponseMode.BACKOFF_EACH),
+        lambda: continuous_inquiry(),
+        200_000,
+        6,
+        "6adb13c71fa54ca09c4e52a27f8d6607f7c909e3a24c24610a74cd0f6bd87ac5",
+        id="windowed-backoff-each-immediate",
+    ),
 ]
 
 
@@ -219,6 +265,9 @@ REPEAT_DIGESTS = {
     "single-next-window": "cea778ff0f7c7d1dc2898eebec18508e8d9b28dc1df8b714363860412b90963a",
     "fixed-phase": "d1d864299c1acce94d6234e31090703c1ac3a5e7dab857f5721818920c7c8241",
     "interleaved-page-scan": "e61362fc6583b870a073bc68ca8d936939ee075a4929fa66bd6ae4b827014fdb",
+    "handheld-periodic": "13b412974c9930dae2c5a593124613e80d1aa2a2a8d2243c1b5086c32e541358",
+    "windowed-backoff-each-next-window": "e9702409043177b857d958c29da4f6b867ff6b3c13a9beb515ebc284c041a4bf",
+    "windowed-backoff-each-immediate": "3933004e97b3cdd18a6b4ae8cecfb9074a0dd2c0f915d1d8b11d1d82768509f3",
 }
 
 
