@@ -66,6 +66,7 @@ class _Reception:
     __slots__ = (
         "name", "windows", "is_listening", "capture", "spans", "on_discovered", "results",
         "last_seen", "received", "missed", "blocked", "discoveries", "busy_until",
+        "window_start", "window_end",
     )
 
     def __init__(
@@ -89,6 +90,9 @@ class _Reception:
         self.blocked = 0
         self.discoveries = 0
         self.busy_until = -1
+        # The listening window on_repeat last looked up (empty at first).
+        self.window_start = 0
+        self.window_end = 0
 
     @property
     def discovered_count(self) -> int:
@@ -106,13 +110,19 @@ class _Reception:
         repeat response): the listening and receiver-capture checks, the
         counts, the ``bt.response`` instant and ``last_seen``.  Declines,
         doing nothing, for a first discovery; that goes to
-        :meth:`on_fhs` with the packet.
+        :meth:`on_fhs` with the packet.  The listening check reads the
+        bounds of the window it last found, and looks the window up again
+        only for a tick outside them.
         """
         if sender not in self.results:
             return False
-        if not self.is_listening(tick):
-            self.missed += 1
-            return True
+        if not self.window_start <= tick < self.window_end:
+            window = self.windows.containing(tick)
+            if window is None:
+                self.missed += 1
+                return True
+            self.window_start = window.start
+            self.window_end = window.end
         if self.capture:
             if tick < self.busy_until:
                 self.blocked += 1

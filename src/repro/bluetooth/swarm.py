@@ -55,11 +55,19 @@ earliest entry's own reserved ``seq``
 therefore exactly the one a single shared heap would give, foreign
 events at the same tick included (enrolment stops, workstation timers,
 other piconets' wakes), and the clock never passes a ``run_until``
-target.  Inside the drain, CONTINUOUS responders standing on their
-rendezvous cursor continue in bulk: the master sends a position once
-per 10 ms train pass until its run ends, so the next hear is one pass
-later while that stays before the cursor's integer stop (the end of the
-run or of the row's scan segment, whichever is first).
+target.
+
+The drain takes every row step itself, straight-line, and files the
+row's next due tick inline; ``_queue`` serves only :meth:`start_row`.
+The master sends a position once per 10 ms train pass until its run
+ends, and a row listens on it until its scan segment ends, so a row
+whose rendezvous cursor is still open needs no search: a CONTINUOUS
+responder hears again one pass later, and a row listening under its own
+windows after a backoff hears at the cursor's first pass at or after the
+backoff's end, each while that stays before the cursor's integer stop
+(the end of the run or of the segment, whichever is first).  A backoff
+is drawn from the row's stream exactly as ``randint`` would draw it
+(:func:`~repro.sim.rng.bit_source`).
 
 When every entry of the train pass that starts at the timeline head is
 such a bucket, pass after pass repeats the same FHS groups with the
@@ -90,12 +98,12 @@ from array import array
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from repro.radio.channel import ResponseChannel
 from repro.sim.hotpath import hot_path
 from repro.sim.kernel import Kernel
-from repro.sim.rng import RandomStream
+from repro.sim.rng import RandomStream, bit_source, randint_width
 
 from .address import BDAddr
 from .btclock import CLKN_WRAP, BluetoothClock
@@ -227,7 +235,8 @@ class InquiryScanSwarm:
         self._due: dict[int, list[int]] = {}
         # Per-row Python objects the columns cannot hold.
         self._addresses: list[BDAddr] = []
-        self._rngs: list[RandomStream] = []
+        # Each row's stream's bound ``getrandbits``: its backoff draws.
+        self._draws: list[Callable[[int], int]] = []
         self._names: list[str] = []
         self._response_ticks: list[list[int]] = []
         # Rendezvous cursor per row: ``(hear_tick, stop, position)`` of
@@ -243,8 +252,7 @@ class InquiryScanSwarm:
         self._interval_ticks = cfg.interval_ticks
         self._continuous = cfg.is_continuous
         self._phase_code = _PHASE_CODES[cfg.phase_mode]
-        self._reentry_immediate = cfg.backoff_reentry is BackoffReentry.IMMEDIATE
-        self._backoff_max = cfg.backoff_max_slots
+        reentry_immediate = cfg.backoff_reentry is BackoffReentry.IMMEDIATE
         self._response_timeout = cfg.response_timeout_ticks
         self._mode_code = _MODE_CODES[cfg.response_mode]
         self._sequence = schedule.sequence
@@ -304,9 +312,21 @@ class InquiryScanSwarm:
             channel.repeat_receiver,
             channel.receiver,
             channel.reachable is not None,
-            self._mode_code == _MODE_CONTINUOUS,
+            self._mode_code,
             self._continuous,
             self._response_timeout,
+            self._first_heard,
+            self._backoffs,
+            self._draws,
+            cfg.backoff_max_slots,
+            randint_width(cfg.backoff_max_slots),
+            # After a backoff the row listens under its own windows
+            # (``next_hear`` records a cursor) unless a windowed scan
+            # re-enters at once, ignoring them; inqrespTO applies while
+            # it listens throughout.
+            self._continuous or not reentry_immediate,
+            reentry_immediate,
+            self._continuous or reentry_immediate,
         )
 
     # -- population -------------------------------------------------------
@@ -354,7 +374,7 @@ class InquiryScanSwarm:
         self._first_heard.append(-1)
         self._first_response.append(-1)
         self._addresses.append(address)
-        self._rngs.append(rng)
+        self._draws.append(bit_source(rng))
         self._names.append(name or str(address))
         self._response_ticks.append([])
         self._cursors.append(_NO_CURSOR)
@@ -551,11 +571,12 @@ class InquiryScanSwarm:
         a yield the earliest entry's wake is posted under that entry's
         own ``seq`` (unless it already has one).  A bucket that starts a
         steady train pass first tries :meth:`_replay`, at most once per
-        retry tick the last try left.  Otherwise the bucket's CONTINUOUS
-        responders standing on their rendezvous cursor take the bulk
-        path inline; every other row takes its ``_step_*`` method.  The
-        bucket and step counts accumulate in locals and are added to
-        :attr:`advances` and :attr:`slave_steps` before returning.
+        retry tick the last try left.  Otherwise each row takes its
+        pending action inline (seek, first hear, backoff end, respond),
+        resumes from its rendezvous cursor where that is still open, and
+        is filed for its next one.  The bucket and step counts
+        accumulate in locals and are added to :attr:`advances` and
+        :attr:`slave_steps` before returning.
 
         A bucket files its responders, as row indices, into their FHS
         group.  A group the bucket opens reserves its ``seq`` then and is
@@ -572,13 +593,14 @@ class InquiryScanSwarm:
         (
             heap, clock, due, reserve, state, action, cursors, offsets,
             addresses, ids_heard, responses, response_ticks, first_response,
-            sequence, groups, resolve, repeat, receiver, filtered, bulk,
-            windowless, timeout,
+            sequence, groups, resolve, repeat, receiver, filtered, mode,
+            windowless, timeout, first_heard, backoffs, draws, backoff_max,
+            backoff_bits, resume, reentry_immediate, timed,
         ) = self._wake_locals
         bound = self.kernel.drain_bound
         announce = self._announce
-        step_respond = self._step_respond
         next_hear = self.next_hear
+        listen_position = self.listen_position
         replay_from = self._replay_from
         n_advances = 0
         n_steps = 0
@@ -628,68 +650,109 @@ class InquiryScanSwarm:
                             continue  # tombstoned by stop_row; nothing pending
                         act = action[row]
                         if act == _ACT_RESPOND:
-                            if bulk:
-                                hear_tick, stop, position = cursors[row]
-                                if hear_tick == tick:
-                                    rf_channel = sequence[position]
-                                    if rf_channel != batch_channel:
-                                        if batch:
-                                            raise RuntimeError(
-                                                f"bucket at {tick} answers on two channels"
-                                            )
-                                        batch_channel = rf_channel
-                                    # A CONTINUOUS response on the cursor: the
-                                    # ID answered is the cursor's hear, and the
-                                    # next hear is one pass later while that is
-                                    # before the cursor's stop.  That is what a
-                                    # fresh next_hear(row, tick + 1) finds: the
-                                    # master sends the position once per pass
-                                    # until its run ends, and the row listens
-                                    # on it until its segment ends.
-                                    ids_heard[row] += 1
-                                    batch.append(row)
-                                    responses[row] += 1
-                                    response_ticks[row].append(tx_tick)
-                                    if first_response[row] < 0:
-                                        first_response[row] = tx_tick
-                                    if next_tx < stop:
-                                        heard = next_tx
-                                        cursors[row] = (next_tx, stop, position)
-                                    else:
-                                        found = next_hear(row, tick + 1)
-                                        if found is None:
-                                            self._retire(row, _EXHAUSTED)
-                                            continue
-                                        heard = found
-                                    if windowless and heard - tick > timeout:
-                                        state[row] = _SEEKING
-                                        action[row] = _ACT_HEAR
-                                        self._queue(heard, row)
-                                        continue
-                                    if heard != filed_tick:
-                                        filed_tick = heard
-                                        found_bucket = due.get(heard)
-                                        if found_bucket is None:
-                                            filed_bucket = due[heard] = []
-                                            heappush(timeline, (heard, reserve(), -1))
-                                        else:
-                                            filed_bucket = found_bucket
-                                    filed_bucket.append(row)
-                                    continue
-                            rf_channel = step_respond(row, tick)
+                            # Answer the ID heard now with an FHS one slot
+                            # later.  A cursor standing on ``tick`` gives
+                            # the position without a fresh listen_position.
+                            hear_tick, stop, position = cursors[row]
+                            if hear_tick != tick:
+                                position = listen_position(row, tick)
+                            rf_channel = sequence[position]
                             if rf_channel != batch_channel:
                                 if batch:
                                     # Every row due at ``tick`` heard the one
                                     # position the master sent then.
                                     raise RuntimeError(f"bucket at {tick} answers on two channels")
                                 batch_channel = rf_channel
+                            ids_heard[row] += 1
                             batch.append(row)
-                        elif act == _ACT_HEAR:
-                            self._step_first_hear(row, tick)
+                            responses[row] += 1
+                            response_ticks[row].append(tx_tick)
+                            if first_response[row] < 0:
+                                first_response[row] = tx_tick
+                            if mode == _MODE_BACKOFF_EACH:
+                                act = _ACT_BACKOFF_END
+                            elif mode == _MODE_SINGLE:
+                                self._retire(row, _DONE)
+                                continue
+                            else:
+                                # CONTINUOUS: answer the next ID heard.  On
+                                # the cursor that is one pass later while
+                                # before its stop, as a fresh next_hear(row,
+                                # tick + 1) would find: the master sends the
+                                # position once per pass until its run ends,
+                                # and the row listens on it until its segment
+                                # ends.  A gap past inqrespTO reverts to scan.
+                                if hear_tick == tick and next_tx < stop:
+                                    heard = next_tx
+                                    cursors[row] = (next_tx, stop, position)
+                                else:
+                                    found = next_hear(row, tick + 1)
+                                    if found is None:
+                                        self._retire(row, _EXHAUSTED)
+                                        continue
+                                    heard = found
+                                if windowless and heard - tick > timeout:
+                                    state[row] = _SEEKING
+                                    act = _ACT_HEAR
                         elif act == _ACT_BACKOFF_END:
-                            self._step_after_backoff(row, tick)
-                        else:  # _ACT_SEEK
-                            self._step_seek(row, tick)
+                            # Listen again after the backoff.  Under the
+                            # row's own windows a cursor run still open at
+                            # ``tick`` gives the next hear at once, by the
+                            # same fact as a CONTINUOUS response's.
+                            hear_tick, stop, position = cursors[row]
+                            heard = hear_tick - (hear_tick - tick) // TICKS_PER_TRAIN_PASS * TICKS_PER_TRAIN_PASS
+                            if resume and hear_tick <= tick and heard < stop:
+                                cursors[row] = (heard, stop, position)
+                            else:
+                                found = next_hear(row, tick, reentry_immediate)
+                                if found is None:
+                                    self._retire(row, _EXHAUSTED)
+                                    continue
+                                heard = found
+                            # inqrespTO measures listening time only, so it
+                            # applies when the slave listens throughout (a
+                            # wait for its own next window is not air
+                            # silence); expired, the eventual hear is a first
+                            # hear with a fresh backoff.
+                            if timed and heard - tick > timeout:
+                                state[row] = _SEEKING
+                                act = _ACT_HEAR
+                            else:
+                                state[row] = _RESPONDING
+                                act = _ACT_RESPOND
+                        elif act == _ACT_HEAR:
+                            ids_heard[row] += 1
+                            if first_heard[row] < 0:
+                                first_heard[row] = tick
+                            act = _ACT_BACKOFF_END
+                        else:  # _ACT_SEEK: find the next first hear
+                            found = next_hear(row, tick)
+                            if found is None:
+                                self._retire(row, _EXHAUSTED)
+                                continue
+                            heard = found
+                            state[row] = _SEEKING
+                            act = _ACT_HEAR
+                        if act == _ACT_BACKOFF_END:
+                            # The row's one draw: randint(0, backoff_max)
+                            # as Random draws it (see randint_width).
+                            backoffs[row] += 1
+                            draw = draws[row]
+                            slots = draw(backoff_bits)
+                            while slots > backoff_max:
+                                slots = draw(backoff_bits)
+                            heard = tick + slots * TICKS_PER_SLOT
+                            state[row] = _BACKOFF
+                        action[row] = act
+                        if heard != filed_tick:
+                            filed_tick = heard
+                            found_bucket = due.get(heard)
+                            if found_bucket is None:
+                                filed_bucket = due[heard] = []
+                                heappush(timeline, (heard, reserve(), -1))
+                            else:
+                                filed_bucket = found_bucket
+                        filed_bucket.append(row)
                     if not batch:
                         continue
                     # File the responders into their FHS group: one group
@@ -879,97 +942,6 @@ class InquiryScanSwarm:
         lone = self.channel.resolve(tick, rf_channel, rows, addresses, packets)
         if lone >= 0:
             self.channel.receiver(packets[lone], tick)
-
-    def _step_seek(self, row: int, now: int) -> None:
-        """Schedule the row's next first hear, or exhaust it."""
-        heard = self.next_hear(row, now)
-        if heard is None:
-            self._retire(row, _EXHAUSTED)
-            return
-        self._state[row] = _SEEKING
-        self._action[row] = _ACT_HEAR
-        self._queue(heard, row)
-
-    def _step_first_hear(self, row: int, now: int) -> None:
-        """Count a first hear and start the random backoff."""
-        self._ids_heard[row] += 1
-        if self._first_heard[row] < 0:
-            self._first_heard[row] = now
-        self._begin_backoff(row, now)
-
-    def _begin_backoff(self, row: int, now: int) -> None:
-        """Draw a random backoff (the row's only draw) and sleep it out."""
-        self._backoffs[row] += 1
-        backoff_ticks = self._rngs[row].backoff_slots(self._backoff_max) * TICKS_PER_SLOT
-        self._state[row] = _BACKOFF
-        self._action[row] = _ACT_BACKOFF_END
-        self._queue(now + backoff_ticks, row)
-
-    def _step_after_backoff(self, row: int, now: int) -> None:
-        """Listen again after the backoff: respond, or revert on inqrespTO."""
-        ignore_windows = self._reentry_immediate
-        heard = self.next_hear(row, now, ignore_windows)
-        if heard is None:
-            self._retire(row, _EXHAUSTED)
-            return
-        # inqrespTO: the timeout only measures *listening* time, so it
-        # applies when the slave listens continuously (a wait for the
-        # slave's own next scan window is not air silence).  Expired
-        # before any ID arrived: back to plain scan, and the eventual
-        # hear counts as a first hear (fresh backoff).
-        if (
-            (ignore_windows or self._continuous)
-            and heard - now > self._response_timeout
-        ):
-            self._state[row] = _SEEKING
-            self._action[row] = _ACT_HEAR
-            self._queue(heard, row)
-            return
-        self._state[row] = _RESPONDING
-        self._action[row] = _ACT_RESPOND
-        self._queue(heard, row)
-
-    def _step_respond(self, row: int, now: int) -> int:
-        """Answer the ID heard now with an FHS one slot later.
-
-        Returns the response's RF channel; the caller files the row into
-        the FHS group across the bucket's responders.  When the row's
-        cursor stands on ``now``, its position gives the RF channel
-        without a fresh ``listen_position``.  (A CONTINUOUS responder on
-        its cursor never gets here: ``_wake`` continues it in bulk.)
-        """
-        self._ids_heard[row] += 1
-        hear_tick, _, position = self._cursors[row]
-        if hear_tick != now:
-            position = self.listen_position(row, now)
-        rf_channel = self._sequence[position]
-        tx_tick = now + INQUIRY_RESPONSE_DELAY_TICKS
-        self._responses[row] += 1
-        self._response_ticks[row].append(tx_tick)
-        if self._first_response[row] < 0:
-            self._first_response[row] = tx_tick
-        mode = self._mode_code
-        if mode == _MODE_SINGLE:
-            self._retire(row, _DONE)
-            return rf_channel
-        if mode == _MODE_BACKOFF_EACH:
-            self._begin_backoff(row, now)
-            return rf_channel
-        # CONTINUOUS: answer the next ID heard, no further backoff —
-        # unless the air goes quiet past inqrespTO.
-        heard = self.next_hear(row, now + 1)
-        if heard is None:
-            self._retire(row, _EXHAUSTED)
-            return rf_channel
-        if self._continuous and heard - now > self._response_timeout:
-            self._state[row] = _SEEKING
-            self._action[row] = _ACT_HEAR
-            self._queue(heard, row)
-            return rf_channel
-        self._state[row] = _RESPONDING
-        self._action[row] = _ACT_RESPOND
-        self._queue(heard, row)
-        return rf_channel
 
     def __repr__(self) -> str:
         return (

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -92,10 +92,6 @@ class RandomStream:
         """Triangular variate."""
         return self._rng.triangular(low, high, mode)
 
-    def backoff_slots(self, max_slots: int = 1023) -> int:
-        """Draw a Bluetooth inquiry-response backoff: uniform 0..max slots."""
-        return self._rng.randint(0, max_slots)
-
     def permutation(self, n: int) -> list[int]:
         """A uniformly random permutation of ``range(n)``."""
         values = list(range(n))
@@ -104,3 +100,22 @@ class RandomStream:
 
     def __repr__(self) -> str:
         return f"RandomStream(name={self.name!r}, seed={self.seed})"
+
+
+def bit_source(stream: RandomStream) -> Callable[[int], int]:
+    """The stream's bound ``getrandbits``, for a hot loop that draws
+    :meth:`RandomStream.randint` values without its Python frames.
+
+    ``Random.randint(0, high)`` is ``getrandbits(k)`` with ``k =
+    randint_width(high)``, drawn again while the result exceeds ``high``
+    (CPython 3.11 and 3.12).  A caller that runs that loop on this source
+    draws exactly what ``stream.randint(0, high)`` would, in the same
+    order, from the same stream.
+    """
+    return stream._rng.getrandbits
+
+
+def randint_width(high: int) -> int:
+    """The bits per ``getrandbits`` draw of ``Random.randint(0, high)``:
+    those of ``high + 1``, not of ``high``."""
+    return (high + 1).bit_length()

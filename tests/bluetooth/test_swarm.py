@@ -236,6 +236,38 @@ class TestSwarmEquivalence:
         run = _run_piconet(99, slaves, scan_config, schedule_factory, horizon)
         assert _digest(run) == expected
 
+    @pytest.mark.parametrize(
+        "case_id, resumes",
+        [
+            ("handheld-periodic", True),
+            ("windowed-backoff-each-next-window", True),
+            # Re-entering at once, a windowed scan ignores its windows
+            # after a backoff, so its cursor never gives the next hear.
+            ("windowed-backoff-each-immediate", False),
+        ],
+    )
+    def test_after_backoff_resumes_from_the_cursor_or_searches(
+        self, monkeypatch, case_id, resumes
+    ):
+        searches = []
+        search = InquiryScanSwarm.next_hear
+
+        def counting_next_hear(swarm, row, from_tick, ignore_windows=False):
+            if swarm._action[row] == swarm_module._ACT_BACKOFF_END:
+                searches.append(row)
+            return search(swarm, row, from_tick, ignore_windows)
+
+        monkeypatch.setattr(InquiryScanSwarm, "next_hear", counting_next_hear)
+        case = next(case for case in CASES if case.id == case_id)
+        scan_config, schedule_factory, horizon, slaves, expected = case.values
+        handles, master = _simulate(99, slaves, scan_config, schedule_factory, horizon)
+        assert _digest(_observables(handles, master)) == expected
+        # Every backoff but those still running ended in one listen.
+        listens = sum(h.stats.backoffs for h in handles) - sum(
+            h.state is ScannerState.BACKOFF for h in handles
+        )
+        assert 0 < len(searches) < listens if resumes else 0 < len(searches) == listens
+
     def test_many_seeds_single_slave(self):
         # One slave, many clock/phase draws: sweeps the rendezvous
         # arithmetic across offsets without a master-side confounder.
@@ -443,7 +475,10 @@ class TestRendezvousCursor:
         checked = []
         _check_cursor(swarm, checked)
         kernel.run_until(start)
-        swarm._step_after_backoff(row, start)
+        # File the row's backoff end at ``start`` and let the drain take it.
+        swarm._state[row] = swarm_module._BACKOFF
+        swarm._action[row] = swarm_module._ACT_BACKOFF_END
+        swarm._queue(start, row)
         kernel.run_until(heard + 1)
         assert checked == [(row, heard)]
         assert handle.stats.response_ticks == [heard + INQUIRY_RESPONSE_DELAY_TICKS]

@@ -2,7 +2,21 @@
 
 from __future__ import annotations
 
-from repro.sim.rng import RandomStream, derive_seed
+import random
+
+import pytest
+
+from repro.sim.rng import RandomStream, bit_source, derive_seed, randint_width
+
+
+def _randint_loop(draw, high):
+    """``randint(0, high)`` as the swarm draws a backoff: ``width`` bits
+    from the stream's ``getrandbits``, again while above ``high``."""
+    width = randint_width(high)
+    value = draw(width)
+    while value > high:
+        value = draw(width)
+    return value
 
 
 class TestDeriveSeed:
@@ -49,8 +63,8 @@ class TestRandomStream:
         assert all(1.0 <= v <= 2.0 for v in values)
 
     def test_backoff_slots_range(self):
-        stream = RandomStream(3)
-        values = [stream.backoff_slots() for _ in range(2000)]
+        draw = bit_source(RandomStream(3))
+        values = [_randint_loop(draw, 1023) for _ in range(2000)]
         assert min(values) >= 0
         assert max(values) <= 1023
         # Uniform over 0..1023 should hit both tails in 2000 draws.
@@ -77,3 +91,17 @@ class TestRandomStream:
     def test_name_tracks_path(self):
         stream = RandomStream(7, "exp").child("slave", "3")
         assert stream.name == "exp/slave/3"
+
+
+class TestRandintLoop:
+    @pytest.mark.parametrize("high", [0, 1, 2, 63, 1023, 1024, 4095])
+    def test_equals_randint_draw_for_draw(self, high):
+        # The inline loop consumes the stream exactly as randint does:
+        # every value and every rejected draw, in order.
+        for seed in range(50):
+            stream = RandomStream(seed, "draws")
+            draw = bit_source(stream)
+            reference = random.Random(stream.seed)
+            looped = [_randint_loop(draw, high) for _ in range(200)]
+            assert looped == [reference.randint(0, high) for _ in range(200)]
+            assert stream.random() == reference.random()
