@@ -5,7 +5,8 @@ series and every span name the pipeline emits; dashboards, trace
 tooling, and the scoreboard all key on those names.  A registration
 outside the catalogue is either a typo (it silently creates a parallel
 series or splits a causal lane) or an undocumented name nobody will
-find — both are lint failures.
+find — both are lint failures.  So is a metric name the rule cannot
+read: a helper that forwards the name it is given would hide a typo.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ _SPAN_METHODS = frozenset({"begin", "instant"})
 #: The linter itself registers nothing; keep it out of scope so fixture
 #: snippets in its tests do not need a catalogue.
 _EXCLUDED_PACKAGES = ("repro.lint",)
+
+#: The registry forwards the names its callers pass; everywhere else a
+#: metric name must be a literal this rule can check.
+_FORWARDING_MODULES = frozenset({"repro.obs.metrics"})
 
 
 @rule(
@@ -64,6 +69,14 @@ def check_obs001(ctx: FileContext) -> Iterator[Violation]:
             continue
         first = node.args[0]
         if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
+            if kind == "metric" and ctx.module not in _FORWARDING_MODULES:
+                yield at_node(
+                    node,
+                    f"metric name passed to {attr}() is not a string literal, so "
+                    "it cannot be checked against "
+                    f"{METRIC_CATALOGUE_PATH.as_posix()}; register the series "
+                    "with its literal name",
+                )
             continue
         name = first.value
         if "." not in name:

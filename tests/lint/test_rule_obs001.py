@@ -92,9 +92,26 @@ class TestRule:
         source = "def f(c):\n    c.counter('plain')\n"
         assert obs_findings(source, project) == []
 
-    def test_dynamic_names_are_out_of_scope(self, project):
+    def test_dynamic_names_pass_only_in_the_registry(self, project):
         source = "def f(metrics, name):\n    metrics.counter(name).inc()\n"
-        assert obs_findings(source, project) == []
+        assert len(obs_findings(source, project)) == 1
+        assert obs_findings(source, project, module="repro.obs.metrics") == []
+
+    def test_forwarding_helper_is_flagged(self, project):
+        # A helper that forwards the series name hides a misspelling
+        # from the literal check at its call sites.
+        source = (
+            "class Runner:\n"
+            "    def _count(self, name, amount=1):\n"
+            "        self.metrics.counter(name).inc(amount)\n"
+            "\n"
+            "    def run(self):\n"
+            "        self._count('runner.trials_dispatchd')\n"
+        )
+        findings = obs_findings(source, project, module="repro.runner.executor")
+        assert len(findings) == 1
+        assert "not a string literal" in findings[0].message
+        assert findings[0].line == 3
 
     def test_no_catalogue_means_no_findings(self):
         source = "def f(metrics):\n    metrics.counter('sim.whatever').inc()\n"
