@@ -8,7 +8,6 @@ from repro.building.floorplan import FloorPlan, FloorPlanError, Passage, Room
 from repro.building.geometry import Rect
 from repro.building.layouts import (
     academic_department,
-    linear_wing,
     multi_floor_department,
     two_room_testbed,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "Rect",
     "Room",
     "academic_department",
-    "linear_wing",
     "multi_floor_department",
     "render_occupancy",
     "two_room_testbed",

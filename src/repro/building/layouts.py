@@ -6,8 +6,6 @@ here mirror that setting at several scales:
 * :func:`academic_department` — a 12-room floor resembling the paper's
   deployment: labs, offices, a library, a seminar room, and two
   corridors.
-* :func:`linear_wing` — ``n`` identical 10 m rooms on a chain, a
-  controlled topology whose path lengths are easy to assert on.
 * :func:`two_room_testbed` — the smallest interesting building: two
   adjacent rooms, for protocol-level tests.
 * :func:`multi_floor_department` — the department replicated per floor,
@@ -50,30 +48,6 @@ def academic_department() -> FloorPlan:
         Passage("kitchen", "corridor-e", 5.0),
     ]
     return FloorPlan.from_rooms(rooms, passages)
-
-
-def linear_wing(rooms: int) -> FloorPlan:
-    """``rooms`` identical 10 m x 10 m rooms on a chain.
-
-    Adjacent rooms are 10.0 m apart door-to-door, so shortest-path
-    distances are exact multiples of 10 — handy for asserting on
-    navigation answers.
-    """
-    if rooms < 1:
-        raise ValueError(f"a wing needs at least one room: {rooms}")
-    room_list = [
-        Room(
-            f"wing-{index}",
-            Rect(11.0 * index, 0, 11.0 * index + 10.0, 10.0),
-            label=f"Wing Room {index}",
-        )
-        for index in range(rooms)
-    ]
-    passages = [
-        Passage(f"wing-{index}", f"wing-{index + 1}", 10.0)
-        for index in range(rooms - 1)
-    ]
-    return FloorPlan.from_rooms(room_list, passages)
 
 
 def two_room_testbed() -> FloorPlan:

@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.bluetooth.constants import MAX_ACTIVE_SLAVES
-from repro.building.layouts import linear_wing, two_room_testbed
+from repro.building.layouts import two_room_testbed
 from repro.core.config import BIPSConfig
 from repro.core.simulation import BIPSSimulation
+from tests.layouts import linear_wing
 
 
 def enrolling_sim(plan=None, seed=21, **overrides):

@@ -8,9 +8,10 @@ from typing import Callable, Optional, Sequence
 
 import pytest
 
-from repro.building.layouts import academic_department, linear_wing, multi_floor_department
+from repro.building.layouts import academic_department, multi_floor_department
 from repro.core.errors import UnknownRoomError
 from repro.core.pathfinding import AllPairsPaths, Graph, PathResult
+from tests.layouts import linear_wing
 
 
 def validate_against_reference(

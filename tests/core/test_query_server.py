@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bluetooth.address import BDAddr
-from repro.building.layouts import academic_department, linear_wing
+from repro.building.layouts import academic_department
 from repro.core.errors import AccessDeniedError, NotLoggedInError, UnknownUserError
 from repro.core.location_db import LocationDatabase
 from repro.core.pathfinding import AllPairsPaths
@@ -24,6 +24,7 @@ from repro.lan.messages import (
     WorkstationHello,
 )
 from repro.lan.transport import LANTransport
+from tests.layouts import linear_wing
 
 ALICE_DEV = BDAddr(0x100)
 BOB_DEV = BDAddr(0x200)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bluetooth.address import BDAddr
-from repro.building.layouts import linear_wing
+from tests.layouts import linear_wing
 from repro.core.location_db import LocationDatabase
 from repro.core.registry import UserRegistry
 from repro.core.reports import OccupancyReport

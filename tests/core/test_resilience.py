@@ -7,7 +7,7 @@ import pytest
 from repro.bluetooth.address import BDAddr
 from repro.bluetooth.device import BluetoothDevice
 from repro.bluetooth.packets import FHSPacket
-from repro.building.layouts import linear_wing, two_room_testbed
+from repro.building.layouts import two_room_testbed
 from repro.core.config import BIPSConfig
 from repro.core.scheduler import MasterSchedulingPolicy
 from repro.core.simulation import BIPSSimulation
@@ -15,6 +15,7 @@ from repro.core.workstation import Workstation
 from repro.lan.messages import PresenceUpdate
 from repro.lan.transport import LANTransport
 from repro.sim.clock import ticks_from_seconds
+from tests.layouts import linear_wing
 
 DEV = BDAddr(0x55)
 CYCLE = ticks_from_seconds(15.4)

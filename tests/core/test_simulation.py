@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.building.layouts import linear_wing, two_room_testbed
+from repro.building.layouts import two_room_testbed
 from repro.core.config import BIPSConfig
 from repro.core.errors import AccessDeniedError
 from repro.core.registry import VisibilityPolicy
 from repro.core.simulation import BIPSSimulation
 from repro.lan.messages import LocationResponse, PathResponse
+from tests.layouts import linear_wing
 
 
 def small_sim(seed: int = 1, **config_overrides) -> BIPSSimulation:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.building.layouts import linear_wing
+from tests.layouts import linear_wing
 from repro.core.config import BIPSConfig
 from repro.core.errors import AccessDeniedError
 from repro.core.registry import VisibilityPolicy

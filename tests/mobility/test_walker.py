@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.building.layouts import academic_department, linear_wing
+from repro.building.layouts import academic_department
 from repro.mobility.walker import BuildingWalker, RoomVisit, WalkTimeline
 from repro.sim.clock import ticks_from_seconds
 from repro.sim.rng import RandomStream
+from tests.layouts import linear_wing
 
 
 class TestRoomVisit:
