@@ -700,7 +700,10 @@ class InquiryScanSwarm:
                             # ``tick`` gives the next hear at once, by the
                             # same fact as a CONTINUOUS response's.
                             hear_tick, stop, position = cursors[row]
-                            heard = hear_tick - (hear_tick - tick) // TICKS_PER_TRAIN_PASS * TICKS_PER_TRAIN_PASS
+                            # The cursor's first pass at or after ``tick``.
+                            heard = hear_tick - (
+                                (hear_tick - tick) // TICKS_PER_TRAIN_PASS * TICKS_PER_TRAIN_PASS
+                            )
                             if resume and hear_tick <= tick and heard < stop:
                                 cursors[row] = (heard, stop, position)
                             else:
@@ -734,8 +737,8 @@ class InquiryScanSwarm:
                             state[row] = _SEEKING
                             act = _ACT_HEAR
                         if act == _ACT_BACKOFF_END:
-                            # The row's one draw: randint(0, backoff_max)
-                            # as Random draws it (see randint_width).
+                            # The row's one draw: randint(0, backoff_max),
+                            # exactly as Random draws it (see bit_source).
                             backoffs[row] += 1
                             draw = draws[row]
                             slots = draw(backoff_bits)
