@@ -6,22 +6,31 @@ Design points (see docs/performance.md):
   the workload returns the number of units it processed (events,
   simulated ticks).  Building the workload is outside the
   timed region, so setup cost never pollutes the measurement.
-* Each case runs ``repeats`` times; the report keeps the median and
-  p90 of the per-repeat wall time and the unit rate derived from the
-  median (median is robust to one noisy repeat, p90 documents spread).
-* Every run also times a fixed pure-Python **calibration** workload
-  and records each case's rate *relative* to it.  Absolute rates are
-  machine-speed artefacts; the normalized score cancels the host out,
-  which is what makes a committed ``benchmarks/baseline.json``
-  comparable across laptops and CI runners.
+* The suite is timed in one tree at a time, a *side*: :func:`run_suite`
+  runs :data:`SIDE_SCRIPT` in a fresh interpreter whose ``PYTHONPATH``
+  is that tree's ``src``.  The script reads only two names from the
+  tree, ``repro.bench.suite.SUITE`` and
+  ``repro.bench.harness.time_workload``, so a checkout of any revision
+  that has them can be timed against the working tree.
+* Each case runs ``repeats`` times on a fresh workload; the side keeps
+  the median and p90 of the per-repeat wall time and the unit rate
+  derived from the median (median is robust to one noisy repeat, p90
+  documents spread).  Absolute times are host artefacts: only a
+  ratio between two sides timed on one host, in alternating order,
+  says anything about the code (see :mod:`repro.bench.report`).
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional
 
 #: A benchmark workload: runs once, returns units processed.
@@ -37,22 +46,16 @@ Timer = Callable[[], float]
 
 @dataclass(frozen=True)
 class BenchCase:
-    """One pinned benchmark: a name, a workload factory, parameters.
-
-    ``params`` feed the config digest: change a workload's shape and
-    the digest changes, which voids baseline comparisons for the case
-    instead of silently comparing different experiments.
-    """
+    """One pinned benchmark: a name, a workload factory, its unit."""
 
     name: str
     factory: WorkloadFactory
     unit: str
-    params: tuple[tuple[str, object], ...] = ()
 
 
 @dataclass
 class CaseResult:
-    """Timing outcome of one case."""
+    """Timing outcome of one case on one side."""
 
     name: str
     unit: str
@@ -61,9 +64,13 @@ class CaseResult:
     median_s: float
     p90_s: float
     rate_per_s: float
-    #: ``rate_per_s / calibration rate`` — the machine-neutral score.
-    normalized: float
     samples_s: list[float] = field(default_factory=list)
+
+
+#: Times the suite in one tree: (its ``src`` directory, repeats) to the
+#: result of each case, by name.  :func:`run_suite` unless a test feeds
+#: synthetic timings.
+SideRunner = Callable[[Path, int], dict[str, CaseResult]]
 
 
 def percentile(sorted_samples: list[float], fraction: float) -> float:
@@ -82,25 +89,6 @@ def median(sorted_samples: list[float]) -> float:
     if len(sorted_samples) % 2:
         return sorted_samples[mid]
     return 0.5 * (sorted_samples[mid - 1] + sorted_samples[mid])
-
-
-#: Iterations of the calibration loop (fixed: part of the contract).
-CALIBRATION_ITERATIONS = 400_000
-
-
-def calibration_workload() -> int:
-    """The fixed pure-Python workload every run is normalized against.
-
-    Deliberately boring: integer arithmetic, attribute-free, no
-    allocation-heavy tricks — a proxy for "how fast does this host run
-    plain CPython bytecode", which is the denominator that makes bench
-    scores portable.
-    """
-    total = 0
-    for i in range(CALIBRATION_ITERATIONS):
-        total += i ^ (i >> 3)
-    # Consume the result so the loop cannot be argued away.
-    return CALIBRATION_ITERATIONS + (total & 1)
 
 
 def time_workload(
@@ -128,62 +116,107 @@ def time_workload(
     return elapsed, units
 
 
-def measure_case(
-    case: BenchCase,
-    repeats: int,
-    calibration_rate: float,
-    timer: Timer = time.perf_counter,
-) -> CaseResult:
-    """Run one case ``repeats`` times and summarise."""
-    if repeats <= 0:
-        raise ValueError(f"repeats must be positive: {repeats}")
-    samples: list[float] = []
-    units = 0
-    for _ in range(repeats):
-        workload = case.factory()
-        elapsed, units = time_workload(workload, timer)
-        samples.append(elapsed)
-    samples.sort()
+def summarise(name: str, unit: str, units: int, samples_s: list[float]) -> CaseResult:
+    """One case's result from its per-repeat wall times."""
+    samples = sorted(samples_s)
     median_s = median(samples)
-    rate = units / median_s if median_s > 0 else 0.0
     return CaseResult(
-        name=case.name,
-        unit=case.unit,
+        name=name,
+        unit=unit,
         units=units,
-        repeats=repeats,
+        repeats=len(samples),
         median_s=median_s,
         p90_s=percentile(samples, 0.9),
-        rate_per_s=rate,
-        normalized=rate / calibration_rate if calibration_rate > 0 else 0.0,
+        rate_per_s=units / median_s if median_s > 0 else 0.0,
         samples_s=samples,
     )
 
 
-def measure_calibration(
-    repeats: int, timer: Timer = time.perf_counter
-) -> tuple[float, float]:
-    """Time the calibration workload; return (median seconds, rate)."""
-    samples: list[float] = []
-    units = 0
-    for _ in range(max(3, repeats)):
-        elapsed, units = time_workload(calibration_workload, timer)
-        samples.append(elapsed)
-    samples.sort()
-    median_s = median(samples)
-    return median_s, (units / median_s if median_s > 0 else 0.0)
+#: What a side runs, with the tree under test first on ``sys.path``:
+#: every case ``repeats`` times (``argv[1]``), each on a fresh workload,
+#: printed as ``{name: [unit, [[seconds, units], ...]]}``.  It must keep
+#: to names every revision it is paired against has.
+SIDE_SCRIPT = """\
+import json
+import sys
+
+from repro.bench.harness import time_workload
+from repro.bench.suite import SUITE
+
+repeats = int(sys.argv[1])
+print(json.dumps({
+    case.name: [case.unit, [time_workload(case.factory()) for _ in range(repeats)]]
+    for case in SUITE
+}))
+"""
 
 
-def run_suite(
-    cases: list[BenchCase],
+def run_suite(src: Path, repeats: int) -> dict[str, CaseResult]:
+    """Time the suite of the tree at ``src`` in a fresh interpreter.
+
+    The child runs in ``src`` with ``PYTHONPATH`` set to it alone, so
+    neither this process's tree nor the caller's working directory can
+    shadow the code under test.  Raises :class:`RuntimeError` when the
+    child fails (a tree without the suite, a crashed workload).
+    """
+    if repeats <= 0:
+        raise ValueError(f"repeats must be positive: {repeats}")
+    child = subprocess.run(
+        [sys.executable, "-c", SIDE_SCRIPT, str(repeats)],
+        cwd=src,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    if child.returncode != 0:
+        raise RuntimeError(f"timing {src} failed:\n{child.stderr.strip()}")
+    results: dict[str, CaseResult] = {}
+    printed = child.stdout.splitlines()[-1]
+    for name, (unit, runs) in json.loads(printed).items():
+        results[name] = summarise(
+            name, unit, runs[-1][1], [elapsed for elapsed, _ in runs]
+        )
+    return results
+
+
+#: Pairs of sides per paired run.  Fixed, not a flag: at least ten
+#: alternating pairs is the rule every perf claim here is settled by
+#: (docs/performance.md).
+PAIRS = 10
+
+
+@dataclass(frozen=True)
+class Pair:
+    """One pair of sides timed back to back: the working tree (head)
+    and the revision it is judged against (parent, ``None`` when the
+    head is timed alone)."""
+
+    head: dict[str, CaseResult]
+    parent: Optional[dict[str, CaseResult]]
+    head_first: bool
+
+
+def run_pairs(
+    head_src: Path,
+    parent_src: Path,
     repeats: int,
-    progress: Optional[Callable[[str], None]] = None,
-    timer: Timer = time.perf_counter,
-) -> tuple[list[CaseResult], float]:
-    """Measure every case; returns (results, calibration rate)."""
-    _, calibration_rate = measure_calibration(repeats, timer)
-    results = []
-    for case in cases:
-        if progress is not None:
-            progress(case.name)
-        results.append(measure_case(case, repeats, calibration_rate, timer))
-    return results, calibration_rate
+    side: SideRunner,
+    progress: Callable[[str], None],
+) -> list[Pair]:
+    """Time :data:`PAIRS` pairs, alternating which side runs first.
+
+    Running second can be systematically faster (a warmed file cache)
+    or slower (a throttled core); alternating puts that bias on each
+    side equally often, so it cancels in the median ratio.
+    """
+    trees = {"head": head_src, "parent": parent_src}
+    pairs: list[Pair] = []
+    for index in range(PAIRS):
+        head_first = index % 2 == 0
+        timed: dict[str, dict[str, CaseResult]] = {}
+        for name in ("head", "parent") if head_first else ("parent", "head"):
+            progress(f"pair {index + 1}/{PAIRS}: {name}")
+            timed[name] = side(trees[name], repeats)
+        pairs.append(Pair(timed["head"], timed["parent"], head_first))
+    return pairs

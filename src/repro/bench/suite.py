@@ -8,13 +8,11 @@
   path, where the paper artefacts spend their time.
 
 End-to-end wall times of whole workloads are ``bipsbench``'s job; this
-suite is the fast, calibration-normalized regression gate.
+suite is the fast regression gate, timed against a paired revision.
 
-Workload shapes are part of the baseline contract: every parameter
-that affects a measurement is listed in the case's ``params`` tuple,
-which feeds the config digest in the emitted JSON.  Changing a
-workload therefore *voids* comparison against older baselines for
-that case rather than producing a silent apples-to-oranges delta.
+A revision is paired by case name, so a change to a workload's shape
+is judged against the old shape: such a change is its own commit,
+and the next paired run starts from it.
 """
 
 from __future__ import annotations
@@ -121,29 +119,8 @@ def swarm_piconet_100_factory() -> Workload:
 # -- the pinned suite --------------------------------------------------------
 
 SUITE: tuple[BenchCase, ...] = (
+    BenchCase(name="kernel_events", factory=kernel_events_factory, unit="events"),
     BenchCase(
-        name="kernel_events",
-        factory=kernel_events_factory,
-        unit="events",
-        params=(
-            ("events", KERNEL_EVENTS),
-            ("chains", KERNEL_CHAINS),
-            ("stride_ticks", KERNEL_STRIDE_TICKS),
-        ),
-    ),
-    BenchCase(
-        name="swarm_piconet_100",
-        factory=swarm_piconet_100_factory,
-        unit="sim_ticks",
-        # ``piconets`` stays so the config digest matches earlier
-        # BENCH documents.
-        params=(
-            ("piconets", 1),
-            ("slaves", SWARM_PICONET_SLAVES),
-            ("window_ticks", SWARM_PICONET_WINDOW_TICKS),
-            ("period_ticks", SWARM_PICONET_PERIOD_TICKS),
-            ("horizon_ticks", SWARM_PICONET_HORIZON_TICKS),
-            ("seed", SWARM_SEED),
-        ),
+        name="swarm_piconet_100", factory=swarm_piconet_100_factory, unit="sim_ticks"
     ),
 )

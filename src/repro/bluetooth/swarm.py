@@ -62,12 +62,11 @@ row's next due tick inline; ``_queue`` serves only :meth:`start_row`.
 The master sends a position once per 10 ms train pass until its run
 ends, and a row listens on it until its scan segment ends, so a row
 whose rendezvous cursor is still open needs no search: a CONTINUOUS
-responder hears again one pass later, and a row listening under its own
-windows after a backoff hears at the cursor's first pass at or after the
-backoff's end, each while that stays before the cursor's integer stop
-(the end of the run or of the segment, whichever is first).  A backoff
-is drawn from the row's stream exactly as ``randint`` would draw it
-(:func:`~repro.sim.rng.bit_source`).
+responder hears again one pass later, and a row after a backoff hears at
+the cursor's first pass at or after the backoff's end, each while that
+stays before the cursor's integer stop (the end of the run or of the
+segment, whichever is first).  A backoff is drawn from the row's stream
+exactly as ``randint`` would draw it (:func:`~repro.sim.rng.bit_source`).
 
 When every entry of the train pass that starts at the timeline head is
 such a bucket, pass after pass repeats the same FHS groups with the
@@ -320,11 +319,9 @@ class InquiryScanSwarm:
             self._draws,
             cfg.backoff_max_slots,
             randint_width(cfg.backoff_max_slots),
-            # After a backoff the row listens under its own windows
-            # (``next_hear`` records a cursor) unless a windowed scan
-            # re-enters at once, ignoring them; inqrespTO applies while
-            # it listens throughout.
-            self._continuous or not reentry_immediate,
+            # After a backoff a windowed scan that re-enters at once
+            # searches without its windows; inqrespTO applies while the
+            # row listens throughout.
             reentry_immediate,
             self._continuous or reentry_immediate,
         )
@@ -595,7 +592,7 @@ class InquiryScanSwarm:
             addresses, ids_heard, responses, response_ticks, first_response,
             sequence, groups, resolve, repeat, receiver, filtered, mode,
             windowless, timeout, first_heard, backoffs, draws, backoff_max,
-            backoff_bits, resume, reentry_immediate, timed,
+            backoff_bits, reentry_immediate, timed,
         ) = self._wake_locals
         bound = self.kernel.drain_bound
         announce = self._announce
@@ -695,16 +692,19 @@ class InquiryScanSwarm:
                                     state[row] = _SEEKING
                                     act = _ACT_HEAR
                         elif act == _ACT_BACKOFF_END:
-                            # Listen again after the backoff.  Under the
-                            # row's own windows a cursor run still open at
-                            # ``tick`` gives the next hear at once, by the
-                            # same fact as a CONTINUOUS response's.
+                            # Listen again after the backoff.  A cursor run
+                            # still open at ``tick`` gives the next hear at
+                            # once, by the same fact as a CONTINUOUS
+                            # response's.  That holds for a windowed scan
+                            # re-entering at once too: the cursor lies in one
+                            # of its windows, so the window-free search finds
+                            # the same pass in the same segment and run.
                             hear_tick, stop, position = cursors[row]
                             # The cursor's first pass at or after ``tick``.
                             heard = hear_tick - (
                                 (hear_tick - tick) // TICKS_PER_TRAIN_PASS * TICKS_PER_TRAIN_PASS
                             )
-                            if resume and hear_tick <= tick and heard < stop:
+                            if hear_tick <= tick and heard < stop:
                                 cursors[row] = (heard, stop, position)
                             else:
                                 found = next_hear(row, tick, reentry_immediate)

@@ -37,7 +37,7 @@ import json
 import random
 import time
 from types import MappingProxyType
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Optional, Union
 
 from repro.sim.rng import derive_seed
 
@@ -296,10 +296,6 @@ class SpanTracer:
     def records(self) -> list[dict[str, Any]]:
         """All spans as plain dicts, in creation order (deterministic)."""
         return [span.to_record() for span in self.spans]
-
-    def by_category(self, category: str) -> Iterator[Span]:
-        """Iterate spans of one layer."""
-        return (span for span in self.spans if span.category == category)
 
     def __len__(self) -> int:
         return len(self.spans)

@@ -76,28 +76,6 @@ class RandomStream:
         """Sample ``k`` distinct elements of ``items``."""
         return self._rng.sample(items, k)
 
-    def shuffle(self, items: list[T]) -> None:
-        """Shuffle ``items`` in place."""
-        self._rng.shuffle(items)
-
-    def expovariate(self, rate: float) -> float:
-        """Exponential variate with the given rate (1/mean)."""
-        return self._rng.expovariate(rate)
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        """Normal variate."""
-        return self._rng.gauss(mu, sigma)
-
-    def triangular(self, low: float, high: float, mode: float) -> float:
-        """Triangular variate."""
-        return self._rng.triangular(low, high, mode)
-
-    def permutation(self, n: int) -> list[int]:
-        """A uniformly random permutation of ``range(n)``."""
-        values = list(range(n))
-        self._rng.shuffle(values)
-        return values
-
     def __repr__(self) -> str:
         return f"RandomStream(name={self.name!r}, seed={self.seed})"
 

@@ -7,16 +7,47 @@ import gc
 import pytest
 
 from repro.bench.harness import (
-    BenchCase,
-    calibration_workload,
-    CALIBRATION_ITERATIONS,
-    measure_calibration,
-    measure_case,
+    PAIRS,
     median,
     percentile,
+    run_pairs,
     run_suite,
+    summarise,
     time_workload,
 )
+
+#: A stand-in tree for ``run_suite``: its ``time_workload`` reports a
+#: fixed 0.25 s, and its one case's workload returns how many times
+#: the factory has been called.
+FAKE_HARNESS = """\
+def time_workload(workload):
+    return 0.25, workload()
+"""
+FAKE_SUITE = """\
+from types import SimpleNamespace
+
+builds = []
+
+
+def factory():
+    builds.append(1)
+    built = len(builds)
+    return lambda: built
+
+
+SUITE = (SimpleNamespace(name="fresh", unit="ops", factory=factory),)
+"""
+
+
+@pytest.fixture
+def fake_tree(tmp_path):
+    bench = tmp_path / "src" / "repro" / "bench"
+    bench.mkdir(parents=True)
+    (bench.parent / "__init__.py").write_text("")
+    (bench / "__init__.py").write_text("")
+    (bench / "harness.py").write_text(FAKE_HARNESS)
+    (bench / "suite.py").write_text(FAKE_SUITE)
+    return tmp_path / "src"
 
 
 class TestStatistics:
@@ -63,39 +94,29 @@ class TestTimeWorkload:
             time_workload(boom)
         assert gc.isenabled()
 
-    def test_calibration_workload_unit_count(self):
-        # The unit count is fixed modulo the low parity bit it keeps
-        # alive; it must not drift with interpreter details.
-        units = calibration_workload()
-        assert units in (CALIBRATION_ITERATIONS, CALIBRATION_ITERATIONS + 1)
-
 
 class TestMeasureCase:
-    def test_basic_measurement(self):
-        case = BenchCase(name="noop", factory=lambda: (lambda: 10), unit="ops")
-        result = measure_case(case, repeats=3, calibration_rate=1000.0)
-        assert result.units == 10
-        assert result.repeats == 3
-        assert len(result.samples_s) == 3
-        assert result.samples_s == sorted(result.samples_s)
-        assert result.rate_per_s > 0
-        assert result.normalized == pytest.approx(result.rate_per_s / 1000.0)
+    """``run_suite`` times the tree it is given, in a fresh interpreter."""
 
-    def test_nonpositive_repeats_raise(self):
-        case = BenchCase(name="noop", factory=lambda: (lambda: 1), unit="ops")
+    def test_basic_measurement(self, fake_tree):
+        result = run_suite(fake_tree, 3)["fresh"]
+        assert (result.name, result.unit, result.repeats) == ("fresh", "ops", 3)
+        # The stand-in tree's clock, not this process's code, timed it.
+        assert result.samples_s == [0.25, 0.25, 0.25]
+        assert result.median_s == result.p90_s == 0.25
+        assert result.rate_per_s == result.units / 0.25
+
+    def test_nonpositive_repeats_raise(self, fake_tree):
         with pytest.raises(ValueError):
-            measure_case(case, repeats=0, calibration_rate=1.0)
+            run_suite(fake_tree, 0)
 
-    def test_fresh_workload_per_repeat(self):
-        builds = []
+    def test_fresh_workload_per_repeat(self, fake_tree):
+        assert run_suite(fake_tree, 4)["fresh"].units == 4
 
-        def factory():
-            builds.append(1)
-            return lambda: 1
-
-        case = BenchCase(name="fresh", factory=factory, unit="ops")
-        measure_case(case, repeats=4, calibration_rate=1.0)
-        assert len(builds) == 4
+    def test_failed_side_raises(self, fake_tree):
+        (fake_tree / "repro" / "bench" / "suite.py").write_text("SUITE = None\n")
+        with pytest.raises(RuntimeError, match="failed"):
+            run_suite(fake_tree, 1)
 
 
 class TestInjectedTimer:
@@ -103,27 +124,20 @@ class TestInjectedTimer:
         elapsed, units = time_workload(lambda: 7, ticking_timer)
         assert (elapsed, units) == (0.25, 7)
 
-    def test_run_suite_threads_the_timer_everywhere(self, ticking_timer):
-        cases = [BenchCase(name="one", factory=lambda: (lambda: 3), unit="ops")]
-        results, calibration_rate = run_suite(cases, repeats=2, timer=ticking_timer)
-        assert calibration_rate == calibration_workload() / 0.25
-        assert results[0].samples_s == [0.25, 0.25]
-        assert results[0].rate_per_s == 12.0
-        assert results[0].normalized == 12.0 / calibration_rate
 
+class TestRunPairs:
+    def test_pairs_alternate_which_side_runs_first(self, tmp_path):
+        head, parent = tmp_path / "head", tmp_path / "parent"
+        calls = []
 
-class TestRunSuite:
-    def test_progress_called_per_case(self):
-        cases = [
-            BenchCase(name="one", factory=lambda: (lambda: 1), unit="ops"),
-            BenchCase(name="two", factory=lambda: (lambda: 2), unit="ops"),
-        ]
-        seen: list[str] = []
-        results, calibration_rate = run_suite(cases, repeats=1, progress=seen.append)
-        assert seen == ["one", "two"]
-        assert [r.name for r in results] == ["one", "two"]
-        assert calibration_rate > 0
+        def side(src, repeats):
+            calls.append(src)
+            return {"case": summarise("case", "ops", 1, [1.0] * repeats)}
 
-    def test_calibration_rate_positive(self):
-        _, rate = measure_calibration(repeats=1)
-        assert rate > 0
+        steps: list[str] = []
+        pairs = run_pairs(head, parent, 2, side, steps.append)
+        assert len(pairs) == PAIRS >= 10
+        assert calls == [head, parent, parent, head] * (PAIRS // 2)
+        assert [pair.head_first for pair in pairs] == [True, False] * (PAIRS // 2)
+        assert steps[:3] == [f"pair 1/{PAIRS}: head", f"pair 1/{PAIRS}: parent", f"pair 2/{PAIRS}: parent"]
+        assert all(pair.head["case"].repeats == 2 for pair in pairs)

@@ -77,17 +77,6 @@ class TestRandomStream:
         assert stream.choice(items) in items
         assert sorted(stream.sample(items, 2))[0] in items
 
-    def test_permutation_is_a_permutation(self):
-        stream = RandomStream(5)
-        perm = stream.permutation(16)
-        assert sorted(perm) == list(range(16))
-
-    def test_shuffle_in_place(self):
-        stream = RandomStream(6)
-        items = list(range(50))
-        stream.shuffle(items)
-        assert sorted(items) == list(range(50))
-
     def test_name_tracks_path(self):
         stream = RandomStream(7, "exp").child("slave", "3")
         assert stream.name == "exp/slave/3"
