@@ -60,13 +60,13 @@ def main() -> None:
     else:
         print(f"Student's query failed: {path.reason}")
 
-    # Query-engine accounting on the server side.
-    stats = sim.server.queries.stats
+    # The server's own query accounting, per kind.
+    served, failed = sim.server.queries_served, sim.server.queries_failed
     print(
-        f"\nserver stats: {stats.location_queries} location queries "
-        f"({stats.location_denied} denied), {stats.path_queries} path queries"
+        f"\nserver stats: {served['location']} location queries "
+        f"({failed['location']} failed), {served['path']} path queries "
+        f"({failed['path']} failed)"
     )
-    print(f"denials by type: {stats.by_error}")
 
 
 if __name__ == "__main__":

@@ -20,13 +20,12 @@ class FHSPacket(NamedTuple):
     order to page the device later.
 
     The inquiry-scan swarm builds one only when the master's receiver
-    needs it: for a first discovery, or for every transmitter under a
-    reachability predicate, whether or not spans are on.  A repeat
-    response from a device the master already knows costs no packet
-    (6,107 packets for 651,754 responses in one benchmark run of the
-    paper artefacts).  A
-    ``NamedTuple`` rather than a frozen dataclass: it builds about three
-    times faster, and is just as immutable.
+    needs it, for a first discovery, whether or not spans are on.  A
+    repeat response from a device the master already knows costs no
+    packet (6,107 packets for 651,754 responses in one benchmark run of
+    the paper artefacts).  A ``NamedTuple`` rather than a frozen
+    dataclass: it builds about three times faster, and is just as
+    immutable.
     """
 
     sender: BDAddr

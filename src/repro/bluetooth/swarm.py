@@ -36,8 +36,8 @@ call.  At the group's tick the channel's collision rule resolves it
 (:meth:`~repro.radio.channel.ResponseChannel.resolve`).  A lone response
 from a device the master already knows goes to the master's repeat
 receiver as a bare address; an :class:`~repro.bluetooth.packets.FHSPacket`
-is built only when the master's receiver needs one (a first discovery)
-or a reachability predicate reads every transmitter's.
+is built only when the master's receiver needs one (a first discovery).
+A reachability predicate reads each transmitter's address, not a packet.
 
 Due buckets and the FHS groups the swarm opens are not kernel
 events but entries ``(tick, seq, kind)`` of one swarm-local heap, the
@@ -310,7 +310,6 @@ class InquiryScanSwarm:
             channel.resolve,
             channel.repeat_receiver,
             channel.receiver,
-            channel.reachable is not None,
             self._mode_code,
             self._continuous,
             self._response_timeout,
@@ -590,7 +589,7 @@ class InquiryScanSwarm:
         (
             heap, clock, due, reserve, state, action, cursors, offsets,
             addresses, ids_heard, responses, response_ticks, first_response,
-            sequence, groups, resolve, repeat, receiver, filtered, mode,
+            sequence, groups, resolve, repeat, receiver, mode,
             windowless, timeout, first_heard, backoffs, draws, backoff_max,
             backoff_bits, reentry_immediate, timed,
         ) = self._wake_locals
@@ -785,20 +784,16 @@ class InquiryScanSwarm:
                 # Deliver the (tick, kind) FHS group ``rows``.  A lone
                 # survivor the master already knows goes to its repeat
                 # receiver without a packet; a packet is built only for the
-                # receiver (a first discovery) or, under a
-                # reachability predicate, for every transmitter.
-                if filtered:
-                    self._settle_filtered(tick, kind, rows)
-                else:
-                    lone = resolve(tick, kind, rows, addresses)
-                    if lone >= 0:
-                        row = rows[lone]
-                        sender = addresses[row]
-                        if repeat is None or not repeat(sender, tick):
-                            receiver(
-                                FHSPacket(sender, (tick + offsets[row]) % CLKN_WRAP, kind, tick),
-                                tick,
-                            )
+                # receiver (a first discovery).
+                lone = resolve(tick, kind, rows, addresses)
+                if lone >= 0:
+                    row = rows[lone]
+                    sender = addresses[row]
+                    if repeat is None or not repeat(sender, tick):
+                        receiver(
+                            FHSPacket(sender, (tick + offsets[row]) % CLKN_WRAP, kind, tick),
+                            tick,
+                        )
                 if heap and heap[0] is not head:
                     head = heap[0]
                     if head[0] <= bound:
@@ -931,20 +926,6 @@ class InquiryScanSwarm:
             heappush(timeline, entry)
         self._replay_from = retry
         return 0
-
-    def _settle_filtered(self, tick: int, rf_channel: int, rows: list[int]) -> None:
-        """Deliver an FHS group under a reachability predicate, which
-        reads every transmitter's packet."""
-        addresses = self._addresses
-        offsets = self._offset
-        packets: list[FHSPacket] = []
-        for row in rows:
-            packets.append(
-                FHSPacket(addresses[row], (tick + offsets[row]) % CLKN_WRAP, rf_channel, tick)
-            )
-        lone = self.channel.resolve(tick, rf_channel, rows, addresses, packets)
-        if lone >= 0:
-            self.channel.receiver(packets[lone], tick)
 
     def __repr__(self) -> str:
         return (

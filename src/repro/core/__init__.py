@@ -8,7 +8,7 @@
 * :class:`MasterSchedulingPolicy` — the §5 duty cycle (3.84 s / 15.4 s)
 * :class:`Graph` / :class:`AllPairsPaths` — Dijkstra and the off-line
   all-pairs precomputation (§2)
-* :class:`QueryEngine` / :class:`BIPSServer` — the central server
+* :class:`BIPSServer` — the central server, answering queries by lookup
 * :class:`BIPSSimulation` — the end-to-end facade
 """
 
@@ -24,7 +24,6 @@ from .errors import (
 )
 from .location_db import LocationDatabase, LocationEvent, LocationRecord
 from .pathfinding import AllPairsPaths, Graph, PathResult
-from .query import QueryEngine, QueryStats
 from .registry import Session, UserRecord, UserRegistry, VisibilityPolicy
 from .reports import OccupancyReport, RoomOccupancy, VisitStats
 from .scheduler import MasterSchedulingPolicy
@@ -53,8 +52,6 @@ __all__ = [
     "AllPairsPaths",
     "Graph",
     "PathResult",
-    "QueryEngine",
-    "QueryStats",
     "Session",
     "UserRecord",
     "UserRegistry",

@@ -6,8 +6,12 @@ the BIPS protocol (§2).  The server is a pure message-driven component:
 workstations push presence deltas, user sessions send login/logout and
 queries, and responses flow back to the sending endpoint.
 
-A direct-call surface (:meth:`locate`, :meth:`navigate`) exposes the
-same logic synchronously for tools and examples.
+A query is answered by lookup (§2): the registry checks that the target
+is logged in and that the querier may ask, then the location database
+gives the target's piconet and the precomputed paths the way there.  A
+direct-call surface (:meth:`locate`, :meth:`navigate`,
+:meth:`locate_at_seconds`) answers the same way synchronously for tools
+and examples.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from repro.sim.kernel import Kernel
 from .errors import BIPSError
 from .location_db import LocationDatabase
 from .pathfinding import AllPairsPaths, PathResult
-from .query import QueryEngine
 from .registry import UserRegistry
 
 
@@ -67,7 +70,6 @@ class BIPSServer:
         )
         # Off-line precomputation (§2): all shortest paths up front.
         self.paths = AllPairsPaths.from_floorplan(plan)
-        self.queries = QueryEngine(self.registry, self.location_db, self.paths)
         self._workstation_rooms: dict[str, str] = {}
         # Reverse index: room -> the workstation invalidations go to,
         # the earliest-registered one when several claim a room.
@@ -266,9 +268,9 @@ class BIPSServer:
 
     def _handle_location_query(self, source: str, message: LocationQuery) -> None:
         try:
-            room, stale = self.queries.locate_full(
-                message.querier_userid, message.target_username, self.kernel.now
-            )
+            device = self.registry.check_query_allowed(
+                message.querier_userid, message.target_username
+            ).device
         except BIPSError as error:
             response = LocationResponse(
                 sent_tick=self.kernel.now,
@@ -277,11 +279,14 @@ class BIPSServer:
                 reason=str(error),
             )
         else:
+            # An answer past the staleness horizon is still the best
+            # available; it only stops claiming to be fresh.
+            stale = self.location_db.is_stale(device, self.kernel.now)
             response = LocationResponse(
                 sent_tick=self.kernel.now,
                 query_id=message.query_id,
                 ok=True,
-                room_id=room,
+                room_id=self.location_db.current_room(device),
                 stale=stale,
             )
             self.stale_answers += stale
@@ -290,7 +295,7 @@ class BIPSServer:
 
     def _handle_path_query(self, source: str, message: PathQuery) -> None:
         try:
-            path = self.queries.navigate(message.querier_userid, message.target_username)
+            path = self._path(message.querier_userid, message.target_username)
         except BIPSError as error:
             response = PathResponse(
                 sent_tick=self.kernel.now,
@@ -336,12 +341,41 @@ class BIPSServer:
                 lag_ticks=self.kernel.now - message.sent_tick,
             )
 
+    def _path(self, querier_userid: str, target_username: str) -> Optional[PathResult]:
+        """Shortest path from the querier's room to the target's room.
+
+        None when either endpoint is currently untracked.  Raises what
+        :meth:`UserRegistry.check_query_allowed` raises.
+        """
+        current_room = self.location_db.current_room
+        target_room = current_room(
+            self.registry.check_query_allowed(querier_userid, target_username).device
+        )
+        if target_room is None:
+            return None
+        # The checks above found the querier logged in.
+        querier_room = current_room(self.registry.device_of(querier_userid))
+        if querier_room is None:
+            return None
+        return self.paths.path(querier_room, target_room)
+
     # -- direct-call surface ------------------------------------------------------
 
     def locate(self, querier_userid: str, target_username: str) -> Optional[str]:
-        """Synchronous location query (same semantics as the LAN path)."""
+        """The paper's spatio-temporal query: the target's current piconet.
+
+        Returns the room id, or None when the target is logged in but
+        currently untracked (e.g. walking a corridor between piconets).
+
+        Raises:
+            NotLoggedInError: querier or target has no live session.
+            AccessDeniedError: the target's access rights exclude the querier.
+            UnknownUserError: no such target username.
+        """
         self.queries_served["location"] += 1
-        room = self.queries.locate(querier_userid, target_username)
+        room = self.location_db.current_room(
+            self.registry.check_query_allowed(querier_userid, target_username).device
+        )
         if self._spans is not None:
             # Direct calls have no transit, hence no lag.
             self._spans.instant(
@@ -351,9 +385,12 @@ class BIPSServer:
         return room
 
     def navigate(self, querier_userid: str, target_username: str) -> Optional[PathResult]:
-        """Synchronous navigation query."""
+        """Synchronous navigation query; None when either endpoint is untracked.
+
+        Raises the same errors as :meth:`locate`.
+        """
         self.queries_served["path"] += 1
-        path = self.queries.navigate(querier_userid, target_username)
+        path = self._path(querier_userid, target_username)
         if self._spans is not None:
             self._spans.instant(
                 "core.query", "core", self.kernel.now,
@@ -364,9 +401,14 @@ class BIPSServer:
     def locate_at_seconds(
         self, querier_userid: str, target_username: str, at_seconds: float
     ) -> Optional[str]:
-        """Historical location query: where was the target at ``at_seconds``?"""
-        return self.queries.locate_at(
-            querier_userid, target_username, ticks_from_seconds(at_seconds)
+        """The temporal half of §2's query: where was the target at ``at_seconds``?
+
+        Subject to the same checks as :meth:`locate`; None when the
+        position was unknown then.  Not counted as a served query.
+        """
+        return self.location_db.room_at(
+            self.registry.check_query_allowed(querier_userid, target_username).device,
+            ticks_from_seconds(at_seconds),
         )
 
     def room_of_workstation(self, workstation_id: str) -> Optional[str]:

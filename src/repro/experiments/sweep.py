@@ -19,8 +19,7 @@ from repro.analysis.tables import render_table
 from repro.bluetooth.scan import BackoffReentry, PhaseMode, ResponseMode
 from repro.runner.executor import ExperimentRunner
 
-from .duty_cycle import EXPERIMENT as SECTION5_EXPERIMENT
-from .duty_cycle import Section5Config, window_payload
+from .duty_cycle import Section5Config, run_section5
 from .figure2 import Figure2Config, run_figure2
 from .table1 import Table1Config, run_table1
 
@@ -57,70 +56,20 @@ class SweepResult:
         raise KeyError(f"no sweep row {label!r}")
 
 
-def sweep_table1_phase_mode(
-    trials: int = 300, seed: int = 77001, runner: Optional[ExperimentRunner] = None
+def _sweep_table1(
+    title: str,
+    variants: Sequence[tuple[str, dict]],
+    trials: int,
+    seed: int,
+    runner: Optional[ExperimentRunner],
 ) -> SweepResult:
-    """Ablation 6: slave listening-frequency evolution (FIXED vs SEQUENCE)."""
+    """Table 1's three mean discovery times under each ``(label,
+    overrides)`` variant of :class:`Table1Config`."""
     rows = []
-    for mode in (PhaseMode.FIXED, PhaseMode.SEQUENCE):
+    for label, overrides in variants:
         result = run_table1(
-            Table1Config(trials=trials, seed=seed, phase_mode=mode), runner=runner
+            Table1Config(trials=trials, seed=seed, **overrides), runner=runner
         )
-        rows.append(
-            SweepRow(
-                label=mode.value,
-                values=(
-                    result.same_summary.mean,
-                    result.different_summary.mean,
-                    result.mixed_summary.mean,
-                ),
-            )
-        )
-    return SweepResult(
-        title="Table-1 ablation: scan phase evolution",
-        columns=("same (s)", "different (s)", "mixed (s)"),
-        rows=rows,
-    )
-
-
-def sweep_table1_backoff_reentry(
-    trials: int = 300, seed: int = 77002, runner: Optional[ExperimentRunner] = None
-) -> SweepResult:
-    """Ablation 1: where the slave listens after its backoff."""
-    rows = []
-    for reentry in (BackoffReentry.IMMEDIATE, BackoffReentry.NEXT_WINDOW):
-        result = run_table1(
-            Table1Config(trials=trials, seed=seed, backoff_reentry=reentry),
-            runner=runner,
-        )
-        rows.append(
-            SweepRow(
-                label=reentry.value,
-                values=(
-                    result.same_summary.mean,
-                    result.different_summary.mean,
-                    result.mixed_summary.mean,
-                ),
-            )
-        )
-    return SweepResult(
-        title="Table-1 ablation: backoff re-entry policy",
-        columns=("same (s)", "different (s)", "mixed (s)"),
-        rows=rows,
-    )
-
-
-def sweep_table1_scan_interleaving(
-    trials: int = 300, seed: int = 77003, runner: Optional[ExperimentRunner] = None
-) -> SweepResult:
-    """Ablation 2: inquiry-scan-only slave vs the paper's interleaved slave."""
-    rows = []
-    for interleave in (True, False):
-        result = run_table1(
-            Table1Config(trials=trials, seed=seed, interleave_page_scan=interleave),
-            runner=runner,
-        )
-        label = "inquiry+page scan (paper)" if interleave else "inquiry scan only"
         rows.append(
             SweepRow(
                 label=label,
@@ -132,9 +81,52 @@ def sweep_table1_scan_interleaving(
             )
         )
     return SweepResult(
-        title="Table-1 ablation: slave scan interleaving",
-        columns=("same (s)", "different (s)", "mixed (s)"),
-        rows=rows,
+        title=title, columns=("same (s)", "different (s)", "mixed (s)"), rows=rows
+    )
+
+
+def sweep_table1_phase_mode(
+    trials: int = 300, seed: int = 77001, runner: Optional[ExperimentRunner] = None
+) -> SweepResult:
+    """Ablation 6: slave listening-frequency evolution (FIXED vs SEQUENCE)."""
+    return _sweep_table1(
+        "Table-1 ablation: scan phase evolution",
+        [(mode.value, dict(phase_mode=mode)) for mode in (PhaseMode.FIXED, PhaseMode.SEQUENCE)],
+        trials,
+        seed,
+        runner,
+    )
+
+
+def sweep_table1_backoff_reentry(
+    trials: int = 300, seed: int = 77002, runner: Optional[ExperimentRunner] = None
+) -> SweepResult:
+    """Ablation 1: where the slave listens after its backoff."""
+    return _sweep_table1(
+        "Table-1 ablation: backoff re-entry policy",
+        [
+            (reentry.value, dict(backoff_reentry=reentry))
+            for reentry in (BackoffReentry.IMMEDIATE, BackoffReentry.NEXT_WINDOW)
+        ],
+        trials,
+        seed,
+        runner,
+    )
+
+
+def sweep_table1_scan_interleaving(
+    trials: int = 300, seed: int = 77003, runner: Optional[ExperimentRunner] = None
+) -> SweepResult:
+    """Ablation 2: inquiry-scan-only slave vs the paper's interleaved slave."""
+    return _sweep_table1(
+        "Table-1 ablation: slave scan interleaving",
+        [
+            ("inquiry+page scan (paper)", dict(interleave_page_scan=True)),
+            ("inquiry scan only", dict(interleave_page_scan=False)),
+        ],
+        trials,
+        seed,
+        runner,
     )
 
 
@@ -200,14 +192,8 @@ def sweep_inquiry_window(
             seed=seed,
             inquiry_window_seconds=window,
         )
-        payloads = runner.map_trials(
-            SECTION5_EXPERIMENT, config, window_payload, config.replications
-        )
-        discovered = sum(payload["found"] for payload in payloads)
-        total = sum(payload["count"] for payload in payloads)
-        rows.append(
-            SweepRow(label=f"{window:.2f}s", values=(discovered / total,))
-        )
+        fraction = run_section5(config, runner).discovered_fraction
+        rows.append(SweepRow(label=f"{window:.2f}s", values=(fraction,)))
     return SweepResult(
         title=f"§5 ablation: inquiry window vs discovered fraction ({slave_count} slaves)",
         columns=("discovered fraction",),

@@ -137,7 +137,7 @@ class FaultPlan:
         outages = self.radio_outages(trial_key, horizon_tick)
         if not outages:
             return None
-        return lambda packet, tick: not in_windows(outages, tick)
+        return lambda sender, tick: not in_windows(outages, tick)
 
     def _windows(
         self,

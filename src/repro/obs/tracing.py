@@ -150,24 +150,6 @@ class Span:
         )
 
 
-class _Scope:
-    """Context manager returned by :meth:`SpanTracer.scope`."""
-
-    __slots__ = ("_tracer", "_span", "_prev")
-
-    def __init__(self, tracer: "SpanTracer", span: Optional[Span]) -> None:
-        self._tracer = tracer
-        self._span = span
-        self._prev: TraceContext = None
-
-    def __enter__(self) -> Optional[Span]:
-        self._prev = self._tracer.push(self._span)
-        return self._span
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._tracer.pop(self._prev)
-
-
 class SpanTracer:
     """Collects spans with ambient context propagation and sampling.
 
@@ -267,7 +249,7 @@ class SpanTracer:
         """The ambient context, to be re-activated at a later hop.
 
         Store this with an in-flight message and pass it as ``parent``
-        (or re-enter it with :meth:`scope`) where the message lands:
+        (or re-enter it with :meth:`push`) where the message lands:
         that is what keeps retransmit and dedup hops on the span of the
         send that caused them.
         """
@@ -286,10 +268,6 @@ class SpanTracer:
     def pop(self, prev: TraceContext) -> None:
         """Restore the context returned by the matching :meth:`push`."""
         self._current = prev
-
-    def scope(self, span: Optional[Span]) -> _Scope:
-        """``with tracer.scope(span): ...`` — push/pop as a context manager."""
-        return _Scope(self, span)
 
     # -- export ------------------------------------------------------------
 

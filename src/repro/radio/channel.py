@@ -78,8 +78,9 @@ RepeatReceiver = Callable[[Any, int], bool]
 #: every pass (see :meth:`ResponseChannel.resolve_passes`).
 PassReceiver = Callable[[list[tuple[int, Any]], int, int], bool]
 
-#: Optional reachability predicate: ``reachable(packet, tick) -> bool``.
-ReachabilityPredicate = Callable[[FHSPacket, int], bool]
+#: Optional reachability predicate: ``reachable(sender, tick) -> bool``,
+#: ``sender`` the transmitter's address.
+ReachabilityPredicate = Callable[[Any, int], bool]
 
 
 class ResponseChannel:
@@ -163,7 +164,7 @@ class ResponseChannel:
         reachable response reaches the receiver, two or more collide."""
         group = self._pending.pop((tick, rf_channel))
         senders = [packet.sender for packet in group]
-        lone = self.resolve(tick, rf_channel, range(len(group)), senders, group)
+        lone = self.resolve(tick, rf_channel, range(len(group)), senders)
         if lone >= 0:
             self.receiver(group[lone], tick)
 
@@ -174,17 +175,15 @@ class ResponseChannel:
         rf_channel: int,
         group: Sequence[int],
         addresses: Sequence[object],
-        packets: Sequence[FHSPacket] = (),
     ) -> int:
         """Apply the collision rule to one ``(tick, rf_channel)`` group.
 
         ``group`` lists the transmitters in announce order, as indices
-        into ``addresses``.  ``packets`` holds their packets in the same
-        order; only the reachability predicate reads it, once per
-        transmitter in that order, so it is required only when the
-        channel has one.  Returns the position in ``group`` of the lone
-        response that reaches the master, or -1 when none does: all were
-        filtered out, or two or more collided.
+        into ``addresses``; the reachability predicate, if any, reads
+        each transmitter's address once, in that order.  Returns the
+        position in ``group`` of the lone response that reaches the
+        master, or -1 when none does: all were filtered out, or two or
+        more collided.
         """
         count = len(group)
         reachable = self.reachable
@@ -194,7 +193,7 @@ class ResponseChannel:
                 return 0
             kept: Sequence[int] = range(count)
         else:
-            kept = [index for index in range(count) if reachable(packets[index], tick)]  # lint: disable=PERF001 -- only under a fault plan; the clean path never filters
+            kept = [index for index in range(count) if reachable(addresses[group[index]], tick)]  # lint: disable=PERF001 -- only under a fault plan; the clean path never filters
             self.stats.filtered += count - len(kept)
             count = len(kept)
             if count == 1:
@@ -226,8 +225,8 @@ class ResponseChannel:
         counts multiplied by ``passes``; a collision is recorded once per
         colliding group per pass, in tick order.  The lone responses go
         to :attr:`pass_receiver` first: when it declines, or there is
-        none, or a reachability predicate must see every packet, nothing
-        is counted and False is returned.
+        none, or a reachability predicate must see every transmitter,
+        nothing is counted and False is returned.
         """
         receive = self.pass_receiver
         if receive is None or self.reachable is not None:

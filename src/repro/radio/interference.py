@@ -106,10 +106,10 @@ class SharedBand:
 
         Returns a callable suitable for
         :class:`~repro.radio.channel.ResponseChannel`'s ``reachable``
-        argument: True when the packet survives interference.
+        argument: True when the sender's response survives interference.
         """
 
-        def survives(_packet: object, tick: int) -> bool:
+        def survives(_sender: object, tick: int) -> bool:
             return not self.corrupts(piconet_id, tick)
 
         return survives

@@ -1,4 +1,4 @@
-"""Tests for the query engine and the message-driven central server."""
+"""Tests for the central server: its query answers and its message handling."""
 
 from __future__ import annotations
 
@@ -7,10 +7,7 @@ import pytest
 from repro.bluetooth.address import BDAddr
 from repro.building.layouts import academic_department
 from repro.core.errors import AccessDeniedError, NotLoggedInError, UnknownUserError
-from repro.core.location_db import LocationDatabase
-from repro.core.pathfinding import AllPairsPaths
-from repro.core.query import QueryEngine
-from repro.core.registry import UserRegistry, VisibilityPolicy
+from repro.core.registry import VisibilityPolicy
 from repro.core.server import BIPSServer
 from repro.lan.messages import (
     LocationQuery,
@@ -31,53 +28,95 @@ BOB_DEV = BDAddr(0x200)
 
 
 @pytest.fixture
-def engine() -> QueryEngine:
-    registry = UserRegistry()
-    registry.register("u-alice", "Alice", "pw")
-    registry.register("u-bob", "Bob", "pw")
-    registry.login("u-alice", "pw", ALICE_DEV, tick=0)
-    registry.login("u-bob", "pw", BOB_DEV, tick=0)
-    db = LocationDatabase()
-    paths = AllPairsPaths.from_floorplan(linear_wing(4))
-    return QueryEngine(registry, db, paths)
+def wing(kernel):
+    """A server on a four-room wing, Alice and Bob logged in, and a client inbox."""
+    lan = LANTransport(kernel)
+    server = BIPSServer(kernel, lan, linear_wing(4))
+    inbox = []
+    lan.register("client", lambda src, msg: inbox.append(msg))
+    server.registry.register("u-alice", "Alice", "pw")
+    server.registry.register("u-bob", "Bob", "pw")
+    server.registry.login("u-alice", "pw", ALICE_DEV, tick=0)
+    server.registry.login("u-bob", "pw", BOB_DEV, tick=0)
+    return server, inbox
 
 
-class TestQueryEngine:
-    def test_locate_known_target(self, engine):
-        engine.location_db.apply_presence(ALICE_DEV, "wing-2", 100, "ws")
-        assert engine.locate("u-bob", "Alice") == "wing-2"
-        assert engine.stats.location_queries == 1
+def _ask(server, inbox, query):
+    """Send ``query`` from the client over the LAN; the server's response."""
+    server.lan.send("client", server.endpoint, query)
+    server.kernel.run_until(server.kernel.now + 100)
+    return inbox[-1]
 
-    def test_locate_untracked_target_returns_none(self, engine):
-        assert engine.locate("u-bob", "Alice") is None
-        assert engine.stats.location_unknown == 1
 
-    def test_locate_denied_counted(self, engine):
-        engine.registry.logout("u-alice")
-        with pytest.raises(NotLoggedInError):
-            engine.locate("u-bob", "Alice")
-        assert engine.stats.location_denied == 1
-        assert engine.stats.by_error.get("NotLoggedInError") == 1
+class TestServerQueries:
+    """§2's answers, read directly and as LAN queries."""
 
-    def test_navigate_full_path(self, engine):
-        engine.location_db.apply_presence(BOB_DEV, "wing-0", 100, "ws")
-        engine.location_db.apply_presence(ALICE_DEV, "wing-3", 100, "ws")
-        path = engine.navigate("u-bob", "Alice")
+    def test_locate_known_target(self, wing):
+        server, inbox = wing
+        server.location_db.apply_presence(ALICE_DEV, "wing-2", 100, "ws")
+        assert server.locate("u-bob", "Alice") == "wing-2"
+        response = _ask(server, inbox, LocationQuery(0, "u-bob", "Alice", query_id=1))
+        assert response.ok and response.room_id == "wing-2" and not response.stale
+        assert server.queries_served == {"location": 2, "path": 0}
+
+    def test_locate_untracked_target_returns_none(self, wing):
+        server, inbox = wing
+        assert server.locate("u-bob", "Alice") is None
+        response = _ask(server, inbox, LocationQuery(0, "u-bob", "Alice", query_id=2))
+        assert response.ok and response.room_id is None
+        assert server.queries_failed["location"] == 0
+
+    def test_locate_denied_counted(self, wing):
+        server, inbox = wing
+        server.registry.register("u-carol", "Carol", "pw", policy=VisibilityPolicy.NOBODY)
+        server.registry.login("u-carol", "pw", BDAddr(0x300), tick=0)
+        server.registry.logout("u-alice")
+        denials = (
+            (NotLoggedInError, "Alice"),
+            (AccessDeniedError, "Carol"),
+            (UnknownUserError, "Ghost"),
+        )
+        for query_id, (error, target) in enumerate(denials):
+            with pytest.raises(error) as raised:
+                server.locate("u-bob", target)
+            with pytest.raises(error):
+                server.navigate("u-bob", target)
+            for query in (LocationQuery, PathQuery):
+                response = _ask(server, inbox, query(0, "u-bob", target, query_id=query_id))
+                assert not response.ok and response.reason == str(raised.value)
+        # A direct query counts before it runs; a LAN one once answered.
+        assert server.queries_served == {"location": 6, "path": 6}
+        assert server.queries_failed == {"location": 3, "path": 3}
+
+    def test_navigate_full_path(self, wing):
+        server, inbox = wing
+        server.location_db.apply_presence(BOB_DEV, "wing-0", 100, "ws")
+        server.location_db.apply_presence(ALICE_DEV, "wing-3", 100, "ws")
+        path = server.navigate("u-bob", "Alice")
         assert path.rooms == ("wing-0", "wing-1", "wing-2", "wing-3")
-        assert engine.stats.path_queries == 1
+        response = _ask(server, inbox, PathQuery(0, "u-bob", "Alice", query_id=5))
+        assert response.ok and response.rooms == path.rooms
+        assert response.total_distance_m == path.total_distance_m
         # navigate() does not double-count as a location query
-        assert engine.stats.location_queries == 0
+        assert server.queries_served == {"location": 0, "path": 2}
 
-    def test_navigate_untracked_endpoint_returns_none(self, engine):
-        engine.location_db.apply_presence(ALICE_DEV, "wing-3", 100, "ws")
-        assert engine.navigate("u-bob", "Alice") is None  # bob untracked
+    def test_navigate_untracked_endpoint_returns_none(self, wing):
+        server, inbox = wing
+        server.location_db.apply_presence(ALICE_DEV, "wing-3", 100, "ws")
+        assert server.navigate("u-bob", "Alice") is None  # bob untracked
+        response = _ask(server, inbox, PathQuery(0, "u-bob", "Alice", query_id=6))
+        assert not response.ok and response.rooms == ()
+        assert server.queries_failed["path"] == 1
 
-    def test_navigate_same_room(self, engine):
-        engine.location_db.apply_presence(BOB_DEV, "wing-1", 100, "ws")
-        engine.location_db.apply_presence(ALICE_DEV, "wing-1", 100, "ws")
-        path = engine.navigate("u-bob", "Alice")
+    def test_navigate_same_room(self, wing):
+        server, inbox = wing
+        server.location_db.apply_presence(BOB_DEV, "wing-1", 100, "ws")
+        server.location_db.apply_presence(ALICE_DEV, "wing-1", 100, "ws")
+        path = server.navigate("u-bob", "Alice")
         assert path.rooms == ("wing-1",)
         assert path.total_distance_m == 0.0
+        response = _ask(server, inbox, PathQuery(0, "u-bob", "Alice", query_id=7))
+        assert response.rooms == ("wing-1",) and response.total_distance_m == 0.0
 
 
 @pytest.fixture

@@ -70,11 +70,6 @@ class TestTemporalQueries:
         with pytest.raises(AccessDeniedError):
             tracked_sim.server.locate_at_seconds("u-b", "Hidden", 100.0)
 
-    def test_stats_counted(self, tracked_sim):
-        before = tracked_sim.server.queries.stats.location_queries
-        tracked_sim.server.locate_at_seconds("u-b", "A", 50.0)
-        assert tracked_sim.server.queries.stats.location_queries == before + 1
-
 
 class TestLanLogin:
     def test_login_roundtrip_through_facade(self):

@@ -78,9 +78,9 @@ class TestEveryProfile:
         #    the attribution is fresh again (no lingering staleness).
         for userid, (username, room) in ROUTES.items():
             querier = next(u for u in ROUTES if u != userid)
-            answer, stale = sim.server.queries.locate_full(
-                querier, username, sim.kernel.now
-            )
+            answer = sim.server.locate(querier, username)
+            device = sim.user(userid).device.address
+            stale = sim.server.location_db.is_stale(device, sim.kernel.now)
             assert answer == room, f"{profile}: {username} misplaced after recovery"
             assert not stale, f"{profile}: answer still stale after recovery"
 

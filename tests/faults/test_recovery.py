@@ -71,16 +71,14 @@ class TestWorkstationRestart:
         assert not sim.server.location_db.is_stale(device, sim.kernel.now)
         sim.fail_workstation("lab-1")
         sim.run(until_seconds=170.0)
-        room, stale = sim.server.queries.locate_full("u-b", "A", sim.kernel.now)
-        assert room == "lab-1"  # kept, not erased
-        assert stale
+        assert sim.server.locate("u-b", "A") == "lab-1"  # kept, not erased
+        assert sim.server.location_db.is_stale(device, sim.kernel.now)
         assert device in sim.server.location_db.stale_devices(sim.kernel.now)
         # Recovery re-reports the user and the answer turns fresh again.
         sim.recover_workstation("lab-1")
         sim.run(until_seconds=280.0)
-        room, stale = sim.server.queries.locate_full("u-b", "A", sim.kernel.now)
-        assert room == "lab-1"
-        assert not stale
+        assert sim.server.locate("u-b", "A") == "lab-1"
+        assert not sim.server.location_db.is_stale(device, sim.kernel.now)
 
     def test_stale_flag_reaches_the_lan_response(self):
         sim = _tracked_sim(refresh_interval_cycles=1, staleness_horizon_seconds=40.0)

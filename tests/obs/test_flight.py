@@ -43,11 +43,13 @@ class TestDumps:
         recorder = FlightRecorder(out_dir=str(tmp_path))
         recorder.arm("core.workstation_failed", "core.server_brownout")
         spans = SpanTracer(recorder=recorder)
-        with spans.scope(spans.begin("fault:brownout", "kernel", 77)) as kernel:
-            spans.instant("lan.drop", "lan", 77)
-            spans.instant("core.server_brownout", "core", 77, active=True)
-            (path,) = recorder.dumps
-            spans.end(kernel, 77)
+        kernel = spans.begin("fault:brownout", "kernel", 77)
+        prev = spans.push(kernel)
+        spans.instant("lan.drop", "lan", 77)
+        spans.instant("core.server_brownout", "core", 77, active=True)
+        (path,) = recorder.dumps
+        spans.end(kernel, 77)
+        spans.pop(prev)
         assert path.endswith("flight-0001-core-server_brownout.json")
         records = json.loads(open(path).read())["records"]
         assert [r["name"] for r in records] == ["lan.drop", "core.server_brownout"]

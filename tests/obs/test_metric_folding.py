@@ -279,7 +279,6 @@ class TestQuerySeries:
         stale = [m for m in self._inbox(query_sim, LocationResponse) if m.stale]
         assert len(stale) == 1 and stale[0].room_id == "lab-1"
         assert _values(query_sim.metrics)[("core.stale_answers",)] == 1
-        assert query_sim.server.queries.stats.location_stale == 1
 
     def test_a_run_without_queries_emits_no_query_series(self, chaos_sim):
         names = {record["name"] for record in chaos_sim.metrics.snapshot()}

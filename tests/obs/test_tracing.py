@@ -62,16 +62,18 @@ class TestCausality:
     def test_ambient_parenting(self):
         tracer = SpanTracer()
         root = tracer.begin("bt.window", "bluetooth", 0, parent=None)
-        with tracer.scope(root):
-            child = tracer.begin("lan.transit", "lan", 1)
+        prev = tracer.push(root)
+        child = tracer.begin("lan.transit", "lan", 1)
+        tracer.pop(prev)
         assert child.parent_id == root.span_id
         assert child.trace_id == root.trace_id
 
     def test_explicit_none_forces_new_root(self):
         tracer = SpanTracer()
         root = tracer.begin("bt.window", "bluetooth", 0, parent=None)
-        with tracer.scope(root):
-            other = tracer.begin("bt.window", "bluetooth", 1, parent=None)
+        prev = tracer.push(root)
+        other = tracer.begin("bt.window", "bluetooth", 1, parent=None)
+        tracer.pop(prev)
         assert other.parent_id == 0
         assert other.trace_id != root.trace_id
 
@@ -101,9 +103,13 @@ class TestCausality:
     def test_scope_restores_on_exception(self):
         tracer = SpanTracer()
         span = tracer.begin("bt.window", "bluetooth", 0, parent=None)
+        # The callers' pattern: pop in a ``finally`` around the work.
         with pytest.raises(RuntimeError):
-            with tracer.scope(span):
+            prev = tracer.push(span)
+            try:
                 raise RuntimeError("boom")
+            finally:
+                tracer.pop(prev)
         assert tracer.capture() is None
 
 
@@ -205,8 +211,9 @@ class TestChromeExport:
     def _records(self):
         tracer = SpanTracer()
         window = tracer.begin("bt.window", "bluetooth", 0, parent=None, ws="ws:a")
-        with tracer.scope(window):
-            tracer.instant("core.query", "core", 2, ok=True)
+        prev = tracer.push(window)
+        tracer.instant("core.query", "core", 2, ok=True)
+        tracer.pop(prev)
         tracer.end(window, 10)
         return tracer.records()
 

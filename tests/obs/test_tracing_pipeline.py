@@ -143,8 +143,9 @@ class TestRetransmitContext:
         # timer, where the ambient context is long gone.
         spans, kernel, transport = self._rig({0: FaultDecision(drop=True)})
         root = spans.begin("bt.window", "bluetooth", 0, parent=None)
-        with spans.scope(root):
-            transport.send_reliable("ws:lab-1", "server", "delta", POLICY)
+        prev = spans.push(root)
+        transport.send_reliable("ws:lab-1", "server", "delta", POLICY)
+        spans.pop(prev)
         kernel.run_until(LONG)
         spans.end(root, kernel.now)
         transits = [span for span in spans.spans if span.name == "lan.transit"]
@@ -158,8 +159,9 @@ class TestRetransmitContext:
     def test_duplicate_copy_resolves_as_dedup_on_the_same_trace(self):
         spans, kernel, transport = self._rig({0: FaultDecision(duplicates=1)})
         root = spans.begin("bt.window", "bluetooth", 0, parent=None)
-        with spans.scope(root):
-            transport.send_reliable("ws:lab-1", "server", "delta", POLICY)
+        prev = spans.push(root)
+        transport.send_reliable("ws:lab-1", "server", "delta", POLICY)
+        spans.pop(prev)
         kernel.run_until(LONG)
         transits = [span for span in spans.spans if span.name == "lan.transit"]
         assert sorted(span.attrs["outcome"] for span in transits) == [

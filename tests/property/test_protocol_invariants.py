@@ -48,7 +48,7 @@ def test_channel_conserves_packets(announcements):
     channel = ResponseChannel(
         kernel,
         lambda pkt, tick: received.append(pkt),
-        reachable=lambda pkt, tick: pkt.sender.value % 3 != 0,  # drop a third
+        reachable=lambda sender, tick: sender.value % 3 != 0,  # drop a third
     )
     opened = []
     for tick, rf, sender in announcements:

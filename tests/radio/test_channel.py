@@ -186,13 +186,12 @@ class TestResolve:
     def test_filter_names_the_survivor_by_position(self, kernel):
         asked = []
 
-        def reachable(pkt, tick):
-            asked.append(pkt.sender)
-            return pkt.sender != BDAddr(10)
+        def reachable(sender, tick):
+            asked.append(sender)
+            return sender != BDAddr(10)
 
         channel = ResponseChannel(kernel, lambda pkt, tick: None, reachable=reachable)
-        packets = [fhs(10, 100, 7), fhs(11, 100, 7)]
-        assert channel.resolve(100, 7, [0, 1], self.ADDRESSES, packets) == 1
+        assert channel.resolve(100, 7, [0, 1], self.ADDRESSES) == 1
         assert asked == [BDAddr(10), BDAddr(11)]  # once each, in group order
         assert (channel.stats.filtered, channel.stats.delivered) == (1, 1)
 
@@ -212,7 +211,7 @@ class TestReachability:
         channel = ResponseChannel(
             kernel,
             lambda pkt, tick: received.append(pkt),
-            reachable=lambda pkt, tick: pkt.sender != BDAddr(2),
+            reachable=lambda sender, tick: sender != BDAddr(2),
         )
         channel.schedule_fhs(100, 7, fhs(1, 100, 7))
         channel.schedule_fhs(132, 7, fhs(2, 132, 7))
@@ -227,7 +226,7 @@ class TestReachability:
         channel = ResponseChannel(
             kernel,
             lambda pkt, tick: received.append(pkt),
-            reachable=lambda pkt, tick: pkt.sender == BDAddr(1),
+            reachable=lambda sender, tick: sender == BDAddr(1),
         )
         channel.schedule_fhs(100, 7, fhs(1, 100, 7))
         channel.schedule_fhs(100, 7, fhs(2, 100, 7))
@@ -239,7 +238,7 @@ class TestReachability:
         received = []
         channel = ResponseChannel(
             kernel, lambda pkt, tick: received.append(pkt),
-            reachable=lambda pkt, tick: False,
+            reachable=lambda sender, tick: False,
         )
         channel.schedule_fhs(100, 7, fhs(1, 100, 7))
         channel.deliver(100, 7)
