@@ -4,7 +4,6 @@ from .curves import Series, render_curves
 from .stats import (
     EmpiricalCDF,
     Summary,
-    percentile,
     proportion_ci95,
     relative_error,
     summarize,
@@ -16,7 +15,6 @@ __all__ = [
     "render_curves",
     "EmpiricalCDF",
     "Summary",
-    "percentile",
     "proportion_ci95",
     "relative_error",
     "summarize",

@@ -32,22 +32,17 @@ def render_curves(
     title: str = "",
     height: int = 16,
     width: int = 72,
-    y_min: float = 0.0,
-    y_max: float = 1.0,
-    x_label: str = "time (s)",
-    y_label: str = "P",
 ) -> str:
-    """Render curves on a character canvas.
+    """Render probability curves on a character canvas.
 
-    Each series gets a glyph (its index); overlapping points show the
-    later series.  The legend maps glyphs back to labels.
+    The y axis spans [0, 1]; values outside it are clamped.  Each series
+    gets a glyph (its index); overlapping points show the later series.
+    The legend maps glyphs back to labels.
     """
     if not series:
         raise ValueError("no series to plot")
     if any(len(s.values) != len(grid) for s in series):
         raise ValueError("series length does not match grid")
-    if y_max <= y_min:
-        raise ValueError(f"empty y range: [{y_min}, {y_max}]")
     if height < 2 or width < 8:
         raise ValueError("canvas too small")
 
@@ -59,23 +54,22 @@ def render_curves(
         glyph = _GLYPHS[index % len(_GLYPHS)]
         for x_value, y_value in zip(grid, s.values):
             col = round((x_value - x_lo) / x_span * (width - 1))
-            clamped = min(max(y_value, y_min), y_max)
-            row = round((1.0 - (clamped - y_min) / (y_max - y_min)) * (height - 1))
+            clamped = min(max(y_value, 0.0), 1.0)
+            row = round((1.0 - clamped) * (height - 1))
             canvas[row][col] = glyph
 
     lines = []
     if title:
         lines.append(title)
     for row_index, row in enumerate(canvas):
-        fraction = 1.0 - row_index / (height - 1)
-        y_value = y_min + fraction * (y_max - y_min)
+        y_value = 1.0 - row_index / (height - 1)
         lines.append(f"{y_value:5.2f} |" + "".join(row))
     lines.append(" " * 6 + "+" + "-" * width)
     left = f"{x_lo:g}"
     right = f"{x_hi:g}"
     padding = width - len(left) - len(right)
     lines.append(" " * 7 + left + " " * max(1, padding) + right)
-    lines.append(f"      {y_label} vs {x_label}")
+    lines.append("      P vs time (s)")
     legend = "  ".join(
         f"{_GLYPHS[i % len(_GLYPHS)]}={s.label}" for i, s in enumerate(series)
     )

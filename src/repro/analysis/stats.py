@@ -23,20 +23,6 @@ class Summary:
     maximum: float
     ci95_half_width: float
 
-    @property
-    def ci95(self) -> tuple[float, float]:
-        """95 % confidence interval for the mean (normal approximation)."""
-        return (self.mean - self.ci95_half_width, self.mean + self.ci95_half_width)
-
-    def format(self, unit: str = "") -> str:
-        """Human-readable one-liner."""
-        suffix = unit and f" {unit}"
-        return (
-            f"n={self.count} mean={self.mean:.4f}{suffix} "
-            f"±{self.ci95_half_width:.4f} (95% CI), "
-            f"std={self.std:.4f}, min={self.minimum:.4f}, max={self.maximum:.4f}"
-        )
-
 
 def summarize(values: Sequence[float]) -> Summary:
     """Compute a :class:`Summary` of ``values``.
@@ -62,26 +48,6 @@ def summarize(values: Sequence[float]) -> Summary:
         maximum=max(values),
         ci95_half_width=half_width,
     )
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0..100) by linear interpolation."""
-    if not values:
-        raise ValueError("cannot take a percentile of an empty sample")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile out of range: {q}")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    low = int(math.floor(rank))
-    high = int(math.ceil(rank))
-    if low == high:
-        return ordered[low]
-    fraction = rank - low
-    value = ordered[low] + fraction * (ordered[high] - ordered[low])
-    # Guard against floating-point overshoot at the interval ends.
-    return min(max(value, ordered[low]), ordered[high])
 
 
 def proportion_ci95(successes: int, trials: int) -> tuple[float, float]:

@@ -57,8 +57,6 @@ def render_table(
 def render_comparison(
     title: str,
     rows: Sequence[tuple[str, float, Optional[float]]],
-    measured_label: str = "measured",
-    reference_label: str = "paper",
     unit: str = "",
 ) -> str:
     """Render a measured-vs-reference table with relative errors.
@@ -75,6 +73,4 @@ def render_comparison(
             body.append(
                 [label, f"{measured:.4f}{unit}", f"{reference:.4f}{unit}", f"{error * 100:.1f}%"]
             )
-    return render_table(
-        ["case", measured_label, reference_label, "rel.err"], body, title=title
-    )
+    return render_table(["case", "measured", "paper", "rel.err"], body, title=title)

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 _LAP_BITS = 24
-_UAP_BITS = 8
-_NAP_BITS = 16
 
 
 @dataclass(frozen=True, order=True)
@@ -38,35 +36,6 @@ class BDAddr:
     def lap(self) -> int:
         """Lower address part (24 bits) — seeds the paging hop sequence."""
         return self.value & ((1 << _LAP_BITS) - 1)
-
-    @property
-    def uap(self) -> int:
-        """Upper address part (8 bits)."""
-        return (self.value >> _LAP_BITS) & ((1 << _UAP_BITS) - 1)
-
-    @property
-    def nap(self) -> int:
-        """Non-significant address part (16 bits)."""
-        return (self.value >> (_LAP_BITS + _UAP_BITS)) & ((1 << _NAP_BITS) - 1)
-
-    @classmethod
-    def parse(cls, text: str) -> "BDAddr":
-        """Parse the conventional colon-separated hex form.
-
-        >>> BDAddr.parse("00:11:22:33:44:55").format()
-        '00:11:22:33:44:55'
-        """
-        parts = text.strip().split(":")
-        if len(parts) != 6 or not all(len(p) == 2 for p in parts):
-            raise ValueError(f"not a BD_ADDR: {text!r}")
-        try:
-            octets = [int(p, 16) for p in parts]
-        except ValueError as exc:
-            raise ValueError(f"not a BD_ADDR: {text!r}") from exc
-        value = 0
-        for octet in octets:
-            value = (value << 8) | octet
-        return cls(value)
 
     def format(self) -> str:
         """Colon-separated hex form, most significant octet first.

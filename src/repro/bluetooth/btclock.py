@@ -38,17 +38,6 @@ class BluetoothClock:
         """Native clock value at kernel time ``tick``."""
         return (tick + self.offset) % CLKN_WRAP
 
-    def scan_phase(self, tick: int, modulus: int) -> int:
-        """Scan-frequency phase at ``tick``.
-
-        The phase advances by one every 1.28 s (when CLKN bits 16-12
-        change) and indexes into the 32-entry inquiry-scan hopping
-        sequence (``modulus`` is 32, or 16 for train-locked scanning).
-        """
-        if modulus <= 0:
-            raise ValueError(f"modulus must be positive, got {modulus}")
-        return (self.clkn(tick) // SCAN_FREQUENCY_CHANGE_TICKS) % modulus
-
     def ticks_to_next_phase_change(self, tick: int) -> int:
         """Ticks from ``tick`` until the scan phase next advances.
 

@@ -10,8 +10,6 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim.clock import seconds_from_ticks
-
 from .address import BDAddr
 
 
@@ -58,20 +56,3 @@ class Connection:
         self.state = ConnectionState.CLOSED
         self.closed_tick = tick
         self.close_reason = reason
-
-    @property
-    def duration_ticks(self) -> Optional[int]:
-        """Link lifetime, once closed."""
-        if self.closed_tick is None:
-            return None
-        return self.closed_tick - self.established_tick
-
-    def describe(self) -> str:
-        """One-line human-readable summary."""
-        status = self.state.value
-        if self.close_reason is not None:
-            status = f"{status}({self.close_reason.value})"
-        return (
-            f"{self.slave} am={self.am_addr} since "
-            f"{seconds_from_ticks(self.established_tick):.3f}s [{status}]"
-        )

@@ -35,18 +35,11 @@ class BluetoothDevice:
         if not 0 <= self.base_phase < NUM_INQUIRY_FREQUENCIES:
             raise ValueError(f"base_phase out of range: {self.base_phase}")
 
-    @property
-    def label(self) -> str:
-        """Display name: the given name, or the address."""
-        return self.name or str(self.address)
-
 
 def make_devices(
     count: int,
     rng: RandomStream,
-    name_prefix: str = "dev",
     phase_range: Optional[tuple[int, int]] = None,
-    start_address: int = 0x0002_5B00_0000,
 ) -> list[BluetoothDevice]:
     """Create ``count`` devices with random clocks and scan phases.
 
@@ -59,13 +52,13 @@ def make_devices(
     if not 0 <= low <= high < NUM_INQUIRY_FREQUENCIES:
         raise ValueError(f"invalid phase range: {phase_range}")
     devices = []
-    for index, address in enumerate(address_block(count, start=start_address)):
+    for index, address in enumerate(address_block(count)):
         devices.append(
             BluetoothDevice(
                 address=address,
                 clock=BluetoothClock(offset=rng.randint(0, CLKN_WRAP - 1)),
                 base_phase=rng.randint(low, high),
-                name=f"{name_prefix}-{index}",
+                name=f"dev-{index}",
             )
         )
     return devices

@@ -49,11 +49,6 @@ class Train(enum.IntEnum):
     A = 0
     B = 1
 
-    @property
-    def other(self) -> "Train":
-        """The opposite train."""
-        return Train.B if self is Train.A else Train.A
-
 
 class TrainStrategy(enum.Enum):
     """Which trains a master uses during an inquiry window.
@@ -126,11 +121,6 @@ class Window:
     start: int
     end: int
     index: int
-
-    @property
-    def length(self) -> int:
-        """Window length in ticks."""
-        return self.end - self.start
 
     def contains(self, tick: int) -> bool:
         """Whether ``tick`` falls inside the window."""

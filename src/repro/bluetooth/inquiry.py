@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.radio.channel import ReachabilityPredicate, ResponseChannel
-from repro.sim.clock import seconds_from_ticks
 from repro.sim.hotpath import hot_path
 from repro.sim.kernel import Kernel
 
@@ -40,11 +39,6 @@ class InquiryResult:
     address: BDAddr
     clkn: int
     discovered_tick: int
-
-    @property
-    def discovered_seconds(self) -> float:
-        """Discovery time in seconds of simulated time."""
-        return seconds_from_ticks(self.discovered_tick)
 
 
 #: An FHS packet occupies a full slot (625 µs = 2 ticks) on the air.
@@ -75,14 +69,13 @@ class _Reception:
         windows: PeriodicWindows,
         capture: bool,
         spans: Optional["SpanTracer"],
-        on_discovered: Optional[DiscoveryListener],
     ) -> None:
         self.name = name
         self.windows = windows
         self.is_listening = windows.is_active
         self.capture = capture
         self.spans = spans
-        self.on_discovered = on_discovered
+        self.on_discovered: Optional[DiscoveryListener] = None
         self.results: dict[BDAddr, InquiryResult] = {}
         self.last_seen: dict[BDAddr, int] = {}
         self.received = 0
@@ -252,7 +245,6 @@ class InquiryProcedure:
         kernel: Kernel,
         schedule: InquiryTransmitSchedule,
         name: str = "master",
-        on_discovered: Optional[DiscoveryListener] = None,
         reachable: Optional[ReachabilityPredicate] = None,
         receiver_capture: bool = True,
         spans: Optional["SpanTracer"] = None,
@@ -260,7 +252,7 @@ class InquiryProcedure:
         self.kernel = kernel
         self.schedule = schedule
         self.name = name
-        rx = _Reception(name, schedule.windows, receiver_capture, spans, on_discovered)
+        rx = _Reception(name, schedule.windows, receiver_capture, spans)
         self._rx = rx
         self._on_fhs = rx.on_fhs
         self.channel = ResponseChannel(kernel, receiver=rx.on_fhs, reachable=reachable, name=name)
@@ -271,12 +263,6 @@ class InquiryProcedure:
         #: duplicates included, so a tracker can tell "seen this window"
         #: apart from "first discovered long ago".
         self.last_seen = rx.last_seen
-
-    @property
-    def receiver_capture(self) -> bool:
-        """Whether the single receiver's capture of one FHS blocks a
-        response overlapping it."""
-        return self._rx.capture
 
     @property
     def on_discovered(self) -> Optional[DiscoveryListener]:
@@ -319,10 +305,6 @@ class InquiryProcedure:
     def discovered_count(self) -> int:
         """Number of distinct devices discovered."""
         return len(self._results)
-
-    def has_discovered(self, address: BDAddr) -> bool:
-        """Whether ``address`` has responded successfully."""
-        return address in self._results
 
     def discovery_tick(self, address: BDAddr) -> Optional[int]:
         """Tick of first successful response from ``address``, if any."""

@@ -30,8 +30,3 @@ class PageResult:
     outcome: PageOutcome
     started_tick: int
     finished_tick: int
-
-    @property
-    def latency_ticks(self) -> int:
-        """Page latency in ticks."""
-        return self.finished_tick - self.started_tick

@@ -63,11 +63,6 @@ class SlotLevelPageOutcome:
     predicted_train: Train
     actual_train_at_start: Train
 
-    @property
-    def train_prediction_correct(self) -> bool:
-        """Whether the clock estimate put the master on the right train."""
-        return self.predicted_train is self.actual_train_at_start
-
 
 PageCallback = Callable[[SlotLevelPageOutcome], None]
 

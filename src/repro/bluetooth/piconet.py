@@ -25,7 +25,6 @@ class Piconet:
 
     master: BDAddr
     _members: dict[BDAddr, Connection] = field(default_factory=dict)
-    _history: list[Connection] = field(default_factory=list)
 
     @property
     def active_count(self) -> int:
@@ -41,11 +40,6 @@ class Piconet:
     def members(self) -> list[Connection]:
         """Live connections, ordered by AM_ADDR."""
         return sorted(self._members.values(), key=lambda c: c.am_addr)
-
-    @property
-    def history(self) -> list[Connection]:
-        """All closed connections, in close order."""
-        return list(self._history)
 
     def connection_of(self, slave: BDAddr) -> Optional[Connection]:
         """The live connection to ``slave``, if any."""
@@ -84,7 +78,6 @@ class Piconet:
         if connection is None:
             return None
         connection.close(tick, reason)
-        self._history.append(connection)
         return connection
 
     def __contains__(self, slave: BDAddr) -> bool:

@@ -153,7 +153,6 @@ def next_listen_rendezvous(
     window_anchor: int,
     from_tick: int,
     before_tick: int,
-    always_listening: bool = False,
 ) -> Optional[int]:
     """First tick in ``[from_tick, before_tick)`` at which a scanning
     device hears the master.
@@ -166,7 +165,7 @@ def next_listen_rendezvous(
     """
     tick = from_tick
     while tick < before_tick:
-        if always_listening or window_ticks >= interval_ticks:
+        if window_ticks >= interval_ticks:
             segment_limit = before_tick
         else:
             index = (tick - window_anchor) // interval_ticks

@@ -327,11 +327,6 @@ class InquiryScanSwarm:
 
     # -- population -------------------------------------------------------
 
-    @property
-    def slave_count(self) -> int:
-        """Number of slaves (rows) ever added to this swarm."""
-        return len(self._offset)
-
     def scan_totals(self) -> tuple[int, int, int]:
         """IDs heard, backoffs and FHS responses, summed over every row."""
         return sum(self._ids_heard), sum(self._backoffs), sum(self._responses)
@@ -428,8 +423,8 @@ class InquiryScanSwarm:
     def listen_position(self, row: int, tick: int) -> int:
         """Sequence position the row listens on at ``tick``.
 
-        Integer-only form of ``BluetoothClock.scan_phase`` walked per
-        the config's :class:`PhaseMode`.
+        The phase step is CLKN bits 16-12 (one step per 1.28 s), walked
+        per the config's :class:`PhaseMode`.
         """
         clkn = (tick + self._offset[row]) % CLKN_WRAP
         step = clkn // SCAN_FREQUENCY_CHANGE_TICKS

@@ -103,10 +103,6 @@ class FloorPlan:
         """Room ids in insertion (deployment) order."""
         return list(self.rooms)
 
-    def room(self, room_id: str) -> Room:
-        """The room called ``room_id`` (KeyError if unknown)."""
-        return self.rooms[room_id]
-
     def neighbors(self, room_id: str) -> list[tuple[str, Passage]]:
         """``(neighbor_room_id, passage)`` pairs for ``room_id``."""
         if room_id not in self.rooms:

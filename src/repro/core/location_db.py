@@ -268,11 +268,6 @@ class LocationDatabase:
 
     # -- staleness ---------------------------------------------------------------
 
-    def last_confirmed(self, device: BDAddr) -> Optional[int]:
-        """Tick of the most recent confirmation for ``device`` (None if unseen)."""
-        record = self._current.get(device)
-        return record.last_confirmed_tick if record is not None else None
-
     def is_stale(self, device: BDAddr, now: int) -> bool:
         """Whether the device's attribution has outlived the horizon.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 from repro.building.floorplan import FloorPlan
 
@@ -76,12 +76,6 @@ class Graph:
         """All node names."""
         return list(self._adjacency)
 
-    def neighbors(self, node: str) -> Mapping[str, float]:
-        """Adjacent nodes and edge weights."""
-        if node not in self._adjacency:
-            raise UnknownRoomError(f"unknown node {node!r}")
-        return self._adjacency[node]
-
     def __contains__(self, node: str) -> bool:
         return node in self._adjacency
 
@@ -111,15 +105,6 @@ class Graph:
                     predecessor[neighbor] = node
                     heapq.heappush(frontier, (candidate, neighbor))
         return distance, predecessor
-
-    def shortest_path(self, source: str, target: str) -> Optional[PathResult]:
-        """The shortest path between two nodes, or None if disconnected."""
-        if target not in self._adjacency:
-            raise UnknownRoomError(f"unknown target {target!r}")
-        distance, predecessor = self.dijkstra(source)
-        if target not in distance:
-            return None
-        return _walk_back(target, distance, predecessor)
 
 
 def _walk_back(
@@ -158,14 +143,6 @@ class AllPairsPaths:
     def from_floorplan(cls, plan: FloorPlan) -> "AllPairsPaths":
         """Convenience constructor from a floor plan."""
         return cls(Graph.from_floorplan(plan))
-
-    def distance(self, source: str, target: str) -> Optional[float]:
-        """Shortest distance, or None if unreachable."""
-        row = self._paths.get(source)
-        if row is None:
-            raise UnknownRoomError(f"unknown source {source!r}")
-        path = row.get(target)
-        return path.total_distance_m if path is not None else None
 
     def path(self, source: str, target: str) -> Optional[PathResult]:
         """Shortest path by table lookup, or None if unreachable."""

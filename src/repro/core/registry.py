@@ -129,11 +129,6 @@ class UserRegistry:
             raise UnknownUserError(f"unknown username {username!r}")
         return record
 
-    @property
-    def registered_count(self) -> int:
-        """Number of registered users."""
-        return len(self._users)
-
     # -- login / logout ---------------------------------------------------------
 
     def login(self, userid: str, password: str, device: BDAddr, tick: int) -> Session:
@@ -185,11 +180,6 @@ class UserRegistry:
     def userid_of_device(self, device: BDAddr) -> Optional[str]:
         """Reverse lookup: who is carrying ``device`` (None if nobody)."""
         return self._device_to_userid.get(device)
-
-    @property
-    def active_sessions(self) -> int:
-        """Number of logged-in users."""
-        return len(self._sessions)
 
     # -- access control ---------------------------------------------------------
 

@@ -90,10 +90,6 @@ class OccupancyReport:
         except Exception:  # unknown id despite binding: show the id
             return userid
 
-    def total_tracked(self) -> int:
-        """Devices currently attributed to some room."""
-        return sum(room.count for room in self.occupancy())
-
     # -- history-derived statistics ---------------------------------------------
 
     def visit_stats(self, devices: list[BDAddr]) -> dict[str, VisitStats]:

@@ -52,8 +52,6 @@ class BIPSServer:
         kernel: Kernel,
         lan: LANTransport,
         plan: FloorPlan,
-        endpoint: str = "server",
-        history_limit: int = 1000,
         staleness_horizon_ticks: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         spans: Optional[SpanTracer] = None,
@@ -62,12 +60,9 @@ class BIPSServer:
         self.kernel = kernel
         self.lan = lan
         self.plan = plan
-        self.endpoint = endpoint
+        self.endpoint = "server"
         self.registry = UserRegistry()
-        self.location_db = LocationDatabase(
-            history_limit=history_limit,
-            staleness_horizon_ticks=staleness_horizon_ticks,
-        )
+        self.location_db = LocationDatabase(staleness_horizon_ticks=staleness_horizon_ticks)
         # Off-line precomputation (§2): all shortest paths up front.
         self.paths = AllPairsPaths.from_floorplan(plan)
         self._workstation_rooms: dict[str, str] = {}
@@ -92,7 +87,7 @@ class BIPSServer:
             )
         # Resolved on the first LAN query, so a run without one emits none.
         self._m_query_latency: Optional[Histogram] = None
-        lan.register(endpoint, self._on_message)
+        lan.register(self.endpoint, self._on_message)
 
     # -- fault injection ---------------------------------------------------------
 

@@ -31,11 +31,6 @@ class CycleDeltas:
     new_presences: tuple[BDAddr, ...]
     new_absences: tuple[BDAddr, ...]
 
-    @property
-    def is_empty(self) -> bool:
-        """True when nothing needs reporting (the common, cheap case)."""
-        return not self.new_presences and not self.new_absences
-
 
 @dataclass
 class _DeviceState:
@@ -75,11 +70,6 @@ class PresenceTracker:
             for addr, state in self._states.items()  # lint: disable=DET003 -- builds an unordered set; no iteration order escapes
             if state.present
         }
-
-    @property
-    def cycles_completed(self) -> int:
-        """How many cycles have been evaluated."""
-        return self._cycle_index
 
     def observe_cycle(self, seen: Iterable[BDAddr], tick: int) -> CycleDeltas:
         """Fold one inquiry window's sightings into the presence state.

@@ -68,7 +68,6 @@ class Workstation:
         device: BluetoothDevice,
         policy: MasterSchedulingPolicy,
         lan: LANTransport,
-        server_endpoint: str = "server",
         schedule_offset_ticks: int = 0,
         miss_threshold: int = 2,
         refresh_interval_cycles: int = 0,
@@ -105,7 +104,6 @@ class Workstation:
         self.device = device
         self.policy = policy
         self.lan = lan
-        self.server_endpoint = server_endpoint
         self.schedule = policy.build_schedule(start_tick=schedule_offset_ticks)
         self._spans = spans
         self.inquiry = InquiryProcedure(
@@ -236,10 +234,10 @@ class Workstation:
         """
         if self.retry_policy is not None:
             self.lan.send_reliable(
-                self.workstation_id, self.server_endpoint, message, self.retry_policy
+                self.workstation_id, "server", message, self.retry_policy
             )
         else:
-            self.lan.send(self.workstation_id, self.server_endpoint, message)
+            self.lan.send(self.workstation_id, "server", message)
 
     def _evaluate_window(self, window_start: int, window_end: int) -> None:
         if self.failed:

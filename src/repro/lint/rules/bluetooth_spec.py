@@ -15,11 +15,7 @@ from typing import Callable, Iterator, Optional, Union
 from repro.lint.context import FileContext
 from repro.lint.registry import Violation, at_node, rule
 from repro.lint.spec import PAPER_SPEC
-from repro.sim.clock import (
-    ticks_from_milliseconds,
-    ticks_from_seconds,
-    ticks_from_slots,
-)
+from repro.sim.clock import ticks_from_milliseconds, ticks_from_seconds
 
 #: The module this rule pins down.
 CONSTANTS_MODULE = "repro.bluetooth.constants"
@@ -32,7 +28,6 @@ Numeric = Union[int, float]
 _KNOWN_FUNCTIONS: dict[str, Callable[..., Numeric]] = {
     "ticks_from_seconds": ticks_from_seconds,
     "ticks_from_milliseconds": ticks_from_milliseconds,
-    "ticks_from_slots": ticks_from_slots,
     "round": round,
     "int": int,
 }

@@ -29,16 +29,13 @@ MEAN_WALKING_SPEED_MPS = 1.3
 class PedestrianSpeedModel:
     """Draws pedestrian speeds consistent with the paper's §5 numbers.
 
-    Users are stationary with probability ``stationary_probability``
-    (standing users are explicitly in scope: BIPS tracks "mobile users
-    standing or walking").  Walking speeds are uniform on
-    ``[walk_low, walk_high]``, whose default (1.1..1.5 m/s) averages to
-    the paper's 1.3 m/s while staying inside the [0, 1.5] band.
+    Walking speeds are uniform on ``[walk_low, walk_high]``, whose
+    default (1.1..1.5 m/s) averages to the paper's 1.3 m/s while staying
+    inside the [0, 1.5] band.
     """
 
     walk_low_mps: float = 1.1
     walk_high_mps: float = 1.5
-    stationary_probability: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.walk_low_mps <= self.walk_high_mps:
@@ -50,22 +47,12 @@ class PedestrianSpeedModel:
                 f"walking speed {self.walk_high_mps} exceeds the tracked "
                 f"maximum {MAX_TRACKED_SPEED_MPS}"
             )
-        if not 0.0 <= self.stationary_probability <= 1.0:
-            raise ValueError(
-                f"stationary probability out of range: {self.stationary_probability}"
-            )
 
     @property
     def mean_walking_speed_mps(self) -> float:
         """Mean of the walking-speed distribution."""
         return (self.walk_low_mps + self.walk_high_mps) / 2.0
 
-    def draw_speed(self, rng: RandomStream) -> float:
-        """One speed sample: 0.0 when stationary, else a walking speed."""
-        if self.stationary_probability and rng.random() < self.stationary_probability:
-            return 0.0
-        return rng.uniform(self.walk_low_mps, self.walk_high_mps)
-
     def draw_walking_speed(self, rng: RandomStream) -> float:
-        """A strictly positive walking-speed sample."""
+        """One walking-speed sample."""
         return rng.uniform(self.walk_low_mps, self.walk_high_mps)

@@ -10,7 +10,7 @@ agrees with the timeline).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.building.floorplan import FloorPlan
 from repro.sim.clock import ticks_from_seconds
@@ -49,16 +49,6 @@ class WalkTimeline:
             if visit.contains(tick):
                 return visit.room_id
         return None
-
-    @property
-    def rooms_visited(self) -> list[str]:
-        """Rooms in visit order (with repeats)."""
-        return [visit.room_id for visit in self.visits]
-
-    def transitions(self) -> Iterator[tuple[int, str, str]]:
-        """(tick, from_room, to_room) for each room change."""
-        for previous, current in zip(self.visits, self.visits[1:]):
-            yield current.enter_tick, previous.room_id, current.room_id
 
 
 class BuildingWalker:
@@ -116,7 +106,6 @@ class BuildingWalker:
         self,
         route: Sequence[str],
         start_tick: int = 0,
-        end_open: bool = True,
     ) -> WalkTimeline:
         """Timestamp a route into a :class:`WalkTimeline`.
 
@@ -134,6 +123,8 @@ class BuildingWalker:
             if room_id not in self.plan.rooms:
                 raise ValueError(f"unknown room {room_id!r} in route")
             enter = tick
+            # The last room's dwell is drawn too, though its visit stays
+            # open: later draws from the stream depend on it.
             tick += self._draw_dwell_ticks()
             if index + 1 < len(route):
                 passage = self.plan.passage_between(room_id, route[index + 1])
@@ -145,8 +136,7 @@ class BuildingWalker:
                 tick += self._transit_ticks(passage.distance_m)
                 visits.append(RoomVisit(room_id, enter, tick))
             else:
-                leave = None if end_open else tick
-                visits.append(RoomVisit(room_id, enter, leave))
+                visits.append(RoomVisit(room_id, enter, None))
         return WalkTimeline(visits=visits)
 
     def random_timeline(self, start_room: str, hops: int, start_tick: int = 0) -> WalkTimeline:

@@ -28,7 +28,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricError,
     MetricsRegistry,
-    snapshot_from_jsonl,
 )
 from repro.obs.tracing import (
     Span,
@@ -52,7 +51,6 @@ __all__ = [
     "TraceContext",
     "chrome_trace",
     "merge_worker_spans",
-    "snapshot_from_jsonl",
     "write_chrome_trace",
     "write_spans_jsonl",
 ]

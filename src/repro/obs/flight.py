@@ -8,8 +8,7 @@ it every finished span) and writes the ring to a JSON file when
 triggered — automatically when a span name it is armed on is recorded
 (``bips trace --flight-recorder`` arms the ``core.workstation_failed``
 and ``core.server_brownout`` fault instants), or explicitly via
-:meth:`trigger` / the :meth:`guard` context manager around
-assertion-bearing code.
+:meth:`trigger`.
 
 Dump files are numbered in trigger order (``flight-0001-<reason>.json``)
 and their contents are deterministic whenever the recorded spans are
@@ -22,24 +21,6 @@ import json
 import os
 from collections import deque
 from typing import Any
-
-
-class _FlightGuard:
-    """Context manager: dump the ring when an assertion fires inside."""
-
-    __slots__ = ("_recorder", "_reason")
-
-    def __init__(self, recorder: "FlightRecorder", reason: str) -> None:
-        self._recorder = recorder
-        self._reason = reason
-
-    def __enter__(self) -> "FlightRecorder":
-        return self._recorder
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        if exc_type is not None and issubclass(exc_type, AssertionError):
-            self._recorder.trigger(self._reason)
-        # Never swallow the exception.
 
 
 class FlightRecorder:
@@ -100,10 +81,6 @@ class FlightRecorder:
             handle.write("\n")
         self.dumps.append(path)
         return path
-
-    def guard(self, reason: str = "assertion") -> _FlightGuard:
-        """``with recorder.guard(): assert ...`` — dump if it fires."""
-        return _FlightGuard(self, reason)
 
     def __len__(self) -> int:
         return len(self._ring)

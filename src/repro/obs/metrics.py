@@ -5,10 +5,9 @@ discovery probability, duty-cycle tradeoffs), so the reproduction needs
 one uniform way to count and time things.  Two rules keep the metrics
 plane compatible with a deterministic simulator:
 
-* **No wall clock.**  Histograms observe simulated quantities (ticks,
-  seconds of sim time, bytes); percentiles are computed from fixed
-  bucket boundaries.  Two runs with the same seed must export
-  byte-identical JSONL.
+* **No wall clock.**  Histograms count simulated quantities (ticks,
+  seconds of sim time, bytes) into fixed bucket boundaries.  Two runs
+  with the same seed must export byte-identical JSONL.
 * **Cheap when unused.**  Instruments are plain attribute updates; the
   instrumented modules accept ``metrics=None`` and skip everything when
   no registry is supplied, so micro-benchmarks and standalone tests pay
@@ -87,13 +86,11 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram with deterministic percentile estimates.
+    """Fixed-bucket histogram: per-bucket counts plus count/sum/min/max.
 
     ``buckets`` are the finite upper bounds; an implicit +inf bucket
-    catches the overflow.  ``percentile`` interpolates within the
-    matching bucket, which is coarse but reproducible — good enough for
-    "p95 delivery latency ≈ 4 ticks" style statements and immune to
-    run-to-run noise.
+    catches the overflow.  Fixed bounds keep the export reproducible and
+    immune to run-to-run noise.
     """
 
     def __init__(
@@ -126,34 +123,6 @@ class Histogram:
                 self.counts[index] += 1
                 return
         self.counts[-1] += 1
-
-    @property
-    def mean(self) -> Optional[float]:
-        return self.sum / self.count if self.count else None
-
-    def percentile(self, q: float) -> Optional[float]:
-        """Estimate the ``q``-quantile (``0 < q <= 1``) from buckets.
-
-        Interpolates linearly inside the bucket that contains the
-        target rank; the overflow bucket reports the observed max.
-        """
-        if not 0.0 < q <= 1.0:
-            raise MetricError(f"quantile must be in (0, 1]: {q}")
-        if self.count == 0:
-            return None
-        target = q * self.count
-        cumulative = 0
-        lower = 0.0
-        for index, bound in enumerate(self.bounds):
-            bucket_count = self.counts[index]
-            if cumulative + bucket_count >= target:
-                if bucket_count == 0:
-                    return bound
-                fraction = (target - cumulative) / bucket_count
-                return lower + (bound - lower) * fraction
-            cumulative += bucket_count
-            lower = bound
-        return self.max
 
 
 Instrument = Union[Counter, Gauge, Histogram]
@@ -304,8 +273,3 @@ class MetricsRegistry:
         if current_kind is None:
             lines.append("  (no metrics recorded)")
         return "\n".join(lines)
-
-
-def snapshot_from_jsonl(text: str) -> list[dict]:
-    """Parse JSONL produced by :meth:`MetricsRegistry.to_jsonl`."""
-    return [json.loads(line) for line in text.splitlines() if line.strip()]

@@ -119,13 +119,6 @@ class Span:
         self.wall_start_ns: Optional[int] = None
         self.wall_end_ns: Optional[int] = None
 
-    @property
-    def duration_ticks(self) -> int:
-        """Span length in ticks (0 while open or for instants)."""
-        if self.end_tick is None:
-            return 0
-        return self.end_tick - self.start_tick
-
     def to_record(self) -> dict[str, Any]:
         """The span as a plain JSON-safe dict (the JSONL line shape)."""
         record: dict[str, Any] = {

@@ -17,7 +17,7 @@ ask whether a given packet was hit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.bluetooth.constants import NUM_RF_CHANNELS
 from repro.sim.rng import RandomStream
@@ -59,14 +59,14 @@ class SharedBand:
         self,
         piconet_id: str,
         active_at: Callable[[int], bool],
-        neighbors: Optional[set[str]] = None,
     ) -> None:
-        """Add a piconet with its activity predicate and neighbour set."""
+        """Add a piconet with its activity predicate; :meth:`connect`
+        gives it neighbours."""
         if piconet_id in self._activity:
             raise ValueError(f"piconet {piconet_id!r} already registered")
         self._activity[piconet_id] = active_at
-        self._neighbors[piconet_id] = set(neighbors or ())
-        self._neighbor_order[piconet_id] = tuple(sorted(self._neighbors[piconet_id]))
+        self._neighbors[piconet_id] = set()
+        self._neighbor_order[piconet_id] = ()
 
     def connect(self, a: str, b: str) -> None:
         """Declare two piconets to be within interference range."""

@@ -62,7 +62,6 @@ class ExperimentRunner:
         self,
         jobs: int = 1,
         metrics: Optional[MetricsRegistry] = None,
-        mp_start_method: str = "spawn",
         *,
         cache: None = None,
     ) -> None:
@@ -79,7 +78,6 @@ class ExperimentRunner:
             raise ValueError(f"jobs must be >= 1: {jobs}")
         self.jobs = jobs
         self.metrics = metrics
-        self.mp_start_method = mp_start_method
         if metrics is not None:
             metrics.gauge("runner.jobs").set(jobs)
 
@@ -116,7 +114,7 @@ class ExperimentRunner:
     # -- internals ----------------------------------------------------------
 
     def _map_parallel(self, tasks: list[tuple[Any, ...]]) -> list[tuple[Any, float]]:
-        context = multiprocessing.get_context(self.mp_start_method)
+        context = multiprocessing.get_context("spawn")
         workers = min(self.jobs, len(tasks))
         chunksize = max(1, len(tasks) // (workers * 4))
         with context.Pool(processes=workers) as pool:

@@ -13,18 +13,11 @@ from .clock import (
     TICKS_PER_SECOND,
     TICKS_PER_SLOT,
     SimClock,
-    milliseconds_from_ticks,
     seconds_from_ticks,
-    slots_from_ticks,
     ticks_from_milliseconds,
     ticks_from_seconds,
-    ticks_from_slots,
 )
-from .errors import (
-    DeadlockError,
-    SchedulingError,
-    SimulationError,
-)
+from .errors import SchedulingError, SimulationError
 from .kernel import EventHandle, Kernel
 from .rng import RandomStream, derive_seed
 
@@ -34,13 +27,9 @@ __all__ = [
     "TICKS_PER_SECOND",
     "TICKS_PER_SLOT",
     "SimClock",
-    "milliseconds_from_ticks",
     "seconds_from_ticks",
-    "slots_from_ticks",
     "ticks_from_milliseconds",
     "ticks_from_seconds",
-    "ticks_from_slots",
-    "DeadlockError",
     "SchedulingError",
     "SimulationError",
     "EventHandle",

@@ -51,21 +51,6 @@ def ticks_from_milliseconds(milliseconds: float) -> int:
     return round(milliseconds * TICKS_PER_SECOND / 1000.0)
 
 
-def milliseconds_from_ticks(ticks: int) -> float:
-    """Convert ``ticks`` to milliseconds."""
-    return ticks * 1000.0 / TICKS_PER_SECOND
-
-
-def ticks_from_slots(slots: int) -> int:
-    """Convert Bluetooth slots (625 µs each) to ticks."""
-    return slots * TICKS_PER_SLOT
-
-
-def slots_from_ticks(ticks: int) -> int:
-    """Convert ticks to whole Bluetooth slots (truncating)."""
-    return ticks // TICKS_PER_SLOT
-
-
 class SimClock:
     """A monotonically advancing simulated clock measured in ticks.
 

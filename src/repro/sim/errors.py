@@ -1,7 +1,9 @@
 """Exception hierarchy for the simulation kernel.
 
-Every error raised by :mod:`repro.sim` derives from :class:`SimulationError`
-so callers can catch kernel problems without masking unrelated bugs.
+The kernel raises :class:`SchedulingError` for an event or a
+``run_until`` target in the past.  It derives from
+:class:`SimulationError`, so callers can catch kernel problems without
+masking unrelated bugs.
 """
 
 from __future__ import annotations
@@ -13,12 +15,3 @@ class SimulationError(Exception):
 
 class SchedulingError(SimulationError):
     """An event was scheduled at an invalid time (e.g. in the past)."""
-
-
-class DeadlockError(SimulationError):
-    """``run_until`` was asked to reach a time but the event heap drained.
-
-    This is only an error when the caller explicitly demands progress via
-    ``require_events=True``; normally an empty heap simply fast-forwards
-    the clock.
-    """

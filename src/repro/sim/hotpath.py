@@ -21,16 +21,10 @@ from typing import Callable, TypeVar
 
 F = TypeVar("F", bound=Callable[..., object])
 
-#: Dotted names of every function marked ``@hot_path``, in decoration
-#: order.  Populated at import time only (append-only, deterministic),
-#: so tooling that *does* run the code can enumerate the audited set.
-HOT_PATH_REGISTRY: list[str] = []  # lint: disable=RUN001 -- import-time append-only marker registry, never mutated per-run
-
 
 def hot_path(func: F) -> F:
     """Mark ``func`` for the PERF001 hot-path allocation audit.
 
     Identity decorator: no wrapper, no runtime overhead.
     """
-    HOT_PATH_REGISTRY.append(f"{func.__module__}.{func.__qualname__}")
     return func

@@ -41,7 +41,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 from .clock import SimClock
-from .errors import DeadlockError, SchedulingError
+from .errors import SchedulingError
 from .hotpath import hot_path
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a layering cycle
@@ -92,11 +92,6 @@ class EventHandle:
         self.callback = None  # drop references promptly
         if self._kernel is not None:
             self._kernel._note_cancelled()
-
-    @property
-    def pending(self) -> bool:
-        """True while the event is scheduled and not cancelled or fired."""
-        return not self.cancelled and self.callback is not None
 
     def __lt__(self, other: "EventHandle") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
@@ -338,13 +333,11 @@ class Kernel:
             return True
         return False
 
-    def run_until(self, tick: int, require_events: bool = False) -> None:
+    def run_until(self, tick: int) -> None:
         """Run events until simulated time reaches ``tick``.
 
         Events scheduled exactly at ``tick`` fire; the clock finishes at
-        ``tick`` even if the queue drains earlier (unless
-        ``require_events`` demands live events the whole way, in which
-        case draining early raises :class:`DeadlockError`).
+        ``tick`` even if the queue drains earlier.
         """
         if tick < self.clock.now:
             raise SchedulingError(
@@ -352,10 +345,6 @@ class Kernel:
             )
         self._bound = tick
         self._drain_heap(tick)
-        if require_events and self.pending_events == 0 and self.clock.now < tick:
-            raise DeadlockError(
-                f"event heap drained at {self.clock.now} before reaching {tick}"
-            )
         self.clock.advance_to(tick)
 
     @hot_path

@@ -8,7 +8,6 @@ import pytest
 
 from repro.analysis.stats import (
     EmpiricalCDF,
-    percentile,
     proportion_ci95,
     relative_error,
     summarize,
@@ -33,62 +32,10 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([])
 
-    def test_ci_contains_mean(self):
-        summary = summarize([1.0, 2.0, 3.0, 4.0])
-        low, high = summary.ci95
-        assert low <= summary.mean <= high
-
     def test_ci_shrinks_with_samples(self):
         small = summarize([1.0, 2.0] * 5)
         large = summarize([1.0, 2.0] * 500)
         assert large.ci95_half_width < small.ci95_half_width
-
-    def test_format(self):
-        assert "mean=" in summarize([1.0, 2.0]).format("s")
-
-
-class TestPercentile:
-    def test_median(self):
-        assert percentile([1.0, 2.0, 3.0], 50) == 2.0
-
-    def test_extremes(self):
-        values = [3.0, 1.0, 2.0]
-        assert percentile(values, 0) == 1.0
-        assert percentile(values, 100) == 3.0
-
-    def test_interpolation(self):
-        assert percentile([0.0, 10.0], 25) == 2.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)
-        with pytest.raises(ValueError):
-            percentile([1.0], 101)
-        with pytest.raises(ValueError):
-            percentile([1.0], -0.5)
-
-    def test_single_sample_any_q(self):
-        # With one sample every percentile is that sample, including
-        # the q=0/q=100 extremes.
-        for q in (0, 12.5, 50, 99.9, 100):
-            assert percentile([4.2], q) == 4.2
-
-    def test_extreme_q_with_duplicates(self):
-        values = [2.0, 2.0, 2.0]
-        assert percentile(values, 0) == 2.0
-        assert percentile(values, 100) == 2.0
-
-    def test_boundary_q_are_exact_order_statistics(self):
-        # q=0/100 must return the min/max exactly — no interpolation
-        # drift — because report tables print them as observed bounds.
-        values = [0.1 * i for i in range(1, 8)]
-        assert percentile(values, 0) == min(values)
-        assert percentile(values, 100) == max(values)
-
-    def test_does_not_mutate_input(self):
-        values = [3.0, 1.0, 2.0]
-        percentile(values, 50)
-        assert values == [3.0, 1.0, 2.0]
 
 
 class TestProportionCI:

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bluetooth.btclock import CLKN_WRAP, BluetoothClock
+from repro.bluetooth.constants import SCAN_FREQUENCY_CHANGE_TICKS
 
 
 class TestBluetoothClock:
@@ -22,25 +21,6 @@ class TestBluetoothClock:
         clock = BluetoothClock(offset=CLKN_WRAP - 1)
         assert clock.clkn(1) == 0
 
-    def test_scan_phase_advances_every_4096_ticks(self):
-        clock = BluetoothClock()
-        assert clock.scan_phase(0, 32) == 0
-        assert clock.scan_phase(4095, 32) == 0
-        assert clock.scan_phase(4096, 32) == 1
-        assert clock.scan_phase(4096 * 33, 32) == 1  # wraps mod 32
-
-    def test_scan_phase_modulus(self):
-        clock = BluetoothClock()
-        assert clock.scan_phase(4096 * 20, 16) == 4
-
-    def test_scan_phase_with_offset(self):
-        clock = BluetoothClock(offset=4096)
-        assert clock.scan_phase(0, 32) == 1
-
-    def test_invalid_modulus(self):
-        with pytest.raises(ValueError):
-            BluetoothClock().scan_phase(0, 0)
-
     def test_ticks_to_next_phase_change(self):
         clock = BluetoothClock()
         assert clock.ticks_to_next_phase_change(0) == 4096
@@ -52,6 +32,6 @@ class TestBluetoothClock:
         clock = BluetoothClock(offset=777)
         for tick in (0, 100, 5000, 123456):
             delta = clock.ticks_to_next_phase_change(tick)
-            before = clock.scan_phase(tick + delta - 1, 32)
-            after = clock.scan_phase(tick + delta, 32)
-            assert after == (before + 1) % 32
+            before = clock.clkn(tick + delta - 1) // SCAN_FREQUENCY_CHANGE_TICKS
+            after = clock.clkn(tick + delta) // SCAN_FREQUENCY_CHANGE_TICKS
+            assert after == before + 1

@@ -24,7 +24,7 @@ class TestConnection:
     def test_initial_state(self):
         conn = make_connection()
         assert conn.active
-        assert conn.duration_ticks is None
+        assert conn.closed_tick is None
 
     def test_am_addr_validated(self):
         with pytest.raises(ValueError):
@@ -37,7 +37,7 @@ class TestConnection:
         conn.close(600, DisconnectReason.DEVICE_LEFT)
         assert conn.state is ConnectionState.CLOSED
         assert conn.close_reason is DisconnectReason.DEVICE_LEFT
-        assert conn.duration_ticks == 500
+        assert conn.closed_tick == 600
 
     def test_close_idempotent(self):
         conn = make_connection()
@@ -45,11 +45,6 @@ class TestConnection:
         conn.close(200, DisconnectReason.REMOTE_CLOSE)
         assert conn.closed_tick == 100
         assert conn.close_reason is DisconnectReason.LOCAL_CLOSE
-
-    def test_describe(self):
-        text = make_connection().describe()
-        assert "am=1" in text and "active" in text
-
 
 class TestPiconet:
     def test_attach_assigns_am_addrs(self):
@@ -83,13 +78,13 @@ class TestPiconet:
         piconet = Piconet(master=MASTER)
         assert piconet.detach(BDAddr(1), 0, DisconnectReason.LOCAL_CLOSE) is None
 
-    def test_detach_moves_to_history(self):
+    def test_detach_closes_the_link(self):
         piconet = Piconet(master=MASTER)
         piconet.attach(BDAddr(1), tick=0)
-        piconet.detach(BDAddr(1), tick=10, reason=DisconnectReason.LOCAL_CLOSE)
+        closed = piconet.detach(BDAddr(1), tick=10, reason=DisconnectReason.LOCAL_CLOSE)
         assert piconet.active_count == 0
-        assert len(piconet.history) == 1
-        assert piconet.history[0].close_reason is DisconnectReason.LOCAL_CLOSE
+        assert not closed.active
+        assert closed.close_reason is DisconnectReason.LOCAL_CLOSE
 
     def test_members_sorted_by_am_addr(self):
         piconet = Piconet(master=MASTER)

@@ -43,12 +43,6 @@ class TestPackets:
 
 
 class TestBluetoothDevice:
-    def test_label_falls_back_to_address(self):
-        device = BluetoothDevice(address=BDAddr(1))
-        assert device.label == str(BDAddr(1))
-        named = BluetoothDevice(address=BDAddr(1), name="alice")
-        assert named.label == "alice"
-
     def test_base_phase_validated(self):
         with pytest.raises(ValueError):
             BluetoothDevice(address=BDAddr(1), base_phase=32)

@@ -72,10 +72,6 @@ class TestTrains:
         assert a_positions == list(range(16))
         assert b_positions == list(range(16, 32))
 
-    def test_other(self):
-        assert Train.A.other is Train.B
-        assert Train.B.other is Train.A
-
     def test_position_out_of_range(self):
         with pytest.raises(ValueError):
             train_of_position(32)

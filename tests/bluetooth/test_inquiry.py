@@ -42,11 +42,8 @@ class TestReception:
 
     def test_callback_fires_once_per_device(self, kernel):
         discovered = []
-        master = InquiryProcedure(
-            kernel,
-            continuous_inquiry(),
-            on_discovered=lambda packet, tick: discovered.append((packet.sender, tick)),
-        )
+        master = InquiryProcedure(kernel, continuous_inquiry())
+        master.on_discovered = lambda packet, tick: discovered.append((packet.sender, tick))
         master._on_fhs(fhs(1, 10), 10)
         master._on_fhs(fhs(1, 20), 20)
         master._on_fhs(fhs(2, 30), 30)
@@ -63,7 +60,7 @@ class TestReception:
         master._on_fhs(fhs(1, 10), 10)
         master._on_fhs(fhs(2, 20), 20)
         master.forget(BDAddr(1))
-        assert not master.has_discovered(BDAddr(1))
+        assert master.discovery_tick(BDAddr(1)) is None
         assert master.last_seen == {BDAddr(2): 20}
         master._on_fhs(fhs(1, 300), 300)
         assert master.discovery_tick(BDAddr(1)) == 300
@@ -75,11 +72,6 @@ class TestReception:
         master.reset()
         assert master.discovered_count == 0
         assert master.last_seen == {}
-
-    def test_result_seconds_property(self, kernel):
-        master = InquiryProcedure(kernel, continuous_inquiry())
-        master._on_fhs(fhs(1, 3200), 3200)
-        assert master.results[0].discovered_seconds == 1.0
 
 
 class TestReceiverCapture:
@@ -110,7 +102,6 @@ class TestReceiverCapture:
         master._on_fhs(fhs(1, 100), 100)
         master._on_fhs(fhs(2, 101), 101)
         master._on_fhs(fhs(2, 200), 200)
-        assert master.has_discovered(BDAddr(2))
         assert master.discovery_tick(BDAddr(2)) == 200
 
 

@@ -24,17 +24,21 @@ def run_page(kernel, target, **kwargs):
     return pager, outcomes[0]
 
 
+def latency(result) -> int:
+    return result.finished_tick - result.started_tick
+
+
 class TestSlotLevelPaging:
     def test_fresh_estimate_connects_within_one_scan_interval(self, kernel):
         target = one_device()
         pager, outcome = run_page(kernel, target)
         assert outcome.result.outcome is PageOutcome.CONNECTED
-        assert outcome.train_prediction_correct
+        assert outcome.predicted_train is outcome.actual_train_at_start
         # Rendezvous waits at most two 1.28 s page-scan intervals (one
         # interval, plus one more when the slave's phase crosses a
         # boundary between the prediction and its next window), plus the
         # handshake.
-        assert outcome.result.latency_ticks <= 2 * 4096 + PAGE_HANDSHAKE_TICKS
+        assert latency(outcome.result) <= 2 * 4096 + PAGE_HANDSHAKE_TICKS
 
     def test_handshake_is_six_slots(self, kernel):
         target = one_device(seed=2)
@@ -56,7 +60,7 @@ class TestSlotLevelPaging:
         timeout = 2 * N_PAGE * 32
         pager, outcome = run_page(kernel, target, scanning=False, timeout_ticks=timeout)
         assert outcome.result.outcome is PageOutcome.TIMEOUT
-        assert outcome.result.latency_ticks == timeout
+        assert latency(outcome.result) == timeout
         assert pager.timeouts == 1
 
     def test_stale_estimate_may_pick_wrong_train_and_still_connect(self, kernel):
@@ -75,7 +79,7 @@ class TestSlotLevelPaging:
             outcome = outcomes[0]
             if outcome.result.outcome is PageOutcome.CONNECTED:
                 connected += 1
-            if not outcome.train_prediction_correct:
+            if outcome.predicted_train is not outcome.actual_train_at_start:
                 wrong += 1
         # Wrong-train predictions happen (~50 %), yet the alternation
         # always recovers within the timeout.
@@ -94,7 +98,7 @@ class TestSlotLevelPaging:
                 outcomes = []
                 pager.page(target, outcomes.append, estimate_error_ticks=error)
                 kernel.run_until(kernel.now + ticks_from_seconds(12))
-                total += outcomes[0].result.latency_ticks
+                total += latency(outcomes[0].result)
             return total / count
 
         fresh = mean_latency(0)
@@ -120,4 +124,4 @@ class TestSlotLevelPaging:
         target = one_device(seed=7)
         pager, outcome = run_page(kernel, target, timeout_ticks=8)
         assert outcome.result.outcome in (PageOutcome.TIMEOUT, PageOutcome.CONNECTED)
-        assert outcome.result.latency_ticks <= 8 + PAGE_HANDSHAKE_TICKS
+        assert latency(outcome.result) <= 8 + PAGE_HANDSHAKE_TICKS

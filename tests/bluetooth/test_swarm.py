@@ -568,7 +568,7 @@ class TestSwarmLifecycle:
         assert handle.address == BDAddr(0xA)
         assert handle.name == str(BDAddr(0xA))
         assert handle.listen_position(0) == swarm.listen_position(handle.row, 0)
-        assert swarm.slave_count == 1
+        assert handle.row == 0
 
     def test_batch_telemetry(self, kernel):
         swarm, handle = self._swarm(kernel)
@@ -620,16 +620,17 @@ class TestSwarmLifecycle:
         )
         for from_tick in (0, 1, 37, 4095, 4096, 70_000):
             for ignore in (False, True):
+                # A window as long as the interval listens throughout.
+                window_ticks = config.interval_ticks if ignore else config.window_ticks
                 expected = next_listen_rendezvous(
                     schedule=schedule,
                     listen_position=handle.listen_position,
                     clock=clock,
                     fixed_phase=False,
-                    window_ticks=config.window_ticks,
+                    window_ticks=window_ticks,
                     interval_ticks=config.interval_ticks,
                     window_anchor=clock.offset % config.interval_ticks,
                     from_tick=from_tick,
                     before_tick=1 << 62,
-                    always_listening=ignore,
                 )
                 assert handle.next_hear(from_tick, ignore) == expected, (from_tick, ignore)

@@ -15,26 +15,27 @@ from tests.layouts import linear_wing
 
 
 def validate_against_reference(
-    graph: Graph,
+    edges: Sequence[tuple[str, str, float]],
+    nodes: Sequence[str],
     pairs: Sequence[tuple[str, str]],
-    lookup: Optional[Callable[[str, str], Optional[PathResult]]] = None,
+    lookup: Callable[[str, str], Optional[PathResult]],
 ) -> list[tuple[str, str, Optional[float], Optional[float]]]:
     """Cross-check shortest paths against networkx on specific pairs.
 
-    ``lookup`` answers a pair (``graph.shortest_path`` by default).  An
-    answer must join its endpoints along graph edges whose weights sum
-    to its length, and that length must be networkx's.  Returns the
-    mismatching pairs as ``(source, target, ours, reference)``; an
-    empty list means agreement.
+    ``edges`` are the graph's ``(a, b, weight)`` edges and ``lookup``
+    answers a pair.  An answer must join its endpoints along edges whose
+    weights sum to its length, and that length must be networkx's.
+    Returns the mismatching pairs as ``(source, target, ours,
+    reference)``; an empty list means agreement.
     """
     import networkx as nx
 
-    lookup = lookup if lookup is not None else graph.shortest_path
     reference = nx.Graph()
-    for node in graph.nodes:
-        reference.add_node(node)
-        for neighbor, weight in graph.neighbors(node).items():
-            reference.add_edge(node, neighbor, weight=weight)
+    reference.add_nodes_from(nodes)
+    weights: dict[frozenset, float] = {}
+    for a, b, weight in edges:
+        reference.add_edge(a, b, weight=weight)
+        weights[frozenset((a, b))] = weight
     mismatches = []
     for source, target in pairs:
         ours = lookup(source, target)
@@ -45,7 +46,7 @@ def validate_against_reference(
         ours_distance = ours.total_distance_m if ours is not None else None
         if ours is not None:
             rooms = ours.rooms
-            walked = sum(graph.neighbors(a).get(b, math.inf) for a, b in zip(rooms, rooms[1:]))
+            walked = sum(weights.get(frozenset(hop), math.inf) for hop in zip(rooms, rooms[1:]))
             if (rooms[0], rooms[-1]) != (source, target) or abs(walked - ours_distance) > 1e-9:
                 mismatches.append((source, target, ours_distance, ref_distance))
                 continue
@@ -58,6 +59,10 @@ def validate_against_reference(
         ):
             mismatches.append((source, target, ours_distance, ref_distance))
     return mismatches
+
+
+def plan_edges(plan) -> list[tuple[str, str, float]]:
+    return [(p.room_a, p.room_b, p.distance_m) for p in plan.passages]
 
 
 def diamond() -> Graph:
@@ -91,9 +96,10 @@ class TestGraph:
             graph.add_edge("a", "d", 0.0)
 
     def test_undirected(self):
-        graph = diamond()
-        assert graph.neighbors("a")["b"] == 1.0
-        assert graph.neighbors("b")["a"] == 1.0
+        all_pairs = AllPairsPaths(diamond())
+        assert all_pairs.path("a", "b").rooms == ("a", "b")
+        assert all_pairs.path("b", "a").rooms == ("b", "a")
+        assert all_pairs.path("b", "a").total_distance_m == 1.0
 
     def test_from_floorplan(self):
         plan = academic_department()
@@ -103,13 +109,13 @@ class TestGraph:
 
 class TestDijkstra:
     def test_picks_cheaper_longer_path(self):
-        result = diamond().shortest_path("a", "d")
+        result = AllPairsPaths(diamond()).path("a", "d")
         assert result.rooms == ("a", "c", "d")
         assert result.total_distance_m == 2.5
         assert result.hop_count == 2
 
     def test_source_equals_target(self):
-        result = diamond().shortest_path("a", "a")
+        result = AllPairsPaths(diamond()).path("a", "a")
         assert result.rooms == ("a",)
         assert result.total_distance_m == 0.0
         assert result.hop_count == 0
@@ -117,13 +123,13 @@ class TestDijkstra:
     def test_disconnected_returns_none(self):
         graph = diamond()
         graph.add_node("island")
-        assert graph.shortest_path("a", "island") is None
+        assert AllPairsPaths(graph).path("a", "island") is None
 
     def test_unknown_nodes_raise(self):
         with pytest.raises(UnknownRoomError):
-            diamond().shortest_path("ghost", "a")
+            diamond().dijkstra("ghost")
         with pytest.raises(UnknownRoomError):
-            diamond().shortest_path("a", "ghost")
+            AllPairsPaths(diamond()).path("a", "ghost")
 
     def test_distances_monotone_along_path(self):
         graph = Graph.from_floorplan(academic_department())
@@ -133,15 +139,17 @@ class TestDijkstra:
                 assert distance[pred] < distance[node]
 
     def test_linear_wing_distance(self):
-        graph = Graph.from_floorplan(linear_wing(6))
-        result = graph.shortest_path("wing-0", "wing-5")
+        result = AllPairsPaths.from_floorplan(linear_wing(6)).path("wing-0", "wing-5")
         assert result.total_distance_m == 50.0
         assert result.hop_count == 5
 
     def test_matches_networkx_on_department(self):
-        graph = Graph.from_floorplan(academic_department())
-        pairs = list(itertools.combinations(graph.nodes, 2))
-        assert validate_against_reference(graph, pairs) == []
+        plan = academic_department()
+        all_pairs = AllPairsPaths.from_floorplan(plan)
+        pairs = list(itertools.combinations(plan.room_ids(), 2))
+        assert validate_against_reference(
+            plan_edges(plan), plan.room_ids(), pairs, all_pairs.path
+        ) == []
 
     def test_matches_networkx_on_random_graphs(self):
         from repro.sim.rng import RandomStream
@@ -153,16 +161,23 @@ class TestDijkstra:
             nodes = [f"n{i}" for i in range(node_count)]
             for node in nodes:
                 graph.add_node(node)
+            edges = []
             # A random spanning tree plus extra chords keeps it connected.
             for i in range(1, node_count):
                 parent = nodes[rng.randint(0, i - 1)]
-                graph.add_edge(nodes[i], parent, rng.uniform(0.5, 20.0))
+                edges.append((nodes[i], parent, rng.uniform(0.5, 20.0)))
+            joined = {frozenset(edge[:2]) for edge in edges}
             for _ in range(node_count):
                 a, b = rng.sample(nodes, 2)
-                if b not in graph.neighbors(a):
-                    graph.add_edge(a, b, rng.uniform(0.5, 20.0))
+                if frozenset((a, b)) not in joined:
+                    joined.add(frozenset((a, b)))
+                    edges.append((a, b, rng.uniform(0.5, 20.0)))
+            for a, b, weight in edges:
+                graph.add_edge(a, b, weight)
             pairs = [tuple(rng.sample(nodes, 2)) for _ in range(15)]
-            assert validate_against_reference(graph, pairs) == []
+            assert validate_against_reference(
+                edges, nodes, pairs, AllPairsPaths(graph).path
+            ) == []
 
 
 class TestAllPairs:
@@ -170,10 +185,11 @@ class TestAllPairs:
         "plan", [academic_department(), multi_floor_department(3)], ids=["department", "3-floor"]
     )
     def test_every_precomputed_path_matches_networkx(self, plan):
-        graph = Graph.from_floorplan(plan)
-        all_pairs = AllPairsPaths(graph)
+        all_pairs = AllPairsPaths.from_floorplan(plan)
         pairs = list(itertools.product(plan.room_ids(), repeat=2))
-        assert validate_against_reference(graph, pairs, all_pairs.path) == []
+        assert validate_against_reference(
+            plan_edges(plan), plan.room_ids(), pairs, all_pairs.path
+        ) == []
 
     def test_lookup_returns_the_prebuilt_result(self):
         all_pairs = AllPairsPaths.from_floorplan(academic_department())
@@ -184,22 +200,21 @@ class TestAllPairs:
         graph = Graph.from_floorplan(plan)
         all_pairs = AllPairsPaths(graph)
         for source, target in itertools.combinations(plan.room_ids(), 2):
-            direct = graph.shortest_path(source, target)
+            distance, predecessor = graph.dijkstra(source)
             lookup = all_pairs.path(source, target)
-            assert lookup.total_distance_m == direct.total_distance_m
-            assert lookup.rooms == direct.rooms
+            assert lookup.total_distance_m == distance[target]
+            assert lookup.rooms[-2] == predecessor[target]
 
     def test_path_is_symmetric_in_length(self):
         all_pairs = AllPairsPaths.from_floorplan(academic_department())
-        a = all_pairs.distance("lab-1", "lounge")
-        b = all_pairs.distance("lounge", "lab-1")
+        a = all_pairs.path("lab-1", "lounge").total_distance_m
+        b = all_pairs.path("lounge", "lab-1").total_distance_m
         assert a == b
 
     def test_unreachable_distance_none(self):
         graph = diamond()
         graph.add_node("island")
         all_pairs = AllPairsPaths(graph)
-        assert all_pairs.distance("a", "island") is None
         assert all_pairs.path("a", "island") is None
 
     def test_unknown_room_raises(self):

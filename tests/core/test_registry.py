@@ -30,7 +30,6 @@ class TestRegistration:
     def test_lookup_by_id_and_name(self, registry):
         assert registry.user("u-alice").username == "Alice"
         assert registry.user_by_name("Bob").userid == "u-bob"
-        assert registry.registered_count == 2
 
     def test_duplicate_userid_rejected(self, registry):
         with pytest.raises(RegistrationError):
@@ -98,11 +97,6 @@ class TestLoginLogout:
     def test_device_of_requires_login(self, registry):
         with pytest.raises(NotLoggedInError):
             registry.device_of("u-alice")
-
-    def test_active_sessions(self, registry):
-        assert registry.active_sessions == 0
-        registry.login("u-alice", "pw-a", ALICE_DEV, tick=0)
-        assert registry.active_sessions == 1
 
 
 class TestAccessRights:

@@ -21,7 +21,7 @@ class TestDeltas:
         tracker = PresenceTracker()
         tracker.observe_cycle([A], tick=100)
         deltas = tracker.observe_cycle([A], tick=200)
-        assert deltas.is_empty
+        assert deltas.new_presences == deltas.new_absences == ()
 
     def test_multiple_devices(self):
         tracker = PresenceTracker()
@@ -33,7 +33,6 @@ class TestDeltas:
         first = tracker.observe_cycle([], tick=0)
         second = tracker.observe_cycle([], tick=100)
         assert (first.cycle_index, second.cycle_index) == (0, 1)
-        assert tracker.cycles_completed == 2
 
 
 class TestHysteresis:
@@ -41,7 +40,7 @@ class TestHysteresis:
         tracker = PresenceTracker(miss_threshold=2)
         tracker.observe_cycle([A], tick=0)
         deltas = tracker.observe_cycle([], tick=100)
-        assert deltas.is_empty
+        assert deltas.new_presences == deltas.new_absences == ()
         assert A in tracker.present_devices
 
     def test_two_misses_declare_absence(self):
@@ -58,7 +57,7 @@ class TestHysteresis:
         tracker.observe_cycle([], tick=100)  # one miss
         tracker.observe_cycle([A], tick=200)  # seen again
         deltas = tracker.observe_cycle([], tick=300)  # one miss again
-        assert deltas.is_empty
+        assert deltas.new_presences == deltas.new_absences == ()
         assert A in tracker.present_devices
 
     def test_threshold_one_flaps_immediately(self):
@@ -79,7 +78,7 @@ class TestHysteresis:
         tracker.observe_cycle([A], tick=0)
         tracker.observe_cycle([], tick=100)
         deltas = tracker.observe_cycle([], tick=200)
-        assert deltas.is_empty
+        assert deltas.new_presences == deltas.new_absences == ()
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):

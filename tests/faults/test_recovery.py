@@ -58,8 +58,8 @@ class TestWorkstationRestart:
         sim.run(until_seconds=240.0)
         assert sim.server.locate("u-b", "A") == "lab-1"
         device = sim.user("u-a").device.address
-        confirmed = sim.server.location_db.last_confirmed(device)
-        assert confirmed is not None and confirmed > 0
+        record = sim.server.location_db.record_of(device)
+        assert record is not None and record.last_confirmed_tick > 0
 
     def test_crash_keeps_last_position_as_degraded_answer(self):
         # refresh every cycle (~15.4 s) keeps a healthy record fresh

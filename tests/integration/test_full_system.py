@@ -95,7 +95,7 @@ class TestFullFeatureRun:
         analytics = OccupancyReport(
             sim.server.location_db, sim.server.registry, sim.plan
         )
-        assert analytics.total_tracked() == sim.server.location_db.known_count
+        assert sum(room.count for room in analytics.occupancy()) == sim.server.location_db.known_count
 
 
 class TestSessionLifecycle:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
+import repro
 from repro.lint import lint_paths
+from repro.lint.rules.hot_path_perf import _is_marked
 
 MARK = "from repro.sim.hotpath import hot_path\n"
 
@@ -116,25 +120,32 @@ class TestSuppression:
         assert report.suppressed == 1
 
 
+def marked_functions(paths) -> set[str]:
+    """Functions PERF001 audits as hot: their decorators, read from the
+    AST by the deep pass's call graph, carry the ``hot_path`` marker."""
+    graphs = []
+    lint_paths(paths, select=["PERF001"], deep=True, graph_sink=graphs)
+    (graph,) = graphs
+    return {name for name, node in graph.calls.nodes.items() if _is_marked(node.decorators)}
+
+
 class TestHotPathDecorator:
-    def test_identity_and_registry(self):
-        from repro.sim.hotpath import HOT_PATH_REGISTRY, hot_path
+    def test_identity_and_marker(self, package_tree):
+        from repro.sim.hotpath import hot_path
 
         def probe():
             return 41
 
-        marked = hot_path(probe)
-        assert marked is probe  # identity: zero call-time overhead
-        assert f"{probe.__module__}.{probe.__qualname__}" in HOT_PATH_REGISTRY
+        assert hot_path(probe) is probe  # identity: zero call-time overhead
+        root = package_tree(
+            "repro/sim/fast.py",
+            MARK + "@hot_path\ndef drain(xs):\n    return xs\n\n\ndef cold(xs):\n    return xs\n",
+        ).parent.parent
+        assert marked_functions([root]) == {"repro.sim.fast.drain"}
 
     def test_real_hot_loops_are_registered(self):
-        # Importing the marked modules populates the runtime registry.
-        import repro.bluetooth.hopping  # noqa: F401
-        import repro.core.server  # noqa: F401
-        import repro.lan.transport  # noqa: F401
-        import repro.sim.kernel  # noqa: F401
-        from repro.sim.hotpath import HOT_PATH_REGISTRY
-
+        src = Path(repro.__file__).parent
+        modules = ("sim/kernel", "bluetooth/hopping", "lan/transport", "core/location_db", "core/server")
         expected = {
             "repro.sim.kernel.Kernel._drain_heap",
             "repro.bluetooth.hopping.InquiryTransmitSchedule.next_tx_of_position",
@@ -144,4 +155,4 @@ class TestHotPathDecorator:
             "repro.core.location_db.LocationDatabase.apply_absence",
             "repro.core.server.BIPSServer._apply_presence",
         }
-        assert expected <= set(HOT_PATH_REGISTRY)
+        assert expected <= marked_functions([src / f"{module}.py" for module in modules])

@@ -31,23 +31,11 @@ class TestSpeedModel:
             speed = model.draw_walking_speed(rng)
             assert 1.1 <= speed <= 1.5
 
-    def test_stationary_probability(self):
-        model = PedestrianSpeedModel(stationary_probability=1.0)
-        rng = RandomStream(2, "speeds")
-        assert model.draw_speed(rng) == 0.0
-
-    def test_walking_speed_never_zero(self):
-        model = PedestrianSpeedModel(stationary_probability=1.0)
-        rng = RandomStream(3, "speeds")
-        assert model.draw_walking_speed(rng) > 0.0
-
     def test_band_validation(self):
         with pytest.raises(ValueError):
             PedestrianSpeedModel(walk_low_mps=2.0, walk_high_mps=1.0)
         with pytest.raises(ValueError):
             PedestrianSpeedModel(walk_high_mps=MAX_TRACKED_SPEED_MPS + 1)
-        with pytest.raises(ValueError):
-            PedestrianSpeedModel(stationary_probability=1.5)
 
 
 class TestCrossingTime:

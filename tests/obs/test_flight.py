@@ -76,21 +76,3 @@ class TestDumps:
         assert len(recorder.dumps) == 2
         last = json.loads(open(recorder.dumps[-1]).read())["records"]
         assert [r["attrs"]["active"] for r in last] == [True, False]
-
-    def test_guard_dumps_on_assertion_and_reraises(self, tmp_path):
-        recorder = FlightRecorder(out_dir=str(tmp_path))
-        recorder.note({"span": 1})
-        with pytest.raises(AssertionError):
-            with recorder.guard("invariant"):
-                assert False, "tracked invariant broke"
-        (path,) = recorder.dumps
-        assert "invariant" in path
-
-    def test_guard_is_silent_on_success_and_other_errors(self, tmp_path):
-        recorder = FlightRecorder(out_dir=str(tmp_path))
-        with recorder.guard():
-            pass
-        with pytest.raises(ValueError):
-            with recorder.guard():
-                raise ValueError("not an assertion")
-        assert recorder.dumps == []

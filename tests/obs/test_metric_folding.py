@@ -59,12 +59,13 @@ class TestFoldedSeriesMatchTheirSources:
         kernel = chaos_sim.kernel
         assert values[("sim.events_fired",)] == kernel.events_fired > 0
         assert values[("sim.queue_depth",)] == kernel.pending_events
-        swarms = {
-            scanner.swarm
+        scanners = [
+            scanner
             for userid in ("u-0", "u-1", "u-2", "u-3")
             for scanner in chaos_sim.user(userid).scanners
-        }
-        rows = [swarm.stats_of(row) for swarm in swarms for row in range(swarm.slave_count)]
+        ]
+        swarms = {scanner.swarm for scanner in scanners}
+        rows = [scanner.swarm.stats_of(scanner.row) for scanner in scanners]
         assert values[("bt.scan.ids_heard",)] == sum(s.ids_heard for s in rows)
         assert values[("bt.scan.backoffs",)] == sum(s.backoffs for s in rows)
         assert values[("bt.scan.responses_sent",)] == sum(s.responses for s in rows) > 0

@@ -10,7 +10,7 @@ import pytest
 
 from repro.obs.tracing import SpanTracer
 from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
-from repro.sim.errors import DeadlockError, SchedulingError
+from repro.sim.errors import SchedulingError
 from repro.sim.kernel import EventHandle, Kernel
 
 #: SHA-256 of the kernel spans after :func:`_mixed_workload`, one
@@ -148,16 +148,12 @@ class TestCancellation:
         handle.cancel()
         assert handle.cancelled
 
-    def test_pending_property(self, kernel):
-        handle = kernel.schedule_at(10, lambda: None)
-        assert handle.pending
-        handle.cancel()
-        assert not handle.pending
-
     def test_fired_event_is_not_pending(self, kernel):
+        # Firing drops the callback, which is how a later cancel() knows
+        # there is no queued entry left to tombstone.
         handle = kernel.schedule_at(10, lambda: None)
         kernel.run_until(10)
-        assert not handle.pending
+        assert handle.callback is None and not handle.cancelled
 
     def test_pending_events_count_skips_cancelled(self, kernel):
         kernel.schedule_at(10, lambda: None)
@@ -189,11 +185,6 @@ class TestRunUntil:
         kernel.run_until(100)
         with pytest.raises(SchedulingError):
             kernel.run_until(50)
-
-    def test_require_events_raises_on_drain(self, kernel):
-        kernel.schedule_at(10, lambda: None)
-        with pytest.raises(DeadlockError):
-            kernel.run_until(1000, require_events=True)
 
     def test_run_until_seconds(self, kernel):
         kernel.run_until(ticks_from_seconds(1.0))
@@ -384,7 +375,7 @@ class TestPendingCounterChurn:
             return sum(
                 1
                 for _, _, payload in kernel.queue
-                if not isinstance(payload, EventHandle) or payload.pending
+                if not isinstance(payload, EventHandle) or payload.callback is not None
             )
 
         def probe() -> None:
@@ -412,7 +403,7 @@ class TestPendingCounterChurn:
         handle.cancel()
         handle.cancel()
         assert kernel.pending_events == 1
-        assert keep.pending
+        assert keep.callback is not None
 
     def test_cancel_from_callback_mid_drain(self, kernel):
         # Cancelling a later same-tick event from inside a firing
@@ -441,7 +432,7 @@ class TestPendingCounterChurn:
         kernel.run_until(1000)
         assert kernel.events_fired - fired_before == 20
         assert kernel.pending_events == 0
-        assert all(not h.pending for h in survivors)
+        assert all(h.callback is None and not h.cancelled for h in survivors)
 
 
 class TestRunUntilPeek:

@@ -51,7 +51,7 @@ class TestTracedDrainEquivalence:
             ("window", 7),
         ]
         # Event dispatch is instantaneous in sim time.
-        assert all(span.duration_ticks == 0 for span in tracer.spans)
+        assert all(span.end_tick == span.start_tick for span in tracer.spans)
 
     def test_spans_opened_in_callbacks_nest_under_the_dispatch(self):
         tracer = SpanTracer()
