@@ -12,19 +12,17 @@ from __future__ import annotations
 from conftest import save_result
 
 from repro.analysis.tables import render_table
-from repro.experiments.e2e import E2EConfig, run_e2e
-
+from repro.building.layouts import academic_department
+from repro.core.config import BIPSConfig
+from repro.core.simulation import BIPSSimulation
 
 SEEDS = range(600, 608)
 
 
-def _one_run(loss: float, refresh: int, seed: int) -> tuple[float, float]:
-    """Returns (mean accuracy, fraction of users correctly attributed
-    at the end of the run)."""
-    from repro.building.layouts import academic_department
-    from repro.core.config import BIPSConfig
-    from repro.core.simulation import BIPSSimulation
-
+def _walked_sim(
+    loss: float, refresh: int, seed: int, user_count: int = 6, seconds: float = 500.0
+) -> BIPSSimulation:
+    """``user_count`` users walking four hops each, run for ``seconds``."""
     sim = BIPSSimulation(
         plan=academic_department(),
         config=BIPSConfig(
@@ -35,14 +33,21 @@ def _one_run(loss: float, refresh: int, seed: int) -> tuple[float, float]:
     )
     rooms = sim.plan.room_ids()
     rng = sim.rng.child("loss-ablation")
-    user_count = 6
     for index in range(user_count):
         userid = f"u-{index}"
         sim.add_user(userid, f"U{index}")
         sim.login(userid)
         sim.walk(userid, start_room=rng.choice(rooms), hops=4,
                  start_at_seconds=rng.uniform(0.0, 30.0))
-    sim.run(until_seconds=500.0)
+    sim.run(until_seconds=seconds)
+    return sim
+
+
+def _one_run(loss: float, refresh: int, seed: int) -> tuple[float, float]:
+    """Returns (mean accuracy, fraction of users correctly attributed
+    at the end of the run)."""
+    user_count = 6
+    sim = _walked_sim(loss, refresh, seed, user_count)
     correct_at_end = 0
     for index in range(user_count):
         user = sim.user(f"u-{index}")
@@ -112,12 +117,10 @@ def test_lan_loss_and_refresh(benchmark):
 
 
 def test_e2e_with_loss_smoke(benchmark):
-    result = benchmark.pedantic(
-        lambda: run_e2e(
-            E2EConfig(user_count=5, duration_seconds=400.0, lan_loss_probability=0.1)
-        ),
+    sim = benchmark.pedantic(
+        lambda: _walked_sim(0.1, 0, seed=BIPSConfig().seed, user_count=5, seconds=400.0),
         rounds=1,
         iterations=1,
     )
-    assert result.lan_dropped > 0
-    assert result.report.mean_accuracy > 0.5
+    assert sim.lan.stats.dropped > 0
+    assert sim.tracking_report().mean_accuracy > 0.5

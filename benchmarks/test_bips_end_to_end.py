@@ -18,7 +18,7 @@ from repro.experiments.e2e import E2EConfig, run_e2e
 
 
 def _run_full():
-    result = run_e2e(E2EConfig(user_count=8, hops_per_user=6, duration_seconds=600.0))
+    result = run_e2e(E2EConfig(user_count=8, duration_seconds=600.0))
     save_result("bips_end_to_end", result.render())
     return result
 

@@ -25,13 +25,15 @@ class Series:
 
 _GLYPHS = "1234567890abcdefghijklmnop"
 
+#: Canvas size in characters: plot rows by plot columns.
+_HEIGHT = 16
+_WIDTH = 72
+
 
 def render_curves(
     grid: Sequence[float],
     series: Sequence[Series],
     title: str = "",
-    height: int = 16,
-    width: int = 72,
 ) -> str:
     """Render probability curves on a character canvas.
 
@@ -43,31 +45,29 @@ def render_curves(
         raise ValueError("no series to plot")
     if any(len(s.values) != len(grid) for s in series):
         raise ValueError("series length does not match grid")
-    if height < 2 or width < 8:
-        raise ValueError("canvas too small")
 
-    canvas = [[" "] * width for _ in range(height)]
+    canvas = [[" "] * _WIDTH for _ in range(_HEIGHT)]
     x_lo, x_hi = grid[0], grid[-1]
     x_span = (x_hi - x_lo) or 1.0
 
     for index, s in enumerate(series):
         glyph = _GLYPHS[index % len(_GLYPHS)]
         for x_value, y_value in zip(grid, s.values):
-            col = round((x_value - x_lo) / x_span * (width - 1))
+            col = round((x_value - x_lo) / x_span * (_WIDTH - 1))
             clamped = min(max(y_value, 0.0), 1.0)
-            row = round((1.0 - clamped) * (height - 1))
+            row = round((1.0 - clamped) * (_HEIGHT - 1))
             canvas[row][col] = glyph
 
     lines = []
     if title:
         lines.append(title)
     for row_index, row in enumerate(canvas):
-        y_value = 1.0 - row_index / (height - 1)
+        y_value = 1.0 - row_index / (_HEIGHT - 1)
         lines.append(f"{y_value:5.2f} |" + "".join(row))
-    lines.append(" " * 6 + "+" + "-" * width)
+    lines.append(" " * 6 + "+" + "-" * _WIDTH)
     left = f"{x_lo:g}"
     right = f"{x_hi:g}"
-    padding = width - len(left) - len(right)
+    padding = _WIDTH - len(left) - len(right)
     lines.append(" " * 7 + left + " " * max(1, padding) + right)
     lines.append("      P vs time (s)")
     legend = "  ".join(

@@ -54,6 +54,12 @@ INQUIRY_MAX_TICKS = 4 * TICKS_PER_TRAIN_DWELL
 #: Inquiry-response backoff: uniform in 0..1023 slots (Bluetooth 1.1).
 BACKOFF_MAX_SLOTS = 1023
 
+#: inqrespTO, 128 slots: if the air goes quiet for longer than this while
+#: a slave is in the response phase, it reverts to plain inquiry scan and
+#: the next ID heard triggers a fresh random backoff.  This is what
+#: re-randomises contention between master inquiry windows.
+INQUIRY_RESPONSE_TIMEOUT_TICKS = 128 * TICKS_PER_SLOT
+
 # -- scan (defaults quoted in the paper §3.1/§3.2) -------------------------
 
 #: T_inquiry_scan: interval between the starts of consecutive inquiry

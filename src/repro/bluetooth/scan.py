@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .btclock import BluetoothClock
-from .constants import (
-    BACKOFF_MAX_SLOTS,
-    T_INQUIRY_SCAN_TICKS,
-    T_W_INQUIRY_SCAN_TICKS,
-    TICKS_PER_SLOT,
-)
+from .constants import T_INQUIRY_SCAN_TICKS, T_W_INQUIRY_SCAN_TICKS
 from .hopping import InquiryTransmitSchedule
 
 
@@ -94,20 +89,16 @@ class ScanConfig:
     """Inquiry-scan behaviour knobs.
 
     Defaults are the Bluetooth 1.1 defaults quoted in the paper
-    (T_w = 11.25 ms, T_scan = 1.28 s).
+    (T_w = 11.25 ms, T_scan = 1.28 s).  Every slave backs off 0..1023
+    slots (``constants.BACKOFF_MAX_SLOTS``) and drops back to plain scan
+    after inqrespTO (``constants.INQUIRY_RESPONSE_TIMEOUT_TICKS``).
     """
 
     window_ticks: int = T_W_INQUIRY_SCAN_TICKS
     interval_ticks: int = T_INQUIRY_SCAN_TICKS
     phase_mode: PhaseMode = PhaseMode.SEQUENCE
     backoff_reentry: BackoffReentry = BackoffReentry.IMMEDIATE
-    backoff_max_slots: int = BACKOFF_MAX_SLOTS
     response_mode: ResponseMode = ResponseMode.CONTINUOUS
-    #: inqrespTO: if the air goes quiet for longer than this while the
-    #: slave is in the response phase, it reverts to plain inquiry scan
-    #: and the next ID heard triggers a fresh random backoff.  This is
-    #: what re-randomises contention between master inquiry windows.
-    response_timeout_ticks: int = 128 * TICKS_PER_SLOT
 
     def __post_init__(self) -> None:
         if self.window_ticks <= 0:
@@ -116,8 +107,6 @@ class ScanConfig:
             raise ValueError(
                 f"interval {self.interval_ticks} < window {self.window_ticks}"
             )
-        if self.backoff_max_slots < 0:
-            raise ValueError(f"backoff_max_slots negative: {self.backoff_max_slots}")
 
     @property
     def is_continuous(self) -> bool:

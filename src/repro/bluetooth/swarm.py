@@ -107,7 +107,9 @@ from repro.sim.rng import RandomStream, bit_source, randint_width
 from .address import BDAddr
 from .btclock import CLKN_WRAP, BluetoothClock
 from .constants import (
+    BACKOFF_MAX_SLOTS,
     INQUIRY_RESPONSE_DELAY_TICKS,
+    INQUIRY_RESPONSE_TIMEOUT_TICKS,
     NUM_INQUIRY_FREQUENCIES,
     SCAN_FREQUENCY_CHANGE_TICKS,
     TICKS_PER_SLOT,
@@ -185,6 +187,9 @@ _NO_CURSOR: tuple[int, int, int] = (-1, 0, 0)
 #: A tick no timeline reaches.
 _NEVER = 1 << 62
 
+#: Random bits per backoff draw of ``randint(0, BACKOFF_MAX_SLOTS)``.
+_BACKOFF_BITS = randint_width(BACKOFF_MAX_SLOTS)
+
 #: FHS group keys are ``tx_tick * _GROUP_KEY_SCALE + rf_channel``: one
 #: integer per (tick, RF channel), above every channel number.
 _GROUP_KEY_SCALE = 128
@@ -252,7 +257,6 @@ class InquiryScanSwarm:
         self._continuous = cfg.is_continuous
         self._phase_code = _PHASE_CODES[cfg.phase_mode]
         reentry_immediate = cfg.backoff_reentry is BackoffReentry.IMMEDIATE
-        self._response_timeout = cfg.response_timeout_ticks
         self._mode_code = _MODE_CODES[cfg.response_mode]
         self._sequence = schedule.sequence
         self._label = f"swarm:{name}"
@@ -276,14 +280,12 @@ class InquiryScanSwarm:
         self.advances = 0
         self.slave_steps = 0
         # The first tick at which _wake tries a pass replay (_replay):
-        # never without bulk CONTINUOUS responses, a pass receiver and
-        # an inqrespTO that a steady responder's one-pass gap keeps.
+        # never without bulk CONTINUOUS responses and a pass receiver.
         replayable = (
             self._mode_code == _MODE_CONTINUOUS
             and channel.reachable is None
             and channel.repeat_receiver is not None
             and channel.pass_receiver is not None
-            and not (self._continuous and self._response_timeout < TICKS_PER_TRAIN_PASS)
         )
         self._replay_from = 0 if replayable else _NEVER
         # Everything _wake reads that is fixed for the swarm's lifetime,
@@ -312,12 +314,12 @@ class InquiryScanSwarm:
             channel.receiver,
             self._mode_code,
             self._continuous,
-            self._response_timeout,
+            INQUIRY_RESPONSE_TIMEOUT_TICKS,
             self._first_heard,
             self._backoffs,
             self._draws,
-            cfg.backoff_max_slots,
-            randint_width(cfg.backoff_max_slots),
+            BACKOFF_MAX_SLOTS,
+            _BACKOFF_BITS,
             # After a backoff a windowed scan that re-enters at once
             # searches without its windows; inqrespTO applies while the
             # row listens throughout.
@@ -938,16 +940,6 @@ class SwarmSlave:
     row: int
 
     @property
-    def address(self) -> BDAddr:
-        """The slave's Bluetooth device address."""
-        return self.swarm._addresses[self.row]
-
-    @property
-    def name(self) -> str:
-        """The slave's display name."""
-        return self.swarm._names[self.row]
-
-    @property
     def state(self) -> ScannerState:
         """Lifecycle state."""
         return self.swarm.state_of(self.row)
@@ -968,10 +960,6 @@ class SwarmSlave:
     def listen_position(self, tick: int) -> int:
         """Sequence position the slave listens on at ``tick``."""
         return self.swarm.listen_position(self.row, tick)
-
-    def next_hear(self, from_tick: int, ignore_windows: bool = False) -> Optional[int]:
-        """First tick >= ``from_tick`` at which the slave hears an ID."""
-        return self.swarm.next_hear(self.row, from_tick, ignore_windows)
 
 
 __all__ = ["InquiryScanSwarm", "SwarmSlave"]

@@ -168,12 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the rule catalogue and exit",
     )
-    lint.add_argument(
-        "--deep",
-        action="store_true",
-        help="also build the whole-program import/call graphs and run "
-        "project-scoped rules (DET010, ARCH001, PERF001)",
-    )
     return parser
 
 
@@ -191,8 +185,7 @@ def _run_lint(args: argparse.Namespace) -> int:
 
     if args.list_rules:
         for spec in REGISTRY:
-            scope = " [deep]" if spec.scope == "project" else ""
-            print(f"{spec.id}  {spec.name}: {spec.summary}{scope}")
+            print(f"{spec.id}  {spec.name}: {spec.summary}")
         return 0
     paths = list(args.paths)
     if not paths:
@@ -207,7 +200,6 @@ def _run_lint(args: argparse.Namespace) -> int:
         report = lint_paths(
             paths,
             select=split(args.select) if args.select else None,
-            deep=args.deep,
         )
     except (FileNotFoundError, KeyError) as error:
         print(f"bips lint: {error}", file=sys.stderr)

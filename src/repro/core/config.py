@@ -2,31 +2,33 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.bluetooth.scan import PhaseMode, ResponseMode, ScanConfig
 
 from .scheduler import MasterSchedulingPolicy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.recovery import RetryPolicy
 
 
 @dataclass(frozen=True)
 class BIPSConfig:
     """All knobs of a full-system BIPS simulation.
 
-    Defaults follow the paper: the §5 scheduling policy (3.84 s inquiry
-    per 15.4 s cycle) and room-granule tracking with a two-miss absence
-    threshold.  Walking speeds (pedestrians in the [1.1, 1.5] m/s band)
-    and LAN latency (a sub-millisecond office LAN) are those of
-    :class:`~repro.mobility.walker.BuildingWalker` and
-    :class:`~repro.lan.transport.LANTransport`.
+    Defaults follow the paper: room-granule tracking with a two-miss
+    absence threshold.  Every workstation runs the §5 scheduling policy
+    (3.84 s inquiry per 15.4 s cycle).  Walking speeds (pedestrians in
+    the [1.1, 1.5] m/s band) and LAN latency (a sub-millisecond office
+    LAN) are those of :class:`~repro.mobility.walker.BuildingWalker` and
+    :class:`~repro.lan.transport.LANTransport`.  Workstations push
+    through the transport's reliable path (bounded retransmission with
+    exponential backoff) exactly when the simulation runs under a fault
+    plan; otherwise they keep the paper's fire-and-forget deltas.
     """
 
+    #: The §5 policy every workstation runs; not a field.
+    policy: ClassVar[MasterSchedulingPolicy] = MasterSchedulingPolicy()
+
     seed: int = 20030101
-    policy: MasterSchedulingPolicy = field(default_factory=MasterSchedulingPolicy)
     miss_threshold: int = 2
     lan_loss_probability: float = 0.0
     dwell_low_seconds: float = 20.0
@@ -58,12 +60,6 @@ class BIPSConfig:
     #: down).  Queries still answer with the last known room but carry a
     #: staleness flag.  0 (the default) disables staleness marking.
     staleness_horizon_seconds: float = 0.0
-    #: When set, workstations push every message to the server through
-    #: the transport's reliable path (bounded retransmission with
-    #: exponential backoff) instead of the paper's fire-and-forget
-    #: deltas.  None keeps the original semantics; fault plans supply
-    #: their own default policy (see ``repro.faults``).
-    retry_policy: Optional["RetryPolicy"] = None
 
     def handheld_scan_config(self) -> ScanConfig:
         """Scan behaviour of user devices in the end-to-end simulation.

@@ -19,12 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bluetooth.constants import TICKS_PER_TRAIN_DWELL
-from repro.bluetooth.hopping import (
-    InquiryTransmitSchedule,
-    Train,
-    TrainStrategy,
-    periodic_inquiry,
-)
+from repro.bluetooth.hopping import InquiryTransmitSchedule, periodic_inquiry
 from repro.mobility.residence import crossing_time_seconds
 from repro.mobility.speeds import MEAN_WALKING_SPEED_MPS
 from repro.sim.clock import ticks_from_seconds
@@ -32,12 +27,14 @@ from repro.sim.clock import ticks_from_seconds
 
 @dataclass(frozen=True)
 class MasterSchedulingPolicy:
-    """How a BIPS workstation divides its operational cycle."""
+    """How a BIPS workstation divides its operational cycle.
+
+    Every window inquires on train A first and alternates trains every
+    2.56 s dwell.
+    """
 
     inquiry_window_seconds: float = 3.84
     operational_cycle_seconds: float = 15.4
-    train_strategy: TrainStrategy = TrainStrategy.ALTERNATE
-    start_train: Train = Train.A
 
     def __post_init__(self) -> None:
         if self.inquiry_window_seconds <= 0:
@@ -107,8 +104,6 @@ class MasterSchedulingPolicy:
             window_ticks=self.inquiry_window_ticks,
             period_ticks=self.operational_cycle_ticks,
             start=start_tick,
-            strategy=self.train_strategy,
-            start_train=self.start_train,
         )
 
     def describe(self) -> str:

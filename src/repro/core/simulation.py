@@ -200,9 +200,6 @@ class BIPSSimulation:
             metrics=self.metrics,
             spans=spans,
         )
-        self._retry_policy = self.config.retry_policy
-        if self._retry_policy is None and self.faults is not None:
-            self._retry_policy = self.faults.profile.retry_policy
         self.workstations: dict[str, Workstation] = {}
         self._devices_by_address: dict[BDAddr, BluetoothDevice] = {}
         self._build_workstations()
@@ -262,7 +259,7 @@ class BIPSSimulation:
                     self._devices_by_address.get if self.config.enroll_users else None
                 ),
                 reachable=reachable,
-                retry_policy=self._retry_policy,
+                reliable=self.faults is not None,
                 spans=self.spans,
             )
         if self.band is not None:

@@ -31,7 +31,6 @@ from .scheduler import MasterSchedulingPolicy
 from .tracker import PresenceTracker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.recovery import RetryPolicy
     from repro.obs.tracing import SpanTracer
 
 #: Resolves a discovered BD_ADDR to the device to page (None = cannot
@@ -73,7 +72,7 @@ class Workstation:
         refresh_interval_cycles: int = 0,
         device_directory: Optional[DeviceDirectory] = None,
         reachable: Optional[Callable] = None,
-        retry_policy: Optional["RetryPolicy"] = None,
+        reliable: bool = False,
         spans: Optional["SpanTracer"] = None,
     ) -> None:
         """Args beyond the obvious:
@@ -88,11 +87,11 @@ class Workstation:
             are paged (slot-level §3.2 rendezvous) during the serving
             window and joined to the piconet, up to the seven-slave
             AM_ADDR limit.  None (default) tracks by inquiry alone.
-        retry_policy: when set, every message to the server goes through
-            :meth:`LANTransport.send_reliable` under this policy —
-            bounded retransmission with exponential backoff — instead of
-            the paper's fire-and-forget delta push.  None (the default)
-            keeps the original semantics.
+        reliable: every message to the server goes through
+            :meth:`LANTransport.send_reliable` — bounded retransmission
+            with exponential backoff — instead of the paper's
+            fire-and-forget delta push.  False (the default) keeps the
+            original semantics; a simulation under a fault plan sets it.
         """
         if schedule_offset_ticks < 0:
             raise ValueError(f"negative schedule offset: {schedule_offset_ticks}")
@@ -125,7 +124,7 @@ class Workstation:
         self.invalidations_received = 0
         self.enrolled = 0
         self.enroll_rejected_full = 0
-        self.retry_policy = retry_policy
+        self.reliable = reliable
         self.failed = False
         self.reregistrations = 0
         self._started = False
@@ -226,16 +225,14 @@ class Workstation:
     def _push(self, message: object) -> None:
         """The single chokepoint for workstation→server traffic.
 
-        Routes through reliable delivery when a retry policy is
-        configured; recovery-path code must use this (never
+        Routes through reliable delivery when the workstation is
+        ``reliable``; recovery-path code must use this (never
         ``lan.send`` directly) so restarts cannot silently regress to
         fire-and-forget — ``TestRetryPolicyWiring`` pins the restart
         hello to ``send_reliable``.
         """
-        if self.retry_policy is not None:
-            self.lan.send_reliable(
-                self.workstation_id, "server", message, self.retry_policy
-            )
+        if self.reliable:
+            self.lan.send_reliable(self.workstation_id, "server", message)
         else:
             self.lan.send(self.workstation_id, "server", message)
 

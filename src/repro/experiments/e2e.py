@@ -31,25 +31,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracing import SpanTracer
 
 
+#: Room changes each user walks.
+HOPS_PER_USER = 6
+
+
 @dataclass(frozen=True)
 class E2EConfig:
-    """Parameters of the end-to-end run."""
+    """Parameters of the end-to-end run.
+
+    Every user walks ``HOPS_PER_USER`` room changes through a
+    :class:`~repro.core.config.BIPSConfig` that keeps its defaults
+    except for ``seed``.  Loss and the soft-state options are studied
+    by building a :class:`~repro.core.simulation.BIPSSimulation`
+    directly (``benchmarks/test_ablation_lan_loss.py``).
+    """
 
     user_count: int = 8
-    hops_per_user: int = 6
     duration_seconds: float = 600.0
     seed: int = 20031004
-    miss_threshold: int = 2
-    lan_loss_probability: float = 0.0
     #: Fault profile name (``repro.faults.PROFILES``): LAN faults,
     #: workstation crashes, and server brownouts for this run.
     faults: str = "none"
     fault_seed: int = 0
-    #: Soft-state refresh period forwarded to the workstations; chaos
-    #: runs enable it so lost deltas (and post-crash staleness) heal.
-    refresh_interval_cycles: int = 0
-    #: Staleness horizon forwarded to the server (0 = no marking).
-    staleness_horizon_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.user_count <= 0:
@@ -120,13 +123,7 @@ def run_e2e(
     config = config if config is not None else E2EConfig()
     sim = BIPSSimulation(
         plan=academic_department(),
-        config=BIPSConfig(
-            seed=config.seed,
-            miss_threshold=config.miss_threshold,
-            lan_loss_probability=config.lan_loss_probability,
-            refresh_interval_cycles=config.refresh_interval_cycles,
-            staleness_horizon_seconds=config.staleness_horizon_seconds,
-        ),
+        config=BIPSConfig(seed=config.seed),
         metrics=metrics,
         faults=config.fault_plan(),
         spans=spans,
@@ -145,7 +142,7 @@ def run_e2e(
         sim.walk(
             userid,
             start_room=start_room,
-            hops=config.hops_per_user,
+            hops=HOPS_PER_USER,
             start_at_seconds=room_rng.uniform(0.0, 60.0),
         )
     sim.run(until_seconds=config.duration_seconds)

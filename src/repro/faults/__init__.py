@@ -6,7 +6,8 @@ central-server brownouts) that enter through declared injection points —
 ``LANTransport(fault_injector=...)``, ``Workstation.set_failed``,
 ``BIPSServer.set_brownout`` — plus the matching recovery mechanics
 (bounded retry with exponential backoff, delivery timeouts, workstation
-re-registration, location-database staleness marking).
+re-registration, location-database staleness marking).  Pushes from
+workstations take the reliable path exactly when a fault plan is active.
 
 See ``docs/fault-injection.md`` for profiles, seeds, and the invariants
 the chaos suite asserts.
@@ -16,24 +17,15 @@ from __future__ import annotations
 
 from .injector import NO_FAULT, FaultDecision, LANFaultInjector
 from .plan import FaultPlan, Window, in_windows
-from .profiles import (
-    DEFAULT_RETRY_POLICY,
-    PROFILES,
-    FaultProfile,
-    profile_named,
-    profile_names,
-)
-from .recovery import RetryPolicy
+from .profiles import PROFILES, FaultProfile, profile_named, profile_names
 
 __all__ = [
-    "DEFAULT_RETRY_POLICY",
     "FaultDecision",
     "FaultPlan",
     "FaultProfile",
     "LANFaultInjector",
     "NO_FAULT",
     "PROFILES",
-    "RetryPolicy",
     "Window",
     "in_windows",
     "profile_named",

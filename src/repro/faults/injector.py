@@ -17,11 +17,12 @@ from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
 from repro.sim.clock import ticks_from_milliseconds
 
+from .profiles import DELAY_MS, REORDER_MS, FaultProfile
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
     from repro.sim.rng import RandomStream
 
-    from .profiles import FaultProfile
 
 #: Extra-delay histogram buckets in ticks (1 tick = 312.5 µs).
 _DELAY_BUCKETS = (4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
@@ -50,7 +51,7 @@ class LANFaultInjector:
 
     def __init__(
         self,
-        profile: "FaultProfile",
+        profile: FaultProfile,
         rng: "RandomStream",
         active_until_tick: Optional[int] = None,
         metrics: Optional["MetricsRegistry"] = None,
@@ -93,15 +94,13 @@ class LANFaultInjector:
             self.duplicated += 1
         extra_ms = 0.0
         if profile.delay_probability and self.rng.random() < profile.delay_probability:
-            extra_ms += self.rng.uniform(profile.delay_ms_low, profile.delay_ms_high)
+            extra_ms += self.rng.uniform(*DELAY_MS)
             self.delayed += 1
         if (
             profile.reorder_probability
             and self.rng.random() < profile.reorder_probability
         ):
-            extra_ms += self.rng.uniform(
-                profile.reorder_ms_low, profile.reorder_ms_high
-            )
+            extra_ms += self.rng.uniform(*REORDER_MS)
             self.reordered += 1
         extra_ticks = ticks_from_milliseconds(extra_ms) if extra_ms else 0
         if extra_ticks and self._m_delay is not None:

@@ -26,7 +26,14 @@ from repro.sim.clock import ticks_from_seconds
 from repro.sim.rng import RandomStream
 
 from .injector import LANFaultInjector
-from .profiles import FaultProfile, profile_named
+from .profiles import (
+    BROWNOUT_SECONDS,
+    CRASH_DOWNTIME_SECONDS,
+    DEFAULT_ACTIVE_SECONDS,
+    RADIO_OUTAGE_SECONDS,
+    FaultProfile,
+    profile_named,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -70,11 +77,9 @@ class FaultPlan:
         """Whether this plan injects nothing (the ``none`` profile)."""
         return self.profile.is_noop
 
-    def active_until_tick(self) -> Optional[int]:
-        """End of the fault window in ticks (None = never closes)."""
-        if self.profile.active_seconds is None:
-            return None
-        return ticks_from_seconds(self.profile.active_seconds)
+    def active_until_tick(self) -> int:
+        """End of the fault window in ticks."""
+        return ticks_from_seconds(DEFAULT_ACTIVE_SECONDS)
 
     # -- expansion --------------------------------------------------------
 
@@ -96,8 +101,7 @@ class FaultPlan:
         return self._windows(
             ("ws", room_id),
             count=self.profile.crashes_per_workstation,
-            low_seconds=self.profile.crash_downtime_seconds_low,
-            high_seconds=self.profile.crash_downtime_seconds_high,
+            band_seconds=CRASH_DOWNTIME_SECONDS,
             horizon_tick=horizon_tick,
         )
 
@@ -106,8 +110,7 @@ class FaultPlan:
         return self._windows(
             ("server",),
             count=self.profile.brownouts,
-            low_seconds=self.profile.brownout_seconds_low,
-            high_seconds=self.profile.brownout_seconds_high,
+            band_seconds=BROWNOUT_SECONDS,
             horizon_tick=horizon_tick,
         )
 
@@ -123,8 +126,7 @@ class FaultPlan:
         return self._windows(
             ("radio", trial_key),
             count=self.profile.radio_outages_per_trial,
-            low_seconds=self.profile.radio_outage_seconds_low,
-            high_seconds=self.profile.radio_outage_seconds_high,
+            band_seconds=RADIO_OUTAGE_SECONDS,
             horizon_tick=horizon_tick,
         )
 
@@ -143,8 +145,7 @@ class FaultPlan:
         self,
         names: tuple[str, ...],
         count: int,
-        low_seconds: float,
-        high_seconds: float,
+        band_seconds: tuple[float, float],
         horizon_tick: int,
     ) -> tuple[Window, ...]:
         """Draw ``count`` fault windows confined to the active window.
@@ -156,17 +157,14 @@ class FaultPlan:
         """
         if count <= 0 or horizon_tick <= 0:
             return ()
-        limit = horizon_tick
-        active_until = self.active_until_tick()
-        if active_until is not None:
-            limit = min(limit, active_until)
+        limit = min(horizon_tick, self.active_until_tick())
         if limit <= 1:
             return ()
         rng = RandomStream(self.seed, "faults", *names)
         windows: list[Window] = []
         for _ in range(count):
             start = rng.randint(0, limit - 1)
-            duration = ticks_from_seconds(rng.uniform(low_seconds, high_seconds))
+            duration = ticks_from_seconds(rng.uniform(*band_seconds))
             end = min(start + max(1, duration), limit)
             if end > start:
                 windows.append((start, end))

@@ -18,17 +18,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping
 
-from .recovery import RetryPolicy
+#: Uniform bands every injecting plan draws its fault magnitudes from.
+#: Extra LAN delay of a delayed message, in milliseconds.
+DELAY_MS = (2.0, 10.0)
+#: Reordering is modelled as an outsized extra delay (milliseconds): the
+#: delayed message is overtaken by everything sent in the window behind
+#: it.
+REORDER_MS = (20.0, 60.0)
+#: How long a crashed workstation stays down, in seconds.
+CRASH_DOWNTIME_SECONDS = (20.0, 60.0)
+#: How long the central server stays deaf per brownout, in seconds.
+BROWNOUT_SECONDS = (5.0, 20.0)
+#: How long a master's radio stays deaf per outage, in seconds.
+RADIO_OUTAGE_SECONDS = (2.0, 6.0)
+
+#: Faults fire only before this simulated time.  A finite window is
+#: what makes convergence testable: after it closes, the tracker must
+#: re-converge within a bounded number of inquiry cycles (runs shorter
+#: than this see faults throughout).
+DEFAULT_ACTIVE_SECONDS = 300.0
 
 
 @dataclass(frozen=True)
 class FaultProfile:
-    """Rates and magnitudes of every fault kind the planner can inject.
+    """Rates of every fault kind the planner can inject.
 
-    All probabilities are per LAN message; durations are in (simulated)
-    seconds.  A field left at zero disables that fault kind.
+    All probabilities are per LAN message.  A field left at zero
+    disables that fault kind.  Magnitudes come from the module's bands,
+    and a plan that injects anything also routes workstation pushes
+    through the transport's reliable delivery
+    (:meth:`~repro.lan.transport.LANTransport.send_reliable`).
     """
 
     name: str
@@ -36,40 +57,18 @@ class FaultProfile:
     drop_probability: float = 0.0
     duplicate_probability: float = 0.0
     delay_probability: float = 0.0
-    delay_ms_low: float = 2.0
-    delay_ms_high: float = 10.0
-    #: Reordering is modelled as an outsized extra delay: the delayed
-    #: message is overtaken by everything sent in the window behind it.
     reorder_probability: float = 0.0
-    reorder_ms_low: float = 20.0
-    reorder_ms_high: float = 60.0
     #: Workstation crash/restart: each workstation crashes this many
-    #: times over the fault window, staying down for a uniform draw from
-    #: the downtime band.
+    #: times over the fault window.
     crashes_per_workstation: int = 0
-    crash_downtime_seconds_low: float = 20.0
-    crash_downtime_seconds_high: float = 60.0
     #: Central-server brownouts: the server endpoint goes deaf (messages
-    #: to it are dropped) for a uniform draw from the band.
+    #: to it are dropped).
     brownouts: int = 0
-    brownout_seconds_low: float = 5.0
-    brownout_seconds_high: float = 20.0
     #: Radio outages for single-master experiments (table1 and friends):
     #: the Bluetooth-only harnesses have no LAN or workstation process,
     #: so a "workstation crash" maps to the master's radio going deaf
     #: mid-trial.
     radio_outages_per_trial: int = 0
-    radio_outage_seconds_low: float = 2.0
-    radio_outage_seconds_high: float = 6.0
-    #: Faults only fire before this simulated time (None = the whole
-    #: run).  A finite window is what makes convergence testable: after
-    #: it closes, the tracker must re-converge within a bounded number
-    #: of inquiry cycles.
-    active_seconds: Optional[float] = None
-    #: Recovery mechanics paired with the profile: the retry policy
-    #: workstations use for delta pushes while this profile is active
-    #: (None = fire-and-forget, the paper's design).
-    retry_policy: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
         for field_name in (
@@ -81,21 +80,10 @@ class FaultProfile:
             value = getattr(self, field_name)
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{field_name} out of range: {value}")
-        for low, high in (
-            (self.delay_ms_low, self.delay_ms_high),
-            (self.reorder_ms_low, self.reorder_ms_high),
-            (self.crash_downtime_seconds_low, self.crash_downtime_seconds_high),
-            (self.brownout_seconds_low, self.brownout_seconds_high),
-            (self.radio_outage_seconds_low, self.radio_outage_seconds_high),
-        ):
-            if not 0.0 <= low <= high:
-                raise ValueError(f"invalid duration band: [{low}, {high}]")
         if self.crashes_per_workstation < 0 or self.brownouts < 0:
             raise ValueError("fault counts must be non-negative")
         if self.radio_outages_per_trial < 0:
             raise ValueError("fault counts must be non-negative")
-        if self.active_seconds is not None and self.active_seconds <= 0:
-            raise ValueError(f"active window must be positive: {self.active_seconds}")
 
     @property
     def has_lan_faults(self) -> bool:
@@ -121,16 +109,6 @@ class FaultProfile:
         )
 
 
-#: The default recovery mechanics shipped with every fault-injecting
-#: profile: four attempts, 8 ms initial timeout (an office-LAN RTT is
-#: well under 1 ms), doubling with 2 ms of deterministic jitter.
-DEFAULT_RETRY_POLICY = RetryPolicy()
-
-#: Every fault-injecting profile stops after this much simulated time,
-#: so convergence after the window closes is testable on the stock
-#: profiles (runs shorter than this see faults throughout).
-DEFAULT_ACTIVE_SECONDS = 300.0
-
 #: The named profiles the CLI and the chaos suite iterate over.
 PROFILES: Mapping[str, FaultProfile] = MappingProxyType(
     {
@@ -141,21 +119,15 @@ PROFILES: Mapping[str, FaultProfile] = MappingProxyType(
             duplicate_probability=0.03,
             delay_probability=0.15,
             reorder_probability=0.05,
-            active_seconds=DEFAULT_ACTIVE_SECONDS,
-            retry_policy=DEFAULT_RETRY_POLICY,
         ),
         "flaky-workstations": FaultProfile(
             name="flaky-workstations",
             crashes_per_workstation=1,
             radio_outages_per_trial=1,
-            active_seconds=DEFAULT_ACTIVE_SECONDS,
-            retry_policy=DEFAULT_RETRY_POLICY,
         ),
         "brownout": FaultProfile(
             name="brownout",
             brownouts=2,
-            active_seconds=DEFAULT_ACTIVE_SECONDS,
-            retry_policy=DEFAULT_RETRY_POLICY,
         ),
         "chaos": FaultProfile(
             name="chaos",
@@ -166,8 +138,6 @@ PROFILES: Mapping[str, FaultProfile] = MappingProxyType(
             crashes_per_workstation=1,
             brownouts=1,
             radio_outages_per_trial=2,
-            active_seconds=DEFAULT_ACTIVE_SECONDS,
-            retry_policy=DEFAULT_RETRY_POLICY,
         ),
     }
 )

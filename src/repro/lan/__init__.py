@@ -16,9 +16,9 @@ from .messages import (
 from .transport import (
     Handler,
     LANTransport,
-    LatencyModel,
     TransportStats,
     UnknownEndpointError,
+    latency_ticks,
 )
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
     "WorkstationHello",
     "Handler",
     "LANTransport",
-    "LatencyModel",
     "TransportStats",
     "UnknownEndpointError",
+    "latency_ticks",
 ]

@@ -1,8 +1,9 @@
 """A simulated Ethernet LAN connecting workstations and the server.
 
 Switched office Ethernet is effectively reliable with sub-millisecond
-latency; both are configurable so the benches can study BIPS under a
-degraded network (latency spikes, loss) as an extension experiment.
+latency: every message takes a fixed 0.3 ms plus up to 0.2 ms of
+jitter.  Loss is configurable so the benches can study BIPS under a
+degraded network as an extension experiment.
 
 Two optional layers extend the base transport:
 
@@ -13,10 +14,10 @@ Two optional layers extend the base transport:
 * **Reliable delivery** — :meth:`LANTransport.send_reliable` adds
   transport-level retransmission: per-(source, destination) sequence
   numbers, receiver-side acks and duplicate suppression, and bounded
-  retry with exponential backoff under a
-  :class:`repro.faults.RetryPolicy`.  Acks are internal control frames:
-  they ride the same latency/loss/fault path but never reach endpoint
-  handlers and are counted separately (``lan.acks_sent``).
+  retry with exponential backoff under the one retry rule below.  Acks
+  are internal control frames: they ride the same latency/loss/fault
+  path but never reach endpoint handlers and are counted separately
+  (``lan.acks_sent``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from repro.sim.rng import RandomStream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import LANFaultInjector
-    from repro.faults.recovery import RetryPolicy
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracing import Span, SpanTracer
 
@@ -90,29 +90,51 @@ class DeliveryAck:
     seq: int
 
 
-@dataclass(frozen=True)
-class LatencyModel:
-    """One-way delivery latency: fixed base plus uniform jitter."""
+#: One-way delivery latency of the office LAN: a fixed base plus a
+#: uniform jitter, in milliseconds.
+LATENCY_BASE_MS = 0.3
+LATENCY_JITTER_MS = 0.2
+#: The jitter-free sample, which a transport without an rng uses.
+_LATENCY_BASE_TICKS = max(1, ticks_from_milliseconds(LATENCY_BASE_MS))
 
-    base_ms: float = 0.3
-    jitter_ms: float = 0.2
-    #: The jitter-free sample, precomputed — the default transport has
-    #: deterministic latency, so every send takes this fast path.
-    base_ticks: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.base_ms < 0 or self.jitter_ms < 0:
-            raise ValueError(f"negative latency parameters: {self}")
-        object.__setattr__(
-            self, "base_ticks", max(1, ticks_from_milliseconds(self.base_ms))
-        )
+def latency_ticks(rng: Optional[RandomStream]) -> int:
+    """One latency sample in ticks (at least 1); no jitter without ``rng``."""
+    if rng is None:
+        return _LATENCY_BASE_TICKS
+    jitter = rng.uniform(0.0, LATENCY_JITTER_MS)
+    return max(1, ticks_from_milliseconds(LATENCY_BASE_MS + jitter))
 
-    def draw_ticks(self, rng: Optional[RandomStream]) -> int:
-        """One latency sample in ticks (at least 1)."""
-        if rng is None or not self.jitter_ms:
-            return self.base_ticks
-        jitter = rng.uniform(0.0, self.jitter_ms)
-        return max(1, ticks_from_milliseconds(self.base_ms + jitter))
+
+#: The retry rule of :meth:`LANTransport.send_reliable`, which
+#: workstations push through whenever a fault plan is active.  Every
+#: transmission counts, the first included: one send plus up to three
+#: retries.
+RETRY_MAX_ATTEMPTS = 4
+#: Ack timeout of the first transmission; an office-LAN RTT is well
+#: under 1 ms.
+RETRY_TIMEOUT_MS = 8.0
+#: Each retry waits this many times longer than the one before.
+RETRY_BACKOFF_FACTOR = 2.0
+#: Upper bound of the uniform jitter added to every timeout; jitter
+#: decorrelates retry bursts when many senders lose messages to the
+#: same network event.
+RETRY_JITTER_MS = 2.0
+
+
+def retry_timeout_ticks(attempt: int, rng: Optional[RandomStream]) -> int:
+    """Ticks to wait for an ack after transmission ``attempt`` (1-based).
+
+    ``RETRY_TIMEOUT_MS * RETRY_BACKOFF_FACTOR**(attempt-1) +
+    U(0, RETRY_JITTER_MS)``; no jitter without an ``rng``, so retry
+    timing is as reproducible as everything else.
+    """
+    if attempt < 1:
+        raise ValueError(f"attempt is 1-based: {attempt}")
+    timeout = RETRY_TIMEOUT_MS * RETRY_BACKOFF_FACTOR ** (attempt - 1)
+    if rng is not None:
+        timeout += rng.uniform(0.0, RETRY_JITTER_MS)
+    return max(1, ticks_from_milliseconds(timeout))
 
 
 @dataclass
@@ -139,7 +161,6 @@ class _PendingReliable:
     source: str
     destination: str
     message: Any
-    policy: "RetryPolicy"
     attempt: int = 1
     timer: Optional[EventHandle] = None
     #: Trace context captured at ``send_reliable`` time, so every
@@ -153,7 +174,6 @@ class LANTransport:
     def __init__(
         self,
         kernel: Kernel,
-        latency: Optional[LatencyModel] = None,
         loss_probability: float = 0.0,
         rng: Optional[RandomStream] = None,
         metrics: Optional["MetricsRegistry"] = None,
@@ -165,7 +185,6 @@ class LANTransport:
         if loss_probability > 0.0 and rng is None:
             raise ValueError("a lossy transport needs an rng")
         self.kernel = kernel
-        self.latency = latency if latency is not None else LatencyModel()
         self.loss_probability = loss_probability
         self.rng = rng
         self.faults = fault_injector
@@ -233,17 +252,16 @@ class LANTransport:
             raise UnknownEndpointError(f"no endpoint {destination!r}")
         self._transmit(source, destination, message, seq=None)
 
-    def send_reliable(
-        self, source: str, destination: str, message: Any, policy: "RetryPolicy"
-    ) -> None:
-        """Send with transport-level retransmission under ``policy``.
+    def send_reliable(self, source: str, destination: str, message: Any) -> None:
+        """Send with transport-level retransmission.
 
         The message gets a per-(source, destination) sequence number;
         delivery is acked by the receiving side and retransmitted on
-        timeout, backing off exponentially, until acked or the policy's
-        attempt budget is exhausted.  The receiver suppresses duplicate
-        deliveries (a re-sent message observed twice is counted in
-        ``lan.duplicates_dropped``, never handed to the handler again).
+        timeout, backing off exponentially, until acked or
+        ``RETRY_MAX_ATTEMPTS`` transmissions have gone out.  The receiver
+        suppresses duplicate deliveries (a re-sent message observed
+        twice is counted in ``lan.duplicates_dropped``, never handed to
+        the handler again).
         """
         if destination not in self._known_endpoints:
             raise UnknownEndpointError(f"no endpoint {destination!r}")
@@ -255,7 +273,6 @@ class LANTransport:
             source=source,
             destination=destination,
             message=message,
-            policy=policy,
             ctx=self._spans.capture() if self._spans is not None else None,
         )
         self._attempt((source, destination, seq))
@@ -333,7 +350,7 @@ class LANTransport:
             extra_delay = decision.extra_delay_ticks
             copies = 1 + decision.duplicates
         for _ in range(copies):
-            delay = self.latency.draw_ticks(self.rng) + extra_delay
+            delay = latency_ticks(self.rng) + extra_delay
             if self._metrics is not None:
                 self._m_in_flight.inc()
                 self._m_latency.observe(delay)
@@ -432,7 +449,7 @@ class LANTransport:
             pending.source, pending.destination, pending.message, key[2],
             ctx=pending.ctx,
         )
-        timeout = pending.policy.timeout_ticks(pending.attempt, self.rng)
+        timeout = retry_timeout_ticks(pending.attempt, self.rng)
         pending.timer = self.kernel.schedule(
             timeout, lambda: self._on_timeout(key), label="lan:retry-timer"
         )
@@ -441,7 +458,7 @@ class LANTransport:
         pending = self._pending.get(key)
         if pending is None:  # acked while the timer event was in the queue
             return
-        if pending.attempt >= pending.policy.max_attempts:
+        if pending.attempt >= RETRY_MAX_ATTEMPTS:
             del self._pending[key]
             self.stats.retries_exhausted += 1
             return
@@ -467,7 +484,7 @@ class LANTransport:
             if decision.drop:
                 return
             extra_delay = decision.extra_delay_ticks
-        delay = self.latency.draw_ticks(self.rng) + extra_delay
+        delay = latency_ticks(self.rng) + extra_delay
         key = (to_endpoint, from_endpoint, seq)
         self.kernel.post(delay, lambda: self._on_ack(key), label="lan:ack")  # lint: disable=PERF001 -- the closure IS the scheduled event payload; one allocation per ack is the cost of posting it
 

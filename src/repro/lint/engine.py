@@ -113,7 +113,7 @@ def _lint_file(
 
     Returns (diagnostics, suppressed-count, context, suppressions); the
     context is None when the file does not parse.  The context and the
-    suppression index are what the deep pass reuses, so a file is never
+    suppression index are what the project pass reuses, so a file is never
     parsed or comment-scanned twice.
     """
     suppressions = scan_suppressions(source)
@@ -183,10 +183,13 @@ def lint_paths(
     select: Optional[Iterable[str]] = None,
     project_root: Optional[Union[str, Path]] = None,
     registry: Optional[RuleRegistry] = None,
-    deep: bool = False,
     graph_sink: Optional[list["ProjectGraph"]] = None,
 ) -> LintReport:
     """Lint every Python file under ``paths`` and return the report.
+
+    One pass: every file is parsed and file-linted once, then the
+    project graphs are built from those parses and the project-scoped
+    rules run over them.
 
     Args:
         paths: files and/or directories to scan.
@@ -194,9 +197,8 @@ def lint_paths(
         project_root: where project-level inputs (the metric catalogue)
             live; auto-discovered from the first path when omitted.
         registry: alternate rule registry (tests); default the global one.
-        deep: also build the project graphs and run project-scoped rules.
-        graph_sink: when deep, the built :class:`ProjectGraph` is appended
-            here, so callers can inspect the graphs without a second build.
+        graph_sink: the built :class:`ProjectGraph` is appended here, so
+            callers can inspect the graphs without a second build.
     """
     _ensure_rules_registered()
     files = iter_python_files(paths)
@@ -229,45 +231,44 @@ def lint_paths(
             contexts.append(context)
             suppressions_by_path[context.display_path] = suppressions
 
-    if deep:
-        graph = build_project_graph(contexts, root=project.root)
-        if graph_sink is not None:
-            graph_sink.append(graph)
-        project_specs = [spec for spec in specs if spec.scope == PROJECT_SCOPE]
-        for spec in project_specs:
-            try:
-                violations = list(cast(ProjectRuleCheck, spec.check)(graph))
-            except Exception as error:  # noqa: BLE001 - must become a diagnostic
-                report.extend(
-                    [
-                        Diagnostic(
-                            path="<project>",
-                            line=1,
-                            column=0,
-                            rule=INTERNAL_RULE_ID,
-                            message=(
-                                f"rule {spec.id} crashed: "
-                                f"{type(error).__name__}: {error}"
-                            ),
-                        )
-                    ]
-                )
+    graph = build_project_graph(contexts, root=project.root)
+    if graph_sink is not None:
+        graph_sink.append(graph)
+    project_specs = [spec for spec in specs if spec.scope == PROJECT_SCOPE]
+    for spec in project_specs:
+        try:
+            violations = list(cast(ProjectRuleCheck, spec.check)(graph))
+        except Exception as error:  # noqa: BLE001 - must become a diagnostic
+            report.extend(
+                [
+                    Diagnostic(
+                        path="<project>",
+                        line=1,
+                        column=0,
+                        rule=INTERNAL_RULE_ID,
+                        message=(
+                            f"rule {spec.id} crashed: "
+                            f"{type(error).__name__}: {error}"
+                        ),
+                    )
+                ]
+            )
+            continue
+        for violation in violations:
+            index = suppressions_by_path.get(violation.path)
+            if index is not None and index.covers(violation.line, spec.id):
+                report.suppressed += 1
                 continue
-            for violation in violations:
-                index = suppressions_by_path.get(violation.path)
-                if index is not None and index.covers(violation.line, spec.id):
-                    report.suppressed += 1
-                    continue
-                report.extend(
-                    [
-                        Diagnostic(
-                            path=violation.path,
-                            line=violation.line,
-                            column=violation.column,
-                            rule=spec.id,
-                            message=violation.message,
-                        )
-                    ]
-                )
+            report.extend(
+                [
+                    Diagnostic(
+                        path=violation.path,
+                        line=violation.line,
+                        column=violation.column,
+                        rule=spec.id,
+                        message=violation.message,
+                    )
+                ]
+            )
     report.finalize()
     return report

@@ -1,4 +1,4 @@
-"""Whole-program graphs for project-scoped lint rules (``--deep``).
+"""Whole-program graphs for project-scoped lint rules.
 
 Two graphs, both built purely from :mod:`ast` — the same
 never-import-the-code safety contract as the file engine:

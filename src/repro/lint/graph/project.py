@@ -1,6 +1,6 @@
 """The whole-tree context handed to project-scoped lint rules.
 
-A :class:`ProjectGraph` is built once per ``--deep`` engine run from
+A :class:`ProjectGraph` is built once per engine run from
 the already-parsed per-file contexts: no file is read or parsed twice,
 and — like everything in :mod:`repro.lint` — nothing is ever imported
 or executed.

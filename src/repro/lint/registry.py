@@ -9,7 +9,7 @@ Two rule kinds share the registry, distinguished by ``scope``:
   decorator) — a function from a whole-tree
   :class:`~repro.lint.graph.ProjectGraph` to
   :class:`ProjectViolation` findings (which carry their own anchor
-  path); run once per ``--deep`` engine pass.
+  path); run once per engine pass, after the file rules.
 
 Both are registered under stable ids (``DET001``, ``ARCH001``, ...)
 with enough metadata to generate the ``--list-rules`` output and the
@@ -153,8 +153,8 @@ def project_rule(
 ) -> Callable[[ProjectRuleCheck], ProjectRuleCheck]:
     """Decorator registering a whole-tree rule in :data:`REGISTRY`.
 
-    Project rules only run under ``bips lint --deep``; a plain file
-    pass never builds the graphs they need.
+    Project rules run once per engine pass, over the graphs built from
+    every file's parse.
     """
 
     def decorate(check: ProjectRuleCheck) -> ProjectRuleCheck:

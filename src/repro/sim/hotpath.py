@@ -4,9 +4,9 @@ Profiling (docs/performance.md) showed a handful of per-event functions
 dominate wall time: the kernel drains, the inquiry hop schedule, radio
 coverage queries, and LAN delivery.  Decorating one with
 :func:`hot_path` declares "allocation here is a measured cost": the
-deep linter's PERF001 rule then audits the function *and everything it
-transitively calls* for avoidable per-call allocation (comprehensions,
-f-strings, closures, ``**kwargs`` expansion).
+linter's whole-program PERF001 rule then audits the function *and
+everything it transitively calls* for avoidable per-call allocation
+(comprehensions, f-strings, closures, ``**kwargs`` expansion).
 
 The decorator itself is a pure identity function — it returns the
 function object unchanged, adds no wrapper frame, and therefore costs

@@ -77,7 +77,3 @@ class TestRenderCurves:
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
             Series("a", ())
-
-    def test_tiny_canvas_rejected(self):
-        with pytest.raises(ValueError):
-            render_curves([0.0, 1.0], [Series("a", (0.0, 1.0))], height=1)

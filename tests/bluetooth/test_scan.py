@@ -11,7 +11,7 @@ import pytest
 
 from repro.bluetooth.address import BDAddr
 from repro.bluetooth.btclock import BluetoothClock
-from repro.bluetooth.constants import TICKS_PER_SLOT
+from repro.bluetooth.constants import BACKOFF_MAX_SLOTS, TICKS_PER_SLOT
 from repro.bluetooth.hopping import (
     Train,
     TrainStrategy,
@@ -32,13 +32,17 @@ from repro.sim.rng import RandomStream
 from tests.bluetooth.test_hopping import enumerate_transmissions
 
 
+#: The address ``make_scanner`` gives its slave.
+SLAVE_ADDRESS = BDAddr(0xABCDEF)
+
+
 def make_scanner(kernel, schedule, master, config=None, **overrides):
     """One slave, added through ``add_slave`` to its own swarm."""
     swarm = InquiryScanSwarm(
         kernel, schedule, master.channel, config=config if config is not None else ScanConfig()
     )
     slave = dict(
-        address=BDAddr(0xABCDEF),
+        address=SLAVE_ADDRESS,
         rng=RandomStream(1, "scan-test"),
         clock=BluetoothClock(),
         base_phase=0,
@@ -48,6 +52,11 @@ def make_scanner(kernel, schedule, master, config=None, **overrides):
     )
     slave.update(overrides)
     return swarm.add_slave(**slave)
+
+
+def next_hear(scanner, from_tick, ignore_windows=False):
+    """The swarm's rendezvous search for ``scanner``'s row."""
+    return scanner.swarm.next_hear(scanner.row, from_tick, ignore_windows)
 
 
 def reference_next_hear(scanner, schedule, from_tick, before_tick, ignore_windows=False):
@@ -138,8 +147,6 @@ class TestWindowGeometry:
             ScanConfig(window_ticks=0)
         with pytest.raises(ValueError):
             ScanConfig(window_ticks=100, interval_ticks=50)
-        with pytest.raises(ValueError):
-            ScanConfig(backoff_max_slots=-1)
 
 
 class TestNextHearAgainstBruteForce:
@@ -157,7 +164,7 @@ class TestNextHearAgainstBruteForce:
         )
         for from_tick in (0, 1, 777, 4095, 4096, 9000):
             expected = reference_next_hear(scanner, schedule, from_tick, 10_000)
-            assert scanner.next_hear(from_tick) == expected
+            assert next_hear(scanner, from_tick) == expected
 
     @pytest.mark.parametrize("anchor", [0, 50, 1000, 4000])
     def test_windowed_scan(self, kernel, anchor):
@@ -172,7 +179,7 @@ class TestNextHearAgainstBruteForce:
         )
         for from_tick in (0, 100, 4000, 8500):
             expected = reference_next_hear(scanner, schedule, from_tick, 12_000)
-            assert scanner.next_hear(from_tick) == expected
+            assert next_hear(scanner, from_tick) == expected
 
     def test_windowed_scan_periodic_master(self, kernel):
         schedule = periodic_inquiry(
@@ -188,7 +195,7 @@ class TestNextHearAgainstBruteForce:
         )
         for from_tick in (0, 3000, 5000, 15000, 20000):
             expected = reference_next_hear(scanner, schedule, from_tick, 35_000)
-            assert scanner.next_hear(from_tick) == expected
+            assert next_hear(scanner, from_tick) == expected
 
     def test_ignore_windows_listens_everywhere(self, kernel):
         schedule = continuous_inquiry(start_train=Train.A)
@@ -201,8 +208,8 @@ class TestNextHearAgainstBruteForce:
             window_anchor=5000,
             horizon_tick=10_000,
         )
-        windowed = scanner.next_hear(0)
-        always = scanner.next_hear(0, ignore_windows=True)
+        windowed = next_hear(scanner, 0)
+        always = next_hear(scanner, 0, ignore_windows=True)
         assert always is not None and windowed is not None
         assert always < windowed
 
@@ -215,7 +222,7 @@ class TestNextHearAgainstBruteForce:
             base_phase=20,  # train B position, A-only master
             horizon_tick=100_000,
         )
-        assert scanner.next_hear(0) is None
+        assert next_hear(scanner, 0) is None
 
 
 class TestStateMachine:
@@ -245,7 +252,7 @@ class TestStateMachine:
     def test_response_is_one_slot_after_hear(self, kernel):
         master, scanner = self._run_discovery(kernel)
         kernel.run_until(10_000)
-        tick = master.discovery_tick(scanner.address)
+        tick = master.discovery_tick(SLAVE_ADDRESS)
         assert tick is not None
         # FHS arrives exactly 625 µs after the ID the slave answered.
         assert (tick - scanner.stats.first_heard_tick) % 1 == 0
@@ -276,16 +283,15 @@ class TestStateMachine:
         scanner = make_scanner(
             kernel, schedule, master,
             config=ScanConfig.continuous(
-                phase_mode=PhaseMode.FIXED, backoff_max_slots=10,
-                response_mode=ResponseMode.SINGLE,
+                phase_mode=PhaseMode.FIXED, response_mode=ResponseMode.SINGLE,
             ),
             base_phase=0,
         )
         scanner.start()
         kernel.run_until(10_000)
         delay = scanner.stats.first_response_tick - scanner.stats.first_heard_tick
-        # Backoff of at most 10 slots, plus at most one 10 ms pass to re-hear.
-        assert delay <= 10 * TICKS_PER_SLOT + 32 + TICKS_PER_SLOT
+        # Backoff of at most 1023 slots, plus at most one 10 ms pass to re-hear.
+        assert delay <= BACKOFF_MAX_SLOTS * TICKS_PER_SLOT + 32 + TICKS_PER_SLOT
 
     def test_stop_cancels_everything(self, kernel):
         master, scanner = self._run_discovery(kernel)

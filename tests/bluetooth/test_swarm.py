@@ -467,9 +467,11 @@ class TestRendezvousCursor:
         )
         row = handle.row
         for start in range(0, 200_000, 97):
-            heard = handle.next_hear(start, ignore_windows=True)
-            following = handle.next_hear(heard + 1, ignore_windows=True)
-            if handle.next_hear(heard) != heard and following != handle.next_hear(heard + 1):
+            heard = swarm.next_hear(row, start, ignore_windows=True)
+            following = swarm.next_hear(row, heard + 1, ignore_windows=True)
+            if swarm.next_hear(row, heard) != heard and following != swarm.next_hear(
+                row, heard + 1
+            ):
                 break
         else:
             pytest.fail("no out-of-window hear with a distinguishing next hear")
@@ -483,7 +485,7 @@ class TestRendezvousCursor:
         kernel.run_until(heard + 1)
         assert checked == [(row, heard)]
         assert handle.stats.response_ticks == [heard + INQUIRY_RESPONSE_DELAY_TICKS]
-        assert handle.next_hear(heard + 1) != following
+        assert swarm.next_hear(row, heard + 1) != following
 
 
     @pytest.mark.parametrize(
@@ -565,8 +567,6 @@ class TestSwarmLifecycle:
 
     def test_handle_surface(self, kernel):
         swarm, handle = self._swarm(kernel)
-        assert handle.address == BDAddr(0xA)
-        assert handle.name == str(BDAddr(0xA))
         assert handle.listen_position(0) == swarm.listen_position(handle.row, 0)
         assert handle.row == 0
 
@@ -633,4 +633,7 @@ class TestSwarmLifecycle:
                     from_tick=from_tick,
                     before_tick=1 << 62,
                 )
-                assert handle.next_hear(from_tick, ignore) == expected, (from_tick, ignore)
+                assert swarm.next_hear(handle.row, from_tick, ignore) == expected, (
+                    from_tick,
+                    ignore,
+                )

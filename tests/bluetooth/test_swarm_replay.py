@@ -237,14 +237,12 @@ def test_replay_takes_most_figure2_buckets(monkeypatch):
 @pytest.mark.parametrize(
     "config",
     [
-        pytest.param(ScanConfig.continuous(response_timeout_ticks=31), id="short-inqrespTO"),
         pytest.param(ScanConfig(), id="windowed-scan"),
     ],
 )
 def test_replay_needs_steady_continuous_responders(monkeypatch, config):
-    # A windowless scan whose inqrespTO is under one pass never tries a
-    # replay; a windowed scan's cursors stop within its 36-tick window,
-    # too soon for two passes.
+    # A windowed scan's cursors stop within its 36-tick window, too soon
+    # for two passes.
     replays = []
     replay = InquiryScanSwarm._replay
 

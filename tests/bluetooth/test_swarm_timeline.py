@@ -17,6 +17,7 @@ import pytest
 
 from repro.bluetooth.address import BDAddr
 from repro.bluetooth.btclock import CLKN_WRAP, BluetoothClock
+from repro.bluetooth.constants import BACKOFF_MAX_SLOTS
 from repro.bluetooth.constants import INQUIRY_RESPONSE_DELAY_TICKS as DELAY
 from repro.bluetooth.hopping import TrainStrategy, continuous_inquiry, periodic_inquiry
 from repro.bluetooth.inquiry import InquiryProcedure
@@ -266,27 +267,27 @@ class TestDrainBound:
         assert _digest(_observables(swarm, master, handles)) == full
 
 
-def _zero_backoff_swarm(kernel, slaves):
-    """CONTINUOUS rows with a 0-slot backoff, identical clocks and phases:
-    every row hears the same IDs, and a backoff refiles the row for the
-    very tick it is processed at."""
+#: A row stream whose first backoff draw is 0 slots: that backoff
+#: refiles the row for the very tick it is processed at.
+ZERO_BACKOFF_SEED = 3270
+
+
+def _lockstep_swarm(kernel, seeds):
+    """CONTINUOUS rows with identical clocks and phases, one per seed:
+    every row hears the same IDs."""
     schedule = continuous_inquiry()
     master = InquiryProcedure(kernel, schedule, name="m")
     swarm = InquiryScanSwarm(
-        kernel,
-        schedule,
-        master.channel,
-        config=ScanConfig.continuous(backoff_max_slots=0),
-        name="zero",
+        kernel, schedule, master.channel, config=ScanConfig.continuous(), name="zero"
     )
     handles = [
         swarm.add_slave(
             BDAddr(0x300 + index),
-            rng=RandomStream(index, "zero"),
+            rng=RandomStream(seed, "zero"),
             clock=BluetoothClock(offset=5_000),
             horizon_tick=20_000,
         )
-        for index in range(slaves)
+        for index, seed in enumerate(seeds)
     ]
     return swarm, master, handles
 
@@ -298,7 +299,7 @@ class TestDueBuckets:
         # Every row's seek files it for the same hear tick, so that
         # bucket lists the rows in the order the start bucket ran them.
         kernel = Kernel()
-        swarm, _, handles = _zero_backoff_swarm(kernel, 3)
+        swarm, _, handles = _lockstep_swarm(kernel, range(3))
         order = [handles[2], handles[0], handles[1]]
         for handle in order:
             handle.start(at_tick=self.START)
@@ -310,15 +311,16 @@ class TestDueBuckets:
         # The refile takes a fresh seq, so a foreign event posted for that
         # tick after the hear was filed fires between the hear and the
         # end of the backoff; the response still goes out that tick.
+        assert RandomStream(ZERO_BACKOFF_SEED, "zero").randint(0, BACKOFF_MAX_SLOTS) == 0
         kernel = Kernel()
-        _, _, (reference,) = _zero_backoff_swarm(kernel, 1)
+        _, _, (reference,) = _lockstep_swarm(kernel, [ZERO_BACKOFF_SEED])
         reference.start(at_tick=self.START)
         kernel.run_until(5_000)
         heard = reference.stats.first_heard_tick
         assert heard > self.START
 
         kernel = Kernel()
-        _, _, (handle,) = _zero_backoff_swarm(kernel, 1)
+        _, _, (handle,) = _lockstep_swarm(kernel, [ZERO_BACKOFF_SEED])
         handle.start(at_tick=self.START)
         kernel.run_until(heard - 1)
         seen = []
@@ -336,7 +338,7 @@ class TestDueBuckets:
 class TestStopMidDrain:
     def test_stop_from_on_discovered_freezes_the_row(self):
         kernel, swarm, master, handles = _piconet(start=False)
-        by_address = {h.address: h for h in handles}
+        by_address = {BDAddr(0x2000 + h.row): h for h in handles}
         frozen = {}
 
         def on_discovered(packet, tick):

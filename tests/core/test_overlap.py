@@ -23,14 +23,15 @@ def run_overlap_sim(fraction: float, seed: int = 55):
 
 class TestOverlap:
     def test_zero_overlap_creates_no_spill_scanners(self):
+        # One scanner per room visit, and no spill scanner beside them.
         sim = run_overlap_sim(0.0)
-        names = [scanner.name for scanner in sim.user("u-a").scanners]
-        assert all("~" not in name for name in names)
+        user = sim.user("u-a")
+        assert len(user.scanners) == len(user.timeline.visits)
 
     def test_overlap_creates_spill_sessions(self):
         sim = run_overlap_sim(0.3)
-        names = [scanner.name for scanner in sim.user("u-a").scanners]
-        assert any("~" in name for name in names)
+        user = sim.user("u-a")
+        assert len(user.scanners) > len(user.timeline.visits)
 
     def test_overlap_triggers_invalidation_machinery(self):
         baseline = run_overlap_sim(0.0)

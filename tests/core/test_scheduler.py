@@ -70,8 +70,7 @@ class TestScheduleMaterialisation:
         assert schedule.is_listening(1000)
 
     def test_strategy_and_train_propagate(self):
-        policy = MasterSchedulingPolicy(
-            train_strategy=TrainStrategy.A_ONLY, start_train=Train.B
-        )
-        schedule = policy.build_schedule()
-        assert schedule.strategy is TrainStrategy.A_ONLY
+        # Every §5 window starts on train A and alternates trains.
+        schedule = MasterSchedulingPolicy().build_schedule()
+        assert schedule.strategy is TrainStrategy.ALTERNATE
+        assert schedule.start_train is Train.A

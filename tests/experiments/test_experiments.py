@@ -212,7 +212,7 @@ class TestSweeps:
 class TestE2E:
     def test_small_run_produces_sane_metrics(self):
         result = run_e2e(
-            E2EConfig(user_count=3, hops_per_user=2, duration_seconds=240.0, seed=903)
+            E2EConfig(user_count=3, duration_seconds=240.0, seed=903)
         )
         assert result.report.mean_accuracy > 0.5
         assert result.presence_updates > 0

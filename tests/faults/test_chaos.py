@@ -14,7 +14,7 @@ import pytest
 from repro.core import BIPSConfig, BIPSSimulation
 from repro.faults import FaultPlan, profile_names
 
-#: The stock profiles stop injecting at 300 s (``active_seconds``); a
+#: Every fault plan stops injecting at 300 s (``DEFAULT_ACTIVE_SECONDS``); a
 #: 400 s run leaves ~6 §5 inquiry cycles (15.4 s each) of healthy tail,
 #: comfortably above the convergence bound below.
 FAULTS_END_SECONDS = 300.0

@@ -41,11 +41,6 @@ class TestProfiles:
         with pytest.raises(ValueError):
             FaultProfile(name="bad", drop_probability=1.5)
 
-    def test_fault_profiles_carry_a_retry_policy(self):
-        for name in profile_names():
-            if name != "none":
-                assert PROFILES[name].retry_policy is not None, name
-
 
 class TestWindows:
     def test_same_seed_same_windows(self):
@@ -73,7 +68,6 @@ class TestWindows:
     def test_windows_are_sorted_disjoint_and_clamped(self):
         plan = FaultPlan.named("chaos", seed=11)
         limit = plan.active_until_tick()
-        assert limit is not None
         for room in ("lab-1", "lab-2", "office-3"):
             windows = plan.crash_windows(room, HORIZON)
             previous_end = 0

@@ -8,20 +8,22 @@ answers it can no longer confirm.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core import BIPSConfig, BIPSSimulation
-from repro.faults import RetryPolicy
+from repro.faults import FaultPlan
 from repro.lan.messages import LocationResponse
-from repro.lan.transport import LANTransport, LatencyModel
+from repro.lan.transport import LANTransport
 
 #: Users stay put for the whole run: recovery tests need a stationary
 #: ground truth, not a walk that happens to end mid-crash.
 STAY = dict(dwell_low_seconds=500.0, dwell_high_seconds=600.0)
 
-POLICY = RetryPolicy(jitter_ms=0.0)
 
-
-def _tracked_sim(seed=11, **config_kwargs):
-    sim = BIPSSimulation(config=BIPSConfig(seed=seed, **STAY, **config_kwargs))
+def _tracked_sim(seed=11, faults=None, **config_kwargs):
+    sim = BIPSSimulation(
+        config=BIPSConfig(seed=seed, **STAY, **config_kwargs), faults=faults
+    )
     sim.add_user("u-a", "A")
     sim.add_user("u-b", "B")
     sim.login("u-a")
@@ -126,11 +128,11 @@ class TestServerBrownout:
     def test_reliable_sender_bridges_a_short_brownout(self, kernel):
         # The recovery story for brownouts: retransmission with backoff
         # outlives the outage, so the delta arrives — exactly once.
-        transport = LANTransport(kernel, latency=LatencyModel(jitter_ms=0.0))
+        transport = LANTransport(kernel)
         received = []
         transport.register("server", lambda src, msg: received.append(msg))
         transport.unregister("server")  # brownout starts
-        transport.send_reliable("ws:lab-1", "server", "delta", POLICY)
+        transport.send_reliable("ws:lab-1", "server", "delta")
         kernel.run_until(kernel.now + 10)
         assert received == []
         transport.register("server", lambda src, msg: received.append(msg))
@@ -141,8 +143,8 @@ class TestServerBrownout:
 
 
 class TestRetryPolicyWiring:
-    def test_config_retry_policy_routes_deltas_reliably(self):
-        sim = _tracked_sim(retry_policy=POLICY)
+    def test_fault_plan_routes_deltas_reliably(self):
+        sim = _tracked_sim(faults=FaultPlan.named("lossy-lan", seed=7))
         sim.run(until_seconds=60.0)
         assert sim.lan.stats.reliable_sent > 0
         assert sim.lan.stats.acks_sent > 0
@@ -150,9 +152,9 @@ class TestRetryPolicyWiring:
 
     def test_restart_hello_routes_reliably(self):
         # The hello a restarted workstation sends is the message a
-        # still-degraded network is most likely to lose, so with a retry
-        # policy it must go out through send_reliable, never bare send.
-        sim = _tracked_sim(retry_policy=POLICY)
+        # still-degraded network is most likely to lose, so under a fault
+        # plan it must go out through send_reliable, never bare send.
+        sim = _tracked_sim(faults=FaultPlan.named("lossy-lan", seed=7))
         sim.run(until_seconds=60.0)
         sim.fail_workstation("lab-1")
         stats = sim.lan.stats
@@ -167,3 +169,39 @@ class TestRetryPolicyWiring:
         sim.run(until_seconds=60.0)
         assert sim.lan.stats.reliable_sent == 0
         assert sim.lan.stats.acks_sent == 0
+
+    @pytest.mark.parametrize(
+        "profile, reliable",
+        [("none", False), ("lossy-lan", True), ("chaos", True)],
+        ids=["none", "lossy-lan", "chaos"],
+    )
+    def test_every_push_takes_the_path_of_its_fault_plan(
+        self, profile, reliable, monkeypatch
+    ):
+        # Pushes are reliable exactly when a fault plan injects: a
+        # ``none`` run sends each one through bare send, a fault run
+        # each one through send_reliable.
+        sim = _tracked_sim(faults=FaultPlan.named(profile, seed=7))
+        pushes = {"send": 0, "send_reliable": 0}
+
+        def spy(method):
+            original = getattr(sim.lan, method)
+
+            def call(source, destination, message):
+                if source.startswith("ws:"):
+                    assert destination == "server"
+                    pushes[method] += 1
+                return original(source, destination, message)
+
+            monkeypatch.setattr(sim.lan, method, call)
+
+        spy("send")
+        spy("send_reliable")
+        sim.run(until_seconds=60.0)
+        sim.fail_workstation("lab-1")
+        sim.recover_workstation("lab-1")
+        used, unused = (
+            ("send_reliable", "send") if reliable else ("send", "send_reliable")
+        )
+        assert pushes[used] > 0
+        assert pushes[unused] == 0

@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import NO_FAULT, FaultDecision, RetryPolicy
+from repro.faults import NO_FAULT, FaultDecision
 from repro.lan.transport import (
+    RETRY_MAX_ATTEMPTS,
     DeliveryAck,
     LANTransport,
-    LatencyModel,
     UnknownEndpointError,
 )
-
-#: Deterministic policy: no jitter (the transports here carry no rng).
-POLICY = RetryPolicy(jitter_ms=0.0)
 
 LONG = 100_000  # run well past every retry timer
 
@@ -42,9 +39,8 @@ class ScriptedFaults:
 
 
 def _rig(kernel, faults=None):
-    transport = LANTransport(
-        kernel, latency=LatencyModel(base_ms=0.3, jitter_ms=0.0), fault_injector=faults
-    )
+    # No rng: latency and retry timeouts carry no jitter.
+    transport = LANTransport(kernel, fault_injector=faults)
     received = []
     transport.register("server", lambda src, msg: received.append(msg))
     transport.register("ws:lab-1", lambda src, msg: None)
@@ -55,7 +51,7 @@ class TestEndpointSemantics:
     def test_never_registered_destination_raises(self, kernel):
         transport, _ = _rig(kernel)
         with pytest.raises(UnknownEndpointError):
-            transport.send_reliable("ws:lab-1", "ghost", "delta", POLICY)
+            transport.send_reliable("ws:lab-1", "ghost", "delta")
 
     def test_known_but_down_destination_drops_silently(self, kernel):
         transport, received = _rig(kernel)
@@ -98,7 +94,7 @@ class TestFaultSeam:
 class TestReliableDelivery:
     def test_ack_cancels_the_retry(self, kernel):
         transport, received = _rig(kernel)
-        transport.send_reliable("ws:lab-1", "server", "delta", POLICY)
+        transport.send_reliable("ws:lab-1", "server", "delta")
         kernel.run_until(LONG)
         assert received == ["delta"]
         assert transport.stats.retries == 0
@@ -108,7 +104,7 @@ class TestReliableDelivery:
     def test_lost_message_is_retransmitted(self, kernel):
         faults = ScriptedFaults({0: FaultDecision(drop=True)})
         transport, received = _rig(kernel, faults)
-        transport.send_reliable("ws:lab-1", "server", "delta", POLICY)
+        transport.send_reliable("ws:lab-1", "server", "delta")
         kernel.run_until(LONG)
         assert received == ["delta"]
         assert transport.stats.retries == 1
@@ -119,7 +115,7 @@ class TestReliableDelivery:
         # lan.duplicates_dropped and reaches the handler exactly once.
         faults = ScriptedFaults({0: FaultDecision(duplicates=1)})
         transport, received = _rig(kernel, faults)
-        transport.send_reliable("ws:lab-1", "server", "delta", POLICY)
+        transport.send_reliable("ws:lab-1", "server", "delta")
         kernel.run_until(LONG)
         assert received == ["delta"]
         assert transport.stats.duplicates_dropped == 1
@@ -129,7 +125,7 @@ class TestReliableDelivery:
         # receiver sees a duplicate, suppresses it, and re-acks.
         faults = ScriptedFaults({1: FaultDecision(drop=True)})  # call 1 = the ack
         transport, received = _rig(kernel, faults)
-        transport.send_reliable("ws:lab-1", "server", "delta", POLICY)
+        transport.send_reliable("ws:lab-1", "server", "delta")
         kernel.run_until(LONG)
         assert received == ["delta"]  # applied once despite two deliveries
         assert transport.stats.duplicates_dropped == 1
@@ -140,20 +136,20 @@ class TestReliableDelivery:
 
     def test_retries_exhaust_after_the_attempt_budget(self, kernel):
         faults = ScriptedFaults(
-            {index: FaultDecision(drop=True) for index in range(POLICY.max_attempts)}
+            {index: FaultDecision(drop=True) for index in range(RETRY_MAX_ATTEMPTS)}
         )
         transport, received = _rig(kernel, faults)
-        transport.send_reliable("ws:lab-1", "server", "delta", POLICY)
+        transport.send_reliable("ws:lab-1", "server", "delta")
         kernel.run_until(LONG)
         assert received == []
-        assert transport.stats.retries == POLICY.max_attempts - 1
+        assert transport.stats.retries == RETRY_MAX_ATTEMPTS - 1
         assert transport.stats.retries_exhausted == 1
         assert transport.pending_reliable == 0
 
     def test_acks_never_reach_handlers(self, kernel):
         transport, received = _rig(kernel)
         for index in range(5):
-            transport.send_reliable("ws:lab-1", "server", f"d{index}", POLICY)
+            transport.send_reliable("ws:lab-1", "server", f"d{index}")
         kernel.run_until(LONG)
         assert received == [f"d{index}" for index in range(5)]
         assert transport.stats.acks_sent == 5
@@ -162,7 +158,7 @@ class TestReliableDelivery:
         # Server down: the delta cannot be acked, so it sits pending.
         transport, received = _rig(kernel)
         transport.unregister("server")
-        transport.send_reliable("ws:lab-1", "server", "delta", POLICY)
+        transport.send_reliable("ws:lab-1", "server", "delta")
         assert transport.pending_reliable == 1
         aborted = transport.abort_pending("ws:lab-1")
         assert aborted == 1
@@ -174,8 +170,8 @@ class TestReliableDelivery:
 
     def test_sequence_numbers_are_per_direction(self, kernel):
         transport, received = _rig(kernel)
-        transport.send_reliable("ws:lab-1", "server", "a", POLICY)
-        transport.send_reliable("server", "ws:lab-1", "b", POLICY)
+        transport.send_reliable("ws:lab-1", "server", "a")
+        transport.send_reliable("server", "ws:lab-1", "b")
         kernel.run_until(LONG)
         # Both used seq 0 in their own (source, destination) space and
         # neither was mistaken for a duplicate of the other.

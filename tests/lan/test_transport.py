@@ -4,26 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.lan.transport import LANTransport, LatencyModel, UnknownEndpointError
+from repro.lan.transport import LANTransport, UnknownEndpointError, latency_ticks
 from repro.sim.rng import RandomStream
 
 
 class TestLatencyModel:
     def test_draw_at_least_one_tick(self):
-        model = LatencyModel(base_ms=0.0, jitter_ms=0.0)
-        assert model.draw_ticks(None) == 1
+        # 0.3 ms is 0.96 ticks: rounded, and never below one tick.
+        assert latency_ticks(None) == 1
 
     def test_jitter_within_bounds(self):
-        model = LatencyModel(base_ms=1.0, jitter_ms=2.0)
         rng = RandomStream(1, "lat")
-        for _ in range(100):
-            ticks = model.draw_ticks(rng)
-            # 1 ms = 3.2 ticks -> between ~3 and ~10 ticks.
-            assert 3 <= ticks <= 10
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyModel(base_ms=-1.0)
+        draws = {latency_ticks(rng) for _ in range(200)}
+        # 0.3-0.5 ms = 0.96-1.6 ticks -> one or two ticks.
+        assert draws == {1, 2}
 
 
 class TestTransport:
@@ -84,7 +78,8 @@ class TestTransport:
         assert transport.stats.by_type == {"str": 1, "int": 1}
 
     def test_fifo_per_same_latency(self, kernel):
-        transport = LANTransport(kernel, latency=LatencyModel(base_ms=1.0, jitter_ms=0.0))
+        # No rng: every message takes the same jitter-free latency.
+        transport = LANTransport(kernel)
         received = []
         transport.register("server", lambda s, m: received.append(m))
         for i in range(5):

@@ -1,4 +1,9 @@
-"""`bips lint --deep`: CLI flags and the whole-tree run."""
+"""`bips lint`: project-scoped rules from the CLI and the whole-tree run.
+
+Every run builds the project graphs and runs the project rules
+(DET010, ARCH001, PERF001) after the file rules; there is no separate
+whole-program mode.
+"""
 
 from __future__ import annotations
 
@@ -42,34 +47,21 @@ def run(argv, capsys):
 class TestDeepFlag:
     def test_deep_finds_project_violation(self, tainted_tree, capsys):
         code, out, _ = run(
-            ["lint", str(tainted_tree), "--deep", "--select", "DET010"], capsys
+            ["lint", str(tainted_tree), "--select", "DET010"], capsys
         )
         assert code == 1
         assert "DET010" in out
 
-    def test_shallow_run_ignores_project_rules(self, tainted_tree, capsys):
-        code, out, _ = run(
-            ["lint", str(tainted_tree), "--select", "DET010"], capsys
-        )
-        assert code == 0
-
     def test_select_applies_to_project_rules(self, tainted_tree, capsys):
         code, _, _ = run(
-            ["lint", str(tainted_tree), "--deep", "--select", "PERF001"], capsys
+            ["lint", str(tainted_tree), "--select", "PERF001"], capsys
         )
         assert code == 0
-
-    def test_list_rules_marks_deep_rules(self, capsys):
-        code, out, _ = run(["lint", "--list-rules"], capsys)
-        assert code == 0
-        for rule_id in ("DET010", "ARCH001", "PERF001"):
-            assert rule_id in out
-        assert "[deep]" in out
 
     def test_json_format_still_versioned(self, tainted_tree, capsys):
         code, out, _ = run(
             [
-                "lint", str(tainted_tree), "--deep",
+                "lint", str(tainted_tree),
                 "--select", "DET010", "--format", "json",
             ],
             capsys,
@@ -84,5 +76,5 @@ class TestRepoTree:
         from .conftest import REPO_ROOT
 
         monkeypatch.chdir(REPO_ROOT)
-        code, out, _ = run(["lint", "src", "--deep"], capsys)
+        code, out, _ = run(["lint", "src"], capsys)
         assert code == 0, out

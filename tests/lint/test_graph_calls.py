@@ -18,7 +18,7 @@ from .conftest import SRC_ROOT
 
 def build_graph(root):
     sink = []
-    lint_paths([root], registry=RuleRegistry(), deep=True, graph_sink=sink)
+    lint_paths([root], registry=RuleRegistry(), graph_sink=sink)
     return sink[0]
 
 

@@ -10,7 +10,7 @@ from repro.lint.registry import RuleRegistry
 def build_graph(root):
     """Build a ProjectGraph over ``root`` with no rules running."""
     sink = []
-    lint_paths([root], registry=RuleRegistry(), deep=True, graph_sink=sink)
+    lint_paths([root], registry=RuleRegistry(), graph_sink=sink)
     return sink[0]
 
 

@@ -7,7 +7,7 @@ from repro.lint.rules.architecture import ALLOWED, LAYER_DEPS, layer_of
 
 
 def arch001(root):
-    report = lint_paths([root], select=["ARCH001"], deep=True)
+    report = lint_paths([root], select=["ARCH001"])
     return [d for d in report.diagnostics if d.rule == "ARCH001"]
 
 

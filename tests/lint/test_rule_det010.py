@@ -6,7 +6,7 @@ from repro.lint import lint_paths
 
 
 def det010(root, **kwargs):
-    report = lint_paths([root], select=["DET010"], deep=True, **kwargs)
+    report = lint_paths([root], select=["DET010"], **kwargs)
     return [d for d in report.diagnostics if d.rule == "DET010"]
 
 
@@ -109,13 +109,3 @@ class TestSuppression:
             "    return stamp()\n",
         ).parent.parent
         assert det010(root) == []
-
-    def test_shallow_run_never_fires_project_rules(self, package_tree):
-        package_tree("repro/util/wallclock.py", SINKING_HELPER)
-        root = package_tree(
-            "repro/sim/engine.py",
-            "from repro.util.wallclock import stamp\n\n\n"
-            "def entry():\n    return stamp()\n",
-        ).parent.parent
-        report = lint_paths([root], select=["DET010"], deep=False)
-        assert report.diagnostics == []

@@ -12,7 +12,7 @@ MARK = "from repro.sim.hotpath import hot_path\n"
 
 
 def perf001(root):
-    report = lint_paths([root], select=["PERF001"], deep=True)
+    report = lint_paths([root], select=["PERF001"])
     return [d for d in report.diagnostics if d.rule == "PERF001"]
 
 
@@ -115,16 +115,16 @@ class TestSuppression:
             "    return [x + 1 for x in xs]  "
             "# lint: disable=PERF001 -- the fresh list IS the return value\n",
         ).parent.parent
-        report = lint_paths([root], select=["PERF001"], deep=True)
+        report = lint_paths([root], select=["PERF001"])
         assert report.diagnostics == []
         assert report.suppressed == 1
 
 
 def marked_functions(paths) -> set[str]:
     """Functions PERF001 audits as hot: their decorators, read from the
-    AST by the deep pass's call graph, carry the ``hot_path`` marker."""
+    AST by the lint pass's call graph, carry the ``hot_path`` marker."""
     graphs = []
-    lint_paths(paths, select=["PERF001"], deep=True, graph_sink=graphs)
+    lint_paths(paths, select=["PERF001"], graph_sink=graphs)
     (graph,) = graphs
     return {name for name, node in graph.calls.nodes.items() if _is_marked(node.decorators)}
 

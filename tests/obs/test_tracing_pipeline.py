@@ -15,12 +15,11 @@ import pytest
 from repro.building.layouts import two_room_testbed
 from repro.core.config import BIPSConfig
 from repro.core.simulation import BIPSSimulation
-from repro.faults import NO_FAULT, FaultDecision, RetryPolicy
-from repro.lan.transport import LANTransport, LatencyModel
+from repro.faults import NO_FAULT, FaultDecision
+from repro.lan.transport import LANTransport
 from repro.obs.tracing import SpanTracer
 from repro.sim.kernel import Kernel
 
-POLICY = RetryPolicy(jitter_ms=0.0)
 LONG = 100_000
 
 
@@ -128,9 +127,9 @@ class TestRetransmitContext:
     def _rig(self, script):
         spans = SpanTracer(seed=0, sample=1.0)
         kernel = Kernel()
+        # No rng: latency and retry timeouts carry no jitter.
         transport = LANTransport(
             kernel,
-            latency=LatencyModel(base_ms=0.3, jitter_ms=0.0),
             fault_injector=ScriptedFaults(script),
             spans=spans,
         )
@@ -144,7 +143,7 @@ class TestRetransmitContext:
         spans, kernel, transport = self._rig({0: FaultDecision(drop=True)})
         root = spans.begin("bt.window", "bluetooth", 0, parent=None)
         prev = spans.push(root)
-        transport.send_reliable("ws:lab-1", "server", "delta", POLICY)
+        transport.send_reliable("ws:lab-1", "server", "delta")
         spans.pop(prev)
         kernel.run_until(LONG)
         spans.end(root, kernel.now)
@@ -160,7 +159,7 @@ class TestRetransmitContext:
         spans, kernel, transport = self._rig({0: FaultDecision(duplicates=1)})
         root = spans.begin("bt.window", "bluetooth", 0, parent=None)
         prev = spans.push(root)
-        transport.send_reliable("ws:lab-1", "server", "delta", POLICY)
+        transport.send_reliable("ws:lab-1", "server", "delta")
         spans.pop(prev)
         kernel.run_until(LONG)
         transits = [span for span in spans.spans if span.name == "lan.transit"]

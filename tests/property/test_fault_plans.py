@@ -1,6 +1,6 @@
 """Property tests: fault-plan expansion over random profiles and seeds.
 
-Whatever rates, bands, and seeds a profile carries, the expanded
+Whatever rates and seeds a profile carries, the expanded
 windows must be sorted, disjoint, clamped inside both the horizon and
 the plan's active window, and a pure function of ``(profile, seed)``.
 """
@@ -19,8 +19,6 @@ probabilities = st.floats(min_value=0.0, max_value=0.95, allow_nan=False)
 
 @st.composite
 def profiles(draw):
-    low = draw(st.floats(min_value=0.1, max_value=30.0, allow_nan=False))
-    high = low + draw(st.floats(min_value=0.0, max_value=60.0, allow_nan=False))
     return FaultProfile(
         name="generated",
         drop_probability=draw(probabilities),
@@ -28,13 +26,8 @@ def profiles(draw):
         delay_probability=draw(probabilities),
         reorder_probability=draw(probabilities),
         crashes_per_workstation=draw(st.integers(min_value=0, max_value=4)),
-        crash_downtime_seconds_low=low,
-        crash_downtime_seconds_high=high,
         brownouts=draw(st.integers(min_value=0, max_value=4)),
         radio_outages_per_trial=draw(st.integers(min_value=0, max_value=4)),
-        active_seconds=draw(
-            st.one_of(st.none(), st.floats(min_value=1.0, max_value=900.0))
-        ),
     )
 
 
@@ -46,9 +39,7 @@ horizons = st.integers(min_value=0, max_value=ticks_from_seconds(1200.0))
 @settings(max_examples=150)
 def test_windows_are_sorted_disjoint_and_clamped(profile, seed, horizon):
     plan = FaultPlan(profile=profile, seed=seed)
-    limit = horizon
-    if plan.active_until_tick() is not None:
-        limit = min(limit, plan.active_until_tick())
+    limit = min(horizon, plan.active_until_tick())
     for windows in (
         plan.crash_windows("room-x", horizon),
         plan.brownout_windows(horizon),
@@ -106,7 +97,7 @@ def test_injector_decisions_replay_exactly(profile, seed, count):
 def test_injector_goes_quiet_past_the_active_window(profile, seed):
     plan = FaultPlan(profile=profile, seed=seed)
     limit = plan.active_until_tick()
-    if limit is None or not profile.has_lan_faults:
+    if not profile.has_lan_faults:
         return
     injector = LANFaultInjector(
         profile, RandomStream(seed, "faults", "lan"), active_until_tick=limit
