@@ -46,16 +46,23 @@ swarm timeline.  Each entry's ``seq`` is reserved from the kernel
 or group is opened, just as posting an event there would take one, so
 entries and kernel events share one ``(tick, seq)`` order.  A group
 whose delivery is already the next entry in that order is settled at
-once instead, under the ``seq`` it reserved.  One kernel callback,
-:meth:`InquiryScanSwarm._wake`, drains every entry that precedes both
-the kernel heap head and the kernel's drain bound (conservative
-lookahead on one core); on a yield it posts its next wake under the
-earliest entry's own reserved ``seq``
+once instead, under the ``seq`` it reserved.
+
+The swarms of one kernel share one :class:`SwarmDrain` (a swarm built
+without one makes its own): a heap of the swarms' earliest entries
+(their *heads*) and one kernel callback,
+:meth:`SwarmDrain._wake`, that drains them.  The wake hands over from
+swarm to swarm while the earliest head precedes both the kernel heap
+head and the kernel's drain bound (conservative lookahead on one core);
+each swarm drains its own timeline up to the earlier of that horizon and
+the next head.  On a yield the drain posts its next wake under the
+earliest head's own reserved ``seq``
 (:meth:`~repro.sim.kernel.Kernel.post_reserved`).  The firing order is
 therefore exactly the one a single shared heap would give, foreign
-events at the same tick included (enrolment stops, workstation timers,
-other piconets' wakes), and the clock never passes a ``run_until``
-target.
+events at the same tick included (enrolment stops, workstation timers),
+and the clock never passes a ``run_until`` target.  Piconets whose
+windows overlap cost one kernel event per yield, not one per swarm
+entry run.
 
 The drain takes every row step itself, straight-line, and files the
 row's next due tick inline; ``_queue`` serves only :meth:`start_row`.
@@ -95,7 +102,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
@@ -210,8 +217,14 @@ class InquiryScanSwarm:
         channel: ResponseChannel,
         config: Optional[ScanConfig] = None,
         name: str = "swarm",
+        drain: Optional["SwarmDrain"] = None,
     ) -> None:
+        if drain is None:
+            drain = SwarmDrain(kernel)
+        elif drain.kernel is not kernel:
+            raise ValueError("a swarm's drain must belong to the swarm's kernel")
         self.kernel = kernel
+        self._drain = drain
         self._clock = kernel.clock
         self.schedule = schedule
         self.channel = channel
@@ -241,11 +254,10 @@ class InquiryScanSwarm:
         self._addresses: list[BDAddr] = []
         # Each row's stream's bound ``getrandbits``: its backoff draws.
         self._draws: list[Callable[[int], int]] = []
-        self._names: list[str] = []
         self._response_ticks: list[list[int]] = []
         # Rendezvous cursor per row: ``(hear_tick, stop, position)`` of
         # the last answer ``next_hear`` gave under the row's own window
-        # semantics (see _wake).  Every ``hear_tick + k *
+        # semantics (see SwarmDrain._wake).  Every ``hear_tick + k *
         # TICKS_PER_TRAIN_PASS < stop`` is a hear of ``position`` in the
         # same scan segment.
         self._cursors: list[tuple[int, int, int]] = []
@@ -265,21 +277,20 @@ class InquiryScanSwarm:
         # timeline entry until it is settled.
         self._groups: dict[int, list[int]] = {}
         # How the swarm counts a group's transmissions on the channel
-        # (read once per wake).
+        # (read once per run).
         self._announce = channel.announce
         # The swarm timeline: a heap of (tick, seq, kind) entries, kind
         # -1 for a due bucket and the RF channel for an FHS group;
         # ``seq`` is reserved from the kernel, so entries sort among
-        # kernel events exactly as posted events would.  ``_posted``
-        # holds the seqs of wakes currently in the kernel heap (at most
-        # one per live entry, removed as each wake fires).
+        # kernel events exactly as posted events would.  Its earliest
+        # entry is the swarm's head in the drain; ``_draining`` is set
+        # while the drain runs this swarm's entries.
         self._timeline: list[tuple[int, int, int]] = []
-        self._posted: set[int] = set()
         self._draining = False
         #: Due buckets processed, and the row steps taken inside them.
         self.advances = 0
         self.slave_steps = 0
-        # The first tick at which _wake tries a pass replay (_replay):
+        # The first tick at which the drain tries a pass replay (_replay):
         # never without bulk CONTINUOUS responses and a pass receiver.
         replayable = (
             self._mode_code == _MODE_CONTINUOUS
@@ -288,16 +299,15 @@ class InquiryScanSwarm:
             and channel.pass_receiver is not None
         )
         self._replay_from = 0 if replayable else _NEVER
-        # Everything _wake reads that is fixed for the swarm's lifetime,
-        # unpacked in one step: a wake that drains one or two entries
-        # (many piconets interleaving) pays for its set-up on each call.
-        # No bound method of the swarm itself: that would make the swarm
-        # a reference cycle, freed only by the cyclic GC (peak RSS).
+        # Everything the drain reads of the swarm that is fixed for its
+        # lifetime, unpacked in one step: a run that drains one or two
+        # entries (many piconets interleaving) pays for its set-up on
+        # each handover.  No bound method of the swarm itself: that
+        # would make the swarm a reference cycle, freed only by the
+        # cyclic GC (peak RSS).
         self._wake_locals = (
-            kernel.queue,
-            self._clock,
+            self._timeline,
             self._due,
-            kernel.reserve_seq,
             self._state,
             self._action,
             self._cursors,
@@ -314,12 +324,9 @@ class InquiryScanSwarm:
             channel.receiver,
             self._mode_code,
             self._continuous,
-            INQUIRY_RESPONSE_TIMEOUT_TICKS,
             self._first_heard,
             self._backoffs,
             self._draws,
-            BACKOFF_MAX_SLOTS,
-            _BACKOFF_BITS,
             # After a backoff a windowed scan that re-enters at once
             # searches without its windows; inqrespTO applies while the
             # row listens throughout.
@@ -341,7 +348,6 @@ class InquiryScanSwarm:
         base_phase: int = 0,
         window_anchor: Optional[int] = None,
         horizon_tick: int = 1 << 62,
-        name: str = "",
     ) -> "SwarmSlave":
         """Add one slave (an ``IDLE`` row) and return its handle.
 
@@ -368,7 +374,6 @@ class InquiryScanSwarm:
         self._first_response.append(-1)
         self._addresses.append(address)
         self._draws.append(bit_source(rng))
-        self._names.append(name or str(address))
         self._response_ticks.append([])
         self._cursors.append(_NO_CURSOR)
         return SwarmSlave(self, row)
@@ -379,7 +384,7 @@ class InquiryScanSwarm:
         """Begin scanning for one row (immediately, or at ``at_tick``)."""
         if self._state[row] != _IDLE:
             raise RuntimeError(
-                f"slave {self._names[row]} already started "
+                f"slave {self._addresses[row]} already started "
                 f"({_STATE_NAMES[self._state[row]].value})"
             )
         now = self.kernel.now
@@ -534,276 +539,19 @@ class InquiryScanSwarm:
 
         The first filer of a tick opens its bucket and reserves the
         bucket's timeline ``seq`` then, as posting an event would.
-        Outside a drain, a bucket that becomes the timeline's earliest
-        entry gets its wake posted now.
+        Outside this swarm's own run, a bucket that becomes the
+        timeline's earliest entry becomes the swarm's head in the drain.
         """
         bucket = self._due.get(tick)
         if bucket is not None:
             bucket.append(row)
             return
         self._due[tick] = [row]
-        seq = self.kernel.reserve_seq()
         timeline = self._timeline
-        entry = (tick, seq, -1)
-        if self._draining or (timeline and timeline[0] < entry):
-            heappush(timeline, entry)
-            return
+        entry = (tick, self.kernel.reserve_seq(), -1)
         heappush(timeline, entry)
-        self._posted.add(seq)
-        self.kernel.post_reserved(tick, seq, self._wake, self._label)
-
-    @hot_path
-    def _wake(self) -> None:
-        """Drain the timeline up to the kernel's next event: the swarm's
-        one kernel callback.
-
-        Entries are ``(tick, seq, kind)``; each is processed only while
-        it precedes both the kernel heap head and the drain bound, so
-        buckets, deliveries and every foreign event interleave in the
-        exact ``(tick, seq)`` order one shared heap would give them.  On
-        a yield the earliest entry's wake is posted under that entry's
-        own ``seq`` (unless it already has one).  A bucket that starts a
-        steady train pass first tries :meth:`_replay`, at most once per
-        retry tick the last try left.  Otherwise each row takes its
-        pending action inline (seek, first hear, backoff end, respond),
-        resumes from its rendezvous cursor where that is still open, and
-        is filed for its next one.  The bucket and step counts
-        accumulate in locals and are added to :attr:`advances` and
-        :attr:`slave_steps` before returning.
-
-        A bucket files its responders, as row indices, into their FHS
-        group.  A group the bucket opens reserves its ``seq`` then and is
-        delivered from the timeline at its tick, or at once when nothing
-        can come between: its tick precedes the horizon tick and every
-        timeline entry.  The channel resolves each group in one call;
-        the master's receivers take the lone survivor (see the module
-        docstring).
-        """
-        timeline = self._timeline
-        posted = self._posted
-        if timeline:
-            posted.discard(timeline[0][1])
-        (
-            heap, clock, due, reserve, state, action, cursors, offsets,
-            addresses, ids_heard, responses, response_ticks, first_response,
-            sequence, groups, resolve, repeat, receiver, mode,
-            windowless, timeout, first_heard, backoffs, draws, backoff_max,
-            backoff_bits, reentry_immediate, timed,
-        ) = self._wake_locals
-        bound = self.kernel.drain_bound
-        announce = self._announce
-        next_hear = self.next_hear
-        listen_position = self.listen_position
-        replay_from = self._replay_from
-        n_advances = 0
-        n_steps = 0
-        batch: list[int] = []
-        # The lookahead horizon as a (tick, seq) pair: an entry is due
-        # while it sorts below both the bound (every seq of tick
-        # ``bound``) and the kernel heap head.  An entry equal to the head
-        # is this swarm's own pending wake, so it waits for that wake.
-        # Only a delivery runs code that can post kernel events (the
-        # receiver and its listeners), so the head is re-read after each.
-        horizon = (bound + 1, -1)
-        head = None
-        if heap:
-            head = heap[0]
-            if head[0] <= bound:
-                horizon = (head[0], head[1])
-        self._draining = True
-        try:
-            while timeline:
-                entry = timeline[0]
-                if entry > horizon:
-                    break
-                heappop(timeline)
-                tick = entry[0]
-                clock._now = tick
-                kind = entry[2]
-                if kind < 0:
-                    if tick >= replay_from:
-                        replayed = self._replay(tick, horizon[0])
-                        replay_from = self._replay_from
-                        if replayed:
-                            continue
-                    # A due bucket.  It ends here unless it opens an FHS
-                    # group whose delivery is the next entry in (tick,
-                    # seq) order; that group is delivered below at once.
-                    rows = due.pop(tick, ())
-                    n_advances += 1
-                    n_steps += len(rows)
-                    batch_channel = -1
-                    tx_tick = tick + INQUIRY_RESPONSE_DELAY_TICKS
-                    next_tx = tick + TICKS_PER_TRAIN_PASS
-                    filed_tick = -1  # no heard tick equals it: the first filing sets filed_bucket
-                    filed_bucket: list[int]
-                    for row in rows:
-                        if state[row] == _STOPPED:
-                            n_steps -= 1
-                            continue  # tombstoned by stop_row; nothing pending
-                        act = action[row]
-                        if act == _ACT_RESPOND:
-                            # Answer the ID heard now with an FHS one slot
-                            # later.  A cursor standing on ``tick`` gives
-                            # the position without a fresh listen_position.
-                            hear_tick, stop, position = cursors[row]
-                            if hear_tick != tick:
-                                position = listen_position(row, tick)
-                            rf_channel = sequence[position]
-                            if rf_channel != batch_channel:
-                                if batch:
-                                    # Every row due at ``tick`` heard the one
-                                    # position the master sent then.
-                                    raise RuntimeError(f"bucket at {tick} answers on two channels")
-                                batch_channel = rf_channel
-                            ids_heard[row] += 1
-                            batch.append(row)
-                            responses[row] += 1
-                            response_ticks[row].append(tx_tick)
-                            if first_response[row] < 0:
-                                first_response[row] = tx_tick
-                            if mode == _MODE_BACKOFF_EACH:
-                                act = _ACT_BACKOFF_END
-                            elif mode == _MODE_SINGLE:
-                                self._retire(row, _DONE)
-                                continue
-                            else:
-                                # CONTINUOUS: answer the next ID heard.  On
-                                # the cursor that is one pass later while
-                                # before its stop, as a fresh next_hear(row,
-                                # tick + 1) would find: the master sends the
-                                # position once per pass until its run ends,
-                                # and the row listens on it until its segment
-                                # ends.  A gap past inqrespTO reverts to scan.
-                                if hear_tick == tick and next_tx < stop:
-                                    heard = next_tx
-                                    cursors[row] = (next_tx, stop, position)
-                                else:
-                                    found = next_hear(row, tick + 1)
-                                    if found is None:
-                                        self._retire(row, _EXHAUSTED)
-                                        continue
-                                    heard = found
-                                if windowless and heard - tick > timeout:
-                                    state[row] = _SEEKING
-                                    act = _ACT_HEAR
-                        elif act == _ACT_BACKOFF_END:
-                            # Listen again after the backoff.  A cursor run
-                            # still open at ``tick`` gives the next hear at
-                            # once, by the same fact as a CONTINUOUS
-                            # response's.  That holds for a windowed scan
-                            # re-entering at once too: the cursor lies in one
-                            # of its windows, so the window-free search finds
-                            # the same pass in the same segment and run.
-                            hear_tick, stop, position = cursors[row]
-                            # The cursor's first pass at or after ``tick``.
-                            heard = hear_tick - (
-                                (hear_tick - tick) // TICKS_PER_TRAIN_PASS * TICKS_PER_TRAIN_PASS
-                            )
-                            if hear_tick <= tick and heard < stop:
-                                cursors[row] = (heard, stop, position)
-                            else:
-                                found = next_hear(row, tick, reentry_immediate)
-                                if found is None:
-                                    self._retire(row, _EXHAUSTED)
-                                    continue
-                                heard = found
-                            # inqrespTO measures listening time only, so it
-                            # applies when the slave listens throughout (a
-                            # wait for its own next window is not air
-                            # silence); expired, the eventual hear is a first
-                            # hear with a fresh backoff.
-                            if timed and heard - tick > timeout:
-                                state[row] = _SEEKING
-                                act = _ACT_HEAR
-                            else:
-                                state[row] = _RESPONDING
-                                act = _ACT_RESPOND
-                        elif act == _ACT_HEAR:
-                            ids_heard[row] += 1
-                            if first_heard[row] < 0:
-                                first_heard[row] = tick
-                            act = _ACT_BACKOFF_END
-                        else:  # _ACT_SEEK: find the next first hear
-                            found = next_hear(row, tick)
-                            if found is None:
-                                self._retire(row, _EXHAUSTED)
-                                continue
-                            heard = found
-                            state[row] = _SEEKING
-                            act = _ACT_HEAR
-                        if act == _ACT_BACKOFF_END:
-                            # The row's one draw: randint(0, backoff_max),
-                            # exactly as Random draws it (see bit_source).
-                            backoffs[row] += 1
-                            draw = draws[row]
-                            slots = draw(backoff_bits)
-                            while slots > backoff_max:
-                                slots = draw(backoff_bits)
-                            heard = tick + slots * TICKS_PER_SLOT
-                            state[row] = _BACKOFF
-                        action[row] = act
-                        if heard != filed_tick:
-                            filed_tick = heard
-                            found_bucket = due.get(heard)
-                            if found_bucket is None:
-                                filed_bucket = due[heard] = []
-                                heappush(timeline, (heard, reserve(), -1))
-                            else:
-                                filed_bucket = found_bucket
-                        filed_bucket.append(row)
-                    if not batch:
-                        continue
-                    # File the responders into their FHS group: one group
-                    # per bucket, since every row due at ``tick`` heard the
-                    # one position the master sent then.
-                    announce(tx_tick, batch)
-                    key = tx_tick * _GROUP_KEY_SCALE + batch_channel
-                    rows = batch
-                    batch = []
-                    group = groups.get(key)
-                    if group is not None:
-                        group.extend(rows)
-                        continue
-                    seq = reserve()
-                    if tx_tick >= horizon[0] or (timeline and timeline[0][0] <= tx_tick):
-                        groups[key] = rows
-                        heappush(timeline, (tx_tick, seq, batch_channel))
-                        continue
-                    # The new group's delivery is the next entry in (tick,
-                    # seq) order: nothing can join the group or run before
-                    # it, so it is settled now, without a timeline entry.
-                    tick = tx_tick
-                    clock._now = tick
-                    kind = batch_channel
-                else:
-                    rows = groups.pop(tick * _GROUP_KEY_SCALE + kind)
-                # Deliver the (tick, kind) FHS group ``rows``.  A lone
-                # survivor the master already knows goes to its repeat
-                # receiver without a packet; a packet is built only for the
-                # receiver (a first discovery).
-                lone = resolve(tick, kind, rows, addresses)
-                if lone >= 0:
-                    row = rows[lone]
-                    sender = addresses[row]
-                    if repeat is None or not repeat(sender, tick):
-                        receiver(
-                            FHSPacket(sender, (tick + offsets[row]) % CLKN_WRAP, kind, tick),
-                            tick,
-                        )
-                if heap and heap[0] is not head:
-                    head = heap[0]
-                    if head[0] <= bound:
-                        horizon = (head[0], head[1])
-        finally:
-            self._draining = False
-            self.advances += n_advances
-            self.slave_steps += n_steps
-        if timeline:
-            entry = timeline[0]
-            if entry[1] not in posted:
-                posted.add(entry[1])
-                self.kernel.post_reserved(entry[0], entry[1], self._wake, self._label)
+        if not self._draining and timeline[0] is entry:
+            self._drain.refile(self, entry)
 
     def _replay(self, tick: int, limit: int) -> int:
         """Advance the steady train pass that starts at ``tick`` by K
@@ -815,7 +563,7 @@ class InquiryScanSwarm:
         whose rows all respond (``_RESPONDING``, ``_ACT_RESPOND``) on a
         cursor that stands on the bucket's tick: no FHS group is open,
         every row answers the ID heard there and hears its position again
-        one pass later, and ``_wake`` would take each pass alike.  K
+        one pass later, and the drain would take each pass alike.  K
         counts the whole passes that keep every row's ``hear + 32K`` before
         its cursor stop and whose FHS groups all settle before ``limit``
         (the lookahead horizon's tick) and the next other entry, so
@@ -823,7 +571,7 @@ class InquiryScanSwarm:
         groups K times (:meth:`~repro.radio.channel.ResponseChannel.resolve_passes`);
         its pass receiver declines for a first discovery.
 
-        A replay does what K passes of ``_wake`` would: each row answers
+        A replay does what K passes of the drain would: each row answers
         K more times (one response tick per pass) and its cursor moves
         by 32K ticks, and each bucket moves to ``tick + 32K`` under a
         fresh ``seq`` reserved in tick order, joining a bucket already
@@ -931,6 +679,337 @@ class InquiryScanSwarm:
         )
 
 
+class SwarmDrain:
+    """The swarm timelines of one kernel, drained by one kernel callback.
+
+    :attr:`_heads` is a heap of ``(tick, seq, swarm)``: the earliest
+    entry of every swarm with pending work, under the ``seq`` that entry
+    reserved (unique, so the swarm is never compared).  The earliest head
+    has a wake in the kernel heap, posted under its own ``seq``;
+    :attr:`_posted` holds the seqs of every drain wake still there (at
+    most one per live entry, each removed as its wake fires).  A head
+    holds its swarm only while the swarm has pending work, so the drain
+    and its swarms form no reference cycle between runs.
+    """
+
+    def __init__(self, kernel: Kernel) -> None:
+        self.kernel = kernel
+        self._heap = kernel.queue
+        self._spans = kernel.spans
+        self._heads: list[tuple[int, int, InquiryScanSwarm]] = []
+        self._posted: set[int] = set()
+
+    def refile(self, swarm: InquiryScanSwarm, entry: tuple[int, int, int]) -> None:
+        """Make ``entry``, just filed outside the swarm's own run, the
+        swarm's head in place of its previous one.
+
+        The earliest head gets a wake.  Inside a drain that is also what
+        stops the running swarm before the new head: the kernel heap head
+        bounds its lookahead.
+        """
+        heads = self._heads
+        for index, head in enumerate(heads):
+            if head[2] is swarm:
+                heads[index] = heads[-1]
+                heads.pop()
+                heapify(heads)
+                break
+        tick, seq, _ = entry
+        heappush(heads, (tick, seq, swarm))
+        if heads[0][1] == seq:
+            self._posted.add(seq)
+            self.kernel.post_reserved(tick, seq, self._wake)
+
+    @hot_path
+    def _wake(self) -> None:
+        """Drain every swarm's timeline up to the kernel's next event:
+        the drain's one kernel callback.
+
+        Hands over from swarm to swarm while the earliest head precedes
+        both the kernel heap head and the drain bound; each swarm runs its
+        entries ``(tick, seq, kind)`` while they precede that horizon and
+        the next head, so buckets, deliveries and every foreign event
+        interleave in the exact ``(tick, seq)`` order one shared heap
+        would give them.  On a yield the earliest head's wake is posted
+        under that head's own ``seq`` (unless it already has one).  Under
+        a span tracer each run of one swarm is one ``kernel`` span named
+        for the swarm, opened at the run's first tick.
+
+        Within a run, a bucket that starts a steady train pass first
+        tries :meth:`InquiryScanSwarm._replay`, at most once per retry
+        tick the last try left.  Otherwise each row takes its pending
+        action inline (seek, first hear, backoff end, respond), resumes
+        from its rendezvous cursor where that is still open, and is filed
+        for its next one.  The bucket and step counts accumulate in locals
+        and are added to the swarm's ``advances`` and ``slave_steps`` as
+        the run ends.
+
+        A bucket files its responders, as row indices, into their FHS
+        group.  A group the bucket opens reserves its ``seq`` then and is
+        delivered from the timeline at its tick, or at once when nothing
+        can come between: its tick precedes the horizon tick and every
+        timeline entry.  The channel resolves each group in one call;
+        the master's receivers take the lone survivor (see the module
+        docstring).
+        """
+        heads = self._heads
+        posted = self._posted
+        posted.discard(heads[0][1])
+        heap = self._heap
+        spans = self._spans
+        kernel = self.kernel
+        clock = kernel.clock
+        reserve = kernel.reserve_seq
+        bound = kernel.drain_bound
+        timeout = INQUIRY_RESPONSE_TIMEOUT_TICKS
+        backoff_max = BACKOFF_MAX_SLOTS
+        backoff_bits = _BACKOFF_BITS
+        batch: list[int] = []
+        # The kernel's lookahead limit as a (tick, seq) pair: an entry
+        # is due while it sorts below both the bound (every seq of tick
+        # ``bound``) and the kernel heap head.  An entry equal to the
+        # head is one with a drain wake of its own, so it waits for that
+        # wake.  Only a delivery runs code that can post kernel events
+        # (the receiver and its listeners), so the head is re-read after
+        # each.
+        limit = (bound + 1, -1)
+        head = None
+        if heap:
+            head = heap[0]
+            if head[0] <= bound:
+                limit = (head[0], head[1])
+        while heads:
+            first = heads[0]
+            if first > limit:
+                break
+            heappop(heads)
+            swarm = first[2]
+            # The run's horizon: the earlier of the limit and the
+            # next head.
+            horizon = limit
+            if heads:
+                after = heads[0]
+                if after < limit:
+                    horizon = (after[0], after[1])
+            (
+                timeline, due, state, action, cursors, offsets, addresses,
+                ids_heard, responses, response_ticks, first_response, sequence,
+                groups, resolve, repeat, receiver, mode, windowless, first_heard,
+                backoffs, draws, reentry_immediate, timed,
+            ) = swarm._wake_locals
+            announce = swarm._announce
+            next_hear = swarm.next_hear
+            listen_position = swarm.listen_position
+            replay_from = swarm._replay_from
+            n_advances = 0
+            n_steps = 0
+            if spans is not None:
+                span = spans.begin(swarm._label, "kernel", first[0])
+                context = spans.push(span)
+            swarm._draining = True
+            try:
+                while timeline:
+                    entry = timeline[0]
+                    if entry > horizon:
+                        break
+                    heappop(timeline)
+                    tick = entry[0]
+                    clock._now = tick
+                    kind = entry[2]
+                    if kind < 0:
+                        if tick >= replay_from:
+                            replayed = swarm._replay(tick, horizon[0])
+                            replay_from = swarm._replay_from
+                            if replayed:
+                                continue
+                        # A due bucket.  It ends here unless it opens an FHS
+                        # group whose delivery is the next entry in (tick,
+                        # seq) order; that group is delivered below at once.
+                        rows = due.pop(tick, ())
+                        n_advances += 1
+                        n_steps += len(rows)
+                        batch_channel = -1
+                        tx_tick = tick + INQUIRY_RESPONSE_DELAY_TICKS
+                        next_tx = tick + TICKS_PER_TRAIN_PASS
+                        filed_tick = -1  # no heard tick equals it: the first filing sets filed_bucket
+                        filed_bucket: list[int]
+                        for row in rows:
+                            if state[row] == _STOPPED:
+                                n_steps -= 1
+                                continue  # tombstoned by stop_row; nothing pending
+                            act = action[row]
+                            if act == _ACT_RESPOND:
+                                # Answer the ID heard now with an FHS one slot
+                                # later.  A cursor standing on ``tick`` gives
+                                # the position without a fresh listen_position.
+                                hear_tick, stop, position = cursors[row]
+                                if hear_tick != tick:
+                                    position = listen_position(row, tick)
+                                rf_channel = sequence[position]
+                                if rf_channel != batch_channel:
+                                    if batch:
+                                        # Every row due at ``tick`` heard the one
+                                        # position the master sent then.
+                                        raise RuntimeError(f"bucket at {tick} answers on two channels")
+                                    batch_channel = rf_channel
+                                ids_heard[row] += 1
+                                batch.append(row)
+                                responses[row] += 1
+                                response_ticks[row].append(tx_tick)
+                                if first_response[row] < 0:
+                                    first_response[row] = tx_tick
+                                if mode == _MODE_BACKOFF_EACH:
+                                    act = _ACT_BACKOFF_END
+                                elif mode == _MODE_SINGLE:
+                                    swarm._retire(row, _DONE)
+                                    continue
+                                else:
+                                    # CONTINUOUS: answer the next ID heard.  On
+                                    # the cursor that is one pass later while
+                                    # before its stop, as a fresh next_hear(row,
+                                    # tick + 1) would find: the master sends the
+                                    # position once per pass until its run ends,
+                                    # and the row listens on it until its segment
+                                    # ends.  A gap past inqrespTO reverts to scan.
+                                    if hear_tick == tick and next_tx < stop:
+                                        heard = next_tx
+                                        cursors[row] = (next_tx, stop, position)
+                                    else:
+                                        found = next_hear(row, tick + 1)
+                                        if found is None:
+                                            swarm._retire(row, _EXHAUSTED)
+                                            continue
+                                        heard = found
+                                    if windowless and heard - tick > timeout:
+                                        state[row] = _SEEKING
+                                        act = _ACT_HEAR
+                            elif act == _ACT_BACKOFF_END:
+                                # Listen again after the backoff.  A cursor run
+                                # still open at ``tick`` gives the next hear at
+                                # once, by the same fact as a CONTINUOUS
+                                # response's.  That holds for a windowed scan
+                                # re-entering at once too: the cursor lies in one
+                                # of its windows, so the window-free search finds
+                                # the same pass in the same segment and run.
+                                hear_tick, stop, position = cursors[row]
+                                # The cursor's first pass at or after ``tick``.
+                                heard = hear_tick - (
+                                    (hear_tick - tick) // TICKS_PER_TRAIN_PASS * TICKS_PER_TRAIN_PASS
+                                )
+                                if hear_tick <= tick and heard < stop:
+                                    cursors[row] = (heard, stop, position)
+                                else:
+                                    found = next_hear(row, tick, reentry_immediate)
+                                    if found is None:
+                                        swarm._retire(row, _EXHAUSTED)
+                                        continue
+                                    heard = found
+                                # inqrespTO measures listening time only, so it
+                                # applies when the slave listens throughout (a
+                                # wait for its own next window is not air
+                                # silence); expired, the eventual hear is a first
+                                # hear with a fresh backoff.
+                                if timed and heard - tick > timeout:
+                                    state[row] = _SEEKING
+                                    act = _ACT_HEAR
+                                else:
+                                    state[row] = _RESPONDING
+                                    act = _ACT_RESPOND
+                            elif act == _ACT_HEAR:
+                                ids_heard[row] += 1
+                                if first_heard[row] < 0:
+                                    first_heard[row] = tick
+                                act = _ACT_BACKOFF_END
+                            else:  # _ACT_SEEK: find the next first hear
+                                found = next_hear(row, tick)
+                                if found is None:
+                                    swarm._retire(row, _EXHAUSTED)
+                                    continue
+                                heard = found
+                                state[row] = _SEEKING
+                                act = _ACT_HEAR
+                            if act == _ACT_BACKOFF_END:
+                                # The row's one draw: randint(0, backoff_max),
+                                # exactly as Random draws it (see bit_source).
+                                backoffs[row] += 1
+                                draw = draws[row]
+                                slots = draw(backoff_bits)
+                                while slots > backoff_max:
+                                    slots = draw(backoff_bits)
+                                heard = tick + slots * TICKS_PER_SLOT
+                                state[row] = _BACKOFF
+                            action[row] = act
+                            if heard != filed_tick:
+                                filed_tick = heard
+                                found_bucket = due.get(heard)
+                                if found_bucket is None:
+                                    filed_bucket = due[heard] = []
+                                    heappush(timeline, (heard, reserve(), -1))
+                                else:
+                                    filed_bucket = found_bucket
+                            filed_bucket.append(row)
+                        if not batch:
+                            continue
+                        # File the responders into their FHS group: one group
+                        # per bucket, since every row due at ``tick`` heard the
+                        # one position the master sent then.
+                        announce(tx_tick, batch)
+                        key = tx_tick * _GROUP_KEY_SCALE + batch_channel
+                        rows = batch
+                        batch = []
+                        group = groups.get(key)
+                        if group is not None:
+                            group.extend(rows)
+                            continue
+                        seq = reserve()
+                        if tx_tick >= horizon[0] or (timeline and timeline[0][0] <= tx_tick):
+                            groups[key] = rows
+                            heappush(timeline, (tx_tick, seq, batch_channel))
+                            continue
+                        # The new group's delivery is the next entry in (tick,
+                        # seq) order: nothing can join the group or run before
+                        # it, so it is settled now, without a timeline entry.
+                        tick = tx_tick
+                        clock._now = tick
+                        kind = batch_channel
+                    else:
+                        rows = groups.pop(tick * _GROUP_KEY_SCALE + kind)
+                    # Deliver the (tick, kind) FHS group ``rows``.  A lone
+                    # survivor the master already knows goes to its repeat
+                    # receiver without a packet; a packet is built only for the
+                    # receiver (a first discovery).
+                    lone = resolve(tick, kind, rows, addresses)
+                    if lone >= 0:
+                        row = rows[lone]
+                        sender = addresses[row]
+                        if repeat is None or not repeat(sender, tick):
+                            receiver(
+                                FHSPacket(sender, (tick + offsets[row]) % CLKN_WRAP, kind, tick),
+                                tick,
+                            )
+                    if heap and heap[0] is not head:
+                        head = heap[0]
+                        if head < limit:
+                            limit = (head[0], head[1])
+                            if limit < horizon:
+                                horizon = limit
+            finally:
+                swarm._draining = False
+                swarm.advances += n_advances
+                swarm.slave_steps += n_steps
+                if spans is not None:
+                    spans.pop(context)
+                    spans.end(span, first[0])
+            if timeline:
+                entry = timeline[0]
+                heappush(heads, (entry[0], entry[1], swarm))
+        if heads:
+            first = heads[0]
+            if first[1] not in posted:
+                posted.add(first[1])
+                kernel.post_reserved(first[0], first[1], self._wake)
+
+
 @dataclass(frozen=True)
 class SwarmSlave:
     """A lightweight per-slave handle onto a swarm row: what the
@@ -962,4 +1041,4 @@ class SwarmSlave:
         return self.swarm.listen_position(self.row, tick)
 
 
-__all__ = ["InquiryScanSwarm", "SwarmSlave"]
+__all__ = ["InquiryScanSwarm", "SwarmDrain", "SwarmSlave"]

@@ -27,7 +27,7 @@ from repro.bluetooth.address import BDAddr
 from repro.bluetooth.btclock import CLKN_WRAP, BluetoothClock
 from repro.bluetooth.constants import NUM_INQUIRY_FREQUENCIES
 from repro.bluetooth.device import BluetoothDevice
-from repro.bluetooth.swarm import InquiryScanSwarm, SwarmSlave
+from repro.bluetooth.swarm import InquiryScanSwarm, SwarmDrain, SwarmSlave
 from repro.lan.messages import LocationQuery, PathQuery
 from repro.lan.transport import LANTransport
 from repro.mobility.walker import BuildingWalker, WalkTimeline
@@ -215,8 +215,10 @@ class BIPSSimulation:
         self._tracking_latencies_observed = False
         # Counter totals already added to the registry, per series.
         self._folded: dict[tuple, int] = {}
-        # One inquiry-scan swarm per room's piconet, created lazily.
+        # One inquiry-scan swarm per room's piconet, created lazily; all
+        # of them drained from one kernel callback.
         self._swarms: dict[str, InquiryScanSwarm] = {}
+        self._swarm_drain = SwarmDrain(self.kernel)
 
     def _build_workstations(self) -> None:
         room_ids = self.plan.room_ids()
@@ -346,6 +348,7 @@ class BIPSSimulation:
                 workstation.channel,
                 config=self.config.handheld_scan_config(),
                 name=room_id,
+                drain=self._swarm_drain,
             )
             self._swarms[room_id] = swarm
         return swarm
@@ -356,7 +359,6 @@ class BIPSSimulation:
         device: BluetoothDevice,
         rng: RandomStream,
         horizon_tick: int,
-        name: str,
     ) -> SwarmSlave:
         """One scanning presence in a room's piconet."""
         return self._swarm_for(room_id).add_slave(
@@ -365,7 +367,6 @@ class BIPSSimulation:
             clock=device.clock,
             base_phase=device.base_phase,
             horizon_tick=horizon_tick,
-            name=name,
         )
 
     def _attach_timeline(self, user: TrackedUser, timeline: WalkTimeline) -> None:
@@ -378,7 +379,6 @@ class BIPSSimulation:
                 user.device,
                 rng=self.rng.child("scan", user.userid, str(visit_index)),
                 horizon_tick=visit.leave_tick if visit.leave_tick is not None else (1 << 62),
-                name=f"{user.userid}@{visit.room_id}",
             )
             user.scanners.append(scanner)
             self.kernel.schedule_at(
@@ -418,7 +418,6 @@ class BIPSSimulation:
             user.device,
             rng=overlap_rng.child("scan"),
             horizon_tick=start + spill_ticks,
-            name=f"{user.userid}~{neighbor_room}",
         )
         user.scanners.append(scanner)
         self.kernel.schedule_at(

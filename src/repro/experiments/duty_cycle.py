@@ -143,7 +143,6 @@ def window_payload(config: Section5Config, replication: int, seed: int) -> dict:
             clock=device.clock,
             base_phase=device.base_phase,
             horizon_tick=window_ticks,
-            name=device.name,
         ).start()
     kernel.run_until(window_ticks)
     return {"found": master.discovered_count, "count": config.slave_count}

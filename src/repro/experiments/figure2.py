@@ -211,7 +211,6 @@ def replication_payload(config: Figure2Config, replication: int, seed: int) -> d
             clock=device.clock,
             base_phase=device.base_phase,
             horizon_tick=horizon,
-            name=device.name,
         )
         scanners[device.address] = scanner
         scanner.start()

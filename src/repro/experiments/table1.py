@@ -258,7 +258,6 @@ def trial_payload(config: Table1Config, trial_index: int, seed: int) -> dict:
         base_phase=base_phase,
         window_anchor=rng.randint(0, scan.interval_ticks - 1),
         horizon_tick=horizon,
-        name=f"slave-{trial_index}",
     )
     # Stop the scanner as soon as the master has its answer, so the
     # remainder of the horizon costs no events.

@@ -53,7 +53,7 @@ class LANFaultInjector:
         self,
         profile: FaultProfile,
         rng: "RandomStream",
-        active_until_tick: Optional[int] = None,
+        active_until_tick: int,
         metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
         self.profile = profile
@@ -76,7 +76,7 @@ class LANFaultInjector:
         self, now: int, source: str, destination: str, message: Any
     ) -> FaultDecision:
         """The fault verdict for one message about to be sent at ``now``."""
-        if self.active_until_tick is not None and now >= self.active_until_tick:
+        if now >= self.active_until_tick:
             return NO_FAULT
         profile = self.profile
         if not profile.has_lan_faults:

@@ -229,6 +229,15 @@ class Kernel:
         return self._heap
 
     @property
+    def spans(self) -> Optional["SpanTracer"]:
+        """The span tracer labelled events are wrapped in, or None.
+
+        A private timeline drained from one unlabelled wake opens the
+        ``kernel`` spans of its own runs with it.
+        """
+        return self._spans
+
+    @property
     def drain_bound(self) -> int:
         """The last tick the running drain may reach.
 

@@ -48,7 +48,6 @@ def make_scanner(kernel, schedule, master, config=None, **overrides):
         base_phase=0,
         window_anchor=0,
         horizon_tick=200_000,
-        name="slave",
     )
     slave.update(overrides)
     return swarm.add_slave(**slave)

@@ -99,7 +99,6 @@ def _simulate(
             base_phase=base_phase,
             window_anchor=anchor,
             horizon_tick=_row_horizon(horizon, index),
-            name=f"slave-{index}",
         )
         handle.start()
         handles.append(handle)

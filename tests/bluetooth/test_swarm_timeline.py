@@ -1,10 +1,12 @@
 """The swarm timeline keeps the exact ``(tick, seq)`` order of one heap.
 
-An :class:`InquiryScanSwarm` drains its due buckets and FHS deliveries
-from a private timeline inside one kernel event.  Each entry holds the
+An :class:`InquiryScanSwarm` keeps its due buckets and FHS deliveries
+in a private timeline, and a :class:`SwarmDrain` drains every swarm
+timeline of one kernel inside one kernel event.  Each entry holds the
 ``seq`` the kernel reserved for it at filing time, so these tests check
 the order a shared heap would give against foreign kernel events, the
-``run_until`` bound, ``step()`` and a ``stop_row`` issued mid-drain.
+``run_until`` bound, ``step()``, a ``stop_row`` issued mid-drain and
+the entries of other swarms on the same drain.
 """
 
 from __future__ import annotations
@@ -23,7 +25,10 @@ from repro.bluetooth.hopping import TrainStrategy, continuous_inquiry, periodic_
 from repro.bluetooth.inquiry import InquiryProcedure
 from repro.bluetooth.scan import PhaseMode, ScanConfig
 from repro.bluetooth.swarm import _GROUP_KEY_SCALE as GROUP_KEY_SCALE
-from repro.bluetooth.swarm import InquiryScanSwarm
+from repro.bluetooth.swarm import InquiryScanSwarm, SwarmDrain, SwarmSlave
+from repro.building.layouts import academic_department
+from repro.core.config import BIPSConfig
+from repro.core.simulation import BIPSSimulation
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
 
@@ -335,6 +340,178 @@ class TestDueBuckets:
         assert handle.stats.response_ticks[0] == heard + DELAY
 
 
+def _piconet_on(kernel, drain, seed):
+    """A started :func:`_piconet`-style swarm and its master on
+    ``kernel``, drained by ``drain``; ``seed`` also places the master's
+    inquiry windows."""
+    schedule = periodic_inquiry(3200, 16000, strategy=TrainStrategy.A_ONLY, start=seed)
+    master = InquiryProcedure(kernel, schedule, name=f"master-{seed}")
+    config = ScanConfig.continuous(phase_mode=PhaseMode.TRAIN_LOCKED)
+    swarm = InquiryScanSwarm(
+        kernel, schedule, master.channel, config=config, name=str(seed), drain=drain
+    )
+    root = RandomStream(seed, "timeline")
+    for index in range(8):
+        rng = root.child("slave", str(index))
+        swarm.add_slave(
+            BDAddr(0x2000 + 0x100 * seed + index),
+            rng=rng.child("draws"),
+            clock=BluetoothClock(offset=rng.randint(0, CLKN_WRAP - 1)),
+            base_phase=rng.randint(0, 15),
+            horizon_tick=HORIZON,
+        ).start()
+    return swarm, master
+
+
+def _is_wake_of(payload, drain):
+    return getattr(payload, "__self__", None) is drain
+
+
+#: The tick the shared-drain ordering test files both buckets for.
+START = 100
+
+
+def _lone_on(kernel, drain, name):
+    """One idle CONTINUOUS row in its own piconet on ``kernel``."""
+    schedule = continuous_inquiry()
+    master = InquiryProcedure(kernel, schedule, name=f"m-{name}")
+    swarm = InquiryScanSwarm(
+        kernel, schedule, master.channel, config=ScanConfig.continuous(), name=name, drain=drain
+    )
+    swarm.add_slave(
+        BDAddr(0xAB), rng=RandomStream(3, name), clock=BluetoothClock(offset=5_000)
+    )
+    return swarm
+
+
+def _recording(swarm, announced):
+    """``swarm``'s channel announce, appending ``(now, swarm, rows)`` of
+    each bucket's responders to ``announced``."""
+    announce = swarm._announce
+
+    def record(tx_tick, rows):
+        announced.append((swarm.kernel.now, swarm.name, tuple(rows)))
+        return announce(tx_tick, rows)
+
+    return record
+
+
+def _handles(swarm):
+    return [SwarmSlave(swarm, row) for row in range(len(swarm._offset))]
+
+
+class TestSharedDrain:
+    """Every swarm of a kernel drained from one kernel callback keeps the
+    ``(tick, seq)`` order of one shared heap."""
+
+    def test_same_tick_entries_of_two_swarms_interleave_by_seq(self):
+        # Two swarms open a bucket at one tick, and foreign events are
+        # posted before, between and after their filings: each fires
+        # after exactly the buckets filed before it.
+        kernel = Kernel()
+        drain = SwarmDrain(kernel)
+        first, second = (_lone_on(kernel, drain, name) for name in ("a", "b"))
+        seen = []
+
+        def foreign():
+            seen.append((START in first._due, START in second._due))
+
+        kernel.post_at(START, foreign)
+        first.start_row(0, at_tick=START)
+        kernel.post_at(START, foreign)
+        second.start_row(0, at_tick=START)
+        kernel.post_at(START, foreign)
+        kernel.run_until(START)
+        assert seen == [(True, True), (False, True), (False, False)]
+
+    @pytest.mark.parametrize("stop", [9_999, HORIZON])
+    def test_shared_drain_matches_a_drain_per_swarm(self, stop):
+        # Sharing the drain changes how many kernel events the swarms
+        # cost, nothing they do, nor the order in which the piconets'
+        # responses go out.
+        outcomes = []
+        events = []
+        for shared in (False, True):
+            kernel = Kernel()
+            drain = SwarmDrain(kernel) if shared else None
+            piconets = [_piconet_on(kernel, drain, seed) for seed in (99, 7, 1234)]
+            announced = []
+            for swarm, _ in piconets:
+                swarm._announce = _recording(swarm, announced)
+            for target in range(0, stop + 1, 997):
+                kernel.run_until(target)
+            kernel.run_until(stop)
+            outcomes.append(
+                (
+                    [_observables(swarm, master, _handles(swarm)) for swarm, master in piconets],
+                    announced,
+                )
+            )
+            events.append(kernel.events_fired)
+            assert announced == sorted(announced, key=lambda record: record[0])
+            assert len({name for _, name, _ in announced}) == 3
+        assert outcomes[0] == outcomes[1]
+        assert events[1] < events[0]
+
+    def test_row_started_from_another_swarms_delivery(self):
+        # A discovery in one piconet starts a row in another while the
+        # drain runs the first: the new bucket still fires in its place.
+        outcomes = []
+        for shared in (False, True):
+            kernel = Kernel()
+            drain = SwarmDrain(kernel) if shared else None
+            swarm, master = _piconet_on(kernel, drain, 99)
+            other = _lone_on(kernel, drain, "b")
+            announced = []
+            for each in (swarm, other):
+                each._announce = _recording(each, announced)
+            started = []
+
+            def on_discovered(packet, tick):
+                if not started:
+                    started.append(tick)
+                    other.start_row(0)
+
+            master.on_discovered = on_discovered
+            kernel.run_until(HORIZON)
+            assert started and any(name == "b" for _, name, _ in announced)
+            assert announced == sorted(announced, key=lambda record: record[0])
+            outcomes.append((announced, other.stats_of(0)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_a_drain_serves_one_kernel(self):
+        kernel = Kernel()
+        with pytest.raises(ValueError):
+            _lone_on(Kernel(), SwarmDrain(kernel), "other")
+
+
+#: ``kernel.events_fired`` of :meth:`TestOneWakePerKernel._department`
+#: when every swarm posted its own wakes.
+EVENTS_WITH_A_WAKE_PER_SWARM = 12_698
+
+
+class TestOneWakePerKernel:
+    def test_twelve_piconets_cost_a_fifth_of_the_kernel_events(self):
+        # Twelve rooms whose inquiry windows overlap: handing over between
+        # swarms inside one drain replaces most of their kernel wakes.
+        sim = self._department()
+        assert len(sim._swarms) == 12
+        assert sim.kernel.events_fired * 5 <= EVENTS_WITH_A_WAKE_PER_SWARM
+
+    @staticmethod
+    def _department():
+        """96 users on two-hop walks from the 12 rooms, 5 simulated minutes."""
+        sim = BIPSSimulation(plan=academic_department(), config=BIPSConfig())
+        rooms = sim.plan.room_ids()
+        for index in range(96):
+            userid = f"u{index}"
+            sim.add_user(userid, f"User{index}")
+            sim.login(userid)
+            sim.walk(userid, rooms[index % len(rooms)], 2)
+        sim.run(until_seconds=300.0)
+        return sim
+
+
 class TestStopMidDrain:
     def test_stop_from_on_discovered_freezes_the_row(self):
         kernel, swarm, master, handles = _piconet(start=False)
@@ -363,15 +540,26 @@ class TestStopMidDrain:
 
 class TestTimelineBookkeeping:
     def test_wakes_match_live_entries(self):
-        # At most one posted wake per live entry, and none left once the
-        # timeline has drained.
-        kernel, swarm, master, handles = _piconet()
+        # The drain's wakes in the kernel heap are exactly the ones it
+        # records, each under the seq of a live head, the earliest head
+        # among them; none is left once every swarm has drained.
+        kernel = Kernel()
+        drain = SwarmDrain(kernel)
+        swarms = [_piconet_on(kernel, drain, seed)[0] for seed in (99, 7)]
         for target in range(0, HORIZON + 4_001, 4_000):
             kernel.run_until(target)
-            assert len(swarm._posted) <= len(swarm._timeline)
-            if swarm._timeline:
-                assert swarm._timeline[0][1] in swarm._posted
-        assert not swarm._timeline and not swarm._posted
+            wakes = sorted(seq for _, seq, payload in kernel.queue if _is_wake_of(payload, drain))
+            assert sorted(drain._posted) == wakes
+            heads = {seq: swarm for _, seq, swarm in drain._heads}
+            # One head per swarm with pending work: its earliest entry.
+            assert len(heads) == sum(1 for swarm in swarms if swarm._timeline)
+            for seq, swarm in heads.items():
+                assert swarm._timeline[0][1] == seq
+            assert set(wakes) <= set(heads)
+            if heads:
+                assert drain._heads[0][1] in wakes
+        assert not drain._heads and not drain._posted
+        assert not any(swarm._timeline for swarm in swarms)
 
     def test_finished_swarm_is_freed_without_the_cyclic_gc(self):
         # The swarm must not sit in a reference cycle of its own making

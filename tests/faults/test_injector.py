@@ -7,9 +7,13 @@ from repro.faults import NO_FAULT, FaultPlan, LANFaultInjector, profile_named
 from repro.sim.rng import RandomStream
 
 
-def _injector(profile_name="lossy-lan", seed=7, **kwargs):
+#: A fault window no test send reaches the end of.
+NEVER = 1 << 62
+
+
+def _injector(profile_name="lossy-lan", seed=7, active_until_tick=NEVER):
     return LANFaultInjector(
-        profile_named(profile_name), RandomStream(seed, "faults", "lan"), **kwargs
+        profile_named(profile_name), RandomStream(seed, "faults", "lan"), active_until_tick
     )
 
 
