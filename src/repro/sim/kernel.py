@@ -25,13 +25,18 @@ Fast-path design (see docs/performance.md):
   wraps each labelled callback in its ``kernel`` span as it queues it
   (the kernel's only record of what fired), so traced and untraced runs
   drain through the same loop and the loop carries no span checks.
-* A component may keep a private timeline of its own pending work and
-  drain it inside one kernel event, provided it keeps exact
+* A component may keep private timelines of its own pending work and
+  drain them inside one kernel event, provided it keeps exact
   ``(tick, seq)`` order with the heap: :meth:`Kernel.reserve_seq` hands
   out a tie-break ``seq`` without posting, :meth:`Kernel.post_reserved`
   posts a wake under such a seq, :attr:`Kernel.queue` is the live heap
   whose head is the lookahead horizon, and :attr:`Kernel.drain_bound`
-  is the last tick the current drain may reach.
+  is the last tick the current drain may reach.  The inquiry-scan
+  swarms of one kernel share one such drain
+  (:class:`~repro.bluetooth.swarm.SwarmDrain`): one wake, posted under
+  the earliest swarm entry's seq, hands over from swarm to swarm, and
+  opens each swarm's ``kernel`` span itself through
+  :attr:`Kernel.spans`.
 """
 
 from __future__ import annotations
