@@ -551,7 +551,7 @@ class InquiryScanSwarm:
         entry = (tick, self.kernel.reserve_seq(), -1)
         heappush(timeline, entry)
         if not self._draining and timeline[0] is entry:
-            self._drain.refile(self, entry)
+            self._drain._refile(self, entry)
 
     def _replay(self, tick: int, limit: int) -> int:
         """Advance the steady train pass that starts at ``tick`` by K
@@ -699,7 +699,7 @@ class SwarmDrain:
         self._heads: list[tuple[int, int, InquiryScanSwarm]] = []
         self._posted: set[int] = set()
 
-    def refile(self, swarm: InquiryScanSwarm, entry: tuple[int, int, int]) -> None:
+    def _refile(self, swarm: InquiryScanSwarm, entry: tuple[int, int, int]) -> None:
         """Make ``entry``, just filed outside the swarm's own run, the
         swarm's head in place of its previous one.
 
