@@ -12,6 +12,6 @@ Layout:
 * :mod:`repro.bench.cli` — argparse wiring for ``bips bench``.
 
 This package is host-facing tooling, not simulation code: it may read
-wall clocks (outside the DET002 scope) and its times are explicitly
+wall clocks (outside DET010's simulation packages) and its times are explicitly
 machine-dependent — only a head/parent ratio from one host is compared.
 """

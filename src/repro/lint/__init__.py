@@ -27,12 +27,9 @@ from repro.lint.engine import (
 from repro.lint.graph import ProjectGraph, build_project_graph
 from repro.lint.registry import (
     REGISTRY,
-    ProjectViolation,
     RuleSpec,
     Violation,
     at_node,
-    at_node_in,
-    project_rule,
     rule,
 )
 from repro.lint.spec import PAPER_SPEC, SpecEntry
@@ -51,17 +48,14 @@ __all__ = [
     "PAPER_SPEC",
     "PARSE_RULE_ID",
     "ProjectGraph",
-    "ProjectViolation",
     "REGISTRY",
     "RuleSpec",
     "SpecEntry",
     "Violation",
     "at_node",
-    "at_node_in",
     "build_project_graph",
     "iter_python_files",
     "lint_paths",
     "lint_source",
-    "project_rule",
     "rule",
 ]

@@ -17,19 +17,12 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union, cast
+from typing import Iterable, Optional, Sequence, Union
 
 from repro.lint.context import FileContext, ProjectContext, module_name_for_path
 from repro.lint.diagnostics import Diagnostic, LintReport
 from repro.lint.graph import ProjectGraph, build_project_graph
-from repro.lint.registry import (
-    PROJECT_SCOPE,
-    REGISTRY,
-    ProjectRuleCheck,
-    RuleCheck,
-    RuleRegistry,
-    RuleSpec,
-)
+from repro.lint.registry import REGISTRY, RuleRegistry, RuleSpec
 from repro.lint.suppressions import SuppressionIndex, scan_suppressions
 
 #: Rule id attached to files that do not parse.
@@ -69,6 +62,98 @@ def _ensure_rules_registered() -> None:
     from repro.lint import rules  # noqa: F401  (import-for-side-effect)
 
 
+#: One source to lint: (text, display path, concrete path, dotted module).
+_Source = tuple[str, str, Path, str]
+
+
+def _lint(
+    sources: Iterable[_Source],
+    *,
+    project: ProjectContext,
+    rules: Sequence[RuleSpec],
+    graph_sink: Optional[list[ProjectGraph]] = None,
+) -> LintReport:
+    """Parse every source once, build the project graph, run every rule.
+
+    A file that does not parse gets a PARSE diagnostic and stays out of
+    the graph.  A rule that crashes becomes an INTERNAL diagnostic; a
+    finding on a line (or in a file) whose suppression comment names
+    the rule is counted as suppressed instead of reported.
+    """
+    report = LintReport()
+    contexts: list[FileContext] = []
+    suppressions: dict[str, SuppressionIndex] = {}
+    for source, display, concrete, module in sources:
+        report.files_checked += 1
+        try:
+            tree = ast.parse(source, filename=display)
+        except SyntaxError as error:
+            report.extend(
+                [
+                    Diagnostic(
+                        path=display,
+                        line=error.lineno or 1,
+                        column=(error.offset or 1) - 1,
+                        rule=PARSE_RULE_ID,
+                        message=f"syntax error: {error.msg}",
+                    )
+                ]
+            )
+            continue
+        contexts.append(
+            FileContext(
+                path=concrete,
+                display_path=display,
+                module=module,
+                source=source,
+                tree=tree,
+                project=project,
+            )
+        )
+        suppressions[display] = scan_suppressions(source)
+
+    graph = build_project_graph(contexts, root=project.root)
+    if graph_sink is not None:
+        graph_sink.append(graph)
+    for spec in rules:
+        try:
+            violations = list(spec.check(graph))
+        except Exception as error:  # noqa: BLE001 - must become a diagnostic
+            report.extend(
+                [
+                    Diagnostic(
+                        path="<project>",
+                        line=1,
+                        column=0,
+                        rule=INTERNAL_RULE_ID,
+                        message=(
+                            f"rule {spec.id} crashed: "
+                            f"{type(error).__name__}: {error}"
+                        ),
+                    )
+                ]
+            )
+            continue
+        for violation in violations:
+            index = suppressions.get(violation.path)
+            if index is not None and index.covers(violation.line, spec.id):
+                report.suppressed += 1
+                continue
+            report.extend(
+                [
+                    Diagnostic(
+                        path=violation.path,
+                        line=violation.line,
+                        column=violation.column,
+                        rule=spec.id,
+                        message=violation.message,
+                    )
+                ]
+            )
+    report.finalize()
+    return report
+
+
 def lint_source(
     source: str,
     *,
@@ -80,101 +165,22 @@ def lint_source(
 ) -> tuple[list[Diagnostic], int]:
     """Lint one source text; returns (diagnostics, suppressed-count).
 
-    ``module`` defaults to the package-aware inference from ``path``;
-    tests pass it directly to place snippets in arbitrary packages.
+    Every rule runs over a one-file project graph.  ``module`` defaults
+    to the package-aware inference from ``path``; tests pass it directly
+    to place snippets in arbitrary packages.
     """
     _ensure_rules_registered()
-    display = str(path)
     concrete = Path(path)
     if module is None:
         module = module_name_for_path(concrete) if concrete.exists() else concrete.stem
-    if project is None:
-        project = ProjectContext(root=None)
     if rules is None:
         rules = list(registry if registry is not None else REGISTRY)
-
-    diagnostics, suppressed, _context, _suppressions = _lint_file(
-        source, display=display, concrete=concrete, module=module,
-        project=project, rules=rules,
+    report = _lint(
+        [(source, str(path), concrete, module)],
+        project=project if project is not None else ProjectContext(root=None),
+        rules=rules,
     )
-    return diagnostics, suppressed
-
-
-def _lint_file(
-    source: str,
-    *,
-    display: str,
-    concrete: Path,
-    module: str,
-    project: ProjectContext,
-    rules: Sequence[RuleSpec],
-) -> tuple[list[Diagnostic], int, Optional[FileContext], SuppressionIndex]:
-    """Parse and file-lint one source text.
-
-    Returns (diagnostics, suppressed-count, context, suppressions); the
-    context is None when the file does not parse.  The context and the
-    suppression index are what the project pass reuses, so a file is never
-    parsed or comment-scanned twice.
-    """
-    suppressions = scan_suppressions(source)
-    try:
-        tree = ast.parse(source, filename=display)
-    except SyntaxError as error:
-        return (
-            [
-                Diagnostic(
-                    path=display,
-                    line=error.lineno or 1,
-                    column=(error.offset or 1) - 1,
-                    rule=PARSE_RULE_ID,
-                    message=f"syntax error: {error.msg}",
-                )
-            ],
-            0,
-            None,
-            suppressions,
-        )
-
-    context = FileContext(
-        path=concrete,
-        display_path=display,
-        module=module,
-        source=source,
-        tree=tree,
-        project=project,
-    )
-    kept: list[Diagnostic] = []
-    suppressed = 0
-    for spec in rules:
-        if spec.scope == PROJECT_SCOPE:
-            continue  # project rules need the whole tree; see lint_paths
-        try:
-            violations = list(cast(RuleCheck, spec.check)(context))
-        except Exception as error:  # noqa: BLE001 - must become a diagnostic
-            kept.append(
-                Diagnostic(
-                    path=display,
-                    line=1,
-                    column=0,
-                    rule=INTERNAL_RULE_ID,
-                    message=f"rule {spec.id} crashed: {type(error).__name__}: {error}",
-                )
-            )
-            continue
-        for violation in violations:
-            if suppressions.covers(violation.line, spec.id):
-                suppressed += 1
-                continue
-            kept.append(
-                Diagnostic(
-                    path=display,
-                    line=violation.line,
-                    column=violation.column,
-                    rule=spec.id,
-                    message=violation.message,
-                )
-            )
-    return kept, suppressed, context, suppressions
+    return report.diagnostics, report.suppressed
 
 
 def lint_paths(
@@ -183,13 +189,12 @@ def lint_paths(
     select: Optional[Iterable[str]] = None,
     project_root: Optional[Union[str, Path]] = None,
     registry: Optional[RuleRegistry] = None,
-    graph_sink: Optional[list["ProjectGraph"]] = None,
+    graph_sink: Optional[list[ProjectGraph]] = None,
 ) -> LintReport:
     """Lint every Python file under ``paths`` and return the report.
 
-    One pass: every file is parsed and file-linted once, then the
-    project graphs are built from those parses and the project-scoped
-    rules run over them.
+    One pass: every file is parsed once, the project graphs are built
+    from those parses, and every selected rule runs over them.
 
     Args:
         paths: files and/or directories to scan.
@@ -210,65 +215,17 @@ def lint_paths(
         project = ProjectContext.discover(files[0])
     else:
         project = ProjectContext(root=None)
-
-    report = LintReport(files_checked=len(files))
-    contexts: list[FileContext] = []
-    suppressions_by_path: dict[str, SuppressionIndex] = {}
-    for file_path in files:
-        source = file_path.read_text(encoding="utf-8")
-        module = module_name_for_path(file_path)
-        diagnostics, suppressed, context, suppressions = _lint_file(
-            source,
-            display=str(file_path),
-            concrete=file_path,
-            module=module,
-            project=project,
-            rules=specs,
-        )
-        report.extend(diagnostics)
-        report.suppressed += suppressed
-        if context is not None:
-            contexts.append(context)
-            suppressions_by_path[context.display_path] = suppressions
-
-    graph = build_project_graph(contexts, root=project.root)
-    if graph_sink is not None:
-        graph_sink.append(graph)
-    project_specs = [spec for spec in specs if spec.scope == PROJECT_SCOPE]
-    for spec in project_specs:
-        try:
-            violations = list(cast(ProjectRuleCheck, spec.check)(graph))
-        except Exception as error:  # noqa: BLE001 - must become a diagnostic
-            report.extend(
-                [
-                    Diagnostic(
-                        path="<project>",
-                        line=1,
-                        column=0,
-                        rule=INTERNAL_RULE_ID,
-                        message=(
-                            f"rule {spec.id} crashed: "
-                            f"{type(error).__name__}: {error}"
-                        ),
-                    )
-                ]
+    return _lint(
+        (
+            (
+                file_path.read_text(encoding="utf-8"),
+                str(file_path),
+                file_path,
+                module_name_for_path(file_path),
             )
-            continue
-        for violation in violations:
-            index = suppressions_by_path.get(violation.path)
-            if index is not None and index.covers(violation.line, spec.id):
-                report.suppressed += 1
-                continue
-            report.extend(
-                [
-                    Diagnostic(
-                        path=violation.path,
-                        line=violation.line,
-                        column=violation.column,
-                        rule=spec.id,
-                        message=violation.message,
-                    )
-                ]
-            )
-    report.finalize()
-    return report
+            for file_path in files
+        ),
+        project=project,
+        rules=specs,
+        graph_sink=graph_sink,
+    )

@@ -1,7 +1,7 @@
-"""Whole-program graphs for project-scoped lint rules.
+"""Whole-program graphs that every lint rule reads.
 
 Two graphs, both built purely from :mod:`ast` — the same
-never-import-the-code safety contract as the file engine:
+never-import-the-code safety contract as the rest of the engine:
 
 * the **import graph** (:mod:`repro.lint.graph.imports`): module →
   module edges with enough provenance (line, ``typing_only``,
@@ -15,7 +15,7 @@ never-import-the-code safety contract as the file engine:
   skipped and counted, never guessed.
 
 :mod:`repro.lint.graph.project` bundles both plus the per-file
-contexts into the :class:`ProjectGraph` handed to every project rule.
+contexts into the :class:`ProjectGraph` handed to every rule.
 """
 
 from __future__ import annotations

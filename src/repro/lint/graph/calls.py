@@ -17,7 +17,9 @@ under-approximates edges through dynamic dispatch and slightly
 over-approximates within a function (nested-function bodies are
 attributed to their enclosing function: creating a closure that calls
 ``f`` counts as the outer function calling ``f``, which is the right
-bias for taint and allocation analyses).
+bias for taint and allocation analyses).  Calls in module and class
+bodies, which run at import time, belong to the module's ``<module>``
+node.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ EXTERNAL = "external"  #: resolved to an imported non-project module/object
 BUILTIN = "builtin"  #: a Python builtin
 DYNAMIC = "dynamic"  #: provably not statically addressable; skipped
 UNKNOWN = "unknown"  #: statically addressable in form, but unresolvable
+
+#: Qualname of the node holding a module's import-time (module- and
+#: class-body) calls.
+MODULE_BODY = "<module>"
 
 
 @dataclass(frozen=True)
@@ -291,6 +297,14 @@ class CallGraph:
     def _scan_calls(self, context: "FileContext") -> None:
         module = context.module
         index = self._indexes[module]
+        body = f"{module}.{MODULE_BODY}"
+        self.nodes[body] = FunctionNode(
+            name=body,
+            module=module,
+            qualname=MODULE_BODY,
+            path=context.display_path,
+            line=1,
+        )
         for statement in context.tree.body:
             self._scan_container(context, index, statement, class_name=None)
 
@@ -315,6 +329,11 @@ class CallGraph:
                 children += list(handler.body)
             for child in children:
                 self._scan_container(context, index, child, class_name)
+        else:
+            self._record_calls(
+                context, index, statement, f"{index.module}.{MODULE_BODY}",
+                None, frozenset(),
+            )
 
     def _scan_function(
         self,
@@ -355,10 +374,21 @@ class CallGraph:
             aliases=local_aliases,
             variables=index.variables,
         )
-        for sub in ast.walk(function):
+        self._record_calls(context, scoped, function, node_name, class_name, local_names)
+
+    def _record_calls(
+        self,
+        context: "FileContext",
+        index: _ModuleIndex,
+        body: ast.AST,
+        node_name: str,
+        class_name: Optional[str],
+        local_names: frozenset[str],
+    ) -> None:
+        for sub in ast.walk(body):
             if isinstance(sub, ast.Call):
                 kind, callee = self._resolve_call(
-                    scoped, sub.func, class_name, local_names
+                    index, sub.func, class_name, local_names
                 )
                 site = CallSite(
                     caller=node_name,

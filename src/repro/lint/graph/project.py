@@ -1,4 +1,4 @@
-"""The whole-tree context handed to project-scoped lint rules.
+"""The whole-tree context handed to every lint rule.
 
 A :class:`ProjectGraph` is built once per engine run from
 the already-parsed per-file contexts: no file is read or parsed twice,
@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class ProjectGraph:
-    """Everything a project rule may inspect about the linted tree."""
+    """Everything a rule may inspect about the linted tree."""
 
     root: Optional[Path]
     files: list["FileContext"] = field(default_factory=list)

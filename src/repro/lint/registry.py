@@ -1,51 +1,28 @@
 """Rule registry: declaring, looking up, and enumerating lint rules.
 
-Two rule kinds share the registry, distinguished by ``scope``:
-
-* **file rules** (``scope="file"``, the :func:`rule` decorator) — a
-  function from a :class:`~repro.lint.context.FileContext` to
-  :class:`Violation` findings; run once per file;
-* **project rules** (``scope="project"``, the :func:`project_rule`
-  decorator) — a function from a whole-tree
-  :class:`~repro.lint.graph.ProjectGraph` to
-  :class:`ProjectViolation` findings (which carry their own anchor
-  path); run once per engine pass, after the file rules.
-
-Both are registered under stable ids (``DET001``, ``ARCH001``, ...)
-with enough metadata to generate the ``--list-rules`` output and the
-docs/static-analysis.md catalogue, and both obey the same
-``--select`` filter and suppression comments.
+A rule is a function from the linted tree's
+:class:`~repro.lint.graph.ProjectGraph` (import graph, call graph and
+every parsed file) to :class:`Violation` findings, each anchored to a
+file and line.  Rules are registered with the :func:`rule` decorator
+under stable ids (``DET010``, ``ARCH001``, ...) with enough metadata to
+generate the ``--list-rules`` output and the docs/static-analysis.md
+catalogue; every rule obeys the same ``--select`` filter and
+suppression comments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import ast
 
-    from repro.lint.context import FileContext
     from repro.lint.graph.project import ProjectGraph
 
 
 class Violation(NamedTuple):
-    """One raw finding, before it is bound to a rule id and file path."""
-
-    line: int
-    column: int
-    message: str
-
-
-def at_node(node: "ast.AST", message: str) -> Violation:
-    """A violation anchored at an AST node's location."""
-    return Violation(
-        getattr(node, "lineno", 1), getattr(node, "col_offset", 0), message
-    )
-
-
-class ProjectViolation(NamedTuple):
-    """One project-rule finding, anchored to an explicit file.
+    """One finding, before it is bound to a rule id.
 
     ``path`` must be the ``display_path`` of one of the linted files so
     line-level suppression comments in that file apply.
@@ -57,19 +34,14 @@ class ProjectViolation(NamedTuple):
     message: str
 
 
-def at_node_in(path: str, node: "ast.AST", message: str) -> ProjectViolation:
-    """A project violation anchored at an AST node in a named file."""
-    return ProjectViolation(
+def at_node(path: str, node: "ast.AST", message: str) -> Violation:
+    """A violation anchored at an AST node's location in file ``path``."""
+    return Violation(
         path, getattr(node, "lineno", 1), getattr(node, "col_offset", 0), message
     )
 
 
-RuleCheck = Callable[["FileContext"], Iterable[Violation]]
-ProjectRuleCheck = Callable[["ProjectGraph"], Iterable[ProjectViolation]]
-
-#: RuleSpec.scope values.
-FILE_SCOPE = "file"
-PROJECT_SCOPE = "project"
+RuleCheck = Callable[["ProjectGraph"], Iterable[Violation]]
 
 
 @dataclass(frozen=True)
@@ -80,8 +52,7 @@ class RuleSpec:
     name: str
     summary: str
     rationale: str
-    check: Union[RuleCheck, ProjectRuleCheck]
-    scope: str = field(default=FILE_SCOPE)
+    check: RuleCheck
 
 
 class RuleRegistry:
@@ -141,31 +112,6 @@ def rule(
                 summary=summary,
                 rationale=rationale,
                 check=check,
-            )
-        )
-        return check
-
-    return decorate
-
-
-def project_rule(
-    rule_id: str, *, name: str, summary: str, rationale: str
-) -> Callable[[ProjectRuleCheck], ProjectRuleCheck]:
-    """Decorator registering a whole-tree rule in :data:`REGISTRY`.
-
-    Project rules run once per engine pass, over the graphs built from
-    every file's parse.
-    """
-
-    def decorate(check: ProjectRuleCheck) -> ProjectRuleCheck:
-        REGISTRY.add(
-            RuleSpec(
-                id=rule_id,
-                name=name,
-                summary=summary,
-                rationale=rationale,
-                check=check,
-                scope=PROJECT_SCOPE,
             )
         )
         return check

@@ -1,7 +1,8 @@
 """Rule modules; importing this package registers every rule.
 
 Add a new rule by creating (or extending) a module here with a
-``@rule(...)``-decorated check and importing it below — see
+``@rule(...)``-decorated check (a function from the project graph to
+path-anchored ``Violation`` findings) and importing it below; see
 docs/static-analysis.md for the full recipe.
 """
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.lint.registry import ProjectViolation, project_rule
+from repro.lint.registry import Violation, rule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.graph.project import ProjectGraph
@@ -49,33 +49,15 @@ LAYER_DEPS: dict[str, frozenset[str]] = {
     "cli": frozenset({"bench", "lint", "experiments"}),
 }
 
-#: Package (dotted prefix) -> layer.  Anything under ``repro.X`` maps
-#: through its second component; the overrides below win first.
-PACKAGE_LAYERS: dict[str, str] = {
-    "repro.sim": "sim",
-    "repro.analysis": "analysis",
-    "repro.building": "building",
-    "repro.obs": "obs",
-    "repro.lint": "lint",
-    "repro.faults": "faults",
-    "repro.mobility": "mobility",
-    "repro.radio": "radio",
-    "repro.bluetooth": "bluetooth",
-    "repro.lan": "lan",
-    "repro.core": "core",
-    "repro.runner": "runner",
-    "repro.experiments": "experiments",
-    "repro.bench": "bench",
-    "repro.cli": "cli",
-    "repro.__main__": "cli",
-}
-
-#: Module-level overrides, consulted before the package mapping.
+#: Modules (and everything under them) whose layer is not their
+#: package's.  Anything else under ``repro.X`` is in layer ``X`` when
+#: ``X`` is a layer.  The ``repro`` package itself is the public api;
 #: ``trace_cli`` is the observability *command line*: it orchestrates
 #: experiments and the runner (deferred imports), which is cli-layer
 #: behaviour living in the obs package for discoverability.
-MODULE_LAYER_OVERRIDES: dict[str, str] = {
+LAYER_OVERRIDES: dict[str, str] = {
     "repro": "api",
+    "repro.__main__": "cli",
     "repro.obs.trace_cli": "cli",
 }
 
@@ -118,15 +100,16 @@ def layer_of(module: str) -> Optional[str]:
     """The layer a dotted module belongs to, or None if unmapped."""
     probe = module
     while probe:
-        if probe in MODULE_LAYER_OVERRIDES:
-            return MODULE_LAYER_OVERRIDES[probe]
-        if probe in PACKAGE_LAYERS:
-            return PACKAGE_LAYERS[probe]
-        probe = probe.rpartition(".")[0]
+        if probe in LAYER_OVERRIDES:
+            return LAYER_OVERRIDES[probe]
+        parent, _, name = probe.rpartition(".")
+        if parent == "repro" and name in LAYER_DEPS:
+            return name
+        probe = parent
     return None
 
 
-@project_rule(
+@rule(
     "ARCH001",
     name="layering",
     summary="runtime import violates the layer DAG (or forms a cycle)",
@@ -140,7 +123,7 @@ def layer_of(module: str) -> Optional[str]:
         "without a whole-program check; file-local lint cannot see them."
     ),
 )
-def check_arch001(graph: "ProjectGraph") -> Iterator[ProjectViolation]:
+def check_arch001(graph: "ProjectGraph") -> Iterator[Violation]:
     for edge in graph.imports.runtime_project_edges():
         source_layer = layer_of(edge.source)
         target_layer = layer_of(edge.target)
@@ -153,7 +136,7 @@ def check_arch001(graph: "ProjectGraph") -> Iterator[ProjectViolation]:
         context = graph.file_for_module(edge.source)
         if context is None:
             continue
-        yield ProjectViolation(
+        yield Violation(
             path=context.display_path,
             line=edge.line,
             column=0,
@@ -167,7 +150,7 @@ def check_arch001(graph: "ProjectGraph") -> Iterator[ProjectViolation]:
 
     for cycle in graph.imports.cycles():
         anchor = graph.file_for_module(cycle[0])
-        yield ProjectViolation(
+        yield Violation(
             path=anchor.display_path if anchor is not None else "<project>",
             line=1,
             column=0,

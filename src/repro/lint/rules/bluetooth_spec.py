@@ -10,12 +10,14 @@ Nothing from the linted file is imported or executed.
 from __future__ import annotations
 
 import ast
-from typing import Callable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Union
 
-from repro.lint.context import FileContext
 from repro.lint.registry import Violation, at_node, rule
 from repro.lint.spec import PAPER_SPEC
 from repro.sim.clock import ticks_from_milliseconds, ticks_from_seconds
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.lint.graph.project import ProjectGraph
 
 #: The module this rule pins down.
 CONSTANTS_MODULE = "repro.bluetooth.constants"
@@ -119,29 +121,34 @@ def evaluate_constants(
         "wrong reproduction."
     ),
 )
-def check_bt001(ctx: FileContext) -> Iterator[Violation]:
-    if ctx.module != CONSTANTS_MODULE:
-        return
-    values, nodes, unevaluable = evaluate_constants(ctx.tree)
-    for entry in PAPER_SPEC:
-        node = nodes.get(entry.name)
-        if node is None:
-            yield Violation(
-                1,
-                0,
-                f"paper constant {entry.name} is missing (expected "
-                f"{entry.expected!r}: {entry.citation})",
-            )
-        elif entry.name in unevaluable:
-            yield at_node(
-                node,
-                f"paper constant {entry.name} could not be statically "
-                f"evaluated against its pinned value ({entry.citation})",
-            )
-        elif values[entry.name] != entry.expected:
-            yield at_node(
-                node,
-                f"paper constant {entry.name} = {values[entry.name]!r} "
-                f"diverges from the pinned {entry.expected!r} "
-                f"({entry.citation})",
-            )
+def check_bt001(graph: "ProjectGraph") -> Iterator[Violation]:
+    for ctx in graph.files:
+        if ctx.module != CONSTANTS_MODULE:
+            continue
+        path = ctx.display_path
+        values, nodes, unevaluable = evaluate_constants(ctx.tree)
+        for entry in PAPER_SPEC:
+            node = nodes.get(entry.name)
+            if node is None:
+                yield Violation(
+                    path,
+                    1,
+                    0,
+                    f"paper constant {entry.name} is missing (expected "
+                    f"{entry.expected!r}: {entry.citation})",
+                )
+            elif entry.name in unevaluable:
+                yield at_node(
+                    path,
+                    node,
+                    f"paper constant {entry.name} could not be statically "
+                    f"evaluated against its pinned value ({entry.citation})",
+                )
+            elif values[entry.name] != entry.expected:
+                yield at_node(
+                    path,
+                    node,
+                    f"paper constant {entry.name} = {values[entry.name]!r} "
+                    f"diverges from the pinned {entry.expected!r} "
+                    f"({entry.citation})",
+                )

@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.lint.registry import ProjectViolation, project_rule
+from repro.lint.registry import Violation, rule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.graph.project import ProjectGraph
@@ -84,7 +84,7 @@ def _allocation_findings(function: ast.stmt) -> Iterator[tuple[ast.AST, str]]:
             yield node, "**kwargs expansion allocates a dict per call"
 
 
-@project_rule(
+@rule(
     "PERF001",
     name="hot-path-allocation",
     summary="avoidable per-call allocation in an @hot_path function or callee",
@@ -98,7 +98,7 @@ def _allocation_findings(function: ast.stmt) -> Iterator[tuple[ast.AST, str]]:
         "are exempt, and intentional allocations carry a -- why suppression."
     ),
 )
-def check_perf001(graph: "ProjectGraph") -> Iterator[ProjectViolation]:
+def check_perf001(graph: "ProjectGraph") -> Iterator[Violation]:
     calls = graph.calls
     marked = sorted(
         name for name, node in calls.nodes.items() if _is_marked(node.decorators)
@@ -121,7 +121,7 @@ def check_perf001(graph: "ProjectGraph") -> Iterator[ProjectViolation]:
             " (hot via " + " -> ".join(chain) + ")"
         )
         for found, what in _allocation_findings(function):
-            yield ProjectViolation(
+            yield Violation(
                 path=node.path,
                 line=getattr(found, "lineno", node.line),
                 column=getattr(found, "col_offset", 0),

@@ -12,10 +12,13 @@ read: a helper that forwards the name it is given would hide a typo.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.lint.context import METRIC_CATALOGUE_PATH, FileContext
 from repro.lint.registry import Violation, at_node, rule
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.lint.graph.project import ProjectGraph
 
 #: Method names on a MetricsRegistry that register a series.
 _REGISTRATION_METHODS = frozenset({"counter", "gauge", "histogram"})
@@ -47,9 +50,13 @@ _FORWARDING_MODULES = frozenset({"repro.obs.metrics"})
         "and meaning) in the same change that registers it."
     ),
 )
-def check_obs001(ctx: FileContext) -> Iterator[Violation]:
-    if ctx.in_packages(*_EXCLUDED_PACKAGES):
-        return
+def check_obs001(graph: "ProjectGraph") -> Iterator[Violation]:
+    for ctx in graph.files:
+        if not ctx.in_packages(*_EXCLUDED_PACKAGES):
+            yield from _check_file(ctx)
+
+
+def _check_file(ctx: FileContext) -> Iterator[Violation]:
     catalogue = ctx.project.metric_catalogue()
     if catalogue is None:
         return  # no catalogue to check against (e.g. detached snippet)
@@ -71,6 +78,7 @@ def check_obs001(ctx: FileContext) -> Iterator[Violation]:
         if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
             if kind == "metric" and ctx.module not in _FORWARDING_MODULES:
                 yield at_node(
+                    ctx.display_path,
                     node,
                     f"metric name passed to {attr}() is not a string literal, so "
                     "it cannot be checked against "
@@ -83,6 +91,7 @@ def check_obs001(ctx: FileContext) -> Iterator[Violation]:
             continue  # not a namespaced name (e.g. collections use)
         if name not in catalogue:
             yield at_node(
+                ctx.display_path,
                 node,
                 f"{kind} {name!r} is not catalogued in "
                 f"{METRIC_CATALOGUE_PATH.as_posix()}; add it to the "

@@ -10,10 +10,13 @@ paths, or accumulate across trials within one worker.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.lint.context import FileContext
 from repro.lint.registry import Violation, at_node, rule
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.lint.graph.project import ProjectGraph
 
 #: Packages importable from repro.runner worker processes.  repro.lint
 #: and the CLI never run inside a worker, so they are out of scope.
@@ -68,9 +71,14 @@ def _mutable_reason(value: ast.expr) -> Optional[str]:
         "dataclasses, tuples, frozensets, or types.MappingProxyType."
     ),
 )
-def check_run001(ctx: FileContext) -> Iterator[Violation]:
-    if not ctx.in_packages(*WORKER_PACKAGES):
-        return
+def check_run001(graph: "ProjectGraph") -> Iterator[Violation]:
+    for ctx in graph.files:
+        if ctx.in_packages(*WORKER_PACKAGES):
+            yield from _check_file(ctx)
+
+
+def _check_file(ctx: FileContext) -> Iterator[Violation]:
+    path = ctx.display_path
     for node in ast.walk(ctx.tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             defaults = list(node.args.defaults) + [
@@ -80,6 +88,7 @@ def check_run001(ctx: FileContext) -> Iterator[Violation]:
                 reason = _mutable_reason(default)
                 if reason is not None:
                     yield at_node(
+                        path,
                         default,
                         f"mutable default argument ({reason}) in "
                         f"{node.name}(); default to None and create the "
@@ -99,6 +108,7 @@ def check_run001(ctx: FileContext) -> Iterator[Violation]:
         reason = _mutable_reason(value)
         if reason is not None:
             yield at_node(
+                path,
                 statement,
                 f"module-level mutable state: {target.id} is {reason}; "
                 "use a tuple/frozenset/types.MappingProxyType or move it "

@@ -1,129 +1,182 @@
-"""DET010: interprocedural determinism taint over the call graph.
+"""DET010: simulation code must not reach a wall-clock or unseeded-RNG sink.
 
-The file-local determinism rules (DET001/DET002) catch a wall-clock or
-unseeded-RNG call *in the file that makes it*.  What they cannot see is
-simulation code calling an innocent-looking helper that — two hops away,
-possibly outside the sim packages — bottoms out in ``time.time()`` or
-the process-global ``random`` state.  DET010 closes that hole: it marks
-every function whose body contains a non-deterministic **sink**,
-propagates reachability backwards over the project call graph, and
-reports each simulation-package *entry point* of a tainted chain with
-the full chain cited.
+The determinism contract rests on simulated time coming from
+``repro.sim.clock`` and randomness from ``repro.sim.rng``.  DET010 reads
+the project graph for every way simulation-package code reaches a
+non-deterministic **sink** around them:
 
-Only chains of length >= 2 are reported here: a direct sink in sim code
-is DET001/DET002 territory and would otherwise be double-reported.
+* a *direct* sink — an import of ``random``, ``time`` or
+  ``numpy.random``, or a sink call in the function or module body that
+  makes it — is reported at the sink's own line;
+* an *indirect* one — a call to a helper that, any number of calls away
+  and possibly outside the sim packages, bottoms out in a sink — is
+  reported at the simulation-package entry point of the tainted chain,
+  with the full chain cited.
+
+Sinks are matched on a call site's callee text whatever its resolution
+kind: ``def f(random): random.random()`` is a dynamic call, but still a
+draw from the process-global RNG.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from repro.lint.graph.calls import EXTERNAL
-from repro.lint.registry import ProjectViolation, project_rule
-from repro.lint.rules.determinism import (
-    RNG_WRAPPER_MODULES,
-    SIM_PACKAGES,
-    _WALL_CLOCK_DATETIME_ATTRS,
-    _WALL_CLOCK_TIME_ATTRS,
-)
+from repro.lint.graph.calls import PROJECT
+from repro.lint.registry import Violation, rule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.graph.project import ProjectGraph
 
+#: Packages whose code runs inside the simulation; all randomness there
+#: must flow through repro.sim.rng and all time through repro.sim.clock.
+#: (repro.runner is deliberately absent: host-side wall timing of worker
+#: batches is legitimate and never feeds simulation results.)
+SIM_PACKAGES = (
+    "repro.sim",
+    "repro.bluetooth",
+    "repro.core",
+    "repro.mobility",
+    "repro.radio",
+    "repro.lan",
+)
+
+#: The sanctioned RNG wrapper: exempt as a sink site and as a chain link.
+RNG_WRAPPER_MODULES = frozenset({"repro.sim.rng"})
+
+_WALL_CLOCK_TIME_ATTRS = frozenset(
+    {
+        "time",
+        "time_ns",
+        "monotonic",
+        "monotonic_ns",
+        "perf_counter",
+        "perf_counter_ns",
+        "process_time",
+        "process_time_ns",
+        "localtime",
+        "gmtime",
+        "sleep",
+    }
+)
+
+_WALL_CLOCK_DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
+
 #: ``random`` module attributes that are *not* sinks: constructing a
-#: ``random.Random(seed)`` is the sanctioned seeded path, and DET001
-#: already flags any ``random.Random``/``SystemRandom`` written in
-#: simulation code, seeded or not.
+#: ``random.Random(seed)`` is the sanctioned seeded path, so a helper
+#: building one taints nobody.  Simulation code still builds none
+#: outside repro.sim.rng: there it is a direct finding.
 _RANDOM_NON_SINKS = frozenset({"Random", "SystemRandom"})
+
+_FIX = "route time through repro.sim.clock and randomness through repro.sim.rng"
 
 
 def _is_sink(callee: str) -> bool:
-    """Whether an EXTERNAL callee dotted name is a non-determinism sink."""
+    """Whether a call to dotted ``callee`` reads non-deterministic state."""
     parts = callee.split(".")
     if parts[0] == "time" and len(parts) == 2:
         return parts[1] in _WALL_CLOCK_TIME_ATTRS
-    if parts[0] == "datetime":
+    if len(parts) >= 2 and parts[-2] in ("datetime", "date"):
         return parts[-1] in _WALL_CLOCK_DATETIME_ATTRS
     if callee == "os.urandom":
         return True
     if parts[0] == "random" and len(parts) >= 2:
         return parts[1] not in _RANDOM_NON_SINKS
-    if callee.startswith("numpy.random."):
-        return True
-    return False
+    return callee.startswith(("numpy.random.", "np.random."))
 
 
-def _in_packages(module: str, packages: tuple[str, ...]) -> bool:
-    return any(
-        module == package or module.startswith(package + ".")
-        for package in packages
+def _is_sink_module(target: str) -> bool:
+    """Whether importing module ``target`` brings a sink into scope."""
+    return (
+        target == "time"
+        or target.split(".", 1)[0] == "random"
+        or target == "numpy.random"
+        or target.startswith("numpy.random.")
     )
 
 
-@project_rule(
+def _in_sim(module: str) -> bool:
+    return module not in RNG_WRAPPER_MODULES and any(
+        module == package or module.startswith(package + ".")
+        for package in SIM_PACKAGES
+    )
+
+
+@rule(
     "DET010",
-    name="interprocedural-determinism-taint",
-    summary="simulation code reaches a wall-clock/unseeded-RNG sink via calls",
+    name="determinism-taint",
+    summary="simulation code reaches a wall-clock/unseeded-RNG sink",
     rationale=(
-        "DET001/DET002 only see the file containing the sink. A sim-package "
-        "function calling a helper that transitively reaches time.time() or "
-        "the global random state breaks the serial == --jobs N contract just "
-        "as surely, from a file that lints clean. DET010 propagates sink "
-        "reachability up the whole-program call graph and reports the sim "
-        "entry point of each tainted chain, chain cited, so the fix site "
-        "(reroute through repro.sim.clock / repro.sim.rng) is explicit."
+        "All randomness must flow through repro.sim.rng.RandomStream, which "
+        "derives named child streams from the experiment seed, and all time "
+        "through repro.sim.clock's integer ticks. A global-RNG draw or a "
+        "host-clock read differs per run and per worker, so it breaks the "
+        "serial == --jobs N contract and byte-identical replay, whether sim "
+        "code makes it directly or through a helper that lints clean on its "
+        "own. DET010 reports each direct sink at its line and each tainted "
+        "call chain at its sim entry point, chain cited, so the fix site is "
+        "explicit."
     ),
 )
-def check_det010(graph: "ProjectGraph") -> Iterator[ProjectViolation]:
+def check_det010(graph: "ProjectGraph") -> Iterator[Violation]:
+    sim_paths = {
+        context.module: context.display_path
+        for context in graph.files
+        if _in_sim(context.module)
+    }
+    for edge in graph.imports:
+        path = sim_paths.get(edge.source)
+        if path is not None and _is_sink_module(edge.target):
+            yield Violation(
+                path,
+                edge.line,
+                0,
+                f"import of {edge.target!r} in simulation code; {_FIX}",
+            )
+
+    # Direct sinks in sim code, and the functions whose own body calls
+    # a sink (outside the wrapper module, which exists to contain them).
     calls = graph.calls
-    # Pass 1: functions whose own body calls a sink.  The sanctioned
-    # wrapper module is exempt — it exists to contain those calls.
+    sim_files = frozenset(sim_paths.values())
     sink_of: dict[str, str] = {}
     for site in calls.sites:
-        if site.kind != EXTERNAL or not _is_sink(site.callee):
+        if site.kind == PROJECT:
             continue
+        sink = _is_sink(site.callee)
+        if site.path in sim_files and (sink or site.callee.startswith("random.")):
+            yield Violation(
+                site.path,
+                site.line,
+                0,
+                f"{site.caller} calls {site.callee}() directly; {_FIX}",
+            )
         caller = calls.nodes.get(site.caller)
-        if caller is None or caller.module in RNG_WRAPPER_MODULES:
-            continue
-        sink_of.setdefault(site.caller, site.callee)
+        if sink and caller is not None and caller.module not in RNG_WRAPPER_MODULES:
+            sink_of.setdefault(site.caller, site.callee)
 
-    # Pass 2: reverse reachability — every function with a call chain
-    # ending in a directly-sinking function.
+    # Reverse reachability: every function with a call chain ending in a
+    # directly-sinking function.  Chains of length 1 were reported at
+    # their sink lines above.
     chains = calls.chains_to(sink_of)
-
     for name in sorted(chains):
         chain = chains[name]
-        if len(chain) < 2:  # the direct sink itself: DET001/DET002's job
-            continue
         node = calls.nodes.get(name)
-        if node is None or not _in_packages(node.module, SIM_PACKAGES):
-            continue
-        if node.module in RNG_WRAPPER_MODULES:
+        if len(chain) < 2 or node is None or not _in_sim(node.module):
             continue
         # Report only chain *entry points*: tainted sim functions that
         # no other tainted sim function calls (interior links would
         # re-report the same chain once per hop).
-        has_tainted_sim_caller = False
-        for site in calls.callers_of(name):
-            caller = calls.nodes.get(site.caller)
-            if (
-                site.caller in chains
-                and caller is not None
-                and _in_packages(caller.module, SIM_PACKAGES)
-            ):
-                has_tainted_sim_caller = True
-                break
-        if has_tainted_sim_caller:
+        if any(
+            site.caller in chains and site.path in sim_files
+            for site in calls.callers_of(name)
+        ):
             continue
         sink = sink_of[chain[-1]]
         cited = " -> ".join(chain + (f"{sink}()",))
-        yield ProjectViolation(
-            path=node.path,
-            line=node.line,
-            column=0,
-            message=(
-                f"{name} reaches non-deterministic sink {sink}() through "
-                f"{cited}; route time through repro.sim.clock and "
-                "randomness through repro.sim.rng"
-            ),
+        yield Violation(
+            node.path,
+            node.line,
+            0,
+            f"{name} reaches non-deterministic sink {sink}() through "
+            f"{cited}; {_FIX}",
         )

@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from repro.cli import main
 from repro.lint import REGISTRY
 
@@ -22,7 +24,7 @@ class TestExitCodes:
     def test_findings_exit_one(self, package_tree, capsys):
         path = package_tree("repro/sim/bad.py", "import random\n")
         assert main(["lint", str(path)]) == 1
-        assert "DET001" in capsys.readouterr().out
+        assert "DET010" in capsys.readouterr().out
 
     def test_unknown_rule_exits_two(self, package_tree, capsys):
         path = package_tree("repro/sim/fine.py", "TICKS = 3200\n")
@@ -40,13 +42,13 @@ class TestOutputFormats:
         assert main(["lint", str(path), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == 1
-        assert payload["summary"]["by_rule"] == {"DET001": 1, "DET002": 1}
+        assert payload["summary"]["by_rule"] == {"DET010": 2}
 
     def test_select_narrows_the_run(self, package_tree, capsys):
-        path = package_tree("repro/sim/bad.py", "import random\nimport time\n")
-        assert main(["lint", str(path), "--select", "DET002", "--format", "json"]) == 1
+        path = package_tree("repro/sim/bad.py", "import random\nCACHE = {}\n")
+        assert main(["lint", str(path), "--select", "DET010", "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["by_rule"] == {"DET002": 1}
+        assert payload["summary"]["by_rule"] == {"DET010": 1}
 
     def test_list_rules_prints_the_catalogue(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
@@ -67,3 +69,63 @@ class TestOutputFormats:
         assert result.returncode == 0
         for rule_id in REGISTRY.ids():
             assert rule_id in result.stdout
+
+
+SINKING_CHAIN = {
+    "repro/util/wallclock.py": (
+        "import time\n\n\ndef stamp():\n    return time.time()\n"
+    ),
+    "repro/sim/engine.py": (
+        "from repro.util.wallclock import stamp\n\n\n"
+        "def entry():\n    return stamp()\n"
+    ),
+}
+
+
+@pytest.fixture
+def tainted_tree(package_tree):
+    for relative, source in SINKING_CHAIN.items():
+        target = package_tree(relative, source)
+    return target.parent.parent
+
+
+def run(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestTaintedTree:
+    """A sim entry point reaching time.time() through a helper."""
+
+    def test_finds_the_tainted_chain(self, tainted_tree, capsys):
+        code, out, _ = run(
+            ["lint", str(tainted_tree), "--select", "DET010"], capsys
+        )
+        assert code == 1
+        assert "DET010" in out
+
+    def test_select_skips_unselected_rules(self, tainted_tree, capsys):
+        code, _, _ = run(
+            ["lint", str(tainted_tree), "--select", "PERF001"], capsys
+        )
+        assert code == 0
+
+    def test_json_format_still_versioned(self, tainted_tree, capsys):
+        code, out, _ = run(
+            [
+                "lint", str(tainted_tree),
+                "--select", "DET010", "--format", "json",
+            ],
+            capsys,
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["summary"]["by_rule"].get("DET010") == 1
+
+
+class TestRepoTree:
+    def test_lint_clean_on_repo_src(self, capsys, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        code, out, _ = run(["lint", "src"], capsys)
+        assert code == 0, out

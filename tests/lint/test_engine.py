@@ -64,7 +64,7 @@ class TestParseAndCrashHandling:
         assert "syntax error" in diagnostics[0].message
 
     def test_crashing_rule_becomes_internal_diagnostic(self):
-        def explode(ctx):
+        def explode(graph):
             raise RuntimeError("boom")
 
         registry = RuleRegistry()
@@ -87,13 +87,13 @@ class TestParseAndCrashHandling:
 
 class TestRuleSelection:
     def test_select_runs_only_named_rules(self):
-        source = "import random\nimport time\n"
+        source = "import random\nCACHE = {}\n"
         diagnostics, _ = lint_source(
             source,
             module="repro.sim.bad",
-            rules=REGISTRY.select(select=["DET002"]),
+            rules=REGISTRY.select(select=["DET010"]),
         )
-        assert {d.rule for d in diagnostics} == {"DET002"}
+        assert {d.rule for d in diagnostics} == {"DET010"}
 
     def test_unknown_rule_id_raises(self):
         with pytest.raises(KeyError):
@@ -102,7 +102,7 @@ class TestRuleSelection:
     def test_registry_rejects_duplicate_ids(self):
         registry = RuleRegistry()
         spec = RuleSpec(
-            id="TST001", name="x", summary="s", rationale="r", check=lambda ctx: []
+            id="TST001", name="x", summary="s", rationale="r", check=lambda graph: []
         )
         registry.add(spec)
         with pytest.raises(ValueError):
@@ -121,7 +121,7 @@ class TestLintPaths:
         path = package_tree("repro/sim/bad.py", "import random\n")
         report = lint_paths([path])
         assert report.exit_code == 1
-        assert report.by_rule() == {"DET001": 1}
+        assert report.by_rule() == {"DET010": 1}
 
     def test_diagnostics_are_sorted_across_files(self, package_tree):
         second = package_tree("repro/sim/zz.py", "import random\n")
@@ -135,8 +135,8 @@ class TestReportRendering:
         report = LintReport(files_checked=2, suppressed=1)
         report.extend(
             [
-                Diagnostic("b.py", 3, 0, "DET001", "msg b"),
-                Diagnostic("a.py", 1, 4, "DET002", "msg a"),
+                Diagnostic("b.py", 3, 0, "DET010", "msg b"),
+                Diagnostic("a.py", 1, 4, "DET010", "msg a"),
             ]
         )
         report.finalize()
@@ -145,8 +145,8 @@ class TestReportRendering:
     def test_text_rendering_is_compiler_style(self):
         text = self._report().render_text()
         lines = text.splitlines()
-        assert lines[0] == "a.py:1:4: DET002 msg a"
-        assert lines[1] == "b.py:3:0: DET001 msg b"
+        assert lines[0] == "a.py:1:4: DET010 msg a"
+        assert lines[1] == "b.py:3:0: DET010 msg b"
         assert "2 problem(s) in 2 file(s)" in lines[2]
         assert "1 suppressed" in lines[2]
 
@@ -157,10 +157,10 @@ class TestReportRendering:
         assert payload["summary"] == {
             "total": 2,
             "suppressed": 1,
-            "by_rule": {"DET001": 1, "DET002": 1},
+            "by_rule": {"DET010": 2},
         }
         assert payload["diagnostics"][0] == {
-            "rule": "DET002",
+            "rule": "DET010",
             "path": "a.py",
             "line": 1,
             "column": 4,

@@ -41,6 +41,21 @@ class TestResolution:
         (site,) = sites_of(build_graph(root), "pkg.a.entry")
         assert site.kind == PROJECT and site.callee == "pkg.a.helper"
 
+    def test_module_and_class_body_calls_belong_to_the_module(self, package_tree):
+        root = package_tree(
+            "pkg/a.py",
+            "def helper():\n    return 1\n\n\n"
+            "VALUE = helper()\n\n\n"
+            "class C:\n    field = helper()\n",
+        ).parent.parent
+        graph = build_graph(root)
+        sites = sites_of(graph, "pkg.a.<module>")
+        assert [(s.kind, s.callee, s.line) for s in sites] == [
+            (PROJECT, "pkg.a.helper", 5),
+            (PROJECT, "pkg.a.helper", 9),
+        ]
+        assert graph.calls.nodes["pkg.a.<module>"].module == "pkg.a"
+
     def test_self_method_resolves(self, package_tree):
         root = package_tree(
             "pkg/a.py",

@@ -32,6 +32,15 @@ class TestLayerModel:
         assert layer_of("repro.obs.events") == "obs"
         assert layer_of("repro") == "api"
         assert layer_of("tests.something") is None
+        for package in (
+            "analysis", "bench", "bluetooth", "building", "core",
+            "experiments", "faults", "lan", "lint", "mobility", "obs",
+            "radio", "runner", "sim",
+        ):
+            assert layer_of(f"repro.{package}") == package
+        assert layer_of("repro.cli") == "cli"
+        assert layer_of("repro.__main__") == "cli"
+        assert layer_of("bipsbench.layers") is None
 
 
 class TestLayeringRule:

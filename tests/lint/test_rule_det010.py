@@ -1,4 +1,4 @@
-"""DET010: interprocedural determinism taint."""
+"""DET010: direct and interprocedural determinism taint."""
 
 from __future__ import annotations
 
@@ -29,10 +29,13 @@ class TestTaintPropagation:
         assert "time.time()" in finding.message
         assert "repro.util.wallclock.stamp" in finding.message  # chain cited
 
-    def test_direct_sink_not_reported_by_det010(self, package_tree):
-        # Chain length 1 is DET001/DET002 territory; DET010 stays quiet.
+    def test_direct_sink_reported_once(self, package_tree):
+        # A direct sink is reported at its own line and not again as a
+        # call chain: the import and the call give one finding each.
         root = package_tree("repro/sim/engine.py", SINKING_HELPER).parent.parent
-        assert det010(root) == []
+        findings = det010(root)
+        assert [finding.line for finding in findings] == [1, 5]
+        assert "time.time()" in findings[1].message
 
     def test_non_sim_entry_not_reported(self, package_tree):
         package_tree("repro/util/wallclock.py", SINKING_HELPER)
@@ -109,3 +112,13 @@ class TestSuppression:
             "    return stamp()\n",
         ).parent.parent
         assert det010(root) == []
+
+    def test_line_suppression_at_direct_sink(self, package_tree):
+        root = package_tree(
+            "repro/sim/engine.py",
+            "def stamp(time):\n"
+            "    return time.time()  # lint: disable=DET010 -- host-side profiling, result never enters sim state\n",
+        ).parent.parent
+        report = lint_paths([root], select=["DET010"])
+        assert report.diagnostics == []
+        assert report.suppressed == 1

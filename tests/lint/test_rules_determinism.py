@@ -1,4 +1,9 @@
-"""Fixture-driven tests for rules DET001-DET003."""
+"""Fixture-driven tests for the determinism rules DET010 and DET003.
+
+The direct-sink cases below were written for the retired file rules
+DET001 (unseeded RNG) and DET002 (wall clock); the classes keep those
+names, and DET010 now reports every one of them.
+"""
 
 from __future__ import annotations
 
@@ -7,53 +12,62 @@ from .conftest import lint_snippet, rules_hit
 
 class TestDET001UnseededRNG:
     def test_import_random_flagged_in_sim_code(self):
-        assert "DET001" in rules_hit("import random\n", module="repro.sim.bad")
+        assert "DET010" in rules_hit("import random\n", module="repro.sim.bad")
 
     def test_from_random_import_flagged(self):
-        assert "DET001" in rules_hit(
+        assert "DET010" in rules_hit(
             "from random import randint\n", module="repro.bluetooth.bad"
         )
 
     def test_numpy_random_attribute_flagged(self):
         source = "import numpy as np\n\n\ndef f():\n    return np.random.rand()\n"
-        assert "DET001" in rules_hit(source, module="repro.radio.bad")
+        assert "DET010" in rules_hit(source, module="repro.radio.bad")
 
     def test_module_attribute_access_flagged(self):
         source = "def f(random):\n    return random.random()\n"
-        assert "DET001" in rules_hit(source, module="repro.core.bad")
+        assert "DET010" in rules_hit(source, module="repro.core.bad")
+
+    def test_random_instance_built_in_sim_code_flagged(self):
+        source = "def f(random):\n    return random.Random(7)\n"
+        assert "DET010" in rules_hit(source, module="repro.bluetooth.bad")
+
+    def test_module_level_draw_flagged(self):
+        source = "import numpy as np\n\nNOISE = np.random.rand()\n"
+        (finding,) = lint_snippet(source, module="repro.sim.bad")
+        assert (finding.rule, finding.line) == ("DET010", 3)
 
     def test_outside_sim_packages_is_fine(self):
-        assert "DET001" not in rules_hit("import random\n", module="repro.cli")
+        assert "DET010" not in rules_hit("import random\n", module="repro.cli")
 
     def test_rng_wrapper_module_is_exempt(self):
-        assert "DET001" not in rules_hit("import random\n", module="repro.sim.rng")
+        assert "DET010" not in rules_hit("import random\n", module="repro.sim.rng")
 
     def test_seeded_randomstream_is_fine(self):
         source = (
             "from repro.sim.rng import RandomStream\n\n\n"
             "def f(seed):\n    return RandomStream(seed, 'x').random()\n"
         )
-        assert "DET001" not in rules_hit(source, module="repro.sim.good")
+        assert "DET010" not in rules_hit(source, module="repro.sim.good")
 
 
 class TestDET002WallClock:
     def test_import_time_flagged(self):
-        assert "DET002" in rules_hit("import time\n", module="repro.sim.bad")
+        assert "DET010" in rules_hit("import time\n", module="repro.sim.bad")
 
     def test_time_time_call_flagged(self):
         source = "def f(time):\n    return time.monotonic()\n"
-        assert "DET002" in rules_hit(source, module="repro.lan.bad")
+        assert "DET010" in rules_hit(source, module="repro.lan.bad")
 
     def test_datetime_now_flagged(self):
         source = (
             "from datetime import datetime\n\n\n"
             "def stamp():\n    return datetime.now()\n"
         )
-        assert "DET002" in rules_hit(source, module="repro.core.bad")
+        assert "DET010" in rules_hit(source, module="repro.core.bad")
 
     def test_runner_package_may_time_batches(self):
         # Host-side wall timing of worker batches is deliberately legal.
-        assert "DET002" not in rules_hit(
+        assert "DET010" not in rules_hit(
             "import time\n", module="repro.runner.executor"
         )
 

@@ -12,19 +12,19 @@ class TestDirectiveParsing:
     def test_line_level_single_rule(self):
         index = scan_suppressions("x = 1  # lint: disable=DET003\n")
         assert index.covers(1, "DET003")
-        assert not index.covers(1, "DET001")
+        assert not index.covers(1, "DET010")
         assert not index.covers(2, "DET003")
 
     def test_multiple_rules_one_comment(self):
-        index = scan_suppressions("x = 1  # lint: disable=DET001, DET002\n")
-        assert index.covers(1, "DET001")
-        assert index.covers(1, "DET002")
+        index = scan_suppressions("x = 1  # lint: disable=DET003, DET010\n")
+        assert index.covers(1, "DET003")
+        assert index.covers(1, "DET010")
 
     def test_file_level_covers_every_line(self):
         index = scan_suppressions("# lint: disable-file=OBS001\nx = 1\n")
         assert index.covers(1, "OBS001")
         assert index.covers(999, "OBS001")
-        assert not index.covers(1, "DET001")
+        assert not index.covers(1, "DET010")
 
     def test_justification_after_dashes_is_tolerated(self):
         index = scan_suppressions(
@@ -43,21 +43,21 @@ class TestDirectiveParsing:
 
 
 class TestEngineSuppression:
-    SOURCE = "import random  # lint: disable=DET001 -- test fixture\n"
+    SOURCE = "import random  # lint: disable=DET010 -- test fixture\n"
 
     def test_suppressed_finding_is_dropped_and_counted(self):
         diagnostics, suppressed = lint_source(self.SOURCE, module="repro.sim.bad")
-        assert [d for d in diagnostics if d.rule == "DET001"] == []
+        assert [d for d in diagnostics if d.rule == "DET010"] == []
         assert suppressed == 1
 
     def test_suppression_is_rule_specific(self):
-        source = "import random  # lint: disable=DET002 -- wrong rule id\n"
+        source = "import random  # lint: disable=DET003 -- wrong rule id\n"
         diagnostics = lint_snippet(source, module="repro.sim.bad")
-        assert [d.rule for d in diagnostics] == ["DET001"]
+        assert [d.rule for d in diagnostics] == ["DET010"]
 
     def test_file_level_suppression(self):
         source = (
-            "# lint: disable-file=DET001 -- fixture exercising the RNG rule\n"
+            "# lint: disable-file=DET010 -- fixture exercising the RNG rule\n"
             "import random\n"
             "value = random.random()\n"
         )
