@@ -1,4 +1,4 @@
-"""The pinned benchmark suite: two cases, both gated in CI.
+"""The pinned benchmark suite: three cases, all gated in CI.
 
 * ``kernel_events`` — the kernel's event queue alone: self-rescheduling
   chains through ``Kernel.post``, the floor every simulation pays.
@@ -6,6 +6,10 @@
   train-locked slaves that keep answering (CONTINUOUS responses, paper
   §4.2 and §5): the swarm's rendezvous, respond, deliver and receive
   path, where the paper artefacts spend their time.
+* ``swarm_handover`` — four §5 masters with overlapping inquiry windows
+  on one kernel, 50 BIPS handhelds each (BACKOFF_EACH): one
+  :class:`~repro.bluetooth.swarm.SwarmDrain` drains the four swarms and
+  hands over between them, the path a multi-room BIPS run takes.
 
 End-to-end wall times of whole workloads are ``bipsbench``'s job; this
 suite is the fast regression gate, timed against a paired revision.
@@ -22,7 +26,8 @@ from repro.bluetooth.btclock import CLKN_WRAP, BluetoothClock
 from repro.bluetooth.hopping import TrainStrategy, periodic_inquiry
 from repro.bluetooth.inquiry import InquiryProcedure
 from repro.bluetooth.scan import PhaseMode, ResponseMode, ScanConfig
-from repro.bluetooth.swarm import InquiryScanSwarm
+from repro.bluetooth.swarm import InquiryScanSwarm, SwarmDrain
+from repro.core.config import BIPSConfig
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
 
@@ -116,6 +121,59 @@ def swarm_piconet_100_factory() -> Workload:
     return run
 
 
+# -- several piconets on one drain ------------------------------------------
+
+#: Piconets on one kernel, sharing one :class:`SwarmDrain`, and the
+#: handhelds scanning in each.
+HANDOVER_PICONETS = 4
+HANDOVER_SLAVES = 50
+#: Each master runs the §5 policy (3.84 s windows every 15.4 s,
+#: alternating trains); piconet ``k`` starts ``k`` quarter-windows
+#: late, so every window overlaps its neighbours'.
+HANDOVER_POLICY = BIPSConfig().policy
+HANDOVER_STAGGER_TICKS = HANDOVER_POLICY.inquiry_window_ticks // 4
+HANDOVER_HORIZON_TICKS = 4 * HANDOVER_POLICY.operational_cycle_ticks
+#: The BIPS handheld: continuous scan, a fresh backoff after every
+#: response (BACKOFF_EACH), the cycle that never replays.
+HANDOVER_SCAN = BIPSConfig().handheld_scan_config()
+
+
+def swarm_handover_factory() -> Workload:
+    """:data:`HANDOVER_PICONETS` swarms with overlapping windows drained
+    by one :class:`SwarmDrain`, which hands over between them.
+
+    Construction happens here (untimed); the workload runs the kernel
+    to the horizon.
+    """
+    kernel = Kernel()
+    drain = SwarmDrain(kernel)
+    prng = RandomStream(SWARM_SEED, "bench-handover")
+    for piconet in range(HANDOVER_PICONETS):
+        schedule = HANDOVER_POLICY.build_schedule(piconet * HANDOVER_STAGGER_TICKS)
+        master = InquiryProcedure(kernel, schedule, name=f"master-{piconet}")
+        swarm = InquiryScanSwarm(
+            kernel, schedule, master.channel, config=HANDOVER_SCAN, name=str(piconet),
+            drain=drain,
+        )
+        for slave in range(HANDOVER_SLAVES):
+            rng = prng.child("piconet", str(piconet), "slave", str(slave))
+            clock = BluetoothClock(offset=rng.randint(0, CLKN_WRAP - 1))
+            base_phase = rng.randint(0, 15)
+            swarm.add_slave(
+                BDAddr(piconet * HANDOVER_SLAVES + slave + 1),
+                rng=rng.child("draws"),
+                clock=clock,
+                base_phase=base_phase,
+                horizon_tick=HANDOVER_HORIZON_TICKS,
+            ).start()
+
+    def run() -> int:
+        kernel.run_until(HANDOVER_HORIZON_TICKS)
+        return HANDOVER_HORIZON_TICKS
+
+    return run
+
+
 # -- the pinned suite --------------------------------------------------------
 
 SUITE: tuple[BenchCase, ...] = (
@@ -123,4 +181,5 @@ SUITE: tuple[BenchCase, ...] = (
     BenchCase(
         name="swarm_piconet_100", factory=swarm_piconet_100_factory, unit="sim_ticks"
     ),
+    BenchCase(name="swarm_handover", factory=swarm_handover_factory, unit="sim_ticks"),
 )

@@ -32,7 +32,6 @@ from repro.lan.messages import (
     WorkstationHello,
 )
 from repro.lan.transport import LANTransport, UnknownEndpointError
-from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.tracing import SpanTracer
 from repro.sim.clock import ticks_from_seconds
 from repro.sim.hotpath import hot_path
@@ -53,7 +52,6 @@ class BIPSServer:
         lan: LANTransport,
         plan: FloorPlan,
         staleness_horizon_ticks: Optional[int] = None,
-        metrics: Optional[MetricsRegistry] = None,
         spans: Optional[SpanTracer] = None,
     ) -> None:
         plan.validate()
@@ -79,14 +77,11 @@ class BIPSServer:
         self.queries_failed = {"location": 0, "path": 0}
         self.logins = {"ok": 0, "rejected": 0}
         self.stale_answers = 0
-        self._metrics = metrics
+        # Lag in ticks -> count: delta push (workstation decision to
+        # database update) and LAN query (request sent to answer).
+        self.push_lags: dict[int, int] = {}
+        self.query_latencies: dict[int, int] = {}
         self._spans = spans
-        if metrics is not None:
-            self._m_push_lag = metrics.histogram(
-                "core.delta_push_lag_ticks", buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-            )
-        # Resolved on the first LAN query, so a run without one emits none.
-        self._m_query_latency: Optional[Histogram] = None
         lan.register(self.endpoint, self._on_message)
 
     # -- fault injection ---------------------------------------------------------
@@ -149,9 +144,8 @@ class BIPSServer:
 
     def _handle_presence(self, message: PresenceUpdate) -> None:
         self.presence_updates_received += 1
-        if self._metrics is not None:
-            # Delta-push lag: workstation decision to database update.
-            self._m_push_lag.observe(self.kernel.now - message.sent_tick)
+        lag = self.kernel.now - message.sent_tick
+        self.push_lags[lag] = self.push_lags.get(lag, 0) + 1
         room = self._workstation_rooms.get(message.workstation_id)
         if room is None and message.room_id is not None:
             # The hello was lost; learn the mapping from the update.
@@ -171,7 +165,7 @@ class BIPSServer:
             device=str(message.device),
             room=room,
             present=message.present,
-            lag_ticks=self.kernel.now - message.sent_tick,
+            lag_ticks=lag,
         )
         prev = spans.push(span)
         try:
@@ -320,20 +314,11 @@ class BIPSServer:
         self.queries_served[kind] += 1
         if not ok:
             self.queries_failed[kind] += 1
-        if self._metrics is not None:
-            if self._m_query_latency is None:
-                self._m_query_latency = self._metrics.histogram(
-                    "core.query_latency_ticks", buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-                )
-            self._m_query_latency.observe(self.kernel.now - message.sent_tick)
+        lag = self.kernel.now - message.sent_tick
+        self.query_latencies[lag] = self.query_latencies.get(lag, 0) + 1
         if self._spans is not None:
             self._spans.instant(
-                "core.query",
-                "core",
-                self.kernel.now,
-                kind=kind,
-                ok=ok,
-                lag_ticks=self.kernel.now - message.sent_tick,
+                "core.query", "core", self.kernel.now, kind=kind, ok=ok, lag_ticks=lag
             )
 
     def _path(self, querier_userid: str, target_username: str) -> Optional[PathResult]:

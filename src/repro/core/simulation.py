@@ -31,7 +31,7 @@ from repro.bluetooth.swarm import InquiryScanSwarm, SwarmDrain, SwarmSlave
 from repro.lan.messages import LocationQuery, PathQuery
 from repro.lan.transport import LANTransport
 from repro.mobility.walker import BuildingWalker, WalkTimeline
-from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.radio.interference import SharedBand
 from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
 from repro.sim.kernel import Kernel
@@ -51,6 +51,11 @@ logger = logging.getLogger(__name__)
 #: Detection latency is bounded by the operational cycle (~15.4 s) plus
 #: the miss-threshold hysteresis; buckets cover a few cycles.
 _DETECTION_LATENCY_BUCKETS = (1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 30.0, 45.0, 60.0, 120.0)
+#: Tick-valued histogram buckets (1 tick = 312.5 µs): LAN transit, the
+#: server's delta-push and query lags, and injected LAN delay.
+_LAN_LATENCY_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0, 64.0)
+_SERVER_LAG_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+_FAULT_DELAY_BUCKETS = (4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 #: Vendor block for workstation radios (distinct from handhelds).
 _WORKSTATION_ADDR_BASE = 0x000B_0000_0000
@@ -179,12 +184,7 @@ class BIPSSimulation:
             self.kernel,
             loss_probability=self.config.lan_loss_probability,
             rng=lan_rng,
-            metrics=self.metrics,
-            fault_injector=(
-                self.faults.lan_injector(self.metrics)
-                if self.faults is not None
-                else None
-            ),
+            fault_injector=self.faults.lan_injector() if self.faults is not None else None,
             spans=spans,
         )
         staleness_ticks = (
@@ -197,7 +197,6 @@ class BIPSSimulation:
             self.lan,
             self.plan,
             staleness_horizon_ticks=staleness_ticks,
-            metrics=self.metrics,
             spans=spans,
         )
         self.workstations: dict[str, Workstation] = {}
@@ -213,8 +212,10 @@ class BIPSSimulation:
         self._next_query_id = 1
         self._horizon_tick = 0
         self._tracking_latencies_observed = False
-        # Counter totals already added to the registry, per series.
+        # Counter and gauge totals already added to the registry, per
+        # series, and the value counts already observed, per histogram.
         self._folded: dict[tuple, int] = {}
+        self._folded_counts: dict[str, dict[int, int]] = {}
         # One inquiry-scan swarm per room's piconet, created lazily; all
         # of them drained from one kernel callback.
         self._swarms: dict[str, InquiryScanSwarm] = {}
@@ -548,17 +549,21 @@ class BIPSSimulation:
     def finalize_metrics(self) -> None:
         """Fold the run's state into the registry.
 
-        The one place that maps component state to metric names: the
-        components count in plain attributes and push nothing that they
-        count there.  Gauges are recomputed from current state on every
-        call.  A counter gains this simulation's growth since its last
-        fold, so repeated calls are idempotent and simulations sharing
-        one registry add up.  Series a component always had (the
-        kernel's, the LAN's, ...) are always emitted; the others only
-        once their total is above zero.  The detection-latency histogram
-        (derived from the whole-run tracking report) is filled once.
+        Besides the ``faults.active`` flag set when a fault plan is
+        scheduled, the one place that touches instruments: the
+        components take no registry and count in plain attributes, a
+        distribution as a value → count dict.  Gauges of current state
+        are recomputed on every call.  A counter, the in-flight gauge
+        and a counted histogram gain this simulation's growth since its
+        last fold, so repeated calls are idempotent and simulations
+        sharing one registry add up.  Series a component always had
+        (the kernel's, the LAN's, ...) are always emitted; the others
+        only once their total is above zero, the query-latency
+        histogram after a LAN query and the extra-delay histogram with
+        a LAN fault injector.  The detection-latency histogram (derived
+        from the whole-run tracking report) is filled once.
         """
-        metrics, fold = self.metrics, self._fold
+        metrics, fold, fold_counts = self.metrics, self._fold, self._fold_counts
         fold(metrics.counter("sim.events_fired"), self.kernel.events_fired)
         metrics.gauge("sim.queue_depth").set(self.kernel.pending_events)
         if self._swarms:
@@ -615,6 +620,15 @@ class BIPSSimulation:
                 fold(metrics.counter("core.logins", outcome=outcome), logins)
         if server.stale_answers:
             fold(metrics.counter("core.stale_answers"), server.stale_answers)
+        fold_counts(
+            metrics.histogram("core.delta_push_lag_ticks", buckets=_SERVER_LAG_BUCKETS),
+            server.push_lags,
+        )
+        if server.query_latencies:
+            fold_counts(
+                metrics.histogram("core.query_latency_ticks", buckets=_SERVER_LAG_BUCKETS),
+                server.query_latencies,
+            )
         stats = self.lan.stats
         fold(metrics.counter("lan.messages_sent"), stats.sent)
         for type_name, sent in sorted(stats.by_type.items()):
@@ -626,12 +640,22 @@ class BIPSSimulation:
         fold(metrics.counter("lan.retries"), stats.retries)
         fold(metrics.counter("lan.retries_exhausted"), stats.retries_exhausted)
         fold(metrics.counter("lan.acks_sent"), stats.acks_sent)
+        fold(metrics.counter("lan.bytes_sent"), stats.bytes_sent)
+        fold(metrics.gauge("lan.messages_in_flight"), stats.in_flight)
+        fold_counts(
+            metrics.histogram("lan.delivery_latency_ticks", buckets=_LAN_LATENCY_BUCKETS),
+            stats.latencies,
+        )
         injector = self.lan.faults
         if injector is not None:
             fold(metrics.counter("faults.lan_dropped"), injector.dropped)
             fold(metrics.counter("faults.lan_duplicated"), injector.duplicated)
             fold(metrics.counter("faults.lan_delayed"), injector.delayed)
             fold(metrics.counter("faults.lan_reordered"), injector.reordered)
+            fold_counts(
+                metrics.histogram("faults.lan_extra_delay_ticks", buckets=_FAULT_DELAY_BUCKETS),
+                injector.extra_delays,
+            )
         for room_id, workstation in self.workstations.items():
             metrics.gauge("core.piconet_occupancy", room=room_id).set(workstation.present_count)
         db = server.location_db
@@ -654,11 +678,22 @@ class BIPSSimulation:
             for latency in self.tracking_report().all_detection_latencies_seconds:
                 histogram.observe(latency)
 
-    def _fold(self, counter: Counter, total: int) -> None:
+    def _fold(self, instrument: Counter | Gauge, total: int) -> None:
         """Add ``total``'s growth since this simulation last folded it."""
-        key = (counter.name, *sorted(counter.labels.items()))
-        counter.inc(total - self._folded.get(key, 0))
+        key = (instrument.name, *sorted(instrument.labels.items()))
+        instrument.inc(total - self._folded.get(key, 0))
         self._folded[key] = total
+
+    def _fold_counts(self, histogram: Histogram, counts: dict[int, int]) -> None:
+        """Observe each value's count growth since this simulation last
+        folded ``counts`` into ``histogram``."""
+        folded = self._folded_counts.setdefault(histogram.name, {})
+        for value in sorted(counts):
+            total = counts[value]
+            grown = total - folded.get(value, 0)
+            if grown:
+                histogram.observe_many(value, grown)
+                folded[value] = total
 
     # -- evaluation -----------------------------------------------------------------
 

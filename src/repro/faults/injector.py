@@ -13,19 +13,14 @@ simulation's non-fault streams never shift.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.sim.clock import ticks_from_milliseconds
 
 from .profiles import DELAY_MS, REORDER_MS, FaultProfile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
     from repro.sim.rng import RandomStream
-
-
-#: Extra-delay histogram buckets in ticks (1 tick = 312.5 µs).
-_DELAY_BUCKETS = (4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
 class FaultDecision(NamedTuple):
@@ -54,7 +49,6 @@ class LANFaultInjector:
         profile: FaultProfile,
         rng: "RandomStream",
         active_until_tick: int,
-        metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
         self.profile = profile
         self.rng = rng
@@ -64,13 +58,8 @@ class LANFaultInjector:
         self.duplicated = 0
         self.delayed = 0
         self.reordered = 0
-        # The tallies above are folded into ``faults.lan_*`` counters at
-        # the end of a run; only the delay distribution is pushed.
-        self._m_delay = (
-            metrics.histogram("faults.lan_extra_delay_ticks", buckets=_DELAY_BUCKETS)
-            if metrics is not None
-            else None
-        )
+        #: Injected extra delay in ticks -> messages that got it.
+        self.extra_delays: dict[int, int] = {}
 
     def decide(
         self, now: int, source: str, destination: str, message: Any
@@ -103,8 +92,8 @@ class LANFaultInjector:
             extra_ms += self.rng.uniform(*REORDER_MS)
             self.reordered += 1
         extra_ticks = ticks_from_milliseconds(extra_ms) if extra_ms else 0
-        if extra_ticks and self._m_delay is not None:
-            self._m_delay.observe(extra_ticks)
+        if extra_ticks:
+            self.extra_delays[extra_ticks] = self.extra_delays.get(extra_ticks, 0) + 1
         if not duplicates and not extra_ticks:
             return NO_FAULT
         return FaultDecision(extra_delay_ticks=extra_ticks, duplicates=duplicates)

@@ -36,7 +36,6 @@ from .profiles import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
     from repro.sim.kernel import Kernel
 
 #: A half-open fault interval in ticks: the fault holds on
@@ -83,9 +82,7 @@ class FaultPlan:
 
     # -- expansion --------------------------------------------------------
 
-    def lan_injector(
-        self, metrics: Optional["MetricsRegistry"] = None
-    ) -> Optional[LANFaultInjector]:
+    def lan_injector(self) -> Optional[LANFaultInjector]:
         """The transport injection point, or None without LAN faults."""
         if not self.profile.has_lan_faults:
             return None
@@ -93,7 +90,6 @@ class FaultPlan:
             self.profile,
             RandomStream(self.seed, "faults", "lan"),
             active_until_tick=self.active_until_tick(),
-            metrics=metrics,
         )
 
     def crash_windows(self, room_id: str, horizon_tick: int) -> tuple[Window, ...]:

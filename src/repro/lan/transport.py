@@ -23,16 +23,18 @@ Two optional layers extend the base transport:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from functools import partial
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, get_type_hints
 
-from repro.sim.clock import ticks_from_milliseconds
+from repro.bluetooth.address import BDAddr
+from repro.sim.clock import TICKS_PER_SECOND, ticks_from_milliseconds
 from repro.sim.hotpath import hot_path
 from repro.sim.kernel import EventHandle, Kernel
-from repro.sim.rng import RandomStream
+from repro.sim.rng import RandomStream, unit_source
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import LANFaultInjector
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracing import Span, SpanTracer
 
 #: A handler receives ``(source_endpoint, message)``.
@@ -41,9 +43,6 @@ Handler = Callable[[str, Any], None]
 #: Fixed per-frame overhead in the wire-size estimate (headers etc.).
 _FRAME_OVERHEAD_BYTES = 32
 
-#: Latency-histogram buckets in ticks (1 tick = 312.5 µs).
-_LATENCY_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0, 64.0)
-
 #: "No trace context supplied" sentinel for :meth:`LANTransport._transmit`.
 #: Distinct from None: a reliable retransmission legitimately carries
 #: ``ctx=None`` (captured outside any trace) and must NOT fall back to
@@ -51,28 +50,56 @@ _LATENCY_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0, 64.0)
 _NO_CTX = object()
 
 
-def _wire_bytes(message: Any, field_names: tuple[str, ...]) -> int:
-    """Modelled wire size of one message, for ``lan.bytes_sent``.
+def _field_bytes(value: Any) -> int:
+    """Modelled wire size of one message field, for ``lan.bytes_sent``.
 
-    Nothing is serialised, so this is a fixed frame overhead plus a
-    per-field estimate over ``field_names``: deterministic and
+    Nothing is serialised, so a message's size is a fixed frame
+    overhead plus this per-field estimate: deterministic and
     proportional to payload complexity, which is all a load counter
     needs.
     """
-    size = _FRAME_OVERHEAD_BYTES
-    for name in field_names:
-        value = getattr(message, name)
-        if isinstance(value, str):
-            size += len(value.encode("utf-8"))
-        elif isinstance(value, bool) or value is None:
-            size += 1
-        elif isinstance(value, (int, float)):
-            size += 8
-        elif isinstance(value, (tuple, list)):
-            size += 2 + sum(len(str(item)) for item in value)
-        else:  # BDAddr and other small objects
-            size += 8
-    return size
+    if isinstance(value, str):
+        return len(value.encode("utf-8"))
+    if isinstance(value, bool) or value is None:
+        return 1
+    if isinstance(value, (int, float)):
+        return 8
+    if isinstance(value, (tuple, list)):
+        return 2 + sum(len(str(item)) for item in value)
+    return 8  # BDAddr and other small objects
+
+
+#: Field types whose :func:`_field_bytes` is the same for every value.
+_FIXED_FIELD_BYTES: Mapping[Any, int] = MappingProxyType(
+    {bool: 1, int: 8, float: 8, BDAddr: 8}
+)
+
+
+def _wire_plan(message_type: type) -> tuple[int, tuple[str, ...]]:
+    """``(fixed bytes, fields to measure)`` of one message type.
+
+    A message's modelled size is the fixed bytes plus the
+    :func:`_field_bytes` of each field to measure.  A field declared
+    ``int``, ``float``, ``bool`` or :class:`BDAddr` has one size for
+    every value it holds, so only ``str``, ``Optional`` and ``tuple``
+    fields (and any whose declared type cannot be resolved) are
+    measured per message.
+    """
+    if not is_dataclass(message_type):
+        return _FRAME_OVERHEAD_BYTES, ()
+    try:
+        hints = get_type_hints(message_type)
+    except (NameError, TypeError):
+        hints = {}
+    fixed = _FRAME_OVERHEAD_BYTES
+    measured = []
+    for spec in fields(message_type):
+        size = _FIXED_FIELD_BYTES.get(hints.get(spec.name))
+        if size is None:
+            measured.append(spec.name)
+        else:
+            fixed += size
+    return fixed, tuple(measured)
 
 
 class UnknownEndpointError(Exception):
@@ -139,12 +166,18 @@ def retry_timeout_ticks(attempt: int, rng: Optional[RandomStream]) -> int:
 
 @dataclass
 class TransportStats:
-    """LAN counters."""
+    """LAN counters; ``BIPSSimulation.finalize_metrics`` folds them."""
 
     sent: int = 0
     delivered: int = 0
     dropped: int = 0
     by_type: dict[str, int] = field(default_factory=dict)
+    #: Modelled wire bytes of every transmission (acks excluded).
+    bytes_sent: int = 0
+    #: Wire copies posted for delivery and not yet delivered.
+    in_flight: int = 0
+    #: Transit time in ticks -> wire copies that took it.
+    latencies: dict[int, int] = field(default_factory=dict)
     #: Reliable-delivery counters (zero unless ``send_reliable`` is used).
     reliable_sent: int = 0
     duplicates_dropped: int = 0
@@ -176,7 +209,6 @@ class LANTransport:
         kernel: Kernel,
         loss_probability: float = 0.0,
         rng: Optional[RandomStream] = None,
-        metrics: Optional["MetricsRegistry"] = None,
         fault_injector: Optional["LANFaultInjector"] = None,
         spans: Optional["SpanTracer"] = None,
     ) -> None:
@@ -187,6 +219,8 @@ class LANTransport:
         self.kernel = kernel
         self.loss_probability = loss_probability
         self.rng = rng
+        # The latency jitter's draws, taken inline on the send path.
+        self._unit = unit_source(rng) if rng is not None else None
         self.faults = fault_injector
         self._spans = spans
         self.stats = TransportStats()
@@ -196,10 +230,10 @@ class LANTransport:
         #: crashed/browned-out machine: silently dropped, not a wiring
         #: bug.
         self._known_endpoints: set[str] = set()
-        # Per-message-type memo: (kernel label, wire field names).  The
-        # f-string and the dataclasses.fields() walk would otherwise
-        # repeat per send for a handful of distinct frozen message types.
-        self._type_cache: dict[str, tuple[str, tuple[str, ...]]] = {}
+        # Per-message-type memo: (type name, kernel label, fixed wire
+        # bytes, fields to measure).  The f-string and the type-hint walk
+        # would otherwise repeat per send for a handful of message types.
+        self._plans: dict[type, tuple[str, str, int, tuple[str, ...]]] = {}
         # Reliable-delivery state.  Sequence numbers and receiver-side
         # dedup model the endpoints' network stacks; keeping them in the
         # transport (rather than each endpoint object) means a crashed
@@ -212,15 +246,6 @@ class LANTransport:
         # traffic is a few messages per workstation per 15.4 s cycle, so
         # sim-scale runs stay small.
         self._seen_seqs: dict[tuple[str, str], set[int]] = {}
-        # Only what :attr:`stats` does not count is pushed per message;
-        # ``BIPSSimulation.finalize_metrics`` reads the rest from stats.
-        self._metrics = metrics
-        if metrics is not None:
-            self._m_bytes = metrics.counter("lan.bytes_sent")
-            self._m_in_flight = metrics.gauge("lan.messages_in_flight")
-            self._m_latency = metrics.histogram(
-                "lan.delivery_latency_ticks", buckets=_LATENCY_BUCKETS
-            )
 
     def register(self, endpoint: str, handler: Handler) -> None:
         """Attach ``handler`` as the receiver for ``endpoint``."""
@@ -313,21 +338,20 @@ class LANTransport:
         callers without a stored context (plain :meth:`send`) leave the
         sentinel so the ambient context at call time is used.
         """
-        self.stats.sent += 1
-        type_name = type(message).__name__
-        self.stats.by_type[type_name] = self.stats.by_type.get(type_name, 0) + 1
-        cached = self._type_cache.get(type_name)
-        if cached is None:
-            cached = (
-                f"lan:{type_name}",
-                tuple(spec.name for spec in fields(message))
-                if is_dataclass(message)
-                else (),
-            )
-            self._type_cache[type_name] = cached
-        label, field_names = cached
-        if self._metrics is not None:
-            self._m_bytes.inc(_wire_bytes(message, field_names))
+        stats = self.stats
+        stats.sent += 1
+        message_type = type(message)
+        plan = self._plans.get(message_type)
+        if plan is None:
+            type_name = message_type.__name__
+            plan = (type_name, f"lan:{type_name}", *_wire_plan(message_type))
+            self._plans[message_type] = plan
+        type_name, label, size, measured = plan
+        by_type = stats.by_type
+        by_type[type_name] = by_type.get(type_name, 0) + 1
+        for name in measured:
+            size += _field_bytes(getattr(message, name))
+        stats.bytes_sent += size
         spans = self._spans
         parent: Any = None
         if spans is not None:
@@ -349,11 +373,18 @@ class LANTransport:
                 return
             extra_delay = decision.extra_delay_ticks
             copies = 1 + decision.duplicates
+        stats.in_flight += copies
+        latencies, unit, post = stats.latencies, self._unit, self.kernel.post
         for _ in range(copies):
-            delay = latency_ticks(self.rng) + extra_delay
-            if self._metrics is not None:
-                self._m_in_flight.inc()
-                self._m_latency.observe(delay)
+            if unit is None:
+                delay = _LATENCY_BASE_TICKS + extra_delay
+            else:
+                # latency_ticks(self.rng) without its frames: the same
+                # draw and the same float expression (see unit_source).
+                jitter = 0.0 + (LATENCY_JITTER_MS - 0.0) * unit()
+                milliseconds = LATENCY_BASE_MS + jitter
+                delay = max(1, round(milliseconds * TICKS_PER_SECOND / 1000.0)) + extra_delay
+            latencies[delay] = latencies.get(delay, 0) + 1
             if spans is not None:
                 # One transit span per wire copy, [send, deliver]; its
                 # fate (delivered / dropped / dedup) lands in ``outcome``
@@ -368,19 +399,11 @@ class LANTransport:
                         "lan.transit", "lan", self.kernel.now, parent=parent,
                         type=type_name, src=source, dst=destination, seq=seq,
                     )
-                self.kernel.post(
-                    delay,
-                    lambda s=span: self._deliver(source, destination, message, seq, span=s),
-                    label=label,
-                )
+                post(delay, partial(self._deliver, source, destination, message, seq, span), label)
                 continue
             # Deliveries are never cancelled: use the kernel's
             # handle-free fast path.
-            self.kernel.post(
-                delay,
-                lambda: self._deliver(source, destination, message, seq),
-                label=label,
-            )
+            post(delay, partial(self._deliver, source, destination, message, seq), label)
 
     def _drop(self, parent: Any, type_name: str, source: str, destination: str) -> None:
         """Lose a frame on the wire: count it and, with spans on, record
@@ -401,8 +424,7 @@ class LANTransport:
         seq: Optional[int],
         span: Optional["Span"] = None,
     ) -> None:
-        if self._metrics is not None:
-            self._m_in_flight.dec()
+        self.stats.in_flight -= 1
         handler = self._endpoints.get(destination)
         if handler is None:
             self.stats.dropped += 1
@@ -486,7 +508,7 @@ class LANTransport:
             extra_delay = decision.extra_delay_ticks
         delay = latency_ticks(self.rng) + extra_delay
         key = (to_endpoint, from_endpoint, seq)
-        self.kernel.post(delay, lambda: self._on_ack(key), label="lan:ack")  # lint: disable=PERF001 -- the closure IS the scheduled event payload; one allocation per ack is the cost of posting it
+        self.kernel.post(delay, partial(self._on_ack, key), label="lan:ack")
 
     def _on_ack(self, key: tuple[str, str, int]) -> None:
         pending = self._pending.pop(key, None)

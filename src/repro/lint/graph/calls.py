@@ -157,17 +157,7 @@ class CallGraph:
             index.functions[statement.name] = node_name
             self._add_node(context, node_name, statement.name, statement)
         elif isinstance(statement, ast.ClassDef):
-            methods: dict[str, str] = {}
-            for item in statement.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qual = f"{statement.name}.{item.name}"
-                    node_name = f"{module}.{qual}"
-                    methods[item.name] = node_name
-                    self._add_node(context, node_name, qual, item)
-            index.classes[statement.name] = methods
-            index.bases[statement.name] = tuple(
-                base.id for base in statement.bases if isinstance(base, ast.Name)
-            )
+            self._index_class(context, index, statement, statement.name)
         elif isinstance(statement, ast.Import):
             for alias in statement.names:
                 bound = alias.asname or alias.name.split(".", 1)[0]
@@ -208,6 +198,28 @@ class CallGraph:
             for handler in statement.handlers:
                 for child in handler.body:
                     self._index_statement(context, index, child, is_package)
+
+    def _index_class(
+        self,
+        context: "FileContext",
+        index: _ModuleIndex,
+        statement: ast.ClassDef,
+        qual: str,
+    ) -> None:
+        """Index a class's methods under its qualname ``qual``; a class
+        nested in a class body is ``Outer.Inner``."""
+        methods: dict[str, str] = {}
+        for item in statement.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                node_name = f"{index.module}.{qual}.{item.name}"
+                methods[item.name] = node_name
+                self._add_node(context, node_name, f"{qual}.{item.name}", item)
+            elif isinstance(item, ast.ClassDef):
+                self._index_class(context, index, item, f"{qual}.{item.name}")
+        index.classes[qual] = methods
+        index.bases[qual] = tuple(
+            base.id for base in statement.bases if isinstance(base, ast.Name)
+        )
 
     def _add_node(
         self,
@@ -260,15 +272,20 @@ class CallGraph:
         if head in index.functions and len(rest) == 1:
             return (PROJECT, index.functions[head])
         if head in index.classes:
-            methods = self._class_methods(module, head)
-            if len(rest) == 1:
+            # The deepest nested class named: ``Outer.Inner.m``.
+            cut = 1
+            while cut < len(rest) and ".".join(rest[: cut + 1]) in index.classes:
+                cut += 1
+            methods = self._class_methods(module, ".".join(rest[:cut]))
+            tail = rest[cut:]
+            if not tail:
                 init = methods.get("__init__")
                 # Class() invokes __init__ when one is defined; a
                 # dataclass/namedtuple without one has no body to taint.
                 return (PROJECT, init) if init else (EXTERNAL, dotted)
-            if len(rest) == 2 and rest[1] in methods:
-                return (PROJECT, methods[rest[1]])
-            if len(rest) == 2 and rest[1].startswith("__") and rest[1].endswith("__"):
+            if len(tail) == 1 and tail[0] in methods:
+                return (PROJECT, methods[tail[0]])
+            if len(tail) == 1 and tail[0].startswith("__") and tail[0].endswith("__"):
                 return (BUILTIN, dotted)  # dunder inherited from object
             return (UNKNOWN, dotted)
         if head in index.aliases:
@@ -319,8 +336,9 @@ class CallGraph:
             qual = f"{class_name}.{statement.name}" if class_name else statement.name
             self._scan_function(context, index, statement, f"{index.module}.{qual}", class_name)
         elif isinstance(statement, ast.ClassDef):
+            qual = f"{class_name}.{statement.name}" if class_name else statement.name
             for item in statement.body:
-                self._scan_container(context, index, item, class_name=statement.name)
+                self._scan_container(context, index, item, class_name=qual)
         elif isinstance(statement, (ast.If, ast.Try)):
             children = list(getattr(statement, "body", []))
             children += list(getattr(statement, "orelse", []))

@@ -8,10 +8,11 @@ plane compatible with a deterministic simulator:
 * **No wall clock.**  Histograms count simulated quantities (ticks,
   seconds of sim time, bytes) into fixed bucket boundaries.  Two runs
   with the same seed must export byte-identical JSONL.
-* **Cheap when unused.**  Instruments are plain attribute updates; the
-  instrumented modules accept ``metrics=None`` and skip everything when
-  no registry is supplied, so micro-benchmarks and standalone tests pay
-  nothing.
+* **Cheap when unused.**  No simulation component takes a registry:
+  each counts in plain attributes (an int, or a value → count dict for
+  a distribution), and ``BIPSSimulation.finalize_metrics`` folds those
+  counts into instruments once, at the end of a run.  A run that never
+  reads its metrics therefore pays a dict update per sample at most.
 
 Series are identified by a name plus optional labels, Prometheus-style:
 ``registry.counter("lan.messages_sent", type="PresenceUpdate")``.
@@ -20,6 +21,7 @@ Series are identified by a name plus optional labels, Prometheus-style:
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
@@ -114,15 +116,31 @@ class Histogram:
         self.max: Optional[float] = None
 
     def observe(self, value: Number) -> None:
+        """Count ``value`` in the first bucket whose bound it does not
+        exceed, or in the +inf bucket above the last bound."""
         self.count += 1
         self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[index] += 1
-                return
-        self.counts[-1] += 1
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        self.counts[bisect_left(self.bounds, value)] += 1
+
+    def observe_many(self, value: Number, times: int) -> None:
+        """``times`` observations of ``value`` at once.
+
+        The same state as ``times`` calls of :meth:`observe` whenever
+        the running sum is exact, as it is for integer samples (ticks).
+        """
+        if times < 1:
+            raise MetricError(f"histogram {self.name!r} cannot observe {times} times")
+        self.count += times
+        self.sum += value * times
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        self.counts[bisect_left(self.bounds, value)] += times
 
 
 Instrument = Union[Counter, Gauge, Histogram]

@@ -97,3 +97,15 @@ def randint_width(high: int) -> int:
     """The bits per ``getrandbits`` draw of ``Random.randint(0, high)``:
     those of ``high + 1``, not of ``high``."""
     return (high + 1).bit_length()
+
+
+def unit_source(stream: RandomStream) -> Callable[[], float]:
+    """The stream's bound ``random``, for a hot path that draws
+    :meth:`RandomStream.uniform` values without its Python frames.
+
+    ``Random.uniform(low, high)`` is ``low + (high - low) * random()``
+    (CPython 3.11 and 3.12).  A caller that evaluates that expression
+    on this source draws exactly what ``stream.uniform(low, high)``
+    would, in the same order, from the same stream.
+    """
+    return stream._rng.random

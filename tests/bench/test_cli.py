@@ -153,6 +153,7 @@ class TestMainWiring:
         assert set(_report(tmp_path)["benchmarks"]) == {
             "kernel_events",
             "swarm_piconet_100",
+            "swarm_handover",
         }
 
 

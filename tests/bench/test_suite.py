@@ -10,10 +10,11 @@ import repro.bench.suite as suite
 from repro.bluetooth.scan import ResponseMode
 
 
-def test_suite_is_exactly_the_two_gated_cases():
+def test_suite_is_exactly_the_gated_cases():
     assert tuple(case.name for case in suite.SUITE) == (
         "kernel_events",
         "swarm_piconet_100",
+        "swarm_handover",
     )
 
 
@@ -23,6 +24,7 @@ def test_each_factory_reports_its_unit_count():
         # the target is reached.
         "kernel_events": suite.KERNEL_EVENTS + suite.KERNEL_CHAINS - 1,
         "swarm_piconet_100": suite.SWARM_PICONET_HORIZON_TICKS,
+        "swarm_handover": suite.HANDOVER_HORIZON_TICKS,
     }
     for case in suite.SUITE:
         assert case.factory()() == expected[case.name], case.name
@@ -39,3 +41,26 @@ def test_swarm_case_answers_with_continuous_responses(monkeypatch):
     monkeypatch.setattr(suite, "InquiryScanSwarm", recording_swarm)
     suite.swarm_piconet_100_factory()
     assert [config.response_mode for config in configs] == [ResponseMode.CONTINUOUS]
+
+
+def test_handover_case_drains_overlapping_handheld_swarms_from_one_wake(monkeypatch):
+    swarms = []
+    swarm_class = suite.InquiryScanSwarm
+
+    def recording_swarm(*args, **kwargs):
+        swarm = swarm_class(*args, **kwargs)
+        swarms.append(swarm)
+        return swarm
+
+    monkeypatch.setattr(suite, "InquiryScanSwarm", recording_swarm)
+    suite.swarm_handover_factory()()
+    assert len(swarms) == suite.HANDOVER_PICONETS > 1
+    assert len({swarm._drain for swarm in swarms}) == 1
+    assert {swarm.config.response_mode for swarm in swarms} == {ResponseMode.BACKOFF_EACH}
+    # Every window overlaps the next piconet's.
+    window = suite.HANDOVER_POLICY.inquiry_window_ticks
+    assert 0 < suite.HANDOVER_STAGGER_TICKS < window
+    # Every piconet answered, from fewer kernel events than swarms: the
+    # drain handed over between them instead of waking once per swarm.
+    assert all(swarm.scan_totals()[2] > 0 for swarm in swarms)
+    assert swarms[0].kernel.events_fired < len(swarms)

@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+import inspect
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Optional, get_type_hints
+
 import pytest
 
-from repro.lan.transport import LANTransport, UnknownEndpointError, latency_ticks
+import repro.lan.messages as messages
+from repro.bluetooth.address import BDAddr
+from repro.lan.transport import (
+    _FRAME_OVERHEAD_BYTES,
+    LANTransport,
+    UnknownEndpointError,
+    _field_bytes,
+    latency_ticks,
+)
 from repro.sim.rng import RandomStream
 
 
@@ -18,6 +30,22 @@ class TestLatencyModel:
         draws = {latency_ticks(rng) for _ in range(200)}
         # 0.3-0.5 ms = 0.96-1.6 ticks -> one or two ticks.
         assert draws == {1, 2}
+
+    def test_transport_draws_what_latency_ticks_draws(self, kernel):
+        # The send path draws its jitter inline: the same stream
+        # position, the same ticks, as latency_ticks on a twin stream.
+        transport = LANTransport(kernel, rng=RandomStream(5, "lan"))
+        twin = RandomStream(5, "lan")
+        delivered = []
+        transport.register("server", lambda src, msg: delivered.append(kernel.now - msg))
+        for _ in range(300):
+            transport.send("ws", "server", kernel.now)
+            kernel.run_until(kernel.now + 8)
+        assert delivered == [latency_ticks(twin) for _ in range(300)]
+        assert transport.rng.random() == twin.random()
+        assert transport.stats.latencies == {
+            ticks: delivered.count(ticks) for ticks in set(delivered)
+        }
 
 
 class TestTransport:
@@ -92,3 +120,69 @@ class TestTransport:
         transport.register("a", lambda s, m: None)
         transport.register("b", lambda s, m: None)
         assert set(transport.endpoint_names) == {"a", "b"}
+
+
+def _generic_wire_bytes(message) -> int:
+    """The modelled size by the per-field rule over every field."""
+    names = [spec.name for spec in fields(message)] if is_dataclass(message) else []
+    return _FRAME_OVERHEAD_BYTES + sum(_field_bytes(getattr(message, name)) for name in names)
+
+
+#: Field values per declared type: ASCII and non-ASCII text, None,
+#: empty and non-empty tuples, both booleans.
+_VALUES = {
+    int: (7, 0, 123_456),
+    float: (12.5, 0.0, 3.0),
+    bool: (True, False, True),
+    str: ("lab-1", "", "salle-\u00e9t\u00e9-\u90e8\u5c4b"),
+    Optional[str]: (None, "corridor", "caf\u00e9"),
+    BDAddr: (BDAddr(0x0A_0000_0001), BDAddr(0), BDAddr(0xFFFF_FFFF_FFFF)),
+    tuple[str, ...]: ((), ("lab-1", "corridor"), ("\u00e9", "lab-2", "x")),
+}
+
+_MESSAGE_TYPES = [
+    cls
+    for _, cls in inspect.getmembers(messages, inspect.isclass)
+    if is_dataclass(cls) and cls.__module__ == messages.__name__
+]
+
+
+class TestWireSize:
+    def test_every_message_type_is_covered(self):
+        assert len(_MESSAGE_TYPES) == 11
+        for cls in _MESSAGE_TYPES:
+            assert set(get_type_hints(cls).values()) <= set(_VALUES), cls
+
+    @pytest.mark.parametrize("cls", _MESSAGE_TYPES, ids=lambda cls: cls.__name__)
+    def test_per_type_plan_equals_the_per_field_rule(self, kernel, cls):
+        transport = LANTransport(kernel)
+        transport.register("server", lambda s, m: None)
+        hints = get_type_hints(cls)
+        for variant in range(3):
+            message = cls(**{name: _VALUES[hint][variant] for name, hint in hints.items()})
+            before = transport.stats.bytes_sent
+            transport.send("ws", "server", message)
+            assert transport.stats.bytes_sent - before == _generic_wire_bytes(message)
+
+    def test_unresolvable_annotations_measure_every_field(self, kernel):
+        class Local:
+            pass
+
+        @dataclass(frozen=True)
+        class Odd:
+            tag: Local
+            count: int
+
+        transport = LANTransport(kernel)
+        transport.register("server", lambda s, m: None)
+        for message in (Odd(tag=Local(), count=3), Odd(tag=None, count="text")):
+            before = transport.stats.bytes_sent
+            transport.send("ws", "server", message)
+            assert transport.stats.bytes_sent - before == _generic_wire_bytes(message)
+
+    def test_a_non_dataclass_message_is_one_frame(self, kernel):
+        transport = LANTransport(kernel)
+        transport.register("server", lambda s, m: None)
+        transport.send("ws", "server", "hello")
+        transport.send("ws", "server", 42)
+        assert transport.stats.bytes_sent == 2 * _FRAME_OVERHEAD_BYTES

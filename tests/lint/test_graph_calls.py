@@ -29,7 +29,11 @@ def sites_of(graph, caller):
     traversal queries never walk through external/builtin/dynamic
     sites — so tests inspect the full site list instead.)
     """
-    return [s for s in graph.calls.sites if s.caller == caller]
+    return sites_of_graph(graph.calls, caller)
+
+
+def sites_of_graph(calls, caller):
+    return [s for s in calls.sites if s.caller == caller]
 
 
 class TestResolution:
@@ -198,6 +202,54 @@ class TestNestedFunctions:
             if s.kind == PROJECT
         }
         assert "pkg.a.helper" in callees
+
+
+class TestNestedClasses:
+    def test_nested_method_gets_its_qualified_node(self, package_tree):
+        root = package_tree(
+            "pkg/a.py",
+            "import time\n\n\n"
+            "class Outer:\n"
+            "    class Inner:\n"
+            "        def m(self):\n"
+            "            return time.time()\n"
+            "\n"
+            "        def k(self):\n"
+            "            return self.m()\n"
+            "\n"
+            "    def n(self):\n"
+            "        return Outer.Inner.m(self)\n",
+        ).parent.parent
+        graph = build_graph(root).calls
+        node = graph.nodes["pkg.a.Outer.Inner.m"]
+        assert (node.qualname, node.line) == ("Outer.Inner.m", 6)
+        assert [(s.kind, s.callee) for s in sites_of_graph(graph, "pkg.a.Outer.Inner.m")] == [
+            (EXTERNAL, "time.time")
+        ]
+        for caller in ("pkg.a.Outer.Inner.k", "pkg.a.Outer.n"):
+            (site,) = sites_of_graph(graph, caller)
+            assert (site.kind, site.callee) == (PROJECT, "pkg.a.Outer.Inner.m")
+        assert "pkg.a.Inner.m" not in graph.nodes
+        assert not sites_of_graph(graph, "pkg.a.Inner.m")
+
+    def test_same_named_inner_classes_do_not_collide(self, package_tree):
+        root = package_tree(
+            "pkg/a.py",
+            "def one():\n    return 1\n\n\n"
+            "def two():\n    return 2\n\n\n"
+            "class A:\n"
+            "    class Inner:\n"
+            "        def m(self):\n"
+            "            return one()\n\n\n"
+            "class B:\n"
+            "    class Inner:\n"
+            "        def m(self):\n"
+            "            return two()\n",
+        ).parent.parent
+        graph = build_graph(root).calls
+        assert {"pkg.a.A.Inner.m", "pkg.a.B.Inner.m"} <= set(graph.nodes)
+        assert [s.callee for s in graph.callees_of("pkg.a.A.Inner.m")] == ["pkg.a.one"]
+        assert [s.callee for s in graph.callees_of("pkg.a.B.Inner.m")] == ["pkg.a.two"]
 
 
 class TestTraversal:

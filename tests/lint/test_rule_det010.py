@@ -37,6 +37,26 @@ class TestTaintPropagation:
         assert [finding.line for finding in findings] == [1, 5]
         assert "time.time()" in findings[1].message
 
+    def test_chain_through_a_nested_class_method(self, package_tree):
+        root = package_tree(
+            "repro/sim/engine.py",
+            "import time\n\n\n"
+            "class Outer:\n"
+            "    class Inner:\n"
+            "        def m(self):\n"
+            "            return time.time()\n"
+            "\n"
+            "    def n(self):\n"
+            "        return Outer.Inner.m(self)\n",
+        ).parent.parent
+        findings = det010(root)
+        assert [finding.line for finding in findings] == [1, 7, 9]
+        assert "repro.sim.engine.Outer.Inner.m calls time.time()" in findings[1].message
+        assert (
+            "repro.sim.engine.Outer.n -> repro.sim.engine.Outer.Inner.m -> time.time()"
+            in findings[2].message
+        )
+
     def test_non_sim_entry_not_reported(self, package_tree):
         package_tree("repro/util/wallclock.py", SINKING_HELPER)
         root = package_tree(

@@ -4,20 +4,28 @@ The components count in plain attributes; ``finalize_metrics`` is the
 one place that turns those counts into metric series.  These tests pin
 that each folded series equals its source, that folding is idempotent,
 that simulations sharing a registry add up, the crash/recovery
-arithmetic of the workstation series, and the server's query, login
-and stale-answer counts.
+arithmetic of the workstation series, the server's query, login
+and stale-answer counts, and that the folded LAN and server
+distributions equal the same samples pushed one by one.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
+from functools import partial
 
 import pytest
 
 from repro.building.layouts import two_room_testbed
 from repro.core import BIPSConfig, BIPSSimulation, VisibilityPolicy
 from repro.core.errors import AccessDeniedError
+from repro.core.server import BIPSServer
 from repro.faults import FaultPlan
+from repro.faults.injector import LANFaultInjector
 from repro.lan.messages import LocationResponse, LoginRequest, LoginResponse, PathResponse
-from repro.obs.metrics import MetricsRegistry
+from repro.lan.transport import _FRAME_OVERHEAD_BYTES, LANTransport, _field_bytes
+from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.sim.kernel import Kernel
 from tests.core.test_temporal_queries import login_via_lan
 
 
@@ -126,6 +134,111 @@ class TestFoldedSeriesMatchTheirSources:
         assert values[("faults.lan_reordered",)] == injector.reordered
 
 
+#: The histograms ``finalize_metrics`` folds from value -> count dicts.
+FOLDED_HISTOGRAMS = (
+    "lan.delivery_latency_ticks",
+    "core.delta_push_lag_ticks",
+    "core.query_latency_ticks",
+    "faults.lan_extra_delay_ticks",
+)
+
+
+def _is_delivery(callback) -> bool:
+    return (
+        isinstance(callback, partial)
+        and getattr(callback.func, "__func__", None) is LANTransport._deliver
+    )
+
+
+@pytest.fixture(scope="module", params=["chaos", "lossy-lan"])
+def pushed(request):
+    """A walking run with LAN queries, its samples recorded one by one
+    where they arise, and its registry after one fold."""
+    samples = {name: [] for name in FOLDED_HISTOGRAMS}
+    wire_bytes = []
+    post, transmit = Kernel.post, LANTransport._transmit
+    handle_presence, note_query = BIPSServer._handle_presence, BIPSServer._note_query
+    decide = LANFaultInjector.decide
+
+    def recording_post(self, delay, callback, label=""):
+        if _is_delivery(callback):
+            samples["lan.delivery_latency_ticks"].append(delay)
+        return post(self, delay, callback, label)
+
+    def recording_transmit(self, source, destination, message, *args, **kwargs):
+        wire_bytes.append(
+            _FRAME_OVERHEAD_BYTES
+            + sum(_field_bytes(getattr(message, spec.name)) for spec in fields(message))
+        )
+        return transmit(self, source, destination, message, *args, **kwargs)
+
+    def recording_presence(self, message):
+        samples["core.delta_push_lag_ticks"].append(self.kernel.now - message.sent_tick)
+        return handle_presence(self, message)
+
+    def recording_query(self, kind, message, ok):
+        samples["core.query_latency_ticks"].append(self.kernel.now - message.sent_tick)
+        return note_query(self, kind, message, ok)
+
+    def recording_decide(self, now, source, destination, message):
+        decision = decide(self, now, source, destination, message)
+        if decision.extra_delay_ticks:
+            samples["faults.lan_extra_delay_ticks"].append(decision.extra_delay_ticks)
+        return decision
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Kernel, "post", recording_post)
+        patch.setattr(LANTransport, "_transmit", recording_transmit)
+        patch.setattr(BIPSServer, "_handle_presence", recording_presence)
+        patch.setattr(BIPSServer, "_note_query", recording_query)
+        patch.setattr(LANFaultInjector, "decide", recording_decide)
+        sim = BIPSSimulation(
+            config=BIPSConfig(seed=21), faults=FaultPlan.named(request.param, seed=7)
+        )
+        rooms = sim.plan.room_ids()
+        for index in range(4):
+            sim.add_user(f"u-{index}", f"User{index}")
+            sim.login(f"u-{index}")
+            sim.walk(f"u-{index}", start_room=rooms[index * 3], hops=4)
+        # The last queries are still on the wire when the run stops.
+        for until in (60.0, 120.0, 180.0):
+            sim.run(until_seconds=until)
+            sim.query_location_via_lan("u-0", "User1")
+            sim.query_path_via_lan("u-2", "User3")
+    sim.finalize_metrics()
+    in_flight = sum(_is_delivery(entry[2]) for entry in sim.kernel._heap)
+    return sim, samples, sum(wire_bytes), in_flight
+
+
+class TestFoldedDistributions:
+    def test_histograms_equal_their_samples_pushed_one_by_one(self, pushed):
+        sim, samples, _, _ = pushed
+        records = {r["name"]: r for r in sim.metrics.snapshot()}
+        for name in FOLDED_HISTOGRAMS:
+            record = records[name]
+            fresh = Histogram(name, buckets=[bound for bound, _ in record["buckets"][:-1]])
+            for value in samples[name]:
+                fresh.observe(value)
+            assert samples[name], name
+            assert fresh.count == record["count"], name
+            assert (fresh.sum, fresh.min, fresh.max) == (
+                record["sum"], record["min"], record["max"]
+            ), name
+            assert fresh.counts == [count for _, count in record["buckets"]], name
+
+    def test_bytes_and_copies_in_flight(self, pushed):
+        sim, _, wire_bytes, in_flight = pushed
+        values = _values(sim.metrics)
+        assert values[("lan.bytes_sent",)] == wire_bytes > 0
+        assert values[("lan.messages_in_flight",)] == in_flight == sim.lan.stats.in_flight > 0
+
+    def test_finalize_twice_changes_nothing(self, pushed):
+        sim = pushed[0]
+        first = sim.metrics.to_jsonl()
+        sim.finalize_metrics()
+        assert sim.metrics.to_jsonl() == first
+
+
 class TestFoldArithmetic:
     def test_finalize_twice_gives_the_same_snapshot(self):
         sim = _walking_sim(faults="chaos")
@@ -158,6 +271,27 @@ class TestFoldArithmetic:
         totals = {key: a.get(key, 0) + b.get(key, 0) for key in a.keys() | b.keys()}
         assert counters(shared.snapshot()) == totals
         assert totals[("sim.events_fired",)] > a[("sim.events_fired",)] > 0
+
+        def folded(snapshot):
+            return {r["name"]: r for r in snapshot if r["name"] in FOLDED_HISTOGRAMS}
+
+        a, b, both = folded(alone[0]), folded(alone[1]), folded(shared.snapshot())
+        assert set(a) == set(b) == set(both) == set(FOLDED_HISTOGRAMS) - {
+            "core.query_latency_ticks"
+        }
+        for name, record in both.items():
+            assert record["count"] == a[name]["count"] + b[name]["count"] > 0
+            assert record["sum"] == a[name]["sum"] + b[name]["sum"]
+            assert record["min"] == min(a[name]["min"], b[name]["min"])
+            assert record["max"] == max(a[name]["max"], b[name]["max"])
+            assert [count for _, count in record["buckets"]] == [
+                x + y for (_, x), (_, y) in zip(a[name]["buckets"], b[name]["buckets"])
+            ]
+        in_flight = [
+            next(r["value"] for r in snapshot if r["name"] == "lan.messages_in_flight")
+            for snapshot in (alone[0], alone[1], shared.snapshot())
+        ]
+        assert in_flight[2] == in_flight[0] + in_flight[1]
 
     def test_a_workstation_still_down_counts_one_more_failure(self):
         sim = BIPSSimulation(plan=two_room_testbed(), config=BIPSConfig(seed=15))

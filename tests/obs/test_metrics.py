@@ -60,6 +60,50 @@ class TestHistogram:
         assert hist.max == 100.0
         assert hist.sum == pytest.approx(106.0)
 
+    @pytest.mark.parametrize(
+        "value, bucket",
+        [
+            (2.0, 1),  # at a bound: that bound's bucket
+            (2, 1),  # an int equal to a float bound
+            (3.0, 2),  # between bounds: the next bound up
+            (0.0, 0),  # below the first bound
+            (4.0, 2),  # at the last bound
+            (4.5, 3),  # above the last bound: the +inf bucket
+        ],
+    )
+    def test_bucket_of_one_value(self, value, bucket):
+        hist = Histogram("h", buckets=(1.0, 2.0, 4.0))
+        hist.observe(value)
+        expected = [0, 0, 0, 0]
+        expected[bucket] = 1
+        assert hist.counts == expected
+
+    def test_first_observation_sets_min_and_max(self):
+        hist = Histogram("h", buckets=(1.0, 2.0))
+        hist.observe(7)
+        assert (hist.min, hist.max, hist.count, hist.sum) == (7, 7, 1, 7.0)
+        hist.observe(3)
+        hist.observe(9)
+        assert (hist.min, hist.max) == (3, 9)
+
+    def test_min_and_max_keep_the_first_of_equal_values(self):
+        hist = Histogram("h", buckets=(1.0,))
+        hist.observe(2)
+        hist.observe(2.0)
+        assert type(hist.min) is int and type(hist.max) is int
+
+    def test_observe_many_equals_repeated_observe(self):
+        one_by_one = Histogram("h", buckets=(1.0, 2.0, 4.0))
+        at_once = Histogram("h", buckets=(1.0, 2.0, 4.0))
+        for value, times in ((3, 4), (1, 2), (9, 5), (2, 1)):
+            for _ in range(times):
+                one_by_one.observe(value)
+            at_once.observe_many(value, times)
+        for attribute in ("counts", "count", "sum", "min", "max"):
+            assert getattr(at_once, attribute) == getattr(one_by_one, attribute)
+        with pytest.raises(MetricError):
+            at_once.observe_many(3, 0)
+
     def test_rejects_unsorted_or_duplicate_buckets(self):
         with pytest.raises(MetricError):
             Histogram("h", buckets=(2.0, 1.0))
