@@ -1,4 +1,4 @@
-"""The pinned benchmark suite: three cases, all gated in CI.
+"""The pinned benchmark suite: four cases, all gated in CI.
 
 * ``kernel_events`` — the kernel's event queue alone: self-rescheduling
   chains through ``Kernel.post``, the floor every simulation pays.
@@ -10,6 +10,11 @@
   on one kernel, 50 BIPS handhelds each (BACKOFF_EACH): one
   :class:`~repro.bluetooth.swarm.SwarmDrain` drains the four swarms and
   hands over between them, the path a multi-room BIPS run takes.
+* ``location_reads`` — a populated :class:`~repro.core.server.BIPSServer`
+  answering a fixed mix of direct ``locate``, ``navigate`` and
+  ``locate_at_seconds`` reads (paper §2): the access check, the
+  location database and the precomputed paths, with the radio and the
+  LAN idle.
 
 End-to-end wall times of whole workloads are ``bipsbench``'s job; this
 suite is the fast regression gate, timed against a paired revision.
@@ -27,7 +32,11 @@ from repro.bluetooth.hopping import TrainStrategy, periodic_inquiry
 from repro.bluetooth.inquiry import InquiryProcedure
 from repro.bluetooth.scan import PhaseMode, ResponseMode, ScanConfig
 from repro.bluetooth.swarm import InquiryScanSwarm, SwarmDrain
+from repro.building.layouts import multi_floor_department
 from repro.core.config import BIPSConfig
+from repro.core.server import BIPSServer
+from repro.lan.transport import LANTransport
+from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStream
 
@@ -174,6 +183,63 @@ def swarm_handover_factory() -> Workload:
     return run
 
 
+# -- the location read path -------------------------------------------------
+
+#: Logged-in users of a two-floor department (24 rooms), each with
+#: :data:`READS_VISITS` recorded room visits, one per
+#: :data:`READS_VISIT_TICKS`.
+READS_FLOORS = 2
+READS_USERS = 400
+READS_VISITS = 4
+READS_VISIT_TICKS = ticks_from_seconds(600.0)
+#: Reads per run: 60 % ``locate``, 20 % ``navigate``, 20 %
+#: ``locate_at_seconds`` at a past instant.
+LOCATION_READS = 100_000
+
+
+def location_reads_factory() -> Workload:
+    """A populated :class:`BIPSServer` and a fixed stream of direct reads.
+
+    Registration, logins, the recorded visits and the read stream are
+    built here (untimed); the workload answers the stream.
+    """
+    kernel = Kernel()
+    server = BIPSServer(kernel, LANTransport(kernel), multi_floor_department(READS_FLOORS))
+    rooms = server.plan.room_ids()
+    prng = RandomStream(SWARM_SEED, "bench-reads")
+    userids = [f"u-{index:04d}" for index in range(READS_USERS)]
+    usernames = [f"User{index:04d}" for index in range(READS_USERS)]
+    for index, (userid, username) in enumerate(zip(userids, usernames)):
+        device = BDAddr(0x0002_5B00_0000 + index)
+        server.registry.register(userid, username, "pw")
+        server.registry.login(userid, "pw", device, tick=0)
+        for visit in range(READS_VISITS):
+            tick = visit * READS_VISIT_TICKS + prng.randint(0, READS_VISIT_TICKS - 1)
+            room = prng.choice(rooms)
+            server.location_db.apply_presence(device, room, tick, f"ws:{room}")
+    span_s = seconds_from_ticks(READS_VISITS * READS_VISIT_TICKS)
+    reads: list[tuple[int, str, str, float]] = []
+    for _ in range(LOCATION_READS):
+        draw = prng.random()
+        kind = 0 if draw < 0.6 else 1 if draw < 0.8 else 2
+        querier = userids[prng.randint(0, READS_USERS - 1)]
+        target = usernames[prng.randint(0, READS_USERS - 1)]
+        reads.append((kind, querier, target, prng.random() * span_s))
+    locate, navigate, locate_at = server.locate, server.navigate, server.locate_at_seconds
+
+    def run() -> int:
+        for kind, querier, target, at_seconds in reads:
+            if kind == 0:
+                locate(querier, target)
+            elif kind == 1:
+                navigate(querier, target)
+            else:
+                locate_at(querier, target, at_seconds)
+        return len(reads)
+
+    return run
+
+
 # -- the pinned suite --------------------------------------------------------
 
 SUITE: tuple[BenchCase, ...] = (
@@ -182,4 +248,5 @@ SUITE: tuple[BenchCase, ...] = (
         name="swarm_piconet_100", factory=swarm_piconet_100_factory, unit="sim_ticks"
     ),
     BenchCase(name="swarm_handover", factory=swarm_handover_factory, unit="sim_ticks"),
+    BenchCase(name="location_reads", factory=location_reads_factory, unit="queries"),
 )

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.bluetooth.address import BDAddr
+from repro.sim.hotpath import hot_path
 
 from .errors import (
     AccessDeniedError,
@@ -38,6 +39,12 @@ class VisibilityPolicy(enum.Enum):
     EVERYONE = "everyone"
     LISTED = "listed"
     NOBODY = "nobody"
+
+
+#: Read once: on CPython 3.11 every ``VisibilityPolicy.EVERYONE`` goes
+#: through ``EnumType.__getattr__``, about four times a plain lookup,
+#: and :meth:`UserRegistry.check_query_allowed` runs on every query.
+_EVERYONE = VisibilityPolicy.EVERYONE
 
 
 def _hash_password(password: str, salt: str) -> str:
@@ -183,6 +190,7 @@ class UserRegistry:
 
     # -- access control ---------------------------------------------------------
 
+    @hot_path
     def check_query_allowed(self, querier_userid: str, target_username: str) -> Session:
         """Enforce §2's pre-query checks.
 
@@ -195,12 +203,14 @@ class UserRegistry:
         sessions = self._sessions
         if querier_userid not in sessions:
             raise NotLoggedInError(f"querier {querier_userid!r} is not logged in")
-        target = self.user_by_name(target_username)
+        target = self._by_username.get(target_username)
+        if target is None:
+            raise UnknownUserError(f"unknown username {target_username!r}")
         session = sessions.get(target.userid)
         if session is None:
             raise NotLoggedInError(f"target user {target_username!r} is not logged in")
         if (
-            target.policy is not VisibilityPolicy.EVERYONE
+            target.policy is not _EVERYONE
             and querier_userid != target.userid
             and not target.may_be_located_by(querier_userid)
         ):

@@ -144,7 +144,10 @@ class BIPSServer:
 
     def _handle_presence(self, message: PresenceUpdate) -> None:
         self.presence_updates_received += 1
-        lag = self.kernel.now - message.sent_tick
+        # One read per delta: the apply and the invalidation stamp the
+        # same tick.
+        now = self.kernel.now
+        lag = now - message.sent_tick
         self.push_lags[lag] = self.push_lags.get(lag, 0) + 1
         room = self._workstation_rooms.get(message.workstation_id)
         if room is None and message.room_id is not None:
@@ -156,12 +159,12 @@ class BIPSServer:
             return
         spans = self._spans
         if spans is None:
-            self._apply_presence(message, room)
+            self._apply_presence(message, room, now)
             return
         span = spans.begin(
             "core.db_apply",
             "core",
-            self.kernel.now,
+            now,
             device=str(message.device),
             room=room,
             present=message.present,
@@ -169,31 +172,35 @@ class BIPSServer:
         )
         prev = spans.push(span)
         try:
-            self._apply_presence(message, room)
+            self._apply_presence(message, room, now)
         finally:
             spans.pop(prev)
-            spans.end(span, self.kernel.now)
+            spans.end(span, now)
 
     @hot_path
-    def _apply_presence(self, message: PresenceUpdate, room: str) -> None:
+    def _apply_presence(self, message: PresenceUpdate, room: str, now: int) -> None:
         """Apply one delta to the location DB (split out for the span)."""
         if message.present:
             previous = self.location_db.record_of(message.device)
             self.location_db.apply_presence(
-                message.device, room, self.kernel.now, message.workstation_id
+                message.device, room, now, message.workstation_id
             )
             if (
                 previous is not None
                 and previous.room_id is not None
                 and previous.room_id != room
             ):
-                self._invalidate_previous_room(message.device, previous.room_id, room)
+                self._invalidate_previous_room(
+                    message.device, previous.room_id, room, now
+                )
         else:
             self.location_db.apply_absence(
-                message.device, room, self.kernel.now, message.workstation_id
+                message.device, room, now, message.workstation_id
             )
 
-    def _invalidate_previous_room(self, device, previous_room: str, new_room: str) -> None:
+    def _invalidate_previous_room(
+        self, device, previous_room: str, new_room: str, now: int
+    ) -> None:
         """Tell the previous room's workstation the device moved on."""
         workstation_id = self._room_workstations.get(previous_room)
         if workstation_id is None:
@@ -202,9 +209,7 @@ class BIPSServer:
             self.lan.send(
                 self.endpoint,
                 workstation_id,
-                PresenceInvalidation(
-                    sent_tick=self.kernel.now, device=device, new_room_id=new_room
-                ),
+                PresenceInvalidation(sent_tick=now, device=device, new_room_id=new_room),
             )
         except UnknownEndpointError:
             # The workstation is gone (crashed / never wired up); its
@@ -253,7 +258,9 @@ class BIPSServer:
         last_room = self.location_db.current_room(device)
         self.location_db.forget_device(device)
         if last_room is not None:
-            self._invalidate_previous_room(device, last_room, new_room="")
+            self._invalidate_previous_room(
+                device, last_room, new_room="", now=self.kernel.now
+            )
 
     def _handle_location_query(self, source: str, message: LocationQuery) -> None:
         try:
@@ -334,13 +341,14 @@ class BIPSServer:
         if target_room is None:
             return None
         # The checks above found the querier logged in.
-        querier_room = current_room(self.registry.device_of(querier_userid))
+        querier_room = current_room(self.registry.session_of(querier_userid).device)
         if querier_room is None:
             return None
         return self.paths.path(querier_room, target_room)
 
     # -- direct-call surface ------------------------------------------------------
 
+    @hot_path
     def locate(self, querier_userid: str, target_username: str) -> Optional[str]:
         """The paper's spatio-temporal query: the target's current piconet.
 
@@ -364,6 +372,7 @@ class BIPSServer:
             )
         return room
 
+    @hot_path
     def navigate(self, querier_userid: str, target_username: str) -> Optional[PathResult]:
         """Synchronous navigation query; None when either endpoint is untracked.
 
@@ -378,6 +387,7 @@ class BIPSServer:
             )
         return path
 
+    @hot_path
     def locate_at_seconds(
         self, querier_userid: str, target_username: str, at_seconds: float
     ) -> Optional[str]:

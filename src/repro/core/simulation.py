@@ -523,7 +523,6 @@ class BIPSSimulation:
         if self.faults is None or self._faults_scheduled:
             return
         self._faults_scheduled = True
-        self.metrics.gauge("faults.active").set(1)
         for room_id in sorted(self.workstations):
             for start, end in self.faults.crash_windows(room_id, horizon_tick):
                 self.fail_workstation(room_id, at_seconds=seconds_from_ticks(start))
@@ -549,14 +548,14 @@ class BIPSSimulation:
     def finalize_metrics(self) -> None:
         """Fold the run's state into the registry.
 
-        Besides the ``faults.active`` flag set when a fault plan is
-        scheduled, the one place that touches instruments: the
-        components take no registry and count in plain attributes, a
-        distribution as a value → count dict.  Gauges of current state
-        are recomputed on every call.  A counter, the in-flight gauge
-        and a counted histogram gain this simulation's growth since its
-        last fold, so repeated calls are idempotent and simulations
-        sharing one registry add up.  Series a component always had
+        The one place that touches instruments: the components take no
+        registry and count in plain attributes, a distribution as a
+        value → count dict.  Gauges of current state are recomputed on
+        every call; ``faults.active`` is 1 once a fault plan is
+        scheduled.  A counter, the in-flight gauge and a counted
+        histogram gain this simulation's growth since its last fold, so
+        repeated calls are idempotent and simulations sharing one
+        registry add up.  Series a component always had
         (the kernel's, the LAN's, ...) are always emitted; the others
         only once their total is above zero, the query-latency
         histogram after a LAN query and the extra-delay histogram with
@@ -646,6 +645,8 @@ class BIPSSimulation:
             metrics.histogram("lan.delivery_latency_ticks", buckets=_LAN_LATENCY_BUCKETS),
             stats.latencies,
         )
+        if self._faults_scheduled:
+            metrics.gauge("faults.active").set(1)
         injector = self.lan.faults
         if injector is not None:
             fold(metrics.counter("faults.lan_dropped"), injector.dropped)

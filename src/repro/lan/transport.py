@@ -62,11 +62,12 @@ def _field_bytes(value: Any) -> int:
         return len(value.encode("utf-8"))
     if isinstance(value, bool) or value is None:
         return 1
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float, BDAddr)):
         return 8
     if isinstance(value, (tuple, list)):
+        # BDAddr is a tuple too: it is sized above, as one fixed field.
         return 2 + sum(len(str(item)) for item in value)
-    return 8  # BDAddr and other small objects
+    return 8  # other small objects
 
 
 #: Field types whose :func:`_field_bytes` is the same for every value.

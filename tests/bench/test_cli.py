@@ -154,6 +154,7 @@ class TestMainWiring:
             "kernel_events",
             "swarm_piconet_100",
             "swarm_handover",
+            "location_reads",
         }
 
 

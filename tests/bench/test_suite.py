@@ -15,6 +15,7 @@ def test_suite_is_exactly_the_gated_cases():
         "kernel_events",
         "swarm_piconet_100",
         "swarm_handover",
+        "location_reads",
     )
 
 
@@ -25,6 +26,7 @@ def test_each_factory_reports_its_unit_count():
         "kernel_events": suite.KERNEL_EVENTS + suite.KERNEL_CHAINS - 1,
         "swarm_piconet_100": suite.SWARM_PICONET_HORIZON_TICKS,
         "swarm_handover": suite.HANDOVER_HORIZON_TICKS,
+        "location_reads": suite.LOCATION_READS,
     }
     for case in suite.SUITE:
         assert case.factory()() == expected[case.name], case.name
@@ -64,3 +66,24 @@ def test_handover_case_drains_overlapping_handheld_swarms_from_one_wake(monkeypa
     # drain handed over between them instead of waking once per swarm.
     assert all(swarm.scan_totals()[2] > 0 for swarm in swarms)
     assert swarms[0].kernel.events_fired < len(swarms)
+
+
+def test_reads_case_answers_a_fixed_mix_from_a_populated_server(monkeypatch):
+    servers = []
+    server_class = suite.BIPSServer
+
+    def recording_server(*args, **kwargs):
+        server = server_class(*args, **kwargs)
+        servers.append(server)
+        return server
+
+    monkeypatch.setattr(suite, "BIPSServer", recording_server)
+    run = suite.location_reads_factory()
+    (server,) = servers
+    assert server.location_db.tracked_count == suite.READS_USERS
+    assert run() == suite.LOCATION_READS
+    # ``locate_at_seconds`` is not a served query: the other 80 %.
+    served = server.queries_served
+    assert served["location"] + served["path"] < suite.LOCATION_READS
+    assert 0.55 < served["location"] / suite.LOCATION_READS < 0.65
+    assert 0.15 < served["path"] / suite.LOCATION_READS < 0.25

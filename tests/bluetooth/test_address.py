@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.bluetooth.address import BDAddr, address_block
@@ -51,7 +54,7 @@ class TestBDAddr:
         assert len({BDAddr(5), BDAddr(5), BDAddr(6)}) == 2
 
     def test_hash_is_the_dataclass_hash(self):
-        # The cached hash must equal the one the dataclass generates, or
+        # The hash must stay the one the frozen dataclass generated, or
         # every set of addresses would iterate in a different order.
         for value in (0, 5, 0x0002_5B00_0000, (1 << 48) - 1):
             assert hash(BDAddr(value)) == hash((value,))
@@ -65,6 +68,67 @@ class TestBDAddr:
 
     def test_str_is_colon_form(self):
         assert str(BDAddr(0)) == "00:00:00:00:00:00"
+
+    def test_range_check_at_the_bounds(self):
+        assert BDAddr(0).value == 0
+        assert BDAddr((1 << 48) - 1).value == (1 << 48) - 1
+        with pytest.raises(ValueError, match="48-bit"):
+            BDAddr(-1)
+        with pytest.raises(ValueError, match="48-bit"):
+            BDAddr(1 << 48)
+
+
+class TestBDAddrIdentity:
+    """Hash, equality and ordering come from the one-element tuple."""
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_roundtrip(self, protocol):
+        addr = BDAddr(0x0A_0000_0001)
+        str(addr)  # fill the format cache first
+        back = pickle.loads(pickle.dumps(addr, protocol))
+        assert type(back) is BDAddr
+        assert back == addr and hash(back) == hash(addr)
+        assert back.value == addr.value and str(back) == str(addr)
+
+    def test_copy_and_deepcopy_roundtrip(self):
+        addr = BDAddr(0xAABBCCDDEEFF)
+        for clone in (copy.copy(addr), copy.deepcopy(addr)):
+            assert type(clone) is BDAddr
+            assert clone == addr and hash(clone) == hash(addr)
+            assert repr(clone) == repr(addr)
+
+    def test_separately_built_equal_addresses(self):
+        first, second = BDAddr(0x1234), BDAddr(0x1234)
+        assert first is not second
+        assert first == second and not first != second
+        assert first <= second and first >= second
+        assert not first < second and not first > second
+        assert {first: "x"}[second] == "x"
+
+    def test_ordering_follows_the_value(self):
+        values = [0x30, 0x01, (1 << 48) - 1, 0x02_5B00_0000, 0]
+        assert [addr.value for addr in sorted(BDAddr(v) for v in values)] == sorted(values)
+        assert BDAddr(1) < BDAddr(2) and BDAddr(2) > BDAddr(1)
+        assert max(BDAddr(5), BDAddr(9)) == BDAddr(9)
+
+    def test_str_and_repr_are_unchanged(self):
+        addr = BDAddr(0x0002_5B00_0001)
+        assert str(addr) == "00:02:5B:00:00:01"
+        assert repr(addr) == "BDAddr('00:02:5B:00:00:01')"
+        assert f"{addr}" == str(addr)
+
+    def test_format_is_cached_on_the_instance(self):
+        addr = BDAddr(0x0002_5B00_0002)
+        first = addr.format()
+        assert addr.format() is first and str(addr) is first
+        # A separately built equal address renders its own string.
+        assert BDAddr(0x0002_5B00_0002).format() == first
+
+    def test_an_address_is_a_one_element_tuple(self):
+        addr = BDAddr(5)
+        assert isinstance(addr, tuple) and len(addr) == 1 and addr[0] == 5
+        # The documented side effect of the tuple identity.
+        assert addr == (5,)
 
 
 class TestAddressBlock:

@@ -150,6 +150,14 @@ class TestAccessRights:
         with pytest.raises(UnknownUserError):
             registry.check_query_allowed("u-bob", "Ghost")
 
+    def test_unknown_target_message_matches_the_name_lookup(self, registry):
+        registry.login("u-bob", "pw-b", BOB_DEV, tick=0)
+        with pytest.raises(UnknownUserError) as by_name:
+            registry.user_by_name("Ghost")
+        with pytest.raises(UnknownUserError) as by_query:
+            registry.check_query_allowed("u-bob", "Ghost")
+        assert str(by_query.value) == str(by_name.value) == "unknown username 'Ghost'"
+
     def test_returns_the_targets_live_session(self, registry):
         registry.login("u-alice", "pw-a", ALICE_DEV, tick=0)
         registry.login("u-bob", "pw-b", BOB_DEV, tick=0)
@@ -222,3 +230,12 @@ class TestPolicyIsReadLive:
         record.policy = VisibilityPolicy.EVERYONE
         record.allowed_queriers.clear()
         assert registry.check_query_allowed("u-b", "A").userid == "u-a"
+
+    @pytest.mark.parametrize("policy", [VisibilityPolicy.LISTED, VisibilityPolicy.NOBODY])
+    def test_a_policy_set_after_login_applies_to_the_next_query(self, policy):
+        registry = self._logged_in()
+        assert registry.check_query_allowed("u-b", "A").device == ALICE_DEV
+        registry.user("u-a").policy = policy
+        with pytest.raises(AccessDeniedError, match="'u-b' may not locate 'A'"):
+            registry.check_query_allowed("u-b", "A")
+        assert registry.check_query_allowed("u-a", "A").device == ALICE_DEV

@@ -124,6 +124,7 @@ class TestFaultSeedIsolation:
     def test_faults_gauge_is_set(self):
         sim = _chaos_sim("chaos")
         sim.run(until_seconds=50.0)
+        sim.finalize_metrics()
         assert sim.metrics.gauge("faults.active").value == 1
 
     def test_none_profile_matches_a_fault_free_run(self):

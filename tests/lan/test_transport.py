@@ -15,6 +15,7 @@ from repro.lan.transport import (
     LANTransport,
     UnknownEndpointError,
     _field_bytes,
+    _wire_plan,
     latency_ticks,
 )
 from repro.sim.rng import RandomStream
@@ -179,6 +180,27 @@ class TestWireSize:
             before = transport.stats.bytes_sent
             transport.send("ws", "server", message)
             assert transport.stats.bytes_sent - before == _generic_wire_bytes(message)
+
+    def test_an_address_is_one_fixed_field(self):
+        # A BDAddr is a tuple: it must not be measured as a sequence.
+        assert _field_bytes(BDAddr(0)) == 8
+        assert _field_bytes(BDAddr(0xFFFF_FFFF_FFFF)) == 8
+
+    def test_an_optional_address_field_is_measured_as_an_address(self, kernel):
+        @dataclass(frozen=True)
+        class Handoff:
+            device: Optional[BDAddr]
+            room_id: str
+
+        assert _wire_plan(Handoff) == (_FRAME_OVERHEAD_BYTES, ("device", "room_id"))
+        transport = LANTransport(kernel)
+        transport.register("server", lambda s, m: None)
+        for message in (Handoff(BDAddr(0x0A_0000_0001), "lab-1"), Handoff(None, "")):
+            before = transport.stats.bytes_sent
+            transport.send("ws", "server", message)
+            assert transport.stats.bytes_sent - before == _generic_wire_bytes(message)
+        # 32 frame + 8 address + 5 for "lab-1", then 32 + 1 for None.
+        assert transport.stats.bytes_sent == 45 + 33
 
     def test_a_non_dataclass_message_is_one_frame(self, kernel):
         transport = LANTransport(kernel)

@@ -145,7 +145,10 @@ class TestHotPathDecorator:
 
     def test_real_hot_loops_are_registered(self):
         src = Path(repro.__file__).parent
-        modules = ("sim/kernel", "bluetooth/hopping", "lan/transport", "core/location_db", "core/server")
+        modules = (
+            "sim/kernel", "bluetooth/hopping", "lan/transport", "core/location_db",
+            "core/registry", "core/server",
+        )
         expected = {
             "repro.sim.kernel.Kernel._drain_heap",
             "repro.bluetooth.hopping.InquiryTransmitSchedule.next_tx_of_position",
@@ -154,5 +157,9 @@ class TestHotPathDecorator:
             "repro.core.location_db.LocationDatabase.apply_presence",
             "repro.core.location_db.LocationDatabase.apply_absence",
             "repro.core.server.BIPSServer._apply_presence",
+            "repro.core.registry.UserRegistry.check_query_allowed",
+            "repro.core.server.BIPSServer.locate",
+            "repro.core.server.BIPSServer.navigate",
+            "repro.core.server.BIPSServer.locate_at_seconds",
         }
         assert expected <= marked_functions([src / f"{module}.py" for module in modules])
