@@ -38,7 +38,7 @@ from repro.core.server import BIPSServer
 from repro.lan.transport import LANTransport
 from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
 from repro.sim.kernel import Kernel
-from repro.sim.rng import RandomStream
+from repro.sim.rng import RandomStream, derive_seed
 
 from .harness import BenchCase, Workload
 
@@ -117,7 +117,7 @@ def swarm_piconet_100_factory() -> Workload:
         base_phase = rng.randint(0, 15)
         swarm.add_slave(
             BDAddr(slave + 1),
-            rng=rng.child("draws"),
+            seed=derive_seed(rng.seed, "draws"),
             clock=clock,
             base_phase=base_phase,
             horizon_tick=SWARM_PICONET_HORIZON_TICKS,
@@ -170,7 +170,7 @@ def swarm_handover_factory() -> Workload:
             base_phase = rng.randint(0, 15)
             swarm.add_slave(
                 BDAddr(piconet * HANDOVER_SLAVES + slave + 1),
-                rng=rng.child("draws"),
+                seed=derive_seed(rng.seed, "draws"),
                 clock=clock,
                 base_phase=base_phase,
                 horizon_tick=HANDOVER_HORIZON_TICKS,

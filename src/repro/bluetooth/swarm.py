@@ -24,10 +24,10 @@ one call per 1.28 s phase segment); no transmit timetable is built.
 
 :class:`InquiryScanSwarm` keeps all slaves of one piconet as rows of
 its own struct of arrays — clock offsets, hop phases, scan anchors,
-lifecycle state and counters are parallel ``array('q')`` columns, so a
-slave is a row index and a state read is a C-level array load — and
-files each row in its due index (``tick -> rows``, in filing order)
-under the tick at which it next acts.  A lone slave is a one-row swarm.
+lifecycle state, counters and backoff seeds are parallel ``array``
+columns, so a slave is a row index and a state read is a C-level array
+load — and files each row in its due index (``tick -> rows``, in filing
+order) under the tick at which it next acts.  A lone slave is a one-row swarm.
 
 A response costs a row index, not a packet.  The FHS responses of one
 due bucket are filed as rows into their ``(tx_tick, RF channel)``
@@ -75,6 +75,14 @@ stays before the cursor's integer stop (the end of the run or of the
 segment, whichever is first).  A backoff is drawn from the row's stream
 exactly as ``randint`` would draw it (:func:`~repro.sim.rng.bit_source`).
 
+A row keeps only what a live visit needs.  Its backoff generator is
+built from its seed when the row starts and dropped when it retires
+(DONE, EXHAUSTED or STOPPED), so of a day's room visits only the live
+ones hold a Mersenne Twister state; a generator built from the same
+seed draws the same bits whenever it is built, and no row draws after
+it retires.  Each row's FHS response ticks are an ``array('q')``, not a
+list of boxed ints.
+
 When every entry of the train pass that starts at the timeline head is
 such a bucket, pass after pass repeats the same FHS groups with the
 same collisions and the same receiver-capture outcome.  The drain then
@@ -91,8 +99,8 @@ spans and batch counters are those of pass-by-pass processing.
 Ordering guarantees (pinned by the golden artefact digests and by
 ``tests/bluetooth/test_swarm_timeline.py``):
 
-* every slave draws only from its own :class:`RandomStream` (one
-  backoff draw per backoff), so one slave's draws never shift another's;
+* every slave draws only from its own seeded stream (one backoff draw
+  per backoff), so one slave's draws never shift another's;
 * rows due at the same tick act in the order they were filed (FIFO);
 * buckets, deliveries and kernel events fire in ``(tick, seq)`` order,
   with every ``seq`` taken when its bucket or delivery was filed.
@@ -109,7 +117,7 @@ from typing import Callable, Mapping, Optional
 from repro.radio.channel import ResponseChannel
 from repro.sim.hotpath import hot_path
 from repro.sim.kernel import Kernel
-from repro.sim.rng import RandomStream, bit_source, randint_width
+from repro.sim.rng import bit_source, randint_width
 
 from .address import BDAddr
 from .btclock import CLKN_WRAP, BluetoothClock
@@ -197,6 +205,13 @@ _NEVER = 1 << 62
 #: Random bits per backoff draw of ``randint(0, BACKOFF_MAX_SLOTS)``.
 _BACKOFF_BITS = randint_width(BACKOFF_MAX_SLOTS)
 
+
+def _no_generator(bits: int) -> int:
+    """The draw source of a row that holds no generator: one not yet
+    started, or retired."""
+    raise RuntimeError("a row without a live visit drew a backoff")
+
+
 #: FHS group keys are ``tx_tick * _GROUP_KEY_SCALE + rf_channel``: one
 #: integer per (tick, RF channel), above every channel number.
 _GROUP_KEY_SCALE = 128
@@ -207,7 +222,7 @@ class InquiryScanSwarm:
 
     One swarm serves one master schedule/channel pair and one shared
     :class:`ScanConfig`; per-slave variation (clock offset, base phase,
-    window anchor, horizon, RNG stream) lives in the row columns.
+    window anchor, horizon, backoff seed) lives in the row columns.
     """
 
     def __init__(
@@ -245,6 +260,7 @@ class InquiryScanSwarm:
         self._responses = array("q")
         self._first_heard = array("q")  # -1 until the first ID is heard
         self._first_response = array("q")  # -1 until the first FHS is sent
+        self._seeds = array("Q")  # backoff-stream seed, unsigned 64-bit
         # The due index: tick -> rows filed for it, in filing order.  A
         # bucket leaves the index when its tick is processed, so a row
         # filed for the same tick during processing opens a fresh,
@@ -252,9 +268,11 @@ class InquiryScanSwarm:
         self._due: dict[int, list[int]] = {}
         # Per-row Python objects the columns cannot hold.
         self._addresses: list[BDAddr] = []
-        # Each row's stream's bound ``getrandbits``: its backoff draws.
+        # Each row's backoff draws: its generator's bound
+        # ``getrandbits`` from start_row until _retire, else
+        # _no_generator.
         self._draws: list[Callable[[int], int]] = []
-        self._response_ticks: list[list[int]] = []
+        self._response_ticks: list[array[int]] = []
         # Rendezvous cursor per row: ``(hear_tick, stop, position)`` of
         # the last answer ``next_hear`` gave under the row's own window
         # semantics (see SwarmDrain._wake).  Every ``hear_tick + k *
@@ -343,7 +361,7 @@ class InquiryScanSwarm:
     def add_slave(
         self,
         address: BDAddr,
-        rng: RandomStream,
+        seed: int,
         clock: Optional[BluetoothClock] = None,
         base_phase: int = 0,
         window_anchor: Optional[int] = None,
@@ -351,9 +369,12 @@ class InquiryScanSwarm:
     ) -> "SwarmSlave":
         """Add one slave (an ``IDLE`` row) and return its handle.
 
-        The clock defaults to offset 0 and the scan-window anchor to the
-        clock offset; the row never hears anything at or past
-        ``horizon_tick``.
+        ``seed`` seeds the row's backoff stream: pass
+        ``derive_seed(parent.seed, *names)`` for the draws of
+        ``parent.child(*names)``.  The row builds its generator from it
+        when it starts and drops it when it retires.  The clock defaults
+        to offset 0 and the scan-window anchor to the clock offset; the
+        row never hears anything at or past ``horizon_tick``.
         """
         if clock is None:
             clock = BluetoothClock()
@@ -372,9 +393,10 @@ class InquiryScanSwarm:
         self._responses.append(0)
         self._first_heard.append(-1)
         self._first_response.append(-1)
+        self._seeds.append(seed)
         self._addresses.append(address)
-        self._draws.append(bit_source(rng))
-        self._response_ticks.append([])
+        self._draws.append(_no_generator)
+        self._response_ticks.append(array("q"))
         self._cursors.append(_NO_CURSOR)
         return SwarmSlave(self, row)
 
@@ -391,6 +413,7 @@ class InquiryScanSwarm:
         begin = max(now, at_tick if at_tick is not None else now)
         self._state[row] = _SEEKING
         self._action[row] = _ACT_SEEK
+        self._draws[row] = bit_source(self._seeds[row])
         self._queue(begin, row)
 
     def stop_row(self, row: int) -> None:
@@ -403,10 +426,11 @@ class InquiryScanSwarm:
 
     def _retire(self, row: int, state: int) -> None:
         """End the row's scanning in ``state`` (DONE, EXHAUSTED or
-        STOPPED) and reset its cursor, so a finished row never stands on
-        a rendezvous."""
+        STOPPED), reset its cursor, so a finished row never stands on a
+        rendezvous, and drop its generator: a retired row never draws."""
         self._state[row] = state
         self._cursors[row] = _NO_CURSOR
+        self._draws[row] = _no_generator
 
     def state_of(self, row: int) -> ScannerState:
         """The row's lifecycle state."""
@@ -422,7 +446,7 @@ class InquiryScanSwarm:
             responses=self._responses[row],
             first_heard_tick=None if first_heard < 0 else first_heard,
             first_response_tick=None if first_response < 0 else first_response,
-            response_ticks=list(self._response_ticks[row]),
+            response_ticks=self._response_ticks[row].tolist(),
         )
 
     # -- frequency / window geometry -----------------------------------------

@@ -70,9 +70,7 @@ class OccupancyReport:
         """Current occupancy of every room, in floor-plan order."""
         result = []
         for room_id in self.plan.room_ids():
-            devices = tuple(
-                sorted(self.location_db.occupants_of(room_id), key=lambda a: a.value)
-            )
+            devices = tuple(sorted(self.location_db.occupants_of(room_id)))
             usernames = tuple(
                 self._username_of(device) for device in devices
             )

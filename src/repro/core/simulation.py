@@ -35,7 +35,7 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.radio.interference import SharedBand
 from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
 from repro.sim.kernel import Kernel
-from repro.sim.rng import RandomStream
+from repro.sim.rng import RandomStream, derive_seed
 
 from .config import BIPSConfig
 from .registry import VisibilityPolicy
@@ -358,13 +358,13 @@ class BIPSSimulation:
         self,
         room_id: str,
         device: BluetoothDevice,
-        rng: RandomStream,
+        seed: int,
         horizon_tick: int,
     ) -> SwarmSlave:
         """One scanning presence in a room's piconet."""
         return self._swarm_for(room_id).add_slave(
             address=device.address,
-            rng=rng,
+            seed=seed,
             clock=device.clock,
             base_phase=device.base_phase,
             horizon_tick=horizon_tick,
@@ -378,20 +378,18 @@ class BIPSSimulation:
             scanner = self._make_scanner(
                 visit.room_id,
                 user.device,
-                rng=self.rng.child("scan", user.userid, str(visit_index)),
+                seed=derive_seed(self.rng.seed, "scan", user.userid, str(visit_index)),
                 horizon_tick=visit.leave_tick if visit.leave_tick is not None else (1 << 62),
             )
             user.scanners.append(scanner)
-            self.kernel.schedule_at(
+            self.kernel.post_at(
                 max(visit.enter_tick, self.kernel.now),
-                lambda s=scanner: s.start(),
+                scanner.start,
                 label=f"enter:{user.userid}",
             )
             if visit.leave_tick is not None:
-                self.kernel.schedule_at(
-                    visit.leave_tick,
-                    lambda s=scanner: s.stop(),
-                    label=f"leave:{user.userid}",
+                self.kernel.post_at(
+                    visit.leave_tick, scanner.stop, label=f"leave:{user.userid}"
                 )
             self._maybe_attach_overlap(user, visit, visit_index)
 
@@ -417,18 +415,16 @@ class BIPSSimulation:
         scanner = self._make_scanner(
             neighbor_room,
             user.device,
-            rng=overlap_rng.child("scan"),
+            seed=derive_seed(overlap_rng.seed, "scan"),
             horizon_tick=start + spill_ticks,
         )
         user.scanners.append(scanner)
-        self.kernel.schedule_at(
-            max(start, self.kernel.now),
-            lambda s=scanner: s.start(),
-            label=f"spill:{user.userid}",
+        self.kernel.post_at(
+            max(start, self.kernel.now), scanner.start, label=f"spill:{user.userid}"
         )
-        self.kernel.schedule_at(
+        self.kernel.post_at(
             max(start + spill_ticks, self.kernel.now),
-            lambda s=scanner: s.stop(),
+            scanner.stop,
             label=f"spill-end:{user.userid}",
         )
 

@@ -17,6 +17,7 @@ must not be read as departure: a device becomes absent only after
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable
 
 from repro.bluetooth.address import BDAddr
@@ -81,7 +82,7 @@ class PresenceTracker:
         new_presences: list[BDAddr] = []
         new_absences: list[BDAddr] = []
 
-        for address in sorted(seen_set, key=lambda a: a.value):
+        for address in sorted(seen_set):
             state = self._states.setdefault(address, _DeviceState())
             state.consecutive_misses = 0
             state.last_seen_cycle = self._cycle_index
@@ -89,9 +90,7 @@ class PresenceTracker:
                 state.present = True
                 new_presences.append(address)
 
-        for address, state in sorted(
-            self._states.items(), key=lambda item: item[0].value
-        ):
+        for address, state in sorted(self._states.items(), key=itemgetter(0)):
             if address in seen_set or not state.present:
                 continue
             state.consecutive_misses += 1
@@ -101,9 +100,7 @@ class PresenceTracker:
 
         # Devices that were never declared present and have gone quiet
         # can be dropped entirely to keep the state bounded.
-        for address, state in sorted(
-            self._states.items(), key=lambda item: item[0].value
-        ):
+        for address, state in sorted(self._states.items(), key=itemgetter(0)):
             if not state.present and self._cycle_index - state.last_seen_cycle > 10:
                 del self._states[address]
 
@@ -113,8 +110,8 @@ class PresenceTracker:
         return CycleDeltas(
             cycle_index=self._cycle_index - 1,
             tick=tick,
-            new_presences=tuple(sorted(new_presences, key=lambda a: a.value)),
-            new_absences=tuple(sorted(new_absences, key=lambda a: a.value)),
+            new_presences=tuple(sorted(new_presences)),
+            new_absences=tuple(sorted(new_absences)),
         )
 
     def force_absent(self, address: BDAddr) -> bool:

@@ -297,7 +297,7 @@ class Workstation:
         """
         skip = set(already_sent)
         present = self.tracker.present_devices
-        for address in sorted(seen & present, key=lambda a: a.value):
+        for address in sorted(seen & present):
             if address in skip:
                 continue
             self.refreshes_sent += 1

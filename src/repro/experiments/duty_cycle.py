@@ -35,7 +35,7 @@ from repro.runner.executor import ExperimentRunner
 from repro.runner.seeding import seeding_digest, trial_seed
 from repro.sim.clock import ticks_from_seconds
 from repro.sim.kernel import Kernel
-from repro.sim.rng import RandomStream
+from repro.sim.rng import RandomStream, derive_seed
 
 #: Runner experiment name; part of every replication's seed derivation.
 EXPERIMENT = "section5"
@@ -139,7 +139,7 @@ def window_payload(config: Section5Config, replication: int, seed: int) -> dict:
     for index, device in enumerate(devices):
         swarm.add_slave(
             address=device.address,
-            rng=rng.child("slave", str(index)),
+            seed=derive_seed(rng.seed, "slave", str(index)),
             clock=device.clock,
             base_phase=device.base_phase,
             horizon_tick=window_ticks,

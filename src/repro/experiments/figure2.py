@@ -40,7 +40,7 @@ from repro.bluetooth.swarm import InquiryScanSwarm
 from repro.runner.executor import ExperimentRunner
 from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
 from repro.sim.kernel import Kernel
-from repro.sim.rng import RandomStream
+from repro.sim.rng import RandomStream, derive_seed
 
 #: Runner experiment name; part of every replication's seed derivation.
 EXPERIMENT = "figure2"
@@ -207,7 +207,7 @@ def replication_payload(config: Figure2Config, replication: int, seed: int) -> d
     for index, device in enumerate(devices):
         scanner = swarm.add_slave(
             address=device.address,
-            rng=rng.child("slave", str(index)),
+            seed=derive_seed(rng.seed, "slave", str(index)),
             clock=device.clock,
             base_phase=device.base_phase,
             horizon_tick=horizon,

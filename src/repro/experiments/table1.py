@@ -35,7 +35,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runner.executor import ExperimentRunner
 from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
 from repro.sim.kernel import Kernel
-from repro.sim.rng import RandomStream
+from repro.sim.rng import RandomStream, derive_seed
 
 #: Runner experiment name; part of every trial's seed derivation.
 EXPERIMENT = "table1"
@@ -253,7 +253,7 @@ def trial_payload(config: Table1Config, trial_index: int, seed: int) -> dict:
     )
     scanner = swarm.add_slave(
         address=address,
-        rng=rng.child("slave"),
+        seed=derive_seed(rng.seed, "slave"),
         clock=clock,
         base_phase=base_phase,
         window_anchor=rng.randint(0, scan.interval_ticks - 1),

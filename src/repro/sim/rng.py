@@ -80,17 +80,20 @@ class RandomStream:
         return f"RandomStream(name={self.name!r}, seed={self.seed})"
 
 
-def bit_source(stream: RandomStream) -> Callable[[int], int]:
-    """The stream's bound ``getrandbits``, for a hot loop that draws
-    :meth:`RandomStream.randint` values without its Python frames.
+def bit_source(seed: int) -> Callable[[int], int]:
+    """The bound ``getrandbits`` of a fresh generator seeded with
+    ``seed``, for a hot loop that draws :meth:`RandomStream.randint`
+    values without its Python frames.
 
     ``Random.randint(0, high)`` is ``getrandbits(k)`` with ``k =
     randint_width(high)``, drawn again while the result exceeds ``high``
     (CPython 3.11 and 3.12).  A caller that runs that loop on this source
-    draws exactly what ``stream.randint(0, high)`` would, in the same
-    order, from the same stream.
+    draws exactly what ``randint(0, high)`` would on a stream with this
+    seed (``parent.child(*names)`` has ``derive_seed(parent.seed,
+    *names)``), in the same order, whenever the source is built.  The
+    source alone holds its generator: dropping it frees the state.
     """
-    return stream._rng.getrandbits
+    return random.Random(seed).getrandbits
 
 
 def randint_width(high: int) -> int:

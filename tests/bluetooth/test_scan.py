@@ -28,7 +28,7 @@ from repro.bluetooth.scan import (
     ScannerState,
 )
 from repro.bluetooth.swarm import InquiryScanSwarm
-from repro.sim.rng import RandomStream
+from repro.sim.rng import derive_seed
 from tests.bluetooth.test_hopping import enumerate_transmissions
 
 
@@ -43,7 +43,7 @@ def make_scanner(kernel, schedule, master, config=None, **overrides):
     )
     slave = dict(
         address=SLAVE_ADDRESS,
-        rng=RandomStream(1, "scan-test"),
+        seed=derive_seed(1, "scan-test"),
         clock=BluetoothClock(),
         base_phase=0,
         window_anchor=0,

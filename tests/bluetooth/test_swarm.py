@@ -12,17 +12,24 @@ answered by a pass replay included.
 reachability filter's drops), for the same families and under an
 interference band, and checks that a traced piconet takes the same
 packet-free repeat path as an untraced one.
+``TestRowFootprint`` checks what a row keeps: its backoff generator
+only while it is live, and its response ticks in an ``array``.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import random
+import weakref
+from array import array
 
 import pytest
 
 from repro.bluetooth.address import BDAddr
 from repro.bluetooth.btclock import CLKN_WRAP, BluetoothClock
 from repro.bluetooth.constants import (
+    BACKOFF_MAX_SLOTS,
     BIPS_INQUIRY_WINDOW_TICKS,
     BIPS_OPERATIONAL_CYCLE_TICKS,
     INQUIRY_RESPONSE_DELAY_TICKS,
@@ -49,7 +56,7 @@ from repro.core.config import BIPSConfig
 from repro.obs.tracing import SpanTracer
 from repro.radio.interference import SharedBand
 from repro.sim.kernel import Kernel
-from repro.sim.rng import RandomStream
+from repro.sim.rng import RandomStream, derive_seed
 
 
 def _run_piconet(seed, slave_count, scan_config, schedule_factory, horizon, instrument=None):
@@ -94,7 +101,7 @@ def _simulate(
         anchor = rng.randint(0, scan_config.interval_ticks - 1)
         handle = swarm.add_slave(
             BDAddr(0x1000 + index),
-            rng=rng.child("draws"),
+            seed=derive_seed(rng.seed, "draws"),
             clock=clock,
             base_phase=base_phase,
             window_anchor=anchor,
@@ -462,7 +469,7 @@ class TestRendezvousCursor:
         master = InquiryProcedure(kernel, schedule, name="m")
         swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=config, name="ab")
         handle = swarm.add_slave(
-            BDAddr(0xD), rng=RandomStream(8, "ab"), clock=BluetoothClock(offset=4321)
+            BDAddr(0xD), seed=derive_seed(8, "ab"), clock=BluetoothClock(offset=4321)
         )
         row = handle.row
         for start in range(0, 200_000, 97):
@@ -506,7 +513,7 @@ class TestRendezvousCursor:
         master = InquiryProcedure(kernel, schedule, name="m")
         swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=config, name="edge")
         handle = swarm.add_slave(
-            BDAddr(0xF), rng=RandomStream(9, "edge"), clock=BluetoothClock(offset=clock_offset),
+            BDAddr(0xF), seed=derive_seed(9, "edge"), clock=BluetoothClock(offset=clock_offset),
             base_phase=3, horizon_tick=horizon,
         )
         checked = []
@@ -526,9 +533,11 @@ class TestSwarmLifecycle:
         schedule = continuous_inquiry()
         master = InquiryProcedure(kernel, schedule, name="m")
         swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=ScanConfig(), name="life")
-        rng = RandomStream(5, "life")
         handle = swarm.add_slave(
-            BDAddr(0xA), rng=rng, clock=BluetoothClock(offset=123), horizon_tick=horizon
+            BDAddr(0xA),
+            seed=derive_seed(5, "life"),
+            clock=BluetoothClock(offset=123),
+            horizon_tick=horizon,
         )
         return swarm, handle
 
@@ -562,7 +571,7 @@ class TestSwarmLifecycle:
     def test_base_phase_validated(self, kernel):
         swarm, _ = self._swarm(kernel)
         with pytest.raises(ValueError):
-            swarm.add_slave(BDAddr(0xB), rng=RandomStream(6, "x"), base_phase=32)
+            swarm.add_slave(BDAddr(0xB), seed=derive_seed(6, "x"), base_phase=32)
 
     def test_handle_surface(self, kernel):
         swarm, handle = self._swarm(kernel)
@@ -584,7 +593,7 @@ class TestSwarmLifecycle:
         # reset, so no later response can take it.
         swarm, stopped = self._swarm(kernel, horizon=200_000)
         exhausted = swarm.add_slave(
-            BDAddr(0xE), rng=RandomStream(6, "x"), clock=BluetoothClock(offset=77),
+            BDAddr(0xE), seed=derive_seed(6, "x"), clock=BluetoothClock(offset=77),
             horizon_tick=60_000,
         )
         stopped.start()
@@ -615,7 +624,7 @@ class TestSwarmLifecycle:
         config = ScanConfig()
         swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=config, name="nh")
         handle = swarm.add_slave(
-            BDAddr(0xC), rng=RandomStream(7, "a"), clock=clock, base_phase=9
+            BDAddr(0xC), seed=derive_seed(7, "a"), clock=clock, base_phase=9
         )
         for from_tick in (0, 1, 37, 4095, 4096, 70_000):
             for ignore in (False, True):
@@ -636,3 +645,102 @@ class TestSwarmLifecycle:
                     from_tick,
                     ignore,
                 )
+
+
+def _generator_of(swarm, row):
+    """The generator behind the row's backoff draws, or None."""
+    return getattr(swarm._draws[row], "__self__", None)
+
+
+class TestRowFootprint:
+    """A row holds its backoff generator only while it is live: built
+    from its seed at start, dropped when it retires."""
+
+    def _swarm(self, kernel, mode=ResponseMode.BACKOFF_EACH, horizon=1 << 30):
+        schedule = continuous_inquiry()
+        master = InquiryProcedure(kernel, schedule, name="m")
+        config = ScanConfig.continuous(response_mode=mode)
+        swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=config, name="fp")
+        handle = swarm.add_slave(
+            BDAddr(0xF0),
+            seed=derive_seed(11, "footprint"),
+            clock=BluetoothClock(offset=321),
+            base_phase=5,
+            horizon_tick=horizon,
+        )
+        return swarm, handle
+
+    def test_late_row_draws_what_an_eager_stream_draws(self, kernel):
+        eager = RandomStream(11, "footprint")
+        swarm, handle = self._swarm(kernel)
+        kernel.run_until(30_000)
+        handle.start()
+        drawn = []
+        draw = swarm._draws[handle.row]
+
+        def recording(bits):
+            value = draw(bits)
+            drawn.append(value)
+            return value
+
+        swarm._draws[handle.row] = recording
+        kernel.run_until(300_000)
+        slots = [value for value in drawn if value <= BACKOFF_MAX_SLOTS]
+        assert len(slots) == handle.stats.backoffs > 10
+        assert slots == [eager.randint(0, BACKOFF_MAX_SLOTS) for _ in slots]
+
+    def test_unstarted_row_holds_no_generator(self, kernel):
+        swarm, handle = self._swarm(kernel)
+        kernel.run_until(10_000)
+        assert _generator_of(swarm, handle.row) is None
+        handle.stop()
+        assert _generator_of(swarm, handle.row) is None
+
+    @pytest.mark.parametrize(
+        "mode, horizon, ending",
+        [
+            pytest.param(ResponseMode.BACKOFF_EACH, 1 << 30, ScannerState.STOPPED, id="stopped"),
+            pytest.param(ResponseMode.BACKOFF_EACH, 20_000, ScannerState.EXHAUSTED, id="exhausted"),
+            pytest.param(ResponseMode.SINGLE, 1 << 30, ScannerState.DONE, id="single-done"),
+        ],
+    )
+    def test_retired_row_frees_its_generator_without_the_cyclic_gc(
+        self, kernel, mode, horizon, ending
+    ):
+        gc.disable()
+        try:
+            swarm, handle = self._swarm(kernel, mode, horizon)
+            handle.start()
+            generator = _generator_of(swarm, handle.row)
+            assert isinstance(generator, random.Random)
+            ref = weakref.ref(generator)
+            del generator
+            if ending is ScannerState.STOPPED:
+                kernel.run_until(10_000)
+                assert ref() is not None  # live while the row scans
+                handle.stop()
+            kernel.run_until(300_000)
+            assert handle.state is ending
+            assert handle.stats.backoffs > 0
+            assert _generator_of(swarm, handle.row) is None
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_stats_return_the_sent_ticks_as_a_list(self, kernel):
+        swarm, handle = self._swarm(kernel)
+        sent = []
+        announce = swarm._announce
+
+        def recording(tx_tick, rows):
+            sent.extend(tx_tick for row in rows if row == handle.row)
+            return announce(tx_tick, rows)
+
+        swarm._announce = recording
+        handle.start()
+        kernel.run_until(300_000)
+        assert isinstance(swarm._response_ticks[handle.row], array)
+        ticks = handle.stats.response_ticks
+        assert type(ticks) is list
+        assert ticks == sent
+        assert len(sent) > 10

@@ -30,7 +30,7 @@ from repro.bluetooth.scan import PhaseMode, ScanConfig
 from repro.bluetooth.swarm import InquiryScanSwarm
 from repro.obs.tracing import SpanTracer
 from repro.sim.kernel import Kernel
-from repro.sim.rng import RandomStream
+from repro.sim.rng import RandomStream, derive_seed
 
 #: Foreign markers fire every this many ticks (a prime, so they land at
 #: every phase of a train pass).
@@ -130,7 +130,7 @@ def _simulate(case: Case, seed: int, drive: Callable[[Kernel, int], None]):
         address = BDAddr(0x3000 + index)
         handles[address] = swarm.add_slave(
             address,
-            rng=rng.child("draws"),
+            seed=derive_seed(rng.seed, "draws"),
             clock=BluetoothClock(offset=rng.randint(0, CLKN_WRAP - 1)),
             base_phase=rng.randint(*case.phases),
             horizon_tick=case.horizon,
@@ -256,7 +256,7 @@ def test_replay_needs_steady_continuous_responders(monkeypatch, config):
     schedule = continuous_inquiry()
     master = InquiryProcedure(kernel, schedule)
     swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=config)
-    swarm.add_slave(BDAddr(0x5000), rng=RandomStream(1, "steady"), horizon_tick=60_000).start()
+    swarm.add_slave(BDAddr(0x5000), seed=derive_seed(1, "steady"), horizon_tick=60_000).start()
     kernel.run_until(60_000)
     assert master.responses_received > 0
     assert not any(replays)

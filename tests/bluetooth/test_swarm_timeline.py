@@ -30,7 +30,7 @@ from repro.building.layouts import academic_department
 from repro.core.config import BIPSConfig
 from repro.core.simulation import BIPSSimulation
 from repro.sim.kernel import Kernel
-from repro.sim.rng import RandomStream
+from repro.sim.rng import RandomStream, derive_seed
 
 HORIZON = 64_000
 
@@ -48,7 +48,7 @@ def _piconet(slaves=8, seed=99, start=True):
         rng = root.child("slave", str(index))
         handle = swarm.add_slave(
             BDAddr(0x2000 + index),
-            rng=rng.child("draws"),
+            seed=derive_seed(rng.seed, "draws"),
             clock=BluetoothClock(offset=rng.randint(0, CLKN_WRAP - 1)),
             base_phase=rng.randint(0, 15),
             horizon_tick=HORIZON,
@@ -113,7 +113,7 @@ def _lone_setup():
     )
     handle = swarm.add_slave(
         BDAddr(0xAB),
-        rng=RandomStream(3, "lone"),
+        seed=derive_seed(3, "lone"),
         clock=BluetoothClock(offset=5_000),
         horizon_tick=20_000,
     )
@@ -288,7 +288,7 @@ def _lockstep_swarm(kernel, seeds):
     handles = [
         swarm.add_slave(
             BDAddr(0x300 + index),
-            rng=RandomStream(seed, "zero"),
+            seed=derive_seed(seed, "zero"),
             clock=BluetoothClock(offset=5_000),
             horizon_tick=20_000,
         )
@@ -355,7 +355,7 @@ def _piconet_on(kernel, drain, seed):
         rng = root.child("slave", str(index))
         swarm.add_slave(
             BDAddr(0x2000 + 0x100 * seed + index),
-            rng=rng.child("draws"),
+            seed=derive_seed(rng.seed, "draws"),
             clock=BluetoothClock(offset=rng.randint(0, CLKN_WRAP - 1)),
             base_phase=rng.randint(0, 15),
             horizon_tick=HORIZON,
@@ -379,7 +379,7 @@ def _lone_on(kernel, drain, name):
         kernel, schedule, master.channel, config=ScanConfig.continuous(), name=name, drain=drain
     )
     swarm.add_slave(
-        BDAddr(0xAB), rng=RandomStream(3, name), clock=BluetoothClock(offset=5_000)
+        BDAddr(0xAB), seed=derive_seed(3, name), clock=BluetoothClock(offset=5_000)
     )
     return swarm
 

@@ -17,7 +17,7 @@ from repro.bluetooth.scan import ResponseMode, ScanConfig
 from repro.bluetooth.swarm import InquiryScanSwarm
 from repro.radio.channel import ResponseChannel
 from repro.sim.kernel import Kernel
-from repro.sim.rng import RandomStream
+from repro.sim.rng import derive_seed
 
 # -- channel conservation ---------------------------------------------------
 
@@ -110,7 +110,7 @@ def test_discovery_ordering_invariants(clock_offset, base_phase, start_train, se
     )
     scanner = swarm.add_slave(
         address=address,
-        rng=RandomStream(seed, "prop"),
+        seed=derive_seed(seed, "prop"),
         clock=BluetoothClock(offset=clock_offset),
         base_phase=base_phase,
         horizon_tick=80_000,
@@ -136,7 +136,7 @@ def test_single_slave_never_collides(seed):
     swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=ScanConfig.continuous())
     scanner = swarm.add_slave(
         address=BDAddr(1),
-        rng=RandomStream(seed, "solo"),
+        seed=derive_seed(seed, "solo"),
         clock=BluetoothClock(offset=seed * 7919 % CLKN_WRAP),
         base_phase=seed % 32,
         horizon_tick=40_000,
