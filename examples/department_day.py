@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 
-from repro import BIPSConfig, BIPSSimulation
 from repro.analysis.tables import render_table
 from repro.building.render import render_occupancy
+from repro.core.config import BIPSConfig
 from repro.core.reports import OccupancyReport
+from repro.core.simulation import BIPSSimulation
 
 
 def main() -> None:

@@ -13,9 +13,10 @@ recommendation the paper derives (3.84 s inquiry per 15.4 s cycle).
 from __future__ import annotations
 
 from repro.analysis.tables import render_table
-from repro.core import MasterSchedulingPolicy
+from repro.core.scheduler import MasterSchedulingPolicy
 from repro.experiments.duty_cycle import Section5Config, run_discovery_window
-from repro.mobility import PedestrianSpeedModel, crossing_time_seconds
+from repro.mobility.residence import crossing_time_seconds
+from repro.mobility.speeds import PedestrianSpeedModel
 
 #: The deployment being sized.
 COVERAGE_DIAMETER_M = 20.0

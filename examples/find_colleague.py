@@ -11,7 +11,8 @@ control denial: the professor has restricted who may locate him.
 
 from __future__ import annotations
 
-from repro import BIPSSimulation, VisibilityPolicy
+from repro.core.registry import VisibilityPolicy
+from repro.core.simulation import BIPSSimulation
 from repro.lan.messages import LocationResponse, PathResponse
 
 

@@ -11,9 +11,10 @@ admin telemetry:
 
 from __future__ import annotations
 
-from repro import BIPSConfig, BIPSSimulation
 from repro.analysis.tables import render_table
-from repro.building import multi_floor_department
+from repro.building.layouts import multi_floor_department
+from repro.core.config import BIPSConfig
+from repro.core.simulation import BIPSSimulation
 
 
 def print_health(sim: BIPSSimulation, rooms_of_interest: list[str]) -> None:

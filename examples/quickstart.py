@@ -11,7 +11,7 @@ the shortest path to them?*
 
 from __future__ import annotations
 
-from repro import BIPSSimulation
+from repro.core.simulation import BIPSSimulation
 
 
 def main() -> None:

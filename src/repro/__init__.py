@@ -10,7 +10,7 @@ the §5 scheduling-policy numbers).
 
 Quick start::
 
-    from repro import BIPSSimulation
+    from repro.core.simulation import BIPSSimulation
 
     sim = BIPSSimulation()
     sim.add_user("u-alice", "Alice")
@@ -30,31 +30,10 @@ Subpackages:
 * :mod:`repro.sim` — the discrete-event kernel
 * :mod:`repro.experiments` — the paper's table/figure harnesses
 * :mod:`repro.analysis` — statistics and plain-text rendering
+
+Import each name from the module that defines it: the subpackages above
+re-export nothing, apart from six harness names ``repro.experiments``
+keeps for ``bipsbench``.
 """
 
-from .core import (
-    BIPSConfig,
-    BIPSError,
-    BIPSServer,
-    BIPSSimulation,
-    MasterSchedulingPolicy,
-    PathResult,
-    TrackingReport,
-    UserRegistry,
-    VisibilityPolicy,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "BIPSConfig",
-    "BIPSError",
-    "BIPSServer",
-    "BIPSSimulation",
-    "MasterSchedulingPolicy",
-    "PathResult",
-    "TrackingReport",
-    "UserRegistry",
-    "VisibilityPolicy",
-    "__version__",
-]

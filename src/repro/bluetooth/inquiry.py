@@ -2,7 +2,7 @@
 
 The master broadcasts ID packets according to an
 :class:`~repro.bluetooth.hopping.InquiryTransmitSchedule` and collects
-FHS responses arriving on its :class:`~repro.radio.ResponseChannel`.
+FHS responses arriving on its :class:`~repro.radio.channel.ResponseChannel`.
 Responses landing outside an inquiry window are lost (the radio has
 moved on to connection management).
 

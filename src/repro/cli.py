@@ -25,7 +25,7 @@ from repro.experiments.figure2 import Figure2Config, run_figure2
 from repro.experiments.sweep import run_all_sweeps
 from repro.experiments.table1 import Table1Config, run_table1
 from repro.obs.metrics import MetricsRegistry
-from repro.runner import ExperimentRunner
+from repro.runner.executor import ExperimentRunner
 
 
 def _add_metrics_out(subparser: argparse.ArgumentParser) -> None:
@@ -39,7 +39,7 @@ def _add_metrics_out(subparser: argparse.ArgumentParser) -> None:
 
 def _add_fault_args(subparser: argparse.ArgumentParser) -> None:
     """Fault-injection flags (chaos runs; see docs/fault-injection.md)."""
-    from repro.faults import profile_names
+    from repro.faults.profiles import profile_names
 
     subparser.add_argument(
         "--faults",

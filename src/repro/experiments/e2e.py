@@ -24,7 +24,8 @@ from repro.analysis.tables import render_table
 from repro.building.layouts import academic_department
 from repro.core.config import BIPSConfig
 from repro.core.simulation import BIPSSimulation, TrackingReport
-from repro.faults import FaultPlan, profile_named
+from repro.faults.plan import FaultPlan
+from repro.faults.profiles import profile_named
 from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,7 +50,7 @@ class E2EConfig:
     user_count: int = 8
     duration_seconds: float = 600.0
     seed: int = 20031004
-    #: Fault profile name (``repro.faults.PROFILES``): LAN faults,
+    #: Fault profile name (``repro.faults.profiles.PROFILES``): LAN faults,
     #: workstation crashes, and server brownouts for this run.
     faults: str = "none"
     fault_seed: int = 0

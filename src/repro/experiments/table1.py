@@ -30,7 +30,8 @@ from repro.bluetooth.hopping import Train, continuous_inquiry, train_of_position
 from repro.bluetooth.inquiry import InquiryProcedure
 from repro.bluetooth.scan import BackoffReentry, PhaseMode, ScanConfig
 from repro.bluetooth.swarm import InquiryScanSwarm
-from repro.faults import FaultPlan, profile_named
+from repro.faults.plan import FaultPlan
+from repro.faults.profiles import profile_named
 from repro.obs.metrics import MetricsRegistry
 from repro.runner.executor import ExperimentRunner
 from repro.sim.clock import seconds_from_ticks, ticks_from_seconds
@@ -65,7 +66,7 @@ class Table1Config:
     #: effective inquiry-scan rate.  Setting False gives a pure
     #: inquiry-scan slave (an ablation).
     interleave_page_scan: bool = True
-    #: Fault profile name (``repro.faults.PROFILES``).  This harness has
+    #: Fault profile name (``repro.faults.profiles.PROFILES``).  This harness has
     #: no LAN, so only the profile's radio-outage axis applies: the
     #: master goes deaf for seed-derived windows, degrading discovery.
     faults: str = "none"

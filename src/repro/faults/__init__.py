@@ -12,22 +12,3 @@ workstations take the reliable path exactly when a fault plan is active.
 See ``docs/fault-injection.md`` for profiles, seeds, and the invariants
 the chaos suite asserts.
 """
-
-from __future__ import annotations
-
-from .injector import NO_FAULT, FaultDecision, LANFaultInjector
-from .plan import FaultPlan, Window, in_windows
-from .profiles import PROFILES, FaultProfile, profile_named, profile_names
-
-__all__ = [
-    "FaultDecision",
-    "FaultPlan",
-    "FaultProfile",
-    "LANFaultInjector",
-    "NO_FAULT",
-    "PROFILES",
-    "Window",
-    "in_windows",
-    "profile_named",
-    "profile_names",
-]

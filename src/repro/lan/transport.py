@@ -7,8 +7,9 @@ degraded network as an extension experiment.
 
 Two optional layers extend the base transport:
 
-* **Fault injection** — a :class:`repro.faults.LANFaultInjector` passed
-  as ``fault_injector`` is consulted once per send and may drop, delay,
+* **Fault injection** — a
+  :class:`repro.faults.injector.LANFaultInjector` passed as
+  ``fault_injector`` is consulted once per send and may drop, delay,
   or duplicate the message (``docs/fault-injection.md``).  This is the
   declared injection seam; nothing monkeypatches delivery internals.
 * **Reliable delivery** — :meth:`LANTransport.send_reliable` adds

@@ -247,9 +247,9 @@ class CallGraph:
     def _resolve_object(self, dotted: str, _depth: int = 0) -> tuple[str, str]:
         """Resolve a dotted reference to a (kind, name) pair.
 
-        Follows ``__init__`` re-export chains: ``repro.faults.profile_names``
-        resolves through ``from .profiles import profile_names`` in the
-        package ``__init__`` to ``repro.faults.profiles.profile_names``.
+        Follows ``__init__`` re-export chains: ``repro.experiments.run_table1``
+        resolves through ``from .table1 import run_table1`` in the
+        package ``__init__`` to ``repro.experiments.table1.run_table1``.
         """
         if _depth > 8:  # re-export cycle; give up rather than loop
             return (UNKNOWN, dotted)

@@ -18,9 +18,6 @@ from repro.sim.rng import RandomStream
 #: Hard cap from §2: BIPS need not track anything faster than this.
 MAX_TRACKED_SPEED_MPS = 2.0
 
-#: The walking-speed band of §5.
-WALKING_SPEED_RANGE_MPS = (0.0, 1.5)
-
 #: The mean walking speed the paper divides by (§5).
 MEAN_WALKING_SPEED_MPS = 1.3
 

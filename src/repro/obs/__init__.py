@@ -3,7 +3,8 @@
 See :doc:`docs/observability.md` for the metric and span catalogues and
 the JSONL schemas.  Quick tour::
 
-    from repro.obs import MetricsRegistry, SpanTracer
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.tracing import SpanTracer, write_chrome_trace
 
     metrics = MetricsRegistry()
     metrics.counter("lan.messages_sent").inc()
@@ -16,41 +17,7 @@ the JSONL schemas.  Quick tour::
     write_chrome_trace("trace.json", spans.records())
 
 Spans are the one record of what happened when.  A
-:class:`FlightRecorder` passed as ``SpanTracer(recorder=...)`` keeps
+:class:`~repro.obs.flight.FlightRecorder` passed as ``SpanTracer(recorder=...)`` keeps
 the most recent ones and dumps them when a span name it is armed on
 (e.g. ``core.workstation_failed``) is recorded.
 """
-
-from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricsRegistry,
-)
-from repro.obs.tracing import (
-    Span,
-    SpanTracer,
-    TraceContext,
-    chrome_trace,
-    merge_worker_spans,
-    write_chrome_trace,
-    write_spans_jsonl,
-)
-
-__all__ = [
-    "Counter",
-    "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "MetricError",
-    "MetricsRegistry",
-    "Span",
-    "SpanTracer",
-    "TraceContext",
-    "chrome_trace",
-    "merge_worker_spans",
-    "write_chrome_trace",
-    "write_spans_jsonl",
-]

@@ -37,7 +37,7 @@ def add_trace_parser(
     subparsers: "argparse._SubParsersAction[argparse.ArgumentParser]",
 ) -> None:
     """Register the ``trace`` subcommand on the main CLI."""
-    from repro.faults import profile_names
+    from repro.faults.profiles import profile_names
 
     trace = subparsers.add_parser(
         "trace",
@@ -126,7 +126,7 @@ def _trace_e2e(args: argparse.Namespace) -> tuple[list[dict[str, Any]], Optional
 
 def _trace_table1(args: argparse.Namespace) -> tuple[list[dict[str, Any]], Optional[FlightRecorder]]:
     from repro.experiments.table1 import EXPERIMENT, Table1Config, trial_payload
-    from repro.runner import ExperimentRunner
+    from repro.runner.executor import ExperimentRunner
 
     config = Table1Config(
         trials=args.trials,

@@ -12,13 +12,3 @@ over ``multiprocessing`` workers without giving up reproducibility:
   process pools, always returning results in trial-index order, so the
   parallel path is byte-identical to the serial one.
 """
-
-from .executor import ExperimentRunner
-from .seeding import seeding_digest, trial_seed, trial_seeds
-
-__all__ = [
-    "ExperimentRunner",
-    "seeding_digest",
-    "trial_seed",
-    "trial_seeds",
-]

@@ -16,9 +16,6 @@ from __future__ import annotations
 #: period of the Bluetooth native clock (CLKN runs at 3.2 kHz).
 TICKS_PER_SECOND = 3200
 
-#: Duration of one tick in seconds.
-TICK_SECONDS = 1.0 / TICKS_PER_SECOND
-
 #: Duration of one tick in microseconds (312.5 µs).
 TICK_MICROSECONDS = 312.5
 

@@ -172,7 +172,7 @@ class TestSection5:
             run_discovery_window,
             window_payload,
         )
-        from repro.runner import ExperimentRunner
+        from repro.runner.executor import ExperimentRunner
 
         monkeypatch.setattr(repro, "__version__", "2.0.0")
         config = Section5Config(replications=6)

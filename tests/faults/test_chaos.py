@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import BIPSConfig, BIPSSimulation
-from repro.faults import FaultPlan, profile_names
+from repro.core.config import BIPSConfig
+from repro.core.simulation import BIPSSimulation
+from repro.faults.plan import FaultPlan
+from repro.faults.profiles import profile_names
 
 #: Every fault plan stops injecting at 300 s (``DEFAULT_ACTIVE_SECONDS``); a
 #: 400 s run leaves ~6 §5 inquiry cycles (15.4 s each) of healthy tail,

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
-from repro.core import BIPSConfig, BIPSSimulation
-from repro.faults import NO_FAULT, FaultPlan, LANFaultInjector, profile_named
+from repro.core.config import BIPSConfig
+from repro.core.simulation import BIPSSimulation
+from repro.faults.injector import NO_FAULT, LANFaultInjector
+from repro.faults.plan import FaultPlan
+from repro.faults.profiles import profile_named
 from repro.sim.rng import RandomStream
 
 

@@ -4,14 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import (
-    PROFILES,
-    FaultPlan,
-    FaultProfile,
-    in_windows,
-    profile_named,
-    profile_names,
-)
+from repro.faults.plan import FaultPlan, in_windows
+from repro.faults.profiles import PROFILES, FaultProfile, profile_named, profile_names
 from repro.sim.clock import ticks_from_seconds
 
 HORIZON = ticks_from_seconds(600.0)

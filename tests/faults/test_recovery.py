@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import BIPSConfig, BIPSSimulation
-from repro.faults import FaultPlan
+from repro.core.config import BIPSConfig
+from repro.core.simulation import BIPSSimulation
+from repro.faults.plan import FaultPlan
 from repro.lan.messages import LocationResponse
 from repro.lan.transport import LANTransport
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.experiments.table1 import Table1Config, run_table1
 from repro.obs.metrics import MetricsRegistry
-from repro.runner import ExperimentRunner
+from repro.runner.executor import ExperimentRunner
 
 TRIALS = 30
 CLEAN = Table1Config(trials=TRIALS, seed=321)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import NO_FAULT, FaultDecision
+from repro.faults.injector import NO_FAULT, FaultDecision
 from repro.lan.transport import (
     RETRY_MAX_ATTEMPTS,
     DeliveryAck,

@@ -41,9 +41,10 @@ from typing import Callable
 
 import pytest
 
-from repro import BIPSConfig, BIPSSimulation
 from repro.analysis.stats import relative_error
-from repro.building import multi_floor_department
+from repro.building.layouts import multi_floor_department
+from repro.core.config import BIPSConfig
+from repro.core.simulation import BIPSSimulation
 from repro.experiments.duty_cycle import EXPERIMENT as SECTION5_EXPERIMENT
 from repro.experiments.duty_cycle import PAPER_REFERENCE as SECTION5_REFERENCE
 from repro.experiments.duty_cycle import Section5Config, run_section5, window_payload
@@ -54,7 +55,7 @@ from repro.experiments.table1 import EXPERIMENT as TABLE1_EXPERIMENT
 from repro.experiments.table1 import Table1Config, run_table1, trial_payload
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import SpanTracer, merge_worker_spans
-from repro.runner import ExperimentRunner
+from repro.runner.executor import ExperimentRunner
 
 DIGESTS = Path(__file__).with_name("digests.json")
 

@@ -17,11 +17,13 @@ from functools import partial
 import pytest
 
 from repro.building.layouts import two_room_testbed
-from repro.core import BIPSConfig, BIPSSimulation, VisibilityPolicy
+from repro.core.config import BIPSConfig
 from repro.core.errors import AccessDeniedError
+from repro.core.registry import VisibilityPolicy
 from repro.core.server import BIPSServer
-from repro.faults import FaultPlan
+from repro.core.simulation import BIPSSimulation
 from repro.faults.injector import LANFaultInjector
+from repro.faults.plan import FaultPlan
 from repro.lan.messages import LocationResponse, LoginRequest, LoginResponse, PathResponse
 from repro.lan.transport import _FRAME_OVERHEAD_BYTES, LANTransport, _field_bytes
 from repro.obs.metrics import Histogram, MetricsRegistry

@@ -14,10 +14,10 @@ from repro.building.layouts import two_room_testbed
 from repro.core.config import BIPSConfig
 from repro.core.simulation import BIPSSimulation
 from repro.experiments.table1 import EXPERIMENT, Table1Config, trial_payload
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import SpanTracer, merge_worker_spans
-from repro.runner import ExperimentRunner
+from repro.runner.executor import ExperimentRunner
 from repro.runner.seeding import seeding_digest
 
 TRIALS = 6

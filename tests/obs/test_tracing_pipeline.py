@@ -15,7 +15,7 @@ import pytest
 from repro.building.layouts import two_room_testbed
 from repro.core.config import BIPSConfig
 from repro.core.simulation import BIPSSimulation
-from repro.faults import NO_FAULT, FaultDecision
+from repro.faults.injector import NO_FAULT, FaultDecision
 from repro.lan.transport import LANTransport
 from repro.obs.tracing import SpanTracer
 from repro.sim.kernel import Kernel

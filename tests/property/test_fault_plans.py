@@ -10,7 +10,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultPlan, FaultProfile, LANFaultInjector, in_windows
+from repro.faults.injector import LANFaultInjector
+from repro.faults.plan import FaultPlan, in_windows
+from repro.faults.profiles import FaultProfile
 from repro.sim.clock import ticks_from_seconds
 from repro.sim.rng import RandomStream
 

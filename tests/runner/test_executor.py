@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.runner import ExperimentRunner
+from repro.runner.executor import ExperimentRunner
 from repro.runner.seeding import seeding_digest, trial_seeds
 
 

@@ -16,7 +16,7 @@ from repro.experiments.figure2 import Figure2Config, run_figure2
 from repro.experiments.sweep import sweep_inquiry_window, sweep_table1_phase_mode
 from repro.experiments.table1 import Table1Config, run_table1
 from repro.obs.metrics import MetricsRegistry
-from repro.runner import ExperimentRunner
+from repro.runner.executor import ExperimentRunner
 
 
 def parallel_runner(jobs: int = 2, **kwargs) -> ExperimentRunner:

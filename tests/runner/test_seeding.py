@@ -7,7 +7,8 @@ from enum import Enum
 
 import pytest
 
-from repro.experiments import Figure2Config, Section5Config
+from repro.experiments.duty_cycle import Section5Config
+from repro.experiments.figure2 import Figure2Config
 from repro.experiments.table1 import Table1Config
 from repro.runner.seeding import seeding_digest, trial_seed, trial_seeds
 
