@@ -20,6 +20,10 @@ The ``trace.*`` payloads pin the span stream of ``bips trace --format
 jsonl`` (a traced e2e run and traced Table 1 trials), so a traced run is
 held to the same byte-for-byte contract as an untraced one.
 
+The ``example.*`` payloads pin the stdout of each script in
+``examples/``, run as a user runs it.  The examples are the only runs
+that reach the pager, the LAN query path and the tracking reports.
+
 The e2e metrics JSONL drops ``sim.*`` records: they are kernel-internal
 telemetry (event counts, queue depths, batch counters) that describe how
 the simulation executed, not what it simulated.
@@ -33,6 +37,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from functools import lru_cache
@@ -58,6 +64,7 @@ from repro.obs.tracing import SpanTracer, merge_worker_spans
 from repro.runner.executor import ExperimentRunner
 
 DIGESTS = Path(__file__).with_name("digests.json")
+REPO = Path(__file__).resolve().parents[2]
 
 TABLE1 = Table1Config(trials=300)
 FIGURE2 = Figure2Config(slave_counts=(2, 10, 20), replications=10)
@@ -193,6 +200,15 @@ def _section5_text() -> str:
     )
 
 
+def _example(name: str) -> str:
+    """The stdout of ``examples/<name>.py``."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    script = REPO / "examples" / f"{name}.py"
+    return subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
 #: Every pinned payload: name -> canonical text (runs are cached).
 PAYLOADS: dict[str, Callable[[], str]] = {
     "table1.csv": lambda: _table1().to_csv(),
@@ -209,6 +225,8 @@ PAYLOADS: dict[str, Callable[[], str]] = {
     "trace.e2e.chaos.spans.jsonl": lambda: _traced_e2e("chaos"),
     "trace.table1.chaos.spans.jsonl": lambda: _traced_table1("chaos"),
 }
+for _example_path in sorted((REPO / "examples").glob("*.py")):
+    PAYLOADS[f"example.{_example_path.stem}"] = lambda n=_example_path.stem: _example(n)
 for _profile in FAULT_PROFILES:
     PAYLOADS[f"table1.{_profile}.csv"] = lambda p=_profile: _table1(p).to_csv()
     PAYLOADS[f"e2e.{_profile}.report"] = lambda p=_profile: _e2e(p)[0]
