@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Find-a-colleague: the paper's motivating scenario, over the real LAN path.
 
-A visitor arrives at the department to meet Professor Rossi.  Everything
-happens through LAN messages — login requests, location queries, path
-queries — exactly as the handheld would do it, including an access-
-control denial: the professor has restricted who may locate him.
+A visitor arrives at the department to meet Professor Rossi.  Each user
+logs in, binding their handheld's BD_ADDR at the server; then location
+and path queries travel as LAN messages, exactly as the handheld would
+send them, including an access-control denial: the professor has
+restricted who may locate him.
 
     python examples/find_colleague.py
 """

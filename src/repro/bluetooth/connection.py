@@ -24,7 +24,6 @@ class DisconnectReason(enum.Enum):
     """Why a link ended."""
 
     LOCAL_CLOSE = "local_close"
-    REMOTE_CLOSE = "remote_close"
     DEVICE_LEFT = "device_left"
 
 

@@ -237,7 +237,8 @@ class InquiryProcedure:
     packet, :meth:`_Reception.on_repeat` a known sender's repeat without
     one, and :meth:`_Reception.on_passes` a steady train pass's lone
     responses replayed over several passes at once.  The counters and
-    the listener are read and set here.
+    the listener are read and set here.  Reception spans go to the
+    kernel's tracer, :attr:`Kernel.spans`.
     """
 
     def __init__(
@@ -247,12 +248,11 @@ class InquiryProcedure:
         name: str = "master",
         reachable: Optional[ReachabilityPredicate] = None,
         receiver_capture: bool = True,
-        spans: Optional["SpanTracer"] = None,
     ) -> None:
         self.kernel = kernel
         self.schedule = schedule
         self.name = name
-        rx = _Reception(name, schedule.windows, receiver_capture, spans)
+        rx = _Reception(name, schedule.windows, receiver_capture, kernel.spans)
         self._rx = rx
         self._on_fhs = rx.on_fhs
         self.channel = ResponseChannel(kernel, receiver=rx.on_fhs, reachable=reachable, name=name)

@@ -6,15 +6,11 @@ machinery as inquiry:
 * the master transmits ID packets over the **slave's** page hopping
   sequence (derived from the slave's LAP), two per even slot, in
   16-frequency trains repeated N_page = 128 times (1.28 s) per dwell;
-* the slave opens page-scan windows (default 11.25 ms every 1.28 s) on
+* the slave opens page-scan windows (11.25 ms every 1.28 s) on
   a frequency whose phase advances with its native clock;
 * the master predicts the slave's current scan frequency from the
-  clock snapshot in the FHS inquiry response.  A fresh estimate puts
-  the master's starting train on the slave's frequency; a stale one
-  (the slave's free-running clock has drifted past a 1.28 s phase
-  boundary since the FHS) can pick the wrong train, costing a train
-  dwell before the alternation recovers — which is exactly the
-  same/different-train asymmetry the inquiry experiment measures;
+  clock snapshot in the FHS inquiry response, which the workstation
+  pages from straight away, so its starting train is the slave's;
 * on the first heard ID the slave answers immediately (no inquiry-style
   backoff: the page is addressed to it alone) and the six-packet
   handshake (slave ID → master FHS → slave ID → master POLL → slave
@@ -28,7 +24,6 @@ from typing import Callable, Optional
 
 from repro.sim.kernel import Kernel
 
-from .btclock import CLKN_WRAP, BluetoothClock
 from .constants import (
     NUM_INQUIRY_FREQUENCIES,
     T_PAGE_SCAN_TICKS,
@@ -53,6 +48,9 @@ PAGE_HANDSHAKE_TICKS = 6 * TICKS_PER_SLOT
 #: times (1.28 s) before the master switches trains.
 N_PAGE = 128
 
+#: HCI page timeout: two full A+B train cycles (5.12 s).
+PAGE_TIMEOUT_TICKS = 4 * N_PAGE * 32
+
 
 @dataclass(frozen=True)
 class SlotLevelPageOutcome:
@@ -61,7 +59,6 @@ class SlotLevelPageOutcome:
     result: PageResult
     rendezvous_tick: Optional[int]
     predicted_train: Train
-    actual_train_at_start: Train
 
 
 PageCallback = Callable[[SlotLevelPageOutcome], None]
@@ -84,47 +81,22 @@ class SlotLevelPager:
         """Page-scan sequence position for a native-clock value."""
         return (device.base_phase + clkn // 4096) % NUM_INQUIRY_FREQUENCIES
 
-    def predict_train(
-        self, target: BluetoothDevice, start_tick: int, estimate_error_ticks: int
-    ) -> Train:
-        """The train the master believes contains the slave's frequency.
-
-        ``estimate_error_ticks`` models clock drift accumulated since
-        the FHS snapshot (a 20 ppm crystal drifts one 1.28 s phase
-        period in about 18 hours; large errors model paging from a very
-        old inquiry result).
-        """
-        estimated_clock = BluetoothClock(
-            offset=(target.clock.offset + estimate_error_ticks) % CLKN_WRAP
-        )
-        position = self._scan_position(target, estimated_clock.clkn(start_tick))
-        return train_of_position(position)
+    def predict_train(self, target: BluetoothDevice, start_tick: int) -> Train:
+        """The train the master believes contains the slave's frequency."""
+        return train_of_position(self._scan_position(target, target.clock.clkn(start_tick)))
 
     # -- paging ------------------------------------------------------------------
 
-    def page(
-        self,
-        target: BluetoothDevice,
-        callback: PageCallback,
-        timeout_ticks: int = 4 * N_PAGE * 32,
-        estimate_error_ticks: int = 0,
-        scanning: bool = True,
-        window_ticks: int = T_W_PAGE_SCAN_TICKS,
-        interval_ticks: int = T_PAGE_SCAN_TICKS,
-    ) -> None:
+    def page(self, target: BluetoothDevice, callback: PageCallback) -> None:
         """Page ``target``; ``callback`` fires with the outcome.
 
-        Args:
-            timeout_ticks: HCI page timeout (default two full A+B train
-                cycles, 5.12 s).
-            estimate_error_ticks: error of the master's clock estimate.
-            scanning: False models a powered-down / departed slave.
+        The outcome is a timeout when no handshake completes within
+        :data:`PAGE_TIMEOUT_TICKS`.
         """
         self.attempts += 1
         start = self.kernel.now
-        predicted = self.predict_train(target, start, estimate_error_ticks)
-        actual_position = self._scan_position(target, target.clock.clkn(start))
-        actual = train_of_position(actual_position)
+        deadline = start + PAGE_TIMEOUT_TICKS
+        predicted = self.predict_train(target, start)
 
         # The master transmits the slave's page hopping sequence for the
         # whole timeout, starting on the predicted train and alternating
@@ -132,8 +104,8 @@ class SlotLevelPager:
         schedule = InquiryTransmitSchedule(
             windows=PeriodicWindows(
                 start=start,
-                window_ticks=timeout_ticks,
-                period_ticks=timeout_ticks,
+                window_ticks=PAGE_TIMEOUT_TICKS,
+                period_ticks=PAGE_TIMEOUT_TICKS,
                 count=1,
             ),
             strategy=TrainStrategy.ALTERNATE,
@@ -142,36 +114,30 @@ class SlotLevelPager:
             lap=target.address.lap,
         )
 
-        rendezvous: Optional[int] = None
-        if scanning:
-            rendezvous = next_listen_rendezvous(
-                schedule=schedule,
-                listen_position=lambda tick: self._scan_position(
-                    target, target.clock.clkn(tick)
-                ),
-                clock=target.clock,
-                fixed_phase=False,
-                window_ticks=window_ticks,
-                interval_ticks=interval_ticks,
-                window_anchor=target.clock.offset % interval_ticks,
-                from_tick=start,
-                before_tick=start + timeout_ticks,
-            )
-        if rendezvous is not None and (
-            rendezvous + PAGE_HANDSHAKE_TICKS <= start + timeout_ticks
-        ):
+        rendezvous = next_listen_rendezvous(
+            schedule=schedule,
+            listen_position=lambda tick: self._scan_position(
+                target, target.clock.clkn(tick)
+            ),
+            clock=target.clock,
+            fixed_phase=False,
+            window_ticks=T_W_PAGE_SCAN_TICKS,
+            interval_ticks=T_PAGE_SCAN_TICKS,
+            window_anchor=target.clock.offset % T_PAGE_SCAN_TICKS,
+            from_tick=start,
+            before_tick=deadline,
+        )
+        if rendezvous is not None and rendezvous + PAGE_HANDSHAKE_TICKS <= deadline:
             finish = rendezvous + PAGE_HANDSHAKE_TICKS
             outcome = PageOutcome.CONNECTED
         else:
             rendezvous = None
-            finish = start + timeout_ticks
+            finish = deadline
             outcome = PageOutcome.TIMEOUT
 
         self.kernel.post_at(
             finish,
-            lambda: self._finish(
-                target, outcome, start, rendezvous, predicted, actual, callback
-            ),
+            lambda: self._finish(target, outcome, start, rendezvous, predicted, callback),
             label=f"slotpage:{self.name}",
         )
 
@@ -182,7 +148,6 @@ class SlotLevelPager:
         started: int,
         rendezvous: Optional[int],
         predicted: Train,
-        actual: Train,
         callback: PageCallback,
     ) -> None:
         if outcome is PageOutcome.CONNECTED:
@@ -199,6 +164,5 @@ class SlotLevelPager:
                 ),
                 rendezvous_tick=rendezvous,
                 predicted_train=predicted,
-                actual_train_at_start=actual,
             )
         )

@@ -1,7 +1,7 @@
 """The BIPS core: the paper's primary contribution.
 
 * :mod:`~repro.core.registry` — ``UserRegistry``: off-line
-  registration, login/logout, access rights (§2)
+  registration, login, access rights (§2)
 * :mod:`~repro.core.location_db` — ``LocationDatabase``: room-granule
   positions + history (§2)
 * :mod:`~repro.core.tracker` / :mod:`~repro.core.workstation` —

@@ -186,8 +186,8 @@ class LocationDatabase:
         self.updates_applied += 1
         return True
 
-    def _write(self, device: BDAddr, record: Optional[LocationRecord]) -> None:
-        """Set the current record of ``device``, or drop it for ``None``.
+    def _write(self, device: BDAddr, record: LocationRecord) -> None:
+        """Set the current record of ``device``.
 
         The one writer of ``_current``: adjusting ``_known`` here, by the
         replaced and the new record, keeps ``known_count`` exact without
@@ -196,12 +196,9 @@ class LocationDatabase:
         previous = self._current.get(device)
         if previous is not None and previous.room_id is not None:
             self._known -= 1
-        if record is None:
-            self._current.pop(device, None)
-        else:
-            self._current[device] = record
-            if record.room_id is not None:
-                self._known += 1
+        self._current[device] = record
+        if record.room_id is not None:
+            self._known += 1
 
     def _append_history(self, device: BDAddr, event: LocationEvent) -> None:
         """Insert keeping history tick-ordered.
@@ -219,12 +216,6 @@ class LocationDatabase:
         history.insert(position, event)
         if len(history) > self._history_limit:
             del history[: len(history) - self._history_limit]
-
-    def forget_device(self, device: BDAddr) -> None:
-        """Drop all state for a device (user logged out)."""
-        self._write(device, None)
-        self._history.pop(device, None)
-        self._absence_horizon.pop(device, None)
 
     # -- queries ---------------------------------------------------------------
 

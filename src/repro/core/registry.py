@@ -84,7 +84,7 @@ class Session:
 
 
 class UserRegistry:
-    """Registration (off-line) and login/logout (on-line) for BIPS users."""
+    """Registration (off-line) and login (on-line) for BIPS users."""
 
     def __init__(self) -> None:
         self._users: dict[str, UserRecord] = {}
@@ -136,14 +136,14 @@ class UserRegistry:
             raise UnknownUserError(f"unknown username {username!r}")
         return record
 
-    # -- login / logout ---------------------------------------------------------
+    # -- login -------------------------------------------------------------------
 
     def login(self, userid: str, password: str, device: BDAddr, tick: int) -> Session:
         """Authenticate and bind ``device`` to ``userid``.
 
-        A device already bound to another user must log that user out
-        first; re-login of the same user moves the binding to the new
-        device (they switched handhelds).
+        A device already bound to another user is refused; re-login of
+        the same user moves the binding to the new device (they switched
+        handhelds).
         """
         record = self._users.get(userid)
         if record is None:
@@ -163,12 +163,6 @@ class UserRegistry:
         self._device_to_userid[device] = userid
         return session
 
-    def logout(self, userid: str) -> None:
-        """End the user's session; idempotent for unknown sessions."""
-        session = self._sessions.pop(userid, None)
-        if session is not None:
-            self._device_to_userid.pop(session.device, None)
-
     def is_logged_in(self, userid: str) -> bool:
         """Whether the user has a live session."""
         return userid in self._sessions
@@ -179,10 +173,6 @@ class UserRegistry:
         if session is None:
             raise NotLoggedInError(f"user {userid!r} is not logged in")
         return session
-
-    def device_of(self, userid: str) -> BDAddr:
-        """BD_ADDR bound to a logged-in user."""
-        return self.session_of(userid).device
 
     def userid_of_device(self, device: BDAddr) -> Optional[str]:
         """Reverse lookup: who is carrying ``device`` (None if nobody)."""

@@ -3,8 +3,9 @@
 One machine on the LAN holds the user registry, the location database,
 and the precomputed shortest paths, and answers every message type of
 the BIPS protocol (§2).  The server is a pure message-driven component:
-workstations push presence deltas, user sessions send login/logout and
-queries, and responses flow back to the sending endpoint.
+workstations push presence deltas, user sessions send queries, and
+responses flow back to the sending endpoint.  Login binds a userid to
+its BD_ADDR by a direct call on :attr:`BIPSServer.registry`.
 
 A query is answered by lookup (§2): the registry checks that the target
 is logged in and that the querier may ask, then the location database
@@ -22,9 +23,6 @@ from repro.building.floorplan import FloorPlan
 from repro.lan.messages import (
     LocationQuery,
     LocationResponse,
-    LoginRequest,
-    LoginResponse,
-    LogoutRequest,
     PathQuery,
     PathResponse,
     PresenceInvalidation,
@@ -32,7 +30,6 @@ from repro.lan.messages import (
     WorkstationHello,
 )
 from repro.lan.transport import LANTransport, UnknownEndpointError
-from repro.obs.tracing import SpanTracer
 from repro.sim.clock import ticks_from_seconds
 from repro.sim.hotpath import hot_path
 from repro.sim.kernel import Kernel
@@ -52,7 +49,6 @@ class BIPSServer:
         lan: LANTransport,
         plan: FloorPlan,
         staleness_horizon_ticks: Optional[int] = None,
-        spans: Optional[SpanTracer] = None,
     ) -> None:
         plan.validate()
         self.kernel = kernel
@@ -75,13 +71,12 @@ class BIPSServer:
         # Plain counts, per kind / outcome; ``finalize_metrics`` folds them.
         self.queries_served = {"location": 0, "path": 0}
         self.queries_failed = {"location": 0, "path": 0}
-        self.logins = {"ok": 0, "rejected": 0}
         self.stale_answers = 0
         # Lag in ticks -> count: delta push (workstation decision to
         # database update) and LAN query (request sent to answer).
         self.push_lags: dict[int, int] = {}
         self.query_latencies: dict[int, int] = {}
-        self._spans = spans
+        self._spans = kernel.spans
         lan.register(self.endpoint, self._on_message)
 
     # -- fault injection ---------------------------------------------------------
@@ -115,10 +110,6 @@ class BIPSServer:
             self._handle_presence(message)
         elif isinstance(message, WorkstationHello):
             self._bind_workstation(message.workstation_id, message.room_id)
-        elif isinstance(message, LoginRequest):
-            self._handle_login(source, message)
-        elif isinstance(message, LogoutRequest):
-            self._handle_logout(message)
         elif isinstance(message, LocationQuery):
             self._handle_location_query(source, message)
         elif isinstance(message, PathQuery):
@@ -216,51 +207,6 @@ class BIPSServer:
             # tracker state dies with it, so there is nothing to fix.
             return
         self.invalidations_sent += 1
-
-    def _handle_login(self, source: str, message: LoginRequest) -> None:
-        try:
-            self.registry.login(
-                message.userid, message.password, message.device, self.kernel.now
-            )
-        except BIPSError as error:
-            response = LoginResponse(
-                sent_tick=self.kernel.now,
-                userid=message.userid,
-                ok=False,
-                reason=str(error),
-            )
-        else:
-            response = LoginResponse(
-                sent_tick=self.kernel.now, userid=message.userid, ok=True
-            )
-        self.logins["ok" if response.ok else "rejected"] += 1
-        self.lan.send(self.endpoint, source, response)
-
-    def _handle_logout(self, message: LogoutRequest) -> None:
-        self.logout_user(message.userid)
-
-    def logout_user(self, userid: str) -> None:
-        """End a session and purge the device's tracking state.
-
-        The device's current workstation is invalidated so that, should
-        the user log in again without leaving the room, the next
-        inquiry window produces a fresh presence delta (otherwise the
-        tracker's unchanged "present" state would never be re-reported
-        and the re-logged-in user would stay position-unknown).
-        """
-        try:
-            device = self.registry.device_of(userid)
-        except BIPSError:
-            device = None
-        self.registry.logout(userid)
-        if device is None:
-            return
-        last_room = self.location_db.current_room(device)
-        self.location_db.forget_device(device)
-        if last_room is not None:
-            self._invalidate_previous_room(
-                device, last_room, new_room="", now=self.kernel.now
-            )
 
     def _handle_location_query(self, source: str, message: LocationQuery) -> None:
         try:

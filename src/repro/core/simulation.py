@@ -172,7 +172,6 @@ class BIPSSimulation:
         # One registry spans the whole pipeline; callers may supply
         # their own (e.g. to aggregate several simulations).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.spans = spans
         self.kernel = Kernel(spans=spans)
         self.rng = RandomStream(self.config.seed, "bips")
         # Fault plans draw from their own seed-derived streams, so a
@@ -185,7 +184,6 @@ class BIPSSimulation:
             loss_probability=self.config.lan_loss_probability,
             rng=lan_rng,
             fault_injector=self.faults.lan_injector() if self.faults is not None else None,
-            spans=spans,
         )
         staleness_ticks = (
             ticks_from_seconds(self.config.staleness_horizon_seconds)
@@ -197,7 +195,6 @@ class BIPSSimulation:
             self.lan,
             self.plan,
             staleness_horizon_ticks=staleness_ticks,
-            spans=spans,
         )
         self.workstations: dict[str, Workstation] = {}
         self._devices_by_address: dict[BDAddr, BluetoothDevice] = {}
@@ -263,7 +260,6 @@ class BIPSSimulation:
                 ),
                 reachable=reachable,
                 reliable=self.faults is not None,
-                spans=self.spans,
             )
         if self.band is not None:
             # Adjacent rooms' piconets are within interference range.
@@ -309,10 +305,6 @@ class BIPSSimulation:
         self.server.registry.login(
             userid, user.password, user.device.address, self.kernel.now
         )
-
-    def logout(self, userid: str) -> None:
-        """End the user's session and stop tracking their device."""
-        self.server.logout_user(userid)
 
     # -- movement ----------------------------------------------------------------
 
@@ -610,9 +602,6 @@ class BIPSSimulation:
         for kind, failed in server.queries_failed.items():
             if failed:
                 fold(metrics.counter("core.queries_failed", kind=kind), failed)
-        for outcome, logins in server.logins.items():
-            if logins:
-                fold(metrics.counter("core.logins", outcome=outcome), logins)
         if server.stale_answers:
             fold(metrics.counter("core.stale_answers"), server.stale_answers)
         fold_counts(

@@ -15,7 +15,7 @@ application traffic is not modelled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from repro.bluetooth.connection import DisconnectReason
 from repro.bluetooth.device import BluetoothDevice
@@ -29,9 +29,6 @@ from repro.sim.kernel import Kernel
 
 from .scheduler import MasterSchedulingPolicy
 from .tracker import PresenceTracker
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.tracing import SpanTracer
 
 #: Resolves a discovered BD_ADDR to the device to page (None = cannot
 #: page it; the workstation then tracks by inquiry alone).
@@ -73,7 +70,6 @@ class Workstation:
         device_directory: Optional[DeviceDirectory] = None,
         reachable: Optional[Callable] = None,
         reliable: bool = False,
-        spans: Optional["SpanTracer"] = None,
     ) -> None:
         """Args beyond the obvious:
 
@@ -104,13 +100,9 @@ class Workstation:
         self.policy = policy
         self.lan = lan
         self.schedule = policy.build_schedule(start_tick=schedule_offset_ticks)
-        self._spans = spans
+        self._spans = kernel.spans
         self.inquiry = InquiryProcedure(
-            kernel,
-            self.schedule,
-            name=workstation_id,
-            reachable=reachable,
-            spans=spans,
+            kernel, self.schedule, name=workstation_id, reachable=reachable
         )
         self.tracker = PresenceTracker(miss_threshold=miss_threshold)
         self.refresh_interval_cycles = refresh_interval_cycles

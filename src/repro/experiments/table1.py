@@ -234,9 +234,7 @@ def trial_payload(config: Table1Config, trial_index: int, seed: int) -> dict:
     reachable = (
         plan.survival_predicate(str(trial_index), horizon) if plan is not None else None
     )
-    master = InquiryProcedure(
-        kernel, schedule, name=f"master-{trial_index}", reachable=reachable, spans=tracer
-    )
+    master = InquiryProcedure(kernel, schedule, name=f"master-{trial_index}", reachable=reachable)
 
     address = BDAddr(0x0002_5B_000000 + trial_index)
     clock = BluetoothClock(offset=rng.randint(0, CLKN_WRAP - 1))

@@ -1,9 +1,9 @@
 """Messages exchanged over the BIPS Ethernet LAN.
 
 The protocol between workstations and the central server is small (§2):
-presence deltas flow up, login/logout and queries flow between user
-sessions and the server.  Messages are plain frozen dataclasses; the
-transport treats them as opaque payloads.
+presence deltas flow up, and queries flow between user sessions and the
+server.  Messages are plain frozen dataclasses; the transport treats
+them as opaque payloads.
 """
 
 from __future__ import annotations
@@ -56,22 +56,6 @@ class WorkstationHello(Message):
 
 
 @dataclass(frozen=True)
-class LoginRequest(Message):
-    """A registered user logs in, binding userid ↔ BD_ADDR (§2)."""
-
-    userid: str
-    password: str
-    device: BDAddr
-
-
-@dataclass(frozen=True)
-class LogoutRequest(Message):
-    """End the userid ↔ BD_ADDR binding; tracking stops."""
-
-    userid: str
-
-
-@dataclass(frozen=True)
 class LocationQuery(Message):
     """"Where is user X?" — the paper's spatio-temporal query.
 
@@ -116,15 +100,6 @@ class PresenceInvalidation(Message):
 
 
 # -- server -> clients ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LoginResponse(Message):
-    """Outcome of a login attempt."""
-
-    userid: str
-    ok: bool
-    reason: str = ""
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from repro.sim.rng import RandomStream, unit_source
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import LANFaultInjector
-    from repro.obs.tracing import Span, SpanTracer
+    from repro.obs.tracing import Span
 
 #: A handler receives ``(source_endpoint, message)``.
 Handler = Callable[[str, Any], None]
@@ -212,7 +212,6 @@ class LANTransport:
         loss_probability: float = 0.0,
         rng: Optional[RandomStream] = None,
         fault_injector: Optional["LANFaultInjector"] = None,
-        spans: Optional["SpanTracer"] = None,
     ) -> None:
         if not 0.0 <= loss_probability < 1.0:
             raise ValueError(f"loss probability out of range: {loss_probability}")
@@ -224,7 +223,7 @@ class LANTransport:
         # The latency jitter's draws, taken inline on the send path.
         self._unit = unit_source(rng) if rng is not None else None
         self.faults = fault_injector
-        self._spans = spans
+        self._spans = kernel.spans
         self.stats = TransportStats()
         self._endpoints: dict[str, Handler] = {}
         #: Every endpoint that ever registered.  A send to a name in

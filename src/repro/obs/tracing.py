@@ -15,8 +15,10 @@ Design rules (the same contract the metrics plane obeys):
   (``wall=True``) precisely because it would break byte-identical
   exports.  Enabling tracing changes **no** simulated result
   (``tests/obs/test_tracing_determinism.py``).
-* **Free when off.** Components hold ``spans=None`` by default and
-  guard every call site, so untraced runs pay nothing.  A traced run
+* **Free when off.** Only the kernel and the simulation take a tracer
+  (``spans=None`` by default); every component reads its kernel's
+  :attr:`~repro.sim.kernel.Kernel.spans` and guards every call site,
+  so untraced runs pay nothing.  A traced run
   executes the same code as an untraced one, spans added: the kernel
   wraps a labelled callback in its ``kernel`` span where the event is
   queued and drains through its one loop either way.

@@ -237,8 +237,10 @@ class Kernel:
     def spans(self) -> Optional["SpanTracer"]:
         """The span tracer labelled events are wrapped in, or None.
 
-        A private timeline drained from one unlabelled wake opens the
-        ``kernel`` spans of its own runs with it.
+        The one tracer of a run: every component on this kernel records
+        its spans here, and a private timeline drained from one
+        unlabelled wake opens the ``kernel`` spans of its own runs with
+        it.
         """
         return self._spans
 

@@ -42,7 +42,7 @@ class TestConnection:
     def test_close_idempotent(self):
         conn = make_connection()
         conn.close(100, DisconnectReason.LOCAL_CLOSE)
-        conn.close(200, DisconnectReason.REMOTE_CLOSE)
+        conn.close(200, DisconnectReason.DEVICE_LEFT)
         assert conn.closed_tick == 100
         assert conn.close_reason is DisconnectReason.LOCAL_CLOSE
 

@@ -86,9 +86,7 @@ def _simulate(
     """
     kernel = Kernel(spans=spans)
     schedule = schedule_factory()
-    master = InquiryProcedure(
-        kernel, schedule, name="master", reachable=reachable, spans=spans
-    )
+    master = InquiryProcedure(kernel, schedule, name="master", reachable=reachable)
     root = RandomStream(seed, "swarm-ab")
     swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=scan_config, name="s")
     if instrument is not None:

@@ -120,7 +120,7 @@ def _simulate(case: Case, seed: int, drive: Callable[[Kernel, int], None]):
     kernel = Kernel(spans=spans)
     schedule = case.schedule()
     master = InquiryProcedure(
-        kernel, schedule, name="master", receiver_capture=case.capture, spans=spans
+        kernel, schedule, name="master", receiver_capture=case.capture
     )
     swarm = InquiryScanSwarm(kernel, schedule, master.channel, config=case.scan, name="r")
     root = RandomStream(seed, "replay")

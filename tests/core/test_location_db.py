@@ -174,13 +174,6 @@ class TestQueries:
         db.apply_presence(BDAddr(3), "office", 100, "ws")
         assert sorted(a.value for a in db.occupants_of("lab")) == [1, 2]
 
-    def test_forget_device(self, db):
-        db.apply_presence(DEV, "lab", 100, "ws")
-        db.forget_device(DEV)
-        assert db.current_room(DEV) is None
-        assert db.history_of(DEV) == []
-        assert db.tracked_count == 0
-
     def test_never_seen_device(self, db):
         assert db.current_room(DEV) is None
         assert db.record_of(DEV) is None

@@ -12,9 +12,6 @@ from repro.core.server import BIPSServer
 from repro.lan.messages import (
     LocationQuery,
     LocationResponse,
-    LoginRequest,
-    LoginResponse,
-    LogoutRequest,
     PathQuery,
     PathResponse,
     PresenceUpdate,
@@ -70,9 +67,9 @@ class TestServerQueries:
         server, inbox = wing
         server.registry.register("u-carol", "Carol", "pw", policy=VisibilityPolicy.NOBODY)
         server.registry.login("u-carol", "pw", BDAddr(0x300), tick=0)
-        server.registry.logout("u-alice")
+        server.registry.register("u-dave", "Dave", "pw")  # never logged in
         denials = (
-            (NotLoggedInError, "Alice"),
+            (NotLoggedInError, "Dave"),
             (AccessDeniedError, "Carol"),
             (UnknownUserError, "Ghost"),
         )
@@ -161,34 +158,6 @@ class TestServerMessages:
         kernel.run_until(20)
         lan.send("ws:lab-1", "server", PresenceUpdate(20, "ws:lab-1", ALICE_DEV, False))
         kernel.run_until(100)
-        assert server.location_db.current_room(ALICE_DEV) is None
-
-    def test_login_roundtrip(self, server_env):
-        kernel, lan, server, inbox = server_env
-        lan.send("client", "server", LoginRequest(0, "u-alice", "pw", ALICE_DEV))
-        kernel.run_until(100)
-        assert len(inbox) == 1
-        response = inbox[0]
-        assert isinstance(response, LoginResponse) and response.ok
-        assert server.registry.is_logged_in("u-alice")
-
-    def test_login_failure_reported(self, server_env):
-        kernel, lan, server, inbox = server_env
-        lan.send("client", "server", LoginRequest(0, "u-alice", "WRONG", ALICE_DEV))
-        kernel.run_until(100)
-        assert not inbox[0].ok
-        assert "password" in inbox[0].reason
-
-    def test_logout_clears_tracking(self, server_env):
-        kernel, lan, server, _ = server_env
-        server.registry.login("u-alice", "pw", ALICE_DEV, tick=0)
-        lan.send("ws:lab-1", "server", WorkstationHello(0, "ws:lab-1", "lab-1"))
-        kernel.run_until(10)
-        lan.send("ws:lab-1", "server", PresenceUpdate(10, "ws:lab-1", ALICE_DEV, True))
-        kernel.run_until(20)
-        lan.send("client", "server", LogoutRequest(20, "u-alice"))
-        kernel.run_until(100)
-        assert not server.registry.is_logged_in("u-alice")
         assert server.location_db.current_room(ALICE_DEV) is None
 
     def test_location_query_roundtrip(self, server_env):

@@ -62,7 +62,7 @@ class TestLoginLogout:
         session = registry.login("u-alice", "pw-a", ALICE_DEV, tick=100)
         assert session.device == ALICE_DEV
         assert registry.is_logged_in("u-alice")
-        assert registry.device_of("u-alice") == ALICE_DEV
+        assert registry.session_of("u-alice").device == ALICE_DEV
         assert registry.userid_of_device(ALICE_DEV) == "u-alice"
 
     def test_wrong_password_rejected(self, registry):
@@ -82,21 +82,12 @@ class TestLoginLogout:
     def test_relogin_moves_binding_to_new_device(self, registry):
         registry.login("u-alice", "pw-a", ALICE_DEV, tick=0)
         registry.login("u-alice", "pw-a", BDAddr(0x300), tick=10)
-        assert registry.device_of("u-alice") == BDAddr(0x300)
+        assert registry.session_of("u-alice").device == BDAddr(0x300)
         assert registry.userid_of_device(ALICE_DEV) is None
 
-    def test_logout_unbinds(self, registry):
-        registry.login("u-alice", "pw-a", ALICE_DEV, tick=0)
-        registry.logout("u-alice")
-        assert not registry.is_logged_in("u-alice")
-        assert registry.userid_of_device(ALICE_DEV) is None
-
-    def test_logout_is_idempotent(self, registry):
-        registry.logout("u-alice")  # never logged in: no error
-
-    def test_device_of_requires_login(self, registry):
+    def test_session_of_requires_login(self, registry):
         with pytest.raises(NotLoggedInError):
-            registry.device_of("u-alice")
+            registry.session_of("u-alice")
 
 
 class TestAccessRights:

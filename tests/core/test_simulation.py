@@ -88,18 +88,6 @@ class TestTracking:
         # plus scheduling stagger.
         assert user_report.mean_detection_latency_seconds < 2 * 15.4
 
-    def test_logout_stops_tracking(self):
-        sim = small_sim()
-        sim.add_user("u-a", "A")
-        sim.add_user("u-b", "B")
-        sim.login("u-a")
-        sim.login("u-b")
-        sim.follow_route("u-a", ["wing-1"])
-        sim.run(until_seconds=60.0)
-        sim.logout("u-a")
-        with pytest.raises(Exception):
-            sim.server.locate("u-b", "A")  # target no longer logged in
-
 
 class TestAccessControl:
     def test_visibility_policy_enforced_end_to_end(self):

@@ -103,20 +103,6 @@ class TestReverseIndex:
         seen(kernel, lan, "ws:c")
         assert [m.new_room_id for m in invalidations(inboxes["ws:a"])] == ["office-2"]
 
-    def test_logout_invalidates_the_current_rooms_workstation(self, env):
-        kernel, lan, server = env
-        inboxes = listen(lan, "ws:a", "ws:b")
-        server.registry.register("u-dev", "Dev", "pw")
-        server.registry.login("u-dev", "pw", DEV, tick=0)
-        hello(kernel, lan, "ws:a", "lab-1")
-        hello(kernel, lan, "ws:b", "lab-2")
-        seen(kernel, lan, "ws:b")
-        server.logout_user("u-dev")
-        kernel.run_until(kernel.now + 10)
-        assert [m.new_room_id for m in invalidations(inboxes["ws:b"])] == [""]
-        assert invalidations(inboxes["ws:a"]) == []
-        assert server.location_db.current_room(DEV) is None
-
     def test_unreachable_workstations_are_skipped(self, env):
         kernel, lan, server = env
         inboxes = listen(lan, "ws:b", "ws:c")

@@ -4,8 +4,8 @@ The components count in plain attributes; ``finalize_metrics`` is the
 one place that turns those counts into metric series.  These tests pin
 that each folded series equals its source, that folding is idempotent,
 that simulations sharing a registry add up, the crash/recovery
-arithmetic of the workstation series, the server's query, login
-and stale-answer counts, and that the folded LAN and server
+arithmetic of the workstation series, the server's query and
+stale-answer counts, and that the folded LAN and server
 distributions equal the same samples pushed one by one.
 """
 
@@ -24,11 +24,10 @@ from repro.core.server import BIPSServer
 from repro.core.simulation import BIPSSimulation
 from repro.faults.injector import LANFaultInjector
 from repro.faults.plan import FaultPlan
-from repro.lan.messages import LocationResponse, LoginRequest, LoginResponse, PathResponse
+from repro.lan.messages import LocationResponse, PathResponse
 from repro.lan.transport import _FRAME_OVERHEAD_BYTES, LANTransport, _field_bytes
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.sim.kernel import Kernel
-from tests.core.test_temporal_queries import login_via_lan
 
 
 def _walking_sim(
@@ -326,8 +325,8 @@ def _counters(snapshot: list[dict]) -> dict[tuple, int]:
 
 
 def _query_sim(seed: int = 11, metrics: MetricsRegistry | None = None) -> BIPSSimulation:
-    """Direct and LAN queries (some denied), LAN logins (one rejected),
-    and a location answered stale after its workstation crashed."""
+    """Direct and LAN queries (some denied) and a location answered
+    stale after its workstation crashed."""
     sim = BIPSSimulation(
         config=BIPSConfig(
             seed=seed,
@@ -342,16 +341,10 @@ def _query_sim(seed: int = 11, metrics: MetricsRegistry | None = None) -> BIPSSi
     sim.add_user("u-b", "B")
     sim.add_user("u-h", "H", policy=VisibilityPolicy.NOBODY)
     sim.add_user("u-c", "C")
-    for userid in ("u-a", "u-b", "u-h"):
+    for userid in ("u-a", "u-b", "u-h", "u-c"):
         sim.login(userid)
     sim.follow_route("u-a", ["lab-1"])
     sim.follow_route("u-b", ["lab-2"])
-    login_via_lan(sim, "u-c")
-    device = sim.user("u-c").device.address
-    sim.lan.send(
-        sim.user("u-c").endpoint, sim.server.endpoint,
-        LoginRequest(sent_tick=0, userid="u-c", password="wrong", device=device),
-    )
     sim.run(until_seconds=60.0)
     server = sim.server
     server.locate("u-b", "A")
@@ -405,13 +398,6 @@ class TestQuerySeries:
         )
         assert latency["count"] == len(locations) + len(paths)
 
-    def test_logins_by_outcome(self, query_sim):
-        values = _values(query_sim.metrics)
-        outcomes = [m.ok for m in query_sim.user("u-c").inbox if isinstance(m, LoginResponse)]
-        assert sorted(outcomes) == [False, True]
-        assert values[("core.logins", ("outcome", "ok"))] == 1
-        assert values[("core.logins", ("outcome", "rejected"))] == 1
-
     def test_stale_answers(self, query_sim):
         stale = [m for m in self._inbox(query_sim, LocationResponse) if m.stale]
         assert len(stale) == 1 and stale[0].room_id == "lab-1"
@@ -423,7 +409,6 @@ class TestQuerySeries:
             "core.queries_served",
             "core.queries_failed",
             "core.query_latency_ticks",
-            "core.logins",
             "core.stale_answers",
         }
 
@@ -448,4 +433,3 @@ class TestQuerySeries:
         totals = {key: a.get(key, 0) + b.get(key, 0) for key in a.keys() | b.keys()}
         assert _counters(shared.snapshot()) == totals
         assert totals[("core.queries_served", ("kind", "location"))] == 12
-        assert totals[("core.logins", ("outcome", "rejected"))] == 2

@@ -126,13 +126,9 @@ class ScriptedFaults:
 class TestRetransmitContext:
     def _rig(self, script):
         spans = SpanTracer(seed=0, sample=1.0)
-        kernel = Kernel()
+        kernel = Kernel(spans=spans)
         # No rng: latency and retry timeouts carry no jitter.
-        transport = LANTransport(
-            kernel,
-            fault_injector=ScriptedFaults(script),
-            spans=spans,
-        )
+        transport = LANTransport(kernel, fault_injector=ScriptedFaults(script))
         transport.register("server", lambda src, msg: None)
         transport.register("ws:lab-1", lambda src, msg: None)
         return spans, kernel, transport

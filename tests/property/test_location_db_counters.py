@@ -1,9 +1,9 @@
 """Property tests: the location database's maintained counters and horizons.
 
 ``known_count`` is a counter kept up to date by every write rather than
-a recount, and the absence horizons are stored per device so that
-``forget_device`` is one pop.  Random interleavings of presences,
-absences and forgets — over few devices, rooms and ticks, so that
+a recount, and the absence horizons are stored per device, then room.
+Random interleavings of presences and absences — over few devices,
+rooms and ticks, so that
 tombstones, stale and superseded deltas and same-room refreshes are
 all frequent — must leave both exactly where a brute-force recount
 and a flat ``(device, room)`` reference model put them, after every
@@ -22,7 +22,7 @@ DEVICES = (BDAddr(0x00AA01000001), BDAddr(0x00AA01000002), BDAddr(0x00AA01000003
 ROOMS = ("lab-1", "lab-2", "library")
 
 operations = st.tuples(
-    st.sampled_from(("presence", "absence", "forget")),
+    st.sampled_from(("presence", "absence")),
     st.sampled_from(DEVICES),
     st.sampled_from(ROOMS),
     st.integers(min_value=0, max_value=30),
@@ -51,10 +51,6 @@ class HorizonModel:
             key = (device, room)
             if tick > self.horizons.get(key, -1):
                 self.horizons[key] = tick
-
-    def forget(self, device: BDAddr) -> None:
-        for key in [key for key in self.horizons if key[0] == device]:
-            del self.horizons[key]
 
 
 def _flat_horizons(db: LocationDatabase) -> dict[tuple[BDAddr, str], int]:
@@ -88,12 +84,9 @@ def test_counters_and_horizons_match_a_recount(sequence):
             expected = model.presence(device, room, tick)
             db.apply_presence(device, room, tick, f"ws:{room}")
             assert db.presences_superseded == superseded + expected
-        elif kind == "absence":
+        else:
             model.absence(db, device, room, tick)
             db.apply_absence(device, room, tick, f"ws:{room}")
-        else:
-            model.forget(device)
-            db.forget_device(device)
         _check(db, model)
 
 
@@ -113,22 +106,19 @@ def test_every_write_path_is_exercised():
         ("absence", b, "library", 4),  # clears the room
         ("presence", a, "lab-2", 13),  # newer: clears the horizon
         ("absence", b, "lab-1", 8),  # b unknown: horizon for lab-1
-        ("forget", b, "lab-1", 0),
     ]
     for kind, device, room, tick in steps:
         if kind == "presence":
             model.presence(device, room, tick)
             db.apply_presence(device, room, tick, f"ws:{room}")
-        elif kind == "absence":
+        else:
             model.absence(db, device, room, tick)
             db.apply_absence(device, room, tick, f"ws:{room}")
-        else:
-            model.forget(device)
-            db.forget_device(device)
         _check(db, model)
     assert db.absence_tombstones == 1
     assert db.stale_presences_ignored == 1
     assert db.presences_reconfirmed == 1
     assert db.presences_superseded == 1
     assert db.updates_applied == 4
-    assert (db.known_count, db.tracked_count) == (1, 1)
+    # b stays tracked, its room unknown.
+    assert (db.known_count, db.tracked_count) == (1, 2)
