@@ -68,7 +68,7 @@ class BIPSServer:
         self.invalidations_sent = 0
         self.browned_out = False
         self.brownouts = 0
-        # Plain counts, per kind / outcome; ``finalize_metrics`` folds them.
+        # Plain counts, per kind; ``finalize_metrics`` folds them.
         self.queries_served = {"location": 0, "path": 0}
         self.queries_failed = {"location": 0, "path": 0}
         self.stale_answers = 0

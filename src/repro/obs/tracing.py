@@ -18,10 +18,10 @@ Design rules (the same contract the metrics plane obeys):
 * **Free when off.** Only the kernel and the simulation take a tracer
   (``spans=None`` by default); every component reads its kernel's
   :attr:`~repro.sim.kernel.Kernel.spans` and guards every call site,
-  so untraced runs pay nothing.  A traced run
-  executes the same code as an untraced one, spans added: the kernel
-  wraps a labelled callback in its ``kernel`` span where the event is
-  queued and drains through its one loop either way.
+  so untraced runs pay nothing.  A traced run executes the same code
+  as an untraced one, spans added: the kernel wraps a labelled
+  callback in its ``kernel`` span where the event is queued and drains
+  through its one loop either way.
 * **Mergeable.** ``merge_worker_spans`` concatenates per-trial span
   lists in trial-index order and tags each record with its trial as
   the Chrome ``pid``, so ``--jobs N`` produces byte-identical merged
